@@ -4,7 +4,9 @@ Subcommands cover the individual calculators (normalization, oracle
 cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
-reports.  Exit status is 0 exactly when every requested check passes."""
+reports.  Exit status is 0 exactly when every requested check passes, 1
+when a check fails, and 2 for a usage error such as a non-prime --prime
+or a malformed expression."""
 
 from __future__ import annotations
 
@@ -36,7 +38,12 @@ from .scenarios import (
     scenario_prop5,
     scenario_prop6,
 )
-from .steenrod import adem_normalize, admissible_basis, parse_expression
+from .steenrod import (
+    SteenrodError,
+    adem_normalize,
+    admissible_basis,
+    parse_expression,
+)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -272,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prime", type=int, default=2, help="the prime p (default 2)")
     parser.add_argument(
         "--max-degree", type=int, default=40,
-        help="degree bound for oracle and consistency checks (default 40)",
+        help="degree bound for oracle and consistency checks (default 40); "
+        "oracle-check raises it to the operands' highest degree",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument(
@@ -342,7 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SteenrodError, mod.ModuleError, ValueError) as exc:
+        print(f"torsionlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,22 +8,28 @@ P^v(x^e) = C(e,v) x^{e+v(p-1)}, and beta acting as a graded derivation.
 Raw (inadmissible) words act letter by letter, products via the Cartan
 formula, so normalized and unnormalized elements can be compared without
 trusting the rewriting engine.
+
+`act` computes the action on explicit monomials; it is the slow reference.
+`oracle_equal` runs one orbit engine at every prime on the test classes
+y_1..y_q x_{q+1}..x_{q+r} (q = 0 at p = 2).  Its state has two blocks: the
+q generators that carry a y are kept explicit, as exterior bits plus
+x-exponents, and the r symmetric x's are kept as a sorted (value, count)
+partition that stands for its whole orbit under permutations of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .steenrod import (
-    BOCKSTEIN,
     Generator,
-    Monomial,
     Prime,
     PrimeMismatchError,
     SteenrodElement,
-    binomial_mod_p,
+    lucas,
 )
 
 Exps = tuple[int, ...]
@@ -155,7 +161,7 @@ class OracleElement:
 
 
 # ---------------------------------------------------------------------------
-# Generator actions
+# Plain action, letter by letter on explicit monomials: the slow reference
 # ---------------------------------------------------------------------------
 
 def _distributions(exps: Exps, budget: int, p: int) -> Iterator[tuple[Exps, int]]:
@@ -169,7 +175,7 @@ def _distributions(exps: Exps, budget: int, p: int) -> Iterator[tuple[Exps, int]
             return
         e = exps[j]
         for v in range(min(e, remaining) + 1):
-            c = binomial_mod_p(e, v, p)
+            c = lucas(e, v, p)
             if c:
                 acc.append(v)
                 yield from rec(j + 1, remaining - v, acc, (weight * c) % p)
@@ -178,16 +184,8 @@ def _distributions(exps: Exps, budget: int, p: int) -> Iterator[tuple[Exps, int]
     yield from rec(0, budget, [], 1)
 
 
-def _apply_sq(i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
-    out: dict[Exps, int] = {}
-    for exps, c in terms.items():
-        for v, w in _distributions(exps, i, 2):
-            ne = tuple(e + d for e, d in zip(exps, v))
-            out[ne] = (out.get(ne, 0) + c * w) % 2
-    return {e: c for e, c in out.items() if c}
-
-
 def _apply_p(i: int, terms: dict[Exps, int], k: int, p: int) -> dict[Exps, int]:
+    """P^i on terms whose first k exponents are exterior (k = 0 for Sq^i)."""
     out: dict[Exps, int] = {}
     for exps, c in terms.items():
         ys, xs = exps[:k], exps[k:]
@@ -226,7 +224,7 @@ def _apply_generator(g: Generator, terms: dict[Exps, int],
                      algebra: OracleAlgebra) -> dict[Exps, int]:
     p, k = algebra.prime, algebra.gens
     if g.kind == "Sq":
-        return _apply_sq(g.index, terms)
+        return _apply_p(g.index, terms, 0, 2)
     if g.kind == "P":
         return _apply_p(g.index, terms, k, p)
     return _apply_bockstein(terms, k, p)
@@ -257,114 +255,134 @@ def act(op: SteenrodElement, v: OracleElement) -> OracleElement:
 
 
 # ---------------------------------------------------------------------------
-# Fast symmetric action at p = 2
+# Orbit engine, one for every prime
 #
-# The class u_k = x_1..x_k and everything a Sq-word produces from it are
-# symmetric polynomials.  States are stored as sorted (value, count) tuples
-# over the k nonzero exponents; Sq^i moves whole value-groups, and the
-# orbit-sum bookkeeping is an exact multinomial count reduced mod 2.
+# Every operation commutes with permuting the r plain x's, and the test
+# class is symmetric in them, so all that a word makes of it is a sum of
+# Sigma_r-orbit sums.  An Orbit is (y block, x block) as described in the
+# module docstring, with the coefficient of every monomial in the orbit.
+# P^i (Sq^i at p = 2) splits its index between the blocks by the Cartan
+# formula.  beta acts on the y block alone; since beta x = 0, no Koszul
+# sign crosses the blocks.
 # ---------------------------------------------------------------------------
 
-SymState = dict[tuple[tuple[int, int], ...], int]
+YBlock = tuple[tuple[int, int], ...]
+Partition = tuple[tuple[int, int], ...]
+Orbit = tuple[YBlock, Partition]
+OrbitState = dict[Orbit, int]
 
 
-def _group_splits(a: int, m: int, budget: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
-    """Split m parts of value a among increments v with C(a,v) odd.
+@functools.lru_cache(maxsize=256)
+def _splits(p: int, a: int, m: int, budget: int
+            ) -> tuple[tuple[Partition, int, int], ...]:
+    """Ways to raise m exponents a by increments v with C(a, v) != 0 mod p,
+    spending at most budget: (pieces, spent, weight) per way, where pieces
+    holds (a + v(p-1), count) and weight is prod C(a, v)^count mod p."""
+    steps = [(v, c) for v in range(1, min(a, budget) + 1)
+             if (c := lucas(a, v, p))]
+    out = []
 
-    Yields (((a+v, count), ...), spent, weight) per split."""
-    allowed = [v for v in range(a + 1) if math.comb(a, v) % 2 == 1]
-
-    def rec(idx: int, left_parts: int, left_budget: int,
-            acc: list[tuple[int, int]], weight: int):
-        if idx == len(allowed):
-            if left_parts == 0:
-                yield tuple(acc), budget - left_budget, weight
+    def rec(j: int, left: int, room: int, pieces: Partition, weight: int):
+        if j == len(steps):
+            rest = ((a, left),) if left else ()
+            out.append((pieces + rest, budget - room, weight))
             return
-        v = allowed[idx]
-        if idx == len(allowed) - 1 and v == 0:
-            # Remaining parts stay put.
-            if left_parts:
-                acc.append((a, left_parts))
-                yield from rec(idx + 1, 0, left_budget, acc, weight)
-                acc.pop()
-            else:
-                yield from rec(idx + 1, 0, left_budget, acc, weight)
+        v, c = steps[j]
+        for cnt in range(min(left, room // v) + 1):
+            rec(j + 1, left - cnt, room - v * cnt,
+                pieces + (((a + v * (p - 1), cnt),) if cnt else ()),
+                weight * pow(c, cnt, p) % p)
+
+    rec(0, m, budget, (), 1)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _x_step(p: int, part: Partition, i: int) -> tuple[tuple[Partition, int], ...]:
+    """P^i on the orbit sum of a partition, all of i spent in the x block.
+
+    A target orbit collects the pieces of every group's split; its
+    coefficient is the multinomial count of ways the pieces of one target
+    value came from different sources, times the splits' weights, mod p."""
+    room = [0] * (len(part) + 1)  # most that the groups from g on can spend
+    for g in range(len(part) - 1, -1, -1):
+        room[g] = room[g + 1] + part[g][0] * part[g][1]
+    out: dict[Partition, int] = {}
+
+    def rec(g: int, left: int, pieces: Partition, weight: int):
+        if g == len(part):
+            merged: dict[int, list[int]] = {}
+            for val, cnt in pieces:
+                merged.setdefault(val, []).append(cnt)
+            coef = weight
+            for cnts in merged.values():
+                total = sum(cnts)
+                for cnt in cnts[:-1]:
+                    coef = coef * math.comb(total, cnt) % p
+                    total -= cnt
+            if coef:
+                key = tuple(sorted(((val, sum(cnts)) for val, cnts in merged.items()),
+                                   reverse=True))
+                out[key] = (out.get(key, 0) + coef) % p
             return
-        max_cnt = left_parts if v == 0 else min(left_parts, left_budget // v)
-        for cnt in range(max_cnt + 1):
-            if cnt:
-                acc.append((a + v, cnt))
-            yield from rec(idx + 1, left_parts - cnt, left_budget - v * cnt,
-                           acc, weight)
-            if cnt:
-                acc.pop()
+        a, m = part[g]
+        # The groups after g can spend at most room[g + 1] of what is left;
+        # at the last group this makes the split spend all of it.
+        for group, spent, w in _splits(p, a, m, min(left, a * m)):
+            if left - spent <= room[g + 1]:
+                rec(g + 1, left - spent, pieces + group, weight * w % p)
 
-    # Put v = 0 last so the stay-put shortcut applies.
-    allowed = sorted(allowed, reverse=True)
-    yield from rec(0, m, budget, [], 1)
+    if i <= room[0]:
+        rec(0, i, (), 1)
+    return tuple((key, c) for key, c in out.items() if c)
 
 
-def _sq_symmetric(state: SymState, i: int) -> SymState:
-    out: SymState = {}
-    for items, coeff in state.items():
-        # Distribute the budget i over the value groups.
-        groups = list(items)
-
-        def rec(gi: int, remaining: int,
-                contribs: list[tuple[int, int, int]]):
-            if gi == len(groups):
-                if remaining:
-                    return
-                # Merge contributions into a partition and count the
-                # orbit multiplicity per target value.
-                merged: dict[int, list[int]] = {}
-                for val, cnt, _src in contribs:
-                    merged.setdefault(val, []).append(cnt)
-                factor = 1
-                for val, cnts in merged.items():
-                    total = sum(cnts)
-                    left = total
-                    for cnt in cnts[:-1]:
-                        factor *= math.comb(left, cnt)
-                        left -= cnt
-                if factor % 2 == 0:
-                    return
-                part = tuple(sorted(
-                    ((val, sum(cnts)) for val, cnts in merged.items()),
-                    reverse=True))
-                out[part] = (out.get(part, 0) + coeff) % 2
-                if out[part] == 0:
-                    del out[part]
-                return
-            a, m = groups[gi]
-            for split, spent, _w in _group_splits(a, m, remaining):
-                rec(gi + 1, remaining - spent,
-                    contribs + [(val, cnt, gi) for val, cnt in split])
-
-        rec(0, i, [])
-    return out
+def _y_splits(p: int, ys: YBlock, budget: int) -> Iterator[tuple[YBlock, int, int]]:
+    """P^j on the explicit y block for every j <= budget: (block, j, weight)."""
+    if not ys:
+        yield ys, 0, 1
+        return
+    (bit, e), rest = ys[0], ys[1:]
+    for v in range(min(e, budget) + 1):
+        c = lucas(e, v, p)
+        if c:
+            for tail, spent, w in _y_splits(p, rest, budget - v):
+                yield ((bit, e + v * (p - 1)),) + tail, v + spent, c * w % p
 
 
-def _act_word_symmetric(word: tuple[Generator, ...], k: int) -> SymState:
-    """Action of a Sq-word on u_k = x_1..x_k, as a symmetric state."""
-    state: SymState = {(((1, k),) if k else ()): 1}
-    for g in reversed(word):
-        if not state:
-            break
-        state = _sq_symmetric(state, g.index)
-    return state
+def _step(p: int, orbit: Orbit, g: Generator) -> Iterator[tuple[Orbit, int]]:
+    """One letter on one orbit: (orbit, coefficient) pairs, not merged."""
+    ys, part = orbit
+    if g.kind == "b":
+        sign = 1
+        for j, (bit, e) in enumerate(ys):
+            if bit:
+                yield (ys[:j] + ((0, e + 1),) + ys[j + 1:], part), sign
+                sign = -sign
+        return
+    for new_ys, spent, w in _y_splits(p, ys, g.index):
+        for new_part, c in _x_step(p, part, g.index - spent):
+            yield (new_ys, new_part), w * c
 
 
-def _act_symmetric(op: SteenrodElement, k: int) -> SymState:
-    total: SymState = {}
+def _orbit_action(op: SteenrodElement, q: int, r: int) -> OrbitState:
+    """Action of op on y_1..y_q x_{q+1}..x_{q+r}, as orbit coefficients."""
+    p = op.prime
+    start: Orbit = (((1, 0),) * q, ((1, r),) if r else ())
+    total: OrbitState = {}
     for mono, coef in op.terms.items():
-        for part, c in _act_word_symmetric(mono.word, k).items():
-            v = (total.get(part, 0) + coef * c) % 2
-            if v:
-                total[part] = v
-            else:
-                total.pop(part, None)
-    return total
+        state: OrbitState = {start: coef}
+        for g in reversed(mono.word):
+            nxt: OrbitState = {}
+            for orbit, c in state.items():
+                for new, w in _step(p, orbit, g):
+                    nxt[new] = (nxt.get(new, 0) + c * w) % p
+            state = {orbit: c for orbit, c in nxt.items() if c}
+            if not state:
+                break
+        for orbit, c in state.items():
+            total[orbit] = (total.get(orbit, 0) + c) % p
+    return {orbit: c for orbit, c in total.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +397,20 @@ def _max_bockstein_count(e: SteenrodElement) -> int:
 def oracle_equal(a: SteenrodElement, b: SteenrodElement,
                  max_degree: int) -> bool:
     """True iff a and b act identically on the oracle test classes, a
-    genuine equality test for elements of degree <= max_degree."""
+    genuine equality test for elements of degree <= max_degree.
+
+    The classes are y_1..y_q x_{q+1}..x_{q+r} for every q up to the most
+    Bocksteins in a word of a - b, with r = max_degree at p = 2 and
+    r = max_degree // (2(p-1)) + 1 at odd p.  max_degree is first raised
+    to the highest monomial degree of a - b, so a difference above the
+    given bound is never reported equal."""
     if a.prime != b.prime:
         raise PrimeMismatchError("cannot compare elements over different primes")
     diff = a - b
     if diff.is_zero():
         return True
     p = a.prime
-    if p == 2:
-        k = max(1, max_degree)
-        return not _act_symmetric(diff, k)
-    x_count = max_degree // (2 * (p - 1)) + 1
-    for q in range(_max_bockstein_count(diff) + 1):
-        algebra = OracleAlgebra(p, q + x_count)
-        cls = algebra.product_class(q, x_count)
-        if not act(diff, cls).is_zero():
-            return False
-    return True
+    d = max(max_degree, max(m.degree for m in diff.terms))
+    r = max(1, d) if p == 2 else d // (2 * (p - 1)) + 1
+    return not any(_orbit_action(diff, q, r)
+                   for q in range(_max_bockstein_count(diff) + 1))

@@ -20,6 +20,7 @@ with all binomials taken mod p, b^2 = 0, and Sq^0 = P^0 = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterator, Literal, NamedTuple, Union
@@ -41,14 +42,26 @@ class ParseError(SteenrodError):
         self.position = position
 
 
+@functools.lru_cache(maxsize=64)
+def _is_prime(value: int) -> bool:
+    return value >= 2 and all(value % d for d in range(2, math.isqrt(value) + 1))
+
+
+def check_prime(p: int) -> int:
+    """p as a plain int, or ValueError if it is not prime.  The trial
+    division is memoized, so public entry points validate on every call
+    while inner loops work on plain ints."""
+    p = int(p)
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 class Prime(int):
     """A positive prime integer, primality-tested on construction."""
 
     def __new__(cls, value: int) -> "Prime":
-        value = int(value)
-        if value < 2 or any(value % d == 0 for d in range(2, int(value**0.5) + 1)):
-            raise ValueError(f"{value} is not prime")
-        return super().__new__(cls, value)
+        return super().__new__(cls, check_prime(value))
 
 
 class Generator(NamedTuple):
@@ -141,7 +154,7 @@ class Monomial(NamedTuple):
 
 
 def unit_monomial(p: int) -> Monomial:
-    return Monomial(int(Prime(p)), ())
+    return Monomial(check_prime(p), ())
 
 
 class SteenrodElement:
@@ -150,7 +163,7 @@ class SteenrodElement:
     __slots__ = ("prime", "_terms")
 
     def __init__(self, p: int, terms: dict[Monomial, int] | None = None):
-        p = int(Prime(p))
+        p = check_prime(p)
         self.prime = p
         clean: dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
@@ -177,7 +190,7 @@ class SteenrodElement:
     @classmethod
     def from_word(cls, p: int, word: tuple[Generator, ...] | list[Generator],
                   coeff: int = 1) -> "SteenrodElement":
-        return cls(p, {Monomial(int(Prime(p)), tuple(word)): coeff})
+        return cls(p, {Monomial(check_prime(p), tuple(word)): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -273,12 +286,16 @@ def degree(e: SteenrodElement) -> Union[int, Literal["any", "non-homogeneous"]]:
 def binomial_mod_p(n: int, k: int, p: int) -> int:
     """Binomial coefficient mod p, by Lucas for n >= 0; C(n,k) = 0 for k < 0,
     and C(n,k) = (-1)^k C(k-n-1, k) for negative n (polynomial convention)."""
-    p = int(Prime(p))
+    return lucas(n, k, check_prime(p))
+
+
+def lucas(n: int, k: int, p: int) -> int:
+    """binomial_mod_p for a p already known to be prime (not re-checked)."""
     if k < 0:
         return 0
     if n < 0:
         sign = -1 if k % 2 else 1
-        return (sign * binomial_mod_p(k - n - 1, k, p)) % p
+        return (sign * lucas(k - n - 1, k, p)) % p
     if k > n:
         return 0
     result = 1
@@ -327,12 +344,12 @@ def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, In
         tail = word[j + 2:]
         if p == 2:
             for c in range(a // 2 + 1):
-                if binomial_mod_p(b - c - 1, a - 2 * c, 2):
+                if lucas(b - c - 1, a - 2 * c, 2):
                     mid = (a + b - c,) if c == 0 else (a + b - c, c)
                     out.append((1, head + mid + tail))
         else:
             for t in range(a // p + 1):
-                coef = binomial_mod_p((p - 1) * (b - t) - 1, a - p * t, p)
+                coef = lucas((p - 1) * (b - t) - 1, a - p * t, p)
                 if coef:
                     sign = -1 if (a + t) % 2 else 1
                     mid = (a + b - t,) if t == 0 else (a + b - t, t)
@@ -343,11 +360,11 @@ def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, In
     tail = word[j + 3:]
     for t in range(a // p + 1):
         sign = -1 if (a + t) % 2 else 1
-        c1 = binomial_mod_p((p - 1) * (b - t), a - p * t, p)
+        c1 = lucas((p - 1) * (b - t), a - p * t, p)
         if c1:
             mid = (0, a + b - t) if t == 0 else (0, a + b - t, t)
             out.append(((sign * c1) % p, head + mid + tail))
-        c2 = binomial_mod_p((p - 1) * (b - t) - 1, a - p * t - 1, p)
+        c2 = lucas((p - 1) * (b - t) - 1, a - p * t - 1, p)
         if c2:
             mid = (a + b - t, 0) if t == 0 else (a + b - t, 0, t)
             out.append(((-sign * c2) % p, head + mid + tail))
@@ -443,7 +460,7 @@ def _admissible_words_odd(d: int, p: int) -> Iterator[IntWord]:
 def admissible_basis(p: int, deg: int) -> list[Monomial]:
     """All admissible monomials of the given degree, in the canonical
     descending lexicographic order on exponent sequences."""
-    p = int(Prime(p))
+    p = check_prime(p)
     if deg < 0:
         raise ValueError("degree must be non-negative")
     words = (_admissible_words_2(deg) if p == 2
@@ -478,7 +495,7 @@ def parse_expression(text: str, p: int) -> SteenrodElement:
     """Parse 'term ((+|-) term)*' where a term is an optional integer
     coefficient followed by factors: generators like 'Sq^3', 'P2' or 'b',
     or parenthesized subexpressions, multiplied left to right."""
-    p = int(Prime(p))
+    p = check_prime(p)
     tokens = _tokenize(text)
     i = 0
 

@@ -86,27 +86,34 @@ def test_criterion_1_adem_identity(report):
     assert passed
 
 
+def criterion_2_words(p):
+    """The 500 random words of degree <= 30 that criterion 2 checks at p,
+    with their degrees, drawn from random.Random(p)."""
+    rng = random.Random(p)
+    checked = 0
+    while checked < 500:
+        length = rng.randint(1, 5)
+        word = []
+        for _ in range(length):
+            if p > 2 and rng.random() < 0.25:
+                word.append(BOCKSTEIN)
+            else:
+                cap = 30 if p == 2 else 30 // (2 * (p - 1))
+                idx = rng.randint(1, max(1, cap))
+                word.append(Sq(idx) if p == 2 else P(idx))
+        e = SteenrodElement.from_word(p, tuple(word))
+        d = degree(e)
+        if not isinstance(d, int) or d > 30:
+            continue
+        checked += 1
+        yield e, d
+
+
 def test_criterion_2_oracle_soundness(report):
     passed = True
     with timed(60.0) as t:
         for p in (2, 3, 5):
-            rng = random.Random(p)
-            checked = 0
-            while checked < 500:
-                length = rng.randint(1, 5)
-                word = []
-                for _ in range(length):
-                    if p > 2 and rng.random() < 0.25:
-                        word.append(BOCKSTEIN)
-                    else:
-                        cap = 30 if p == 2 else 30 // (2 * (p - 1))
-                        idx = rng.randint(1, max(1, cap))
-                        word.append(Sq(idx) if p == 2 else P(idx))
-                e = SteenrodElement.from_word(p, tuple(word))
-                d = degree(e)
-                if not isinstance(d, int) or d > 30:
-                    continue
-                checked += 1
+            for e, d in criterion_2_words(p):
                 if not oracle_equal(e, adem_normalize(e), d):
                     passed = False
     report(2, "oracle soundness, 500 words per prime", passed, t.elapsed)

@@ -41,6 +41,28 @@ class TestOracleCheck:
         assert out.startswith("DIFFERENT")
 
 
+    @pytest.mark.parametrize("prime,expression", [("2", "Sq^41"), ("3", "P^12")])
+    def test_above_max_degree_is_different(self, capsys, prime, expression):
+        code, out = run(capsys, "--prime", prime, "--max-degree", "40",
+                        "oracle-check", expression, "0")
+        assert code == 1
+        assert out.startswith("DIFFERENT")
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize("argv", [
+        ("--prime", "4", "normalize", "P^1"),
+        ("--prime", "3", "normalize", "P^3 +"),
+    ])
+    def test_one_line_and_exit_two(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("torsionlab: error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestBasis:
     def test_degree_three(self, capsys):
         code, out = run(capsys, "basis", "3")

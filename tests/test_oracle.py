@@ -2,7 +2,11 @@
 equality test it supports.  Everything here is independent of the Adem
 rewriting engine, which is exactly what makes it a useful cross-check."""
 
+import collections
+import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +21,14 @@ from torsionlab import (
     SteenrodElement,
     act,
     adem_normalize,
+    admissible_basis,
     multiply,
     oracle_equal,
     parse_expression,
 )
-from torsionlab.oracle import _act_symmetric
+from torsionlab.oracle import _orbit_action, _step
+
+from test_acceptance import criterion_2_words
 
 
 def el(text, p):
@@ -96,31 +103,83 @@ class TestActionIsModuleStructure:
         assert act(s, v) == act(el("Sq^2", 2), v) + act(el("Sq^1 Sq^1", 2), v)
 
 
+def _orbits_of(v, q, r):
+    """Rebuild orbit states from an explicit element of E(y) (x) F_p[x] on
+    q y-carrying and r plain generators: the y block is explicit, and each
+    multiset of plain x-exponents is one orbit, all of whose monomials must
+    be present with one coefficient."""
+    p, n = v.algebra.prime, q + r
+    rebuilt, sizes = {}, {}
+    for exps, c in v.terms.items():
+        ys, xs = ((), exps) if p == 2 else (exps[:n], exps[n:])
+        assert not any(ys[q:])
+        key = (tuple(zip(ys[:q], xs[:q])),
+               tuple(sorted(collections.Counter(xs[q:]).items(), reverse=True)))
+        assert rebuilt.get(key, c) == c
+        rebuilt[key] = c
+        sizes[key] = sizes.get(key, 0) + 1
+    for (_, part), size in sizes.items():
+        orbit_size = math.factorial(r)
+        for _, cnt in part:
+            orbit_size //= math.factorial(cnt)
+        assert size == orbit_size
+    return rebuilt
+
+
+def _random_letter(rng, p, top):
+    if p > 2 and rng.random() < 0.4:
+        return BOCKSTEIN
+    return Sq(rng.randint(1, top)) if p == 2 else P(rng.randint(1, top))
+
+
+def _check_against_direct_action(rng, p, q, r):
+    A = OracleAlgebra(p, q + r)
+    for _ in range(10):
+        word = tuple(_random_letter(rng, p, 4 if p == 2 else 3)
+                     for _ in range(rng.randint(1, 3)))
+        e = SteenrodElement.from_word(p, word)
+        direct = act(e, A.product_class(q, r))
+        assert _orbits_of(direct, q, r) == _orbit_action(e, q, r)
+
+
 class TestSymmetricAction:
-    """The scalable p=2 action on u_k = x_1..x_k must agree with the
-    direct polynomial computation."""
+    """The orbit engine on y_1..y_q x_{q+1}..x_{q+r} must agree with the
+    direct polynomial computation at every prime."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_direct_action(self, k):
-        rng = random.Random(k)
-        for _ in range(10):
-            word = tuple(Sq(rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
-            e = SteenrodElement.from_word(2, word)
-            A = OracleAlgebra(2, k)
-            direct = act(e, A.product_class(0, k))
-            sym = _act_symmetric(e, k)
-            # Rebuild the symmetric state from the direct result: each
-            # exponent multiset is one orbit, all of whose monomials must
-            # share a coefficient.
-            rebuilt = {}
-            for exps, c in direct.terms.items():
-                groups = {}
-                for v in exps:
-                    groups[v] = groups.get(v, 0) + 1
-                key = tuple(sorted(groups.items(), reverse=True))
-                assert rebuilt.get(key, c) == c
-                rebuilt[key] = c
-            assert rebuilt == sym
+        _check_against_direct_action(random.Random(k), 2, 0, k)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_matches_direct_action_odd_prime(self, p, q):
+        r = 3 if q == 0 else 2
+        _check_against_direct_action(random.Random(100 * p + q), p, q, r)
+
+    @pytest.mark.parametrize("p,q", [(2, 0), (3, 0), (3, 2), (5, 1)])
+    def test_step_on_any_orbit(self, p, q):
+        # The test classes only ever reach p-power exponents, where every
+        # C(a, v) mod p is 0 or 1.  Arbitrary orbits also exercise the
+        # binomial weights of the Cartan formula.
+        rng = random.Random(10 * p + q)
+        r = 3
+        A = OracleAlgebra(p, q + r)
+        for _ in range(30):
+            ys = tuple((rng.randint(0, 1), rng.randint(0, 4)) for _ in range(q))
+            xs = [rng.randint(1, 5) for _ in range(r)]
+            part = tuple(sorted(collections.Counter(xs).items(), reverse=True))
+            y_bits = tuple(bit for bit, _ in ys) + (0,) * r
+            y_exps = tuple(e for _, e in ys)
+            orbit_sum = A.element({
+                (perm if p == 2 else y_bits + y_exps + perm): 1
+                for perm in set(itertools.permutations(xs))})
+            g = _random_letter(rng, p, 5 if p == 2 else 3)
+            direct = act(SteenrodElement.from_word(p, (g,)), orbit_sum)
+            stepped = {}
+            for orbit, c in _step(p, (ys, part), g):
+                stepped[orbit] = (stepped.get(orbit, 0) + c) % p
+            assert _orbits_of(direct, q, r) == {
+                orbit: c for orbit, c in stepped.items() if c}
 
 
 class TestOracleEqual:
@@ -144,6 +203,22 @@ class TestOracleEqual:
         z = SteenrodElement.zero(2)
         assert oracle_equal(z, z, 5)
         assert oracle_equal(el("Sq^1 Sq^1", 2), z, 5)
+
+    def test_difference_above_degree_bound_is_not_equal(self):
+        # The bound is raised to the degree of a - b, so an element of
+        # higher degree than max_degree is still told apart from zero.
+        assert oracle_equal(el("Sq^41", 2), SteenrodElement.zero(2), 40) is False
+        assert oracle_equal(el("P^12", 3), SteenrodElement.zero(3), 40) is False
+
+    def test_odd_prime_degree_60_under_one_second(self):
+        e = el("P^6 P^9", 3)
+        normal = adem_normalize(e)
+        assert not normal.is_zero()
+        control = normal + el("P^15", 3)
+        start = time.perf_counter()
+        assert oracle_equal(e, normal, 60) is True
+        assert oracle_equal(e, control, 60) is False
+        assert time.perf_counter() - start < 1.0
 
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatchError):
@@ -181,3 +256,52 @@ def test_random_word_agrees_with_normal_form(p, data):
     d = degree(e)
     bound = d if isinstance(d, int) else 10
     assert oracle_equal(e, adem_normalize(e), min(bound, 30))
+
+
+def _plain_oracle_equal(a, b, max_degree, images):
+    """oracle_equal's test on the same classes, computed with plain `act`.
+    images caches act(monomial, class) across calls; act is linear."""
+    diff = a - b
+    if diff.is_zero():
+        return True
+    p = a.prime
+    d = max(max_degree, max(m.degree for m in diff.terms))
+    r = max(1, d) if p == 2 else d // (2 * (p - 1)) + 1
+    bocksteins = max(sum(g.kind == "b" for g in m.word) for m in diff.terms)
+    for q in range(bocksteins + 1):
+        A = OracleAlgebra(p, q + r)
+        total = A.element({})
+        for mono, c in diff.terms.items():
+            key = (mono, q, r)
+            if key not in images:
+                images[key] = act(SteenrodElement(p, {mono: 1}),
+                                  A.product_class(q, r))
+            total = total + A.element(
+                {exps: c * v for exps, v in images[key].terms.items()})
+        if not total.is_zero():
+            return False
+    return True
+
+
+# Plain act on x_1..x_d at p = 2 holds up to C(d, d/2) monomials, so the
+# p = 2 words are cross-checked only up to this degree.
+PLAIN_P2_MAX_DEGREE = 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_oracle_agrees_with_plain_act_on_criterion_2_words(p):
+    rng = random.Random(1000 + p)
+    images = {}
+    for e, d in criterion_2_words(p):
+        if p == 2 and d > PLAIN_P2_MAX_DEGREE:
+            continue
+        normal = adem_normalize(e)
+        against = [normal, SteenrodElement.zero(p)]
+        basis = admissible_basis(p, d)
+        if basis:
+            control = normal + SteenrodElement.from_word(p, rng.choice(basis).word)
+            assert not oracle_equal(e, control, d)
+            against.append(control)
+        for rhs in against:
+            assert oracle_equal(e, rhs, d) is _plain_oracle_equal(
+                e, rhs, d, images), (e, rhs)

@@ -29,7 +29,7 @@ from .exotic import (
     two_order_zero_certificate,
     verify_axioms,
 )
-from .oracle import oracle_equal
+from .oracle import checked_degree, oracle_equal
 from .scenarios import (
     run_all,
     scenario_exotic,
@@ -79,16 +79,17 @@ def _cmd_oracle_check(args) -> int:
         else adem_normalize(lhs)
     )
     equal = oracle_equal(lhs, rhs, args.max_degree)
+    degree = checked_degree(lhs - rhs, args.max_degree)
     _emit(
         args,
         {
             "lhs": str(lhs),
             "rhs": str(rhs),
-            "max_degree": args.max_degree,
+            "max_degree": degree,
             "equal": equal,
         },
         f"{'EQUAL' if equal else 'DIFFERENT'}: {lhs}  vs  {rhs}  "
-        f"(polynomial action through degree {args.max_degree})",
+        f"(polynomial action through degree {degree})",
     )
     return 0 if equal else 1
 

@@ -11,21 +11,31 @@ This module enumerates the candidate distinguished class (direct sums of
 elementary triangles up to isomorphism), verifies the triangle axioms
 exhaustively in low rank, and certifies that multiplication by 2 on the
 rank-one object is nonzero even though its cone is again the rank-one
-object — the behavior that separates this category from algebraic ones."""
+object — the behavior that separates this category from algebraic ones.
+
+Everything that does not depend on a verdict is built once per process:
+the class representatives for each rank bound, the stacks of all
+matrices of each shape, and GL_r(Z/4), found as the matrices of odd
+determinant.  Verdicts are recomputed on every call.  Searches never
+loop over matrices in Python: each matrix product is taken over a whole
+stack at once and encoded as one integer key per matrix, isomorphisms
+are found by joining the distinct keys of the GL stacks, and TR3 is
+decided by joining the distinct keys of the candidate a and b on the
+commutation condition and looking the result up among the keys of all
+fill-ins c, so rank 3 runs in memory."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fpmatrix as fp
 
-
-def _as_matrix(entries, target: int, source: int) -> np.ndarray:
-    m = np.array(entries, dtype=np.int64).reshape(target, source) % 4
-    return m
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -47,11 +57,13 @@ class Z4Morphism:
         if target is not None:
             t = target
         m = m.reshape(t, s) % 4
-        return cls(s, t, tuple(int(x) for x in m.ravel()))
+        return cls(s, t, tuple(m.ravel().tolist()))
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return _as_matrix(self.entries, self.target, self.source)
+        """The matrix, built on first access and read-only."""
+        m = np.array(self.entries, dtype=np.int64).reshape(self.target, self.source)
+        return _readonly(m % 4)
 
     def compose(self, other: "Z4Morphism") -> "Z4Morphism":
         """self ∘ other."""
@@ -80,6 +92,11 @@ class Z4Morphism:
 
 def identity_morphism(rank: int) -> Z4Morphism:
     return Z4Morphism.from_matrix(np.eye(rank, dtype=np.int64), rank, rank)
+
+
+def two_times_identity(rank: int) -> Z4Morphism:
+    """Multiplication by 2 on the free module of the given rank."""
+    return Z4Morphism.from_matrix(2 * np.eye(rank, dtype=np.int64), rank, rank)
 
 
 def zero_morphism(source: int, target: int) -> Z4Morphism:
@@ -134,7 +151,7 @@ class Z4Triangle:
 
 def two_triangle() -> Z4Triangle:
     """The elementary triangle Z/4 --2--> Z/4 --2--> Z/4 --2--> Z/4."""
-    two = Z4Morphism.from_matrix([[2]])
+    two = two_times_identity(1)
     return Z4Triangle(two, two, two)
 
 
@@ -157,62 +174,90 @@ def elementary_triangles() -> list[Z4Triangle]:
     return [two_triangle(), c0, c1, c2]
 
 
+@functools.cache
 def _all_matrices(target: int, source: int) -> np.ndarray:
-    """All (target x source) matrices over Z/4, stacked along axis 0."""
+    """All (target x source) matrices over Z/4, stacked along axis 0 and
+    read-only; built once per shape."""
     n = target * source
-    if n == 0:
-        return np.zeros((1, target, source), dtype=np.int64)
-    grids = np.indices((4,) * n).reshape(n, -1).T
-    return grids.reshape(-1, target, source).astype(np.int64)
+    grids = np.indices((4,) * n, dtype=np.int64).reshape(n, 4**n).T
+    return _readonly(grids.reshape(4**n, target, source))
 
 
-def _general_linear(rank: int) -> np.ndarray:
-    """All invertible (rank x rank) matrices over Z/4 (unit determinant
-    mod 2 suffices)."""
-    if rank == 0:
-        return np.zeros((1, 0, 0), dtype=np.int64)
-    mats = _all_matrices(rank, rank)
-    keep = [m for m in mats if fp.rank(m, 2) == rank]
-    return np.array(keep, dtype=np.int64).reshape(-1, rank, rank)
-
-
-_GL_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def general_linear(rank: int) -> np.ndarray:
-    if rank not in _GL_CACHE:
-        _GL_CACHE[rank] = _general_linear(rank)
-    return _GL_CACHE[rank]
+    """All invertible (rank x rank) matrices over Z/4, read-only and built
+    once per rank.  A matrix is invertible mod 4 iff its determinant is
+    odd.  For rank <= 3 the determinant of a matrix with entries in 0..3
+    is an integer of absolute value at most 162, so rounding the
+    floating-point determinant of the whole stack gives it exactly."""
+    mats = _all_matrices(rank, rank)
+    det = np.rint(np.linalg.det(mats)).astype(np.int64)
+    return _readonly(mats[det % 2 == 1])
+
+
+def _encode(*stacks: np.ndarray) -> np.ndarray:
+    """One integer key per index i of equal-length matrix stacks: the
+    entries mod 4 of stacks[0][i], stacks[1][i], ... as base-4 digits,
+    the last stack's entries lowest, so
+    _encode(s, t) == _encode(s) * 4**t[0].size + _encode(t)."""
+    flat = np.concatenate(
+        [s.reshape(len(s), -1) for s in reversed(stacks)], axis=1
+    ) % 4
+    return flat @ 4 ** np.arange(flat.shape[1], dtype=np.int64)
+
+
+def _distinct_pairs(first: np.ndarray, second: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct key pairs (_encode(first[i]), _encode(second[i])), as
+    two aligned arrays sorted by the first key."""
+    return np.divmod(np.unique(_encode(first, second)), 4 ** second[0].size)
+
+
+def _match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with left[i] == right[j], for sorted right:
+    a merge join on integer keys."""
+    lo = np.searchsorted(right, left, side="left")
+    counts = np.searchsorted(right, left, side="right") - lo
+    i = np.repeat(np.arange(len(left)), counts)
+    # Output slot k falls in left[i]'s run, which starts at slot
+    # cumsum(counts)[i] - counts[i]; it pairs with right[lo[i] + its offset].
+    shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return i, np.arange(len(i)) + shift
+
+
+def _joined_keys(left: tuple[np.ndarray, np.ndarray],
+                 right: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
+    """For key pairs left = (k, l) and right = (k, r), right sorted by k:
+    the key l * width + r of every left and right row that agree on k."""
+    i, j = _match(left[0], right[0])
+    return left[1][i] * width + right[1][j]
 
 
 def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     """Whether invertible (u, v, w) carry t1 to t2: v f1 = f2 u,
-    w g1 = g2 v, u h1 = h2 w."""
+    w g1 = g2 v, u h1 = h2 w.
+
+    Each of u, v, w enters two of the three equations, so each GL stack
+    is reduced to the distinct key pairs of its two products, computed by
+    one batched matmul each.  The u and v pairs are joined on the key of
+    the first equation; an isomorphism exists iff some joined pair of
+    keys for the other two equations is a key pair of some w."""
     if t1.ranks != t2.ranks:
         return False
-    rx, ry, rz = t1.ranks
+    rx, _, rz = t1.ranks
     f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
     f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
-    gl_y = general_linear(ry)
-    gl_z = general_linear(rz)
-    # Index candidate v by v @ f1 and candidate w by w @ g1.
-    v_by_key: dict[bytes, list[np.ndarray]] = {}
-    for v in gl_y:
-        v_by_key.setdefault(((v @ f1) % 4).astype(np.uint8).tobytes(), []).append(v)
-    w_by_key: dict[bytes, list[np.ndarray]] = {}
-    for w in gl_z:
-        w_by_key.setdefault(((w @ g1) % 4).astype(np.uint8).tobytes(), []).append(w)
-    for u in general_linear(rx):
-        for v in v_by_key.get(((f2 @ u) % 4).astype(np.uint8).tobytes(), ()):
-            for w in w_by_key.get(((g2 @ v) % 4).astype(np.uint8).tobytes(), ()):
-                if np.array_equal((u @ h1) % 4, (h2 @ w) % 4):
-                    return True
-    return False
+    gl_x, gl_y, gl_z = (general_linear(r) for r in t1.ranks)
+    v_keys = _distinct_pairs(gl_y @ f1, g2 @ gl_y)
+    u_keys = _distinct_pairs(f2 @ gl_x, gl_x @ h1)
+    width = 4 ** (rx * rz)
+    w_keys = _encode(gl_z @ g1, h2 @ gl_z)
+    joined = _joined_keys(v_keys, u_keys, width)
+    return len(_match(joined, np.unique(w_keys))[0]) > 0
 
 
-def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
-    """One representative per isomorphism class of direct sums of
-    elementary triangles with all three ranks bounded by max_rank."""
+@functools.cache
+def _representatives(max_rank: int) -> tuple[Z4Triangle, ...]:
     if max_rank > 3:
         raise ValueError("rank bound above 3 makes exhaustive checks infeasible")
     elems = elementary_triangles()
@@ -231,7 +276,14 @@ def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
             for _ in range(c):
                 tri = t if tri is None else tri.direct_sum(t)
         reps.append(tri)
-    return reps
+    return tuple(reps)
+
+
+def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
+    """One representative per isomorphism class of direct sums of
+    elementary triangles with all three ranks bounded by max_rank.  The
+    enumeration is built once per bound; each call returns a new list."""
+    return list(_representatives(max_rank))
 
 
 def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
@@ -243,32 +295,17 @@ def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
 
 def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     """A distinguished triangle whose first map is isomorphic to f, or
-    None if no class member within the rank bound extends f."""
+    None if no class member within the rank bound extends f.  The first
+    maps are isomorphic iff v f = r u for invertible u, v: the distinct
+    keys of v f and of r u share a value."""
+    v_keys = np.unique(_encode(general_linear(f.target) @ f.matrix))
     for rep in distinguished_representatives(max_rank):
         if rep.f.source != f.source or rep.f.target != f.target:
             continue
-        fm, rm = f.matrix, rep.f.matrix
-        found = False
-        for u in general_linear(f.source):
-            target_mat = (rm @ u) % 4
-            for v in general_linear(f.target):
-                if np.array_equal((v @ fm) % 4, target_mat):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
+        u_keys = np.unique(_encode(rep.f.matrix @ general_linear(f.source)))
+        if len(_match(v_keys, u_keys)[0]):
             return rep
     return None
-
-
-def _encode(stack: np.ndarray) -> np.ndarray:
-    """Encode each matrix in a stack as a single integer key."""
-    flat = stack.reshape(stack.shape[0], -1) % 4
-    if flat.shape[1] == 0:
-        return np.zeros(stack.shape[0], dtype=np.int64)
-    weights = 4 ** np.arange(flat.shape[1], dtype=np.int64)
-    return flat @ weights
 
 
 def check_TR3_fill(
@@ -276,7 +313,8 @@ def check_TR3_fill(
 ) -> Z4Morphism | None:
     """A fill-in c for a commuting pair (a, b) between two triangles:
     requires b f1 = f2 a, finds c with c g1 = g2 b and h2 c = a h1, or
-    returns None after exhausting all candidates."""
+    returns None after exhausting all candidates.  This is the
+    brute-force reference for _tr3_holds_for_pair."""
     if not np.array_equal(
         (b.matrix @ t1.f.matrix) % 4, (t2.f.matrix @ a.matrix) % 4
     ):
@@ -295,30 +333,23 @@ def check_TR3_fill(
 
 def _tr3_holds_for_pair(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     """Exhaustively: every commuting (a, b) between t1 and t2 admits a
-    fill-in.  Vectorized over all candidate matrices."""
+    fill-in, decided by a join on integer keys.
+
+    Only the keys (b f1, g2 b) of b and (f2 a, a h1) of a matter, so each
+    stack is reduced to its distinct key pairs.  Joining them on the
+    commutation key b f1 = f2 a yields the (g2 b, a h1) that some fill-in
+    c must meet, and each must be the key (c g1, h2 c) of some c."""
     f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
     f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
     a_stack = _all_matrices(t2.f.source, t1.f.source)
     b_stack = _all_matrices(t2.f.target, t1.f.target)
     c_stack = _all_matrices(t2.g.target, t1.g.target)
-    # Keys of existing fill-ins: (c g1, h2 c).
-    fills = set(
-        zip(
-            _encode((c_stack @ g1) % 4).tolist(),
-            _encode((h2 @ c_stack) % 4).tolist(),
-        )
-    )
-    # Commutation with the first maps, compared through integer keys.
-    key_bf1 = _encode((b_stack @ f1) % 4)
-    key_f2a = _encode((f2 @ a_stack) % 4)
-    key_g2b = _encode((g2 @ b_stack) % 4)
-    key_ah1 = _encode((a_stack @ h1) % 4)
-    commutes = key_bf1[:, None] == key_f2a[None, :]
-    bi, ai = np.nonzero(commutes)
-    for i, j in zip(key_g2b[bi].tolist(), key_ah1[ai].tolist()):
-        if (i, j) not in fills:
-            return False
-    return True
+    b_keys = _distinct_pairs(b_stack @ f1, g2 @ b_stack)
+    a_keys = _distinct_pairs(f2 @ a_stack, a_stack @ h1)
+    width = 4 ** (t2.f.source * t1.g.target)
+    fills = _encode(c_stack @ g1, h2 @ c_stack)
+    needed = _joined_keys(b_keys, a_keys, width)
+    return len(_match(needed, np.unique(fills))[0]) == len(needed)
 
 
 @dataclass
@@ -385,12 +416,11 @@ def two_order_zero_certificate() -> TwoOrderCertificate:
     2-order zero.  In an algebraic triangulated category the cone of
     multiplication by n is always killed by n, so this category cannot
     be algebraic."""
-    two_id = Z4Morphism.from_matrix([[2]])
-    nonzero = not two_id.is_zero
-    cone_triangle = check_TR1_cone(two_id, max_rank=2)
+    nonzero = not two_times_identity(1).is_zero
+    cone_triangle = check_TR1_cone(two_times_identity(1), max_rank=2)
     cone_rank = cone_triangle.g.target if cone_triangle is not None else -1
     cone_is_rank_one = cone_rank == 1
-    two_cone_nonzero = cone_is_rank_one and nonzero  # same object, same morphism
+    two_cone_nonzero = cone_rank >= 0 and not two_times_identity(cone_rank).is_zero
     passed = nonzero and cone_is_rank_one and two_cone_nonzero
     lines = [
         f"2*Id on Z/4 is the matrix [[2]] != [[0]]: {nonzero}",

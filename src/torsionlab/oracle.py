@@ -394,23 +394,30 @@ def _max_bockstein_count(e: SteenrodElement) -> int:
     return max(counts, default=0)
 
 
+def checked_degree(diff: SteenrodElement, max_degree: int) -> int:
+    """The degree through which oracle_equal(a, b, max_degree) checks, for
+    diff = a - b: max_degree, raised to the highest monomial degree of
+    diff."""
+    return max([max_degree] + [m.degree for m in diff.terms])
+
+
 def oracle_equal(a: SteenrodElement, b: SteenrodElement,
                  max_degree: int) -> bool:
     """True iff a and b act identically on the oracle test classes, a
     genuine equality test for elements of degree <= max_degree.
 
     The classes are y_1..y_q x_{q+1}..x_{q+r} for every q up to the most
-    Bocksteins in a word of a - b, with r = max_degree at p = 2 and
-    r = max_degree // (2(p-1)) + 1 at odd p.  max_degree is first raised
-    to the highest monomial degree of a - b, so a difference above the
-    given bound is never reported equal."""
+    Bocksteins in a word of a - b, with r = d at p = 2 and
+    r = d // (2(p-1)) + 1 at odd p, where d = checked_degree(a - b,
+    max_degree): a difference above the given bound is never reported
+    equal."""
     if a.prime != b.prime:
         raise PrimeMismatchError("cannot compare elements over different primes")
     diff = a - b
     if diff.is_zero():
         return True
     p = a.prime
-    d = max(max_degree, max(m.degree for m in diff.terms))
+    d = checked_degree(diff, max_degree)
     r = max(1, d) if p == 2 else d // (2 * (p - 1)) + 1
     return not any(_orbit_action(diff, q, r)
                    for q in range(_max_bockstein_count(diff) + 1))

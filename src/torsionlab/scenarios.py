@@ -286,15 +286,6 @@ def scenario_exotic(max_rank: int = 2) -> ScenarioReport:
     return report
 
 
-SCENARIOS = {
-    "prop2": lambda table=None: scenario_prop2(),
-    "prop3": lambda table=None: scenario_prop3(2, table),
-    "prop5": lambda table=None: scenario_prop5(table),
-    "prop6": lambda table=None: scenario_prop6(5, table),
-    "exotic": lambda table=None: scenario_exotic(),
-}
-
-
 def run_all(table: StemsTable | None = None) -> list[ScenarioReport]:
     reports = [scenario_prop2()]
     for n in (3, 5, 7, 9, 15, 2):

@@ -349,7 +349,12 @@ def moore_homotopy(
 
         π_k --n--> π_k --> π_k(S/n) --> π_{k-1} --n--> π_{k-1}
 
-    which yields 0 → coker(n·, π_k) → π_k(S/n) → ker(n·, π_{k-1}) → 0."""
+    which yields 0 → coker(n·, π_k) → π_k(S/n) → ker(n·, π_{k-1}) → 0.
+
+    Raises ValueError for n < 1; so do moore_endomorphisms and
+    associator_obstruction, which are built on this."""
+    if n < 1:
+        raise ValueError(f"the Moore spectrum S/n needs n >= 1, got n = {n}")
     table = table or default_table()
     gk = table.group(k)
     gk1 = table.group(k - 1)

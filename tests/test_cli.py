@@ -48,11 +48,20 @@ class TestOracleCheck:
         assert code == 1
         assert out.startswith("DIFFERENT")
 
+    def test_reports_degree_checked(self, capsys):
+        code, out = run(capsys, "--max-degree", "40", "oracle-check", "Sq^41", "0")
+        assert "(polynomial action through degree 41)" in out
+        code, out = run(capsys, "--max-degree", "40", "oracle-check", "Sq^2 Sq^2")
+        assert "(polynomial action through degree 40)" in out
+
 
 class TestUserErrors:
     @pytest.mark.parametrize("argv", [
         ("--prime", "4", "normalize", "P^1"),
         ("--prime", "3", "normalize", "P^3 +"),
+        ("endo", "-3"),
+        ("pi", "3", "--moore", "0"),
+        ("associator", "0"),
     ])
     def test_one_line_and_exit_two(self, capsys, argv):
         code = main(list(argv))

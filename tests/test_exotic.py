@@ -1,11 +1,14 @@
 """The Z/4 exotic triangulated category: elementary triangles, the
 enumerated distinguished class, axiom checks, and the 2-order certificate."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from torsionlab import fpmatrix as fp
+from torsionlab import exotic
 from torsionlab import (
     Z4Morphism,
     Z4Triangle,
@@ -20,12 +23,50 @@ from torsionlab import (
 )
 from torsionlab.exotic import (
     _all_matrices,
+    _tr3_holds_for_pair,
+    contractible_triangle,
     general_linear,
     identity_morphism,
     is_isomorphic,
     zero_morphism,
     zero_triangle,
 )
+
+
+def tr3_by_brute_force(t1, t2):
+    """Reference for _tr3_holds_for_pair: check_TR3_fill on every commuting
+    (a, b), one matrix at a time."""
+    for a_mat in _all_matrices(t2.f.source, t1.f.source):
+        a = Z4Morphism.from_matrix(a_mat, t1.f.source, t2.f.source)
+        f2a = (t2.f.matrix @ a.matrix) % 4
+        for b_mat in _all_matrices(t2.f.target, t1.f.target):
+            if np.array_equal((b_mat @ t1.f.matrix) % 4, f2a):
+                b = Z4Morphism.from_matrix(b_mat, t1.f.target, t2.f.target)
+                if check_TR3_fill(t1, t2, a, b) is None:
+                    return False
+    return True
+
+
+def isomorphic_by_brute_force(t1, t2):
+    """Reference for is_isomorphic: tries every invertible (u, v, w)."""
+    if t1.ranks != t2.ranks:
+        return False
+    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
+    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
+    return any(
+        np.array_equal((v @ f1) % 4, (f2 @ u) % 4)
+        and np.array_equal((w @ g1) % 4, (g2 @ v) % 4)
+        and np.array_equal((u @ h1) % 4, (h2 @ w) % 4)
+        for u, v, w in itertools.product(*(general_linear(r) for r in t1.ranks))
+    )
+
+
+def rank_one_candidates():
+    """All 14 triangles Z/4 -> Z/4 -> Z/4 -> Z/4 whose consecutive
+    composites vanish."""
+    m = [Z4Morphism.from_matrix([[x]]) for x in range(4)]
+    triangles = (Z4Triangle(f, g, h) for f, g, h in itertools.product(m, repeat=3))
+    return [t for t in triangles if t.is_candidate]
 
 
 class TestMorphisms:
@@ -61,6 +102,11 @@ class TestElementaryTriangles:
         t = two_triangle()
         assert t.rotate() == t  # -2 = 2 mod 4
 
+    def test_isomorphism_matches_brute_force_on_rank_one_candidates(self):
+        cands = rank_one_candidates()
+        for t1, t2 in itertools.product(cands, repeat=2):
+            assert is_isomorphic(t1, t2) == isomorphic_by_brute_force(t1, t2)
+
     def test_contractible_rotations_cycle(self):
         c0 = elementary_triangles()[1]
         c3 = c0.rotate().rotate().rotate()
@@ -79,12 +125,32 @@ class TestGeneralLinear:
             # Invertible mod 4 iff invertible mod 2.
             assert round(np.linalg.det(m % 2)) % 2 == 1
 
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_matches_rank_filter(self, rank):
+        mats = _all_matrices(rank, rank)
+        expected = mats[[fp.rank(m, 2) == rank for m in mats]]
+        assert np.array_equal(general_linear(rank), expected)
+
+    def test_rank_three_size(self):
+        assert len(general_linear(3)) == 86016
+
+    def test_enumerations_read_only(self):
+        for arr in (general_linear(2), _all_matrices(1, 2), two_triangle().f.matrix):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
 
 class TestDistinguishedClass:
     def test_rank_one_members(self):
         reps = distinguished_representatives(1)
         # Zero triangle, 2-triangle, contractible and its two rotations.
         assert len(reps) == 5
+
+    def test_returned_list_is_a_copy(self):
+        first = distinguished_representatives(2)
+        expected = list(first)
+        first.clear()
+        assert distinguished_representatives(2) == expected
 
     def test_zero_triangle_in_class(self):
         assert in_distinguished_class(zero_triangle())
@@ -167,6 +233,23 @@ class TestTR3:
                     assert check_TR3_fill(t1, t2, a, b) is not None
                     break
 
+    def test_join_matches_brute_force_on_rank_one_candidates(self):
+        cands = rank_one_candidates()
+        assert len(cands) == 14
+        failing = 0
+        for t1, t2 in itertools.product(cands, repeat=2):
+            holds = _tr3_holds_for_pair(t1, t2)
+            assert holds == tr3_by_brute_force(t1, t2)
+            failing += not holds
+        assert failing == 63
+
+    def test_join_matches_brute_force_on_representatives(self):
+        rng = random.Random(11)
+        reps = distinguished_representatives(2)
+        for _ in range(8):
+            t1, t2 = rng.choice(reps), rng.choice(reps)
+            assert _tr3_holds_for_pair(t1, t2) == tr3_by_brute_force(t1, t2)
+
 
 class TestVerification:
     def test_axioms_pass_rank_two(self):
@@ -180,3 +263,17 @@ class TestVerification:
         assert cert.two_id_nonzero
         assert cert.cone_rank == 1
         assert cert.two_cone_nonzero
+
+    @pytest.mark.parametrize("cone,two_cone_nonzero", [
+        (contractible_triangle(), False),  # cone of rank 0
+        (None, False),
+        (elementary_triangles()[2].direct_sum(elementary_triangles()[3]), True),
+    ])
+    def test_certificate_fails_without_rank_one_cone(
+        self, monkeypatch, cone, two_cone_nonzero
+    ):
+        # 2*Id is evaluated on whatever cone check_TR1_cone returns.
+        monkeypatch.setattr(exotic, "check_TR1_cone", lambda f, max_rank=2: cone)
+        cert = two_order_zero_certificate()
+        assert cert.two_cone_nonzero == two_cone_nonzero
+        assert not cert.passed

@@ -204,6 +204,24 @@ class TestAssociatorObstruction:
             assert a.order == m.order
 
 
+class TestPositiveN:
+    @pytest.mark.parametrize("call", [
+        lambda: moore_homotopy(0, 3),
+        lambda: moore_homotopy(-3, 1),
+        lambda: moore_endomorphisms(-3),
+        lambda: moore_endomorphisms(0),
+        lambda: associator_obstruction(0),
+    ])
+    def test_nonpositive_n_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_n_equal_one_is_trivial(self):
+        assert moore_homotopy(1, 3).is_trivial
+        assert moore_endomorphisms(1).is_trivial
+        assert associator_obstruction(1).is_trivial
+
+
 class TestProvenance:
     def test_every_surfaced_value_is_tagged(self):
         assert stems(3).provenance == "table"

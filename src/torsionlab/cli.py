@@ -5,8 +5,8 @@ cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
 reports.  Exit status is 0 exactly when every requested check passes, 1
-when a check fails, and 2 for a usage error such as a non-prime --prime
-or a malformed expression."""
+when a check fails, 2 for a usage error such as a non-prime --prime
+or a malformed expression, and 3 when `module decompose` is undecided."""
 
 from __future__ import annotations
 
@@ -159,7 +159,7 @@ def _cmd_module_decompose(args) -> int:
         f"decomposable: {bool(result)} (certified: {result.certified})"
         + (f", summand dims {summand_dims}" if result.summands else ""),
     )
-    return 0
+    return 0 if result.certified else 3
 
 
 def _cmd_pi(args) -> int:
@@ -316,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("files", nargs=2)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=_cmd_module_tensor)
-    q = msub.add_parser("decompose", help="decomposability of a module file")
+    undecided = ("decomposability of a module file; exits 3 when the search "
+                 "is undecided (no splitting found, not certified)")
+    q = msub.add_parser("decompose", help=undecided, description=undecided)
     q.add_argument("file")
     q.set_defaults(func=_cmd_module_decompose)
 

@@ -4,10 +4,17 @@ A module is a finite collection of F_p-vector spaces indexed by degree,
 with a matrix for each generator action; degrees not listed are genuinely
 zero.  Includes Moore/sphere/cell constructions, tensor products via the
 Cartan formula, Adem-consistency checking, and decomposability analysis.
+
+The tensor product, the consistency check and the endomorphism algebra
+work on the whole-module form (`_whole`): the basis of every degree in
+increasing order, and one total_dim x total_dim matrix per generator
+whose only nonzero blocks map degree d to d + deg(g).  Products of these
+matrices compose the actions degree by degree with no index bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -90,11 +97,22 @@ class FiniteModule:
             for g, d in keys)
 
 
-def _power_action(M: FiniteModule, kind: str, t: int, d: int) -> np.ndarray:
-    """Matrix of Sq^t or P^t from degree d, with t = 0 the identity."""
-    if t == 0:
-        return fp.identity(M.dim(d))
-    return M.action(Generator(kind, t), d)
+def _whole(M: FiniteModule) -> tuple[dict[int, int], dict[Generator, np.ndarray]]:
+    """M's whole-module form: the offset of each degree's basis block, and
+    one total_dim x total_dim matrix per acting generator, with the degree
+    blocks in increasing degree order."""
+    offsets: dict[int, int] = {}
+    n = 0
+    for d in M.degrees:
+        offsets[d] = n
+        n += M.dims[d]
+    mats: dict[Generator, np.ndarray] = {}
+    for (g, d), A in M.actions.items():
+        if g not in mats:
+            mats[g] = fp.zeros(n, n)
+        row, col = offsets[d + g.degree_at(M.prime)], offsets[d]
+        mats[g][row:row + A.shape[0], col:col + A.shape[1]] = A
+    return offsets, mats
 
 
 # ---------------------------------------------------------------------------
@@ -147,90 +165,77 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     return FiniteModule(p, dims, actions)
 
 
-def tensor_basis(A: FiniteModule, B: FiniteModule, n: int) -> list[tuple[int, int, int, int]]:
-    """Ordered basis (i, a, j, b) of (A (x) B)_n with i + j = n."""
-    out = []
-    for i in sorted(A.dims):
-        j = n - i
-        if B.dim(j) == 0:
-            continue
-        for a in range(A.dim(i)):
-            for b in range(B.dim(j)):
-                out.append((i, a, j, b))
-    return out
+def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sum over t of kron(left[t], right[t]), for two stacks of matrices."""
+    (_, r1, c1), (_, r2, c2) = left.shape, right.shape
+    return np.einsum("tij,tkl->ikjl", left, right).reshape(r1 * r2, c1 * c2)
 
 
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """Graded tensor product with the Cartan-formula action:
     Sq^k or P^k act by the sum of split actions, beta as a graded
-    derivation with the Koszul sign (-1)^deg on the right factor."""
+    derivation with the Koszul sign (-1)^deg on the right factor.
+
+    The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b.
+    Built on whole-module matrices: Sq^k is the sum over t of
+    kron(A(Sq^t), B(Sq^(k-t))), with Sq^0 the identity, and one stable
+    sort by total degree takes the kron basis to that order."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
+    _, whole_a = _whole(A)
+    _, whole_b = _whole(B)
+    deg_a = np.repeat(A.degrees, [A.dims[d] for d in A.degrees])
+    deg_b = np.repeat(B.degrees, [B.dims[d] for d in B.degrees])
+    nb = len(deg_b)
+    perm = np.argsort(np.add.outer(deg_a, deg_b).ravel(), kind="stable")
     dims: dict[int, int] = {}
-    bases: dict[int, list[tuple[int, int, int, int]]] = {}
-    degs = sorted({i + j for i in A.dims for j in B.dims})
-    for n in degs:
-        basis = tensor_basis(A, B, n)
-        if basis:
-            dims[n] = len(basis)
-            bases[n] = basis
-    index = {n: {t: i for i, t in enumerate(basis)}
-             for n, basis in bases.items()}
+    for i in A.degrees:
+        for j in B.degrees:
+            dims[i + j] = dims.get(i + j, 0) + A.dims[i] * B.dims[j]
+    degs = sorted(dims)
+    offsets = dict(zip(degs, itertools.accumulate([0] + [dims[n] for n in degs])))
 
-    span = (max(degs) - min(degs)) if degs else 0
+    ident_a, ident_b = fp.identity(len(deg_a)), fp.identity(nb)
+
+    def power(whole, ident, kind, t):
+        return ident if t == 0 else whole.get(Generator(kind, t))
+
+    span = (degs[-1] - degs[0]) if degs else 0
     if p == 2:
         gens = [Sq(k) for k in range(1, span + 1)]
     else:
         gens = [BOCKSTEIN] + [P(k) for k in range(1, span // (2 * (p - 1)) + 1)]
 
+    koszul = np.diag(np.where(deg_a % 2, -1, 1))
     actions: dict[tuple[Generator, int], np.ndarray] = {}
     for g in gens:
+        if g.kind == "b":
+            pairs = [(whole_a.get(g), ident_b), (koszul, whole_b.get(g))]
+        else:
+            pairs = [(power(whole_a, ident_a, g.kind, t),
+                      power(whole_b, ident_b, g.kind, g.index - t))
+                     for t in range(g.index + 1)]
+        pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+        if not pairs:
+            continue
+        left, right = zip(*pairs)
+        mat = _kron_sum(np.stack(left), np.stack(right))[np.ix_(perm, perm)] % p
         gd = g.degree_at(p)
         for n in degs:
             n2 = n + gd
             if n2 not in dims:
                 continue
-            mat = fp.zeros(dims[n2], dims[n])
-            for col, (i, a, j, b) in enumerate(bases[n]):
-                if g.kind == "b":
-                    left = A.action(BOCKSTEIN, i)
-                    for a2 in range(left.shape[0]):
-                        if left[a2, a]:
-                            row = index[n2][(i + 1, a2, j, b)]
-                            mat[row, col] = (mat[row, col] + left[a2, a]) % p
-                    right = B.action(BOCKSTEIN, j)
-                    sign = -1 if i % 2 else 1
-                    for b2 in range(right.shape[0]):
-                        if right[b2, b]:
-                            row = index[n2][(i, a, j + 1, b2)]
-                            mat[row, col] = (mat[row, col]
-                                             + sign * right[b2, b]) % p
-                else:
-                    kind, k = g.kind, g.index
-                    for t in range(k + 1):
-                        la = _power_action(A, kind, t, i)
-                        lb = _power_action(B, kind, k - t, j)
-                        if not (la.any() and lb.any()):
-                            continue
-                        i2 = i + (t if p == 2 else 2 * t * (p - 1))
-                        j2 = n2 - i2
-                        for a2 in range(la.shape[0]):
-                            if not la[a2, a]:
-                                continue
-                            for b2 in range(lb.shape[0]):
-                                if lb[b2, b]:
-                                    row = index[n2][(i2, a2, j2, b2)]
-                                    mat[row, col] = (
-                                        mat[row, col]
-                                        + la[a2, a] * lb[b2, b]) % p
-            if mat.any():
-                actions[(g, n)] = mat
+            block = mat[offsets[n2]:offsets[n2] + dims[n2],
+                        offsets[n]:offsets[n] + dims[n]]
+            if block.any():
+                actions[(g, n)] = block
     labels = None
     if A.labels and B.labels:
-        labels = {n: [f"{A.labels[i][a]}*{B.labels[j][b]}"
-                      for (i, a, j, b) in basis]
-                  for n, basis in bases.items()}
+        left = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
+        right = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
+        flat = [f"{left[k // nb]}*{right[k % nb]}" for k in perm.tolist()]
+        labels = {n: flat[offsets[n]:offsets[n] + dims[n]] for n in degs}
     return FiniteModule(p, dims, actions, labels=labels)
 
 
@@ -308,26 +313,21 @@ def _inadmissible_words(p: int, max_degree: int):
                 yield word
 
 
-def _compare_pair(M: FiniteModule, lhs: SteenrodElement, rhs: SteenrodElement,
-                  violations: list[RelationViolation]) -> None:
-    op_degree = element_degree(lhs)
-    if not isinstance(op_degree, int):
-        op_degree = element_degree(rhs)
-    if not isinstance(op_degree, int):
-        return  # both sides zero
-    for d in M.degrees:
-        tdim, sdim = M.dim(d + op_degree), M.dim(d)
-        left = act_element(M, lhs, d)
-        right = act_element(M, rhs, d)
-        if left.shape != (tdim, sdim):
-            left = fp.zeros(tdim, sdim)
-        if right.shape != (tdim, sdim):
-            right = fp.zeros(tdim, sdim)
-        if not np.array_equal(left, right):
-            delta = (left - right) % M.prime
-            col = int(np.flatnonzero(delta.any(axis=0))[0])
-            witness = tuple(int(c == col) for c in range(sdim))
-            violations.append(RelationViolation(lhs, rhs, d, witness))
+@functools.cache
+def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
+    """(operation degree, word) for every inadmissible word of
+    `_inadmissible_words`, in its order."""
+    return tuple((sum(g.degree_at(p) for g in word), word)
+                 for word in _inadmissible_words(p, max_degree))
+
+
+@functools.cache
+def _adem_relation(p: int, word: tuple[Generator, ...]
+                   ) -> tuple[SteenrodElement, SteenrodElement]:
+    """The word and its Adem normal form; normalized on first use, since a
+    module reaches only the operation degrees its own degrees span."""
+    lhs = SteenrodElement.from_word(p, word)
+    return lhs, adem_normalize(lhs)
 
 
 def p3_cubed_relation(p: int = 3) -> tuple[SteenrodElement, SteenrodElement]:
@@ -341,24 +341,59 @@ def consistency_check(M: FiniteModule,
                       max_relation_degree: int) -> list[RelationViolation]:
     """Compare both sides of every Adem rewrite of an inadmissible word of
     length 2 or 3 (degree <= max_relation_degree), plus the explicit
-    degree-36 identity at p = 3, on every occupied source degree."""
+    degree-36 identity at p = 3, on every occupied source degree.
+
+    Each side acts as one whole-module matrix, each monomial a product of
+    generator matrices memoised on its word suffix; a relation fails at
+    every source degree whose block of lhs - rhs has a nonzero column,
+    and the first such column is the witness."""
     p = M.prime
-    occupied = set(M.dims)
+    offsets, gens = _whole(M)
+    n = M.total_dim
+    products: dict[tuple[Generator, ...], np.ndarray] = {(): fp.identity(n)}
+
+    def word_matrix(word: tuple[Generator, ...]) -> np.ndarray:
+        mat = products.get(word)
+        if mat is None:
+            g = gens.get(word[0])
+            mat = (fp.zeros(n, n) if g is None
+                   else fp.matmul(g, word_matrix(word[1:]), p))
+            products[word] = mat
+        return mat
+
+    def element_matrix(e: SteenrodElement) -> np.ndarray:
+        out = fp.zeros(n, n)
+        for mono, coef in e.terms.items():
+            out += coef * word_matrix(mono.word)
+        return out
+
+    occupied = M.degrees
     violations: list[RelationViolation] = []
 
-    def reachable(op_degree: int) -> bool:
-        return any(d + op_degree in occupied for d in occupied)
+    def compare(op_degree: int, lhs: SteenrodElement,
+                rhs: SteenrodElement) -> None:
+        delta = (element_matrix(lhs) - element_matrix(rhs)) % p
+        if not delta.any():
+            return
+        for d in occupied:
+            t = d + op_degree
+            if t not in offsets:
+                continue
+            block = delta[offsets[t]:offsets[t] + M.dims[t],
+                          offsets[d]:offsets[d] + M.dims[d]]
+            cols = np.flatnonzero(block.any(axis=0))
+            if cols.size:
+                witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
+                violations.append(RelationViolation(lhs, rhs, d, witness))
 
-    for word in _inadmissible_words(p, max_relation_degree):
-        op_degree = sum(g.degree_at(p) for g in word)
-        if not reachable(op_degree):
-            continue
-        lhs = SteenrodElement.from_word(p, word)
-        rhs = adem_normalize(lhs)
-        _compare_pair(M, lhs, rhs, violations)
+    def reachable(op_degree: int) -> bool:
+        return any(d + op_degree in offsets for d in occupied)
+
+    for op_degree, word in _relation_words(p, max_relation_degree):
+        if reachable(op_degree):
+            compare(op_degree, *_adem_relation(p, word))
     if p == 3 and max_relation_degree >= 36 and reachable(36):
-        lhs, rhs = p3_cubed_relation()
-        _compare_pair(M, lhs, rhs, violations)
+        compare(36, *p3_cubed_relation())
     return violations
 
 
@@ -416,54 +451,43 @@ class DecompositionResult:
         return self.decomposable
 
 
-def _endomorphism_basis(M: FiniteModule) -> list[dict[int, np.ndarray]]:
-    """Basis of degreewise endomorphisms commuting with all generator
-    actions."""
+def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
+    """Basis of the degreewise endomorphisms commuting with all generator
+    actions, as a stack of block-diagonal total_dim x total_dim matrices.
+
+    The unknowns are the entries of each degree block E_d, row by row;
+    the action A from degree d to d2 contributes the equations
+    E_d2 A - A E_d = 0, whose coefficient blocks are kron(I, A^T) and
+    -kron(A, I)."""
     p = M.prime
     degs = M.degrees
     offsets: dict[int, int] = {}
     total = 0
     for d in degs:
         offsets[d] = total
-        total += M.dim(d) ** 2
+        total += M.dims[d] ** 2
 
     rows: list[np.ndarray] = []
     for (g, d), A in M.actions.items():
         d2 = d + g.degree_at(p)
-        sdim, tdim = M.dim(d), M.dim(d2)
-        if tdim == 0:
-            continue
-        # E_{d2} A - A E_d = 0, one equation per (r, c).
-        for r in range(tdim):
-            for c in range(sdim):
-                row = np.zeros(total, dtype=np.int64)
-                for k in range(tdim):
-                    row[offsets[d2] + r * tdim + k] += A[k, c]
-                for k in range(sdim):
-                    row[offsets[d] + k * sdim + c] -= A[r, k]
-                rows.append(row % p)
+        tdim, sdim = A.shape
+        block = fp.zeros(tdim * sdim, total)
+        block[:, offsets[d2]:offsets[d2] + tdim * tdim] += _kron_sum(
+            fp.identity(tdim)[None], A.T[None])
+        block[:, offsets[d]:offsets[d] + sdim * sdim] -= _kron_sum(
+            A[None], fp.identity(sdim)[None])
+        rows.append(block % p)
     if rows:
-        basis_vecs = fp.nullspace(np.array(rows), p)
+        basis_vecs = fp.nullspace(np.vstack(rows), p)
     else:
         basis_vecs = fp.identity(total)
-    out = []
-    for j in range(basis_vecs.shape[1]):
-        v = basis_vecs[:, j]
-        blocks = {}
-        for d in degs:
-            n = M.dim(d)
-            blocks[d] = v[offsets[d]:offsets[d] + n * n].reshape(n, n)
-        out.append(blocks)
-    return out
-
-
-def _assemble(blocks: dict[int, np.ndarray], degs: list[int]) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks.values())
-    out = fp.zeros(total, total)
+    k = basis_vecs.shape[1]
+    out = np.zeros((k, M.total_dim, M.total_dim), dtype=np.int64)
     pos = 0
     for d in degs:
-        n = blocks[d].shape[0]
-        out[pos:pos + n, pos:pos + n] = blocks[d]
+        n = M.dims[d]
+        out[:, pos:pos + n, pos:pos + n] = basis_vecs[
+            offsets[d]:offsets[d] + n * n].T.reshape(k, n, n)
         pos += n
     return out
 
@@ -496,6 +520,24 @@ def _submodule_from_idempotent(M: FiniteModule,
     return FiniteModule(p, dims, actions)
 
 
+def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
+    """The projection onto the stable image of psi along its stable kernel
+    (Fitting's lemma), or None when one of the two is zero.  Both are
+    reached at psi^m for every m >= n, so squaring up to the first such
+    power of two gives them."""
+    n = psi.shape[0]
+    w = psi
+    for _ in range((n - 1).bit_length()):
+        w = fp.matmul(w, w, p)
+    r = fp.rank(w, p)
+    if not 0 < r < n:
+        return None
+    B = np.hstack([fp.column_space(w, p), fp.nullspace(w, p)])
+    diag = fp.zeros(n, n)
+    diag[:r, :r] = fp.identity(r)
+    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
+
+
 def is_decomposable(M: FiniteModule, bound: int = 12,
                     exhaustive_limit: int = 1 << 16,
                     rng_seed: int = 0) -> DecompositionResult:
@@ -505,27 +547,29 @@ def is_decomposable(M: FiniteModule, bound: int = 12,
     Exhaustive (hence certified) when the endomorphism algebra is small;
     otherwise a Fitting-decomposition search over shifted and quadratic
     evaluations of pseudo-random endomorphisms, which certifies splittings
-    but not indecomposability."""
+    but not indecomposability.  The candidates are the basis of End(M),
+    then 60 random combinations drawn one at a time, so the search stops
+    at the first that splits."""
     if M.total_dim > bound:
         raise ModuleError(f"total dimension {M.total_dim} exceeds bound {bound}")
     if M.total_dim <= 1:
         return DecompositionResult(False)
     p = M.prime
-    degs = M.degrees
     basis = _endomorphism_basis(M)
-    mats = [_assemble(b, degs) for b in basis]
-    n = mats[0].shape[0]
+    n = M.total_dim
     ident = fp.identity(n)
+
+    def combine(coeffs) -> np.ndarray:
+        return np.tensordot(coeffs, basis, axes=1) % p
 
     def result_from(e: np.ndarray) -> DecompositionResult:
         first = _submodule_from_idempotent(M, _split_blocks(e, M))
         second = _submodule_from_idempotent(M, _split_blocks((ident - e) % p, M))
         return DecompositionResult(True, (first, second))
 
-    if p ** len(mats) <= exhaustive_limit:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
-            e = sum((c * m for c, m in zip(coeffs, mats)),
-                    start=fp.zeros(n, n)) % p
+    if p ** len(basis) <= exhaustive_limit:
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            e = combine(coeffs)
             if not e.any() or np.array_equal(e, ident):
                 continue
             if np.array_equal(fp.matmul(e, e, p), e):
@@ -534,39 +578,22 @@ def is_decomposable(M: FiniteModule, bound: int = 12,
 
     # Fitting search (not exhaustive).
     rng = random.Random(rng_seed)
-    candidates = list(mats)
-    for _ in range(60):
-        coeffs = [rng.randrange(p) for _ in mats]
-        candidates.append(
-            sum((c * m for c, m in zip(coeffs, mats)),
-                start=fp.zeros(n, n)) % p)
 
-    def quadratics():
-        for b in range(p):
-            for c in range(p):
-                # x^2 + b x + c irreducible over F_p
-                if all((x * x + b * x + c) % p for x in range(p)):
-                    yield b, c
+    def candidates():
+        yield from basis
+        for _ in range(60):
+            yield combine([rng.randrange(p) for _ in basis])
 
-    quads = list(quadratics())
-    for phi in candidates:
+    quads = [(b, c) for b in range(p) for c in range(p)
+             # x^2 + b x + c irreducible over F_p
+             if all((x * x + b * x + c) % p for x in range(p))]
+    for phi in candidates():
         tests = [(phi - lam * ident) % p for lam in range(p)]
         tests += [(fp.matmul(phi, phi, p) + b * phi + c * ident) % p
                   for b, c in quads]
         for psi in tests:
-            w = ident
-            for _ in range(n):
-                w = fp.matmul(w, psi, p)
-            r = fp.rank(w, p)
-            if 0 < r < n:
-                U = fp.column_space(w, p)
-                K = fp.nullspace(w, p)
-                B = np.hstack([U, K])
-                Binv = fp.inv(B, p)
-                diag = fp.zeros(n, n)
-                for i in range(r):
-                    diag[i, i] = 1
-                e = fp.matmul(fp.matmul(B, diag, p), Binv, p)
+            e = _fitting_idempotent(psi, p)
+            if e is not None:
                 return result_from(e)
     return DecompositionResult(False, certified=False)
 

@@ -101,6 +101,15 @@ class TestModuleCommands:
         assert code == 0
         assert "decomposable: False" in out
 
+    def test_decompose_undecided_exits_three(self, capsys, moore_file, monkeypatch):
+        from torsionlab import modules
+
+        monkeypatch.setattr(modules, "is_decomposable",
+                            lambda M: modules.DecompositionResult(False, certified=False))
+        code, out = run(capsys, "module", "decompose", moore_file)
+        assert code == 3
+        assert out.strip() == "decomposable: False (certified: False)"
+
 
 class TestStemsCommands:
     def test_pi_plain(self, capsys):

@@ -1,7 +1,10 @@
 """Finite graded modules: constructors, Cartan tensor products,
 Adem-consistency checking, and decomposability."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,10 @@ from torsionlab import (
     tensor,
     violation_classes,
 )
-from torsionlab.modules import p3_cubed_relation
+from torsionlab import fpmatrix as fp
+from torsionlab.modules import _inadmissible_words, p3_cubed_relation
+from torsionlab.steenrod import SteenrodElement, adem_normalize
+from torsionlab.steenrod import degree as element_degree
 
 
 def el(text, p):
@@ -57,6 +63,184 @@ def random_module(p, rng, max_total=4):
                     dtype=np.int64,
                 )
                 actions[(g, d)] = mat
+    return FiniteModule(p, dims, actions)
+
+
+def tensor_basis(A, B, n):
+    """Ordered basis (i, a, j, b) of (A (x) B)_n with i + j = n."""
+    out = []
+    for i in sorted(A.dims):
+        j = n - i
+        if B.dim(j) == 0:
+            continue
+        for a in range(A.dim(i)):
+            for b in range(B.dim(j)):
+                out.append((i, a, j, b))
+    return out
+
+
+def tensor_by_loops(A, B):
+    """Reference tensor product: the Cartan formula entry by entry over the
+    (i, a, j, b) bases of `tensor_basis`."""
+    p = A.prime
+    dims, bases = {}, {}
+    degs = sorted({i + j for i in A.dims for j in B.dims})
+    for n in degs:
+        basis = tensor_basis(A, B, n)
+        if basis:
+            dims[n] = len(basis)
+            bases[n] = basis
+    index = {n: {t: i for i, t in enumerate(basis)}
+             for n, basis in bases.items()}
+
+    def power_action(M, kind, t, d):
+        if t == 0:
+            return fp.identity(M.dim(d))
+        return M.action(Generator(kind, t), d)
+
+    span = (max(degs) - min(degs)) if degs else 0
+    if p == 2:
+        gens = [Sq(k) for k in range(1, span + 1)]
+    else:
+        gens = [BOCKSTEIN] + [P(k) for k in range(1, span // (2 * (p - 1)) + 1)]
+    actions = {}
+    for g in gens:
+        for n in degs:
+            n2 = n + g.degree_at(p)
+            if n2 not in dims:
+                continue
+            mat = fp.zeros(dims[n2], dims[n])
+            for col, (i, a, j, b) in enumerate(bases[n]):
+                if g.kind == "b":
+                    left = A.action(BOCKSTEIN, i)
+                    for a2 in range(left.shape[0]):
+                        if left[a2, a]:
+                            row = index[n2][(i + 1, a2, j, b)]
+                            mat[row, col] = (mat[row, col] + left[a2, a]) % p
+                    right = B.action(BOCKSTEIN, j)
+                    sign = -1 if i % 2 else 1
+                    for b2 in range(right.shape[0]):
+                        if right[b2, b]:
+                            row = index[n2][(i, a, j + 1, b2)]
+                            mat[row, col] = (mat[row, col]
+                                             + sign * right[b2, b]) % p
+                    continue
+                for t in range(g.index + 1):
+                    la = power_action(A, g.kind, t, i)
+                    lb = power_action(B, g.kind, g.index - t, j)
+                    if not (la.any() and lb.any()):
+                        continue
+                    i2 = i + (t if p == 2 else 2 * t * (p - 1))
+                    j2 = n2 - i2
+                    for a2 in range(la.shape[0]):
+                        if not la[a2, a]:
+                            continue
+                        for b2 in range(lb.shape[0]):
+                            if lb[b2, b]:
+                                row = index[n2][(i2, a2, j2, b2)]
+                                mat[row, col] = (mat[row, col]
+                                                 + la[a2, a] * lb[b2, b]) % p
+            if mat.any():
+                actions[(g, n)] = mat
+    labels = None
+    if A.labels and B.labels:
+        labels = {n: [f"{A.labels[i][a]}*{B.labels[j][b]}"
+                      for (i, a, j, b) in basis]
+                  for n, basis in bases.items()}
+    return FiniteModule(p, dims, actions, labels=labels)
+
+
+def consistency_by_degrees(M, max_relation_degree):
+    """Reference consistency check: both sides of each relation act through
+    `act_element`, one source degree at a time.  Returns
+    (lhs, rhs, source_degree, witness) per violation."""
+    relations = []
+    for word in _inadmissible_words(M.prime, max_relation_degree):
+        lhs = SteenrodElement.from_word(M.prime, word)
+        relations.append((lhs, adem_normalize(lhs)))
+    if M.prime == 3 and max_relation_degree >= 36:
+        relations.append(p3_cubed_relation())
+    out = []
+    for lhs, rhs in relations:
+        op_degree = element_degree(lhs)
+        for d in M.degrees:
+            shape = (M.dim(d + op_degree), M.dim(d))
+            left = act_element(M, lhs, d)
+            right = act_element(M, rhs, d)
+            if right.shape != shape:  # rhs = 0 acts from degree d to d
+                right = np.zeros(shape, dtype=np.int64)
+            delta = (left - right) % M.prime
+            if delta.any():
+                col = int(np.flatnonzero(delta.any(axis=0))[0])
+                witness = tuple(int(c == col) for c in range(M.dim(d)))
+                out.append((lhs, rhs, d, witness))
+    return out
+
+
+def fitting_by_powers(psi, p):
+    """Reference Fitting projection: psi^n by n products, then the
+    projection onto its image along its kernel, or None."""
+    n = psi.shape[0]
+    w = fp.identity(n)
+    for _ in range(n):
+        w = fp.matmul(w, psi, p)
+    r = fp.rank(w, p)
+    if not 0 < r < n:
+        return None
+    B = np.hstack([fp.column_space(w, p), fp.nullspace(w, p)])
+    diag = fp.zeros(n, n)
+    for i in range(r):
+        diag[i, i] = 1
+    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
+
+
+def as_tuples(violations):
+    return [(v.lhs, v.rhs, v.source_degree, v.witness) for v in violations]
+
+
+def smash_power(M, k):
+    out = M
+    for _ in range(k - 1):
+        out = tensor(out, M)
+    return out
+
+
+def sum_of(*modules):
+    out = modules[0]
+    for M in modules[1:]:
+        out = direct_sum(out, M)
+    return out
+
+
+def fabricated_violation_module():
+    # Sq^1 Sq^1 = 0, so a rank-1 chain x ->Sq1 y ->Sq1 z is inconsistent.
+    return FiniteModule(
+        2,
+        {0: 1, 1: 1, 2: 1},
+        {
+            (Sq(1), 0): np.array([[1]], dtype=np.int64),
+            (Sq(1), 1): np.array([[1]], dtype=np.int64),
+        },
+    )
+
+
+def dense_random_module(p, rng, top):
+    """One or two cells in every degree 0..top and a random matrix for every
+    generator that fits; such modules are rarely Adem-consistent."""
+    dims = {d: rng.randint(1, 2) for d in range(top + 1)}
+    if p == 2:
+        gens = [Sq(k) for k in range(1, top + 1)]
+    else:
+        gens = [BOCKSTEIN] + [P(k) for k in range(1, top // (2 * (p - 1)) + 1)]
+    actions = {}
+    for g in gens:
+        for d in dims:
+            if d + g.degree_at(p) in dims:
+                actions[(g, d)] = np.array(
+                    [[rng.randrange(p) for _ in range(dims[d])]
+                     for _ in range(dims[d + g.degree_at(p)])],
+                    dtype=np.int64,
+                )
     return FiniteModule(p, dims, actions)
 
 
@@ -120,8 +304,6 @@ class TestTensor:
         # (A (x) B) (x) C and A (x) (B (x) C) agree on the nose after the
         # canonical relabeling of basis triples; the permutation must
         # intertwine every action matrix exactly.
-        from torsionlab.modules import tensor_basis
-
         def left_triples(a, b, c, ab, n):
             out = []
             for m in sorted(ab.dims):
@@ -171,6 +353,38 @@ class TestTensor:
                         permuted[r_right, c_right] = lmat[r_left, c_left]
                 assert permuted.tolist() == rmat.tolist()
 
+    def test_matches_loop_reference(self):
+        m2, m3, m5 = (moore_module(p) for p in (2, 3, 5))
+        by_prime = {
+            2: [m2, sphere_module(2, 0), sphere_module(2, 3), shift(m2, 3),
+                direct_sum(m2, sphere_module(2, 1)), tensor_by_loops(m2, m2),
+                direct_sum(m2, shift(m2, 1)), fabricated_violation_module()],
+            3: [m3, sphere_module(3, 0), shift(m3, 1), tensor_by_loops(m3, m3),
+                direct_sum(m3, shift(m3, 4)), hypothetical_Cb_module()],
+            5: [m5, sphere_module(5, 0), shift(m5, 3)],
+        }
+        pairs = [(a, b) for mods in by_prime.values() for a in mods for b in mods]
+        pairs.append((hypothetical_Cb_module(), m3))
+        rng = random.Random(23)
+        for p in (2, 3, 5):
+            for _ in range(30):
+                a, b, c = (random_module(p, rng) for _ in range(3))
+                pairs.append((direct_sum(shift(a, rng.randint(-2, 3)), b), c))
+        for a, b in pairs:
+            got, want = tensor(a, b), tensor_by_loops(a, b)
+            assert got == want
+            assert got.labels == want.labels
+
+    @pytest.mark.parametrize("p,k", [(2, 5), (3, 4)])
+    def test_smash_powers_match_loop_reference(self, p, k):
+        m = moore_module(p)
+        got, want = m, m
+        for _ in range(k - 1):
+            got, want = tensor(got, m), tensor_by_loops(want, m)
+        assert got.total_dim == 2 ** k
+        assert got == want
+        assert got.labels == want.labels
+
     def test_tensor_consistency_preserved(self):
         # The smash square of a consistent module stays consistent.
         t = tensor(moore_module(2), moore_module(2))
@@ -211,16 +425,7 @@ class TestConsistencyCheck:
         assert consistency_check(sphere_module(5, 0), 30) == []
 
     def test_detects_fabricated_violation(self):
-        # Sq^1 Sq^1 = 0, so a rank-1 chain x ->Sq1 y ->Sq1 z is inconsistent.
-        bad = FiniteModule(
-            2,
-            {0: 1, 1: 1, 2: 1},
-            {
-                (Sq(1), 0): np.array([[1]], dtype=np.int64),
-                (Sq(1), 1): np.array([[1]], dtype=np.int64),
-            },
-        )
-        violations = consistency_check(bad, 10)
+        violations = consistency_check(fabricated_violation_module(), 10)
         assert violations
         assert (0, 2) in violation_classes(violations)
 
@@ -231,6 +436,21 @@ class TestConsistencyCheck:
         assert classes == [(0, 36)]
         lhs_words = {str(v.lhs) for v in violations}
         assert "P^3 P^3 P^3" in lhs_words
+
+    def test_matches_per_degree_reference(self):
+        cases = [(hypothetical_Cb_module(), 40), (fabricated_violation_module(), 10)]
+        rng = random.Random(31)
+        for p, top in ((2, 5), (3, 9), (5, 9)):
+            for _ in range(10):
+                a, b = random_module(p, rng), random_module(p, rng)
+                cases.append((direct_sum(a, shift(b, rng.randint(0, 3))), 12))
+                cases.append((dense_random_module(p, rng, top), 12))
+        found = 0
+        for M, bound in cases:
+            want = consistency_by_degrees(M, bound)
+            assert as_tuples(consistency_check(M, bound)) == want
+            found += len(want)
+        assert found > 100
 
     def test_p3_cubed_relation_parses_to_equal_normal_forms(self):
         from torsionlab import adem_normalize
@@ -295,6 +515,78 @@ class TestDecomposability:
 
     def test_odd_prime_sum(self):
         assert is_decomposable(direct_sum(moore_module(3), shift(moore_module(3), 4)))
+
+    def test_fitting_projection_matches_powers(self):
+        from torsionlab.modules import _fitting_idempotent
+
+        # Conjugates of a nilpotent shift block (index up to n) beside a
+        # random block, so the stable image is reached late.
+        rng = random.Random(13)
+        cases = 0
+        for p in (2, 3, 5):
+            for n in range(1, 13):
+                for _ in range(4):
+                    k = rng.randint(0, n)
+                    psi = fp.zeros(n, n)
+                    for i in range(k - 1):
+                        psi[i + 1, i] = 1
+                    psi[k:, k:] = [[rng.randrange(p) for _ in range(n - k)]
+                                   for _ in range(n - k)]
+                    while True:
+                        g = np.array([[rng.randrange(p) for _ in range(n)]
+                                      for _ in range(n)], dtype=np.int64)
+                        if fp.rank(g, p) == n:
+                            break
+                    psi = fp.matmul(fp.matmul(g, psi, p), fp.inv(g, p), p)
+                    got, want = _fitting_idempotent(psi, p), fitting_by_powers(psi, p)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert np.array_equal(got, want)
+                        cases += 1
+        assert cases > 50
+
+    @pytest.mark.parametrize("name,build,dims", [
+        ("6 S/2", lambda: sum_of(*[moore_module(2)] * 6), (2, 10)),
+        ("6 S/3", lambda: sum_of(*[moore_module(3)] * 6), (2, 10)),
+        ("cube + square of S/3", lambda: direct_sum(
+            smash_power(moore_module(3), 3), smash_power(moore_module(3), 2)),
+         (2, 10)),
+        ("4 S/3", lambda: sum_of(*[moore_module(3)] * 4), (2, 6)),
+    ])
+    def test_fitting_path_summands(self, name, build, dims):
+        from torsionlab.modules import _endomorphism_basis
+
+        M = build()
+        # End(M) is too large for the exhaustive search.
+        assert M.prime ** len(_endomorphism_basis(M)) > 1 << 16
+        r = is_decomposable(M)
+        assert r and r.certified
+        assert tuple(s.total_dim for s in r.summands) == dims
+        assert direct_sum(*r.summands).dims == M.dims
+
+
+def test_cold_start_does_not_import_numpy_ma():
+    # numpy.ma costs about 8 ms to import; np.unique, for one, pulls it in.
+    code = (
+        "import sys\n"
+        "import torsionlab as tl\n"
+        "m = tl.moore_module(2)\n"
+        "square = tl.tensor(m, m)\n"
+        "tl.consistency_check(square, 10)\n"
+        "tl.is_decomposable(square)\n"
+        "six = m\n"
+        "for _ in range(5):\n"
+        "    six = tl.direct_sum(six, m)\n"
+        "tl.is_decomposable(six)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSerialization:

@@ -5,11 +5,12 @@ with a matrix for each generator action; degrees not listed are genuinely
 zero.  Includes Moore/sphere/cell constructions, tensor products via the
 Cartan formula, Adem-consistency checking, and decomposability analysis.
 
-The tensor product, the consistency check and the endomorphism algebra
-work on the whole-module form (`_whole`): the basis of every degree in
-increasing order, and one total_dim x total_dim matrix per generator
-whose only nonzero blocks map degree d to d + deg(g).  Products of these
-matrices compose the actions degree by degree with no index bookkeeping.
+The tensor product and the consistency check work on the whole-module
+form (`_Whole`): the basis of every degree in increasing order, and one
+total_dim x total_dim matrix per generator whose only nonzero blocks map
+degree d to d + deg(g).  Products of these matrices compose the actions
+degree by degree with no index bookkeeping.  Endomorphisms are
+block-diagonal matrices in the same layout (`_offsets`).
 """
 
 from __future__ import annotations
@@ -97,22 +98,65 @@ class FiniteModule:
             for g, d in keys)
 
 
-def _whole(M: FiniteModule) -> tuple[dict[int, int], dict[Generator, np.ndarray]]:
-    """M's whole-module form: the offset of each degree's basis block, and
-    one total_dim x total_dim matrix per acting generator, with the degree
-    blocks in increasing degree order."""
-    offsets: dict[int, int] = {}
+def _offsets(sizes: dict[int, int]) -> dict[int, int]:
+    """Where each degree's block starts when the blocks of `sizes` are laid
+    out in increasing degree order."""
+    out: dict[int, int] = {}
     n = 0
-    for d in M.degrees:
-        offsets[d] = n
-        n += M.dims[d]
-    mats: dict[Generator, np.ndarray] = {}
-    for (g, d), A in M.actions.items():
-        if g not in mats:
-            mats[g] = fp.zeros(n, n)
-        row, col = offsets[d + g.degree_at(M.prime)], offsets[d]
-        mats[g][row:row + A.shape[0], col:col + A.shape[1]] = A
-    return offsets, mats
+    for d in sorted(sizes):
+        out[d] = n
+        n += sizes[d]
+    return out
+
+
+class _Whole:
+    """M's whole-module form: the basis of every degree in increasing degree
+    order, and one total_dim x total_dim matrix per acting generator whose
+    only nonzero blocks map degree d to d + deg(g).
+
+    `word` multiplies these matrices out.  It keeps the products of two
+    generators, which the words of a relation and its normal form share,
+    and no matrix for a word that acts as zero."""
+
+    def __init__(self, M: FiniteModule):
+        self.prime = M.prime
+        self.dims = M.dims
+        self.offsets = _offsets(M.dims)
+        self.size = n = M.total_dim
+        self.mats: dict[Generator, np.ndarray] = {}
+        for (g, d), A in M.actions.items():
+            if g not in self.mats:
+                self.mats[g] = fp.zeros(n, n)
+            self.block(self.mats[g], d + g.degree_at(M.prime), d)[:] = A
+        self._pairs: dict[tuple[Generator, Generator], np.ndarray | None] = {}
+
+    def block(self, mat: np.ndarray, target: int, source: int) -> np.ndarray:
+        """The block of a whole-module matrix from degree source to target."""
+        row, col = self.offsets[target], self.offsets[source]
+        return mat[row:row + self.dims[target], col:col + self.dims[source]]
+
+    def basis_degrees(self) -> np.ndarray:
+        """The degree of each basis vector."""
+        return np.repeat(list(self.offsets), [self.dims[d] for d in self.offsets])
+
+    def word(self, word: tuple[Generator, ...]) -> np.ndarray | None:
+        """Matrix of a word of generators, None when it acts as zero."""
+        if not word:
+            return fp.identity(self.size)
+        first = self.mats.get(word[0])
+        if first is None or len(word) == 1:
+            return first
+        if len(word) == 2:
+            if word not in self._pairs:
+                self._pairs[word] = self._times(first, self.mats.get(word[1]))
+            return self._pairs[word]
+        return self._times(first, self.word(word[1:]))
+
+    def _times(self, left: np.ndarray, right: np.ndarray | None) -> np.ndarray | None:
+        if right is None:
+            return None
+        out = fp.matmul(left, right, self.prime)
+        return out if out.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +209,38 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     return FiniteModule(p, dims, actions)
 
 
-def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sum over t of kron(left[t], right[t]), for two stacks of matrices."""
-    (_, r1, c1), (_, r2, c2) = left.shape, right.shape
-    return np.einsum("tij,tkl->ikjl", left, right).reshape(r1 * r2, c1 * c2)
-
-
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """Graded tensor product with the Cartan-formula action:
     Sq^k or P^k act by the sum of split actions, beta as a graded
     derivation with the Koszul sign (-1)^deg on the right factor.
 
-    The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b.
-    Built on whole-module matrices: Sq^k is the sum over t of
-    kron(A(Sq^t), B(Sq^(k-t))), with Sq^0 the identity, and one stable
-    sort by total degree takes the kron basis to that order."""
+    The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b:
+    the Kronecker basis of the factors' whole-module forms, stably sorted
+    by total degree.  Sq^k is the sum over t of kron(A(Sq^t), B(Sq^(k-t))),
+    with Sq^0 the identity; each degree block is gathered from the factors
+    by its rows and columns, so no matrix larger than a block is formed."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
-    _, whole_a = _whole(A)
-    _, whole_b = _whole(B)
-    deg_a = np.repeat(A.degrees, [A.dims[d] for d in A.degrees])
-    deg_b = np.repeat(B.degrees, [B.dims[d] for d in B.degrees])
+    whole_a, whole_b = _Whole(A), _Whole(B)
+    deg_a, deg_b = whole_a.basis_degrees(), whole_b.basis_degrees()
     nb = len(deg_b)
     perm = np.argsort(np.add.outer(deg_a, deg_b).ravel(), kind="stable")
-    dims: dict[int, int] = {}
+    sizes: dict[int, int] = {}
     for i in A.degrees:
         for j in B.degrees:
-            dims[i + j] = dims.get(i + j, 0) + A.dims[i] * B.dims[j]
-    degs = sorted(dims)
-    offsets = dict(zip(degs, itertools.accumulate([0] + [dims[n] for n in degs])))
+            sizes[i + j] = sizes.get(i + j, 0) + A.dims[i] * B.dims[j]
+    dims = dict(sorted(sizes.items()))
+    degs = list(dims)
+    offsets = _offsets(dims)
+    # The (A index, B index) of each basis vector of degree n.
+    factors = {n: np.divmod(perm[offsets[n]:offsets[n] + dims[n]], nb)
+               for n in degs}
 
     ident_a, ident_b = fp.identity(len(deg_a)), fp.identity(nb)
 
     def power(whole, ident, kind, t):
-        return ident if t == 0 else whole.get(Generator(kind, t))
+        return ident if t == 0 else whole.mats.get(Generator(kind, t))
 
     span = (degs[-1] - degs[0]) if degs else 0
     if p == 2:
@@ -211,7 +252,7 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     actions: dict[tuple[Generator, int], np.ndarray] = {}
     for g in gens:
         if g.kind == "b":
-            pairs = [(whole_a.get(g), ident_b), (koszul, whole_b.get(g))]
+            pairs = [(whole_a.mats.get(g), ident_b), (koszul, whole_b.mats.get(g))]
         else:
             pairs = [(power(whole_a, ident_a, g.kind, t),
                       power(whole_b, ident_b, g.kind, g.index - t))
@@ -219,23 +260,22 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
         if not pairs:
             continue
-        left, right = zip(*pairs)
-        mat = _kron_sum(np.stack(left), np.stack(right))[np.ix_(perm, perm)] % p
+        lefts, rights = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         gd = g.degree_at(p)
         for n in degs:
-            n2 = n + gd
-            if n2 not in dims:
+            if n + gd not in factors:
                 continue
-            block = mat[offsets[n2]:offsets[n2] + dims[n2],
-                        offsets[n]:offsets[n] + dims[n]]
+            (ca, cb), (ra, rb) = factors[n], factors[n + gd]
+            block = np.einsum("trc,trc->rc", lefts[:, ra[:, None], ca],
+                              rights[:, rb[:, None], cb]) % p
             if block.any():
                 actions[(g, n)] = block
     labels = None
     if A.labels and B.labels:
         left = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
         right = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
-        flat = [f"{left[k // nb]}*{right[k % nb]}" for k in perm.tolist()]
-        labels = {n: flat[offsets[n]:offsets[n] + dims[n]] for n in degs}
+        labels = {n: [f"{left[a]}*{right[b]}" for a, b in zip(*map(list, factors[n]))]
+                  for n in degs}
     return FiniteModule(p, dims, actions, labels=labels)
 
 
@@ -243,16 +283,29 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 # Acting by algebra elements
 # ---------------------------------------------------------------------------
 
-def act_element(M: FiniteModule, e: SteenrodElement, d: int) -> np.ndarray:
-    """Matrix of a homogeneous element from degree d to d + deg(e)."""
+def act_element(M: FiniteModule, e: SteenrodElement, d: int | None = None,
+                whole: _Whole | None = None) -> np.ndarray:
+    """Matrix of a homogeneous element from degree d to d + deg(e).
+
+    With d None, the whole-module matrix of e (see `_Whole`) instead; pass
+    M's `whole` form to reuse it and its products across calls."""
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
+    p = M.prime
+    if d is None:
+        if whole is None:
+            whole = _Whole(M)
+        out = fp.zeros(whole.size, whole.size)
+        for mono, coef in e.terms.items():
+            mat = whole.word(mono.word)
+            if mat is not None:
+                out += coef * mat
+        return out % p
     deg = element_degree(e)
     if deg == "non-homogeneous":
         raise ModuleError("act_element requires a homogeneous element")
     if deg == "any":
         deg = 0
-    p = M.prime
     out = fp.zeros(M.dim(d + deg), M.dim(d))
     for mono, coef in e.terms.items():
         mat = fp.identity(M.dim(d))
@@ -321,15 +374,6 @@ def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator
                  for word in _inadmissible_words(p, max_degree))
 
 
-@functools.cache
-def _adem_relation(p: int, word: tuple[Generator, ...]
-                   ) -> tuple[SteenrodElement, SteenrodElement]:
-    """The word and its Adem normal form; normalized on first use, since a
-    module reaches only the operation degrees its own degrees span."""
-    lhs = SteenrodElement.from_word(p, word)
-    return lhs, adem_normalize(lhs)
-
-
 def p3_cubed_relation(p: int = 3) -> tuple[SteenrodElement, SteenrodElement]:
     """The degree-36 identity (P^3)^3 = (P^7 P^1 - P^8) P^1 at p = 3."""
     lhs = parse_expression("P^3 P^3 P^3", p)
@@ -343,55 +387,35 @@ def consistency_check(M: FiniteModule,
     length 2 or 3 (degree <= max_relation_degree), plus the explicit
     degree-36 identity at p = 3, on every occupied source degree.
 
-    Each side acts as one whole-module matrix, each monomial a product of
-    generator matrices memoised on its word suffix; a relation fails at
-    every source degree whose block of lhs - rhs has a nonzero column,
-    and the first such column is the witness."""
+    Each side acts as one whole-module matrix; a relation fails at every
+    source degree whose block of lhs - rhs has a nonzero column, and the
+    first such column is the witness."""
     p = M.prime
-    offsets, gens = _whole(M)
-    n = M.total_dim
-    products: dict[tuple[Generator, ...], np.ndarray] = {(): fp.identity(n)}
-
-    def word_matrix(word: tuple[Generator, ...]) -> np.ndarray:
-        mat = products.get(word)
-        if mat is None:
-            g = gens.get(word[0])
-            mat = (fp.zeros(n, n) if g is None
-                   else fp.matmul(g, word_matrix(word[1:]), p))
-            products[word] = mat
-        return mat
-
-    def element_matrix(e: SteenrodElement) -> np.ndarray:
-        out = fp.zeros(n, n)
-        for mono, coef in e.terms.items():
-            out += coef * word_matrix(mono.word)
-        return out
-
+    whole = _Whole(M)
     occupied = M.degrees
     violations: list[RelationViolation] = []
 
     def compare(op_degree: int, lhs: SteenrodElement,
                 rhs: SteenrodElement) -> None:
-        delta = (element_matrix(lhs) - element_matrix(rhs)) % p
+        delta = (act_element(M, lhs, whole=whole)
+                 - act_element(M, rhs, whole=whole)) % p
         if not delta.any():
             return
         for d in occupied:
-            t = d + op_degree
-            if t not in offsets:
+            if d + op_degree not in M.dims:
                 continue
-            block = delta[offsets[t]:offsets[t] + M.dims[t],
-                          offsets[d]:offsets[d] + M.dims[d]]
-            cols = np.flatnonzero(block.any(axis=0))
+            cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
             if cols.size:
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
                 violations.append(RelationViolation(lhs, rhs, d, witness))
 
     def reachable(op_degree: int) -> bool:
-        return any(d + op_degree in offsets for d in occupied)
+        return any(d + op_degree in M.dims for d in occupied)
 
     for op_degree, word in _relation_words(p, max_relation_degree):
         if reachable(op_degree):
-            compare(op_degree, *_adem_relation(p, word))
+            lhs = SteenrodElement.from_word(p, word)
+            compare(op_degree, lhs, adem_normalize(lhs))
     if p == 3 and max_relation_degree >= 36 and reachable(36):
         compare(36, *p3_cubed_relation())
     return violations
@@ -451,6 +475,12 @@ class DecompositionResult:
         return self.decomposable
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its overhead on small ones."""
+    (r1, c1), (r2, c2) = x.shape, y.shape
+    return np.einsum("ij,kl->ikjl", x, y).reshape(r1 * r2, c1 * c2)
+
+
 def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     """Basis of the degreewise endomorphisms commuting with all generator
     actions, as a stack of block-diagonal total_dim x total_dim matrices.
@@ -460,22 +490,18 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     E_d2 A - A E_d = 0, whose coefficient blocks are kron(I, A^T) and
     -kron(A, I)."""
     p = M.prime
-    degs = M.degrees
-    offsets: dict[int, int] = {}
-    total = 0
-    for d in degs:
-        offsets[d] = total
-        total += M.dims[d] ** 2
+    offsets = _offsets({d: n * n for d, n in M.dims.items()})
+    total = sum(n * n for n in M.dims.values())
 
     rows: list[np.ndarray] = []
     for (g, d), A in M.actions.items():
         d2 = d + g.degree_at(p)
         tdim, sdim = A.shape
         block = fp.zeros(tdim * sdim, total)
-        block[:, offsets[d2]:offsets[d2] + tdim * tdim] += _kron_sum(
-            fp.identity(tdim)[None], A.T[None])
-        block[:, offsets[d]:offsets[d] + sdim * sdim] -= _kron_sum(
-            A[None], fp.identity(sdim)[None])
+        block[:, offsets[d2]:offsets[d2] + tdim * tdim] += _kron(
+            fp.identity(tdim), A.T)
+        block[:, offsets[d]:offsets[d] + sdim * sdim] -= _kron(
+            A, fp.identity(sdim))
         rows.append(block % p)
     if rows:
         basis_vecs = fp.nullspace(np.vstack(rows), p)
@@ -483,23 +509,16 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
         basis_vecs = fp.identity(total)
     k = basis_vecs.shape[1]
     out = np.zeros((k, M.total_dim, M.total_dim), dtype=np.int64)
-    pos = 0
-    for d in degs:
+    for d, pos in _offsets(M.dims).items():
         n = M.dims[d]
         out[:, pos:pos + n, pos:pos + n] = basis_vecs[
             offsets[d]:offsets[d] + n * n].T.reshape(k, n, n)
-        pos += n
     return out
 
 
 def _split_blocks(mat: np.ndarray, M: FiniteModule) -> dict[int, np.ndarray]:
-    blocks = {}
-    pos = 0
-    for d in M.degrees:
-        n = M.dim(d)
-        blocks[d] = mat[pos:pos + n, pos:pos + n]
-        pos += n
-    return blocks
+    return {d: mat[pos:pos + M.dims[d], pos:pos + M.dims[d]]
+            for d, pos in _offsets(M.dims).items()}
 
 
 def _submodule_from_idempotent(M: FiniteModule,
@@ -522,13 +541,12 @@ def _submodule_from_idempotent(M: FiniteModule,
 
 def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
     """The projection onto the stable image of psi along its stable kernel
-    (Fitting's lemma), or None when one of the two is zero.  Both are
-    reached at psi^m for every m >= n, so squaring up to the first such
-    power of two gives them."""
+    (Fitting's lemma), both reached at psi^n, or None when one of the two
+    is zero."""
     n = psi.shape[0]
-    w = psi
-    for _ in range((n - 1).bit_length()):
-        w = fp.matmul(w, w, p)
+    w = fp.identity(n)
+    for _ in range(n):
+        w = fp.matmul(w, psi, p)
     r = fp.rank(w, p)
     if not 0 < r < n:
         return None

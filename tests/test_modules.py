@@ -177,23 +177,6 @@ def consistency_by_degrees(M, max_relation_degree):
     return out
 
 
-def fitting_by_powers(psi, p):
-    """Reference Fitting projection: psi^n by n products, then the
-    projection onto its image along its kernel, or None."""
-    n = psi.shape[0]
-    w = fp.identity(n)
-    for _ in range(n):
-        w = fp.matmul(w, psi, p)
-    r = fp.rank(w, p)
-    if not 0 < r < n:
-        return None
-    B = np.hstack([fp.column_space(w, p), fp.nullspace(w, p)])
-    diag = fp.zeros(n, n)
-    for i in range(r):
-        diag[i, i] = 1
-    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
-
-
 def as_tuples(violations):
     return [(v.lhs, v.rhs, v.source_degree, v.witness) for v in violations]
 
@@ -417,6 +400,32 @@ class TestActElement:
                     + act_element(cb, el("P^6", 3), 0)) % 3
         assert out.tolist() == expected.tolist()
 
+    def test_whole_module_matrix_has_the_degree_blocks(self):
+        from torsionlab.modules import _Whole
+
+        rng = random.Random(41)
+        cases = [(hypothetical_Cb_module(), el("P^3 P^3 P^3 - P^7 P^1 P^1", 3)),
+                 (hypothetical_Cb_module(), el("P^3 P^3 + P^6", 3)),
+                 (fabricated_violation_module(), el("Sq^1 Sq^1", 2))]
+        for p, top, words in ((2, 5, ["Sq^2 Sq^2", "Sq^1 Sq^2 Sq^1 + Sq^3 Sq^1",
+                                      "Sq^1 Sq^1 Sq^1 Sq^2"]),
+                              (3, 9, ["P^1 b P^1", "b P^2 + P^2 b", "P^1 b P^1 b"])):
+            for _ in range(5):
+                M = dense_random_module(p, rng, top)
+                cases += [(M, el(w, p)) for w in words]
+        for M, e in cases:
+            whole = _Whole(M)
+            mat = act_element(M, e, whole=whole)
+            assert np.array_equal(mat, act_element(M, e))
+            op_degree = element_degree(e)
+            for d in M.degrees:
+                for t in M.degrees:
+                    block = whole.block(mat, t, d)
+                    if t == d + op_degree:
+                        assert np.array_equal(block, act_element(M, e, d))
+                    else:
+                        assert not block.any()
+
 
 class TestConsistencyCheck:
     def test_clean_modules(self):
@@ -516,34 +525,18 @@ class TestDecomposability:
     def test_odd_prime_sum(self):
         assert is_decomposable(direct_sum(moore_module(3), shift(moore_module(3), 4)))
 
-    def test_fitting_projection_matches_powers(self):
+    def test_fitting_projection_waits_for_the_stable_image(self):
         from torsionlab.modules import _fitting_idempotent
 
-        # Conjugates of a nilpotent shift block (index up to n) beside a
-        # random block, so the stable image is reached late.
-        rng = random.Random(13)
-        cases = 0
-        for p in (2, 3, 5):
-            for n in range(1, 13):
-                for _ in range(4):
-                    k = rng.randint(0, n)
-                    psi = fp.zeros(n, n)
-                    for i in range(k - 1):
-                        psi[i + 1, i] = 1
-                    psi[k:, k:] = [[rng.randrange(p) for _ in range(n - k)]
-                                   for _ in range(n - k)]
-                    while True:
-                        g = np.array([[rng.randrange(p) for _ in range(n)]
-                                      for _ in range(n)], dtype=np.int64)
-                        if fp.rank(g, p) == n:
-                            break
-                    psi = fp.matmul(fp.matmul(g, psi, p), fp.inv(g, p), p)
-                    got, want = _fitting_idempotent(psi, p), fitting_by_powers(psi, p)
-                    assert (got is None) == (want is None)
-                    if want is not None:
-                        assert np.array_equal(got, want)
-                        cases += 1
-        assert cases > 50
+        # A nilpotent Jordan block of size n - 1 beside a 1 x 1 identity:
+        # the image of psi^m shrinks until m = n - 1.
+        for p in (2, 3):
+            for n in range(2, 9):
+                psi = fp.identity(n)
+                psi[:n - 1, :n - 1] = np.eye(n - 1, n - 1, -1, dtype=np.int64)
+                want = fp.zeros(n, n)
+                want[n - 1, n - 1] = 1
+                assert np.array_equal(_fitting_idempotent(psi, p), want)
 
     @pytest.mark.parametrize("name,build,dims", [
         ("6 S/2", lambda: sum_of(*[moore_module(2)] * 6), (2, 10)),

@@ -16,13 +16,16 @@ object — the behavior that separates this category from algebraic ones.
 Everything that does not depend on a verdict is built once per process:
 the class representatives for each rank bound, the stacks of all
 matrices of each shape, and GL_r(Z/4), found as the matrices of odd
-determinant.  Verdicts are recomputed on every call.  Searches never
-loop over matrices in Python: each matrix product is taken over a whole
-stack at once and encoded as one integer key per matrix, isomorphisms
-are found by joining the distinct keys of the GL stacks, and TR3 is
-decided by joining the distinct keys of the candidate a and b on the
-commutation condition and looking the result up among the keys of all
-fill-ins c, so rank 3 runs in memory."""
+determinant, each only up to the rank a call needs.  Verdicts are
+recomputed on every call.  Searches never loop over matrices in Python:
+each matrix product is taken over a whole stack at once and encoded as
+one integer key per matrix.  TR3 for all pairs of representatives, and
+class membership for all rotations or all direct sums, are each one
+batched join (_pair_verdicts): every pair's key arrays are concatenated
+under the pair index, the distinct keys of the candidate a and b are
+joined on the commutation condition, and the result is looked up among
+the keys of all fill-ins c (for TR3) or of all invertible w (for
+isomorphism).  Batches are cut by stack size, so rank 3 runs in memory."""
 
 from __future__ import annotations
 
@@ -195,22 +198,22 @@ def general_linear(rank: int) -> np.ndarray:
     return _readonly(mats[det % 2 == 1])
 
 
-def _encode(*stacks: np.ndarray) -> np.ndarray:
-    """One integer key per index i of equal-length matrix stacks: the
-    entries mod 4 of stacks[0][i], stacks[1][i], ... as base-4 digits,
-    the last stack's entries lowest, so
-    _encode(s, t) == _encode(s) * 4**t[0].size + _encode(t)."""
-    flat = np.concatenate(
-        [s.reshape(len(s), -1) for s in reversed(stacks)], axis=1
-    ) % 4
-    return flat @ 4 ** np.arange(flat.shape[1], dtype=np.int64)
+@functools.cache
+def _powers(n: int) -> np.ndarray:
+    return _readonly(4 ** np.arange(n, dtype=np.int64))
 
 
-def _distinct_pairs(first: np.ndarray, second: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct key pairs (_encode(first[i]), _encode(second[i])), as
-    two aligned arrays sorted by the first key."""
-    return np.divmod(np.unique(_encode(first, second)), 4 ** second[0].size)
+def _encode(stack: np.ndarray) -> np.ndarray:
+    """One integer key per matrix of a stack: its entries mod 4 as base-4
+    digits, the first entry lowest."""
+    flat = stack.reshape(len(stack), -1) % 4
+    return flat @ _powers(flat.shape[1])
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,39 +228,129 @@ def _match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return i, np.arange(len(i)) + shift
 
 
-def _joined_keys(left: tuple[np.ndarray, np.ndarray],
-                 right: tuple[np.ndarray, np.ndarray], width: int) -> np.ndarray:
-    """For key pairs left = (k, l) and right = (k, r), right sorted by k:
-    the key l * width + r of every left and right row that agree on k."""
-    i, j = _match(left[0], right[0])
-    return left[1][i] * width + right[1][j]
+def _decide_batch(b: np.ndarray, a: np.ndarray, c: np.ndarray, n_pairs: int,
+                  width: int, every: bool) -> np.ndarray:
+    """The verdicts of one batch of n_pairs pairs from its packed keys
+    (pair * width + k1) * width + k2: (pair, b f1, g2 b) for b, (pair,
+    f2 a, a h1) for a and (pair, c g1, h2 c) for c, each key below width.
+    The distinct b and a keys are joined on (pair, commutation key); every
+    joined (pair, g2 b, a h1) is looked up among the c keys."""
+    wide = width * width
+    b, a, c = _distinct(b), _distinct(a), np.sort(c)
+    i, j = _match(b // width, a // width)
+    pair = b[i] // wide
+    needed = pair * wide + b[i] % width * width + a[j] % width
+    found = c[np.minimum(np.searchsorted(c, needed), len(c) - 1)] == needed
+    if every:
+        return np.bincount(pair[~found], minlength=n_pairs) == 0
+    return np.bincount(pair[found], minlength=n_pairs) > 0
+
+
+# A batch of pairs is cut once it holds this many matrices of the a, b and
+# c stacks together, which bounds memory at rank 3; at rank <= 2 every
+# call is one batch.
+_BATCH_MATRICES = 1 << 18
+
+
+def _key_width(triangles: list[Z4Triangle], n_pairs: int) -> int:
+    """A bound on the matrix keys of a join between triangles: a product
+    of two of their morphisms has at most rank**2 entries.  A packed key
+    (pair * width + k1) * width + k2 must fit in int64."""
+    rank = max((max(t.ranks) for t in triangles), default=0)
+    width = 4 ** (rank * rank)
+    if n_pairs * width * width > 2**63:
+        raise ValueError(f"rank {rank} is too large to pack pair keys in int64")
+    return width
+
+
+def _pair_verdicts(sources: list[Z4Triangle], targets: list[Z4Triangle],
+                   pairs: list[tuple[int, int]], stack, every: bool) -> np.ndarray:
+    """For each (i, j) in pairs, with t1 = sources[i] and t2 = targets[j],
+    whether for every (every=True) or for some (every=False) a and b drawn
+    from stack(rows, cols) with b f1 = f2 a there is a c from the stack
+    with c g1 = g2 b and h2 c = a h1.  With stack = _all_matrices and
+    every=True this is TR3 for the pair; with invertible stacks and
+    every=False it is an isomorphism t1 -> t2.  Pairs must come grouped by
+    source.
+
+    A morphism m of a triangle is met only through the keys of X m (m in
+    t1) and of m X (m in t2) for X over a stack, so each such key array is
+    computed once per call, and kept as int32 (keys are below 4**9) while
+    its triangle can still be met.  The arrays of a batch of pairs are
+    concatenated under the pair index in the high digits and decided by
+    _decide_batch."""
+    width = _key_width([*sources, *targets], len(pairs))
+    verdicts = np.zeros(len(pairs), dtype=bool)
+    before: dict[tuple[int, int, int], np.ndarray] = {}
+    after: dict[tuple[int, int], np.ndarray] = {}  # of the current source
+    source = None
+    high, low, counts = ([[], [], []] for _ in range(3))
+    start, held = 0, 0
+    for n, (i, j) in enumerate(pairs):
+        if i != source:
+            after.clear()
+            source = i
+        t1, t2 = sources[i], targets[j]
+        # The three variables pair a morphism m1 of t1 with one m2 of t2
+        # and run over stack(m2.source, m1.target): b with (f1, g2), a
+        # with (h1, f2), c with (g1, h2).
+        for var, m1, m2 in ((0, t1.f, t2.g), (1, t1.h, t2.f), (2, t1.g, t2.h)):
+            x = after.get((var, m2.source))
+            if x is None:
+                x = after[var, m2.source] = _encode(
+                    stack(m2.source, m1.target) @ m1.matrix).astype(np.int32)
+            y = before.get((j, var, m1.target))
+            if y is None:
+                y = before[j, var, m1.target] = _encode(
+                    m2.matrix @ stack(m2.source, m1.target)).astype(np.int32)
+            # Key order: b (b f1, g2 b), a (f2 a, a h1), c (c g1, h2 c).
+            k1, k2 = (y, x) if var == 1 else (x, y)
+            high[var].append(k1)
+            low[var].append(k2)
+            counts[var].append(len(x))
+            held += len(x)
+        if held < _BATCH_MATRICES and n + 1 < len(pairs):
+            continue
+        keys = [
+            (np.repeat(np.arange(n + 1 - start) * width, counts[var])
+             + np.concatenate(high[var], dtype=np.int64)) * width
+            + np.concatenate(low[var], dtype=np.int64)
+            for var in range(3)
+        ]
+        verdicts[start:n + 1] = _decide_batch(*keys, n + 1 - start, width, every)
+        high, low, counts = ([[], [], []] for _ in range(3))
+        start, held = n + 1, 0
+    return verdicts
+
+
+def _invertible(rows: int, cols: int) -> np.ndarray:
+    """The stack of an isomorphism join: GL of the (equal) rank."""
+    return general_linear(rows)
+
+
+def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
+    """Per query, whether it is isomorphic to one of reps: one batched
+    join over every (query, representative) pair of equal ranks."""
+    by_ranks: dict[tuple[int, int, int], list[int]] = {}
+    for j, rep in enumerate(reps):
+        by_ranks.setdefault(rep.ranks, []).append(j)
+    pairs = [(i, j) for i, q in enumerate(queries) for j in by_ranks.get(q.ranks, ())]
+    iso = _pair_verdicts(queries, reps, pairs, _invertible, every=False)
+    hits = [i for (i, _), ok in zip(pairs, iso) if ok]
+    return np.bincount(hits, minlength=len(queries)) > 0
 
 
 def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     """Whether invertible (u, v, w) carry t1 to t2: v f1 = f2 u,
-    w g1 = g2 v, u h1 = h2 w.
-
-    Each of u, v, w enters two of the three equations, so each GL stack
-    is reduced to the distinct key pairs of its two products, computed by
-    one batched matmul each.  The u and v pairs are joined on the key of
-    the first equation; an isomorphism exists iff some joined pair of
-    keys for the other two equations is a key pair of some w."""
-    if t1.ranks != t2.ranks:
-        return False
-    rx, _, rz = t1.ranks
-    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
-    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
-    gl_x, gl_y, gl_z = (general_linear(r) for r in t1.ranks)
-    v_keys = _distinct_pairs(gl_y @ f1, g2 @ gl_y)
-    u_keys = _distinct_pairs(f2 @ gl_x, gl_x @ h1)
-    width = 4 ** (rx * rz)
-    w_keys = _encode(gl_z @ g1, h2 @ gl_z)
-    joined = _joined_keys(v_keys, u_keys, width)
-    return len(_match(joined, np.unique(w_keys))[0]) > 0
+    w g1 = g2 v, u h1 = h2 w; the batched join on one pair."""
+    return t1.ranks == t2.ranks and bool(
+        _pair_verdicts([t1], [t2], [(0, 0)], _invertible, every=False)[0])
 
 
 @functools.cache
 def _representatives(max_rank: int) -> tuple[Z4Triangle, ...]:
+    if max_rank < 0:
+        raise ValueError(f"rank bound {max_rank} is negative")
     if max_rank > 3:
         raise ValueError("rank bound above 3 makes exhaustive checks infeasible")
     elems = elementary_triangles()
@@ -290,7 +383,7 @@ def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
     """Whether t is isomorphic to a direct sum of elementary triangles."""
     if max(t.ranks) > max_rank:
         raise ValueError(f"ranks {t.ranks} exceed the bound {max_rank}")
-    return any(is_isomorphic(t, rep) for rep in distinguished_representatives(max_rank))
+    return bool(_members([t], distinguished_representatives(max_rank))[0])
 
 
 def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
@@ -298,58 +391,23 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     None if no class member within the rank bound extends f.  The first
     maps are isomorphic iff v f = r u for invertible u, v: the distinct
     keys of v f and of r u share a value."""
-    v_keys = np.unique(_encode(general_linear(f.target) @ f.matrix))
+    v_keys = _distinct(_encode(general_linear(f.target) @ f.matrix))
     for rep in distinguished_representatives(max_rank):
         if rep.f.source != f.source or rep.f.target != f.target:
             continue
-        u_keys = np.unique(_encode(rep.f.matrix @ general_linear(f.source)))
+        u_keys = _distinct(_encode(rep.f.matrix @ general_linear(f.source)))
         if len(_match(v_keys, u_keys)[0]):
             return rep
     return None
 
 
-def check_TR3_fill(
-    t1: Z4Triangle, t2: Z4Triangle, a: Z4Morphism, b: Z4Morphism
-) -> Z4Morphism | None:
-    """A fill-in c for a commuting pair (a, b) between two triangles:
-    requires b f1 = f2 a, finds c with c g1 = g2 b and h2 c = a h1, or
-    returns None after exhausting all candidates.  This is the
-    brute-force reference for _tr3_holds_for_pair."""
-    if not np.array_equal(
-        (b.matrix @ t1.f.matrix) % 4, (t2.f.matrix @ a.matrix) % 4
-    ):
-        raise ValueError("(a, b) does not commute with the first maps")
-    g1, g2 = t1.g.matrix, t2.g.matrix
-    h1, h2 = t1.h.matrix, t2.h.matrix
-    want_left = (g2 @ b.matrix) % 4
-    want_right = (a.matrix @ h1) % 4
-    for c in _all_matrices(t2.g.target, t1.g.target):
-        if np.array_equal((c @ g1) % 4, want_left) and np.array_equal(
-            (h2 @ c) % 4, want_right
-        ):
-            return Z4Morphism.from_matrix(c, t1.g.target, t2.g.target)
-    return None
-
-
-def _tr3_holds_for_pair(t1: Z4Triangle, t2: Z4Triangle) -> bool:
-    """Exhaustively: every commuting (a, b) between t1 and t2 admits a
-    fill-in, decided by a join on integer keys.
-
-    Only the keys (b f1, g2 b) of b and (f2 a, a h1) of a matter, so each
-    stack is reduced to its distinct key pairs.  Joining them on the
-    commutation key b f1 = f2 a yields the (g2 b, a h1) that some fill-in
-    c must meet, and each must be the key (c g1, h2 c) of some c."""
-    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
-    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
-    a_stack = _all_matrices(t2.f.source, t1.f.source)
-    b_stack = _all_matrices(t2.f.target, t1.f.target)
-    c_stack = _all_matrices(t2.g.target, t1.g.target)
-    b_keys = _distinct_pairs(b_stack @ f1, g2 @ b_stack)
-    a_keys = _distinct_pairs(f2 @ a_stack, a_stack @ h1)
-    width = 4 ** (t2.f.source * t1.g.target)
-    fills = _encode(c_stack @ g1, h2 @ c_stack)
-    needed = _joined_keys(b_keys, a_keys, width)
-    return len(_match(needed, np.unique(fills))[0]) == len(needed)
+def _tr3_verdicts(triangles: list[Z4Triangle]) -> np.ndarray:
+    """TR3 for every ordered pair: entry (i, j) says whether every
+    commuting (a, b) from triangles[i] to triangles[j] has a fill-in."""
+    n = len(triangles)
+    pairs = list(itertools.product(range(n), repeat=2))
+    return _pair_verdicts(triangles, triangles, pairs, _all_matrices,
+                          every=True).reshape(n, n)
 
 
 @dataclass
@@ -379,21 +437,21 @@ def verify_axioms(max_rank: int = 2) -> VerificationReport:
     )
     report.add(
         "rotation of every representative stays in the class",
-        all(in_distinguished_class(t.rotate(), max_rank) for t in reps),
+        bool(_members([t.rotate() for t in reps], reps).all()),
     )
-    sums_ok = True
-    for t1, t2 in itertools.combinations_with_replacement(reps, 2):
-        s = t1.direct_sum(t2)
-        if max(s.ranks) > max_rank:
-            continue
-        if not in_distinguished_class(s, max_rank):
-            sums_ok = False
-            break
-    report.add("direct sums of representatives stay in the class", sums_ok)
-    tr3_ok = all(
-        _tr3_holds_for_pair(t1, t2) for t1 in reps for t2 in reps
+    sums = [
+        t1.direct_sum(t2)
+        for t1, t2 in itertools.combinations_with_replacement(reps, 2)
+        if max(r1 + r2 for r1, r2 in zip(t1.ranks, t2.ranks)) <= max_rank
+    ]
+    report.add(
+        "direct sums of representatives stay in the class",
+        bool(_members(sums, reps).all()),
     )
-    report.add("TR3 fill-in exists for every commuting pair", tr3_ok)
+    report.add(
+        "TR3 fill-in exists for every commuting pair",
+        bool(_tr3_verdicts(reps).all()),
+    )
     return report
 
 

@@ -194,8 +194,10 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     dims = {d: A.dim(d) + B.dim(d)
             for d in set(A.dims) | set(B.dims)}
     actions: dict[tuple[Generator, int], np.ndarray] = {}
+    # Sorted, so that the order of actions does not depend on string hashing.
+    gens = sorted({g for (g, _) in [*A.actions, *B.actions]})
     for d in dims:
-        for g in {g for (g, _) in list(A.actions) + list(B.actions)}:
+        for g in gens:
             d2 = d + g.degree_at(p)
             if dims.get(d2, 0) == 0:
                 continue

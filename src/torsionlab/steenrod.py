@@ -122,12 +122,6 @@ def _decode(iword: IntWord, p: int) -> tuple[Generator, ...]:
     return tuple(BOCKSTEIN if i == 0 else Generator("P", i) for i in iword)
 
 
-def _word_degree(iword: IntWord, p: int) -> int:
-    if p == 2:
-        return sum(iword)
-    return sum(1 if i == 0 else 2 * i * (p - 1) for i in iword)
-
-
 class Monomial(NamedTuple):
     """A word of generators over a fixed prime."""
 

@@ -62,6 +62,7 @@ class TestUserErrors:
         ("endo", "-3"),
         ("pi", "3", "--moore", "0"),
         ("associator", "0"),
+        ("exotic", "verify", "--max-rank", "-1"),
     ])
     def test_one_line_and_exit_two(self, capsys, argv):
         code = main(list(argv))

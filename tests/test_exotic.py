@@ -13,7 +13,6 @@ from torsionlab import (
     Z4Morphism,
     Z4Triangle,
     check_TR1_cone,
-    check_TR3_fill,
     distinguished_representatives,
     elementary_triangles,
     in_distinguished_class,
@@ -23,7 +22,11 @@ from torsionlab import (
 )
 from torsionlab.exotic import (
     _all_matrices,
-    _tr3_holds_for_pair,
+    _encode,
+    _key_width,
+    _match,
+    _members,
+    _tr3_verdicts,
     contractible_triangle,
     general_linear,
     identity_morphism,
@@ -33,8 +36,28 @@ from torsionlab.exotic import (
 )
 
 
+def check_TR3_fill(t1, t2, a, b):
+    """A fill-in c for a commuting pair (a, b) between two triangles:
+    requires b f1 = f2 a, finds c with c g1 = g2 b and h2 c = a h1, or
+    returns None after exhausting all candidates."""
+    if not np.array_equal(
+        (b.matrix @ t1.f.matrix) % 4, (t2.f.matrix @ a.matrix) % 4
+    ):
+        raise ValueError("(a, b) does not commute with the first maps")
+    g1, g2 = t1.g.matrix, t2.g.matrix
+    h1, h2 = t1.h.matrix, t2.h.matrix
+    want_left = (g2 @ b.matrix) % 4
+    want_right = (a.matrix @ h1) % 4
+    for c in _all_matrices(t2.g.target, t1.g.target):
+        if np.array_equal((c @ g1) % 4, want_left) and np.array_equal(
+            (h2 @ c) % 4, want_right
+        ):
+            return Z4Morphism.from_matrix(c, t1.g.target, t2.g.target)
+    return None
+
+
 def tr3_by_brute_force(t1, t2):
-    """Reference for _tr3_holds_for_pair: check_TR3_fill on every commuting
+    """Reference for the TR3 joins: check_TR3_fill on every commuting
     (a, b), one matrix at a time."""
     for a_mat in _all_matrices(t2.f.source, t1.f.source):
         a = Z4Morphism.from_matrix(a_mat, t1.f.source, t2.f.source)
@@ -59,6 +82,54 @@ def isomorphic_by_brute_force(t1, t2):
         and np.array_equal((u @ h1) % 4, (h2 @ w) % 4)
         for u, v, w in itertools.product(*(general_linear(r) for r in t1.ranks))
     )
+
+
+def distinct_pairs(first, second):
+    """The distinct key pairs (_encode(first[i]), _encode(second[i])), as
+    two aligned arrays sorted by the first key."""
+    width = 4 ** second[0].size
+    return np.divmod(np.unique(_encode(first) * width + _encode(second)), width)
+
+
+def joined_keys(left, right, width):
+    """For key pairs left = (k, l) and right = (k, r), right sorted by k:
+    the key l * width + r of every left and right row that agree on k."""
+    i, j = _match(left[0], right[0])
+    return left[1][i] * width + right[1][j]
+
+
+def tr3_by_pair_join(t1, t2):
+    """Reference for the batched TR3 join: the same join on one pair.  The
+    distinct (b f1, g2 b) and (f2 a, a h1) are joined on b f1 = f2 a, and
+    each joined (g2 b, a h1) must be the key (c g1, h2 c) of some c."""
+    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
+    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
+    a_stack = _all_matrices(t2.f.source, t1.f.source)
+    b_stack = _all_matrices(t2.f.target, t1.f.target)
+    c_stack = _all_matrices(t2.g.target, t1.g.target)
+    b_keys = distinct_pairs(b_stack @ f1, g2 @ b_stack)
+    a_keys = distinct_pairs(f2 @ a_stack, a_stack @ h1)
+    width = 4 ** (t2.f.source * t1.g.target)
+    fills = _encode(c_stack @ g1) * width + _encode(h2 @ c_stack)
+    needed = joined_keys(b_keys, a_keys, width)
+    return len(_match(needed, np.unique(fills))[0]) == len(needed)
+
+
+def isomorphic_by_pair_join(t1, t2):
+    """Reference for the batched isomorphism join: the same join on one
+    pair, over GL stacks of u, v and w."""
+    if t1.ranks != t2.ranks:
+        return False
+    rx, _, rz = t1.ranks
+    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
+    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
+    gl_x, gl_y, gl_z = (general_linear(r) for r in t1.ranks)
+    v_keys = distinct_pairs(gl_y @ f1, g2 @ gl_y)
+    u_keys = distinct_pairs(f2 @ gl_x, gl_x @ h1)
+    width = 4 ** (rx * rz)
+    w_keys = _encode(gl_z @ g1) * width + _encode(h2 @ gl_z)
+    joined = joined_keys(v_keys, u_keys, width)
+    return len(_match(joined, np.unique(w_keys))[0]) > 0
 
 
 def rank_one_candidates():
@@ -174,6 +245,10 @@ class TestDistinguishedClass:
         )
         assert not in_distinguished_class(t)
 
+    def test_negative_rank_bound_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            verify_axioms(-1)
+
     def test_rank_bound_enforced(self):
         big = zero_triangle()
         for _ in range(3):
@@ -236,19 +311,111 @@ class TestTR3:
     def test_join_matches_brute_force_on_rank_one_candidates(self):
         cands = rank_one_candidates()
         assert len(cands) == 14
-        failing = 0
-        for t1, t2 in itertools.product(cands, repeat=2):
-            holds = _tr3_holds_for_pair(t1, t2)
-            assert holds == tr3_by_brute_force(t1, t2)
-            failing += not holds
-        assert failing == 63
+        verdicts = _tr3_verdicts(cands)
+        for (i, t1), (j, t2) in itertools.product(enumerate(cands), repeat=2):
+            assert verdicts[i, j] == tr3_by_brute_force(t1, t2)
+        assert (~verdicts).sum() == 63
 
     def test_join_matches_brute_force_on_representatives(self):
         rng = random.Random(11)
         reps = distinguished_representatives(2)
+        verdicts = _tr3_verdicts(reps)
         for _ in range(8):
-            t1, t2 = rng.choice(reps), rng.choice(reps)
-            assert _tr3_holds_for_pair(t1, t2) == tr3_by_brute_force(t1, t2)
+            i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
+            want = tr3_by_brute_force(reps[i], reps[j])
+            assert verdicts[i, j] == want
+            assert tr3_by_pair_join(reps[i], reps[j]) == want
+
+    def test_join_matches_pair_join_on_rank_two_representatives(self):
+        reps = distinguished_representatives(2)
+        assert len(reps) == 16
+        want = [[tr3_by_pair_join(t1, t2) for t2 in reps] for t1 in reps]
+        assert _tr3_verdicts(reps).tolist() == want
+
+    def test_pair_join_matches_brute_force_on_rank_one_candidates(self):
+        cands = rank_one_candidates()
+        for t1, t2 in itertools.product(cands, repeat=2):
+            assert tr3_by_pair_join(t1, t2) == tr3_by_brute_force(t1, t2)
+
+
+def membership_queries():
+    """Rank-one candidates, their pairwise sums, and a candidate of ranks
+    (0, 1, 0), which no representative has: members and non-members."""
+    cands = rank_one_candidates()
+    sums = [t1.direct_sum(t2)
+            for t1, t2 in itertools.combinations_with_replacement(cands, 2)]
+    lone = Z4Triangle(zero_morphism(0, 1), zero_morphism(1, 0), zero_morphism(0, 0))
+    return cands + sums + [lone]
+
+
+class TestBatchedJoins:
+    def test_members_match_brute_force_on_rank_one_candidates(self):
+        cands = rank_one_candidates()
+        reps = distinguished_representatives(1)
+        want = [any(isomorphic_by_brute_force(t, r) for r in reps) for t in cands]
+        assert _members(cands, reps).tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    def test_members_match_pair_join_at_rank_two(self):
+        queries = membership_queries()
+        reps = distinguished_representatives(2)
+        want = [any(isomorphic_by_pair_join(t, r) for r in reps) for t in queries]
+        assert _members(queries, reps).tolist() == want
+        assert 0 < sum(want) < len(want)
+        assert not want[-1]
+
+    def test_single_queries_match_members(self):
+        queries = membership_queries()[::7]
+        reps = distinguished_representatives(2)
+        assert [in_distinguished_class(t) for t in queries] == \
+            _members(queries, reps).tolist()
+
+    def test_small_batches_give_the_same_verdicts(self, monkeypatch):
+        reps = distinguished_representatives(2)
+        queries = membership_queries()
+        tr3, members = _tr3_verdicts(reps), _members(queries, reps)
+        # One rank-two pair alone holds up to 3 * 256 matrices.
+        monkeypatch.setattr(exotic, "_BATCH_MATRICES", 50)
+        assert np.array_equal(_tr3_verdicts(reps), tr3)
+        assert np.array_equal(_members(queries, reps), members)
+        cands = rank_one_candidates()
+        assert (~_tr3_verdicts(cands)).sum() == 63
+
+    def test_packed_keys_fit_int64_at_rank_three(self):
+        reps = distinguished_representatives(3)
+        width = _key_width(reps, len(reps) ** 2)
+        assert width == 4 ** 9
+        assert len(reps) ** 2 * width * width < 2**63
+
+    def test_rank_four_is_refused_before_any_stack(self):
+        big = zero_triangle()
+        for _ in range(4):
+            big = big.direct_sum(two_triangle())
+        with pytest.raises(ValueError, match="too large"):
+            is_isomorphic(big, big)
+
+    def test_rank_two_builds_no_rank_three_stack(self, monkeypatch):
+        shapes = []
+
+        def recorded(build):
+            def wrapper(*shape):
+                shapes.append(shape)
+                return build(*shape)
+            return wrapper
+
+        monkeypatch.setattr(exotic, "_all_matrices", recorded(exotic._all_matrices))
+        monkeypatch.setattr(exotic, "general_linear", recorded(exotic.general_linear))
+        assert verify_axioms(2).passed
+        assert shapes and max(max(s) for s in shapes) == 2
+
+    def test_verdicts_are_recomputed_on_every_call(self, monkeypatch):
+        assert verify_axioms(1).passed
+        monkeypatch.setattr(exotic, "_decide_batch",
+                            lambda b, a, c, n_pairs, width, every:
+                            np.zeros(n_pairs, dtype=bool))
+        report = verify_axioms(1)
+        assert not report.passed
+        assert [ok for _, ok in report.steps] == [True, True, False, False, False]
 
 
 class TestVerification:

@@ -558,9 +558,22 @@ class TestDecomposability:
         assert direct_sum(*r.summands).dims == M.dims
 
 
+def run_python(code, **env_vars):
+    """Run code in a fresh interpreter that imports torsionlab from src/;
+    return its stdout."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cold_start_does_not_import_numpy_ma():
     # numpy.ma costs about 8 ms to import; np.unique, for one, pulls it in.
-    code = (
+    run_python(
         "import sys\n"
         "import torsionlab as tl\n"
         "m = tl.moore_module(2)\n"
@@ -573,13 +586,17 @@ def test_cold_start_does_not_import_numpy_ma():
         "tl.is_decomposable(six)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+def test_direct_sum_order_does_not_depend_on_hash_seed():
+    # Generator kinds are strings, whose hashes change with PYTHONHASHSEED.
+    code = (
+        "import torsionlab as tl\n"
+        "M = tl.direct_sum(tl.hypothetical_Cb_module(), tl.moore_module(3))\n"
+        "print(list(M.actions))\n"
+    )
+    orders = {run_python(code, PYTHONHASHSEED=seed) for seed in ("1", "2", "3")}
+    assert len(orders) == 1
 
 
 class TestSerialization:

@@ -77,17 +77,19 @@ class Z4Morphism:
         )
 
     def __neg__(self) -> "Z4Morphism":
-        return Z4Morphism.from_matrix((-self.matrix) % 4, self.source, self.target)
+        return Z4Morphism(self.source, self.target, tuple(-e % 4 for e in self.entries))
 
     @property
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
     def direct_sum(self, other: "Z4Morphism") -> "Z4Morphism":
-        m = np.zeros((self.target + other.target, self.source + other.source), dtype=np.int64)
-        m[: self.target, : self.source] = self.matrix
-        m[self.target :, self.source :] = other.matrix
-        return Z4Morphism.from_matrix(m, self.source + other.source, self.target + other.target)
+        s1, s2 = self.source, other.source
+        entries = [e for r in range(self.target)
+                   for e in self.entries[r * s1:(r + 1) * s1] + (0,) * s2]
+        entries += [e for r in range(other.target)
+                    for e in (0,) * s1 + other.entries[r * s2:(r + 1) * s2]]
+        return Z4Morphism(s1 + s2, self.target + other.target, tuple(entries))
 
     def __str__(self) -> str:
         return str(self.matrix.tolist())

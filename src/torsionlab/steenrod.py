@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Iterator, Literal, NamedTuple, Union
+from typing import Literal, NamedTuple, Union
 
 
 class SteenrodError(Exception):
@@ -116,10 +116,24 @@ def _encode(word: tuple[Generator, ...], p: int) -> IntWord:
     return tuple(out)
 
 
+class _Letters(dict):
+    """Integer letter -> Generator at one prime, each built on first use.
+    Generators are immutable, so every decoded word shares them."""
+
+    def __init__(self, p: int):
+        super().__init__({} if p == 2 else {0: BOCKSTEIN})
+        self.kind = "Sq" if p == 2 else "P"
+
+    def __missing__(self, i: int) -> Generator:
+        g = self[i] = Generator(self.kind, i)
+        return g
+
+
+_letters = functools.cache(_Letters)
+
+
 def _decode(iword: IntWord, p: int) -> tuple[Generator, ...]:
-    if p == 2:
-        return tuple(Generator("Sq", i) for i in iword)
-    return tuple(BOCKSTEIN if i == 0 else Generator("P", i) for i in iword)
+    return tuple(map(_letters(p).__getitem__, iword))
 
 
 class Monomial(NamedTuple):
@@ -328,41 +342,39 @@ def _first_rewrite(word: IntWord, p: int) -> tuple[int, str] | None:
     return None
 
 
-def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, IntWord]]:
-    """Replace the inadmissible pattern at position j, keeping the rest."""
-    head, out = word[:j], []
-    if kind == "bb":
-        return []
-    if kind == "pp":
-        a, b = word[j], word[j + 1]
-        tail = word[j + 2:]
-        if p == 2:
-            for c in range(a // 2 + 1):
-                if lucas(b - c - 1, a - 2 * c, 2):
-                    mid = (a + b - c,) if c == 0 else (a + b - c, c)
-                    out.append((1, head + mid + tail))
-        else:
-            for t in range(a // p + 1):
-                coef = lucas((p - 1) * (b - t) - 1, a - p * t, p)
-                if coef:
-                    sign = -1 if (a + t) % 2 else 1
-                    mid = (a + b - t,) if t == 0 else (a + b - t, t)
-                    out.append(((sign * coef) % p, head + mid + tail))
-        return out
-    # kind == 'pbp'
-    a, b = word[j], word[j + 2]
-    tail = word[j + 3:]
+@functools.cache
+def _adem_pattern(kind: str, a: int, b: int, p: int) -> tuple[tuple[int, IntWord], ...]:
+    """(coefficient, replacement) pairs of the Adem relation for P^a P^b
+    (kind 'pp'; Sq^a Sq^b at p = 2, where the signs vanish mod 2) or for
+    P^a b P^b (kind 'pbp').  Memoized per letter pair."""
+    out = []
     for t in range(a // p + 1):
         sign = -1 if (a + t) % 2 else 1
+        rest = (a + b - t,) if t == 0 else (a + b - t, t)
+        if kind == "pp":
+            coef = lucas((p - 1) * (b - t) - 1, a - p * t, p)
+            if coef:
+                out.append(((sign * coef) % p, rest))
+            continue
         c1 = lucas((p - 1) * (b - t), a - p * t, p)
         if c1:
-            mid = (0, a + b - t) if t == 0 else (0, a + b - t, t)
-            out.append(((sign * c1) % p, head + mid + tail))
+            out.append(((sign * c1) % p, (0,) + rest))
         c2 = lucas((p - 1) * (b - t) - 1, a - p * t - 1, p)
         if c2:
-            mid = (a + b - t, 0) if t == 0 else (a + b - t, 0, t)
-            out.append(((-sign * c2) % p, head + mid + tail))
-    return out
+            out.append(((-sign * c2) % p, rest[:1] + (0,) + rest[1:]))
+    return tuple(out)
+
+
+def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, IntWord]]:
+    """Replace the inadmissible pattern at position j, keeping the rest.
+    The replacement comes from the memoized table `_adem_pattern`, so each
+    letter pair's binomials are computed once per process."""
+    if kind == "bb":
+        return []
+    width = 2 if kind == "pp" else 3
+    head, tail = word[:j], word[j + width:]
+    return [(coef, head + mid + tail)
+            for coef, mid in _adem_pattern(kind, word[j], word[j + width - 1], p)]
 
 
 _NORMAL_CACHE: dict[tuple[int, IntWord], dict[IntWord, int]] = {}
@@ -409,79 +421,115 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
 # Admissible basis enumeration
 # ---------------------------------------------------------------------------
 
-def _admissible_words_2(d: int) -> Iterator[IntWord]:
-    # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.
-    def rec(remaining: int, cap: int | None) -> Iterator[IntWord]:
-        if remaining == 0:
-            yield ()
-            return
-        top = remaining if cap is None else min(cap, remaining)
-        for i in range(top, 0, -1):
-            for rest in rec(remaining - i, i // 2):
-                yield (i,) + rest
-    yield from rec(d, None)
+# Both enumerators run a depth-first search that tries first letters in
+# descending order.  No two words of one degree are prefixes of each other,
+# so the search emits the canonical descending order on degree sequences
+# and needs no sort.
 
+def _admissible_words_2(d: int) -> list[IntWord]:
+    # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.  The
+    # largest degree a word with first letter <= c reaches is
+    # c + c//2 + c//4 + ... = 2c - (number of 1 bits of c), and every
+    # degree from 0 up to it is reached.
+    out: list[IntWord] = []
 
-def _admissible_words_odd(d: int, p: int) -> Iterator[IntWord]:
-    # Chains P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with s_j >= p s_{j+1} + e_j,
-    # optionally preceded by a single b.
-    def chains(remaining: int, cap: int | None) -> Iterator[IntWord]:
-        # Chains starting with P^s, s <= cap when capped.
-        q = 2 * (p - 1)
-        top = remaining // q if cap is None else min(cap, remaining // q)
-        for s in range(top, 0, -1):
-            rest = remaining - q * s
-            if rest == 0:
-                yield (s,)
-            if rest == 1:
-                yield (s, 0)
-            for eps in (0, 1):
-                sub = rest - eps
-                if sub <= 0:
-                    continue
-                # Next P exponent s2 must satisfy s >= p*s2 + eps.
-                for tail in chains(sub, (s - eps) // p):
-                    yield (s,) + ((0,) if eps else ()) + tail
+    def rec(prefix: IntWord, remaining: int, cap: int) -> None:
+        for i in range(min(cap, remaining), 0, -1):
+            rest, c = remaining - i, i // 2
+            if rest > 2 * c - c.bit_count():
+                break
+            if rest:
+                rec(prefix + (i,), rest, c)
+            else:
+                out.append(prefix + (i,))
+
     if d == 0:
-        yield ()
-        return
-    if d == 1:
-        yield (0,)
-    yield from chains(d, None)
-    yield from ((0,) + w for w in chains(d - 1, None))
+        return [()]
+    rec((), d, d)
+    return out
+
+
+# At odd p the reachable degrees have gaps (letters have degree q = 2(p-1)
+# or 1), so reachability is kept exactly, as bit masks over degrees.
+
+@functools.cache
+def _chain_degrees(cap: int, p: int) -> int:
+    """Bit mask of the degrees of chains (see `_admissible_words_odd`)
+    whose first letter P^s has s <= cap."""
+    mask = 0
+    for s in range(1, cap + 1):
+        mask |= _after_degrees(s, p) << 2 * (p - 1) * s
+    return mask
+
+
+@functools.cache
+def _after_degrees(s: int, p: int) -> int:
+    """Bit mask of the degrees that can follow P^s in a chain: nothing, b,
+    a chain capped at s//p, or b and a chain capped at (s-1)//p."""
+    return 0b11 | _chain_degrees(s // p, p) | _chain_degrees((s - 1) // p, p) << 1
+
+
+def _admissible_words_odd(d: int, p: int) -> list[IntWord]:
+    # Chains P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with s_j >= p s_{j+1} + e_j,
+    # optionally preceded by a single b.  A P letter has degree q >= 4 and
+    # b has degree 1, so trying the next P before the next b keeps the
+    # descending order.
+    q = 2 * (p - 1)
+    out: list[IntWord] = []
+
+    def chains(prefix: IntWord, remaining: int, cap: int) -> None:
+        # Chains starting with P^s, s <= cap.
+        for s in range(min(cap, remaining // q), 0, -1):
+            rest = remaining - q * s
+            after = _after_degrees(s, p) >> rest
+            if not after:
+                break  # smaller s leave more degree and reach less
+            if not after & 1:
+                continue
+            word = prefix + (s,)
+            if rest == 0:
+                out.append(word)
+            elif rest == 1:
+                out.append(word + (0,))
+            else:
+                # Next P exponent s2 must satisfy s >= p*s2 + eps.
+                chains(word, rest, s // p)
+                chains(word + (0,), rest - 1, (s - 1) // p)
+
+    if d <= 1:
+        return [(0,) * d]
+    chains((), d, d)
+    chains((0,), d - 1, d)
+    return out
 
 
 def admissible_basis(p: int, deg: int) -> list[Monomial]:
     """All admissible monomials of the given degree, in the canonical
-    descending lexicographic order on exponent sequences."""
+    descending lexicographic order on exponent sequences.  The enumeration
+    is output-sensitive: a letter is tried only when the degree left after
+    it can still be reached, so the work grows with the size of the basis."""
     p = check_prime(p)
     if deg < 0:
         raise ValueError("degree must be non-negative")
     words = (_admissible_words_2(deg) if p == 2
              else _admissible_words_odd(deg, p))
-    monos = [Monomial(p, _decode(w, p)) for w in words]
-    monos.sort(key=Monomial.sort_key, reverse=True)
-    return monos
+    return [Monomial(p, _decode(w, p)) for w in words]
 
 
 # ---------------------------------------------------------------------------
 # Expression parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(Sq|P|b|\d+|\^|\+|-|\(|\))")
+# A token, or else the first character that cannot start one.
+_TOKEN = re.compile(r"\s*(?:(Sq|P|b|\d+|[-^+()])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}",
-                             pos)
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
         tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
     return tokens
 
 
@@ -521,33 +569,40 @@ def parse_expression(text: str, p: int) -> SteenrodElement:
             return Generator(tok, idx)
         raise ParseError(f"expected generator, got {tok!r}", pos)
 
-    def parse_factor() -> SteenrodElement:
+    def parse_parenthesized() -> SteenrodElement:
         nonlocal i
-        if peek() == "(":
-            open_pos = tokens[i][1]
-            i += 1
-            inner = parse_expr()
-            if peek() != ")":
-                raise ParseError("expected ')'", open_pos)
-            i += 1
-            return inner
-        return SteenrodElement.from_word(p, (parse_generator(),))
+        open_pos = tokens[i][1]
+        i += 1
+        inner = parse_expr()
+        if peek() != ")":
+            raise ParseError("expected ')'", open_pos)
+        i += 1
+        return inner
 
     def parse_term() -> SteenrodElement:
+        # Each run of generators becomes one word; only parenthesized
+        # factors are multiplied in.
         nonlocal i
         coeff, has_coeff = 1, False
         if peek() is not None and peek().isdigit():
             coeff, has_coeff = int(tokens[i][0]), True
             i += 1
-        result = SteenrodElement.from_word(p, (), coeff)
-        saw_factor = False
-        while peek() in ("Sq", "P", "b", "("):
-            result = result * parse_factor()
-            saw_factor = True
-        if not saw_factor and not has_coeff:
-            pos = tokens[i][1] if i < len(tokens) else len(text)
-            raise ParseError("expected a term", pos)
-        return result
+        result, run = None, []
+        while True:
+            tok = peek()
+            if tok in ("Sq", "P", "b"):
+                run.append(parse_generator())
+                continue
+            if result is None:
+                if tok != "(" and not run and not has_coeff:
+                    pos = tokens[i][1] if i < len(tokens) else len(text)
+                    raise ParseError("expected a term", pos)
+                result = SteenrodElement.from_word(p, run, coeff)
+            elif run:
+                result = result * SteenrodElement.from_word(p, run)
+            if tok != "(":
+                return result
+            result, run = result * parse_parenthesized(), []
 
     def parse_expr() -> SteenrodElement:
         nonlocal i

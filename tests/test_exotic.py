@@ -154,6 +154,20 @@ class TestMorphisms:
         b = identity_morphism(1)
         assert a.direct_sum(b).matrix.tolist() == [[2, 0], [0, 1]]
 
+    def test_negation_and_direct_sum_match_matrix_construction(self):
+        # Reference: build the result as a numpy matrix through from_matrix.
+        rng = random.Random(7)
+        shapes = list(itertools.product(range(3), repeat=2))
+        for (t1, s1), (t2, s2) in itertools.product(shapes, repeat=2):
+            a = Z4Morphism.from_matrix(
+                np.array([rng.randrange(4) for _ in range(t1 * s1)]), s1, t1)
+            b = Z4Morphism.from_matrix(
+                np.array([rng.randrange(4) for _ in range(t2 * s2)]), s2, t2)
+            block = np.zeros((t1 + t2, s1 + s2), dtype=np.int64)
+            block[:t1, :s1], block[t1:, s1:] = a.matrix, b.matrix
+            assert a.direct_sum(b) == Z4Morphism.from_matrix(block, s1 + s2, t1 + t2)
+            assert -a == Z4Morphism.from_matrix(-a.matrix % 4, s1, t1)
+
     def test_zero_rank_morphisms(self):
         z = zero_morphism(1, 0)
         assert z.matrix.shape == (0, 1)

@@ -1,9 +1,13 @@
 """Parser, degree bookkeeping, and Adem normalization."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from torsionlab import steenrod
 from torsionlab import (
     BOCKSTEIN,
     Monomial,
@@ -106,6 +110,70 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             el("Sq^2 !", 2)
         assert err.value.position == 4  # offset of the whitespace run before the bad character
+
+    @pytest.mark.parametrize("text, p, message, position", [
+        # after a run of generators
+        ("Sq^2 Sq^3 Sq", 2, "expected index after 'Sq'", 10),
+        ("Sq^2 Sq^3 Sq^0", 2, "generator index must be positive", 13),
+        ("Sq^2 Sq^3 P^1", 2, "'P' is not available at p=2", 10),
+        ("b b b P", 5, "expected index after 'P'", 6),
+        ("Sq^1 Sq^2 )", 2, "unexpected token ')'", 10),
+        ("2 P^1 b P^3 +", 5, "expected a term", 13),
+        # inside parentheses
+        ("Sq^1 (Sq^2 P^1)", 2, "'P' is not available at p=2", 11),
+        ("(Sq^2 Sq^1 + )", 2, "expected a term", 13),
+        ("P^1 (b P^1 - P^2 b b 2)", 3, "expected ')'", 4),
+        ("(P^1 (P^2 b", 3, "expected ')'", 5),
+        ("P^1 P^2 (b) (", 3, "expected a term", 13),
+    ])
+    def test_error_messages_and_positions(self, text, p, message, position):
+        with pytest.raises(ParseError) as err:
+            el(text, p)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_leading_unary_minus_rejected(self):
+        # Not grammar: str never writes one, since coefficients are reduced
+        # to 1..p-1, so parse(str(e)) == e does not need it.
+        for text, position in (("-P^1", 0), ("P^1 + -P^1", 6)):
+            with pytest.raises(ParseError) as err:
+                el(text, 3)
+            assert str(err.value) == f"expected a term (at position {position})"
+
+    def test_runs_and_parentheses_multiply_left_to_right(self):
+        got = el("2 Sq^1 Sq^2 (Sq^1 + Sq^2) Sq^3 Sq^1 (Sq^4) Sq^2", 2)
+        factors = [SteenrodElement.from_word(2, (Sq(1), Sq(2))), el("Sq^1 + Sq^2", 2),
+                   SteenrodElement.from_word(2, (Sq(3), Sq(1))), el("Sq^4", 2),
+                   SteenrodElement.from_word(2, (Sq(2),))]
+        expected = 2 * SteenrodElement.unit(2)
+        for f in factors:
+            expected = multiply(expected, f)
+        assert got == expected
+
+
+def _letters(p):
+    if p == 2:
+        return hs.builds(Sq, hs.integers(1, 12))
+    return hs.one_of(hs.just(BOCKSTEIN), hs.builds(P, hs.integers(1, 12)))
+
+
+@hs.composite
+def _elements(draw):
+    # Arbitrary (not normalized) elements: several terms, any coefficients,
+    # and the empty word for unit terms.
+    p = draw(hs.sampled_from([2, 3, 5]))
+    words = draw(hs.lists(hs.lists(_letters(p), max_size=5).map(tuple), max_size=5))
+    terms = {}
+    for word in words:
+        mono = Monomial(p, word)
+        terms[mono] = terms.get(mono, 0) + draw(hs.integers(0, 2 * p))
+    return SteenrodElement(p, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_elements())
+def test_parse_inverts_str(e):
+    assert parse_expression(str(e), e.prime) == e
 
 
 class TestAdmissibility:
@@ -218,6 +286,152 @@ class TestAdmissibleBasis:
         basis = set(admissible_basis(2, 6))
         normal = adem_normalize(el("Sq^2 Sq^4 + Sq^1 Sq^2 Sq^3", 2))
         assert set(normal.terms) <= basis
+
+    @pytest.mark.parametrize("p, top", [(2, 100), (3, 200), (5, 300)])
+    def test_matches_recursive_enumerator(self, p, top):
+        for d in range(top + 1):
+            assert admissible_basis(p, d) == reference_basis(p, d), d
+
+    @pytest.mark.parametrize("p, top", [(2, 100), (3, 160), (5, 200)])
+    def test_sizes_match_poincare_series(self, p, top):
+        series = poincare_series(p, top)
+        assert [len(admissible_basis(p, d)) for d in range(top + 1)] == series
+
+
+def poincare_series(p, top):
+    """Coefficients of t^0..t^top in Milnor's Poincare series of the mod-p
+    Steenrod algebra ("The Steenrod algebra and its dual", 1958):
+    prod 1/(1 - t^(2^i - 1)) at p = 2, and
+    prod (1 + t^(2p^i - 1)) * prod 1/(1 - t^(2p^i - 2)) at odd p."""
+    series = [1] + [0] * top
+
+    def polynomial(k):  # times 1/(1 - t^k)
+        for n in range(k, top + 1):
+            series[n] += series[n - k]
+
+    def exterior(k):  # times (1 + t^k)
+        for n in range(top, k - 1, -1):
+            series[n] += series[n - k]
+
+    for i in range(top.bit_length() + 1):  # factors of degree > top do nothing
+        if p == 2:
+            if i:
+                polynomial(2 ** i - 1)
+        else:
+            exterior(2 * p ** i - 1)
+            if i:
+                polynomial(2 * p ** i - 2)
+    return series
+
+
+class TestAdemPattern:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_inline_formulas(self, p):
+        for a, b in itertools.product(range(1, 41), repeat=2):
+            assert (list(steenrod._adem_pattern("pp", a, b, p))
+                    == reference_adem_expand((a, b), 0, "pp", p))
+            if p != 2:
+                assert (list(steenrod._adem_pattern("pbp", a, b, p))
+                        == reference_adem_expand((a, 0, b), 0, "pbp", p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_expand_keeps_head_and_tail(self, p):
+        rng = random.Random(p)
+        for _ in range(300):
+            word = tuple(rng.randint(0 if p > 2 else 1, 9) for _ in range(rng.randint(2, 7)))
+            hit = steenrod._first_rewrite(word, p)
+            if hit is not None:
+                assert (steenrod._adem_expand(word, *hit, p)
+                        == reference_adem_expand(word, *hit, p))
+
+
+# ---------------------------------------------------------------------------
+# References: the recursive enumerators and the inline Adem formulas that
+# the memoized, output-sensitive paths of torsionlab.steenrod replaced.
+# ---------------------------------------------------------------------------
+
+def reference_words_2(d):
+    # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        top = remaining if cap is None else min(cap, remaining)
+        for i in range(top, 0, -1):
+            for rest in rec(remaining - i, i // 2):
+                yield (i,) + rest
+    yield from rec(d, None)
+
+
+def reference_words_odd(d, p):
+    # Chains P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with s_j >= p s_{j+1} + e_j,
+    # optionally preceded by a single b.
+    def chains(remaining, cap):
+        q = 2 * (p - 1)
+        top = remaining // q if cap is None else min(cap, remaining // q)
+        for s in range(top, 0, -1):
+            rest = remaining - q * s
+            if rest == 0:
+                yield (s,)
+            if rest == 1:
+                yield (s, 0)
+            for eps in (0, 1):
+                sub = rest - eps
+                if sub <= 0:
+                    continue
+                for tail in chains(sub, (s - eps) // p):
+                    yield (s,) + ((0,) if eps else ()) + tail
+    if d == 0:
+        yield ()
+        return
+    if d == 1:
+        yield (0,)
+    yield from chains(d, None)
+    yield from ((0,) + w for w in chains(d - 1, None))
+
+
+def reference_basis(p, d):
+    words = reference_words_2(d) if p == 2 else reference_words_odd(d, p)
+    letter = Sq if p == 2 else (lambda i: P(i) if i else BOCKSTEIN)
+    monos = [Monomial(p, tuple(letter(i) for i in w)) for w in words]
+    monos.sort(key=Monomial.sort_key, reverse=True)
+    return monos
+
+
+def reference_adem_expand(word, j, kind, p):
+    lucas = steenrod.lucas
+    head, out = word[:j], []
+    if kind == "bb":
+        return []
+    if kind == "pp":
+        a, b = word[j], word[j + 1]
+        tail = word[j + 2:]
+        if p == 2:
+            for c in range(a // 2 + 1):
+                if lucas(b - c - 1, a - 2 * c, 2):
+                    mid = (a + b - c,) if c == 0 else (a + b - c, c)
+                    out.append((1, head + mid + tail))
+        else:
+            for t in range(a // p + 1):
+                coef = lucas((p - 1) * (b - t) - 1, a - p * t, p)
+                if coef:
+                    sign = -1 if (a + t) % 2 else 1
+                    mid = (a + b - t,) if t == 0 else (a + b - t, t)
+                    out.append(((sign * coef) % p, head + mid + tail))
+        return out
+    a, b = word[j], word[j + 2]
+    tail = word[j + 3:]
+    for t in range(a // p + 1):
+        sign = -1 if (a + t) % 2 else 1
+        c1 = lucas((p - 1) * (b - t), a - p * t, p)
+        if c1:
+            mid = (0, a + b - t) if t == 0 else (0, a + b - t, t)
+            out.append(((sign * c1) % p, head + mid + tail))
+        c2 = lucas((p - 1) * (b - t) - 1, a - p * t - 1, p)
+        if c2:
+            mid = (a + b - t, 0) if t == 0 else (a + b - t, 0, t)
+            out.append(((-sign * c2) % p, head + mid + tail))
+    return out
 
 
 @settings(max_examples=60, deadline=None)

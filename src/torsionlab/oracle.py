@@ -13,14 +13,16 @@ trusting the rewriting engine.
 `oracle_equal` runs one orbit engine at every prime on the test classes
 y_1..y_q x_{q+1}..x_{q+r} (q = 0 at p = 2).  Its state has two blocks: the
 q generators that carry a y are kept explicit, as exterior bits plus
-x-exponents, and the r symmetric x's are kept as a sorted (value, count)
-partition that stands for its whole orbit under permutations of them.
+x-exponents, and the r symmetric x's are kept as counts per level, counts[k]
+of them at exponent p^k, which stands for the whole orbit under permutations
+of them.  Plain exponents never leave the powers of p, since C(p^k, v) is
+nonzero mod p only for v in {0, p^k}; these level counts are the exponent
+sequences of Milnor's dual description of the Steenrod algebra.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -259,82 +261,59 @@ def act(op: SteenrodElement, v: OracleElement) -> OracleElement:
 #
 # Every operation commutes with permuting the r plain x's, and the test
 # class is symmetric in them, so all that a word makes of it is a sum of
-# Sigma_r-orbit sums.  An Orbit is (y block, x block) as described in the
-# module docstring, with the coefficient of every monomial in the orbit.
-# P^i (Sq^i at p = 2) splits its index between the blocks by the Cartan
-# formula.  beta acts on the y block alone; since beta x = 0, no Koszul
-# sign crosses the blocks.
+# Sigma_r-orbit sums.  A plain x only ever sits at an exponent p^k: P^v
+# (Sq^v at p = 2) acts on x^{p^k} as C(p^k, v), which is nonzero mod p only
+# for v in {0, p^k}, and then gives x^{p^{k+1}}.  So an orbit's x block is a
+# count vector, counts[k] plain x's at exponent p^k, with trailing zeros
+# trimmed.  An Orbit is (y block, counts), with the coefficient of every
+# monomial in the orbit.  P^i splits its index between the blocks by the
+# Cartan formula.  beta acts on the y block alone; since beta x = 0, no
+# Koszul sign crosses the blocks.
 # ---------------------------------------------------------------------------
 
 YBlock = tuple[tuple[int, int], ...]
-Partition = tuple[tuple[int, int], ...]
-Orbit = tuple[YBlock, Partition]
+Counts = tuple[int, ...]
+Orbit = tuple[YBlock, Counts]
 OrbitState = dict[Orbit, int]
 
 
 @functools.lru_cache(maxsize=256)
-def _splits(p: int, a: int, m: int, budget: int
-            ) -> tuple[tuple[Partition, int, int], ...]:
-    """Ways to raise m exponents a by increments v with C(a, v) != 0 mod p,
-    spending at most budget: (pieces, spent, weight) per way, where pieces
-    holds (a + v(p-1), count) and weight is prod C(a, v)^count mod p."""
-    steps = [(v, c) for v in range(1, min(a, budget) + 1)
-             if (c := lucas(a, v, p))]
+def _x_step(p: int, counts: Counts, i: int) -> tuple[tuple[Counts, int], ...]:
+    """P^i on the orbit sum of counts, all of i spent in the x block.
+
+    P^i raises t_k of the level-k x's to level k + 1, for every t with
+    sum t_k p^k = i, so the new counts are c'_{k+1} = c_{k+1} - t_{k+1} + t_k.
+    A target monomial is reached once for each way to choose which of its
+    c'_{k+1} x's came from below, so its coefficient is
+    prod C(c'_{k+1}, t_k) mod p.  t is chosen from the top level down; a
+    binomial that vanishes mod p (a base-p carry, by Kummer) ends its
+    branch, and so does a budget the lower levels cannot spend."""
+    room = [0]  # room[k]: the most that the levels below k can spend
+    for k, c in enumerate(counts):
+        room.append(room[k] + c * p ** k)
     out = []
+    new = [0] * (len(counts) + 1)
 
-    def rec(j: int, left: int, room: int, pieces: Partition, weight: int):
-        if j == len(steps):
-            rest = ((a, left),) if left else ()
-            out.append((pieces + rest, budget - room, weight))
+    def rec(k: int, left: int, stay: int, weight: int):
+        # stay: the level-(k + 1) x's that were not raised
+        if k < 0:
+            new[0] = stay
+            top = len(new)
+            while top and not new[top - 1]:
+                top -= 1
+            out.append((tuple(new[:top]), weight))
             return
-        v, c = steps[j]
-        for cnt in range(min(left, room // v) + 1):
-            rec(j + 1, left - cnt, room - v * cnt,
-                pieces + (((a + v * (p - 1), cnt),) if cnt else ()),
-                weight * pow(c, cnt, p) % p)
+        unit = p ** k
+        for t in range(max(0, -((room[k] - left) // unit)),
+                       min(counts[k], left // unit) + 1):
+            c = lucas(stay + t, t, p)
+            if c:
+                new[k + 1] = stay + t
+                rec(k - 1, left - t * unit, counts[k] - t, weight * c % p)
 
-    rec(0, m, budget, (), 1)
+    if i <= room[-1]:
+        rec(len(counts) - 1, i, 0, 1)
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=256)
-def _x_step(p: int, part: Partition, i: int) -> tuple[tuple[Partition, int], ...]:
-    """P^i on the orbit sum of a partition, all of i spent in the x block.
-
-    A target orbit collects the pieces of every group's split; its
-    coefficient is the multinomial count of ways the pieces of one target
-    value came from different sources, times the splits' weights, mod p."""
-    room = [0] * (len(part) + 1)  # most that the groups from g on can spend
-    for g in range(len(part) - 1, -1, -1):
-        room[g] = room[g + 1] + part[g][0] * part[g][1]
-    out: dict[Partition, int] = {}
-
-    def rec(g: int, left: int, pieces: Partition, weight: int):
-        if g == len(part):
-            merged: dict[int, list[int]] = {}
-            for val, cnt in pieces:
-                merged.setdefault(val, []).append(cnt)
-            coef = weight
-            for cnts in merged.values():
-                total = sum(cnts)
-                for cnt in cnts[:-1]:
-                    coef = coef * math.comb(total, cnt) % p
-                    total -= cnt
-            if coef:
-                key = tuple(sorted(((val, sum(cnts)) for val, cnts in merged.items()),
-                                   reverse=True))
-                out[key] = (out.get(key, 0) + coef) % p
-            return
-        a, m = part[g]
-        # The groups after g can spend at most room[g + 1] of what is left;
-        # at the last group this makes the split spend all of it.
-        for group, spent, w in _splits(p, a, m, min(left, a * m)):
-            if left - spent <= room[g + 1]:
-                rec(g + 1, left - spent, pieces + group, weight * w % p)
-
-    if i <= room[0]:
-        rec(0, i, (), 1)
-    return tuple((key, c) for key, c in out.items() if c)
 
 
 def _y_splits(p: int, ys: YBlock, budget: int) -> Iterator[tuple[YBlock, int, int]]:
@@ -352,23 +331,23 @@ def _y_splits(p: int, ys: YBlock, budget: int) -> Iterator[tuple[YBlock, int, in
 
 def _step(p: int, orbit: Orbit, g: Generator) -> Iterator[tuple[Orbit, int]]:
     """One letter on one orbit: (orbit, coefficient) pairs, not merged."""
-    ys, part = orbit
+    ys, counts = orbit
     if g.kind == "b":
         sign = 1
         for j, (bit, e) in enumerate(ys):
             if bit:
-                yield (ys[:j] + ((0, e + 1),) + ys[j + 1:], part), sign
+                yield (ys[:j] + ((0, e + 1),) + ys[j + 1:], counts), sign
                 sign = -sign
         return
     for new_ys, spent, w in _y_splits(p, ys, g.index):
-        for new_part, c in _x_step(p, part, g.index - spent):
-            yield (new_ys, new_part), w * c
+        for new_counts, c in _x_step(p, counts, g.index - spent):
+            yield (new_ys, new_counts), w * c
 
 
 def _orbit_action(op: SteenrodElement, q: int, r: int) -> OrbitState:
     """Action of op on y_1..y_q x_{q+1}..x_{q+r}, as orbit coefficients."""
     p = op.prime
-    start: Orbit = (((1, 0),) * q, ((1, r),) if r else ())
+    start: Orbit = (((1, 0),) * q, (r,) if r else ())
     total: OrbitState = {}
     for mono, coef in op.terms.items():
         state: OrbitState = {start: coef}

@@ -22,11 +22,13 @@ from torsionlab import (
     act,
     adem_normalize,
     admissible_basis,
+    degree,
     multiply,
     oracle_equal,
     parse_expression,
 )
-from torsionlab.oracle import _orbit_action, _step
+from torsionlab.oracle import _orbit_action, _step, _y_splits
+from torsionlab.steenrod import lucas
 
 from test_acceptance import criterion_2_words
 
@@ -103,24 +105,36 @@ class TestActionIsModuleStructure:
         assert act(s, v) == act(el("Sq^2", 2), v) + act(el("Sq^1 Sq^1", 2), v)
 
 
+def _level(e, p):
+    """The k with e == p^k; every plain exponent the test classes reach is
+    a power of p, which is what lets an orbit be a count vector."""
+    k = 0
+    while e > 1 and e % p == 0:
+        e //= p
+        k += 1
+    assert e == 1, "plain exponent is not a power of p"
+    return k
+
+
 def _orbits_of(v, q, r):
     """Rebuild orbit states from an explicit element of E(y) (x) F_p[x] on
-    q y-carrying and r plain generators: the y block is explicit, and each
-    multiset of plain x-exponents is one orbit, all of whose monomials must
-    be present with one coefficient."""
+    q y-carrying and r plain generators: the y block is explicit, and the
+    plain x's are counted per level p^k.  All monomials of an orbit must be
+    present, with one coefficient."""
     p, n = v.algebra.prime, q + r
     rebuilt, sizes = {}, {}
     for exps, c in v.terms.items():
         ys, xs = ((), exps) if p == 2 else (exps[:n], exps[n:])
         assert not any(ys[q:])
-        key = (tuple(zip(ys[:q], xs[:q])),
-               tuple(sorted(collections.Counter(xs[q:]).items(), reverse=True)))
+        levels = collections.Counter(_level(e, p) for e in xs[q:])
+        counts = tuple(levels[k] for k in range(max(levels, default=-1) + 1))
+        key = (tuple(zip(ys[:q], xs[:q])), counts)
         assert rebuilt.get(key, c) == c
         rebuilt[key] = c
         sizes[key] = sizes.get(key, 0) + 1
-    for (_, part), size in sizes.items():
+    for (_, counts), size in sizes.items():
         orbit_size = math.factorial(r)
-        for _, cnt in part:
+        for cnt in counts:
             orbit_size //= math.factorial(cnt)
         assert size == orbit_size
     return rebuilt
@@ -158,28 +172,167 @@ class TestSymmetricAction:
 
     @pytest.mark.parametrize("p,q", [(2, 0), (3, 0), (3, 2), (5, 1)])
     def test_step_on_any_orbit(self, p, q):
-        # The test classes only ever reach p-power exponents, where every
-        # C(a, v) mod p is 0 or 1.  Arbitrary orbits also exercise the
-        # binomial weights of the Cartan formula.
+        # The test classes only ever reach p-power plain exponents.  Random
+        # count vectors, with gaps and several x's per level, and arbitrary
+        # y exponents also exercise the binomial weights C(c'_{k+1}, t_k).
         rng = random.Random(10 * p + q)
-        r = 3
-        A = OracleAlgebra(p, q + r)
-        for _ in range(30):
+        for _ in range(40):
+            counts = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+            counts[-1] = max(counts[-1], 1)
+            counts = tuple(counts)
+            r = sum(counts)
+            A = OracleAlgebra(p, q + r)
             ys = tuple((rng.randint(0, 1), rng.randint(0, 4)) for _ in range(q))
-            xs = [rng.randint(1, 5) for _ in range(r)]
-            part = tuple(sorted(collections.Counter(xs).items(), reverse=True))
+            xs = [p ** k for k, c in enumerate(counts) for _ in range(c)]
             y_bits = tuple(bit for bit, _ in ys) + (0,) * r
             y_exps = tuple(e for _, e in ys)
             orbit_sum = A.element({
                 (perm if p == 2 else y_bits + y_exps + perm): 1
                 for perm in set(itertools.permutations(xs))})
-            g = _random_letter(rng, p, 5 if p == 2 else 3)
+            if p > 2 and rng.random() < 0.3:
+                g = BOCKSTEIN
+            else:
+                # Half the indices raise a random choice t of the x's.
+                i = sum(rng.randint(0, c) * p ** k for k, c in enumerate(counts))
+                if i == 0 or rng.random() < 0.5:
+                    i = rng.randint(1, sum(xs) + 2)
+                g = Sq(i) if p == 2 else P(i)
             direct = act(SteenrodElement.from_word(p, (g,)), orbit_sum)
-            stepped = {}
-            for orbit, c in _step(p, (ys, part), g):
-                stepped[orbit] = (stepped.get(orbit, 0) + c) % p
+            # One letter reaches each orbit once, with a nonzero coefficient.
+            stepped = list(_step(p, (ys, counts), g))
+            assert all(c % p for _, c in stepped)
+            assert len({orbit for orbit, _ in stepped}) == len(stepped)
             assert _orbits_of(direct, q, r) == {
-                orbit: c for orbit, c in stepped.items() if c}
+                orbit: c % p for orbit, c in stepped}
+
+
+# ---------------------------------------------------------------------------
+# The partition engine, kept as the slow reference for the level engine.
+# Its x block is a sorted (value, count) partition of arbitrary plain
+# exponents, raised by the Cartan formula group by group and merged with
+# multinomial counts.
+# ---------------------------------------------------------------------------
+
+def _splits(p, a, m, budget):
+    """Ways to raise m exponents a by increments v with C(a, v) != 0 mod p,
+    spending at most budget: (pieces, spent, weight) per way, where pieces
+    holds (a + v(p-1), count) and weight is prod C(a, v)^count mod p."""
+    steps = [(v, c) for v in range(1, min(a, budget) + 1)
+             if (c := lucas(a, v, p))]
+    out = []
+
+    def rec(j, left, room, pieces, weight):
+        if j == len(steps):
+            rest = ((a, left),) if left else ()
+            out.append((pieces + rest, budget - room, weight))
+            return
+        v, c = steps[j]
+        for cnt in range(min(left, room // v) + 1):
+            rec(j + 1, left - cnt, room - v * cnt,
+                pieces + (((a + v * (p - 1), cnt),) if cnt else ()),
+                weight * pow(c, cnt, p) % p)
+
+    rec(0, m, budget, (), 1)
+    return out
+
+
+def _partition_x_step(p, part, i):
+    """P^i on the orbit sum of a partition, all of i spent in the x block.
+
+    A target orbit collects the pieces of every group's split; its
+    coefficient is the multinomial count of ways the pieces of one target
+    value came from different sources, times the splits' weights, mod p."""
+    room = [0] * (len(part) + 1)  # most that the groups from g on can spend
+    for g in range(len(part) - 1, -1, -1):
+        room[g] = room[g + 1] + part[g][0] * part[g][1]
+    out = {}
+
+    def rec(g, left, pieces, weight):
+        if g == len(part):
+            merged = {}
+            for val, cnt in pieces:
+                merged.setdefault(val, []).append(cnt)
+            coef = weight
+            for cnts in merged.values():
+                total = sum(cnts)
+                for cnt in cnts[:-1]:
+                    coef = coef * math.comb(total, cnt) % p
+                    total -= cnt
+            if coef:
+                key = tuple(sorted(((val, sum(cnts)) for val, cnts in merged.items()),
+                                   reverse=True))
+                out[key] = (out.get(key, 0) + coef) % p
+            return
+        a, m = part[g]
+        for group, spent, w in _splits(p, a, m, min(left, a * m)):
+            if left - spent <= room[g + 1]:
+                rec(g + 1, left - spent, pieces + group, weight * w % p)
+
+    if i <= room[0]:
+        rec(0, i, (), 1)
+    return [(key, c) for key, c in out.items() if c]
+
+
+def _partition_step(p, orbit, g):
+    ys, part = orbit
+    if g.kind == "b":
+        sign = 1
+        for j, (bit, e) in enumerate(ys):
+            if bit:
+                yield (ys[:j] + ((0, e + 1),) + ys[j + 1:], part), sign
+                sign = -sign
+        return
+    for new_ys, spent, w in _y_splits(p, ys, g.index):
+        for new_part, c in _partition_x_step(p, part, g.index - spent):
+            yield (new_ys, new_part), w * c
+
+
+def reference_orbit_action(op, q, r):
+    """_orbit_action on partition orbits: (y block, partition) keys."""
+    p = op.prime
+    start = (((1, 0),) * q, ((1, r),) if r else ())
+    total = {}
+    for mono, coef in op.terms.items():
+        state = {start: coef}
+        for g in reversed(mono.word):
+            nxt = {}
+            for orbit, c in state.items():
+                for new, w in _partition_step(p, orbit, g):
+                    nxt[new] = (nxt.get(new, 0) + c * w) % p
+            state = {orbit: c for orbit, c in nxt.items() if c}
+        for orbit, c in state.items():
+            total[orbit] = (total.get(orbit, 0) + c) % p
+    return {orbit: c for orbit, c in total.items() if c}
+
+
+def as_partitions(state, p):
+    """Level-count orbits rewritten as the reference's partition orbits."""
+    return {(ys, tuple((p ** k, c) for k, c in reversed(list(enumerate(counts)))
+                       if c)): coef
+            for (ys, counts), coef in state.items()}
+
+
+def _random_word(rng, p, letters, top):
+    return SteenrodElement.from_word(p, tuple(
+        _random_letter(rng, p, top) for _ in range(letters)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_engine_matches_partition_reference(p):
+    # Random words and their (multi-term) normal forms; at p = 2 up to 48
+    # plain x's, at odd p with Bocksteins on up to two y-carrying classes.
+    rng = random.Random(7 * p)
+    for _ in range(60):
+        if p == 2:
+            e = _random_word(rng, p, rng.randint(1, 4), 16)
+            cases = [(0, rng.randint(max(1, degree(e) // 2), 48))]
+        else:
+            e = _random_word(rng, p, rng.randint(1, 5), 2 * p)
+            cases = [(q, degree(e) // (2 * (p - 1)) + 1) for q in range(3)]
+        for x in (e, adem_normalize(e)):
+            for q, r in cases:
+                assert as_partitions(_orbit_action(x, q, r), p) \
+                    == reference_orbit_action(x, q, r), (x, q, r)
 
 
 class TestOracleEqual:
@@ -220,6 +373,15 @@ class TestOracleEqual:
         assert oracle_equal(e, control, 60) is False
         assert time.perf_counter() - start < 1.0
 
+    def test_degree_180_word(self):
+        # Too slow to run on partition orbits; on level counts it is fast.
+        e = el("Sq^10 Sq^20 Sq^30 Sq^40 Sq^80", 2)
+        normal = adem_normalize(e)
+        assert oracle_equal(e, normal, 180) is True
+        extra = random.Random(180).choice(admissible_basis(2, 180))
+        control = normal + SteenrodElement.from_word(2, extra.word)
+        assert oracle_equal(e, control, 180) is False
+
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatchError):
             oracle_equal(el("Sq^1", 2), el("b", 3), 5)
@@ -251,8 +413,6 @@ def test_random_word_agrees_with_normal_form(p, data):
             word.append(Sq(data.draw(hs.integers(1, 5))) if p == 2
                         else P(data.draw(hs.integers(1, 4))))
     e = SteenrodElement.from_word(p, tuple(word))
-    from torsionlab import degree
-
     d = degree(e)
     bound = d if isinstance(d, int) else 10
     assert oracle_equal(e, adem_normalize(e), min(bound, 30))

@@ -107,10 +107,12 @@ def _cmd_basis(args) -> int:
 
 def _cmd_module_check(args) -> int:
     m = mod.load_module(args.file)
+    bound, relations = mod.adem_relations(m, args.max_degree)
     violations = mod.consistency_check(m, args.max_degree)
     classes = sorted(mod.violation_classes(violations))
     text_lines = [
         f"module over F_{m.prime}, total dimension {m.total_dim}",
+        f"relations checked: {len(relations)} (degree <= {bound})",
         f"violated relation classes: {classes if classes else 'none'}",
     ]
     text_lines.extend(f"  {v}" for v in violations)
@@ -119,6 +121,8 @@ def _cmd_module_check(args) -> int:
         {
             "prime": m.prime,
             "total_dim": m.total_dim,
+            "max_relation_degree": bound,
+            "relations_checked": len(relations),
             "violated_classes": [list(c) for c in classes],
             "violations": [str(v) for v in violations],
         },

@@ -5,12 +5,13 @@ with a matrix for each generator action; degrees not listed are genuinely
 zero.  Includes Moore/sphere/cell constructions, tensor products via the
 Cartan formula, Adem-consistency checking, and decomposability analysis.
 
-The tensor product and the consistency check work on the whole-module
-form (`_Whole`): the basis of every degree in increasing order, and one
-total_dim x total_dim matrix per generator whose only nonzero blocks map
-degree d to d + deg(g).  Products of these matrices compose the actions
-degree by degree with no index bookkeeping.  Endomorphisms are
-block-diagonal matrices in the same layout (`_offsets`).
+The tensor product, the consistency check and the decomposition work on
+the whole-module form (`_Whole`): the basis of every degree in
+increasing order, and one total_dim x total_dim matrix per generator
+whose only nonzero blocks map degree d to d + deg(g).  Products of these
+matrices compose the actions degree by degree with no index bookkeeping.
+Endomorphisms are block-diagonal matrices in the same layout
+(`_offsets`), so a summand is read off one rref of its idempotent.
 """
 
 from __future__ import annotations
@@ -383,43 +384,61 @@ def p3_cubed_relation(p: int = 3) -> tuple[SteenrodElement, SteenrodElement]:
     return lhs, rhs
 
 
+def adem_relations(M: FiniteModule, max_relation_degree: int
+                   ) -> tuple[int, list[tuple[int, SteenrodElement, SteenrodElement]]]:
+    """The relations `consistency_check` compares on M: the degree bound it
+    uses and (operation degree, lhs, rhs) per relation.
+
+    A relation of degree above M's degree span acts as zero on M, so the
+    bound is max_relation_degree clamped to the span, and relations that
+    map no occupied degree to another are dropped.  A bound below 2, the
+    degree of the smallest inadmissible words, would check nothing and is
+    refused."""
+    if max_relation_degree < 2:
+        raise ModuleError(
+            f"relation degree bound {max_relation_degree} is below 2, the "
+            f"degree of the smallest inadmissible words")
+    p = M.prime
+    occupied = M.degrees
+    bound = min(max_relation_degree,
+                occupied[-1] - occupied[0] if occupied else 0)
+
+    def reachable(op_degree: int) -> bool:
+        return any(d + op_degree in M.dims for d in occupied)
+
+    relations = []
+    for op_degree, word in _relation_words(p, bound):
+        if reachable(op_degree):
+            lhs = SteenrodElement.from_word(p, word)
+            relations.append((op_degree, lhs, adem_normalize(lhs)))
+    if p == 3 and bound >= 36 and reachable(36):
+        relations.append((36, *p3_cubed_relation()))
+    return bound, relations
+
+
 def consistency_check(M: FiniteModule,
                       max_relation_degree: int) -> list[RelationViolation]:
     """Compare both sides of every Adem rewrite of an inadmissible word of
     length 2 or 3 (degree <= max_relation_degree), plus the explicit
-    degree-36 identity at p = 3, on every occupied source degree.
+    degree-36 identity at p = 3, on every occupied source degree; see
+    `adem_relations`.
 
-    Each side acts as one whole-module matrix; a relation fails at every
-    source degree whose block of lhs - rhs has a nonzero column, and the
-    first such column is the witness."""
-    p = M.prime
+    lhs - rhs acts as one whole-module matrix; a relation fails at every
+    source degree whose block of it has a nonzero column, and the first
+    such column is the witness."""
     whole = _Whole(M)
-    occupied = M.degrees
     violations: list[RelationViolation] = []
-
-    def compare(op_degree: int, lhs: SteenrodElement,
-                rhs: SteenrodElement) -> None:
-        delta = (act_element(M, lhs, whole=whole)
-                 - act_element(M, rhs, whole=whole)) % p
+    for op_degree, lhs, rhs in adem_relations(M, max_relation_degree)[1]:
+        delta = act_element(M, lhs - rhs, whole=whole)
         if not delta.any():
-            return
-        for d in occupied:
+            continue
+        for d in M.degrees:
             if d + op_degree not in M.dims:
                 continue
             cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
             if cols.size:
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
                 violations.append(RelationViolation(lhs, rhs, d, witness))
-
-    def reachable(op_degree: int) -> bool:
-        return any(d + op_degree in M.dims for d in occupied)
-
-    for op_degree, word in _relation_words(p, max_relation_degree):
-        if reachable(op_degree):
-            lhs = SteenrodElement.from_word(p, word)
-            compare(op_degree, lhs, adem_normalize(lhs))
-    if p == 3 and max_relation_degree >= 36 and reachable(36):
-        compare(36, *p3_cubed_relation())
     return violations
 
 
@@ -518,44 +537,52 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     return out
 
 
-def _split_blocks(mat: np.ndarray, M: FiniteModule) -> dict[int, np.ndarray]:
-    return {d: mat[pos:pos + M.dims[d], pos:pos + M.dims[d]]
-            for d, pos in _offsets(M.dims).items()}
+def _submodule_from_idempotent(whole: _Whole, e: np.ndarray) -> FiniteModule:
+    """The image of a degree-preserving idempotent endomorphism e of M, as
+    a module, from M's whole-module form.
 
-
-def _submodule_from_idempotent(M: FiniteModule,
-                               e_blocks: dict[int, np.ndarray]) -> FiniteModule:
-    p = M.prime
-    col_bases = {d: fp.column_space(e_blocks[d], p) for d in M.degrees}
-    dims = {d: cb.shape[1] for d, cb in col_bases.items() if cb.shape[1]}
+    With R the rref of e, the pivot columns C = e[:, pivots] are a basis of
+    the image in increasing degree order, and R[:rank] is a left inverse of
+    C on it, because R e = R.  So each generator W of M restricts to
+    X = R[:rank] W C, which holds exactly when C X = W C."""
+    p = whole.prime
+    r, pivots = fp.rref(e, p)
+    basis, left = e[:, pivots], r[:len(pivots)]
+    dims: dict[int, int] = {}
+    for d in whole.basis_degrees()[pivots].tolist():
+        dims[d] = dims.get(d, 0) + 1
+    offsets = _offsets(dims)
     actions: dict[tuple[Generator, int], np.ndarray] = {}
-    for (g, d), A in M.actions.items():
-        d2 = d + g.degree_at(p)
-        if d not in dims or dims.get(d2, 0) == 0:
-            continue
-        rhs = fp.matmul(A, col_bases[d], p)
-        X = fp.solve(col_bases[d2], rhs, p)
-        if X is None:
+    for g, W in whole.mats.items():
+        image = fp.matmul(W, basis, p)
+        X = fp.matmul(left, image, p)
+        if not np.array_equal(fp.matmul(basis, X, p), image):
             raise ModuleError("idempotent image is not a submodule")
-        actions[(g, d)] = X
+        for d, pos in offsets.items():
+            d2 = d + g.degree_at(p)
+            if d2 in dims:
+                row = offsets[d2]
+                actions[(g, d)] = X[row:row + dims[d2], pos:pos + dims[d]]
     return FiniteModule(p, dims, actions)
 
 
 def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
     """The projection onto the stable image of psi along its stable kernel
-    (Fitting's lemma), both reached at psi^n, or None when one of the two
-    is zero."""
+    (Fitting's lemma), or None when one of the two is zero.
+
+    Both are reached at w = psi^n.  One rref R of w gives the rank, the
+    image basis C = w[:, pivots] and the kernel, which is also the kernel
+    of R[:rank].  R[:rank] C is invertible, since the image meets the
+    kernel only in 0, so the projection is C (R[:rank] C)^-1 R[:rank]."""
     n = psi.shape[0]
     w = fp.identity(n)
     for _ in range(n):
         w = fp.matmul(w, psi, p)
-    r = fp.rank(w, p)
-    if not 0 < r < n:
+    r, pivots = fp.rref(w, p)
+    if not 0 < len(pivots) < n:
         return None
-    B = np.hstack([fp.column_space(w, p), fp.nullspace(w, p)])
-    diag = fp.zeros(n, n)
-    diag[:r, :r] = fp.identity(r)
-    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
+    basis, left = w[:, pivots], r[:len(pivots)]
+    return fp.matmul(basis, fp.solve(fp.matmul(left, basis, p), left, p), p)
 
 
 def is_decomposable(M: FiniteModule, bound: int = 12,
@@ -576,16 +603,16 @@ def is_decomposable(M: FiniteModule, bound: int = 12,
         return DecompositionResult(False)
     p = M.prime
     basis = _endomorphism_basis(M)
-    n = M.total_dim
-    ident = fp.identity(n)
+    whole = _Whole(M)
+    ident = fp.identity(M.total_dim)
 
     def combine(coeffs) -> np.ndarray:
         return np.tensordot(coeffs, basis, axes=1) % p
 
     def result_from(e: np.ndarray) -> DecompositionResult:
-        first = _submodule_from_idempotent(M, _split_blocks(e, M))
-        second = _submodule_from_idempotent(M, _split_blocks((ident - e) % p, M))
-        return DecompositionResult(True, (first, second))
+        return DecompositionResult(True, (
+            _submodule_from_idempotent(whole, e),
+            _submodule_from_idempotent(whole, (ident - e) % p)))
 
     if p ** len(basis) <= exhaustive_limit:
         for coeffs in itertools.product(range(p), repeat=len(basis)):

@@ -277,7 +277,9 @@ Orbit = tuple[YBlock, Counts]
 OrbitState = dict[Orbit, int]
 
 
-@functools.lru_cache(maxsize=256)
+# 6000 ops of the perfbench referee workload meet about 3 100 distinct
+# keys; at 256 entries the cache missed about 15 700 times on them.
+@functools.lru_cache(maxsize=4096)
 def _x_step(p: int, counts: Counts, i: int) -> tuple[tuple[Counts, int], ...]:
     """P^i on the orbit sum of counts, all of i spent in the x block.
 

@@ -2,11 +2,14 @@
 and byte-stable reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from torsionlab.cli import main
-from torsionlab.modules import moore_module, save_module
+from torsionlab.modules import moore_module, save_module, tensor
 
 
 def run(capsys, *argv):
@@ -96,6 +99,51 @@ class TestModuleCommands:
         code, out = run(capsys, "module", "check", out_path)
         assert code == 0
         assert "violated relation classes: none" in out
+
+    @pytest.fixture()
+    def fourth_power_file(self, tmp_path):
+        """The 16-dim fourth smash power of S/2, degrees 0 to 4."""
+        m = moore_module(2)
+        power = tensor(tensor(tensor(m, m), m), m)
+        path = tmp_path / "m2_4.json"
+        save_module(power, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("bound", ["1", "0", "-3"])
+    def test_check_bound_below_two_is_a_user_error(self, capsys, moore_file, bound):
+        # Sq^1 Sq^1 and b b, the smallest inadmissible words, have degree 2.
+        code = main(["--max-degree", bound, "module", "check", moore_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("torsionlab: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_check_reports_bound_and_relation_count(self, capsys, fourth_power_file):
+        # The inadmissible words of degree <= 4, the module's span:
+        # Sq^1 Sq^1, Sq^1 Sq^2, Sq^1 Sq^3, Sq^2 Sq^2, Sq^1 Sq^1 Sq^1,
+        # Sq^1 Sq^1 Sq^2, Sq^1 Sq^2 Sq^1 and Sq^2 Sq^1 Sq^1.
+        code, out = run(capsys, "module", "check", fourth_power_file)
+        assert code == 0
+        assert "relations checked: 8 (degree <= 4)" in out
+        code, out = run(capsys, "--json", "module", "check", fourth_power_file)
+        payload = json.loads(out)
+        assert payload["max_relation_degree"] == 4
+        assert payload["relations_checked"] == 8
+
+    def test_check_cost_follows_the_module_not_the_flag(self, fourth_power_file):
+        def check(bound):
+            src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            done = subprocess.run(
+                [sys.executable, "-m", "torsionlab.cli", "--max-degree", bound,
+                 "module", "check", fourth_power_file],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        assert check("1000") == check("40")
 
     def test_decompose(self, capsys, moore_file):
         code, out = run(capsys, "module", "decompose", moore_file)

@@ -29,7 +29,8 @@ from torsionlab import (
     violation_classes,
 )
 from torsionlab import fpmatrix as fp
-from torsionlab.modules import _inadmissible_words, p3_cubed_relation
+from torsionlab import modules
+from torsionlab.modules import ModuleError, _inadmissible_words, p3_cubed_relation
 from torsionlab.steenrod import SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
@@ -175,6 +176,46 @@ def consistency_by_degrees(M, max_relation_degree):
                 witness = tuple(int(c == col) for c in range(M.dim(d)))
                 out.append((lhs, rhs, d, witness))
     return out
+
+
+def column_space(a, p):
+    """The pivot columns of a, a basis of its column space."""
+    return a[:, fp.rref(a, p)[1]] % p
+
+
+def reference_submodule(whole, e):
+    """The image of the idempotent e degree by degree: a column basis of
+    each diagonal block of e, and each action restricted by solving
+    basis[d2] X = A basis[d]."""
+    p = whole.prime
+    bases = {d: column_space(whole.block(e, d, d), p) for d in whole.dims}
+    dims = {d: b.shape[1] for d, b in bases.items() if b.shape[1]}
+    actions = {}
+    for g, W in whole.mats.items():
+        for d in dims:
+            d2 = d + g.degree_at(p)
+            if d2 not in dims:
+                continue
+            X = fp.solve(bases[d2], fp.matmul(whole.block(W, d2, d), bases[d], p), p)
+            assert X is not None, "idempotent image is not a submodule"
+            actions[(g, d)] = X
+    return FiniteModule(p, dims, actions)
+
+
+def reference_fitting_idempotent(psi, p):
+    """The Fitting projection from psi^n, formed with n products: a basis B
+    of image then kernel, and B diag(1, ..., 1, 0, ..., 0) B^-1."""
+    n = psi.shape[0]
+    w = fp.identity(n)
+    for _ in range(n):
+        w = fp.matmul(w, psi, p)
+    r = fp.rank(w, p)
+    if not 0 < r < n:
+        return None
+    B = np.hstack([column_space(w, p), fp.nullspace(w, p)])
+    diag = fp.zeros(n, n)
+    diag[:r, :r] = fp.identity(r)
+    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
 
 
 def as_tuples(violations):
@@ -492,6 +533,31 @@ class TestCbModule:
 
 
 class TestDecomposability:
+    @pytest.fixture(autouse=True)
+    def cross_check(self, monkeypatch):
+        """Every idempotent and summand that is_decomposable forms in these
+        tests must equal the per-degree and n-product references."""
+        calls = {"fitting": 0, "summands": 0}
+        fitting, submodule = modules._fitting_idempotent, modules._submodule_from_idempotent
+
+        def checked_fitting(psi, p):
+            got, want = fitting(psi, p), reference_fitting_idempotent(psi, p)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
+                calls["fitting"] += 1
+            return got
+
+        def checked_submodule(whole, e):
+            got = submodule(whole, e)
+            assert got == reference_submodule(whole, e)
+            calls["summands"] += 1
+            return got
+
+        monkeypatch.setattr(modules, "_fitting_idempotent", checked_fitting)
+        monkeypatch.setattr(modules, "_submodule_from_idempotent", checked_submodule)
+        return calls
+
     def test_sphere_indecomposable(self):
         r = is_decomposable(sphere_module(2, 0))
         assert not r and r.certified
@@ -504,9 +570,10 @@ class TestDecomposability:
         r = is_decomposable(tensor(moore_module(2), moore_module(2)))
         assert not r and r.certified
 
-    def test_direct_sum_decomposable(self):
+    def test_direct_sum_decomposable(self, cross_check):
         r = is_decomposable(direct_sum(moore_module(2), shift(moore_module(2), 1)))
         assert r
+        assert cross_check["summands"] == 2
         assert len(r.summands) == 2
         assert sum(s.total_dim for s in r.summands) == 4
 
@@ -546,7 +613,7 @@ class TestDecomposability:
          (2, 10)),
         ("4 S/3", lambda: sum_of(*[moore_module(3)] * 4), (2, 6)),
     ])
-    def test_fitting_path_summands(self, name, build, dims):
+    def test_fitting_path_summands(self, name, build, dims, cross_check):
         from torsionlab.modules import _endomorphism_basis
 
         M = build()
@@ -556,6 +623,36 @@ class TestDecomposability:
         assert r and r.certified
         assert tuple(s.total_dim for s in r.summands) == dims
         assert direct_sum(*r.summands).dims == M.dims
+        assert cross_check["fitting"] == 1 and cross_check["summands"] == 2
+
+    def test_fitting_idempotent_matches_reference_on_random_matrices(self):
+        rng = np.random.default_rng(19)
+        found = 0
+        for p in (2, 3, 5):
+            for n in range(1, 13):
+                for _ in range(4):
+                    psi = rng.integers(0, p, size=(n, n), dtype=np.int64)
+                    # Half of them singular, so that both parts are nonzero.
+                    if n > 1 and rng.integers(2):
+                        psi[:, -1] = psi[:, :-1] @ rng.integers(0, p, size=n - 1) % p
+                    got = modules._fitting_idempotent(psi, p)
+                    want = reference_fitting_idempotent(psi, p)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        found += 1
+                        assert np.array_equal(got, want)
+                        assert np.array_equal(fp.matmul(got, got, p), got)
+                        assert np.array_equal(fp.matmul(got, psi, p),
+                                              fp.matmul(psi, got, p))
+        assert found > 20
+
+    def test_submodule_refuses_an_image_that_is_not_a_submodule(self):
+        from torsionlab.modules import _Whole
+
+        # The bottom cell of S/2 is not closed under Sq^1.
+        e = np.array([[1, 0], [0, 0]], dtype=np.int64)
+        with pytest.raises(ModuleError, match="not a submodule"):
+            modules._submodule_from_idempotent(_Whole(moore_module(2)), e)
 
 
 def run_python(code, **env_vars):

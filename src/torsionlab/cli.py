@@ -5,8 +5,8 @@ cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
 reports.  Exit status is 0 exactly when every requested check passes, 1
-when a check fails, 2 for a usage error such as a non-prime --prime
-or a malformed expression, and 3 when `module decompose` is undecided."""
+when a check fails, and 2 for a usage error such as a non-prime --prime
+or a malformed expression."""
 
 from __future__ import annotations
 
@@ -23,12 +23,7 @@ from .stems import (
     moore_homotopy,
     stems,
 )
-from .exotic import (
-    Z4Morphism,
-    check_TR1_cone,
-    two_order_zero_certificate,
-    verify_axioms,
-)
+from .exotic import two_order_zero_certificate, verify_axioms
 from .oracle import checked_degree, oracle_equal
 from .scenarios import (
     run_all,
@@ -157,13 +152,12 @@ def _cmd_module_decompose(args) -> int:
         args,
         {
             "decomposable": bool(result),
-            "certified": result.certified,
             "summand_dims": summand_dims,
         },
-        f"decomposable: {bool(result)} (certified: {result.certified})"
+        f"decomposable: {bool(result)}"
         + (f", summand dims {summand_dims}" if result.summands else ""),
     )
-    return 0 if result.certified else 3
+    return 0
 
 
 def _cmd_pi(args) -> int:
@@ -320,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("files", nargs=2)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=_cmd_module_tensor)
-    undecided = ("decomposability of a module file; exits 3 when the search "
-                 "is undecided (no splitting found, not certified)")
-    q = msub.add_parser("decompose", help=undecided, description=undecided)
+    decompose = ("decomposability of a module file of total dimension at most "
+                 "32, decided exactly: indecomposable iff End(M) is local")
+    q = msub.add_parser("decompose", help=decompose, description=decompose)
     q.add_argument("file")
     q.set_defaults(func=_cmd_module_decompose)
 

@@ -3,7 +3,8 @@
 A module is a finite collection of F_p-vector spaces indexed by degree,
 with a matrix for each generator action; degrees not listed are genuinely
 zero.  Includes Moore/sphere/cell constructions, tensor products via the
-Cartan formula, Adem-consistency checking, and decomposability analysis.
+Cartan formula, Adem-consistency checking, and an exact decomposability
+decision through the radical of the endomorphism algebra.
 
 The tensor product, the consistency check and the decomposition work on
 the whole-module form (`_Whole`): the basis of every degree in
@@ -11,7 +12,9 @@ increasing order, and one total_dim x total_dim matrix per generator
 whose only nonzero blocks map degree d to d + deg(g).  Products of these
 matrices compose the actions degree by degree with no index bookkeeping.
 Endomorphisms are block-diagonal matrices in the same layout
-(`_offsets`), so a summand is read off one rref of its idempotent.
+(`_offsets`), so a summand is read off one rref of its idempotent, and
+their products and traces are taken degree block by degree block
+(`_degree_blocks`).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .steenrod import (
     SteenrodElement,
     adem_normalize,
     degree as element_degree,
-    multiply,
     parse_expression,
 )
 
@@ -360,11 +361,22 @@ def _inadmissible_words(p: int, max_degree: int):
     else:
         letters = [BOCKSTEIN] + [P(i)
                                  for i in range(1, max_degree // (2 * (p - 1)) + 1)]
-    degs = {g: g.degree_at(p) for g in letters}
+    degs = [g.degree_at(p) for g in letters]
+
+    def words(length: int, budget: int):
+        # In lexicographic order; letters ascend in degree, so the first
+        # letter over budget ends its position.
+        if length == 0:
+            yield ()
+            return
+        for g, d in zip(letters, degs):
+            if d > budget:
+                break
+            for rest in words(length - 1, budget - d):
+                yield (g, *rest)
+
     for length in (2, 3):
-        for word in itertools.product(letters, repeat=length):
-            if sum(degs[g] for g in word) > max_degree:
-                continue
+        for word in words(length, max_degree):
             if not Monomial(p, word).is_admissible:
                 yield word
 
@@ -490,7 +502,12 @@ def hypothetical_Cb_module() -> FiniteModule:
 class DecompositionResult:
     decomposable: bool
     summands: tuple[FiniteModule, FiniteModule] | None = None
-    certified: bool = True
+
+    @property
+    def certified(self) -> bool:
+        """Always True, since the decision is exact; kept for callers that
+        still read it."""
+        return True
 
     def __bool__(self) -> bool:
         return self.decomposable
@@ -585,18 +602,107 @@ def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
     return fp.matmul(basis, fp.solve(fp.matmul(left, basis, p), left, p), p)
 
 
-def is_decomposable(M: FiniteModule, bound: int = 12,
-                    exhaustive_limit: int = 1 << 16,
-                    rng_seed: int = 0) -> DecompositionResult:
-    """Decide whether M splits as a direct sum of two nonzero submodules by
-    searching for a nontrivial idempotent in the endomorphism algebra.
+def _degree_blocks(basis: np.ndarray, dims: dict[int, int]) -> list[np.ndarray]:
+    """The diagonal degree blocks of a stack of endomorphisms, one
+    (k, n_d, n_d) stack per degree d; every product, power and trace of
+    endomorphisms is taken block by block."""
+    return [basis[:, pos:pos + dims[d], pos:pos + dims[d]]
+            for d, pos in _offsets(dims).items()]
 
-    Exhaustive (hence certified) when the endomorphism algebra is small;
-    otherwise a Fitting-decomposition search over shifted and quadratic
-    evaluations of pseudo-random endomorphisms, which certifies splittings
-    but not indecomposability.  The candidates are the basis of End(M),
-    then 60 random combinations drawn one at a time, so the search stops
-    at the first that splits."""
+
+def _radical(blocks: list[np.ndarray], p: int) -> np.ndarray:
+    """The Jacobson radical J of the algebra A spanned by k endomorphisms
+    (given by `_degree_blocks`), as coefficient rows over them.
+
+    This is the trace-lift filtration of Cohen, Ivanyos and Wales, "Finding
+    the radical of an algebra of linear transformations" (JPAA 1997).  With
+    g_i(z) = Tr(lift(z)^(p^i)) / p^i mod p, I_-1 = A and I_i is the set of
+    x in I_(i-1) with g_i(x b) = 0 for every basis element b; J = I_l for
+    p^l <= n < p^(l+1), n = dim M.  g_i is linear on the ideal I_(i-1), so
+    each level is one nullspace.  The trace of the p^i-th power of an
+    integer matrix is fixed mod p^(i+1) by the matrix mod p, so powers are
+    taken mod p^(i+1) from any lift; a trace that p^i does not divide
+    means x b left I_(i-1) and is refused."""
+    k = len(blocks[0])
+    n = sum(b.shape[1] for b in blocks)
+    # x b for every x and b, chunked so that no stack passes 2^21 entries.
+    step = max(1, (1 << 21) // (k * sum(b.shape[1] ** 2 for b in blocks)))
+    rows = fp.identity(k)
+    level, power = 0, 1
+    while power <= n and len(rows):
+        q = power * p
+        traces = fp.zeros(len(rows), k)
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            for block in blocks:
+                x = np.tensordot(chunk, block, axes=1) % p
+                z = x[:, None] @ block[None] % q
+                for _ in range(level):
+                    w = z
+                    for _ in range(p - 1):
+                        w = w @ z % q
+                    z = w
+                traces[start:start + step] += np.trace(z, axis1=2, axis2=3)
+        traces %= q
+        if (traces % power).any():
+            raise ModuleError(f"trace of a p^{level}-th power is not divisible by "
+                              f"p^{level}: the filtration left an ideal")
+        rows = fp.matmul(fp.nullspace(traces.T // power, p).T, rows, p)
+        level, power = level + 1, q
+    return rows
+
+
+def _is_local(basis: np.ndarray, dims: dict[int, int], p: int) -> bool:
+    """Whether the algebra A spanned by `basis`, endomorphisms of a module
+    with graded dimensions `dims`, is local, i.e. A/J(A) is a field.
+
+    A/J is spanned by the basis elements c outside the pivots of J.  It is
+    a field iff it is commutative, so every commutator of two c lies in J,
+    and x -> x^p - x, which is then F_p-linear on A/J, has a kernel of
+    dimension 1 (Berlekamp, 1967), so the c^p - c span a space of
+    dimension dim A/J - 1 modulo J."""
+    blocks = _degree_blocks(basis, dims)
+    radical = _radical(blocks, p)
+    pivots = fp.rref(radical, p)[1]
+    others = [j for j in range(len(basis)) if j not in pivots]
+
+    def flat(stacks: list[np.ndarray]) -> np.ndarray:
+        return np.hstack([s.reshape(-1, s.shape[-1] ** 2) for s in stacks]) % p
+
+    ideal = flat([np.tensordot(radical, b, axes=1) for b in blocks])
+    tops = [b[others] for b in blocks]
+    commutators = flat([t[:, None] @ t[None] - t[None] @ t[:, None] for t in tops])
+    if fp.rank(np.vstack([ideal, commutators]), p) > len(ideal):
+        return False
+    frobenius = []
+    for t in tops:
+        w = t
+        for _ in range(p - 1):
+            w = w @ t % p
+        frobenius.append(w - t)
+    return fp.rank(np.vstack([ideal, flat(frobenius)]), p) == len(basis) - 1
+
+
+def _combinations(basis: np.ndarray, p: int):
+    """Every element of span(basis) of support at least 2, up to a scalar
+    (its first coefficient is 1), in order of increasing support."""
+    k = len(basis)
+    for size in range(2, k + 1):
+        for support in itertools.combinations(range(k), size):
+            head, tail = basis[support[0]], basis[list(support[1:])]
+            for coeffs in itertools.product(range(1, p), repeat=size - 1):
+                yield (head + np.tensordot(coeffs, tail, axes=1)) % p
+
+
+def is_decomposable(M: FiniteModule, bound: int = 32) -> DecompositionResult:
+    """Decide whether M splits as a direct sum of two nonzero submodules.
+
+    M is indecomposable exactly when A = End(M) is local (`_is_local`).  A
+    splitting is the Fitting decomposition of a candidate in A that is
+    neither nilpotent nor invertible: the basis of A first, and, when A is
+    not local, then every other element of A up to a scalar, in order of
+    increasing support.  A lift of a nontrivial idempotent of A/J(A) is such
+    an element, so for a non-local A this loop finds a splitting."""
     if M.total_dim > bound:
         raise ModuleError(f"total dimension {M.total_dim} exceeds bound {bound}")
     if M.total_dim <= 1:
@@ -606,43 +712,24 @@ def is_decomposable(M: FiniteModule, bound: int = 12,
     whole = _Whole(M)
     ident = fp.identity(M.total_dim)
 
-    def combine(coeffs) -> np.ndarray:
-        return np.tensordot(coeffs, basis, axes=1) % p
-
-    def result_from(e: np.ndarray) -> DecompositionResult:
-        return DecompositionResult(True, (
-            _submodule_from_idempotent(whole, e),
-            _submodule_from_idempotent(whole, (ident - e) % p)))
-
-    if p ** len(basis) <= exhaustive_limit:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            e = combine(coeffs)
-            if not e.any() or np.array_equal(e, ident):
-                continue
-            if np.array_equal(fp.matmul(e, e, p), e):
-                return result_from(e)
-        return DecompositionResult(False)
-
-    # Fitting search (not exhaustive).
-    rng = random.Random(rng_seed)
-
-    def candidates():
-        yield from basis
-        for _ in range(60):
-            yield combine([rng.randrange(p) for _ in basis])
-
-    quads = [(b, c) for b in range(p) for c in range(p)
-             # x^2 + b x + c irreducible over F_p
-             if all((x * x + b * x + c) % p for x in range(p))]
-    for phi in candidates():
-        tests = [(phi - lam * ident) % p for lam in range(p)]
-        tests += [(fp.matmul(phi, phi, p) + b * phi + c * ident) % p
-                  for b, c in quads]
-        for psi in tests:
-            e = _fitting_idempotent(psi, p)
+    def splitting(candidates) -> DecompositionResult | None:
+        for phi in candidates:
+            e = _fitting_idempotent(phi, p)
             if e is not None:
-                return result_from(e)
-    return DecompositionResult(False, certified=False)
+                return DecompositionResult(True, (
+                    _submodule_from_idempotent(whole, e),
+                    _submodule_from_idempotent(whole, (ident - e) % p)))
+        return None
+
+    found = splitting(basis)
+    if found is not None:
+        return found
+    if _is_local(basis, M.dims, p):
+        return DecompositionResult(False)
+    found = splitting(_combinations(basis, p))
+    if found is None:
+        raise ModuleError("End(M) is not local, yet no element of it splits M")
+    return found
 
 
 # ---------------------------------------------------------------------------

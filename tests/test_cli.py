@@ -150,14 +150,20 @@ class TestModuleCommands:
         assert code == 0
         assert "decomposable: False" in out
 
-    def test_decompose_undecided_exits_three(self, capsys, moore_file, monkeypatch):
-        from torsionlab import modules
-
-        monkeypatch.setattr(modules, "is_decomposable",
-                            lambda M: modules.DecompositionResult(False, certified=False))
-        code, out = run(capsys, "module", "decompose", moore_file)
-        assert code == 3
-        assert out.strip() == "decomposable: False (certified: False)"
+    def test_decompose_above_the_old_bound(self, capsys, fourth_power_file):
+        # 16 dimensions, above the bound of 12 that decompose used to refuse.
+        code, out = run(capsys, "module", "decompose", fourth_power_file)
+        assert code == 0
+        assert out.startswith("decomposable: True, summand dims ")
+        code, out = run(capsys, "--json", "module", "decompose", fourth_power_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["decomposable", "summand_dims"]
+        total = {}
+        for dims in payload["summand_dims"]:
+            for d, n in dims.items():
+                total[int(d)] = total.get(int(d), 0) + n
+        assert total == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 
 
 class TestStemsCommands:

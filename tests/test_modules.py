@@ -1,10 +1,12 @@
 """Finite graded modules: constructors, Cartan tensor products,
 Adem-consistency checking, and decomposability."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from torsionlab import (
 from torsionlab import fpmatrix as fp
 from torsionlab import modules
 from torsionlab.modules import ModuleError, _inadmissible_words, p3_cubed_relation
-from torsionlab.steenrod import SteenrodElement, adem_normalize
+from torsionlab.steenrod import Monomial, SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
 
@@ -216,6 +218,155 @@ def reference_fitting_idempotent(psi, p):
     diag = fp.zeros(n, n)
     diag[:r, :r] = fp.identity(r)
     return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
+
+
+def reference_inadmissible_words(p, max_degree):
+    """Every product of two or three letters, filtered by degree and then
+    by admissibility."""
+    if p == 2:
+        letters = [Sq(i) for i in range(1, max_degree)]
+    else:
+        letters = [BOCKSTEIN] + [P(i)
+                                 for i in range(1, max_degree // (2 * (p - 1)) + 1)]
+    degs = {g: g.degree_at(p) for g in letters}
+    for length in (2, 3):
+        for word in itertools.product(letters, repeat=length):
+            if sum(degs[g] for g in word) > max_degree:
+                continue
+            if not Monomial(p, word).is_admissible:
+                yield word
+
+
+def reference_is_decomposable(M, bound=12, exhaustive_limit=1 << 16, rng_seed=0):
+    """The idempotent search that decided decomposability before the radical
+    of End(M) did, as (decomposable, certified).
+
+    Exhaustive, hence certified, while p^dim End(M) <= exhaustive_limit;
+    otherwise a Fitting search over shifted and quadratic evaluations of the
+    basis of End(M) and 60 random combinations of it, which certifies a
+    splitting but not indecomposability."""
+    if M.total_dim > bound:
+        raise ModuleError(f"total dimension {M.total_dim} exceeds bound {bound}")
+    if M.total_dim <= 1:
+        return False, True
+    p = M.prime
+    basis = modules._endomorphism_basis(M)
+    ident = fp.identity(M.total_dim)
+
+    def combine(coeffs):
+        return np.tensordot(coeffs, basis, axes=1) % p
+
+    if p ** len(basis) <= exhaustive_limit:
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            e = combine(coeffs)
+            if not e.any() or np.array_equal(e, ident):
+                continue
+            if np.array_equal(fp.matmul(e, e, p), e):
+                return True, True
+        return False, True
+
+    rng = random.Random(rng_seed)
+
+    def candidates():
+        yield from basis
+        for _ in range(60):
+            yield combine([rng.randrange(p) for _ in basis])
+
+    quads = [(b, c) for b in range(p) for c in range(p)
+             # x^2 + b x + c irreducible over F_p
+             if all((x * x + b * x + c) % p for x in range(p))]
+    for phi in candidates():
+        tests = [(phi - lam * ident) % p for lam in range(p)]
+        tests += [(fp.matmul(phi, phi, p) + b * phi + c * ident) % p
+                  for b, c in quads]
+        for psi in tests:
+            if reference_fitting_idempotent(psi, p) is not None:
+                return True, True
+    return False, False
+
+
+def brute_force_radical(basis, p):
+    """J(A) for A = span(basis) as the set of coefficient tuples of the a
+    with a b nilpotent for every b in A, over all p^(2 dim A) pairs.
+
+    Products are taken in coordinates: b_i b_j = sum_l c_ijl b_l, and a
+    table says which of the p^dim A elements are nilpotent."""
+    k, n = len(basis), basis.shape[1]
+    flat = basis.reshape(k, -1)
+    products = (basis[:, None] @ basis[None]) % p
+    consts = fp.solve(flat.T, products.reshape(k * k, -1).T, p).T.reshape(k, k, k)
+    coeffs = np.array(list(itertools.product(range(p), repeat=k)),
+                      dtype=np.int64).reshape(-1, k)
+    z = np.tensordot(coeffs, basis, axes=1) % p
+    for _ in range((n - 1).bit_length()):
+        z = z @ z % p
+    nilpotent = ~z.any(axis=(1, 2))
+    index = p ** np.arange(k - 1, -1, -1)
+    step = max(1, (1 << 20) // (len(coeffs) * k))
+    inside = []
+    for start in range(0, len(coeffs), step):
+        left = np.tensordot(coeffs[start:start + step], consts, axes=1)
+        ab = (coeffs[None] @ left) % p
+        inside.extend(nilpotent[ab @ index].all(axis=1).tolist())
+    return {c for c, ok in zip(map(tuple, coeffs.tolist()), inside) if ok}
+
+
+def span_of(rows, p):
+    """Every F_p-combination of rows, as tuples."""
+    return {tuple((np.array(c, dtype=np.int64) @ rows % p).tolist())
+            for c in itertools.product(range(p), repeat=len(rows))}
+
+
+def random_graded_module(p, rng):
+    """Random action matrices between 2 to 4 degrees of dimension 1 to 3,
+    for Sq^1, Sq^2 and Sq^3 or for b and P^1; not Adem-consistent in
+    general, which End(M) does not need."""
+    count = rng.randint(2, 4)
+    degrees = sorted(rng.sample(range(count + (2 if p == 2 else 1)), count))
+    dims = {d: rng.randint(1, 3) for d in degrees}
+    gens = [Sq(1), Sq(2), Sq(3)] if p == 2 else [BOCKSTEIN, P(1)]
+    actions = {}
+    for g in gens:
+        for d in dims:
+            if d + g.degree_at(p) in dims:
+                actions[(g, d)] = np.array(
+                    [[rng.randrange(p) for _ in range(dims[d])]
+                     for _ in range(dims[d + g.degree_at(p)])], dtype=np.int64)
+    return FiniteModule(p, dims, actions)
+
+
+def f4_entry(a, b):
+    """Multiplication by a + b w on F_4 = F_2(w), w^2 = w + 1, in the
+    F_2-basis (1, w)."""
+    return np.array([[a, b], [b, a ^ b]], dtype=np.int64)
+
+
+def restricted_f4_module(rng):
+    """A random module over F_4 (x) A(2 degrees or 3, F_4-dimension 1 or 2
+    each), seen over F_2: every F_4 entry becomes a 2 x 2 block.  End(M)
+    contains F_4, so its residue field can be F_4 rather than F_2."""
+    degrees = sorted(rng.sample(range(4), rng.randint(2, 3)))
+    dims = {d: rng.randint(1, 2) for d in degrees}
+    actions = {}
+    for g in (Sq(1), Sq(2), Sq(3)):
+        for d in dims:
+            if d + g.degree_at(2) in dims:
+                actions[(g, d)] = np.block(
+                    [[f4_entry(rng.randrange(2), rng.randrange(2))
+                      for _ in range(dims[d])]
+                     for _ in range(dims[d + g.degree_at(2)])])
+    return FiniteModule(2, {d: 2 * n for d, n in dims.items()}, actions)
+
+
+def seeded_modules(build, seed, count, max_end=1 << 14):
+    """The first count modules from build(rng) with p^dim End(M) <= max_end."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        M = build(rng)
+        if M.prime ** len(modules._endomorphism_basis(M)) <= max_end:
+            out.append(M)
+    return out
 
 
 def as_tuples(violations):
@@ -502,6 +653,12 @@ class TestConsistencyCheck:
             found += len(want)
         assert found > 100
 
+    def test_inadmissible_words_match_reference(self):
+        for p in (2, 3, 5):
+            for bound in range(41):
+                assert (list(_inadmissible_words(p, bound))
+                        == list(reference_inadmissible_words(p, bound)))
+
     def test_p3_cubed_relation_parses_to_equal_normal_forms(self):
         from torsionlab import adem_normalize
 
@@ -535,9 +692,19 @@ class TestCbModule:
 class TestDecomposability:
     @pytest.fixture(autouse=True)
     def cross_check(self, monkeypatch):
-        """Every idempotent and summand that is_decomposable forms in these
-        tests must equal the per-degree and n-product references."""
+        """Every verdict of is_decomposable in these tests must equal the
+        reference search's certified verdict, and every idempotent and
+        summand it forms must equal the per-degree and n-product
+        references."""
         calls = {"fitting": 0, "summands": 0}
+        decide = is_decomposable
+
+        def checked_decision(M):
+            got = decide(M)
+            assert reference_is_decomposable(M) == (bool(got), True)
+            return got
+
+        monkeypatch.setitem(globals(), "is_decomposable", checked_decision)
         fitting, submodule = modules._fitting_idempotent, modules._submodule_from_idempotent
 
         def checked_fitting(psi, p):
@@ -617,13 +784,42 @@ class TestDecomposability:
         from torsionlab.modules import _endomorphism_basis
 
         M = build()
-        # End(M) is too large for the exhaustive search.
+        # End(M) is too large for the reference's exhaustive search.
         assert M.prime ** len(_endomorphism_basis(M)) > 1 << 16
         r = is_decomposable(M)
         assert r and r.certified
         assert tuple(s.total_dim for s in r.summands) == dims
         assert direct_sum(*r.summands).dims == M.dims
         assert cross_check["fitting"] == 1 and cross_check["summands"] == 2
+
+    @pytest.mark.parametrize("p,dims,actions", [
+        (3, {0: 2, 1: 1, 3: 1, 4: 2},
+         {(P(1), 0): [[0, 2], [2, 1]], (BOCKSTEIN, 0): [[2, 0]],
+          (BOCKSTEIN, 3): [[1], [1]]}),
+        # Restricted from F_4, and Galois-stable: two copies of one module.
+        (2, {1: 2, 2: 2, 3: 4},
+         {(Sq(1), 1): [[1, 1], [1, 0]], (Sq(2), 1): [[0, 1], [1, 1], [0, 1], [1, 1]],
+          (Sq(1), 2): [[0, 1], [1, 1], [1, 0], [0, 1]]}),
+    ])
+    def test_splitting_beyond_the_basis(self, p, dims, actions):
+        M = FiniteModule(p, dims, {k: np.array(v) for k, v in actions.items()})
+        basis = modules._endomorphism_basis(M)
+        # Every basis element of End(M) is nilpotent or invertible.
+        assert all(modules._fitting_idempotent(b, p) is None for b in basis)
+        assert not modules._is_local(basis, M.dims, p)
+        r = is_decomposable(M)
+        assert r and direct_sum(*r.summands).dims == M.dims
+
+    def test_combinations_cover_the_algebra_up_to_a_scalar(self):
+        for p, k in ((2, 4), (3, 3), (5, 2)):
+            basis = np.eye(k, dtype=np.int64).reshape(k, k, 1)
+            seen = [tuple(c.ravel()) for c in modules._combinations(basis, p)]
+            supports = [sum(map(bool, c)) for c in seen]
+            assert supports == sorted(supports)
+            assert all(c[next(i for i, x in enumerate(c) if x)] == 1 for c in seen)
+            assert len(set(seen)) == len(seen)
+            # With the basis: one representative of every line of F_p^k.
+            assert len(seen) + k == (p ** k - 1) // (p - 1)
 
     def test_fitting_idempotent_matches_reference_on_random_matrices(self):
         rng = np.random.default_rng(19)
@@ -653,6 +849,100 @@ class TestDecomposability:
         e = np.array([[1, 0], [0, 0]], dtype=np.int64)
         with pytest.raises(ModuleError, match="not a submodule"):
             modules._submodule_from_idempotent(_Whole(moore_module(2)), e)
+
+
+def by_eigenvalues(basis, p):
+    """A wrong locality test: every basis element is a scalar plus a
+    nilpotent.  It misses residue fields larger than F_p."""
+    n = basis.shape[1]
+    ident = fp.identity(n)
+    for b in basis:
+        for lam in range(p):
+            z = (b - lam * ident) % p
+            for _ in range((n - 1).bit_length()):
+                z = fp.matmul(z, z, p)
+            if not z.any():
+                break
+        else:
+            return False
+    return True
+
+
+def by_commutativity(basis, dims, p):
+    """A wrong locality test: A/J(A) is commutative.  It misses products
+    of fields."""
+    radical = modules._radical(modules._degree_blocks(basis, dims), p)
+    flat = basis.reshape(len(basis), -1)
+    commutators = (basis[:, None] @ basis[None] - basis[None] @ basis[:, None]) % p
+    ideal = fp.matmul(radical, flat, p)
+    return (fp.rank(np.vstack([ideal, commutators.reshape(-1, flat.shape[1])]), p)
+            == fp.rank(ideal, p))
+
+
+class TestExactDecision:
+    """is_decomposable against the reference search, the radical against
+    brute force, and the cost of both on the largest smash powers."""
+
+    @pytest.mark.parametrize("p,seed", [(2, 101), (3, 103)])
+    def test_matches_reference_on_random_graded_modules(self, p, seed):
+        verdicts = []
+        for M in seeded_modules(lambda rng: random_graded_module(p, rng), seed, 150):
+            want, certified = reference_is_decomposable(M, bound=32)
+            assert certified
+            assert bool(is_decomposable(M)) == want
+            verdicts.append(want)
+        assert verdicts.count(False) >= 3 and verdicts.count(True) >= 100
+
+    def test_matches_reference_on_restricted_f4_modules(self):
+        randoms = seeded_modules(restricted_f4_module, 107, 150)
+        local = [M for M in randoms if not reference_is_decomposable(M, bound=32)[0]]
+        # Apart in degree, so that A/J(A) is the product of the two fields.
+        sums = [direct_sum(a, shift(b, 4)) for a, b in zip(local, local[1:])]
+        verdicts, eigen_wrong, commutative_wrong, residue_f4 = [], 0, 0, 0
+        for M in randoms + sums:
+            want, certified = reference_is_decomposable(M, bound=32)
+            assert certified
+            assert bool(is_decomposable(M)) == want
+            verdicts.append(want)
+            basis = modules._endomorphism_basis(M)
+            radical = modules._radical(modules._degree_blocks(basis, M.dims), 2)
+            residue_f4 += (not want) and len(basis) - len(radical) == 2
+            eigen_wrong += by_eigenvalues(basis, 2) == want
+            commutative_wrong += by_commutativity(basis, M.dims, 2) == want
+        assert verdicts.count(False) >= 3 and verdicts.count(True) >= 100
+        # Local with residue field F_4, which F_2 eigenvalues alone call
+        # split; and split with A/J commutative, which commutativity alone
+        # calls local.
+        assert residue_f4 >= 3 and eigen_wrong >= 3 and commutative_wrong >= 3
+
+    def test_radical_matches_brute_force(self):
+        cases = (seeded_modules(lambda rng: random_graded_module(2, rng), 109, 25, 1 << 10)
+                 + seeded_modules(lambda rng: random_graded_module(3, rng), 113, 15, 1 << 10)
+                 + seeded_modules(restricted_f4_module, 127, 20, 1 << 10))
+        sizes = set()
+        for M in cases:
+            basis = modules._endomorphism_basis(M)
+            radical = modules._radical(modules._degree_blocks(basis, M.dims), M.prime)
+            assert span_of(radical, M.prime) == brute_force_radical(basis, M.prime)
+            sizes.add((len(basis), len(radical)))
+        assert max(k for k, _ in sizes) == 10 and len(sizes) > 15
+
+    @pytest.mark.parametrize("p,k", [(2, 4), (2, 5), (3, 4), (3, 5)])
+    def test_smash_powers_decided_at_the_default_bound(self, p, k):
+        M = smash_power(moore_module(p), k)
+        start = time.perf_counter()
+        r = is_decomposable(M)
+        assert time.perf_counter() - start < 1
+        assert r and direct_sum(*r.summands).dims == M.dims
+
+    @pytest.mark.parametrize("p,dim_end", [(2, 42), (3, 126)])
+    def test_locality_of_the_fifth_smash_power(self, p, dim_end):
+        M = smash_power(moore_module(p), 5)
+        basis = modules._endomorphism_basis(M)
+        assert len(basis) == dim_end
+        start = time.perf_counter()
+        assert not modules._is_local(basis, M.dims, p)
+        assert time.perf_counter() - start < 2
 
 
 def run_python(code, **env_vars):

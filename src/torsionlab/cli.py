@@ -25,14 +25,7 @@ from .stems import (
 )
 from .exotic import two_order_zero_certificate, verify_axioms
 from .oracle import checked_degree, oracle_equal
-from .scenarios import (
-    run_all,
-    scenario_exotic,
-    scenario_prop2,
-    scenario_prop3,
-    scenario_prop5,
-    scenario_prop6,
-)
+from .scenarios import SCENARIOS, run_all, run_scenario
 from .steenrod import (
     SteenrodError,
     adem_normalize,
@@ -251,18 +244,8 @@ def _cmd_exotic_two_order(args) -> int:
 
 def _cmd_scenario(args) -> int:
     table = _load_table(args)
-    if args.name == "all":
-        reports = run_all(table)
-    elif args.name == "prop2":
-        reports = [scenario_prop2()]
-    elif args.name == "prop3":
-        reports = [scenario_prop3(args.n if args.n is not None else 2, table)]
-    elif args.name == "prop5":
-        reports = [scenario_prop5(table)]
-    elif args.name == "prop6":
-        reports = [scenario_prop6(args.n if args.n is not None else 5, table)]
-    else:
-        reports = [scenario_exotic()]
+    reports = (run_all(table) if args.name == "all"
+               else [run_scenario(args.name, args.n, table)])
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
@@ -342,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_exotic_two_order)
 
     p = sub.add_parser("scenario", help="run a verification scenario")
-    p.add_argument("name", choices=["prop2", "prop3", "prop5", "prop6", "exotic", "all"])
+    p.add_argument("name", choices=[*SCENARIOS, "all"])
     p.add_argument("--n", type=int, default=None, help="n for prop3/prop6")
     p.set_defaults(func=_cmd_scenario)
 

@@ -7,8 +7,10 @@ machine-checkable claims:
 - prop3: [S/n, S/n] is cyclic of order n for odd n and Z/4 for n = 2.
 - prop5: no extension of the mod-3 lift of beta_1 has a cone killed by 3
   (the hypothetical cohomology module violates an Adem relation).
-- prop6: the multiplication on S/n is associative exactly when n is prime
-  to 6 (the obstruction lives in π₃(S/n)).
+- prop6: the obstruction to associativity of the multiplication on S/n
+  lives in π₃(S/n).  When n is prime to 6 the group vanishes, so the
+  multiplication is associative; otherwise the group is nonzero, so this
+  check does not decide.
 - exotic: free Z/4-modules with identity shift satisfy the triangle axioms
   in low rank yet contain an object of 2-order zero.
 """
@@ -225,8 +227,10 @@ def scenario_prop5(table: StemsTable | None = None) -> ScenarioReport:
 
 
 def scenario_prop6(n: int, table: StemsTable | None = None) -> ScenarioReport:
-    """The multiplication on S/n is associative iff the obstruction group
-    π₃(S/n) vanishes, which happens exactly when n is prime to 6."""
+    """The associativity obstruction for the multiplication on S/n lives in
+    π₃(S/n).  When n is prime to 6 the group vanishes, so the
+    multiplication is associative; otherwise the group is nonzero, so this
+    check does not decide."""
     report = ScenarioReport(f"prop6(n={n})")
     obstruction = associator_obstruction(n, table)
     known = not isinstance(obstruction, Unknown)
@@ -286,12 +290,24 @@ def scenario_exotic(max_rank: int = 2) -> ScenarioReport:
     return report
 
 
+# name -> (run(n, table), the n values run_all runs it at, the n of a single
+# run when none is given).  Scenarios without an n ignore it.  The callables
+# look the scenario functions up by name on every call.
+SCENARIOS = {
+    "prop2": (lambda n, table: scenario_prop2(), (None,), None),
+    "prop3": (lambda n, table: scenario_prop3(n, table), (3, 5, 7, 9, 15, 2), 2),
+    "prop5": (lambda n, table: scenario_prop5(table), (None,), None),
+    "prop6": (lambda n, table: scenario_prop6(n, table), (5, 7, 25, 35, 2, 3), 5),
+    "exotic": (lambda n, table: scenario_exotic(), (None,), None),
+}
+
+
+def run_scenario(name: str, n: int | None = None,
+                 table: StemsTable | None = None) -> ScenarioReport:
+    """The scenario of SCENARIOS named name, at n or at its default n."""
+    run, _, default = SCENARIOS[name]
+    return run(default if n is None else n, table)
+
+
 def run_all(table: StemsTable | None = None) -> list[ScenarioReport]:
-    reports = [scenario_prop2()]
-    for n in (3, 5, 7, 9, 15, 2):
-        reports.append(scenario_prop3(n, table))
-    reports.append(scenario_prop5(table))
-    for n in (5, 7, 25, 35, 2, 3):
-        reports.append(scenario_prop6(n, table))
-    reports.append(scenario_exotic())
-    return reports
+    return [run(n, table) for run, sweep, _ in SCENARIOS.values() for n in sweep]

@@ -422,7 +422,8 @@ def associator_obstruction(
     """Obstruction group for associativity of the multiplication on S/n.
 
     The associator of the multiplication factors through the 3-sphere, so
-    it lives in [S[3], S/n] = π₃(S/n); the multiplication is associative
-    whenever this group vanishes, which happens exactly when n is prime
-    to 6 (π₃ = Z/24 and π₂ = Z/2 are both killed by units)."""
+    it lives in [S[3], S/n] = π₃(S/n).  When n is prime to 6 the group
+    vanishes (π₃ = Z/24 and π₂ = Z/2 are both killed by units), so the
+    multiplication is associative.  Otherwise the group is nonzero, so
+    this check does not decide."""
     return moore_homotopy(n, 3, table)

@@ -2,6 +2,7 @@
 enumerated distinguished class, axiom checks, and the 2-order certificate."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,11 +22,17 @@ from torsionlab import (
     verify_axioms,
 )
 from torsionlab.exotic import (
+    _BATCH_MATRICES,
     _all_matrices,
-    _encode,
+    _decide_batch,
     _key_width,
+    _layout,
     _match,
     _members,
+    _padded,
+    _product_keys,
+    _product_tables,
+    _stack_codes,
     _tr3_verdicts,
     contractible_triangle,
     general_linear,
@@ -34,6 +41,13 @@ from torsionlab.exotic import (
     zero_morphism,
     zero_triangle,
 )
+
+
+def _encode(stack):
+    """One integer key per matrix of a stack: its entries mod 4 as base-4
+    digits, the first entry lowest."""
+    flat = stack.reshape(len(stack), -1) % 4
+    return flat @ 4 ** np.arange(flat.shape[1], dtype=np.int64)
 
 
 def check_TR3_fill(t1, t2, a, b):
@@ -130,6 +144,79 @@ def isomorphic_by_pair_join(t1, t2):
     w_keys = _encode(gl_z @ g1) * width + _encode(h2 @ gl_z)
     joined = joined_keys(v_keys, u_keys, width)
     return len(_match(joined, np.unique(w_keys))[0]) > 0
+
+
+def padded_encode(stack, rank):
+    """_encode of each matrix of a stack set in the top left corner of a
+    (rank x rank) zero matrix: the key layout of the joins."""
+    out = np.zeros((len(stack), rank, rank), dtype=np.int64)
+    out[:, :stack.shape[1], :stack.shape[2]] = stack
+    return _encode(out)
+
+
+def invertible_stack(rows, cols):
+    return general_linear(rows)
+
+
+def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
+    """Reference for exotic._pair_verdicts: the per-pair join it replaced.
+    Each variable's keys are taken from whole-stack products, stack(rows,
+    cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
+    source triangle (pairs come grouped by source) and per target; the
+    batches are decided by the same _decide_batch."""
+    width = _key_width([*sources, *targets], len(pairs))
+    verdicts = np.zeros(len(pairs), dtype=bool)
+    before, after = {}, {}
+    source = None
+    high, low, counts = ([[], [], []] for _ in range(3))
+    start, held = 0, 0
+    for n, (i, j) in enumerate(pairs):
+        if i != source:
+            after.clear()
+            source = i
+        t1, t2 = sources[i], targets[j]
+        # b with (f1, g2), a with (h1, f2), c with (g1, h2), each over
+        # stack(m2.source, m1.target).
+        for var, m1, m2 in ((0, t1.f, t2.g), (1, t1.h, t2.f), (2, t1.g, t2.h)):
+            x = after.get((var, m2.source))
+            if x is None:
+                x = after[var, m2.source] = _encode(
+                    stack(m2.source, m1.target) @ m1.matrix)
+            y = before.get((j, var, m1.target))
+            if y is None:
+                y = before[j, var, m1.target] = _encode(
+                    m2.matrix @ stack(m2.source, m1.target))
+            k1, k2 = (y, x) if var == 1 else (x, y)
+            high[var].append(k1)
+            low[var].append(k2)
+            counts[var].append(len(x))
+            held += len(x)
+        if held < _BATCH_MATRICES and n + 1 < len(pairs):
+            continue
+        keys = [
+            (np.repeat(np.arange(n + 1 - start) * width, counts[var])
+             + np.concatenate(high[var])) * width + np.concatenate(low[var])
+            for var in range(3)
+        ]
+        verdicts[start:n + 1] = _decide_batch(*keys, n + 1 - start, width, every)
+        high, low, counts = ([[], [], []] for _ in range(3))
+        start, held = n + 1, 0
+    return verdicts
+
+
+def tr3_by_stacks(triangles):
+    n = len(triangles)
+    pairs = list(itertools.product(range(n), repeat=2))
+    return pair_verdicts_by_stacks(triangles, triangles, pairs, _all_matrices,
+                                   every=True).reshape(n, n)
+
+
+def members_by_stacks(queries, reps):
+    pairs = [(i, j) for i, q in enumerate(queries)
+             for j, rep in enumerate(reps) if q.ranks == rep.ranks]
+    iso = pair_verdicts_by_stacks(queries, reps, pairs, invertible_stack, every=False)
+    return np.bincount([i for (i, _), ok in zip(pairs, iso) if ok],
+                       minlength=len(queries)) > 0
 
 
 def rank_one_candidates():
@@ -285,6 +372,55 @@ class TestCones:
         cone = check_TR1_cone(zero_morphism(1, 1))
         assert cone.ranks == (1, 1, 2)
 
+    def test_cones_match_stack_reference(self):
+        # Reference: the keys of v f and r u from whole-stack products.
+        def cone_by_stacks(f):
+            v_keys = np.unique(_encode(general_linear(f.target) @ f.matrix))
+            for rep in distinguished_representatives(2):
+                if (rep.f.source, rep.f.target) == (f.source, f.target) and \
+                        np.intersect1d(v_keys, _encode(
+                            rep.f.matrix @ general_linear(f.source))).size:
+                    return rep
+            return None
+
+        found = 0
+        for t, s in itertools.product(range(3), repeat=2):
+            for mat in _all_matrices(t, s):
+                f = Z4Morphism.from_matrix(mat, s, t)
+                cone = check_TR1_cone(f)
+                assert cone == cone_by_stacks(f)
+                found += cone is not None
+        assert found > 0
+
+
+class TestProductTables:
+    @pytest.mark.parametrize("invertible", [False, True])
+    def test_keys_match_encoded_products(self, invertible):
+        rank = 2
+        codes = _stack_codes(invertible, rank)
+        rng = np.random.default_rng(5)
+        shapes = ([(1, 1), (2, 2)] if invertible
+                  else list(itertools.product(range(rank + 1), repeat=2)))
+        stride = math.prod(_layout(rank))
+        for t, s in shapes:
+            stack = general_linear(t) if invertible else _all_matrices(t, s)
+            k = t * (rank + 1) + s
+            assert codes.size[k] == len(stack)
+            elements = slice(codes.start[k], codes.start[k] + codes.size[k])
+            for inner in range(rank + 1):
+                # X m for m of shape (s, inner), and m X for m of shape (inner, t).
+                right = [rng.integers(0, 4, (s, inner)) for _ in range(3)]
+                left = [rng.integers(0, 4, (inner, t)) for _ in range(3)]
+                morphisms = [Z4Morphism(m.shape[1], m.shape[0], tuple(m.ravel().tolist()))
+                             for m in right + left]
+                row_table, col_table = _product_tables(_padded(morphisms, rank), rank)
+                for n, m in enumerate(right):
+                    keys = _product_keys(codes.rows, row_table, n * stride, elements)
+                    assert np.array_equal(keys, padded_encode(stack @ m, rank))
+                for n, m in enumerate(left, len(right)):
+                    keys = _product_keys(codes.cols, col_table, n * stride, elements)
+                    assert np.array_equal(keys, padded_encode(m @ stack, rank))
+
 
 class TestTR3:
     def test_identity_pair_fills_with_identity(self):
@@ -409,18 +545,32 @@ class TestBatchedJoins:
             is_isomorphic(big, big)
 
     def test_rank_two_builds_no_rank_three_stack(self, monkeypatch):
-        shapes = []
+        # Every stack a join reads comes through _stack_codes, which builds
+        # the stacks of all shapes within its rank bound.
+        ranks = []
 
-        def recorded(build):
-            def wrapper(*shape):
-                shapes.append(shape)
-                return build(*shape)
-            return wrapper
+        def recorded(invertible, rank):
+            ranks.append(rank)
+            return _stack_codes(invertible, rank)
 
-        monkeypatch.setattr(exotic, "_all_matrices", recorded(exotic._all_matrices))
-        monkeypatch.setattr(exotic, "general_linear", recorded(exotic.general_linear))
+        monkeypatch.setattr(exotic, "_stack_codes", recorded)
         assert verify_axioms(2).passed
-        assert shapes and max(max(s) for s in shapes) == 2
+        assert ranks and max(ranks) == 2
+
+    def test_join_matches_per_pair_reference(self):
+        reps = distinguished_representatives(2)
+        assert np.array_equal(_tr3_verdicts(reps), tr3_by_stacks(reps))
+        cands = rank_one_candidates()
+        verdicts = _tr3_verdicts(cands)
+        assert np.array_equal(verdicts, tr3_by_stacks(cands))
+        assert (~verdicts).sum() == 63
+
+    def test_members_match_per_pair_reference(self):
+        queries = membership_queries()
+        reps = distinguished_representatives(2)
+        members = _members(queries, reps)
+        assert np.array_equal(members, members_by_stacks(queries, reps))
+        assert 0 < members.sum() < len(queries) and not members[-1]
 
     def test_verdicts_are_recomputed_on_every_call(self, monkeypatch):
         assert verify_axioms(1).passed

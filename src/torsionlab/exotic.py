@@ -19,7 +19,7 @@ pairwise sums, GL_r(Z/4), found as the matrices of odd determinant, and
 the codes of the row and column blocks of every matrix of the stacks of
 each shape (all matrices, or GL), each only up to the rank a call needs.
 Verdicts are recomputed on every call.  Searches never loop over
-matrices in Python, and no stack is multiplied by a morphism: a
+matrices in Python, and the joins multiply no stack by a morphism: a
 matrix X is met only through the integer keys of X m and m X for the
 triangles' morphisms m.  Per call, the distinct morphisms get product
 tables from one batched product (_product_tables), and the key of X m is
@@ -32,7 +32,7 @@ pair index; the distinct keys of the candidate a and b are joined on the
 commutation condition, and the result is looked up among the keys of
 all fill-ins c (for TR3) or of all invertible w (for isomorphism).
 Batches are cut by stack size, so rank 3 runs in memory: `exotic verify
---max-rank 3` takes about 6 s and 110 MB (2-vCPU VM, Python 3.11)."""
+--max-rank 3` takes about 7 s and 102 MB (2-vCPU VM, Python 3.11)."""
 
 from __future__ import annotations
 
@@ -318,7 +318,7 @@ def _product_keys(codes: tuple[np.ndarray, ...], table: np.ndarray,
                   offset, elements) -> np.ndarray:
     """The key of X m (row codes, row table) or of m X (column codes,
     column table) for each of the elements X, where m's table starts at
-    offset (one for all elements or one each): one gather per block."""
+    the element's offset: one gather per block."""
     keys = table[offset + codes[0][elements]]
     for block in codes[1:]:
         keys += table[offset + block[elements]]
@@ -423,22 +423,27 @@ def _pair_verdicts(sources: list[Z4Triangle], targets: list[Z4Triangle],
         plan.append((codes.size[shape], codes.start[shape],
                      t1[:, right] * stride, t2[:, left] * stride, right_high))
     held = np.cumsum(sum(size for size, *_ in plan))
+
+    def packed(size, start, right, left, right_high) -> np.ndarray:
+        # One variable's packed keys for a batch of pairs; the gathers'
+        # temporaries are freed on return, before the batch is decided.
+        ends = np.cumsum(size)
+        elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
+        xm = _product_keys(codes.rows, row_table, np.repeat(right, size), elements)
+        mx = _product_keys(codes.cols, col_table, np.repeat(left, size), elements)
+        keys = np.repeat(np.arange(len(size)) * width, size)
+        keys += xm if right_high else mx
+        keys *= width
+        keys += mx if right_high else xm
+        return keys
+
     verdicts = np.zeros(len(first), dtype=bool)
     lo = 0
     while lo < len(first):
         base = held[lo - 1] if lo else 0
         hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(first))
-        keys = []
-        for size, start, right, left, right_high in plan:
-            size, start = size[lo:hi], start[lo:hi]
-            ends = np.cumsum(size)
-            elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
-            xm = _product_keys(codes.rows, row_table, np.repeat(right[lo:hi], size),
-                               elements)
-            mx = _product_keys(codes.cols, col_table, np.repeat(left[lo:hi], size),
-                               elements)
-            k1, k2 = (xm, mx) if right_high else (mx, xm)
-            keys.append((np.repeat(np.arange(hi - lo) * width, size) + k1) * width + k2)
+        keys = [packed(size[lo:hi], start[lo:hi], right[lo:hi], left[lo:hi], right_high)
+                for size, start, right, left, right_high in plan]
         verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, every)
         lo = hi
     return verdicts
@@ -520,27 +525,18 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     """A distinguished triangle whose first map is isomorphic to f, or
     None if no class member within the rank bound extends f.  The first
     maps are isomorphic iff v f = r u for invertible u, v: the distinct
-    keys of v f and of r u share a value."""
-    reps = [rep for rep in distinguished_representatives(max_rank)
-            if (rep.f.source, rep.f.target) == (f.source, f.target)]
-    if not reps:
-        return None
-    rank = max(f.source, f.target, 1)
-    codes = _stack_codes(True, rank)
-    row_table, col_table = _product_tables(
-        _padded([f, *(rep.f for rep in reps)], rank), rank)
+    keys of v f and of r u share a value.  Only a few small GL stacks are
+    multiplied here, so the products are keyed directly."""
+    powers = _powers(f.source * f.target)
 
-    def over(r: int) -> slice:
-        # The elements of GL_r: the stack of shape (r, r).
-        k = r * (rank + 1) + r
-        return slice(codes.start[k], codes.start[k] + codes.size[k])
+    def keys(stack: np.ndarray) -> np.ndarray:
+        return _distinct(stack.reshape(len(stack), -1) % 4 @ powers)
 
-    v_keys = _distinct(_product_keys(codes.rows, row_table, 0, over(f.target)))
-    stride = math.prod(_layout(rank))
-    for k, rep in enumerate(reps, 1):
-        u_keys = _distinct(
-            _product_keys(codes.cols, col_table, k * stride, over(f.source)))
-        if len(_match(v_keys, u_keys)[0]):
+    v_keys = keys(general_linear(f.target) @ f.matrix)
+    for rep in distinguished_representatives(max_rank):
+        if (rep.f.source, rep.f.target) != (f.source, f.target):
+            continue
+        if len(_match(v_keys, keys(rep.f.matrix @ general_linear(f.source)))[0]):
             return rep
     return None
 

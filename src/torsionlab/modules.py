@@ -389,45 +389,11 @@ def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator
                  for word in _inadmissible_words(p, max_degree))
 
 
-@functools.cache
-def _relation(p: int, word: tuple[Generator, ...]
-              ) -> tuple[SteenrodElement, SteenrodElement, SteenrodElement]:
-    """lhs, its Adem normal form rhs, and lhs - rhs for one word, built on
-    its first use under any bound."""
-    lhs = SteenrodElement.from_word(p, word)
-    rhs = adem_normalize(lhs)
-    return lhs, rhs, lhs - rhs
-
-
-@functools.cache
 def p3_cubed_relation(p: int = 3) -> tuple[SteenrodElement, SteenrodElement]:
     """The degree-36 identity (P^3)^3 = (P^7 P^1 - P^8) P^1 at p = 3."""
     lhs = parse_expression("P^3 P^3 P^3", p)
     rhs = parse_expression("P^7 P^1 P^1 - P^8 P^1", p)
     return lhs, rhs
-
-
-def _relations(M: FiniteModule, max_relation_degree: int
-               ) -> tuple[int, list[tuple[int, SteenrodElement, SteenrodElement,
-                                          SteenrodElement]]]:
-    """`adem_relations` with lhs - rhs as a fourth entry per relation."""
-    if max_relation_degree < 2:
-        raise ModuleError(
-            f"relation degree bound {max_relation_degree} is below 2, the "
-            f"degree of the smallest inadmissible words")
-    p = M.prime
-    occupied = M.degrees
-    bound = min(max_relation_degree,
-                occupied[-1] - occupied[0] if occupied else 0)
-    # The operation degrees that map an occupied degree to another.
-    reachable = {e - d for d in occupied for e in occupied}
-    relations = [(op_degree, *_relation(p, word))
-                 for op_degree, word in _relation_words(p, bound)
-                 if op_degree in reachable]
-    if p == 3 and bound >= 36 and 36 in reachable:
-        lhs, rhs = p3_cubed_relation()
-        relations.append((36, lhs, rhs, lhs - rhs))
-    return bound, relations
 
 
 def adem_relations(M: FiniteModule, max_relation_degree: int
@@ -439,9 +405,27 @@ def adem_relations(M: FiniteModule, max_relation_degree: int
     bound is max_relation_degree clamped to the span, and relations that
     map no occupied degree to another are dropped.  A bound below 2, the
     degree of the smallest inadmissible words, would check nothing and is
-    refused.  Each word's sides are built once per process."""
-    bound, relations = _relations(M, max_relation_degree)
-    return bound, [r[:3] for r in relations]
+    refused."""
+    if max_relation_degree < 2:
+        raise ModuleError(
+            f"relation degree bound {max_relation_degree} is below 2, the "
+            f"degree of the smallest inadmissible words")
+    p = M.prime
+    occupied = M.degrees
+    bound = min(max_relation_degree,
+                occupied[-1] - occupied[0] if occupied else 0)
+
+    def reachable(op_degree: int) -> bool:
+        return any(d + op_degree in M.dims for d in occupied)
+
+    relations = []
+    for op_degree, word in _relation_words(p, bound):
+        if reachable(op_degree):
+            lhs = SteenrodElement.from_word(p, word)
+            relations.append((op_degree, lhs, adem_normalize(lhs)))
+    if p == 3 and bound >= 36 and reachable(36):
+        relations.append((36, *p3_cubed_relation()))
+    return bound, relations
 
 
 def consistency_check(M: FiniteModule,
@@ -456,8 +440,8 @@ def consistency_check(M: FiniteModule,
     such column is the witness."""
     whole = _Whole(M)
     violations: list[RelationViolation] = []
-    for op_degree, lhs, rhs, difference in _relations(M, max_relation_degree)[1]:
-        delta = act_element(M, difference, whole=whole)
+    for op_degree, lhs, rhs in adem_relations(M, max_relation_degree)[1]:
+        delta = act_element(M, lhs - rhs, whole=whole)
         if not delta.any():
             continue
         for d in M.degrees:

@@ -653,23 +653,6 @@ class TestConsistencyCheck:
             found += len(want)
         assert found > 100
 
-    def test_interleaved_modules_match_per_degree_reference(self):
-        # Relations are memoized per word across calls.  Checks of two
-        # modules under one bound, alternating from a cold memo, must each
-        # match the reference; the modules reach different words.
-        modules._relation.cache_clear()
-        rng = random.Random(37)
-        cb_like = direct_sum(dense_random_module(3, rng, 9), sphere_module(3, 36))
-        cases = [(hypothetical_Cb_module(), cb_like, 40),
-                 (dense_random_module(2, rng, 5), fabricated_violation_module(), 12)]
-        found = 0
-        for first, second, bound in cases:
-            for M in (first, second, first, second):
-                want = consistency_by_degrees(M, bound)
-                assert as_tuples(consistency_check(M, bound)) == want
-                found += len(want)
-        assert found > 0
-
     def test_inadmissible_words_match_reference(self):
         for p in (2, 3, 5):
             for bound in range(41):

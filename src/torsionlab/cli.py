@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=_cmd_module_tensor)
     decompose = ("decomposability of a module file of total dimension at most "
-                 "32, decided exactly: indecomposable iff End(M) is local")
+                 f"{mod.DECOMPOSE_BOUND}, decided exactly: indecomposable iff "
+                 "End(M) is local")
     q = msub.add_parser("decompose", help=decompose, description=decompose)
     q.add_argument("file")
     q.set_defaults(func=_cmd_module_decompose)

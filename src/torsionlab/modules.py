@@ -6,11 +6,12 @@ zero.  Includes Moore/sphere/cell constructions, tensor products via the
 Cartan formula, Adem-consistency checking, and an exact decomposability
 decision through the radical of the endomorphism algebra.
 
-The tensor product, the consistency check and the decomposition work on
-the whole-module form (`_Whole`): the basis of every degree in
-increasing order, and one total_dim x total_dim matrix per generator
-whose only nonzero blocks map degree d to d + deg(g).  Products of these
-matrices compose the actions degree by degree with no index bookkeeping.
+The action of an algebra element, the tensor product, the consistency
+check and the decomposition work on the whole-module form (`_Whole`):
+the basis of every degree in increasing order, and one total_dim x
+total_dim matrix per generator whose only nonzero blocks map degree d to
+d + deg(g).  Products of these matrices compose the actions degree by
+degree with no index bookkeeping.
 Endomorphisms are block-diagonal matrices in the same layout
 (`_offsets`), so a summand is read off one rref of its idempotent, and
 their products and traces are taken degree block by degree block
@@ -38,7 +39,6 @@ from .steenrod import (
     SteenrodElement,
     adem_normalize,
     degree as element_degree,
-    parse_expression,
 )
 
 
@@ -289,39 +289,30 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 
 def act_element(M: FiniteModule, e: SteenrodElement, d: int | None = None,
                 whole: _Whole | None = None) -> np.ndarray:
-    """Matrix of a homogeneous element from degree d to d + deg(e).
+    """Matrix of a homogeneous element from degree d to d + deg(e): the
+    block of e's whole-module matrix (see `_Whole`) between those degrees,
+    or a zero matrix of that shape when either degree is empty.
 
-    With d None, the whole-module matrix of e (see `_Whole`) instead; pass
-    M's `whole` form to reuse it and its products across calls."""
+    With d None, the whole-module matrix itself; pass M's `whole` form to
+    reuse it and its products across calls."""
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
-    p = M.prime
-    if d is None:
-        if whole is None:
-            whole = _Whole(M)
-        out = fp.zeros(whole.size, whole.size)
-        for mono, coef in e.terms.items():
-            mat = whole.word(mono.word)
-            if mat is not None:
-                out += coef * mat
-        return out % p
-    deg = element_degree(e)
-    if deg == "non-homogeneous":
-        raise ModuleError("act_element requires a homogeneous element")
-    if deg == "any":
-        deg = 0
-    out = fp.zeros(M.dim(d + deg), M.dim(d))
+    if d is not None:
+        deg = element_degree(e)
+        if deg == "non-homogeneous":
+            raise ModuleError("act_element requires a homogeneous element")
+        target = d + (0 if deg == "any" else deg)
+        if d not in M.dims or target not in M.dims:
+            return fp.zeros(M.dim(target), M.dim(d))
+    if whole is None:
+        whole = _Whole(M)
+    out = fp.zeros(whole.size, whole.size)
     for mono, coef in e.terms.items():
-        mat = fp.identity(M.dim(d))
-        cur = d
-        for g in reversed(mono.word):
-            mat = fp.matmul(M.action(g, cur), mat, p)
-            cur += g.degree_at(p)
-            if not mat.any():
-                break
-        if mat.shape == out.shape:
-            out = (out + coef * mat) % p
-    return out
+        mat = whole.word(mono.word)
+        if mat is not None:
+            out += coef * mat
+    out %= M.prime
+    return out if d is None else whole.block(out, target, d)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +326,8 @@ class RelationViolation:
     lhs: SteenrodElement
     rhs: SteenrodElement
     source_degree: int
+    operation_degree: int
     witness: tuple[int, ...]
-
-    @property
-    def operation_degree(self) -> int:
-        d = element_degree(self.lhs)
-        if not isinstance(d, int):
-            d = element_degree(self.rhs)
-        return d if isinstance(d, int) else 0
 
     @property
     def target_degree(self) -> int:
@@ -353,9 +338,11 @@ class RelationViolation:
                 f"{self.source_degree} (target {self.target_degree})")
 
 
-def _inadmissible_words(p: int, max_degree: int):
-    """Inadmissible words of length 2 and 3 with degree <= max_degree,
-    as tuples of Generators."""
+@functools.cache
+def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
+    """(operation degree, word) for every inadmissible word of two or three
+    generators of degree <= max_degree, shorter words first and each length
+    in lexicographic order."""
     if p == 2:
         letters = [Sq(i) for i in range(1, max_degree)]
     else:
@@ -364,36 +351,20 @@ def _inadmissible_words(p: int, max_degree: int):
     degs = [g.degree_at(p) for g in letters]
 
     def words(length: int, budget: int):
-        # In lexicographic order; letters ascend in degree, so the first
-        # letter over budget ends its position.
+        # Letters ascend in degree, so the first letter over budget ends
+        # its position.
         if length == 0:
-            yield ()
+            yield 0, ()
             return
         for g, d in zip(letters, degs):
             if d > budget:
                 break
-            for rest in words(length - 1, budget - d):
-                yield (g, *rest)
+            for rest_degree, rest in words(length - 1, budget - d):
+                yield d + rest_degree, (g, *rest)
 
-    for length in (2, 3):
-        for word in words(length, max_degree):
-            if not Monomial(p, word).is_admissible:
-                yield word
-
-
-@functools.cache
-def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
-    """(operation degree, word) for every inadmissible word of
-    `_inadmissible_words`, in its order."""
-    return tuple((sum(g.degree_at(p) for g in word), word)
-                 for word in _inadmissible_words(p, max_degree))
-
-
-def p3_cubed_relation(p: int = 3) -> tuple[SteenrodElement, SteenrodElement]:
-    """The degree-36 identity (P^3)^3 = (P^7 P^1 - P^8) P^1 at p = 3."""
-    lhs = parse_expression("P^3 P^3 P^3", p)
-    rhs = parse_expression("P^7 P^1 P^1 - P^8 P^1", p)
-    return lhs, rhs
+    return tuple((degree, word)
+                 for length in (2, 3) for degree, word in words(length, max_degree)
+                 if not Monomial(p, word).is_admissible)
 
 
 def adem_relations(M: FiniteModule, max_relation_degree: int
@@ -423,17 +394,15 @@ def adem_relations(M: FiniteModule, max_relation_degree: int
         if reachable(op_degree):
             lhs = SteenrodElement.from_word(p, word)
             relations.append((op_degree, lhs, adem_normalize(lhs)))
-    if p == 3 and bound >= 36 and reachable(36):
-        relations.append((36, *p3_cubed_relation()))
     return bound, relations
 
 
 def consistency_check(M: FiniteModule,
                       max_relation_degree: int) -> list[RelationViolation]:
-    """Compare both sides of every Adem rewrite of an inadmissible word of
-    length 2 or 3 (degree <= max_relation_degree), plus the explicit
-    degree-36 identity at p = 3, on every occupied source degree; see
-    `adem_relations`.
+    """Compare every inadmissible word of length 2 or 3 (degree <=
+    max_relation_degree) with its admissible normal form on every occupied
+    source degree; see `adem_relations`.  At p = 3 and degree 36 this
+    includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2.
 
     lhs - rhs acts as one whole-module matrix; a relation fails at every
     source degree whose block of it has a nonzero column, and the first
@@ -450,7 +419,7 @@ def consistency_check(M: FiniteModule,
             cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
             if cols.size:
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
-                violations.append(RelationViolation(lhs, rhs, d, witness))
+                violations.append(RelationViolation(lhs, rhs, d, op_degree, witness))
     return violations
 
 
@@ -470,9 +439,9 @@ def hypothetical_Cb_module() -> FiniteModule:
     Moore-spectrum construction: one-dimensional in degrees 0, 1, 12, 13,
     24, 25 and 36, Bockstein linking each cell pair, P^3 stepping up by 12,
     and the P^6 action forced by P^3 P^3 = 2 P^6.  The module cannot be
-    consistent: P^1 lands in the empty degree 4, so every degree-36
-    identity that factors through P^1 forces (P^3)^3 = 0, contradicting
-    the construction."""
+    consistent: (P^3)^3 maps the bottom cell to the top one, while its
+    admissible normal form 2 P^8 P^1 + 2 P^7 P^2 acts as zero there,
+    since P^1 and P^2 land in the empty degrees 4 and 8."""
     p = 3
     one = np.array([[1]], dtype=np.int64)
     two = np.array([[2]], dtype=np.int64)
@@ -497,6 +466,10 @@ def hypothetical_Cb_module() -> FiniteModule:
 # ---------------------------------------------------------------------------
 # Decomposability
 # ---------------------------------------------------------------------------
+
+# The largest total dimension `is_decomposable` accepts.
+DECOMPOSE_BOUND = 32
+
 
 @dataclass
 class DecompositionResult:
@@ -694,7 +667,7 @@ def _combinations(basis: np.ndarray, p: int):
                 yield (head + np.tensordot(coeffs, tail, axes=1)) % p
 
 
-def is_decomposable(M: FiniteModule, bound: int = 32) -> DecompositionResult:
+def is_decomposable(M: FiniteModule) -> DecompositionResult:
     """Decide whether M splits as a direct sum of two nonzero submodules.
 
     M is indecomposable exactly when A = End(M) is local (`_is_local`).  A
@@ -702,9 +675,11 @@ def is_decomposable(M: FiniteModule, bound: int = 32) -> DecompositionResult:
     neither nilpotent nor invertible: the basis of A first, and, when A is
     not local, then every other element of A up to a scalar, in order of
     increasing support.  A lift of a nontrivial idempotent of A/J(A) is such
-    an element, so for a non-local A this loop finds a splitting."""
-    if M.total_dim > bound:
-        raise ModuleError(f"total dimension {M.total_dim} exceeds bound {bound}")
+    an element, so for a non-local A this loop finds a splitting.  M may
+    have at most DECOMPOSE_BOUND dimensions."""
+    if M.total_dim > DECOMPOSE_BOUND:
+        raise ModuleError(
+            f"total dimension {M.total_dim} exceeds bound {DECOMPOSE_BOUND}")
     if M.total_dim <= 1:
         return DecompositionResult(False)
     p = M.prime

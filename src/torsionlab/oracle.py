@@ -54,12 +54,6 @@ class OracleAlgebra:
         # Length of an exponent tuple.
         return self.gens if self.prime == 2 else 2 * self.gens
 
-    def monomial_degree(self, exps: Exps) -> int:
-        if self.prime == 2:
-            return sum(exps)
-        k = self.gens
-        return sum(exps[:k]) + 2 * sum(exps[k:])
-
     def element(self, terms: dict[Exps, int]) -> "OracleElement":
         return OracleElement(self, dict(terms))
 

@@ -6,7 +6,8 @@ machine-checkable claims:
   4-dimensional in cohomology, carries a nonzero Sq², and is indecomposable).
 - prop3: [S/n, S/n] is cyclic of order n for odd n and Z/4 for n = 2.
 - prop5: no extension of the mod-3 lift of beta_1 has a cone killed by 3
-  (the hypothetical cohomology module violates an Adem relation).
+  (on the hypothetical cohomology module, (P^3)^3 and its admissible
+  normal form act differently).
 - prop6: the obstruction to associativity of the multiplication on S/n
   lives in π₃(S/n).  When n is prime to 6 the group vanishes, so the
   multiplication is associative; otherwise the group is nonzero, so this
@@ -150,10 +151,11 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
             and endos.group.factors == (n,),
             str(endos),
         )
+        positive = positive_n_order(endos, n)
         report.check(
             f"hence {n} times the identity of S/{n} is zero",
-            positive_n_order(endos, n),
-            f"positive {n}-order: True",
+            positive,
+            f"positive {n}-order: {positive}",
         )
     else:
         nonsplit = (
@@ -169,18 +171,20 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
             str(endos),
         )
         if n == 2:
+            positive = positive_n_order(endos, 2)
             report.check(
                 "hence 2 times the identity of S/2 is nonzero",
-                not positive_n_order(endos, 2),
-                "positive 2-order: False",
+                not positive,
+                f"positive 2-order: {positive}",
             )
     return report
 
 
 def scenario_prop5(table: StemsTable | None = None) -> ScenarioReport:
     """No map extending the mod-3 lift of beta_1 has a cone killed by 3:
-    the cohomology such a cone would carry violates the Adem relation
-    forcing (P³)³ to act nontrivially while P¹ acts trivially."""
+    on the cohomology such a cone would carry, (P³)³ acts nontrivially
+    from the bottom cell while its admissible normal form, whose words
+    start with P¹ or P², acts as zero."""
     report = ScenarioReport("prop5")
     table = table or default_table()
     for dim in (21, 22, 33, 34):
@@ -213,7 +217,7 @@ def scenario_prop5(table: StemsTable | None = None) -> ScenarioReport:
         v.source_degree == 0 and str(v.lhs) == "P^3 P^3 P^3" for v in violations
     )
     report.check(
-        "the violated class contains the relation (P^3)^3 = (P^7 P^1 - P^8) P^1",
+        "the violated class contains (P^3)^3 against its admissible normal form",
         p3_cubed,
         "; ".join(sorted({str(v.lhs) for v in violations})),
     )

@@ -377,28 +377,21 @@ def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, In
             for coef, mid in _adem_pattern(kind, word[j], word[j + width - 1], p)]
 
 
-_NORMAL_CACHE: dict[tuple[int, IntWord], dict[IntWord, int]] = {}
-
-
+@functools.cache
 def _normalize_word(word: IntWord, p: int) -> dict[IntWord, int]:
-    """Admissible expansion of an int word, as a word -> coefficient map."""
-    key = (p, word)
-    cached = _NORMAL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Admissible expansion of an int word, as a word -> coefficient map.
+    Memoized per (word, p); callers must not mutate the result."""
     hit = _first_rewrite(word, p)
     if hit is None:
-        result = {word: 1}
-    else:
-        result = {}
-        for coef, w in _adem_expand(word, hit[0], hit[1], p):
-            for w2, c2 in _normalize_word(w, p).items():
-                c = (result.get(w2, 0) + coef * c2) % p
-                if c:
-                    result[w2] = c
-                else:
-                    result.pop(w2, None)
-    _NORMAL_CACHE[key] = result
+        return {word: 1}
+    result: dict[IntWord, int] = {}
+    for coef, w in _adem_expand(word, hit[0], hit[1], p):
+        for w2, c2 in _normalize_word(w, p).items():
+            c = (result.get(w2, 0) + coef * c2) % p
+            if c:
+                result[w2] = c
+            else:
+                result.pop(w2, None)
     return result
 
 

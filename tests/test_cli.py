@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from torsionlab.cli import main
-from torsionlab.modules import moore_module, save_module, tensor
+from torsionlab.modules import hypothetical_Cb_module, moore_module, save_module, tensor
 
 
 def run(capsys, *argv):
@@ -131,6 +131,20 @@ class TestModuleCommands:
         assert payload["max_relation_degree"] == 4
         assert payload["relations_checked"] == 8
 
+    def test_check_cb_module_reports_three_violations(self, capsys, tmp_path):
+        path = str(tmp_path / "cb.json")
+        save_module(hypothetical_Cb_module(), path)
+        code, out = run(capsys, "module", "check", path)
+        assert code == 1
+        assert out.splitlines() == [
+            "module over F_3, total dimension 7",
+            "relations checked: 69 (degree <= 36)",
+            "violated relation classes: [(0, 36)]",
+            "  (P^3 P^6) != (P^8 P^1) from degree 0 (target 36)",
+            "  (P^6 P^3) != (2 P^8 P^1 + P^7 P^2) from degree 0 (target 36)",
+            "  (P^3 P^3 P^3) != (2 P^8 P^1 + 2 P^7 P^2) from degree 0 (target 36)",
+        ]
+
     def test_check_cost_follows_the_module_not_the_flag(self, fourth_power_file):
         def check(bound):
             src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -235,3 +249,18 @@ class TestScenarios:
         assert payload[0]["scenario"] == "prop2"
         assert payload[0]["passed"] is True
         assert all(step["passed"] for step in payload[0]["steps"])
+
+    @pytest.mark.parametrize("n, step", [(3, "hence 3 times"), (2, "hence 2 times")])
+    def test_prop3_prints_the_computed_order(self, monkeypatch, n, step):
+        # A wrong positive_n_order must fail the step and show in its result.
+        from torsionlab import scenarios
+
+        right = scenarios.scenario_prop3(n)
+        monkeypatch.setattr(scenarios, "positive_n_order",
+                            lambda endos, k: n == 2)
+        wrong = scenarios.scenario_prop3(n)
+        (was,) = [s for s in right.steps if s.claim.startswith(step)]
+        (now,) = [s for s in wrong.steps if s.claim.startswith(step)]
+        assert was.passed and not now.passed
+        assert was.result == f"positive {n}-order: {n != 2}"
+        assert now.result == f"positive {n}-order: {n == 2}"

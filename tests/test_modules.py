@@ -32,7 +32,7 @@ from torsionlab import (
 )
 from torsionlab import fpmatrix as fp
 from torsionlab import modules
-from torsionlab.modules import ModuleError, _inadmissible_words, p3_cubed_relation
+from torsionlab.modules import ModuleError, _relation_words
 from torsionlab.steenrod import Monomial, SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
@@ -153,26 +153,35 @@ def tensor_by_loops(A, B):
     return FiniteModule(p, dims, actions, labels=labels)
 
 
+def act_by_degrees(M, e, d):
+    """Reference action from degree d: each word of e applied letter by
+    letter to the identity of degree d, one degree block at a time."""
+    p = M.prime
+    deg = element_degree(e)
+    out = fp.zeros(M.dim(d + (0 if deg == "any" else deg)), M.dim(d))
+    for mono, coef in e.terms.items():
+        mat = fp.identity(M.dim(d))
+        cur = d
+        for g in reversed(mono.word):
+            mat = fp.matmul(M.action(g, cur), mat, p)
+            cur += g.degree_at(p)
+            if not mat.any():
+                break
+        if mat.shape == out.shape:
+            out = (out + coef * mat) % p
+    return out
+
+
 def consistency_by_degrees(M, max_relation_degree):
-    """Reference consistency check: both sides of each relation act through
-    `act_element`, one source degree at a time.  Returns
-    (lhs, rhs, source_degree, witness) per violation."""
-    relations = []
-    for word in _inadmissible_words(M.prime, max_relation_degree):
-        lhs = SteenrodElement.from_word(M.prime, word)
-        relations.append((lhs, adem_normalize(lhs)))
-    if M.prime == 3 and max_relation_degree >= 36:
-        relations.append(p3_cubed_relation())
+    """Reference consistency check: each inadmissible word minus its normal
+    form acts through `act_by_degrees`, one source degree at a time.
+    Returns (lhs, rhs, source_degree, witness) per violation."""
     out = []
-    for lhs, rhs in relations:
-        op_degree = element_degree(lhs)
+    for word in reference_inadmissible_words(M.prime, max_relation_degree):
+        lhs = SteenrodElement.from_word(M.prime, word)
+        rhs = adem_normalize(lhs)
         for d in M.degrees:
-            shape = (M.dim(d + op_degree), M.dim(d))
-            left = act_element(M, lhs, d)
-            right = act_element(M, rhs, d)
-            if right.shape != shape:  # rhs = 0 acts from degree d to d
-                right = np.zeros(shape, dtype=np.int64)
-            delta = (left - right) % M.prime
+            delta = act_by_degrees(M, lhs - rhs, d)
             if delta.any():
                 col = int(np.flatnonzero(delta.any(axis=0))[0])
                 witness = tuple(int(c == col) for c in range(M.dim(d)))
@@ -592,6 +601,29 @@ class TestActElement:
                     + act_element(cb, el("P^6", 3), 0)) % 3
         assert out.tolist() == expected.tolist()
 
+    def test_degree_blocks_match_the_reference(self):
+        # Top degrees, degrees outside the module on either side, and zero
+        # elements, whose matrices have shapes such as (0, n) and (n, 0).
+        rng = random.Random(43)
+        mods = [hypothetical_Cb_module(), moore_module(3), sphere_module(5, 2),
+                fabricated_violation_module(), tensor(moore_module(2), moore_module(2))]
+        mods += [dense_random_module(p, rng, top) for p, top in ((2, 4), (3, 9))]
+        words = {2: ["Sq^1", "Sq^2", "Sq^1 Sq^1", "Sq^2 Sq^1 + Sq^3", "Sq^1 - Sq^1",
+                     "Sq^4"],
+                 3: ["b", "P^1", "P^3", "b P^1 b", "P^3 P^3 + P^6", "P^3 P^3 P^3",
+                     "b - b", "P^12"],
+                 5: ["b", "P^1", "b - b"]}
+        shapes = set()
+        for M in mods:
+            for text in words[M.prime]:
+                e = el(text, M.prime)
+                for d in range(min(M.degrees) - 3, max(M.degrees) + 3):
+                    got, want = act_element(M, e, d), act_by_degrees(M, e, d)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+                    shapes.add((got.shape[0] == 0, got.shape[1] == 0))
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
     def test_whole_module_matrix_has_the_degree_blocks(self):
         from torsionlab.modules import _Whole
 
@@ -614,7 +646,7 @@ class TestActElement:
                 for t in M.degrees:
                     block = whole.block(mat, t, d)
                     if t == d + op_degree:
-                        assert np.array_equal(block, act_element(M, e, d))
+                        assert np.array_equal(block, act_by_degrees(M, e, d))
                     else:
                         assert not block.any()
 
@@ -656,14 +688,26 @@ class TestConsistencyCheck:
     def test_inadmissible_words_match_reference(self):
         for p in (2, 3, 5):
             for bound in range(41):
-                assert (list(_inadmissible_words(p, bound))
+                got = _relation_words(p, bound)
+                assert ([word for _, word in got]
                         == list(reference_inadmissible_words(p, bound)))
+                assert all(degree == sum(g.degree_at(p) for g in word)
+                           for degree, word in got)
 
     def test_p3_cubed_relation_parses_to_equal_normal_forms(self):
-        from torsionlab import adem_normalize
-
-        lhs, rhs = p3_cubed_relation()
+        # The identity of the paper: (P^3)^3 = (P^7 P^1 - P^8) P^1 at p = 3.
+        lhs = el("P^3 P^3 P^3", 3)
+        rhs = el("P^7 P^1 P^1 - P^8 P^1", 3)
         assert adem_normalize(lhs) == adem_normalize(rhs)
+
+    def test_cb_module_violates_three_relations_at_degree_zero(self):
+        violations = consistency_check(hypothetical_Cb_module(), 40)
+        assert [(str(v.lhs), v.source_degree, v.operation_degree)
+                for v in violations] == [("P^3 P^6", 0, 36), ("P^6 P^3", 0, 36),
+                                         ("P^3 P^3 P^3", 0, 36)]
+        for v in violations:
+            assert v.rhs == adem_normalize(v.lhs)
+        assert str(violations[-1].rhs) == "2 P^8 P^1 + 2 P^7 P^2"
 
 
 class TestCbModule:
@@ -882,6 +926,11 @@ def by_commutativity(basis, dims, p):
 class TestExactDecision:
     """is_decomposable against the reference search, the radical against
     brute force, and the cost of both on the largest smash powers."""
+
+    def test_refuses_modules_above_the_bound(self):
+        M = FiniteModule(2, {d: 1 for d in range(modules.DECOMPOSE_BOUND + 1)}, {})
+        with pytest.raises(ModuleError, match="total dimension 33 exceeds bound 32"):
+            is_decomposable(M)
 
     @pytest.mark.parametrize("p,seed", [(2, 101), (3, 103)])
     def test_matches_reference_on_random_graded_modules(self, p, seed):

@@ -385,32 +385,34 @@ def adem_relations(M: FiniteModule, max_relation_degree: int
     occupied = M.degrees
     bound = min(max_relation_degree,
                 occupied[-1] - occupied[0] if occupied else 0)
-
-    def reachable(op_degree: int) -> bool:
-        return any(d + op_degree in M.dims for d in occupied)
-
+    # A relation whose degree is no gap between occupied degrees maps no
+    # occupied degree to another.
+    gaps = {t - s for s in occupied for t in occupied}
     relations = []
     for op_degree, word in _relation_words(p, bound):
-        if reachable(op_degree):
+        if op_degree in gaps:
             lhs = SteenrodElement.from_word(p, word)
             relations.append((op_degree, lhs, adem_normalize(lhs)))
     return bound, relations
 
 
-def consistency_check(M: FiniteModule,
-                      max_relation_degree: int) -> list[RelationViolation]:
-    """Compare every inadmissible word of length 2 or 3 (degree <=
-    max_relation_degree) with its admissible normal form on every occupied
-    source degree; see `adem_relations`.  At p = 3 and degree 36 this
-    includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2.
+def _check_relations(
+        M: FiniteModule,
+        relations: list[tuple[int, SteenrodElement, SteenrodElement]]
+) -> list[RelationViolation]:
+    """The violations of the relations of `adem_relations` on M.
 
-    lhs - rhs acts as one whole-module matrix; a relation fails at every
-    source degree whose block of it has a nonzero column, and the first
-    such column is the witness."""
+    The word lhs and its normal form rhs act as whole-module matrices; a
+    relation fails at every source degree whose block of their difference
+    has a nonzero column, and the first such column is the witness."""
     whole = _Whole(M)
     violations: list[RelationViolation] = []
-    for op_degree, lhs, rhs in adem_relations(M, max_relation_degree)[1]:
-        delta = act_element(M, lhs - rhs, whole=whole)
+    for op_degree, lhs, rhs in relations:
+        (mono,) = lhs.terms
+        left = whole.word(mono.word)
+        delta = act_element(M, rhs, whole=whole)
+        if left is not None:
+            delta = (left - delta) % M.prime
         if not delta.any():
             continue
         for d in M.degrees:
@@ -421,6 +423,15 @@ def consistency_check(M: FiniteModule,
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
                 violations.append(RelationViolation(lhs, rhs, d, op_degree, witness))
     return violations
+
+
+def consistency_check(M: FiniteModule,
+                      max_relation_degree: int) -> list[RelationViolation]:
+    """Compare every inadmissible word of length 2 or 3 (degree <=
+    max_relation_degree) with its admissible normal form on every occupied
+    source degree; see `adem_relations` and `_check_relations`.  At p = 3
+    and degree 36 this includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2."""
+    return _check_relations(M, adem_relations(M, max_relation_degree)[1])
 
 
 def violation_classes(
@@ -560,14 +571,15 @@ def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
     """The projection onto the stable image of psi along its stable kernel
     (Fitting's lemma), or None when one of the two is zero.
 
-    Both are reached at w = psi^n.  One rref R of w gives the rank, the
-    image basis C = w[:, pivots] and the kernel, which is also the kernel
-    of R[:rank].  R[:rank] C is invertible, since the image meets the
-    kernel only in 0, so the projection is C (R[:rank] C)^-1 R[:rank]."""
+    Both are reached at w = psi^m for every m >= n, so w squares psi
+    ceil(log2 n) times.  One rref R of w gives the rank, the image basis
+    C = w[:, pivots] and the kernel, which is also the kernel of R[:rank].
+    R[:rank] C is invertible, since the image meets the kernel only in 0,
+    so the projection is C (R[:rank] C)^-1 R[:rank]."""
     n = psi.shape[0]
-    w = fp.identity(n)
-    for _ in range(n):
-        w = fp.matmul(w, psi, p)
+    w, power = psi, 1
+    while power < n:
+        w, power = fp.matmul(w, w, p), 2 * power
     r, pivots = fp.rref(w, p)
     if not 0 < len(pivots) < n:
         return None

@@ -377,26 +377,44 @@ def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, In
             for coef, mid in _adem_pattern(kind, word[j], word[j + width - 1], p)]
 
 
-@functools.cache
-def _normalize_word(word: IntWord, p: int) -> dict[IntWord, int]:
-    """Admissible expansion of an int word, as a word -> coefficient map.
-    Memoized per (word, p); callers must not mutate the result."""
+def _rewrite(word: IntWord, p: int, memo: dict[IntWord, dict[IntWord, int]]
+             ) -> dict[IntWord, int]:
+    """Admissible expansion of an int word by leftmost rewriting.  `memo`
+    holds the expansions of the words already met in the same top-level
+    call, and is dropped with it."""
+    result = memo.get(word)
+    if result is not None:
+        return result
     hit = _first_rewrite(word, p)
     if hit is None:
-        return {word: 1}
-    result: dict[IntWord, int] = {}
-    for coef, w in _adem_expand(word, hit[0], hit[1], p):
-        for w2, c2 in _normalize_word(w, p).items():
-            c = (result.get(w2, 0) + coef * c2) % p
-            if c:
-                result[w2] = c
-            else:
-                result.pop(w2, None)
+        result = {word: 1}
+    else:
+        result = {}
+        for coef, w in _adem_expand(word, hit[0], hit[1], p):
+            for w2, c2 in _rewrite(w, p, memo).items():
+                c = (result.get(w2, 0) + coef * c2) % p
+                if c:
+                    result[w2] = c
+                else:
+                    result.pop(w2, None)
+    memo[word] = result
     return result
 
 
+@functools.cache
+def _normalize_word(word: IntWord, p: int) -> dict[IntWord, int]:
+    """Admissible expansion of an int word, as a word -> coefficient map.
+    Memoized per (word, p) for the words `adem_normalize` is asked about
+    only: the intermediate words of one rewrite share a memo that lives for
+    this call, so the process-wide memo grows with the distinct words asked
+    for, not with every word a rewrite passes through.  Callers must not
+    mutate the result."""
+    return _rewrite(word, p, {})
+
+
 def adem_normalize(e: SteenrodElement) -> SteenrodElement:
-    """Unique representative of e in the admissible basis."""
+    """Unique representative of e in the admissible basis.  The normal form
+    of each term's word is memoized for the process (`_normalize_word`)."""
     p = e.prime
     acc: dict[IntWord, int] = {}
     for mono, coef in e._terms.items():

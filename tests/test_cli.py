@@ -145,6 +145,24 @@ class TestModuleCommands:
             "  (P^3 P^3 P^3) != (2 P^8 P^1 + 2 P^7 P^2) from degree 0 (target 36)",
         ]
 
+    def test_check_builds_the_relation_list_once(self, capsys, monkeypatch, tmp_path):
+        from torsionlab import modules
+
+        path = str(tmp_path / "cb.json")
+        save_module(hypothetical_Cb_module(), path)
+        calls = []
+        build = modules.adem_relations
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(modules, "adem_relations", counted)
+        code, out = run(capsys, "module", "check", path)
+        assert code == 1
+        assert "relations checked: 69 (degree <= 36)" in out
+        assert len(calls) == 1
+
     def test_check_cost_follows_the_module_not_the_flag(self, fourth_power_file):
         def check(bound):
             src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

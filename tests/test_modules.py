@@ -189,6 +189,31 @@ def consistency_by_degrees(M, max_relation_degree):
     return out
 
 
+def reference_consistency_check(M, max_relation_degree):
+    """The relation loop that `_check_relations` replaced: a relation is kept
+    when some occupied degree reaches another, and lhs - rhs acts as one
+    whole-module matrix through `act_element`.  Returns (lhs, rhs,
+    source_degree, operation_degree, witness) per violation."""
+    p, occupied = M.prime, M.degrees
+    bound = min(max_relation_degree, occupied[-1] - occupied[0] if occupied else 0)
+    whole = modules._Whole(M)
+    out = []
+    for op_degree, word in _relation_words(p, bound):
+        if not any(d + op_degree in M.dims for d in occupied):
+            continue
+        lhs = SteenrodElement.from_word(p, word)
+        rhs = adem_normalize(lhs)
+        delta = act_element(M, lhs - rhs, whole=whole)
+        for d in occupied:
+            if d + op_degree not in M.dims:
+                continue
+            cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
+            if cols.size:
+                witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
+                out.append((lhs, rhs, d, op_degree, witness))
+    return out
+
+
 def column_space(a, p):
     """The pivot columns of a, a basis of its column space."""
     return a[:, fp.rref(a, p)[1]] % p
@@ -685,6 +710,32 @@ class TestConsistencyCheck:
             found += len(want)
         assert found > 100
 
+    def test_matches_the_lhs_minus_rhs_reference(self):
+        cases = [(hypothetical_Cb_module(), 40), (hypothetical_Cb_module(), 24),
+                 (fabricated_violation_module(), 10)]
+        # The modules of the benchmark's build ops: smash powers of S/p,
+        # alone or beside a shifted S/p.
+        for p, top in ((2, 5), (3, 4)):
+            for k in range(2, top + 1):
+                power = smash_power(moore_module(p), k)
+                cases.append((power, 40))
+                cases.extend((direct_sum(power, shift(moore_module(p), s)), 40)
+                             for s in range(0, 7, 3))
+        rng = random.Random(37)
+        for p, top in ((2, 6), (3, 9), (5, 9)):
+            for _ in range(8):
+                a, b = random_module(p, rng), random_graded_module(p, rng)
+                cases.append((direct_sum(a, shift(b, rng.randint(0, 3))), 12))
+                cases.append((dense_random_module(p, rng, top), 12))
+        found = 0
+        for M, bound in cases:
+            want = reference_consistency_check(M, bound)
+            got = [(v.lhs, v.rhs, v.source_degree, v.operation_degree, v.witness)
+                   for v in consistency_check(M, bound)]
+            assert got == want
+            found += len(want)
+        assert found > 100
+
     def test_inadmissible_words_match_reference(self):
         for p in (2, 3, 5):
             for bound in range(41):
@@ -884,6 +935,26 @@ class TestDecomposability:
                         assert np.array_equal(fp.matmul(got, got, p), got)
                         assert np.array_equal(fp.matmul(got, psi, p),
                                               fp.matmul(psi, got, p))
+        assert found > 20
+
+    def test_fitting_by_squaring_matches_the_n_fold_power_on_endomorphisms(self):
+        # psi^(2^k), 2^k >= n, against psi^n by n products, on End(M) of
+        # seeded modules: its basis and random combinations of it.
+        rng = random.Random(41)
+        found = 0
+        for M in seeded_modules(lambda r: random_graded_module(r.choice((2, 3)), r),
+                                43, 40, max_end=1 << 20):
+            p = M.prime
+            basis = modules._endomorphism_basis(M)
+            combos = [np.tensordot([rng.randrange(p) for _ in basis], basis, axes=1) % p
+                      for _ in range(4)]
+            for psi in [*basis, *combos]:
+                got = modules._fitting_idempotent(psi, p)
+                want = reference_fitting_idempotent(psi, p)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    found += 1
+                    assert np.array_equal(got, want)
         assert found > 20
 
     def test_submodule_refuses_an_image_that_is_not_a_submodule(self):

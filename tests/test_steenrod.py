@@ -1,5 +1,6 @@
 """Parser, degree bookkeeping, and Adem normalization."""
 
+import functools
 import itertools
 import random
 
@@ -243,6 +244,43 @@ class TestAdemNormalization:
         assert lhs == rhs == el("2 P^8 P^1 + 2 P^7 P^2", 3)
 
 
+class TestNormalFormMemo:
+    """`_normalize_word` against the process-wide recursion it replaced, and
+    the size of its memo."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_process_wide_recursion(self, p):
+        rng = random.Random(53 + p)
+        low = 0 if p > 2 else 1  # 0 is the Bockstein at odd p
+        words = {tuple(rng.randint(low, 12) for _ in range(rng.randint(1, 7)))
+                 for _ in range(400)}
+        assert p == 2 or sum(0 in w for w in words) > 50
+        for word in sorted(words):
+            assert steenrod._normalize_word(word, p) == reference_normalize_word(word, p)
+
+    def test_matches_the_process_wide_recursion_on_ascending_words(self):
+        for word in ascending_words(random.Random(59), 150):
+            assert steenrod._normalize_word(word, 2) == reference_normalize_word(word, 2)
+
+    def test_memo_holds_only_the_words_asked_for(self):
+        # A memory guard: every intermediate word of a rewrite must stay in
+        # its call, so the memo grows with the distinct words asked for.
+        words = ascending_words(random.Random(61), 60)
+        words += words[::3]
+        steenrod._normalize_word.cache_clear()
+        reference_normalize_word.cache_clear()
+        try:
+            for word in words:
+                e = SteenrodElement.from_word(2, tuple(map(Sq, word)))
+                adem_normalize(e)
+                reference_normalize_word(word, 2)
+            assert steenrod._normalize_word.cache_info().currsize == len(set(words))
+            # The recursion that kept every intermediate word would fail.
+            assert reference_normalize_word.cache_info().currsize > 5 * len(set(words))
+        finally:
+            reference_normalize_word.cache_clear()
+
+
 class TestMultiplication:
     def test_unit(self):
         e = el("Sq^2 Sq^1", 2)
@@ -432,6 +470,35 @@ def reference_adem_expand(word, j, kind, p):
             mid = (a + b - t, 0) if t == 0 else (a + b - t, 0, t)
             out.append(((-sign * c2) % p, head + mid + tail))
     return out
+
+
+@functools.cache
+def reference_normalize_word(word, p):
+    """The normal form by the recursion that memoized every word it met,
+    intermediate ones included, for the whole process."""
+    hit = steenrod._first_rewrite(word, p)
+    if hit is None:
+        return {word: 1}
+    result = {}
+    for coef, w in steenrod._adem_expand(word, hit[0], hit[1], p):
+        for w2, c2 in reference_normalize_word(w, p).items():
+            c = (result.get(w2, 0) + coef * c2) % p
+            if c:
+                result[w2] = c
+            else:
+                result.pop(w2, None)
+    return result
+
+
+def ascending_words(rng, count):
+    """Words of the benchmark's long p = 2 stratum: 3 to 8 letters of total
+    degree 64 to 96, in ascending order, which are far from admissible."""
+    words = []
+    for _ in range(count):
+        length, d = rng.randint(3, 8), rng.randint(64, 96)
+        cuts = [0, *sorted(rng.sample(range(1, d), length - 1)), d]
+        words.append(tuple(sorted(b - a for a, b in zip(cuts, cuts[1:]))))
+    return words
 
 
 @settings(max_examples=60, deadline=None)

@@ -243,6 +243,8 @@ def _cmd_exotic_two_order(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    if args.name == "all" and args.n is not None:
+        raise ValueError("scenario all takes no n")
     table = _load_table(args)
     reports = (run_all(table) if args.name == "all"
                else [run_scenario(args.name, args.n, table)])

@@ -1,17 +1,17 @@
 """Finite graded modules over the mod-p Steenrod algebra.
 
 A module is a finite collection of F_p-vector spaces indexed by degree,
-with a matrix for each generator action; degrees not listed are genuinely
-zero.  Includes Moore/sphere/cell constructions, tensor products via the
-Cartan formula, Adem-consistency checking, and an exact decomposability
-decision through the radical of the endomorphism algebra.
+with an action of each generator; degrees not listed are genuinely zero.
+Includes Moore/sphere/cell constructions, tensor products via the Cartan
+formula, Adem-consistency checking, and an exact decomposability decision
+through the radical of the endomorphism algebra.
 
-The action of an algebra element, the tensor product, the consistency
-check and the decomposition work on the whole-module form (`_Whole`):
-the basis of every degree in increasing order, and one total_dim x
-total_dim matrix per generator whose only nonzero blocks map degree d to
+A module is stored in one layout, its whole-module form: the basis of
+every degree in increasing degree order, and one total_dim x total_dim
+matrix per acting generator whose only nonzero blocks map degree d to
 d + deg(g).  Products of these matrices compose the actions degree by
-degree with no index bookkeeping.
+degree with no index bookkeeping; the per-degree blocks (`action`,
+`actions`) are views into them.
 Endomorphisms are block-diagonal matrices in the same layout
 (`_offsets`), so a summand is read off one rref of its idempotent, and
 their products and traces are taken degree block by degree block
@@ -33,11 +33,11 @@ from .steenrod import (
     Generator,
     Monomial,
     P,
-    Prime,
     PrimeMismatchError,
     Sq,
     SteenrodElement,
     adem_normalize,
+    check_prime,
     degree as element_degree,
 )
 
@@ -46,58 +46,124 @@ class ModuleError(Exception):
     pass
 
 
-@dataclass
 class FiniteModule:
-    prime: int
-    dims: dict[int, int]
-    actions: dict[tuple[Generator, int], np.ndarray]
-    labels: dict[int, list[str]] | None = None
+    """A finite graded module in its whole-module form: `dims` in
+    increasing degree order, and `matrices`, one total_dim x total_dim
+    matrix per acting generator, reduced mod p and never zero.
 
-    def __post_init__(self):
-        p = int(Prime(self.prime))
-        self.prime = p
-        self.dims = {int(d): int(n) for d, n in self.dims.items() if n > 0}
-        clean: dict[tuple[Generator, int], np.ndarray] = {}
-        for (g, d), mat in self.actions.items():
+    The constructor checks the action of each generator degree by degree
+    and lays the blocks out whole once; the constructions below build whole
+    matrices and pass them to `_whole`, which checks nothing.  `word`
+    multiplies the matrices out, keeping the products of two generators,
+    which the words of a relation and its normal form share."""
+
+    def __init__(self, prime: int, dims: dict[int, int],
+                 actions: dict[tuple[Generator, int], np.ndarray],
+                 labels: dict[int, list[str]] | None = None):
+        p = check_prime(prime)
+        self._init(p, dict(sorted((int(d), int(n)) for d, n in dims.items() if n > 0)),
+                   {}, labels)
+        for (g, d), mat in actions.items():
             if not g.valid_at(p):
                 raise PrimeMismatchError(f"generator {g} invalid at p={p}")
             mat = np.array(mat, dtype=np.int64) % p
-            src, tgt = self.dim(d), self.dim(d + g.degree_at(p))
+            target = d + g.degree_at(p)
+            src, tgt = self.dim(d), self.dim(target)
             if mat.shape != (tgt, src):
                 raise ModuleError(
                     f"action of {g} at degree {d} has shape {mat.shape}, "
                     f"expected {(tgt, src)}")
             if src and tgt and mat.any():
-                clean[(g, int(d))] = mat
-        self.actions = clean
+                if g not in self.matrices:
+                    self.matrices[g] = fp.zeros(self.total_dim, self.total_dim)
+                self.block(self.matrices[g], target, d)[:] = mat
+        self._freeze()
+
+    @classmethod
+    def _whole(cls, prime: int, dims: dict[int, int],
+               matrices: dict[Generator, np.ndarray],
+               labels: dict[int, list[str]] | None = None) -> FiniteModule:
+        """The module with these whole-module matrices, unchecked: dims in
+        increasing degree order, positive, and matrices reduced mod p in
+        that layout.  Zero matrices are dropped."""
+        M = cls.__new__(cls)
+        M._init(prime, dims, {g: m for g, m in matrices.items() if m.any()}, labels)
+        M._freeze()
+        return M
+
+    def _init(self, prime, dims, matrices, labels) -> None:
+        self.prime, self.dims, self.matrices, self.labels = prime, dims, matrices, labels
+        self.offsets = _offsets(dims)
+        self.total_dim = sum(dims.values())
+        self._pairs: dict[tuple[Generator, Generator], np.ndarray | None] = {}
+
+    def _freeze(self) -> None:
+        # Modules share matrices (`shift`), and `action` and `actions` are
+        # views into them, so no caller may write to them.
+        for mat in self.matrices.values():
+            mat.flags.writeable = False
 
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    @property
     def degrees(self) -> list[int]:
-        return sorted(self.dims)
+        return list(self.dims)
+
+    def block(self, mat: np.ndarray, target: int, source: int) -> np.ndarray:
+        """The block of a whole-module matrix from degree source to target."""
+        row, col = self.offsets[target], self.offsets[source]
+        return mat[row:row + self.dims[target], col:col + self.dims[source]]
+
+    def basis_degrees(self) -> np.ndarray:
+        """The degree of each basis vector."""
+        return np.repeat(self.degrees, list(self.dims.values()))
 
     def action(self, g: Generator, d: int) -> np.ndarray:
         """Matrix of g from degree d, zero where unstored."""
-        mat = self.actions.get((g, d))
-        if mat is not None:
-            return mat
-        return fp.zeros(self.dim(d + g.degree_at(self.prime)), self.dim(d))
+        target = d + g.degree_at(self.prime)
+        mat = self.matrices.get(g)
+        if mat is None or d not in self.dims or target not in self.dims:
+            return fp.zeros(self.dim(target), self.dim(d))
+        return self.block(mat, target, d)
+
+    @property
+    def actions(self) -> dict[tuple[Generator, int], np.ndarray]:
+        """The nonzero blocks of the generators, keyed (generator, source
+        degree) in sorted order."""
+        return {(g, d): block for g in sorted(self.matrices) for d in self.dims
+                if (block := self.action(g, d)).any()}
+
+    def word(self, word: tuple[Generator, ...]) -> np.ndarray | None:
+        """Matrix of a word of generators, None when it acts as zero."""
+        if not word:
+            return fp.identity(self.total_dim)
+        first = self.matrices.get(word[0])
+        if first is None or len(word) == 1:
+            return first
+        if len(word) == 2:
+            if word not in self._pairs:
+                self._pairs[word] = self._times(first, self.matrices.get(word[1]))
+            return self._pairs[word]
+        return self._times(first, self.word(word[1:]))
+
+    def _times(self, left: np.ndarray, right: np.ndarray | None) -> np.ndarray | None:
+        if right is None:
+            return None
+        out = fp.matmul(left, right, self.prime)
+        return out if out.any() else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteModule):
             return NotImplemented
-        if self.prime != other.prime or self.dims != other.dims:
-            return False
-        keys = set(self.actions) | set(other.actions)
-        return all(
-            np.array_equal(self.action(g, d), other.action(g, d))
-            for g, d in keys)
+        return (self.prime == other.prime and self.dims == other.dims
+                and self.matrices.keys() == other.matrices.keys()
+                and all(np.array_equal(m, other.matrices[g])
+                        for g, m in self.matrices.items()))
+
+    def __repr__(self) -> str:
+        return (f"FiniteModule(prime={self.prime!r}, dims={self.dims!r}, "
+                f"actions={self.actions!r}, labels={self.labels!r})")
 
 
 def _offsets(sizes: dict[int, int]) -> dict[int, int]:
@@ -111,56 +177,6 @@ def _offsets(sizes: dict[int, int]) -> dict[int, int]:
     return out
 
 
-class _Whole:
-    """M's whole-module form: the basis of every degree in increasing degree
-    order, and one total_dim x total_dim matrix per acting generator whose
-    only nonzero blocks map degree d to d + deg(g).
-
-    `word` multiplies these matrices out.  It keeps the products of two
-    generators, which the words of a relation and its normal form share,
-    and no matrix for a word that acts as zero."""
-
-    def __init__(self, M: FiniteModule):
-        self.prime = M.prime
-        self.dims = M.dims
-        self.offsets = _offsets(M.dims)
-        self.size = n = M.total_dim
-        self.mats: dict[Generator, np.ndarray] = {}
-        for (g, d), A in M.actions.items():
-            if g not in self.mats:
-                self.mats[g] = fp.zeros(n, n)
-            self.block(self.mats[g], d + g.degree_at(M.prime), d)[:] = A
-        self._pairs: dict[tuple[Generator, Generator], np.ndarray | None] = {}
-
-    def block(self, mat: np.ndarray, target: int, source: int) -> np.ndarray:
-        """The block of a whole-module matrix from degree source to target."""
-        row, col = self.offsets[target], self.offsets[source]
-        return mat[row:row + self.dims[target], col:col + self.dims[source]]
-
-    def basis_degrees(self) -> np.ndarray:
-        """The degree of each basis vector."""
-        return np.repeat(list(self.offsets), [self.dims[d] for d in self.offsets])
-
-    def word(self, word: tuple[Generator, ...]) -> np.ndarray | None:
-        """Matrix of a word of generators, None when it acts as zero."""
-        if not word:
-            return fp.identity(self.size)
-        first = self.mats.get(word[0])
-        if first is None or len(word) == 1:
-            return first
-        if len(word) == 2:
-            if word not in self._pairs:
-                self._pairs[word] = self._times(first, self.mats.get(word[1]))
-            return self._pairs[word]
-        return self._times(first, self.word(word[1:]))
-
-    def _times(self, left: np.ndarray, right: np.ndarray | None) -> np.ndarray | None:
-        if right is None:
-            return None
-        out = fp.matmul(left, right, self.prime)
-        return out if out.any() else None
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -172,7 +188,7 @@ def sphere_module(p: int, d: int = 0) -> FiniteModule:
 
 def moore_module(p: int) -> FiniteModule:
     """Two cells in degrees 0, 1 joined by a nonzero Bockstein."""
-    p = int(Prime(p))
+    p = check_prime(p)
     bock = Sq(1) if p == 2 else BOCKSTEIN
     one = np.array([[1]], dtype=np.int64)
     return FiniteModule(p, {0: 1, 1: 1}, {(bock, 0): one},
@@ -180,37 +196,31 @@ def moore_module(p: int) -> FiniteModule:
 
 
 def shift(M: FiniteModule, k: int) -> FiniteModule:
+    """M with every degree raised by k; the whole matrices are M's."""
     labels = ({d + k: list(v) for d, v in M.labels.items()}
               if M.labels else None)
-    return FiniteModule(
-        M.prime,
-        {d + k: n for d, n in M.dims.items()},
-        {(g, d + k): mat for (g, d), mat in M.actions.items()},
-        labels=labels)
+    return FiniteModule._whole(M.prime, {d + k: n for d, n in M.dims.items()},
+                               M.matrices, labels)
 
 
 def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
+    """A + B, with the basis of each degree A's then B's: the block-diagonal
+    matrix of each generator, rows and columns stably sorted by degree."""
     if A.prime != B.prime:
         raise PrimeMismatchError("direct sum over different primes")
-    p = A.prime
-    dims = {d: A.dim(d) + B.dim(d)
-            for d in set(A.dims) | set(B.dims)}
-    actions: dict[tuple[Generator, int], np.ndarray] = {}
-    # Sorted, so that the order of actions does not depend on string hashing.
-    gens = sorted({g for (g, _) in [*A.actions, *B.actions]})
-    for d in dims:
-        for g in gens:
-            d2 = d + g.degree_at(p)
-            if dims.get(d2, 0) == 0:
-                continue
-            mat = fp.zeros(dims[d2], dims[d])
-            a = A.action(g, d)
-            b = B.action(g, d)
-            mat[:A.dim(d2), :A.dim(d)] = a
-            mat[A.dim(d2):, A.dim(d):] = b
-            if mat.any():
-                actions[(g, d)] = mat
-    return FiniteModule(p, dims, actions)
+    dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
+    perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
+                      kind="stable")
+    n, split = len(perm), A.total_dim
+    matrices = {}
+    for g in sorted({*A.matrices, *B.matrices}):
+        mat = fp.zeros(n, n)
+        if g in A.matrices:
+            mat[:split, :split] = A.matrices[g]
+        if g in B.matrices:
+            mat[split:, split:] = B.matrices[g]
+        matrices[g] = mat[np.ix_(perm, perm)]
+    return FiniteModule._whole(A.prime, dims, matrices)
 
 
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
@@ -219,15 +229,15 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     derivation with the Koszul sign (-1)^deg on the right factor.
 
     The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b:
-    the Kronecker basis of the factors' whole-module forms, stably sorted
-    by total degree.  Sq^k is the sum over t of kron(A(Sq^t), B(Sq^(k-t))),
-    with Sq^0 the identity; each degree block is gathered from the factors
-    by its rows and columns, so no matrix larger than a block is formed."""
+    the Kronecker basis of the factors, stably sorted by total degree.
+    Sq^k is the sum over t of kron(A(Sq^t), B(Sq^(k-t))), with Sq^0 the
+    identity; each degree block is gathered from the factors by its rows
+    and columns and written into the output's whole matrix, so no
+    Kronecker product of whole matrices is formed."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
-    whole_a, whole_b = _Whole(A), _Whole(B)
-    deg_a, deg_b = whole_a.basis_degrees(), whole_b.basis_degrees()
+    deg_a, deg_b = A.basis_degrees(), B.basis_degrees()
     nb = len(deg_b)
     perm = np.argsort(np.add.outer(deg_a, deg_b).ravel(), kind="stable")
     sizes: dict[int, int] = {}
@@ -243,8 +253,8 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 
     ident_a, ident_b = fp.identity(len(deg_a)), fp.identity(nb)
 
-    def power(whole, ident, kind, t):
-        return ident if t == 0 else whole.mats.get(Generator(kind, t))
+    def power(M, ident, kind, t):
+        return ident if t == 0 else M.matrices.get(Generator(kind, t))
 
     span = (degs[-1] - degs[0]) if degs else 0
     if p == 2:
@@ -253,48 +263,48 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
         gens = [BOCKSTEIN] + [P(k) for k in range(1, span // (2 * (p - 1)) + 1)]
 
     koszul = np.diag(np.where(deg_a % 2, -1, 1))
-    actions: dict[tuple[Generator, int], np.ndarray] = {}
+    size = len(perm)
+    matrices: dict[Generator, np.ndarray] = {}
     for g in gens:
         if g.kind == "b":
-            pairs = [(whole_a.mats.get(g), ident_b), (koszul, whole_b.mats.get(g))]
+            pairs = [(A.matrices.get(g), ident_b), (koszul, B.matrices.get(g))]
         else:
-            pairs = [(power(whole_a, ident_a, g.kind, t),
-                      power(whole_b, ident_b, g.kind, g.index - t))
+            pairs = [(power(A, ident_a, g.kind, t), power(B, ident_b, g.kind, g.index - t))
                      for t in range(g.index + 1)]
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
         if not pairs:
             continue
         lefts, rights = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         gd = g.degree_at(p)
+        mat = matrices[g] = fp.zeros(size, size)
         for n in degs:
             if n + gd not in factors:
                 continue
             (ca, cb), (ra, rb) = factors[n], factors[n + gd]
-            block = np.einsum("trc,trc->rc", lefts[:, ra[:, None], ca],
-                              rights[:, rb[:, None], cb]) % p
-            if block.any():
-                actions[(g, n)] = block
+            row, col = offsets[n + gd], offsets[n]
+            mat[row:row + dims[n + gd], col:col + dims[n]] = np.einsum(
+                "trc,trc->rc", lefts[:, ra[:, None], ca], rights[:, rb[:, None], cb]) % p
     labels = None
     if A.labels and B.labels:
         left = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
         right = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
         labels = {n: [f"{left[a]}*{right[b]}" for a, b in zip(*map(list, factors[n]))]
                   for n in degs}
-    return FiniteModule(p, dims, actions, labels=labels)
+    return FiniteModule._whole(p, dims, matrices, labels)
 
 
 # ---------------------------------------------------------------------------
 # Acting by algebra elements
 # ---------------------------------------------------------------------------
 
-def act_element(M: FiniteModule, e: SteenrodElement, d: int | None = None,
-                whole: _Whole | None = None) -> np.ndarray:
+def act_element(M: FiniteModule, e: SteenrodElement,
+                d: int | None = None) -> np.ndarray:
     """Matrix of a homogeneous element from degree d to d + deg(e): the
-    block of e's whole-module matrix (see `_Whole`) between those degrees,
-    or a zero matrix of that shape when either degree is empty.
+    block of e's whole-module matrix between those degrees, or a zero
+    matrix of that shape when either degree is empty.
 
-    With d None, the whole-module matrix itself; pass M's `whole` form to
-    reuse it and its products across calls."""
+    With d None, the whole-module matrix itself.  The products of pairs of
+    generators are kept on M across calls (`FiniteModule.word`)."""
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
     if d is not None:
@@ -304,15 +314,13 @@ def act_element(M: FiniteModule, e: SteenrodElement, d: int | None = None,
         target = d + (0 if deg == "any" else deg)
         if d not in M.dims or target not in M.dims:
             return fp.zeros(M.dim(target), M.dim(d))
-    if whole is None:
-        whole = _Whole(M)
-    out = fp.zeros(whole.size, whole.size)
+    out = fp.zeros(M.total_dim, M.total_dim)
     for mono, coef in e.terms.items():
-        mat = whole.word(mono.word)
+        mat = M.word(mono.word)
         if mat is not None:
             out += coef * mat
     out %= M.prime
-    return out if d is None else whole.block(out, target, d)
+    return out if d is None else M.block(out, target, d)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +413,11 @@ def _check_relations(
     The word lhs and its normal form rhs act as whole-module matrices; a
     relation fails at every source degree whose block of their difference
     has a nonzero column, and the first such column is the witness."""
-    whole = _Whole(M)
     violations: list[RelationViolation] = []
     for op_degree, lhs, rhs in relations:
         (mono,) = lhs.terms
-        left = whole.word(mono.word)
-        delta = act_element(M, rhs, whole=whole)
+        left = M.word(mono.word)
+        delta = act_element(M, rhs)
         if left is not None:
             delta = (left - delta) % M.prime
         if not delta.any():
@@ -418,7 +425,7 @@ def _check_relations(
         for d in M.degrees:
             if d + op_degree not in M.dims:
                 continue
-            cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
+            cols = np.flatnonzero(M.block(delta, d + op_degree, d).any(axis=0))
             if cols.size:
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
                 violations.append(RelationViolation(lhs, rhs, d, op_degree, witness))
@@ -538,33 +545,27 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     return out
 
 
-def _submodule_from_idempotent(whole: _Whole, e: np.ndarray) -> FiniteModule:
+def _submodule_from_idempotent(M: FiniteModule, e: np.ndarray) -> FiniteModule:
     """The image of a degree-preserving idempotent endomorphism e of M, as
-    a module, from M's whole-module form.
+    a module.
 
     With R the rref of e, the pivot columns C = e[:, pivots] are a basis of
     the image in increasing degree order, and R[:rank] is a left inverse of
-    C on it, because R e = R.  So each generator W of M restricts to
-    X = R[:rank] W C, which holds exactly when C X = W C."""
-    p = whole.prime
+    C on it, because R e = R.  So each generator W of M restricts to the
+    whole matrix X = R[:rank] W C, which holds exactly when C X = W C."""
+    p = M.prime
     r, pivots = fp.rref(e, p)
     basis, left = e[:, pivots], r[:len(pivots)]
     dims: dict[int, int] = {}
-    for d in whole.basis_degrees()[pivots].tolist():
+    for d in M.basis_degrees()[pivots].tolist():
         dims[d] = dims.get(d, 0) + 1
-    offsets = _offsets(dims)
-    actions: dict[tuple[Generator, int], np.ndarray] = {}
-    for g, W in whole.mats.items():
+    matrices: dict[Generator, np.ndarray] = {}
+    for g, W in M.matrices.items():
         image = fp.matmul(W, basis, p)
-        X = fp.matmul(left, image, p)
+        X = matrices[g] = fp.matmul(left, image, p)
         if not np.array_equal(fp.matmul(basis, X, p), image):
             raise ModuleError("idempotent image is not a submodule")
-        for d, pos in offsets.items():
-            d2 = d + g.degree_at(p)
-            if d2 in dims:
-                row = offsets[d2]
-                actions[(g, d)] = X[row:row + dims[d2], pos:pos + dims[d]]
-    return FiniteModule(p, dims, actions)
+    return FiniteModule._whole(p, dims, matrices)
 
 
 def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
@@ -696,7 +697,6 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
         return DecompositionResult(False)
     p = M.prime
     basis = _endomorphism_basis(M)
-    whole = _Whole(M)
     ident = fp.identity(M.total_dim)
 
     def splitting(candidates) -> DecompositionResult | None:
@@ -704,8 +704,8 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
             e = _fitting_idempotent(phi, p)
             if e is not None:
                 return DecompositionResult(True, (
-                    _submodule_from_idempotent(whole, e),
-                    _submodule_from_idempotent(whole, (ident - e) % p)))
+                    _submodule_from_idempotent(M, e),
+                    _submodule_from_idempotent(M, (ident - e) % p)))
         return None
 
     found = splitting(basis)

@@ -38,6 +38,7 @@ from .stems import (
     StemsTable,
     Unknown,
     associator_obstruction,
+    cyclic,
     default_table,
     moore_endomorphisms,
     moore_homotopy,
@@ -127,7 +128,10 @@ def scenario_prop2() -> ScenarioReport:
 
 def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
     """[S/n, S/n] is cyclic of order n for odd n; for n = 2 the group has
-    order 4 and the nonsplit extension makes it Z/4, so 2·S/2 ≠ 0."""
+    order 4 and the nonsplit extension makes it Z/4, so 2·S/2 ≠ 0.  The
+    claim is stated for odd n and n = 2 only; any other n is refused."""
+    if n % 2 == 0 and n != 2:
+        raise ValueError(f"prop3 is stated for odd n and n = 2, not n = {n}")
     report = ScenarioReport(f"prop3(n={n})")
     pi0 = moore_homotopy(n, 0, table)
     report.check(
@@ -143,14 +147,9 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
         str(pi1),
     )
     endos = moore_endomorphisms(n, table)
+    group = None if isinstance(endos, Unknown) else endos.group
     if n % 2 == 1:
-        report.check(
-            f"[S/{n}, S/{n}] is cyclic of order {n}",
-            not isinstance(endos, Unknown)
-            and endos.group is not None
-            and endos.group.factors == (n,),
-            str(endos),
-        )
+        report.check(f"[S/{n}, S/{n}] is cyclic of order {n}", group == cyclic(n), str(endos))
         positive = positive_n_order(endos, n)
         report.check(
             f"hence {n} times the identity of S/{n} is zero",
@@ -158,25 +157,18 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
             f"positive {n}-order: {positive}",
         )
     else:
-        nonsplit = (
-            not isinstance(endos, Unknown)
-            and endos.extension is not None
-            and endos.extension.resolution == "nonsplit"
-        )
         report.check(
             "[S/2, S/2] has order 4 and the defining extension is nonsplit",
-            n != 2
-            or (nonsplit and endos.order == 4 and endos.group is not None
-                and endos.group.factors == (4,)),
+            group == cyclic(4) and endos.extension is not None
+            and endos.extension.resolution == "nonsplit",
             str(endos),
         )
-        if n == 2:
-            positive = positive_n_order(endos, 2)
-            report.check(
-                "hence 2 times the identity of S/2 is nonzero",
-                not positive,
-                f"positive 2-order: {positive}",
-            )
+        positive = positive_n_order(endos, 2)
+        report.check(
+            "hence 2 times the identity of S/2 is nonzero",
+            not positive,
+            f"positive 2-order: {positive}",
+        )
     return report
 
 
@@ -295,8 +287,8 @@ def scenario_exotic(max_rank: int = 2) -> ScenarioReport:
 
 
 # name -> (run(n, table), the n values run_all runs it at, the n of a single
-# run when none is given).  Scenarios without an n ignore it.  The callables
-# look the scenario functions up by name on every call.
+# run when none is given).  A scenario whose default n is None takes no n.
+# The callables look the scenario functions up by name on every call.
 SCENARIOS = {
     "prop2": (lambda n, table: scenario_prop2(), (None,), None),
     "prop3": (lambda n, table: scenario_prop3(n, table), (3, 5, 7, 9, 15, 2), 2),
@@ -308,8 +300,11 @@ SCENARIOS = {
 
 def run_scenario(name: str, n: int | None = None,
                  table: StemsTable | None = None) -> ScenarioReport:
-    """The scenario of SCENARIOS named name, at n or at its default n."""
+    """The scenario of SCENARIOS named name, at n or at its default n.  An
+    n for a scenario that takes none is refused."""
     run, _, default = SCENARIOS[name]
+    if n is not None and default is None:
+        raise ValueError(f"scenario {name} takes no n")
     return run(default if n is None else n, table)
 
 

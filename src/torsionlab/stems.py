@@ -24,44 +24,28 @@ DERIVED = "derived"
 
 def _invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical form: infinite factors first, then invariant factors in
-    descending divisibility order (each divides the one before it)."""
-    infinite = sum(1 for f in factors if f == 0)
-    primary: dict[int, list[int]] = {}
+    descending divisibility order (each divides the one before it).
+
+    Each finite order f is inserted into the chain d_0, d_1, ... by
+    replacing d_i with lcm(d_i, f) and carrying gcd(d_i, f) on; a carry
+    above 1 at the end is a new factor.  Prime by prime this inserts f's
+    exponent into the descending list of exponents."""
+    infinite = 0
+    chain: list[int] = []
     for f in factors:
-        if f == 0 or f == 1:
+        if f == 0:
+            infinite += 1
             continue
         if f < 0:
             raise ValueError(f"invalid cyclic order {f}")
-        for p in _prime_factors(f):
-            e = 0
-            while f % p == 0:
-                f //= p
-                e += 1
-            primary.setdefault(p, []).append(p**e)
-    for powers in primary.values():
-        powers.sort(reverse=True)
-    result: list[int] = []
-    while any(primary.values()):
-        d = 1
-        for p, powers in primary.items():
-            if powers:
-                d *= powers.pop(0)
-        result.append(d)
-    return (0,) * infinite + tuple(result)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        for i, d in enumerate(chain):
+            if f == 1:
+                break
+            g = math.gcd(d, f)
+            chain[i], f = d // g * f, g
+        if f > 1:
+            chain.append(f)
+    return (0,) * infinite + tuple(chain)
 
 
 @dataclass(frozen=True)

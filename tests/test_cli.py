@@ -255,6 +255,27 @@ class TestScenarios:
         assert code == 0
         assert "Z/15" in out
 
+    @pytest.mark.parametrize("n", ["1", "15"])
+    def test_prop3_at_odd_n_compares_the_whole_group(self, capsys, n):
+        # The trivial group of n = 1 has no factors, and still passes.
+        code, out = run(capsys, "scenario", "prop3", "--n", n)
+        assert code == 0
+        assert f"[ok] [S/{n}, S/{n}] is cyclic of order {n}" in out
+
+    @pytest.mark.parametrize("n", ["4", "6", "0"])
+    def test_prop3_refuses_even_n_other_than_2(self, capsys, n):
+        code = main(["scenario", "prop3", "--n", n])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"torsionlab: error: prop3 is stated for odd n and n = 2, not n = {n}\n"
+
+    @pytest.mark.parametrize("name", ["prop2", "prop5", "exotic", "all"])
+    def test_scenarios_without_n_refuse_it(self, capsys, name):
+        code = main(["scenario", name, "--n", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"torsionlab: error: scenario {name} takes no n\n"
+
     def test_all_deterministic(self, capsys):
         code1, out1 = run(capsys, "scenario", "all")
         code2, out2 = run(capsys, "scenario", "all")

@@ -196,18 +196,17 @@ def reference_consistency_check(M, max_relation_degree):
     source_degree, operation_degree, witness) per violation."""
     p, occupied = M.prime, M.degrees
     bound = min(max_relation_degree, occupied[-1] - occupied[0] if occupied else 0)
-    whole = modules._Whole(M)
     out = []
     for op_degree, word in _relation_words(p, bound):
         if not any(d + op_degree in M.dims for d in occupied):
             continue
         lhs = SteenrodElement.from_word(p, word)
         rhs = adem_normalize(lhs)
-        delta = act_element(M, lhs - rhs, whole=whole)
+        delta = act_element(M, lhs - rhs)
         for d in occupied:
             if d + op_degree not in M.dims:
                 continue
-            cols = np.flatnonzero(whole.block(delta, d + op_degree, d).any(axis=0))
+            cols = np.flatnonzero(M.block(delta, d + op_degree, d).any(axis=0))
             if cols.size:
                 witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
                 out.append((lhs, rhs, d, op_degree, witness))
@@ -219,20 +218,18 @@ def column_space(a, p):
     return a[:, fp.rref(a, p)[1]] % p
 
 
-def reference_submodule(whole, e):
-    """The image of the idempotent e degree by degree: a column basis of
-    each diagonal block of e, and each action restricted by solving
+def reference_submodule(M, e):
+    """The image of the idempotent e of M degree by degree: a column basis
+    of each diagonal block of e, and each action restricted by solving
     basis[d2] X = A basis[d]."""
-    p = whole.prime
-    bases = {d: column_space(whole.block(e, d, d), p) for d in whole.dims}
+    p = M.prime
+    bases = {d: column_space(M.block(e, d, d), p) for d in M.dims}
     dims = {d: b.shape[1] for d, b in bases.items() if b.shape[1]}
     actions = {}
-    for g, W in whole.mats.items():
-        for d in dims:
-            d2 = d + g.degree_at(p)
-            if d2 not in dims:
-                continue
-            X = fp.solve(bases[d2], fp.matmul(whole.block(W, d2, d), bases[d], p), p)
+    for (g, d), A in M.actions.items():
+        d2 = d + g.degree_at(p)
+        if d in dims and d2 in dims:
+            X = fp.solve(bases[d2], fp.matmul(A, bases[d], p), p)
             assert X is not None, "idempotent image is not a submodule"
             actions[(g, d)] = X
     return FiniteModule(p, dims, actions)
@@ -483,6 +480,39 @@ class TestConstructors:
             FiniteModule(2, {0: 1, 1: 1}, {(Sq(1), 0): np.zeros((2, 2), dtype=np.int64)})
 
 
+class TestLayout:
+    def test_every_construction_round_trips_through_its_blocks(self):
+        # Rebuilding from the per-degree blocks, through every check of the
+        # constructor, gives the module back: the whole matrices built by
+        # the constructions hold nothing outside their generators' blocks.
+        rng = random.Random(47)
+        built = [sphere_module(3, 2), moore_module(5), hypothetical_Cb_module(),
+                 smash_power(moore_module(2), 4), smash_power(moore_module(3), 3)]
+        for p in (2, 3, 5):
+            for _ in range(10):
+                a, b = random_module(p, rng), random_graded_module(p, rng)
+                built += [shift(a, rng.randint(-3, 3)), direct_sum(a, shift(b, rng.randint(0, 3))),
+                          tensor(a, b), tensor(direct_sum(moore_module(p), a), moore_module(p))]
+        for M in list(built):
+            if M.total_dim <= modules.DECOMPOSE_BOUND:
+                built.extend(is_decomposable(M).summands or ())
+        assert len(built) > 150
+        for M in built:
+            again = FiniteModule(M.prime, M.dims, M.actions, M.labels)
+            assert again == M and again.labels == M.labels
+            assert list(M.actions) == sorted(M.actions)
+            assert list(M.dims) == sorted(M.dims)
+            assert all(mat.any() for mat in M.matrices.values())
+
+    def test_shift_keeps_the_matrices(self):
+        M = smash_power(moore_module(2), 3)
+        moved = shift(M, 4)
+        assert all(moved.matrices[g] is mat for g, mat in M.matrices.items())
+        assert moved.action(Sq(2), 4).tolist() == M.action(Sq(2), 0).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            moved.action(Sq(1), 4)[0, 0] = 0
+
+
 class TestTensor:
     def test_kunneth_dimensions(self):
         t = tensor(moore_module(2), moore_module(2))
@@ -650,8 +680,6 @@ class TestActElement:
         assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_whole_module_matrix_has_the_degree_blocks(self):
-        from torsionlab.modules import _Whole
-
         rng = random.Random(41)
         cases = [(hypothetical_Cb_module(), el("P^3 P^3 P^3 - P^7 P^1 P^1", 3)),
                  (hypothetical_Cb_module(), el("P^3 P^3 + P^6", 3)),
@@ -663,13 +691,14 @@ class TestActElement:
                 M = dense_random_module(p, rng, top)
                 cases += [(M, el(w, p)) for w in words]
         for M, e in cases:
-            whole = _Whole(M)
-            mat = act_element(M, e, whole=whole)
+            mat = act_element(M, e)
+            # Again, with M's pair products kept, and on a fresh copy.
             assert np.array_equal(mat, act_element(M, e))
+            assert np.array_equal(mat, act_element(FiniteModule(M.prime, M.dims, M.actions), e))
             op_degree = element_degree(e)
             for d in M.degrees:
                 for t in M.degrees:
-                    block = whole.block(mat, t, d)
+                    block = M.block(mat, t, d)
                     if t == d + op_degree:
                         assert np.array_equal(block, act_by_degrees(M, e, d))
                     else:
@@ -810,9 +839,9 @@ class TestDecomposability:
                 calls["fitting"] += 1
             return got
 
-        def checked_submodule(whole, e):
-            got = submodule(whole, e)
-            assert got == reference_submodule(whole, e)
+        def checked_submodule(M, e):
+            got = submodule(M, e)
+            assert got == reference_submodule(M, e)
             calls["summands"] += 1
             return got
 
@@ -958,12 +987,10 @@ class TestDecomposability:
         assert found > 20
 
     def test_submodule_refuses_an_image_that_is_not_a_submodule(self):
-        from torsionlab.modules import _Whole
-
         # The bottom cell of S/2 is not closed under Sq^1.
         e = np.array([[1, 0], [0, 0]], dtype=np.int64)
         with pytest.raises(ModuleError, match="not a submodule"):
-            modules._submodule_from_idempotent(_Whole(moore_module(2)), e)
+            modules._submodule_from_idempotent(moore_module(2), e)
 
 
 def by_eigenvalues(basis, p):

@@ -1,7 +1,9 @@
 """Stable stems table and exact-sequence calculators."""
 
+import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -19,7 +21,57 @@ from torsionlab import (
     positive_n_order,
     stems,
 )
-from torsionlab.stems import TRIVIAL, Z, default_table, tensor_with_cyclic
+from torsionlab.stems import (
+    TRIVIAL,
+    Z,
+    _invariant_factors,
+    default_table,
+    tensor_with_cyclic,
+)
+
+
+def reference_invariant_factors(factors):
+    """The canonical form through primary decomposition: each order split
+    into prime powers by trial division, the powers of each prime sorted
+    descending, and the i-th invariant factor the product of the i-th
+    powers."""
+    infinite = sum(1 for f in factors if f == 0)
+    primary = {}
+    for f in factors:
+        if f == 0 or f == 1:
+            continue
+        if f < 0:
+            raise ValueError(f"invalid cyclic order {f}")
+        for p in reference_prime_factors(f):
+            e = 0
+            while f % p == 0:
+                f //= p
+                e += 1
+            primary.setdefault(p, []).append(p**e)
+    for powers in primary.values():
+        powers.sort(reverse=True)
+    result = []
+    while any(primary.values()):
+        d = 1
+        for p, powers in primary.items():
+            if powers:
+                d *= powers.pop(0)
+        result.append(d)
+    return (0,) * infinite + tuple(result)
+
+
+def reference_prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class TestAbelianGroup:
@@ -28,6 +80,21 @@ class TestAbelianGroup:
         assert AbelianGroup((2, 3)).factors == (6,)
         assert AbelianGroup((1, 1)).factors == ()
         assert AbelianGroup((0, 2)).factors == (0, 2)
+
+    def test_invariant_factors_match_the_primary_decomposition(self):
+        orders = (0, 1, 2, 3, 4, 6, 8, 12)
+        cases = list(itertools.product(orders, repeat=4))
+        rng = random.Random(5)
+        for _ in range(5000):
+            cases.append(tuple(rng.choice((0, 1, rng.randint(2, 10 ** rng.randint(1, 4))))
+                               for _ in range(rng.randint(0, 6))))
+        for factors in cases:
+            assert _invariant_factors(factors) == reference_invariant_factors(factors)
+
+    def test_negative_order_rejected(self):
+        for factors in ((2, -3), (-1,), (0, -4, 6)):
+            with pytest.raises(ValueError, match="invalid cyclic order"):
+                AbelianGroup(factors)
 
     def test_equality_is_isomorphism(self):
         assert AbelianGroup((2, 3)) == AbelianGroup((6,))

@@ -147,8 +147,8 @@ class FiniteModule:
             return self._pairs[word]
         return self._times(first, self.word(word[1:]))
 
-    def _times(self, left: np.ndarray, right: np.ndarray | None) -> np.ndarray | None:
-        if right is None:
+    def _times(self, left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray | None:
+        if left is None or right is None:
             return None
         out = fp.matmul(left, right, self.prime)
         return out if out.any() else None
@@ -299,14 +299,16 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 
 def act_element(M: FiniteModule, e: SteenrodElement,
                 d: int | None = None) -> np.ndarray:
-    """Matrix of a homogeneous element from degree d to d + deg(e): the
-    block of e's whole-module matrix between those degrees, or a zero
-    matrix of that shape when either degree is empty.
+    """Matrix of a homogeneous element from degree d to d + deg(e), or a
+    zero matrix of that shape when either degree is empty.  Only degree d's
+    columns are computed: each word's last letter is read there off its
+    matrix, and the other letters' matrices are applied right to left.
 
     With d None, the whole-module matrix itself.  The products of pairs of
     generators are kept on M across calls (`FiniteModule.word`)."""
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
+    cols = slice(None)
     if d is not None:
         deg = element_degree(e)
         if deg == "non-homogeneous":
@@ -314,13 +316,19 @@ def act_element(M: FiniteModule, e: SteenrodElement,
         target = d + (0 if deg == "any" else deg)
         if d not in M.dims or target not in M.dims:
             return fp.zeros(M.dim(target), M.dim(d))
-    out = fp.zeros(M.total_dim, M.total_dim)
+        cols = slice(M.offsets[d], M.offsets[d] + M.dims[d])
+    out = fp.zeros(M.total_dim, M.total_dim if d is None else M.dims[d])
     for mono, coef in e.terms.items():
-        mat = M.word(mono.word)
+        split = 0 if d is None else len(mono.word) - 1
+        mat = M.word(mono.word[split:])
+        if mat is not None:
+            mat = mat[:, cols]
+        for g in reversed(mono.word[:split]):
+            mat = M._times(M.matrices.get(g), mat)
         if mat is not None:
             out += coef * mat
     out %= M.prime
-    return out if d is None else M.block(out, target, d)
+    return out if d is None else out[M.offsets[target]:M.offsets[target] + M.dims[target]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ closed-form Adem relations:
               - sum_t (-1)^{a+t}   C((p-1)(b-t)-1, a-pt-1)   P^{a+b-t} b P^t
 
 with all binomials taken mod p, b^2 = 0, and Sq^0 = P^0 = 1.
+
+Each check is made once: `SteenrodElement(p, terms)` checks every monomial;
+arithmetic, normalization and the parser (whose scanner checks a generator
+as one token) build results with the unchecked `SteenrodElement._reduced`.
+Parsed, normalized and enumerated words share one generator per letter.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from typing import Literal, NamedTuple, Union
@@ -118,7 +124,7 @@ def _encode(word: tuple[Generator, ...], p: int) -> IntWord:
 
 class _Letters(dict):
     """Integer letter -> Generator at one prime, each built on first use.
-    Generators are immutable, so every decoded word shares them."""
+    Generators are immutable, so all words built here share them."""
 
     def __init__(self, p: int):
         super().__init__({} if p == 2 else {0: BOCKSTEIN})
@@ -130,10 +136,6 @@ class _Letters(dict):
 
 
 _letters = functools.cache(_Letters)
-
-
-def _decode(iword: IntWord, p: int) -> tuple[Generator, ...]:
-    return tuple(map(_letters(p).__getitem__, iword))
 
 
 class Monomial(NamedTuple):
@@ -161,10 +163,6 @@ class Monomial(NamedTuple):
         return " ".join(str(g) for g in self.word)
 
 
-def unit_monomial(p: int) -> Monomial:
-    return Monomial(check_prime(p), ())
-
-
 class SteenrodElement:
     """F_p-linear combination of monomial words, not necessarily admissible."""
 
@@ -172,18 +170,14 @@ class SteenrodElement:
 
     def __init__(self, p: int, terms: dict[Monomial, int] | None = None):
         p = check_prime(p)
-        self.prime = p
-        clean: dict[Monomial, int] = {}
-        for mono, c in (terms or {}).items():
+        for mono in terms or ():
             if mono.prime != p:
                 raise PrimeMismatchError("monomial prime differs from element prime")
             for g in mono.word:
                 if not g.valid_at(p):
                     raise PrimeMismatchError(f"generator {g} is not defined at p={p}")
-            c %= p
-            if c:
-                clean[mono] = c
-        self._terms = clean
+        self.prime = p
+        self._terms = {m: r for m, c in (terms or {}).items() if (r := c % p)}
 
     # -- constructors ------------------------------------------------------
 
@@ -193,12 +187,21 @@ class SteenrodElement:
 
     @classmethod
     def unit(cls, p: int) -> "SteenrodElement":
-        return cls(p, {unit_monomial(p): 1})
+        return cls.from_word(p, ())
 
     @classmethod
     def from_word(cls, p: int, word: tuple[Generator, ...] | list[Generator],
                   coeff: int = 1) -> "SteenrodElement":
         return cls(p, {Monomial(check_prime(p), tuple(word)): coeff})
+
+    @classmethod
+    def _reduced(cls, p: int, terms: dict[Monomial, int]) -> "SteenrodElement":
+        """The element with these terms reduced mod p, unchecked: p is
+        prime and every monomial is over p, with generators defined at p."""
+        e = cls.__new__(cls)
+        e.prime = p
+        e._terms = {m: r for m, c in terms.items() if (r := c % p)}
+        return e
 
     # -- inspection --------------------------------------------------------
 
@@ -248,14 +251,14 @@ class SteenrodElement:
         self._check_same_prime(other)
         terms = dict(self._terms)
         for mono, c in other._terms.items():
-            terms[mono] = (terms.get(mono, 0) + c) % self.prime
-        return SteenrodElement(self.prime, terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return SteenrodElement._reduced(self.prime, terms)
 
     def __sub__(self, other: "SteenrodElement") -> "SteenrodElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "SteenrodElement":
-        return SteenrodElement(
+        return SteenrodElement._reduced(
             self.prime, {m: scalar * c for m, c in self._terms.items()})
 
     def __mul__(self, other: "SteenrodElement") -> "SteenrodElement":
@@ -273,8 +276,8 @@ def multiply(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
     for ma, ca in a._terms.items():
         for mb, cb in b._terms.items():
             mono = Monomial(p, ma.word + mb.word)
-            terms[mono] = (terms.get(mono, 0) + ca * cb) % p
-    return SteenrodElement(p, terms)
+            terms[mono] = terms.get(mono, 0) + ca * cb
+    return SteenrodElement._reduced(p, terms)
 
 
 def degree(e: SteenrodElement) -> Union[int, Literal["any", "non-homogeneous"]]:
@@ -419,13 +422,10 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
     acc: dict[IntWord, int] = {}
     for mono, coef in e._terms.items():
         for w, c in _normalize_word(_encode(mono.word, p), p).items():
-            v = (acc.get(w, 0) + coef * c) % p
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-    return SteenrodElement(
-        p, {Monomial(p, _decode(w, p)): c for w, c in acc.items()})
+            acc[w] = acc.get(w, 0) + coef * c
+    letters = _letters(p)
+    return SteenrodElement._reduced(
+        p, {Monomial(p, tuple(map(letters.__getitem__, w))): c for w, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +435,28 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
 # Both enumerators run a depth-first search that tries first letters in
 # descending order.  No two words of one degree are prefixes of each other,
 # so the search emits the canonical descending order on degree sequences
-# and needs no sort.
+# and needs no sort.  Words are built from the shared `_letters(p)`.
 
-def _admissible_words_2(d: int) -> list[IntWord]:
+def _admissible_words_2(d: int) -> list[Monomial]:
     # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.  The
     # largest degree a word with first letter <= c reaches is
     # c + c//2 + c//4 + ... = 2c - (number of 1 bits of c), and every
     # degree from 0 up to it is reached.
-    out: list[IntWord] = []
+    letters = _letters(2)
+    out: list[Monomial] = []
 
-    def rec(prefix: IntWord, remaining: int, cap: int) -> None:
+    def rec(prefix: tuple[Generator, ...], remaining: int, cap: int) -> None:
         for i in range(min(cap, remaining), 0, -1):
             rest, c = remaining - i, i // 2
             if rest > 2 * c - c.bit_count():
                 break
             if rest:
-                rec(prefix + (i,), rest, c)
+                rec(prefix + (letters[i],), rest, c)
             else:
-                out.append(prefix + (i,))
+                out.append(Monomial(2, prefix + (letters[i],)))
 
     if d == 0:
-        return [()]
+        return [Monomial(2, ())]
     rec((), d, d)
     return out
 
@@ -480,15 +481,16 @@ def _after_degrees(s: int, p: int) -> int:
     return 0b11 | _chain_degrees(s // p, p) | _chain_degrees((s - 1) // p, p) << 1
 
 
-def _admissible_words_odd(d: int, p: int) -> list[IntWord]:
+def _admissible_words_odd(d: int, p: int) -> list[Monomial]:
     # Chains P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with s_j >= p s_{j+1} + e_j,
     # optionally preceded by a single b.  A P letter has degree q >= 4 and
     # b has degree 1, so trying the next P before the next b keeps the
     # descending order.
     q = 2 * (p - 1)
-    out: list[IntWord] = []
+    letters = _letters(p)
+    out: list[Monomial] = []
 
-    def chains(prefix: IntWord, remaining: int, cap: int) -> None:
+    def chains(prefix: tuple[Generator, ...], remaining: int, cap: int) -> None:
         # Chains starting with P^s, s <= cap.
         for s in range(min(cap, remaining // q), 0, -1):
             rest = remaining - q * s
@@ -497,20 +499,20 @@ def _admissible_words_odd(d: int, p: int) -> list[IntWord]:
                 break  # smaller s leave more degree and reach less
             if not after & 1:
                 continue
-            word = prefix + (s,)
+            word = prefix + (letters[s],)
             if rest == 0:
-                out.append(word)
+                out.append(Monomial(p, word))
             elif rest == 1:
-                out.append(word + (0,))
+                out.append(Monomial(p, word + (BOCKSTEIN,)))
             else:
                 # Next P exponent s2 must satisfy s >= p*s2 + eps.
                 chains(word, rest, s // p)
-                chains(word + (0,), rest - 1, (s - 1) // p)
+                chains(word + (BOCKSTEIN,), rest - 1, (s - 1) // p)
 
     if d <= 1:
-        return [(0,) * d]
+        return [Monomial(p, (BOCKSTEIN,) * d)]
     chains((), d, d)
-    chains((0,), d - 1, d)
+    chains((BOCKSTEIN,), d - 1, d)
     return out
 
 
@@ -518,115 +520,103 @@ def admissible_basis(p: int, deg: int) -> list[Monomial]:
     """All admissible monomials of the given degree, in the canonical
     descending lexicographic order on exponent sequences.  The enumeration
     is output-sensitive: a letter is tried only when the degree left after
-    it can still be reached, so the work grows with the size of the basis."""
+    it can still be reached, so the work grows with the size of the basis.
+    Monomials are built as they are found, from shared generator objects."""
     p = check_prime(p)
     if deg < 0:
         raise ValueError("degree must be non-negative")
-    words = (_admissible_words_2(deg) if p == 2
-             else _admissible_words_odd(deg, p))
-    return [Monomial(p, _decode(w, p)) for w in words]
+    return _admissible_words_2(deg) if p == 2 else _admissible_words_odd(deg, p)
 
 
 # ---------------------------------------------------------------------------
 # Expression parsing
 # ---------------------------------------------------------------------------
 
-# A token, or else the first character that cannot start one.
-_TOKEN = re.compile(r"\s*(?:(Sq|P|b|\d+|[-^+()])|(\S))")
+# One token per match: a generator with its optional caret and index
+# (groups 1-3), the Bockstein (4), a number or an operator (5), or else the
+# first character that cannot start a token (6).
+_TOKEN = re.compile(r"\s*(?:(Sq|P)(?:\s*(\^))?(?:\s*(\d+))?|(b)|(\d+|[-^+()])|(\S))")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastindex == 2:
-            raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
-        tokens.append((m.group(1), m.start(1)))
-    return tokens
+def _start(text: str, k: int, group: int) -> int:
+    """Where the given group of the k-th token of the text starts, or the
+    end of the text past its last token.  Only errors need positions."""
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    return len(text) if m is None else m.start(group)
 
 
 def parse_expression(text: str, p: int) -> SteenrodElement:
     """Parse 'term ((+|-) term)*' where a term is an optional integer
-    coefficient followed by factors: generators like 'Sq^3', 'P2' or 'b',
-    or parenthesized subexpressions, multiplied left to right."""
+    coefficient followed by factors: runs of generators like 'Sq^3', 'P2'
+    or 'b', and parenthesized subexpressions, multiplied left to right.
+    A generator is one token, checked against p as it is scanned, and a
+    run of generators is one word."""
     p = check_prime(p)
-    tokens = _tokenize(text)
-    i = 0
-
-    def peek() -> str | None:
-        return tokens[i][0] if i < len(tokens) else None
-
-    def parse_generator() -> Generator:
-        nonlocal i
-        tok, pos = tokens[i]
-        if tok == "b":
-            i += 1
-            if p == 2:
-                raise ParseError("'b' is not available at p=2 (use Sq^1)", pos)
-            return BOCKSTEIN
-        if tok in ("Sq", "P"):
-            if (tok == "Sq") != (p == 2):
-                raise ParseError(f"{tok!r} is not available at p={p}", pos)
-            i += 1
-            if peek() == "^":
-                i += 1
-            if peek() is None or not peek().isdigit():
-                raise ParseError(f"expected index after {tok!r}",
-                                 tokens[i - 1][1])
-            idx = int(tokens[i][0])
-            i += 1
-            if idx == 0:
-                raise ParseError("generator index must be positive",
-                                 tokens[i - 1][1])
-            return Generator(tok, idx)
-        raise ParseError(f"expected generator, got {tok!r}", pos)
-
-    def parse_parenthesized() -> SteenrodElement:
-        nonlocal i
-        open_pos = tokens[i][1]
-        i += 1
-        inner = parse_expr()
-        if peek() != ")":
-            raise ParseError("expected ')'", open_pos)
-        i += 1
-        return inner
-
-    def parse_term() -> SteenrodElement:
-        # Each run of generators becomes one word; only parenthesized
-        # factors are multiplied in.
-        nonlocal i
-        coeff, has_coeff = 1, False
-        if peek() is not None and peek().isdigit():
-            coeff, has_coeff = int(tokens[i][0]), True
-            i += 1
-        result, run = None, []
-        while True:
-            tok = peek()
-            if tok in ("Sq", "P", "b"):
-                run.append(parse_generator())
-                continue
-            if result is None:
-                if tok != "(" and not run and not has_coeff:
-                    pos = tokens[i][1] if i < len(tokens) else len(text)
-                    raise ParseError("expected a term", pos)
-                result = SteenrodElement.from_word(p, run, coeff)
-            elif run:
-                result = result * SteenrodElement.from_word(p, run)
-            if tok != "(":
-                return result
-            result, run = result * parse_parenthesized(), []
-
-    def parse_expr() -> SteenrodElement:
-        nonlocal i
-        result = parse_term()
-        while peek() in ("+", "-"):
-            sign = 1 if tokens[i][0] == "+" else -1
-            i += 1
-            result = result + sign * parse_term()
-        return result
-
+    letters, name = _letters(p), "Sq" if p == 2 else "P"
+    # A generator's token is its shared object, or the ParseError to raise
+    # if the parser reaches it; any other token is its text.
+    tokens: list[object] = []
+    for k, (kind, caret, digits, bockstein, other, bad) in enumerate(_TOKEN.findall(text)):
+        if kind:
+            if kind != name:
+                tok = ParseError(f"{kind!r} is not available at p={p}", _start(text, k, 1))
+            elif not digits:
+                tok = ParseError(f"expected index after {kind!r}",
+                                 _start(text, k, 2 if caret else 1))
+            elif index := int(digits):
+                tok = letters[index]
+            else:
+                tok = ParseError("generator index must be positive", _start(text, k, 3))
+        elif bockstein:
+            tok = letters[0] if p != 2 else ParseError(
+                "'b' is not available at p=2 (use Sq^1)", _start(text, k, 4))
+        elif other:
+            tok = other
+        else:
+            raise ParseError(f"unexpected character {bad!r}", _start(text, k, 0))
+        tokens.append(tok)
     if not tokens:
         raise ParseError("empty expression", 0)
-    result = parse_expr()
-    if i < len(tokens):
-        raise ParseError(f"unexpected token {tokens[i][0]!r}", tokens[i][1])
+    tokens.append("")  # the end of the text
+    i = 0
+
+    def expression() -> SteenrodElement:
+        nonlocal i
+        result = term()
+        while (op := tokens[i]) in ("+", "-"):
+            i += 1
+            result = result + term() if op == "+" else result - term()
+        return result
+
+    def term() -> SteenrodElement:
+        # Word -> coefficient; each run of generators extends every word.
+        nonlocal i
+        words = {(): 1}
+        if type(tokens[i]) is str:
+            if tokens[i].isdigit():
+                words = {(): int(tokens[i])}
+                i += 1
+            elif tokens[i] != "(":
+                raise ParseError("expected a term", _start(text, i, 5))
+        while True:
+            run = ()
+            while type(tok := tokens[i]) is not str:
+                if type(tok) is ParseError:
+                    raise tok
+                run += (tok,)
+                i += 1
+            result = SteenrodElement._reduced(
+                p, {Monomial(p, w + run): c for w, c in words.items()})
+            if tok != "(":
+                return result
+            opened, i = i, i + 1
+            inner = expression()
+            if tokens[i] != ")":
+                raise ParseError("expected ')'", _start(text, opened, 5))
+            i += 1
+            words = {m.word: c for m, c in multiply(result, inner)._terms.items()}
+
+    result = expression()
+    if tokens[i]:
+        raise ParseError(f"unexpected token {tokens[i]!r}", _start(text, i, 5))
     return result

@@ -660,14 +660,18 @@ class TestActElement:
         # Top degrees, degrees outside the module on either side, and zero
         # elements, whose matrices have shapes such as (0, n) and (n, 0).
         rng = random.Random(43)
+        # The 256-dim (S/2)^4 smash (S/2)^4 has long words acting nonzero.
+        fourth = smash_power(moore_module(2), 4)
         mods = [hypothetical_Cb_module(), moore_module(3), sphere_module(5, 2),
-                fabricated_violation_module(), tensor(moore_module(2), moore_module(2))]
+                fabricated_violation_module(), tensor(moore_module(2), moore_module(2)),
+                tensor(fourth, fourth)]
         mods += [dense_random_module(p, rng, top) for p, top in ((2, 4), (3, 9))]
         words = {2: ["Sq^1", "Sq^2", "Sq^1 Sq^1", "Sq^2 Sq^1 + Sq^3", "Sq^1 - Sq^1",
-                     "Sq^4"],
+                     "Sq^4", "Sq^2 Sq^1", "Sq^1 Sq^2 Sq^1 + Sq^3 Sq^1", "1"],
                  3: ["b", "P^1", "P^3", "b P^1 b", "P^3 P^3 + P^6", "P^3 P^3 P^3",
-                     "b - b", "P^12"],
+                     "b - b", "P^12", "2"],
                  5: ["b", "P^1", "b - b"]}
+        assert act_element(mods[5], el("Sq^2 Sq^1", 2), 3).any()
         shapes = set()
         for M in mods:
             for text in words[M.prime]:

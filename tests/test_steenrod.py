@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from hypothesis import strategies as hs
 from torsionlab import steenrod
 from torsionlab import (
     BOCKSTEIN,
+    Generator,
     Monomial,
     P,
     ParseError,
     Prime,
+    PrimeMismatchError,
     Sq,
     SteenrodElement,
     adem_normalize,
@@ -126,6 +129,11 @@ class TestParser:
         ("P^1 (b P^1 - P^2 b b 2)", 3, "expected ')'", 4),
         ("(P^1 (P^2 b", 3, "expected ')'", 5),
         ("P^1 P^2 (b) (", 3, "expected a term", 13),
+        # digits after a run, and a caret with no index
+        ("Sq^1 3", 2, "unexpected token '3'", 5),
+        ("b2", 3, "unexpected token '2'", 1),
+        ("2 3", 3, "unexpected token '3'", 2),
+        ("Sq ^ b", 2, "expected index after 'Sq'", 3),
     ])
     def test_error_messages_and_positions(self, text, p, message, position):
         with pytest.raises(ParseError) as err:
@@ -159,10 +167,11 @@ def _letters(p):
 
 
 @hs.composite
-def _elements(draw):
+def _elements(draw, p=None):
     # Arbitrary (not normalized) elements: several terms, any coefficients,
     # and the empty word for unit terms.
-    p = draw(hs.sampled_from([2, 3, 5]))
+    if p is None:
+        p = draw(hs.sampled_from([2, 3, 5]))
     words = draw(hs.lists(hs.lists(_letters(p), max_size=5).map(tuple), max_size=5))
     terms = {}
     for word in words:
@@ -175,6 +184,153 @@ def _elements(draw):
 @given(e=_elements())
 def test_parse_inverts_str(e):
     assert parse_expression(str(e), e.prime) == e
+
+
+def assert_reduced(e, p):
+    """e is over p, with coefficients in 1..p-1 and valid monomials over p,
+    as the checked constructor would build it from e's terms."""
+    assert e.prime == p
+    for mono, c in e.terms.items():
+        assert 1 <= c < p
+        assert mono.prime == p and all(g.valid_at(p) for g in mono.word)
+    assert e == SteenrodElement(p, e.terms)
+
+
+class TestInternalElements:
+    """Arithmetic, normalization and the parser build elements without the
+    public constructor's checks; their results must be what it builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data(), p=hs.sampled_from([2, 3, 5]), k=hs.integers(-20, 20))
+    def test_results_are_reduced_over_their_prime(self, data, p, k):
+        a, b = data.draw(_elements(p)), data.draw(_elements(p))
+        sums, products = dict(a.terms), {}
+        for mono, c in b.terms.items():
+            sums[mono] = sums.get(mono, 0) + c
+        for (ma, ca), (mb, cb) in itertools.product(a.terms.items(), b.terms.items()):
+            mono = Monomial(p, ma.word + mb.word)
+            products[mono] = products.get(mono, 0) + ca * cb
+        differences = {m: a.coefficient(m) - b.coefficient(m) for m in {*a.terms, *b.terms}}
+        expected = [(a + b, sums), (a - b, differences), (multiply(a, b), products)]
+        for scalar in (k, p, -1):
+            expected.append((scalar * a, {m: scalar * c for m, c in a.terms.items()}))
+        expected.append((-a, {m: -c for m, c in a.terms.items()}))
+        for got, terms in expected:
+            assert_reduced(got, p)
+            assert got == SteenrodElement(p, terms)
+        for got in (adem_normalize(a), parse_expression(str(a), p)):
+            assert_reduced(got, p)
+        assert (p * a).is_zero()
+
+    def test_public_constructor_checks_every_monomial(self):
+        # Sq at odd p, P and b at p = 2, and monomials over another prime.
+        for p, mono in ((3, Monomial(3, (Sq(2),))), (5, Monomial(5, (P(1), Sq(1)))),
+                        (2, Monomial(2, (BOCKSTEIN,))), (2, Monomial(2, (P(1),))),
+                        (3, Monomial(5, (P(1),))), (2, Monomial(3, ()))):
+            with pytest.raises(PrimeMismatchError):
+                SteenrodElement(p, {Monomial(p, ()): 1, mono: 1})
+            if mono.prime == p:
+                with pytest.raises(PrimeMismatchError):
+                    SteenrodElement.from_word(p, mono.word)
+
+
+class TestParserReference:
+    """parse_expression against the recursive-descent parser it replaced,
+    on seeded texts: equal elements for valid texts, and an equal ParseError
+    message and position for invalid ones."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_valid_texts_give_equal_elements(self, p):
+        rng = random.Random(71 + p)
+        texts = [random_text(rng, p) for _ in range(400)]
+        for text in texts:
+            assert parse_expression(text, p) == reference_parse_expression(text, p), text
+        # Coefficients, + and -, nested parentheses, and the spellings
+        # 'Sq 3', 'P ^ 2', 'Sq2Sq1' and 'Sq^01'.
+        name = "Sq" if p == 2 else "P"
+        for pattern in (r"^\d+ ", r"\+", "-", r"\(\(", rf"{name} \d", rf"{name} \^ \d",
+                        rf"{name}\d+{name}", rf"{name}\^0\d"):
+            assert any(re.search(pattern, text) for text in texts), pattern
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("mutation", ["truncate", "wrong letter", "stray caret",
+                                          "digits after a run"])
+    def test_invalid_texts_give_equal_errors(self, p, mutation):
+        rng = random.Random(f"{mutation}/{p}")
+        raised = 0
+        for _ in range(300):
+            text = random_text(rng, p)
+            while not _GENERATOR.search(text):
+                text = random_text(rng, p)
+            text = mutate(rng, text, p, mutation)
+            want = outcome(reference_parse_expression, text, p)
+            assert outcome(parse_expression, text, p) == want, text
+            raised += isinstance(want, str)
+        assert raised > 200
+
+
+def outcome(parse, text, p):
+    """The element parsed, or the ParseError's message and position."""
+    try:
+        return parse(text, p)
+    except ParseError as err:
+        return f"{err} @ {err.position}"
+
+
+def random_text(rng, p, depth=0):
+    """A valid expression: terms with optional coefficients, joined by + and
+    -, of runs of generators spelled every way the grammar allows (caret or
+    none, spaces around it, leading zeros, no space between generators) and
+    parenthesized subexpressions up to three deep."""
+    name = "Sq" if p == 2 else "P"
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [str(rng.randint(0, 3 * p))] if rng.random() < 0.3 else []
+        for _ in range(rng.randint(0 if factors else 1, 4)):
+            r = rng.random()
+            if r < 0.2 and depth < 3:
+                factors.append(f"({random_text(rng, p, depth + 1)})")
+            elif r < 0.35 and p != 2:
+                factors.append("b")
+            else:
+                factors.append(name + rng.choice(["^", "", " ^ ", " ", "^ "])
+                               + rng.choice(["", "", "0"]) + str(rng.randint(1, 20)))
+        text = factors[0]
+        for factor in factors[1:]:
+            # With no space a coefficient or an index would run into a digit.
+            glued = text[-1].isdigit() and factor[0].isdigit()
+            text += rng.choice([" ", "  "] if glued else [" ", "", "\t"]) + factor
+        terms.append(text)
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + term
+    return text
+
+
+_GENERATOR = re.compile(r"(Sq|P)(\s*\^?\s*\d+)|b")
+
+
+def mutate(rng, text, p, mutation):
+    """text broken in one way, at a random generator or place."""
+    m = rng.choice(list(_GENERATOR.finditer(text)))
+    if mutation == "truncate":
+        # Drop a generator's index, or everything from its index on.
+        if not m.group(1):
+            return text[:m.start()] + "P" + text[m.end():]
+        rest = text[m.end():] if rng.random() < 0.5 else ""
+        return text[:m.start(2)] + m.group(2).rstrip("0123456789") + rest
+    if mutation == "wrong letter":
+        if p == 2:
+            new = rng.choice(["P" + m.group(2), "b"])
+        else:
+            new = "Sq" + (m.group(2) or "^2")
+        return text[:m.start()] + new + text[m.end():]
+    if mutation == "stray caret":
+        k = rng.randrange(len(text) + 1)
+        return text[:k] + rng.choice(["^", " ^", "^ "]) + text[k:]
+    # Digits after a run: a space keeps them off an index.
+    spaces = [" ", "  "] if m.group(1) else ["", " "]
+    return text[:m.end()] + rng.choice(spaces) + str(rng.randint(0, 12)) + text[m.end():]
 
 
 class TestAdmissibility:
@@ -514,3 +670,104 @@ def test_normalization_idempotent_random(p, indices):
     assert all(m.is_admissible for m in normal.terms)
     if not normal == SteenrodElement.zero(p):
         assert degree(normal) == degree(e)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the recursive-descent parser that the one-token scanner of
+# torsionlab.steenrod replaced.  It tokenizes every letter, caret and index
+# apart and builds elements through the public, checked constructors.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(Sq|P|b|\d+|[-^+()])|(\S))")
+
+
+def reference_tokenize(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
+        tokens.append((m.group(1), m.start(1)))
+    return tokens
+
+
+def reference_parse_expression(text, p):
+    p = Prime(p)
+    tokens = reference_tokenize(text)
+    i = 0
+
+    def peek():
+        return tokens[i][0] if i < len(tokens) else None
+
+    def parse_generator():
+        nonlocal i
+        tok, pos = tokens[i]
+        if tok == "b":
+            i += 1
+            if p == 2:
+                raise ParseError("'b' is not available at p=2 (use Sq^1)", pos)
+            return BOCKSTEIN
+        if tok in ("Sq", "P"):
+            if (tok == "Sq") != (p == 2):
+                raise ParseError(f"{tok!r} is not available at p={p}", pos)
+            i += 1
+            if peek() == "^":
+                i += 1
+            if peek() is None or not peek().isdigit():
+                raise ParseError(f"expected index after {tok!r}", tokens[i - 1][1])
+            idx = int(tokens[i][0])
+            i += 1
+            if idx == 0:
+                raise ParseError("generator index must be positive", tokens[i - 1][1])
+            return Generator(tok, idx)
+        raise ParseError(f"expected generator, got {tok!r}", pos)
+
+    def parse_parenthesized():
+        nonlocal i
+        open_pos = tokens[i][1]
+        i += 1
+        inner = parse_expr()
+        if peek() != ")":
+            raise ParseError("expected ')'", open_pos)
+        i += 1
+        return inner
+
+    def parse_term():
+        # Each run of generators becomes one word; only parenthesized
+        # factors are multiplied in.
+        nonlocal i
+        coeff, has_coeff = 1, False
+        if peek() is not None and peek().isdigit():
+            coeff, has_coeff = int(tokens[i][0]), True
+            i += 1
+        result, run = None, []
+        while True:
+            tok = peek()
+            if tok in ("Sq", "P", "b"):
+                run.append(parse_generator())
+                continue
+            if result is None:
+                if tok != "(" and not run and not has_coeff:
+                    pos = tokens[i][1] if i < len(tokens) else len(text)
+                    raise ParseError("expected a term", pos)
+                result = SteenrodElement.from_word(p, run, coeff)
+            elif run:
+                result = result * SteenrodElement.from_word(p, run)
+            if tok != "(":
+                return result
+            result, run = result * parse_parenthesized(), []
+
+    def parse_expr():
+        nonlocal i
+        result = parse_term()
+        while peek() in ("+", "-"):
+            sign = 1 if tokens[i][0] == "+" else -1
+            i += 1
+            result = result + sign * parse_term()
+        return result
+
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    result = parse_expr()
+    if i < len(tokens):
+        raise ParseError(f"unexpected token {tokens[i][0]!r}", tokens[i][1])
+    return result

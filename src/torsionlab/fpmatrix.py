@@ -4,7 +4,8 @@ Everything rests on `rref`, a Gauss-Jordan elimination whose only Python
 loop runs over the columns: each pivot clears its column with one
 outer-product update of the rows that have a nonzero entry in it.  A
 caller that holds an rref reads the rank, a column basis and the kernel
-from it (`nullspace_of_rref`) without eliminating again."""
+from it (`nullspace_of_rref`) without eliminating again, and `solve`
+reads one solution off the rref of the augmented matrix."""
 
 from __future__ import annotations
 
@@ -101,8 +102,3 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     x = zeros(ncols, b.shape[1])
     x[pivots] = r[:len(pivots), ncols:]
     return x[:, 0] if vector else x
-
-
-def inv(a: np.ndarray, p: int) -> np.ndarray | None:
-    """The inverse of a square matrix, or None if it is singular."""
-    return solve(a, identity(a.shape[0]), p)

@@ -17,6 +17,11 @@ closed-form Adem relations:
 
 with all binomials taken mod p, b^2 = 0, and Sq^0 = P^0 = 1.
 
+Normalization rewrites the leftmost inadmissible pattern of a word, over
+a worklist of int-encoded words (`_rewrite`): each intermediate word is
+rewritten at most once, after all its coefficients are summed, and a word
+whose coefficient cancels mod p is never rewritten.
+
 Each check is made once: `SteenrodElement(p, terms)` checks every monomial;
 arithmetic, normalization and the parser (whose scanner checks a generator
 as one token) build results with the unchecked `SteenrodElement._reduced`.
@@ -26,6 +31,7 @@ Parsed, normalized and enumerated words share one generator per letter.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import re
@@ -309,6 +315,8 @@ def lucas(n: int, k: int, p: int) -> int:
         return (sign * lucas(k - n - 1, k, p)) % p
     if k > n:
         return 0
+    if p == 2:
+        return int(n & k == k)  # every binary digit of k is one of n's
     result = 1
     while n or k:
         ni, ki = n % p, k % p
@@ -327,21 +335,21 @@ def lucas(n: int, k: int, p: int) -> int:
 def _first_rewrite(word: IntWord, p: int) -> tuple[int, str] | None:
     """Position and kind of the leftmost inadmissible pattern, or None."""
     n = len(word)
-    for j in range(n):
-        if p == 2:
-            if j + 1 < n and word[j] < 2 * word[j + 1]:
+    if p == 2:
+        for j in range(n - 1):
+            if word[j] < 2 * word[j + 1]:
                 return j, "pp"
-        else:
-            if word[j] == 0:
-                if j + 1 < n and word[j + 1] == 0:
-                    return j, "bb"
-            else:
-                if j + 1 < n:
-                    if word[j + 1] >= 1 and word[j] < p * word[j + 1]:
-                        return j, "pp"
-                    if (word[j + 1] == 0 and j + 2 < n and word[j + 2] >= 1
-                            and word[j] <= p * word[j + 2]):
-                        return j, "pbp"
+        return None
+    for j in range(n - 1):
+        a, b = word[j], word[j + 1]
+        if not a:
+            if not b:
+                return j, "bb"
+        elif b:
+            if a < p * b:
+                return j, "pp"
+        elif j + 2 < n and (c := word[j + 2]) and a <= p * c:
+            return j, "pbp"
     return None
 
 
@@ -380,39 +388,73 @@ def _adem_expand(word: IntWord, j: int, kind: str, p: int) -> list[tuple[int, In
             for coef, mid in _adem_pattern(kind, word[j], word[j + width - 1], p)]
 
 
-def _rewrite(word: IntWord, p: int, memo: dict[IntWord, dict[IntWord, int]]
-             ) -> dict[IntWord, int]:
-    """Admissible expansion of an int word by leftmost rewriting.  `memo`
-    holds the expansions of the words already met in the same top-level
-    call, and is dropped with it."""
-    result = memo.get(word)
-    if result is not None:
-        return result
+def _heap_key(word: IntWord) -> tuple[float, ...]:
+    """The rank of a word in the worklist of `_rewrite`: lexicographic on
+    the letters, with beta ranked above every P^i.  Only a word that holds
+    a beta needs a new tuple."""
+    return tuple([i or math.inf for i in word]) if 0 in word else word
+
+
+def _rewrite(word: IntWord, p: int) -> dict[IntWord, int]:
+    """Admissible expansion of an int word by leftmost rewriting.
+
+    A worklist: each inadmissible word met waits in a heap once, with the
+    coefficients it receives summed in `pending`, while admissible words go
+    straight to the result.  Words leave the heap smallest first by
+    `_heap_key`.  A leftmost rewrite keeps the letters before its pattern
+    and turns the pattern's first letter into a larger P^i or into beta, so
+    every word it yields ranks strictly above the word rewritten.  Hence a
+    word's coefficient is final when it leaves the heap: a word whose
+    coefficient cancelled mod p is dropped unexpanded, and no word is
+    rewritten twice.  While a rewrite leaves a single word pending, that
+    word is rewritten next without passing through the heap."""
     hit = _first_rewrite(word, p)
     if hit is None:
-        result = {word: 1}
-    else:
-        result = {}
-        for coef, w in _adem_expand(word, hit[0], hit[1], p):
-            for w2, c2 in _rewrite(w, p, memo).items():
-                c = (result.get(w2, 0) + coef * c2) % p
+        return {word: 1}
+    result: dict[IntWord, int] = {}
+    pending: dict[IntWord, int] = {}
+    heap: list[tuple] = []  # (_heap_key(w), w, _first_rewrite(w, p))
+    coef = 1
+    while True:
+        held = None
+        for c, w in _adem_expand(word, *hit, p):
+            if w in pending:
+                pending[w] = (pending[w] + coef * c) % p
+            elif w in result or (hit := _first_rewrite(w, p)) is None:
+                c = (result.get(w, 0) + coef * c) % p
                 if c:
-                    result[w2] = c
+                    result[w] = c
                 else:
-                    result.pop(w2, None)
-    memo[word] = result
-    return result
+                    del result[w]
+            else:
+                pending[w] = coef * c % p
+                if held is None and not heap:
+                    held = w, hit
+                else:
+                    heapq.heappush(heap, (_heap_key(w), w, hit))
+        if held is not None:
+            if not heap:  # the only word pending: rewrite it next
+                word, hit = held
+                coef = pending.pop(word)
+                continue
+            heapq.heappush(heap, (_heap_key(held[0]), *held))
+        while heap:
+            _, word, hit = heapq.heappop(heap)
+            if coef := pending.pop(word):
+                break
+        else:
+            return result
 
 
 @functools.cache
 def _normalize_word(word: IntWord, p: int) -> dict[IntWord, int]:
     """Admissible expansion of an int word, as a word -> coefficient map.
     Memoized per (word, p) for the words `adem_normalize` is asked about
-    only: the intermediate words of one rewrite share a memo that lives for
-    this call, so the process-wide memo grows with the distinct words asked
-    for, not with every word a rewrite passes through.  Callers must not
-    mutate the result."""
-    return _rewrite(word, p, {})
+    only: the intermediate words of one rewrite live in the worklist of
+    `_rewrite` and are dropped with it, so the process-wide memo grows with
+    the distinct words asked for, not with every word a rewrite passes
+    through.  Callers must not mutate the result."""
+    return _rewrite(word, p)
 
 
 def adem_normalize(e: SteenrodElement) -> SteenrodElement:

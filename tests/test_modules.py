@@ -36,6 +36,8 @@ from torsionlab.modules import ModuleError, _relation_words
 from torsionlab.steenrod import Monomial, SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
+from test_fpmatrix import inv
+
 
 def el(text, p):
     return parse_expression(text, p)
@@ -248,7 +250,7 @@ def reference_fitting_idempotent(psi, p):
     B = np.hstack([column_space(w, p), fp.nullspace(w, p)])
     diag = fp.zeros(n, n)
     diag[:r, :r] = fp.identity(r)
-    return fp.matmul(fp.matmul(B, diag, p), fp.inv(B, p), p)
+    return fp.matmul(fp.matmul(B, diag, p), inv(B, p), p)
 
 
 def reference_inadmissible_words(p, max_degree):

@@ -1,7 +1,9 @@
 """Parser, degree bookkeeping, and Adem normalization."""
 
+import collections
 import functools
 import itertools
+import math
 import random
 import re
 
@@ -60,6 +62,11 @@ class TestBinomial:
     def test_out_of_range(self):
         assert binomial_mod_p(3, 5, 2) == 0
         assert binomial_mod_p(3, -1, 2) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_math_comb(self, p):
+        for n, k in itertools.product(range(80), repeat=2):
+            assert binomial_mod_p(n, k, p) == math.comb(n, k) % p
 
 
 class TestParser:
@@ -437,6 +444,83 @@ class TestNormalFormMemo:
             reference_normalize_word.cache_clear()
 
 
+class TestWorklist:
+    """The invariant the worklist of `_rewrite` rests on, and what it buys:
+    every rewrite yields words above the one rewritten, so each word is
+    rewritten at most once and a cancelled word never."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_rewrite_yields_larger_words(self, p):
+        key = steenrod._heap_key
+        # A beta ranks above every P^i, and the order is lexicographic.
+        assert key((0,)) > key((10 ** 9,)) and key((3, 0)) < key((4,))
+        patterns = [((a, b), "pp") for a, b in itertools.product(range(1, 41), repeat=2)
+                    if a < p * b]
+        if p > 2:
+            patterns += [((a, 0, b), "pbp") for a, b in itertools.product(range(1, 41), repeat=2)
+                         if a <= p * b]
+        contexts = [((), ())]
+        contexts += [((50,), (3, 1)), ((1,), (40,))] if p == 2 else [
+            ((7, 0), (0, 2)), ((0,), (5,)), ((1, 0, 1), (0,))]
+        checked = 0
+        for (mid, kind), (head, tail) in itertools.product(patterns, contexts):
+            word = head + mid + tail
+            for _, out in steenrod._adem_expand(word, len(head), kind, p):
+                assert key(out) > key(word), (word, out)
+                checked += 1
+        assert checked > 2000
+
+    @pytest.fixture
+    def rewrites(self, monkeypatch):
+        """Per word, how often `_adem_expand` rewrote it."""
+        original = steenrod._adem_expand
+        calls = collections.Counter()
+        monkeypatch.setattr(steenrod, "_adem_expand",
+                            lambda w, j, kind, p: calls.update([w]) or original(w, j, kind, p))
+        return calls
+
+    def test_no_word_is_rewritten_twice(self, rewrites):
+        rng = random.Random(67)
+        cases = [(word, 2) for word in ascending_words(random.Random(59), 150)]
+        for _ in range(200):
+            p = rng.choice((3, 5, 7))
+            cases.append((tuple(rng.randint(0, 12) for _ in range(rng.randint(2, 7))), p))
+        assert sum(0 in w for w, p in cases if p > 2) > 50
+        try:
+            expected = [reference_normalize_word(word, p) for word, p in cases]
+        finally:
+            reference_normalize_word.cache_clear()
+        rewritten = 0
+        for (word, p), normal in zip(cases, expected):
+            rewrites.clear()
+            assert steenrod._rewrite(word, p) == normal
+            assert max(rewrites.values(), default=1) == 1, (word, p)
+            rewritten += len(rewrites)
+        assert rewritten > 5 * len(cases)
+
+    @pytest.mark.parametrize("word, size", [
+        ((12, 21, 23, 24, 24, 26, 27, 30), 0),
+        ((4, 8, 12, 13, 16, 18, 28), 33),
+    ])
+    def test_cancelled_words_are_not_rewritten(self, rewrites, word, size):
+        # The recursion expands every word it meets; the worklist drops the
+        # words whose coefficients cancel before it reaches them.
+        reference_normalize_word.cache_clear()
+        try:
+            expected = reference_normalize_word(word, 2)
+            met = reference_normalize_word.cache_info().currsize
+        finally:
+            reference_normalize_word.cache_clear()
+        assert len(expected) == size
+        rewrites.clear()
+        assert steenrod._rewrite(word, 2) == expected
+        assert max(rewrites.values()) == 1
+        if not size:
+            assert 10 * len(rewrites) < met
+            e = SteenrodElement.from_word(2, tuple(map(Sq, word)))
+            assert adem_normalize(e).is_zero()
+
+
 class TestMultiplication:
     def test_unit(self):
         e = el("Sq^2 Sq^1", 2)
@@ -529,6 +613,13 @@ class TestAdemPattern:
                         == reference_adem_expand((a, 0, b), 0, "pbp", p))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_first_rewrite_matches_the_position_scan(self, p):
+        letters = range(0 if p > 2 else 1, 7)
+        for n in range(5):
+            for word in itertools.product(letters, repeat=n):
+                assert steenrod._first_rewrite(word, p) == reference_first_rewrite(word, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_expand_keeps_head_and_tail(self, p):
         rng = random.Random(p)
         for _ in range(300):
@@ -590,6 +681,26 @@ def reference_basis(p, d):
     monos = [Monomial(p, tuple(letter(i) for i in w)) for w in words]
     monos.sort(key=Monomial.sort_key, reverse=True)
     return monos
+
+
+def reference_first_rewrite(word, p):
+    """Position and kind of the leftmost inadmissible pattern, testing
+    every position with the prime checked inside the loop."""
+    n = len(word)
+    for j in range(n):
+        if p == 2:
+            if j + 1 < n and word[j] < 2 * word[j + 1]:
+                return j, "pp"
+        elif word[j] == 0:
+            if j + 1 < n and word[j + 1] == 0:
+                return j, "bb"
+        elif j + 1 < n:
+            if word[j + 1] >= 1 and word[j] < p * word[j + 1]:
+                return j, "pp"
+            if (word[j + 1] == 0 and j + 2 < n and word[j + 2] >= 1
+                    and word[j] <= p * word[j + 2]):
+                return j, "pbp"
+    return None
 
 
 def reference_adem_expand(word, j, kind, p):

@@ -315,8 +315,6 @@ def lucas(n: int, k: int, p: int) -> int:
         return (sign * lucas(k - n - 1, k, p)) % p
     if k > n:
         return 0
-    if p == 2:
-        return int(n & k == k)  # every binary digit of k is one of n's
     result = 1
     while n or k:
         ni, ki = n % p, k % p
@@ -335,21 +333,21 @@ def lucas(n: int, k: int, p: int) -> int:
 def _first_rewrite(word: IntWord, p: int) -> tuple[int, str] | None:
     """Position and kind of the leftmost inadmissible pattern, or None."""
     n = len(word)
-    if p == 2:
-        for j in range(n - 1):
-            if word[j] < 2 * word[j + 1]:
+    for j in range(n):
+        if p == 2:
+            if j + 1 < n and word[j] < 2 * word[j + 1]:
                 return j, "pp"
-        return None
-    for j in range(n - 1):
-        a, b = word[j], word[j + 1]
-        if not a:
-            if not b:
-                return j, "bb"
-        elif b:
-            if a < p * b:
-                return j, "pp"
-        elif j + 2 < n and (c := word[j + 2]) and a <= p * c:
-            return j, "pbp"
+        else:
+            if word[j] == 0:
+                if j + 1 < n and word[j + 1] == 0:
+                    return j, "bb"
+            else:
+                if j + 1 < n:
+                    if word[j + 1] >= 1 and word[j] < p * word[j + 1]:
+                        return j, "pp"
+                    if (word[j + 1] == 0 and j + 2 < n and word[j + 2] >= 1
+                            and word[j] <= p * word[j + 2]):
+                        return j, "pbp"
     return None
 
 
@@ -406,8 +404,7 @@ def _rewrite(word: IntWord, p: int) -> dict[IntWord, int]:
     every word it yields ranks strictly above the word rewritten.  Hence a
     word's coefficient is final when it leaves the heap: a word whose
     coefficient cancelled mod p is dropped unexpanded, and no word is
-    rewritten twice.  While a rewrite leaves a single word pending, that
-    word is rewritten next without passing through the heap."""
+    rewritten twice."""
     hit = _first_rewrite(word, p)
     if hit is None:
         return {word: 1}
@@ -416,7 +413,6 @@ def _rewrite(word: IntWord, p: int) -> dict[IntWord, int]:
     heap: list[tuple] = []  # (_heap_key(w), w, _first_rewrite(w, p))
     coef = 1
     while True:
-        held = None
         for c, w in _adem_expand(word, *hit, p):
             if w in pending:
                 pending[w] = (pending[w] + coef * c) % p
@@ -428,16 +424,7 @@ def _rewrite(word: IntWord, p: int) -> dict[IntWord, int]:
                     del result[w]
             else:
                 pending[w] = coef * c % p
-                if held is None and not heap:
-                    held = w, hit
-                else:
-                    heapq.heappush(heap, (_heap_key(w), w, hit))
-        if held is not None:
-            if not heap:  # the only word pending: rewrite it next
-                word, hit = held
-                coef = pending.pop(word)
-                continue
-            heapq.heappush(heap, (_heap_key(held[0]), *held))
+                heapq.heappush(heap, (_heap_key(w), w, hit))
         while heap:
             _, word, hit = heapq.heappop(heap)
             if coef := pending.pop(word):

@@ -613,13 +613,6 @@ class TestAdemPattern:
                         == reference_adem_expand((a, 0, b), 0, "pbp", p))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_first_rewrite_matches_the_position_scan(self, p):
-        letters = range(0 if p > 2 else 1, 7)
-        for n in range(5):
-            for word in itertools.product(letters, repeat=n):
-                assert steenrod._first_rewrite(word, p) == reference_first_rewrite(word, p)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_expand_keeps_head_and_tail(self, p):
         rng = random.Random(p)
         for _ in range(300):
@@ -681,26 +674,6 @@ def reference_basis(p, d):
     monos = [Monomial(p, tuple(letter(i) for i in w)) for w in words]
     monos.sort(key=Monomial.sort_key, reverse=True)
     return monos
-
-
-def reference_first_rewrite(word, p):
-    """Position and kind of the leftmost inadmissible pattern, testing
-    every position with the prime checked inside the loop."""
-    n = len(word)
-    for j in range(n):
-        if p == 2:
-            if j + 1 < n and word[j] < 2 * word[j + 1]:
-                return j, "pp"
-        elif word[j] == 0:
-            if j + 1 < n and word[j + 1] == 0:
-                return j, "bb"
-        elif j + 1 < n:
-            if word[j + 1] >= 1 and word[j] < p * word[j + 1]:
-                return j, "pp"
-            if (word[j + 1] == 0 and j + 2 < n and word[j + 2] >= 1
-                    and word[j] <= p * word[j + 2]):
-                return j, "pbp"
-    return None
 
 
 def reference_adem_expand(word, j, kind, p):

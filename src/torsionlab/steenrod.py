@@ -34,6 +34,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import re
 from typing import Literal, NamedTuple, Union
 
@@ -119,13 +120,15 @@ BOCKSTEIN = Generator("b", 0)
 IntWord = tuple[int, ...]
 
 
-def _encode(word: tuple[Generator, ...], p: int) -> IntWord:
-    out = []
+def _check_word(word: tuple[Generator, ...], p: int) -> None:
     for g in word:
         if not g.valid_at(p):
             raise PrimeMismatchError(f"generator {g} is not defined at p={p}")
-        out.append(0 if g.kind == "b" else g.index)
-    return tuple(out)
+
+
+def _encode(word: tuple[Generator, ...]) -> IntWord:
+    """The int word of a word whose generators are known valid at its prime."""
+    return tuple([0 if g.kind == "b" else g.index for g in word])
 
 
 class _Letters(dict):
@@ -156,7 +159,8 @@ class Monomial(NamedTuple):
 
     @property
     def is_admissible(self) -> bool:
-        return _first_rewrite(_encode(self.word, self.prime), self.prime) is None
+        _check_word(self.word, self.prime)  # a Monomial is unchecked
+        return _first_rewrite(_encode(self.word), self.prime) is None
 
     def sort_key(self) -> tuple[int, ...]:
         # Degree sequence of the letters; used for the canonical descending
@@ -179,9 +183,7 @@ class SteenrodElement:
         for mono in terms or ():
             if mono.prime != p:
                 raise PrimeMismatchError("monomial prime differs from element prime")
-            for g in mono.word:
-                if not g.valid_at(p):
-                    raise PrimeMismatchError(f"generator {g} is not defined at p={p}")
+            _check_word(mono.word, p)
         self.prime = p
         self._terms = {m: r for m, c in (terms or {}).items() if (r := c % p)}
 
@@ -450,7 +452,7 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
     p = e.prime
     acc: dict[IntWord, int] = {}
     for mono, coef in e._terms.items():
-        for w, c in _normalize_word(_encode(mono.word, p), p).items():
+        for w, c in _normalize_word(_encode(mono.word), p).items():
             acc[w] = acc.get(w, 0) + coef * c
     letters = _letters(p)
     return SteenrodElement._reduced(
@@ -464,7 +466,9 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
 # Both enumerators run a depth-first search that tries first letters in
 # descending order.  No two words of one degree are prefixes of each other,
 # so the search emits the canonical descending order on degree sequences
-# and needs no sort.  Words are built from the shared `_letters(p)`.
+# and needs no sort.  Words are built from the shared `_letters(p)`.  Each
+# runs once per (p, degree): `_basis` keeps its monomials for the process,
+# and `admissible_basis` hands out a new list of them on every call.
 
 def _admissible_words_2(d: int) -> list[Monomial]:
     # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.  The
@@ -545,16 +549,26 @@ def _admissible_words_odd(d: int, p: int) -> list[Monomial]:
     return out
 
 
+@functools.cache
+def _basis(p: int, deg: int) -> tuple[Monomial, ...]:
+    """The admissible monomials of degree deg at the prime p, built once
+    per (p, deg) for the process; p and deg are checked by the caller."""
+    return tuple(_admissible_words_2(deg) if p == 2 else _admissible_words_odd(deg, p))
+
+
 def admissible_basis(p: int, deg: int) -> list[Monomial]:
     """All admissible monomials of the given degree, in the canonical
     descending lexicographic order on exponent sequences.  The enumeration
     is output-sensitive: a letter is tried only when the degree left after
     it can still be reached, so the work grows with the size of the basis.
-    Monomials are built as they are found, from shared generator objects."""
+    Each basis is built once per (p, degree) and kept for the process, so
+    calls share its immutable monomials; every call returns a new list,
+    which the caller may change.  p and deg are checked on every call."""
     p = check_prime(p)
+    deg = operator.index(deg)
     if deg < 0:
         raise ValueError("degree must be non-negative")
-    return _admissible_words_2(deg) if p == 2 else _admissible_words_odd(deg, p)
+    return list(_basis(p, deg))
 
 
 # ---------------------------------------------------------------------------

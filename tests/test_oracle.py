@@ -1,12 +1,16 @@
 """Polynomial-action oracle: unstable axioms, Cartan behavior, and the
 equality test it supports.  Everything here is independent of the Adem
-rewriting engine, which is exactly what makes it a useful cross-check."""
+rewriting engine, which is exactly what makes it a useful cross-check.
+The slow reference `act`, which acts letter by letter on explicit
+monomials of `OracleAlgebra`, is defined here and checks the orbit engine."""
 
 import collections
 import itertools
 import math
 import random
 import time
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +18,12 @@ from hypothesis import strategies as hs
 
 from torsionlab import (
     BOCKSTEIN,
-    OracleAlgebra,
+    Generator,
     P,
+    Prime,
     PrimeMismatchError,
     Sq,
     SteenrodElement,
-    act,
     adem_normalize,
     admissible_basis,
     degree,
@@ -35,6 +39,222 @@ from test_acceptance import criterion_2_words
 
 def el(text, p):
     return parse_expression(text, p)
+
+
+# ---------------------------------------------------------------------------
+# Plain action, letter by letter on explicit monomials: the slow reference
+# ---------------------------------------------------------------------------
+
+Exps = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OracleAlgebra:
+    """F_2[x_1..x_k], or E(y_1..y_k) (x) F_p[x_1..x_k] at odd p."""
+
+    prime: int
+    gens: int
+
+    def __post_init__(self):
+        Prime(self.prime)
+        if self.gens < 0:
+            raise ValueError("generator count must be non-negative")
+
+    @property
+    def width(self) -> int:
+        # Length of an exponent tuple.
+        return self.gens if self.prime == 2 else 2 * self.gens
+
+    def element(self, terms: dict[Exps, int]) -> "OracleElement":
+        return OracleElement(self, dict(terms))
+
+    def one(self) -> "OracleElement":
+        return self.element({(0,) * self.width: 1})
+
+    def x(self, i: int) -> "OracleElement":
+        exps = [0] * self.width
+        exps[i if self.prime == 2 else self.gens + i] = 1
+        return self.element({tuple(exps): 1})
+
+    def y(self, i: int) -> "OracleElement":
+        if self.prime == 2:
+            raise ValueError("exterior generators only exist at odd p")
+        exps = [0] * self.width
+        exps[i] = 1
+        return self.element({tuple(exps): 1})
+
+    def product_class(self, y_count: int, x_count: int) -> "OracleElement":
+        """Square-free product y_1..y_q x_{q+1}..x_{q+r} (all x at p = 2)."""
+        if self.prime == 2:
+            if y_count:
+                raise ValueError("no exterior generators at p=2")
+            exps = tuple(1 if i < x_count else 0 for i in range(self.gens))
+            return self.element({exps: 1})
+        if y_count + x_count > self.gens:
+            raise ValueError("not enough generators")
+        ys = tuple(1 if i < y_count else 0 for i in range(self.gens))
+        xs = tuple(1 if y_count <= i < y_count + x_count else 0
+                   for i in range(self.gens))
+        return self.element({ys + xs: 1})
+
+
+@dataclass
+class OracleElement:
+    algebra: OracleAlgebra
+    terms: dict[Exps, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        p = self.algebra.prime
+        clean = {}
+        for exps, c in self.terms.items():
+            if len(exps) != self.algebra.width:
+                raise ValueError("exponent tuple has wrong length")
+            if p != 2 and any(e > 1 for e in exps[:self.algebra.gens]):
+                raise ValueError("exterior exponents must be 0 or 1")
+            c %= p
+            if c:
+                clean[exps] = c
+        self.terms = clean
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleElement):
+            return NotImplemented
+        return self.algebra == other.algebra and self.terms == other.terms
+
+    def __add__(self, other: "OracleElement") -> "OracleElement":
+        if self.algebra != other.algebra:
+            raise ValueError("mismatched oracle algebras")
+        p = self.algebra.prime
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            terms[exps] = (terms.get(exps, 0) + c) % p
+        return OracleElement(self.algebra, terms)
+
+    def __neg__(self) -> "OracleElement":
+        return OracleElement(self.algebra, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "OracleElement") -> "OracleElement":
+        return self + (-other)
+
+    def __mul__(self, other: "OracleElement") -> "OracleElement":
+        if self.algebra != other.algebra:
+            raise ValueError("mismatched oracle algebras")
+        p, k = self.algebra.prime, self.algebra.gens
+        out: dict[Exps, int] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                if p == 2:
+                    exps = tuple(a + b for a, b in zip(ea, eb))
+                    sign = 1
+                else:
+                    ya, yb = ea[:k], eb[:k]
+                    if any(a and b for a, b in zip(ya, yb)):
+                        continue  # y_i^2 = 0
+                    # Koszul sign from moving each y of b past the later
+                    # y's of a (variable-major canonical order).
+                    swaps = sum(yb[i] * sum(ya[i + 1:]) for i in range(k))
+                    sign = -1 if swaps % 2 else 1
+                    exps = (tuple(a + b for a, b in zip(ya, yb))
+                            + tuple(a + b for a, b in zip(ea[k:], eb[k:])))
+                c = (out.get(exps, 0) + sign * ca * cb) % p
+                if c:
+                    out[exps] = c
+                else:
+                    out.pop(exps, None)
+        return OracleElement(self.algebra, out)
+
+
+def _distributions(exps: Exps, budget: int, p: int) -> Iterator[tuple[Exps, int]]:
+    """All (increment vector, prod of C(e_j, v_j) mod p) with sum = budget."""
+    n = len(exps)
+
+    def rec(j: int, remaining: int, acc: list[int], weight: int):
+        if j == n:
+            if remaining == 0:
+                yield tuple(acc), weight
+            return
+        e = exps[j]
+        for v in range(min(e, remaining) + 1):
+            c = lucas(e, v, p)
+            if c:
+                acc.append(v)
+                yield from rec(j + 1, remaining - v, acc, (weight * c) % p)
+                acc.pop()
+
+    yield from rec(0, budget, [], 1)
+
+
+def _apply_p(i: int, terms: dict[Exps, int], k: int, p: int) -> dict[Exps, int]:
+    """P^i on terms whose first k exponents are exterior (k = 0 for Sq^i)."""
+    out: dict[Exps, int] = {}
+    for exps, c in terms.items():
+        ys, xs = exps[:k], exps[k:]
+        for v, w in _distributions(xs, i, p):
+            ne = ys + tuple(e + d * (p - 1) for e, d in zip(xs, v))
+            val = (out.get(ne, 0) + c * w) % p
+            if val:
+                out[ne] = val
+            else:
+                out.pop(ne, None)
+    return out
+
+
+def _apply_bockstein(terms: dict[Exps, int], k: int, p: int) -> dict[Exps, int]:
+    out: dict[Exps, int] = {}
+    for exps, c in terms.items():
+        ys, xs = list(exps[:k]), list(exps[k:])
+        seen_odd = 0
+        for j in range(k):
+            if ys[j]:
+                sign = -1 if seen_odd % 2 else 1
+                ny, nx = list(ys), list(xs)
+                ny[j] = 0
+                nx[j] += 1
+                ne = tuple(ny) + tuple(nx)
+                val = (out.get(ne, 0) + sign * c) % p
+                if val:
+                    out[ne] = val
+                else:
+                    out.pop(ne, None)
+                seen_odd += 1
+    return out
+
+
+def _apply_generator(g: Generator, terms: dict[Exps, int],
+                     algebra: OracleAlgebra) -> dict[Exps, int]:
+    p, k = algebra.prime, algebra.gens
+    if g.kind == "Sq":
+        return _apply_p(g.index, terms, 0, 2)
+    if g.kind == "P":
+        return _apply_p(g.index, terms, k, p)
+    return _apply_bockstein(terms, k, p)
+
+
+def act(op: SteenrodElement, v: OracleElement) -> OracleElement:
+    """Action of op (possibly a raw inadmissible word) on v, letters applied
+    right to left, products by the Cartan formula, sums linearly."""
+    algebra = v.algebra
+    if op.prime != algebra.prime:
+        raise PrimeMismatchError(
+            f"operation over p={op.prime}, oracle over p={algebra.prime}")
+    p = algebra.prime
+    total: dict[Exps, int] = {}
+    for mono, coef in op.terms.items():
+        terms = dict(v.terms)
+        for g in reversed(mono.word):
+            if not terms:
+                break
+            terms = _apply_generator(g, terms, algebra)
+        for exps, c in terms.items():
+            val = (total.get(exps, 0) + coef * c) % p
+            if val:
+                total[exps] = val
+            else:
+                total.pop(exps, None)
+    return OracleElement(algebra, total)
 
 
 class TestUnstableAction:

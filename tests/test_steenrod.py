@@ -355,6 +355,13 @@ class TestAdmissibility:
     def test_no_double_bockstein(self):
         assert not Monomial(3, (BOCKSTEIN, BOCKSTEIN)).is_admissible
 
+    def test_generator_of_another_prime_raises(self):
+        # A Monomial is unchecked; is_admissible checks its generators.
+        with pytest.raises(PrimeMismatchError):
+            Monomial(3, (Sq(2),)).is_admissible
+        with pytest.raises(PrimeMismatchError):
+            Monomial(2, (P(1),)).is_admissible
+
 
 class TestAdemNormalization:
     def test_sq1_squared_is_zero(self):
@@ -574,6 +581,48 @@ class TestAdmissibleBasis:
     def test_sizes_match_poincare_series(self, p, top):
         series = poincare_series(p, top)
         assert [len(admissible_basis(p, d)) for d in range(top + 1)] == series
+
+
+class TestBasisMemo:
+    """`admissible_basis` builds each (p, degree) once and shares it."""
+
+    @pytest.mark.parametrize("p, degrees", [
+        (2, (0, 1, 17, 64)), (3, (0, 1, 13, 60)), (5, (9, 40, 81)), (7, (1, 12, 97))])
+    def test_cold_and_warm_calls_match_reference(self, p, degrees):
+        steenrod._basis.cache_clear()
+        for d in degrees:
+            cold = admissible_basis(p, d)
+            assert cold == reference_basis(p, d), d
+            assert admissible_basis(p, d) == cold, d
+        assert steenrod._basis.cache_info().currsize == len(degrees)
+
+    def test_returned_lists_are_the_callers(self):
+        first = admissible_basis(2, 20)
+        expected = list(first)
+        first.clear()
+        assert admissible_basis(2, 20) == expected
+        second = admissible_basis(3, 13)
+        expected = list(second)
+        second.append(Monomial(3, ()))
+        second.reverse()
+        assert admissible_basis(3, 13) == expected
+
+    def test_calls_share_monomials(self):
+        first, second = admissible_basis(2, 30), admissible_basis(2, 30)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    @pytest.mark.parametrize("args, error", [
+        ((4, 3), ValueError), ((2, -1), ValueError), ((2, 5.0), TypeError)])
+    def test_bad_input_raises_cold_and_warm(self, args, error):
+        steenrod._basis.cache_clear()
+        with pytest.raises(error):
+            admissible_basis(*args)
+        admissible_basis(2, 5)  # 5.0 == 5 and hash(5.0) == hash(5)
+        for _ in range(2):
+            with pytest.raises(error):
+                admissible_basis(*args)
+        assert steenrod._basis.cache_info().currsize == 1
 
 
 def poincare_series(p, top):

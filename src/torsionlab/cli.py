@@ -5,13 +5,15 @@ cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
 reports.  Exit status is 0 exactly when every requested check passes, 1
-when a check fails, and 2 for a usage error such as a non-prime --prime
-or a malformed expression."""
+when a check fails, 2 for a usage error such as a non-prime --prime
+or a malformed expression, and 141 (128 + SIGPIPE) when the reader of
+its output closes the pipe early."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import modules as mod
@@ -338,7 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is seen here
+        return status
+    except BrokenPipeError:
+        # The reader left early (`| head`): point stdout at devnull so that
+        # the interpreter's last flush stays quiet, and exit as if killed by
+        # SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SteenrodError, mod.ModuleError, ValueError) as exc:
         print(f"torsionlab: error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,11 @@ of them at exponent p^k, which stands for the whole orbit under permutations
 of them.  Plain exponents never leave the powers of p, since C(p^k, v) is
 nonzero mod p only for v in {0, p^k}; these level counts are the exponent
 sequences of Milnor's dual description of the Steenrod algebra.
+
+What a word makes of a test class is memoized for the process, and so is
+what each of its tails makes of it, so a monomial or a tail met before is
+not stepped again; an element acts as the sum of its coefficients times
+these states.
 """
 
 from __future__ import annotations
@@ -52,10 +57,12 @@ YBlock = tuple[tuple[int, int], ...]
 Counts = tuple[int, ...]
 Orbit = tuple[YBlock, Counts]
 OrbitState = dict[Orbit, int]
+State = tuple[tuple[Orbit, int], ...]
 
 
-# 6000 ops of the perfbench referee workload meet about 3 100 distinct
-# keys; at 256 entries the cache missed about 15 700 times on them.
+# Only words new to the memo of word states below reach this cache: 6000 ops
+# of the perfbench referee workload call it about 6 200 times with about
+# 3 100 distinct keys; at 256 entries it missed about 5 300 times.
 @functools.lru_cache(maxsize=4096)
 def _x_step(p: int, counts: Counts, i: int) -> tuple[tuple[Counts, int], ...]:
     """P^i on the orbit sum of counts, all of i spent in the x block.
@@ -123,23 +130,52 @@ def _step(p: int, orbit: Orbit, g: Generator) -> Iterator[tuple[Orbit, int]]:
             yield (new_ys, new_counts), w * c
 
 
+# The state of every word seen, and of each of its tails, on the start class
+# y_1..y_q x_{q+1}..x_{q+r}, keyed by (p, q, r, word).  The oracle meets the
+# same words again: a normal form is a sum of admissible monomials of one
+# degree, and a word's tail is a word too.  States are shared, so they are
+# immutable tuples of (orbit, coefficient).  A memo that holds
+# _STATES_MAXSIZE states is emptied before the next one goes in.
+_STATES: dict[tuple[int, int, int, tuple[Generator, ...]], State] = {}
+_STATES_MAXSIZE = 4096
+
+
+def _word_state(p: int, q: int, r: int, word: tuple[Generator, ...]) -> State:
+    """The state that word makes of the start class, from the memo.  A new
+    word's suffixes are visited shortest first, the order in which its
+    letters act, so each is stepped once, from the state of the one before,
+    and the walk ends at the first empty state however long the word is."""
+    state = _STATES.get((p, q, r, word))
+    if state is not None:
+        return state
+    state = (((((1, 0),) * q, (r,) if r else ()), 1),)
+    for k in range(len(word) - 1, -1, -1):
+        key = (p, q, r, word[k:])
+        known = _STATES.get(key)
+        if known is None:
+            stepped: OrbitState = {}
+            for orbit, c in state:
+                for new, w in _step(p, orbit, word[k]):
+                    stepped[new] = (stepped.get(new, 0) + c * w) % p
+            known = tuple((orbit, c) for orbit, c in stepped.items() if c)
+            if len(_STATES) >= _STATES_MAXSIZE:
+                _STATES.clear()
+            _STATES[key] = known
+        state = known
+        if not state:
+            break
+    return state
+
+
 def _orbit_action(op: SteenrodElement, q: int, r: int) -> OrbitState:
-    """Action of op on y_1..y_q x_{q+1}..x_{q+r}, as orbit coefficients."""
+    """Action of op on y_1..y_q x_{q+1}..x_{q+r}, as orbit coefficients:
+    the sum of coefficient times memoized state over op's terms, in a new
+    dict."""
     p = op.prime
-    start: Orbit = (((1, 0),) * q, (r,) if r else ())
     total: OrbitState = {}
     for mono, coef in op.terms.items():
-        state: OrbitState = {start: coef}
-        for g in reversed(mono.word):
-            nxt: OrbitState = {}
-            for orbit, c in state.items():
-                for new, w in _step(p, orbit, g):
-                    nxt[new] = (nxt.get(new, 0) + c * w) % p
-            state = {orbit: c for orbit, c in nxt.items() if c}
-            if not state:
-                break
-        for orbit, c in state.items():
-            total[orbit] = (total.get(orbit, 0) + c) % p
+        for orbit, c in _word_state(p, q, r, mono.word):
+            total[orbit] = (total.get(orbit, 0) + coef * c) % p
     return {orbit: c for orbit, c in total.items() if c}
 
 

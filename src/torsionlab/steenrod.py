@@ -61,10 +61,14 @@ def _is_prime(value: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """p as a plain int, or ValueError if it is not prime.  The trial
+    """p as a plain int, or ValueError if it is not an integer prime: a
+    float or a string is refused, not truncated or parsed.  The trial
     division is memoized, so public entry points validate on every call
     while inner loops work on plain ints."""
-    p = int(p)
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"prime must be an integer, not {p!r}") from None
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p

@@ -76,6 +76,25 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
 
 
+def test_closed_pipe_exits_141_without_traceback():
+    # Like `torsionlab --json basis 64 | head -c 600`, with the reader gone
+    # before the first write, so the write always fails.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "torsionlab.cli", "--json", "basis", "64"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 141
+
+
 class TestBasis:
     def test_degree_three(self, capsys):
         code, out = run(capsys, "basis", "3")

@@ -31,6 +31,7 @@ from torsionlab import (
     oracle_equal,
     parse_expression,
 )
+from torsionlab import oracle
 from torsionlab.oracle import _orbit_action, _step, _y_splits
 from torsionlab.steenrod import lucas
 
@@ -554,6 +555,71 @@ def test_level_engine_matches_partition_reference(p):
                 assert as_partitions(_orbit_action(x, q, r), p) \
                     == reference_orbit_action(x, q, r), (x, q, r)
 
+
+
+# ---------------------------------------------------------------------------
+# The memo of word states
+# ---------------------------------------------------------------------------
+
+def _memo_cases():
+    """Seeded words and their normal forms, each on classes with q up to 2
+    and two values of r.  The odd-prime words are the same letters at
+    p = 3 and p = 5, so a memo that mixed up p, q or r answers wrong."""
+    rng = random.Random(18)
+    cases = []
+    for _ in range(12):
+        words = {2: tuple(Sq(rng.randint(1, 8)) for _ in range(rng.randint(1, 4)))}
+        words[3] = words[5] = tuple(
+            BOCKSTEIN if rng.random() < 0.4 else P(rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4)))
+        for p, word in words.items():
+            e = SteenrodElement.from_word(p, word)
+            r = degree(e) // (1 if p == 2 else 2 * (p - 1)) + 1
+            for x in (e, adem_normalize(e)):
+                cases += [(x, q, r + extra) for q in range(3) for extra in (0, 2)]
+    return cases
+
+
+def test_cold_and_warm_memo_agree_with_reference(monkeypatch):
+    cases = _memo_cases()
+    expected = [reference_orbit_action(x, q, r) for x, q, r in cases]
+    cold = []
+    for x, q, r in cases:
+        oracle._STATES.clear()
+        cold.append(_orbit_action(x, q, r))
+    warm = [_orbit_action(x, q, r) for x, q, r in cases]
+    # A memo far below the sample's size is emptied again and again.
+    monkeypatch.setattr(oracle, "_STATES_MAXSIZE", 5)
+    oracle._STATES.clear()
+    tight = [_orbit_action(x, q, r) for x, q, r in cases]
+    assert len(oracle._STATES) <= 5
+    for (x, q, r), want, *got in zip(cases, expected, cold, warm, tight):
+        for state in got:
+            assert as_partitions(state, x.prime) == want, (x, q, r)
+
+
+def test_returned_action_is_not_the_memo():
+    for p, text, q, r in [(2, "Sq^2 Sq^1", 0, 4), (3, "P^1 b", 1, 2),
+                          (5, "P^1 + b P^1", 2, 2)]:
+        e = el(text, p)
+        first = _orbit_action(e, q, r)
+        want = dict(first)
+        assert want
+        for orbit in first:
+            first[orbit] += 1
+        first[((), (9,))] = 1
+        assert _orbit_action(e, q, r) == want
+
+
+def test_long_word_ends_at_its_first_empty_state():
+    # Sq^1 Sq^1 = 0: the walk stops two letters in, with no recursion per
+    # letter.
+    oracle._STATES.clear()
+    word = SteenrodElement.from_word(2, (Sq(1),) * 3000)
+    start = time.perf_counter()
+    assert oracle_equal(word, SteenrodElement.zero(2), 0) is True
+    assert time.perf_counter() - start < 1.0
+    assert len(oracle._STATES) == 2  # Sq^1 and Sq^1 Sq^1
 
 class TestOracleEqual:
     def test_confirms_adem_rewrites(self):

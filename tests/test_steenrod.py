@@ -7,6 +7,7 @@ import math
 import random
 import re
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -44,6 +45,20 @@ class TestPrime:
         for n in (0, 1, 4, 6, 9, 15):
             with pytest.raises(ValueError):
                 Prime(n)
+
+    def test_rejects_non_integers_instead_of_truncating(self):
+        # int() would read 2.9 as 2 and 3.5 or 3.2 as 3.
+        with pytest.raises(ValueError, match="integer"):
+            admissible_basis(2.9, 3)
+        with pytest.raises(ValueError, match="integer"):
+            Prime(3.5)
+        with pytest.raises(ValueError, match="integer"):
+            parse_expression("P^1", 3.2)
+
+    def test_accepts_integer_types(self):
+        p = Prime(numpy.int64(3))
+        assert p == 3 and type(steenrod.check_prime(numpy.int64(3))) is int
+        assert admissible_basis(numpy.int64(3), 4) == admissible_basis(3, 4)
 
 
 class TestBinomial:

@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def cli_env():
+    """The environment for running the CLI from this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestNormalize:
     def test_text(self, capsys):
         code, out = run(capsys, "--prime", "3", "normalize", "P^3 P^3 P^3")
@@ -79,15 +86,12 @@ class TestUserErrors:
 def test_closed_pipe_exits_141_without_traceback():
     # Like `torsionlab --json basis 64 | head -c 600`, with the reader gone
     # before the first write, so the write always fails.
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run(
             [sys.executable, "-m", "torsionlab.cli", "--json", "basis", "64"],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=cli_env(), stdout=write_end, stderr=subprocess.PIPE, text=True,
             timeout=60)
     finally:
         os.close(write_end)
@@ -184,13 +188,10 @@ class TestModuleCommands:
 
     def test_check_cost_follows_the_module_not_the_flag(self, fourth_power_file):
         def check(bound):
-            src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
             done = subprocess.run(
                 [sys.executable, "-m", "torsionlab.cli", "--max-degree", bound,
                  "module", "check", fourth_power_file],
-                env=env, capture_output=True, text=True, timeout=60)
+                env=cli_env(), capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
             return done.stdout
 

@@ -5,9 +5,10 @@ cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
 reports.  Exit status is 0 exactly when every requested check passes, 1
-when a check fails, 2 for a usage error such as a non-prime --prime
-or a malformed expression, and 141 (128 + SIGPIPE) when the reader of
-its output closes the pipe early."""
+when a check fails, 2 for a usage error such as a non-prime --prime, a
+malformed expression, or a module or stems file that is missing or
+malformed, and 141 (128 + SIGPIPE) when the reader of its output closes
+the pipe early."""
 
 from __future__ import annotations
 
@@ -349,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         # SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (SteenrodError, mod.ModuleError, ValueError) as exc:
+    except (SteenrodError, mod.ModuleError, ValueError, OSError) as exc:
         print(f"torsionlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,15 @@ every degree in increasing degree order, and one total_dim x total_dim
 matrix per acting generator whose only nonzero blocks map degree d to
 d + deg(g).  Products of these matrices compose the actions degree by
 degree with no index bookkeeping; the per-degree blocks (`action`,
-`actions`) are views into them.
+`actions`) are views into them.  Because each generator's blocks sit at
+their own degree difference, the generators of one kind add up to one
+total operation I + sum_k Sq^k, and the Cartan formula makes that
+multiplicative, so `tensor` reads every generator of A (x) B off entrywise
+products of the factors' total operations, one target degree at a time.
 Endomorphisms are block-diagonal matrices in the same layout
-(`_offsets`), so a summand is read off one rref of its idempotent, and
-their products and traces are taken degree block by degree block
-(`_degree_blocks`).
+(`_offsets`), so both Fitting summands of one are read off one rref of
+its stable power (`_fitting_split`), and their products and traces are
+taken degree block by degree block (`_degree_blocks`).
 """
 
 from __future__ import annotations
@@ -61,8 +65,20 @@ class FiniteModule:
                  actions: dict[tuple[Generator, int], np.ndarray],
                  labels: dict[int, list[str]] | None = None):
         p = check_prime(prime)
-        self._init(p, dict(sorted((int(d), int(n)) for d, n in dims.items() if n > 0)),
-                   {}, labels)
+        dims = dict(sorted((int(d), int(n)) for d, n in dims.items()))
+        negative = {d: n for d, n in dims.items() if n < 0}
+        if negative:
+            raise ModuleError(f"negative dimensions {negative}")
+        dims = {d: n for d, n in dims.items() if n}
+        if labels is not None:
+            if sorted(labels) != list(dims):
+                raise ModuleError(f"labels are given for degrees {sorted(labels)}, "
+                                  f"expected one list per occupied degree {list(dims)}")
+            for d, n in dims.items():
+                if len(labels[d]) != n:
+                    raise ModuleError(f"degree {d} has {n} dimensions but "
+                                      f"{len(labels[d])} labels")
+        self._init(p, dims, {}, labels)
         for (g, d), mat in actions.items():
             if not g.valid_at(p):
                 raise PrimeMismatchError(f"generator {g} invalid at p={p}")
@@ -85,9 +101,9 @@ class FiniteModule:
                labels: dict[int, list[str]] | None = None) -> FiniteModule:
         """The module with these whole-module matrices, unchecked: dims in
         increasing degree order, positive, and matrices reduced mod p in
-        that layout.  Zero matrices are dropped."""
+        that layout, none of them zero."""
         M = cls.__new__(cls)
-        M._init(prime, dims, {g: m for g, m in matrices.items() if m.any()}, labels)
+        M._init(prime, dims, matrices, labels)
         M._freeze()
         return M
 
@@ -183,16 +199,16 @@ def _offsets(sizes: dict[int, int]) -> dict[int, int]:
 
 def sphere_module(p: int, d: int = 0) -> FiniteModule:
     """One cell in degree d, all actions zero."""
-    return FiniteModule(p, {d: 1}, {}, labels={d: [f"s{d}"]})
+    return FiniteModule._whole(check_prime(p), {d: 1}, {}, labels={d: [f"s{d}"]})
 
 
 def moore_module(p: int) -> FiniteModule:
     """Two cells in degrees 0, 1 joined by a nonzero Bockstein."""
     p = check_prime(p)
     bock = Sq(1) if p == 2 else BOCKSTEIN
-    one = np.array([[1]], dtype=np.int64)
-    return FiniteModule(p, {0: 1, 1: 1}, {(bock, 0): one},
-                        labels={0: ["e0"], 1: ["e1"]})
+    bottom_to_top = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    return FiniteModule._whole(p, {0: 1, 1: 1}, {bock: bottom_to_top},
+                               labels={0: ["e0"], 1: ["e1"]})
 
 
 def shift(M: FiniteModule, k: int) -> FiniteModule:
@@ -223,6 +239,16 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     return FiniteModule._whole(A.prime, dims, matrices)
 
 
+def _total_operation(M: FiniteModule, kind: str) -> np.ndarray:
+    """I + the sum of M's whole matrices of the generators of this kind (Sq
+    or P): each sits at its own degree difference, so no two overlap."""
+    out = fp.identity(M.total_dim)
+    for g, mat in M.matrices.items():
+        if g.kind == kind:
+            out += mat
+    return out
+
+
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """Graded tensor product with the Cartan-formula action:
     Sq^k or P^k act by the sum of split actions, beta as a graded
@@ -230,67 +256,80 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 
     The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b:
     the Kronecker basis of the factors, stably sorted by total degree.
-    Sq^k is the sum over t of kron(A(Sq^t), B(Sq^(k-t))), with Sq^0 the
-    identity; each degree block is gathered from the factors by its rows
-    and columns and written into the output's whole matrix, so no
-    Kronecker product of whole matrices is formed."""
+    The Cartan formula says the total operation T = I + sum_k Sq^k (I +
+    sum_k P^k at odd p) is multiplicative: entry ((a, b), (a', b')) of T
+    on A (x) B is T_A[a, a'] T_B[b, b'], and Sq^k (P^k) is the part of T
+    at degree difference k (k q, q = 2(p - 1)).  Beta is the part at
+    degree difference 1 of (beta_A + diag((-1)^deg)) (x) (I + beta_B).  So
+    each target degree's rows are one band, gathered from the factors'
+    matrices over the columns of the source degrees that some generator
+    reaches, multiplied entry by entry and cut into the generators'
+    blocks; no Kronecker product of whole matrices is formed."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
     deg_a, deg_b = A.basis_degrees(), B.basis_degrees()
-    nb = len(deg_b)
     perm = np.argsort(np.add.outer(deg_a, deg_b).ravel(), kind="stable")
+    # The (A index, B index) of each basis vector, in the output's order.
+    index_a, index_b = np.divmod(perm, len(deg_b))
     sizes: dict[int, int] = {}
     for i in A.degrees:
         for j in B.degrees:
             sizes[i + j] = sizes.get(i + j, 0) + A.dims[i] * B.dims[j]
     dims = dict(sorted(sizes.items()))
-    degs = list(dims)
     offsets = _offsets(dims)
-    # The (A index, B index) of each basis vector of degree n.
-    factors = {n: np.divmod(perm[offsets[n]:offsets[n] + dims[n]], nb)
-               for n in degs}
+    size, span = len(perm), max(dims) - min(dims) if dims else 0
 
-    ident_a, ident_b = fp.identity(len(deg_a)), fp.identity(nb)
-
-    def power(M, ident, kind, t):
-        return ident if t == 0 else M.matrices.get(Generator(kind, t))
-
-    span = (degs[-1] - degs[0]) if degs else 0
+    # (generator at degree difference k, left factor, right factor, step,
+    # top): the part of left (x) right at every difference k <= top that
+    # step divides.
     if p == 2:
-        gens = [Sq(k) for k in range(1, span + 1)]
+        parts = [(Sq, _total_operation(A, "Sq"), _total_operation(B, "Sq"), 1, span)]
     else:
-        gens = [BOCKSTEIN] + [P(k) for k in range(1, span // (2 * (p - 1)) + 1)]
+        q = 2 * (p - 1)
+        beta_a = fp.identity(A.total_dim) * np.where(deg_a % 2, p - 1, 1)
+        beta_b = fp.identity(B.total_dim)
+        beta_a += A.matrices.get(BOCKSTEIN, 0)
+        beta_b += B.matrices.get(BOCKSTEIN, 0)
+        parts = [(lambda k: P(k // q), _total_operation(A, "P"), _total_operation(B, "P"),
+                  q, span),
+                 (lambda k: BOCKSTEIN, beta_a, beta_b, 1, 1)]
 
-    koszul = np.diag(np.where(deg_a % 2, -1, 1))
-    size = len(perm)
     matrices: dict[Generator, np.ndarray] = {}
-    for g in gens:
-        if g.kind == "b":
-            pairs = [(A.matrices.get(g), ident_b), (koszul, B.matrices.get(g))]
-        else:
-            pairs = [(power(A, ident_a, g.kind, t), power(B, ident_b, g.kind, g.index - t))
-                     for t in range(g.index + 1)]
-        pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
-        if not pairs:
-            continue
-        lefts, rights = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
-        gd = g.degree_at(p)
-        mat = matrices[g] = fp.zeros(size, size)
-        for n in degs:
-            if n + gd not in factors:
+    for generator, left, right, step, top in parts:
+        for residue in range(step):
+            # The degrees step apart: the sources of degree m are the run of
+            # this chain from m - top up to m, so their columns, laid out
+            # chain by chain, are one slice.
+            chain = {n: dims[n] for n in dims if n % step == residue}
+            if len(chain) < 2:
                 continue
-            (ca, cb), (ra, rb) = factors[n], factors[n + gd]
-            row, col = offsets[n + gd], offsets[n]
-            mat[row:row + dims[n + gd], col:col + dims[n]] = np.einsum(
-                "trc,trc->rc", lefts[:, ra[:, None], ca], rights[:, rb[:, None], cb]) % p
+            cols = np.concatenate([np.arange(offsets[n], offsets[n] + dims[n]) for n in chain])
+            chain_a, chain_b, at = index_a[cols], index_b[cols], _offsets(chain)
+            degrees = list(chain)
+            for i, m in enumerate(degrees):
+                sources = [n for n in degrees[:i] if m - n <= top]
+                if not sources:
+                    continue
+                rows, start = slice(offsets[m], offsets[m] + dims[m]), at[sources[0]]
+                band = (left[index_a[rows, None], chain_a[start:at[m]]]
+                        * right[index_b[rows, None], chain_b[start:at[m]]] % p)
+                nonzero = band.any(axis=0).tolist()
+                for n in sources:
+                    lo = at[n] - start
+                    if any(nonzero[lo:lo + dims[n]]):
+                        g = generator(m - n)
+                        if g not in matrices:
+                            matrices[g] = fp.zeros(size, size)
+                        matrices[g][rows, offsets[n]:offsets[n] + dims[n]] = band[:, lo:lo + dims[n]]
     labels = None
     if A.labels and B.labels:
-        left = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
-        right = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
-        labels = {n: [f"{left[a]}*{right[b]}" for a, b in zip(*map(list, factors[n]))]
-                  for n in degs}
-    return FiniteModule._whole(p, dims, matrices, labels)
+        names_a = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
+        names_b = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
+        labels = {n: [f"{names_a[a]}*{names_b[b]}" for a, b in zip(
+            index_a[row:row + dims[n]].tolist(), index_b[row:row + dims[n]].tolist())]
+                  for n, row in offsets.items()}
+    return FiniteModule._whole(p, dims, dict(sorted(matrices.items())), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -553,47 +592,53 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     return out
 
 
-def _submodule_from_idempotent(M: FiniteModule, e: np.ndarray) -> FiniteModule:
-    """The image of a degree-preserving idempotent endomorphism e of M, as
-    a module.
+def _restrict(M: FiniteModule, basis: np.ndarray, left: np.ndarray) -> FiniteModule:
+    """The submodule of M spanned by the columns of basis, homogeneous and
+    in increasing degree order, given a left inverse of basis on them.
 
-    With R the rref of e, the pivot columns C = e[:, pivots] are a basis of
-    the image in increasing degree order, and R[:rank] is a left inverse of
-    C on it, because R e = R.  So each generator W of M restricts to the
-    whole matrix X = R[:rank] W C, which holds exactly when C X = W C."""
+    Each generator W of M restricts to the whole matrix X = left W basis,
+    which holds exactly when basis X = W basis; that is checked."""
     p = M.prime
-    r, pivots = fp.rref(e, p)
-    basis, left = e[:, pivots], r[:len(pivots)]
     dims: dict[int, int] = {}
-    for d in M.basis_degrees()[pivots].tolist():
+    # A column's degree is that of its first nonzero entry.
+    for d in M.basis_degrees()[(basis != 0).argmax(axis=0)].tolist():
         dims[d] = dims.get(d, 0) + 1
     matrices: dict[Generator, np.ndarray] = {}
     for g, W in M.matrices.items():
         image = fp.matmul(W, basis, p)
-        X = matrices[g] = fp.matmul(left, image, p)
+        X = fp.matmul(left, image, p)
         if not np.array_equal(fp.matmul(basis, X, p), image):
-            raise ModuleError("idempotent image is not a submodule")
+            raise ModuleError("Fitting summand is not a submodule")
+        if X.any():
+            matrices[g] = X
     return FiniteModule._whole(p, dims, matrices)
 
 
-def _fitting_idempotent(psi: np.ndarray, p: int) -> np.ndarray | None:
-    """The projection onto the stable image of psi along its stable kernel
+def _fitting_split(M: FiniteModule, psi: np.ndarray
+                   ) -> tuple[FiniteModule, FiniteModule] | None:
+    """M as the stable image of the endomorphism psi plus its stable kernel
     (Fitting's lemma), or None when one of the two is zero.
 
     Both are reached at w = psi^m for every m >= n, so w squares psi
-    ceil(log2 n) times.  One rref R of w gives the rank, the image basis
-    C = w[:, pivots] and the kernel, which is also the kernel of R[:rank].
-    R[:rank] C is invertible, since the image meets the kernel only in 0,
-    so the projection is C (R[:rank] C)^-1 R[:rank]."""
-    n = psi.shape[0]
+    ceil(log2 n) times, and one rref R of w gives both summands.  The
+    image has the basis C = w[:, pivots]; R[:rank] C is invertible, since
+    the image meets the kernel only in 0, so (R[:rank] C)^-1 R[:rank] is a
+    left inverse of C.  The kernel has the basis `nullspace_of_rref`, one
+    column per free column of R, and its free rows are the identity, so
+    reading them is a left inverse."""
+    p, n = M.prime, M.total_dim
     w, power = psi, 1
     while power < n:
         w, power = fp.matmul(w, w, p), 2 * power
     r, pivots = fp.rref(w, p)
-    if not 0 < len(pivots) < n:
+    rank = len(pivots)
+    if not 0 < rank < n:
         return None
-    basis, left = w[:, pivots], r[:len(pivots)]
-    return fp.matmul(basis, fp.solve(fp.matmul(left, basis, p), left, p), p)
+    image, left = w[:, pivots], r[:rank]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return (_restrict(M, image, fp.solve(fp.matmul(left, image, p), left, p)),
+            _restrict(M, fp.nullspace_of_rref(r, pivots, p), fp.identity(n)[free]))
 
 
 def _degree_blocks(basis: np.ndarray, dims: dict[int, int]) -> list[np.ndarray]:
@@ -696,8 +741,10 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
     neither nilpotent nor invertible: the basis of A first, and, when A is
     not local, then every other element of A up to a scalar, in order of
     increasing support.  A lift of a nontrivial idempotent of A/J(A) is such
-    an element, so for a non-local A this loop finds a splitting.  M may
-    have at most DECOMPOSE_BOUND dimensions."""
+    an element, so for a non-local A this loop finds a splitting.  The
+    summands are the candidate's stable image and stable kernel, both read
+    off one rref of its stable power and each checked to be a submodule
+    (`_fitting_split`).  M may have at most DECOMPOSE_BOUND dimensions."""
     if M.total_dim > DECOMPOSE_BOUND:
         raise ModuleError(
             f"total dimension {M.total_dim} exceeds bound {DECOMPOSE_BOUND}")
@@ -705,15 +752,12 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
         return DecompositionResult(False)
     p = M.prime
     basis = _endomorphism_basis(M)
-    ident = fp.identity(M.total_dim)
 
     def splitting(candidates) -> DecompositionResult | None:
         for phi in candidates:
-            e = _fitting_idempotent(phi, p)
-            if e is not None:
-                return DecompositionResult(True, (
-                    _submodule_from_idempotent(M, e),
-                    _submodule_from_idempotent(M, (ident - e) % p)))
+            summands = _fitting_split(M, phi)
+            if summands is not None:
+                return DecompositionResult(True, summands)
         return None
 
     found = splitting(basis)
@@ -765,14 +809,23 @@ def module_to_dict(M: FiniteModule) -> dict:
     return out
 
 
+def _field(data: dict, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ModuleError(f"{where} is not a JSON object")
+    if key not in data:
+        raise ModuleError(f"{where} has no {key!r}")
+    return data[key]
+
+
 def module_from_dict(data: dict) -> FiniteModule:
-    p = int(data["prime"])
-    dims = {int(d): int(n) for d, n in data["dims"].items()}
+    p = int(_field(data, "prime", "module"))
+    dims = {int(d): int(n) for d, n in _field(data, "dims", "module").items()}
     actions = {}
-    for entry in data.get("actions", []):
-        g = _generator_from_str(entry["generator"], p)
-        actions[(g, int(entry["source_degree"]))] = np.array(
-            entry["matrix"], dtype=np.int64)
+    for i, entry in enumerate(data.get("actions", [])):
+        where = f"action {i}"
+        g = _generator_from_str(_field(entry, "generator", where), p)
+        actions[(g, int(_field(entry, "source_degree", where)))] = np.array(
+            _field(entry, "matrix", where), dtype=np.int64)
     labels = None
     if "labels" in data:
         labels = {int(d): list(v) for d, v in data["labels"].items()}

@@ -83,6 +83,61 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
 
 
+def assert_user_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("torsionlab: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestFileErrors:
+    """A missing or malformed input file is a user error: one line on
+    stderr and exit 2, never a traceback or the "check failed" status 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("module", "check", "{missing}"),
+        ("module", "decompose", "{missing}"),
+        ("module", "tensor", "{moore}", "{missing}"),
+        ("--stems-file", "{missing}", "pi", "3"),
+        ("--stems-file", "{missing}", "scenario", "prop6", "--n", "3"),
+    ])
+    def test_missing_file(self, capsys, tmp_path, argv):
+        moore = str(tmp_path / "m2.json")
+        save_module(moore_module(2), moore)
+        missing = str(tmp_path / "missing.json")
+        err = assert_user_error(
+            capsys, [a.format(missing=missing, moore=moore) for a in argv])
+        assert "No such file or directory" in err and missing in err
+
+    @pytest.mark.parametrize("data,message", [
+        ({"dims": {"0": 1}}, "module has no 'prime'"),
+        ({"prime": 2}, "module has no 'dims'"),
+        ([2, {"0": 1}], "module is not a JSON object"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq1", "source_degree": 0}]},
+         "action 0 has no 'matrix'"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"source_degree": 0, "matrix": [[1]]}]},
+         "action 0 has no 'generator'"),
+        ({"prime": 2, "dims": {"0": -1}}, "negative dimensions {0: -1}"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1}, "labels": {"0": ["a"]}},
+         "labels are given for degrees [0], expected one list per occupied degree [0, 1]"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1}, "labels": {"0": ["a"], "1": ["b", "c"]}},
+         "degree 1 has 1 dimensions but 2 labels"),
+    ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
+            "negative-dim", "labels-miss-a-degree", "labels-too-long"])
+    @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
+    def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        files = [str(path)] * (2 if command == "tensor" else 1)
+        err = assert_user_error(capsys, ["module", command, *files])
+        assert err == f"torsionlab: error: {message}\n"
+
+
 def test_closed_pipe_exits_141_without_traceback():
     # Like `torsionlab --json basis 64 | head -c 600`, with the reader gone
     # before the first write, so the write always fails.

@@ -481,6 +481,38 @@ class TestConstructors:
         with pytest.raises(Exception):
             FiniteModule(2, {0: 1, 1: 1}, {(Sq(1), 0): np.zeros((2, 2), dtype=np.int64)})
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_constants_equal_the_checked_constructor(self, p):
+        # moore_module and sphere_module skip the constructor's checks.
+        bock = Sq(1) if p == 2 else BOCKSTEIN
+        moore = FiniteModule(p, {0: 1, 1: 1}, {(bock, 0): np.array([[1]])},
+                             labels={0: ["e0"], 1: ["e1"]})
+        assert moore_module(p) == moore and moore_module(p).labels == moore.labels
+        for d in (-2, 0, 3):
+            sphere = FiniteModule(p, {d: 1}, {}, labels={d: [f"s{d}"]})
+            assert sphere_module(p, d) == sphere
+            assert sphere_module(p, d).labels == sphere.labels
+            assert not sphere_module(p, d).matrices
+
+    def test_rejects_negative_dimensions(self):
+        with pytest.raises(ModuleError, match=r"negative dimensions \{1: -1\}"):
+            FiniteModule(2, {0: 1, 1: -1}, {})
+        # A zero dimension is an empty degree.
+        assert FiniteModule(2, {0: 1, 1: 0}, {}).dims == {0: 1}
+
+    @pytest.mark.parametrize("labels,message", [
+        ({0: ["a"]}, r"labels are given for degrees \[0\], expected one list per "
+                     r"occupied degree \[0, 2\]"),
+        ({0: ["a"], 2: ["b", "c"], 5: ["d"]}, "labels are given for degrees"),
+        ({0: ["a"], 2: ["b"]}, "degree 2 has 2 dimensions but 1 labels"),
+        ({0: [], 2: ["b", "c"]}, "degree 0 has 1 dimensions but 0 labels"),
+    ], ids=["missing-degree", "extra-degree", "too-short", "empty"])
+    def test_rejects_labels_that_do_not_fit(self, labels, message):
+        with pytest.raises(ModuleError, match=message):
+            FiniteModule(2, {0: 1, 1: 0, 2: 2}, {}, labels=labels)
+        assert FiniteModule(2, {0: 1, 1: 0, 2: 2}, {},
+                            labels={0: ["a"], 2: ["b", "c"]}).labels[2] == ["b", "c"]
+
 
 class TestLayout:
     def test_every_construction_round_trips_through_its_blocks(self):
@@ -615,6 +647,45 @@ class TestTensor:
             got, want = tensor(a, b), tensor_by_loops(a, b)
             assert got == want
             assert got.labels == want.labels
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_sweep_matches_loop_reference(self, p):
+        # Random factors with degree gaps, every generator that fits (beta
+        # and P^1, P^2 at odd p), labels on and off, and factors with no
+        # generators: n cells in one degree, and the zero module.
+        rng = random.Random(53 + p)
+        top = {2: 5, 3: 9, 5: 17}[p]
+
+        def labelled(M):
+            return FiniteModule(p, M.dims, M.actions, labels={
+                d: [f"x{d}.{i}" for i in range(n)] for d, n in M.dims.items()})
+
+        def gappy(M):
+            # Every other degree dropped, the actions that remain kept.
+            kept = {d: n for d, n in M.dims.items() if d % 3 != 1}
+            return FiniteModule(p, kept, {(g, d): a for (g, d), a in M.actions.items()
+                                          if d in kept and d + g.degree_at(p) in kept})
+
+        factors = [FiniteModule(p, {}, {}), FiniteModule(p, {2: 3}, {}),
+                   sphere_module(p, 1), moore_module(p)]
+        for _ in range(6):
+            factors += [random_module(p, rng), gappy(dense_random_module(p, rng, top)),
+                        labelled(dense_random_module(p, rng, top // 2))]
+        factors += [labelled(M) for M in factors[1:4]]
+        pairs = [(a, b) for a in factors for b in factors if rng.random() < 0.25]
+        pairs += [(factors[0], factors[3]), (factors[3], factors[1])]
+        kinds = set()
+        for a, b in pairs:
+            a = shift(a, rng.randint(-3, 3))
+            got, want = tensor(a, b), tensor_by_loops(a, b)
+            assert got == want
+            assert got.labels == want.labels
+            kinds |= {g.kind if g.kind != "P" else g for g in got.matrices}
+        if p == 2:
+            assert kinds == {"Sq"}
+        else:
+            assert {"b", P(1), P(2)} <= kinds
+        assert len(pairs) > 60
 
     @pytest.mark.parametrize("p,k", [(2, 5), (3, 4)])
     def test_smash_powers_match_loop_reference(self, p, k):
@@ -823,36 +894,57 @@ class TestDecomposability:
     @pytest.fixture(autouse=True)
     def cross_check(self, monkeypatch):
         """Every verdict of is_decomposable in these tests must equal the
-        reference search's certified verdict, and every idempotent and
-        summand it forms must equal the per-degree and n-product
-        references."""
-        calls = {"fitting": 0, "summands": 0}
-        decide = is_decomposable
+        reference search's certified verdict, and every Fitting split it
+        makes must agree with the n-product projection e and the per-degree
+        summands: the image summand equals the reference's image of e, and
+        the kernel summand's basis spans the image of 1 - e, with its
+        restriction conjugate to the reference's by that change of basis."""
+        calls = {"split": 0, "summands": 0, "other_kernel_basis": 0}
+        decide, split, restrict = is_decomposable, modules._fitting_split, modules._restrict
+        bases = []
 
         def checked_decision(M):
             got = decide(M)
             assert reference_is_decomposable(M) == (bool(got), True)
             return got
 
-        monkeypatch.setitem(globals(), "is_decomposable", checked_decision)
-        fitting, submodule = modules._fitting_idempotent, modules._submodule_from_idempotent
-
-        def checked_fitting(psi, p):
-            got, want = fitting(psi, p), reference_fitting_idempotent(psi, p)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want)
-                calls["fitting"] += 1
-            return got
-
-        def checked_submodule(M, e):
-            got = submodule(M, e)
-            assert got == reference_submodule(M, e)
+        def recorded_restrict(M, basis, left):
+            bases.append(basis)
             calls["summands"] += 1
+            return restrict(M, basis, left)
+
+        def checked_split(M, psi):
+            p, n = M.prime, M.total_dim
+            del bases[:]
+            got, e = split(M, psi), reference_fitting_idempotent(psi, p)
+            assert (got is None) == (e is None)
+            if got is None:
+                return got
+            calls["split"] += 1
+            image, kernel = got
+            assert image == reference_submodule(M, e)
+            complement = (fp.identity(n) - e) % p
+            want = reference_submodule(M, complement)
+            assert kernel.dims == want.dims
+            calls["other_kernel_basis"] += kernel != want
+            # The reference's basis of the image of 1 - e, degree by degree.
+            reference = fp.zeros(n, 0)
+            for d, row in M.offsets.items():
+                block = column_space(M.block(complement, d, d), p)
+                columns = fp.zeros(n, block.shape[1])
+                columns[row:row + M.dims[d]] = block
+                reference = np.hstack([reference, columns])
+            change = fp.solve(reference, bases[-1], p)
+            assert change is not None and fp.rank(change, p) == kernel.total_dim
+            for g in {*kernel.matrices, *want.matrices}:
+                ours = kernel.matrices.get(g, fp.zeros(kernel.total_dim, kernel.total_dim))
+                theirs = want.matrices.get(g, fp.zeros(want.total_dim, want.total_dim))
+                assert np.array_equal(fp.matmul(theirs, change, p), fp.matmul(change, ours, p))
             return got
 
-        monkeypatch.setattr(modules, "_fitting_idempotent", checked_fitting)
-        monkeypatch.setattr(modules, "_submodule_from_idempotent", checked_submodule)
+        monkeypatch.setitem(globals(), "is_decomposable", checked_decision)
+        monkeypatch.setattr(modules, "_fitting_split", checked_split)
+        monkeypatch.setattr(modules, "_restrict", recorded_restrict)
         return calls
 
     def test_sphere_indecomposable(self):
@@ -889,18 +981,16 @@ class TestDecomposability:
     def test_odd_prime_sum(self):
         assert is_decomposable(direct_sum(moore_module(3), shift(moore_module(3), 4)))
 
-    def test_fitting_projection_waits_for_the_stable_image(self):
-        from torsionlab.modules import _fitting_idempotent
-
+    def test_fitting_projection_waits_for_the_stable_image(self, cross_check):
         # A nilpotent Jordan block of size n - 1 beside a 1 x 1 identity:
         # the image of psi^m shrinks until m = n - 1.
         for p in (2, 3):
             for n in range(2, 9):
                 psi = fp.identity(n)
                 psi[:n - 1, :n - 1] = np.eye(n - 1, n - 1, -1, dtype=np.int64)
-                want = fp.zeros(n, n)
-                want[n - 1, n - 1] = 1
-                assert np.array_equal(_fitting_idempotent(psi, p), want)
+                image, kernel = modules._fitting_split(FiniteModule(p, {0: n}, {}), psi)
+                assert image.dims == {0: 1} and kernel.dims == {0: n - 1}
+        assert cross_check["split"] == 14
 
     @pytest.mark.parametrize("name,build,dims", [
         ("6 S/2", lambda: sum_of(*[moore_module(2)] * 6), (2, 10)),
@@ -920,7 +1010,7 @@ class TestDecomposability:
         assert r and r.certified
         assert tuple(s.total_dim for s in r.summands) == dims
         assert direct_sum(*r.summands).dims == M.dims
-        assert cross_check["fitting"] == 1 and cross_check["summands"] == 2
+        assert cross_check["split"] == 1 and cross_check["summands"] == 2
 
     @pytest.mark.parametrize("p,dims,actions", [
         (3, {0: 2, 1: 1, 3: 1, 4: 2},
@@ -935,7 +1025,7 @@ class TestDecomposability:
         M = FiniteModule(p, dims, {k: np.array(v) for k, v in actions.items()})
         basis = modules._endomorphism_basis(M)
         # Every basis element of End(M) is nilpotent or invertible.
-        assert all(modules._fitting_idempotent(b, p) is None for b in basis)
+        assert all(modules._fitting_split(M, b) is None for b in basis)
         assert not modules._is_local(basis, M.dims, p)
         r = is_decomposable(M)
         assert r and direct_sum(*r.summands).dims == M.dims
@@ -951,32 +1041,24 @@ class TestDecomposability:
             # With the basis: one representative of every line of F_p^k.
             assert len(seen) + k == (p ** k - 1) // (p - 1)
 
-    def test_fitting_idempotent_matches_reference_on_random_matrices(self):
+    def test_fitting_split_matches_reference_on_random_matrices(self, cross_check):
+        # Any matrix is an endomorphism of n cells in one degree.
         rng = np.random.default_rng(19)
-        found = 0
         for p in (2, 3, 5):
             for n in range(1, 13):
+                M = FiniteModule(p, {0: n}, {})
                 for _ in range(4):
                     psi = rng.integers(0, p, size=(n, n), dtype=np.int64)
                     # Half of them singular, so that both parts are nonzero.
                     if n > 1 and rng.integers(2):
                         psi[:, -1] = psi[:, :-1] @ rng.integers(0, p, size=n - 1) % p
-                    got = modules._fitting_idempotent(psi, p)
-                    want = reference_fitting_idempotent(psi, p)
-                    assert (got is None) == (want is None)
-                    if got is not None:
-                        found += 1
-                        assert np.array_equal(got, want)
-                        assert np.array_equal(fp.matmul(got, got, p), got)
-                        assert np.array_equal(fp.matmul(got, psi, p),
-                                              fp.matmul(psi, got, p))
-        assert found > 20
+                    modules._fitting_split(M, psi)
+        assert cross_check["split"] > 20
 
-    def test_fitting_by_squaring_matches_the_n_fold_power_on_endomorphisms(self):
+    def test_fitting_by_squaring_matches_the_n_fold_power_on_endomorphisms(self, cross_check):
         # psi^(2^k), 2^k >= n, against psi^n by n products, on End(M) of
         # seeded modules: its basis and random combinations of it.
         rng = random.Random(41)
-        found = 0
         for M in seeded_modules(lambda r: random_graded_module(r.choice((2, 3)), r),
                                 43, 40, max_end=1 << 20):
             p = M.prime
@@ -984,19 +1066,17 @@ class TestDecomposability:
             combos = [np.tensordot([rng.randrange(p) for _ in basis], basis, axes=1) % p
                       for _ in range(4)]
             for psi in [*basis, *combos]:
-                got = modules._fitting_idempotent(psi, p)
-                want = reference_fitting_idempotent(psi, p)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    found += 1
-                    assert np.array_equal(got, want)
-        assert found > 20
+                modules._fitting_split(M, psi)
+        assert cross_check["split"] > 20
+        # The kernel summand keeps the nullspace basis of psi^n, not the
+        # reference's, so the conjugacy check is what holds it.
+        assert cross_check["other_kernel_basis"] > 0
 
     def test_submodule_refuses_an_image_that_is_not_a_submodule(self):
         # The bottom cell of S/2 is not closed under Sq^1.
         e = np.array([[1, 0], [0, 0]], dtype=np.int64)
         with pytest.raises(ModuleError, match="not a submodule"):
-            modules._submodule_from_idempotent(moore_module(2), e)
+            modules._fitting_split(moore_module(2), e)
 
 
 def by_eigenvalues(basis, p):
@@ -1140,6 +1220,19 @@ def test_direct_sum_order_does_not_depend_on_hash_seed():
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("data,message", [
+        ({"dims": {"0": 1}}, "module has no 'prime'"),
+        ({"prime": 3}, "module has no 'dims'"),
+        ("P^1", "module is not a JSON object"),
+        ({"prime": 3, "dims": {"0": 1, "1": 1}, "actions": [
+            {"generator": "b", "source_degree": 0, "matrix": [[1]]},
+            {"generator": "b", "matrix": [[1]]}]}, "action 1 has no 'source_degree'"),
+        ({"prime": 3, "dims": {"0": 1}, "actions": ["b"]}, "action 0 is not a JSON object"),
+    ], ids=["no-prime", "no-dims", "not-an-object", "no-source-degree", "action-not-an-object"])
+    def test_missing_keys_are_module_errors(self, data, message):
+        with pytest.raises(ModuleError, match=f"^{message}$"):
+            modules.module_from_dict(data)
+
     def test_roundtrip(self, tmp_path):
         from torsionlab import save_module
 

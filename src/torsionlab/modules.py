@@ -221,21 +221,25 @@ def shift(M: FiniteModule, k: int) -> FiniteModule:
 
 def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """A + B, with the basis of each degree A's then B's: the block-diagonal
-    matrix of each generator, rows and columns stably sorted by degree."""
+    matrix of each generator, rows and columns stably sorted by degree.
+    where[j] is the sorted position of the j-th basis vector of A then B,
+    so each factor's matrix is written once, straight into place."""
     if A.prime != B.prime:
         raise PrimeMismatchError("direct sum over different primes")
     dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
     perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
                       kind="stable")
     n, split = len(perm), A.total_dim
+    where = np.empty_like(perm)
+    where[perm] = np.arange(n)
+    a, b = where[:split], where[split:]
     matrices = {}
     for g in sorted({*A.matrices, *B.matrices}):
-        mat = fp.zeros(n, n)
+        mat = matrices[g] = fp.zeros(n, n)
         if g in A.matrices:
-            mat[:split, :split] = A.matrices[g]
+            mat[a[:, None], a] = A.matrices[g]
         if g in B.matrices:
-            mat[split:, split:] = B.matrices[g]
-        matrices[g] = mat[np.ix_(perm, perm)]
+            mat[b[:, None], b] = B.matrices[g]
     return FiniteModule._whole(A.prime, dims, matrices)
 
 

@@ -22,7 +22,9 @@ sequences of Milnor's dual description of the Steenrod algebra.
 What a word makes of a test class is memoized for the process, and so is
 what each of its tails makes of it, so a monomial or a tail met before is
 not stepped again; an element acts as the sum of its coefficients times
-these states.
+these states.  A step not met before reads its binomials mod p from a
+bounded memo of scalar C(n, k) (`_binomial`): the same few small binomials
+recur from step to step.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 from typing import Iterator
 
 from .steenrod import (
+    BOCKSTEIN,
     Generator,
     PrimeMismatchError,
     SteenrodElement,
@@ -60,9 +63,20 @@ OrbitState = dict[Orbit, int]
 State = tuple[tuple[Orbit, int], ...]
 
 
-# Only words new to the memo of word states below reach this cache: 6000 ops
-# of the perfbench referee workload call it about 6 200 times with about
-# 3 100 distinct keys; at 256 entries it missed about 5 300 times.
+# Scalar binomials C(n, k) mod p for the x steps and the y splits, in an LRU
+# memo of at most 4096 entries: the 934 ops of one perfbench referee process
+# (seed 9001) ask for about 17 000 of them, only 994 distinct, and 6 000 ops
+# for 1 153 distinct.  Only the binomials a step tries are kept, never a row
+# or a table per prime, so large indices and primes cost no more than the
+# step.  `lucas` itself stays unmemoized for the Adem engine, whose
+# binomials do not recur.
+_binomial = functools.lru_cache(maxsize=4096)(lucas)
+
+
+# Only words new to the memo of word states below reach this cache: the 934
+# ops of one perfbench referee process (seed 9001) call it 1 770 times with
+# 1 260 misses, and 6 000 ops 6 192 times with 3 126 misses; at 256 entries
+# it missed about 5 300 times.
 @functools.lru_cache(maxsize=4096)
 def _x_step(p: int, counts: Counts, i: int) -> tuple[tuple[Counts, int], ...]:
     """P^i on the orbit sum of counts, all of i spent in the x block.
@@ -71,45 +85,56 @@ def _x_step(p: int, counts: Counts, i: int) -> tuple[tuple[Counts, int], ...]:
     sum t_k p^k = i, so the new counts are c'_{k+1} = c_{k+1} - t_{k+1} + t_k.
     A target monomial is reached once for each way to choose which of its
     c'_{k+1} x's came from below, so its coefficient is
-    prod C(c'_{k+1}, t_k) mod p.  t is chosen from the top level down; a
-    binomial that vanishes mod p (a base-p carry, by Kummer) ends its
-    branch, and so does a budget the lower levels cannot spend."""
+    prod C(c'_{k+1}, t_k) mod p, each factor read from the `_binomial`
+    memo.  t is chosen from the top level down; a binomial that vanishes
+    mod p (a base-p carry, by Kummer) ends its branch, and so does a budget
+    the lower levels cannot spend.  What is left for level 0 must all be
+    spent there, so that choice is made in the loop of level 1."""
     room = [0]  # room[k]: the most that the levels below k can spend
     for k, c in enumerate(counts):
         room.append(room[k] + c * p ** k)
+    if i > room[-1]:
+        return ()
+    if len(counts) < 2:  # level 0 alone spends all of i, with C(i, i) = 1
+        return ((counts if not i else (counts[0] - i, i), 1),)
     out = []
     new = [0] * (len(counts) + 1)
 
     def rec(k: int, left: int, stay: int, weight: int):
         # stay: the level-(k + 1) x's that were not raised
-        if k < 0:
-            new[0] = stay
-            top = len(new)
-            while top and not new[top - 1]:
-                top -= 1
-            out.append((tuple(new[:top]), weight))
-            return
         unit = p ** k
         for t in range(max(0, -((room[k] - left) // unit)),
                        min(counts[k], left // unit) + 1):
-            c = lucas(stay + t, t, p)
-            if c:
-                new[k + 1] = stay + t
+            c = _binomial(stay + t, t, p)
+            if not c:
+                continue
+            new[k + 1] = stay + t
+            if k > 1:
                 rec(k - 1, left - t * unit, counts[k] - t, weight * c % p)
+                continue
+            # Level 0 raises the rest, t0 = left - t p <= c_0 by room[1].
+            t0, stay0 = left - t * p, counts[1] - t
+            c0 = _binomial(stay0 + t0, t0, p)
+            if c0:
+                new[0], new[1] = counts[0] - t0, stay0 + t0
+                top = len(new)
+                while top and not new[top - 1]:
+                    top -= 1
+                out.append((tuple(new[:top]), weight * c * c0 % p))
 
-    if i <= room[-1]:
-        rec(len(counts) - 1, i, 0, 1)
+    rec(len(counts) - 1, i, 0, 1)
     return tuple(out)
 
 
 def _y_splits(p: int, ys: YBlock, budget: int) -> Iterator[tuple[YBlock, int, int]]:
-    """P^j on the explicit y block for every j <= budget: (block, j, weight)."""
+    """P^j on the explicit y block for every j <= budget: (block, j, weight),
+    with each C(e, v) read from the `_binomial` memo."""
     if not ys:
         yield ys, 0, 1
         return
     (bit, e), rest = ys[0], ys[1:]
     for v in range(min(e, budget) + 1):
-        c = lucas(e, v, p)
+        c = _binomial(e, v, p)
         if c:
             for tail, spent, w in _y_splits(p, rest, budget - v):
                 yield ((bit, e + v * (p - 1)),) + tail, v + spent, c * w % p
@@ -173,7 +198,7 @@ def _orbit_action(op: SteenrodElement, q: int, r: int) -> OrbitState:
     dict."""
     p = op.prime
     total: OrbitState = {}
-    for mono, coef in op.terms.items():
+    for mono, coef in op._terms.items():
         for orbit, c in _word_state(p, q, r, mono.word):
             total[orbit] = (total.get(orbit, 0) + coef * c) % p
     return {orbit: c for orbit, c in total.items() if c}
@@ -184,15 +209,14 @@ def _orbit_action(op: SteenrodElement, q: int, r: int) -> OrbitState:
 # ---------------------------------------------------------------------------
 
 def _max_bockstein_count(e: SteenrodElement) -> int:
-    counts = [sum(1 for g in m.word if g.kind == "b") for m in e.terms]
-    return max(counts, default=0)
+    return max([m.word.count(BOCKSTEIN) for m in e._terms], default=0)
 
 
 def checked_degree(diff: SteenrodElement, max_degree: int) -> int:
     """The degree through which oracle_equal(a, b, max_degree) checks, for
     diff = a - b: max_degree, raised to the highest monomial degree of
     diff."""
-    return max([max_degree] + [m.degree for m in diff.terms])
+    return max([max_degree] + [m.degree for m in diff._terms])
 
 
 def oracle_equal(a: SteenrodElement, b: SteenrodElement,

@@ -151,6 +151,34 @@ class _Letters(dict):
 _letters = functools.cache(_Letters)
 
 
+class _Degrees(dict):
+    """Generator -> its degree at one prime, each filled on first use, so
+    that a word's degrees are one C-level `map` over this table."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.prime = p
+
+    def __missing__(self, g: Generator) -> int:
+        d = self[g] = g.degree_at(self.prime)
+        return d
+
+
+_degrees = functools.cache(_Degrees)
+
+
+class _Text(dict):
+    """Generator -> its text, each filled on first use; the text of a
+    generator does not depend on the prime."""
+
+    def __missing__(self, g: Generator) -> str:
+        text = self[g] = str(g)
+        return text
+
+
+_TEXT = _Text()
+
+
 class Monomial(NamedTuple):
     """A word of generators over a fixed prime."""
 
@@ -159,7 +187,7 @@ class Monomial(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return sum(g.degree_at(self.prime) for g in self.word)
+        return sum(map(_degrees(self.prime).__getitem__, self.word))
 
     @property
     def is_admissible(self) -> bool:
@@ -169,12 +197,12 @@ class Monomial(NamedTuple):
     def sort_key(self) -> tuple[int, ...]:
         # Degree sequence of the letters; used for the canonical descending
         # lexicographic term order.
-        return tuple(g.degree_at(self.prime) for g in self.word)
+        return tuple(map(_degrees(self.prime).__getitem__, self.word))
 
     def __str__(self) -> str:
         if not self.word:
             return "1"
-        return " ".join(str(g) for g in self.word)
+        return " ".join(map(_TEXT.__getitem__, self.word))
 
 
 class SteenrodElement:
@@ -259,15 +287,19 @@ class SteenrodElement:
             raise PrimeMismatchError(
                 f"cannot combine elements over p={self.prime} and p={other.prime}")
 
-    def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
+    def _plus(self, other: "SteenrodElement", sign: int) -> "SteenrodElement":
+        """self + sign * other, in one pass over other's terms."""
         self._check_same_prime(other)
         terms = dict(self._terms)
         for mono, c in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + c
+            terms[mono] = terms.get(mono, 0) + sign * c
         return SteenrodElement._reduced(self.prime, terms)
 
+    def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "SteenrodElement") -> "SteenrodElement":
-        return self + (-1) * other
+        return self._plus(other, -1)
 
     def __rmul__(self, scalar: int) -> "SteenrodElement":
         return SteenrodElement._reduced(

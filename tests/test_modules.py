@@ -420,6 +420,24 @@ def sum_of(*modules):
     return out
 
 
+def reference_direct_sum(A, B):
+    """direct_sum's earlier construction: each generator's block-diagonal
+    matrix, then rows and columns permuted into the stable degree sort."""
+    n, split = A.total_dim + B.total_dim, A.total_dim
+    perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
+                      kind="stable")
+    dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
+    matrices = {}
+    for g in sorted({*A.matrices, *B.matrices}):
+        mat = fp.zeros(n, n)
+        if g in A.matrices:
+            mat[:split, :split] = A.matrices[g]
+        if g in B.matrices:
+            mat[split:, split:] = B.matrices[g]
+        matrices[g] = mat[np.ix_(perm, perm)]
+    return dims, matrices
+
+
 def fabricated_violation_module():
     # Sq^1 Sq^1 = 0, so a rank-1 chain x ->Sq1 y ->Sq1 z is inconsistent.
     return FiniteModule(
@@ -476,6 +494,26 @@ class TestConstructors:
     def test_direct_sum_dims(self):
         s = direct_sum(moore_module(2), sphere_module(2, 1))
         assert s.dims == {0: 1, 1: 2}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_direct_sum_matches_the_block_diagonal_reference(self, p):
+        # Interleaved degrees, generators only one summand has, the zero
+        # module on either side, and sums of sums.
+        rng = random.Random(60 + p)
+        zero = FiniteModule(p, {}, {})
+        pieces = [zero, moore_module(p), hypothetical_Cb_module() if p == 3 else zero]
+        for _ in range(25):
+            pieces += [shift(random_module(p, rng), rng.randint(-2, 3)),
+                       shift(random_graded_module(p, rng), rng.randint(-2, 3))]
+        pairs = [(rng.choice(pieces), rng.choice(pieces)) for _ in range(80)]
+        pairs += [(direct_sum(a, b), c) for (a, b), c in zip(pairs, pieces)]
+        for A, B in pairs:
+            M = direct_sum(A, B)
+            dims, matrices = reference_direct_sum(A, B)
+            assert M.dims == dims and list(M.matrices) == list(matrices)
+            for g, mat in matrices.items():
+                assert M.matrices[g].dtype == mat.dtype
+                assert np.array_equal(M.matrices[g], mat), (A, B, g)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(Exception):

@@ -5,8 +5,10 @@ The slow reference `act`, which acts letter by letter on explicit
 monomials of `OracleAlgebra`, is defined here and checks the orbit engine."""
 
 import collections
+import importlib
 import itertools
 import math
+import pathlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import torsionlab
 from torsionlab import (
     BOCKSTEIN,
     Generator,
@@ -428,6 +431,98 @@ class TestSymmetricAction:
 
 
 # ---------------------------------------------------------------------------
+# The x step against its plain recursion
+# ---------------------------------------------------------------------------
+
+def reference_x_step(p, counts, i):
+    """_x_step as a recursion through every level, level 0 included, with
+    every binomial from `lucas`: the form the memoized step replaced."""
+    room = [0]
+    for k, c in enumerate(counts):
+        room.append(room[k] + c * p ** k)
+    out = []
+    new = [0] * (len(counts) + 1)
+
+    def rec(k, left, stay, weight):
+        if k < 0:
+            new[0] = stay
+            top = len(new)
+            while top and not new[top - 1]:
+                top -= 1
+            out.append((tuple(new[:top]), weight))
+            return
+        unit = p ** k
+        for t in range(max(0, -((room[k] - left) // unit)),
+                       min(counts[k], left // unit) + 1):
+            c = lucas(stay + t, t, p)
+            if c:
+                new[k + 1] = stay + t
+                rec(k - 1, left - t * unit, counts[k] - t, weight * c % p)
+
+    if i <= room[-1]:
+        rec(len(counts) - 1, i, 0, 1)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_x_step_matches_reference_on_random_keys(p):
+    # Count vectors with gaps and up to 5 levels; budgets of 0, of a random
+    # choice of x's per level, anywhere up to the most the counts can
+    # spend, and just past it.
+    rng = random.Random(70 + p)
+    keys = [(p, (), 0), (p, (), 1)]
+    for _ in range(400):
+        counts = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+        counts[-1] = max(counts[-1], 1)
+        room = sum(c * p ** k for k, c in enumerate(counts))
+        chosen = sum(rng.randint(0, c) * p ** k for k, c in enumerate(counts))
+        for i in (0, chosen, rng.randint(1, room), room, room + rng.randint(1, p)):
+            keys.append((p, tuple(counts), i))
+    for key in keys:
+        assert oracle._x_step.__wrapped__(*key) == reference_x_step(*key), key
+        assert oracle._x_step(*key) == reference_x_step(*key), key
+
+
+def test_x_step_matches_reference_on_a_referee_stream(monkeypatch):
+    # Every key that the first 934 ops of the benchmark's referee stream
+    # (seed 9001) step, from an empty memo of word states.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    referee = workloads.Referee(9001)
+    ops = list(itertools.islice(referee.ops(), 934))
+    step, keys = oracle._x_step, set()
+
+    def recorded(*key):
+        keys.add(key)
+        return step(*key)
+
+    monkeypatch.setattr(oracle, "_x_step", recorded)
+    monkeypatch.setattr(oracle, "_STATES", {})
+    verdicts = [referee.run(torsionlab, op) for op in ops]
+    assert verdicts == [op[3] is None for op in ops]
+    assert len(keys) > 1000 and {key[0] for key in keys} == {2, 3, 5}
+    for key in keys:
+        assert step.__wrapped__(*key) == reference_x_step(*key), key
+
+
+def test_step_binomials_equal_lucas():
+    # The bounded memo behind the x step and the y splits, on the grid of
+    # the binomial tests, and again on a part of it that the memo holds.
+    grid = [(n, k, p) for p in (2, 3, 5, 7, 10007)
+            for n in range(-40, 201) for k in range(-3, 211)]
+    for key in grid:
+        assert oracle._binomial(*key) == lucas(*key), key
+    small = [(n, k, p) for n, k, p in grid if 0 <= n < 20 and k < 20]
+    for key in small:
+        oracle._binomial(*key)
+    hits = oracle._binomial.cache_info().hits
+    for key in small:
+        assert oracle._binomial(*key) == lucas(*key), key
+    info = oracle._binomial.cache_info()
+    assert info.maxsize == 4096 and info.hits - hits == len(small)
+
+
+# ---------------------------------------------------------------------------
 # The partition engine, kept as the slow reference for the level engine.
 # Its x block is a sorted (value, count) partition of arbitrary plain
 # exponents, raised by the Cartan formula group by group and merged with
@@ -671,6 +766,32 @@ class TestOracleEqual:
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatchError):
             oracle_equal(el("Sq^1", 2), el("b", 3), 5)
+
+    @pytest.mark.parametrize("lhs,rhs,max_degree,verdict,budget", [
+        # Steps try each binomial they need, never a whole row of them.
+        ("Sq^3000 Sq^2000", "Sq^5000", 0, False, 0.1),
+        # 100 000 plain x's are one count.
+        ("Sq^2 Sq^2", "Sq^3 Sq^1", 100000, True, 1.0),
+    ])
+    def test_large_indices_and_classes_stay_fast(self, lhs, rhs, max_degree,
+                                                 verdict, budget):
+        a, b = el(lhs, 2), el(rhs, 2)
+        oracle._STATES.clear()
+        oracle._x_step.cache_clear()
+        oracle._binomial.cache_clear()
+        start = time.perf_counter()
+        assert oracle_equal(a, b, max_degree) is verdict
+        assert time.perf_counter() - start < budget
+
+    def test_classes_reach_the_most_bocksteins_of_any_term(self):
+        # P^1 P^1 = 2 P^2 and b P^1 b != 0, which only y_1 y_2 x_3.. sees.
+        lhs = el("P^1 P^1 + b P^1 b", 3)
+        assert oracle_equal(lhs, el("2 P^2", 3), 10) is False
+        assert oracle_equal(lhs, el("2 P^2 + b P^1 b", 3), 10) is True
+
+    def test_large_prime(self):
+        assert oracle_equal(el("P^1 P^2", 10007), el("3 P^3", 10007), 0)
+        assert not oracle_equal(el("P^1 P^2", 10007), el("P^3", 10007), 0)
 
     def test_faithful_on_admissible_basis(self):
         # Admissible monomials act linearly independently on the test

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import numpy
 import pytest
@@ -82,6 +83,26 @@ class TestBinomial:
     def test_matches_math_comb(self, p):
         for n, k in itertools.product(range(80), repeat=2):
             assert binomial_mod_p(n, k, p) == math.comb(n, k) % p
+
+    def test_matches_math_comb_with_the_negative_reflection(self):
+        # C(n, k) = (-1)^k C(k - n - 1, k) for n < 0, and 0 for k < 0.
+        exact = {(n, k): math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+                 for n in range(-40, 201) for k in range(211)}
+        for p in (2, 3, 5, 7, 10007):
+            for n in range(-40, 201):
+                for k in range(-3, 211):
+                    want = exact[n, k] % p if k >= 0 else 0
+                    assert steenrod.lucas(n, k, p) == want, (n, k, p)
+                    assert binomial_mod_p(n, k, p) == want, (n, k, p)
+
+    def test_large_prime_and_large_indices(self):
+        # Lucas works digit by digit: no table of digit binomials per prime.
+        assert binomial_mod_p(10**12 + 39, 10**6, 10007) == 2481
+        for cache in (steenrod._adem_pattern, steenrod._normalize_word):
+            cache.cache_clear()
+        start = time.perf_counter()
+        assert str(adem_normalize(el("P^1 P^2", 10007))) == "3 P^3"
+        assert time.perf_counter() - start < 0.1
 
 
 class TestParser:
@@ -244,6 +265,18 @@ class TestInternalElements:
             assert_reduced(got, p)
         assert (p * a).is_zero()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=hs.data(), p=hs.sampled_from([2, 3, 5]))
+    def test_difference_is_the_sum_with_the_negated_element(self, data, p):
+        a, b = data.draw(_elements(p)), data.draw(_elements(p))
+        for x, y in ((a, b), (b, a), (a, a), (a, SteenrodElement.zero(p))):
+            got, want = x - y, x + (-1) * y
+            assert list(got._terms.items()) == list(want._terms.items())
+            assert str(got) == str(want)
+        other = el("b", 3) if p == 2 else el("Sq^1", 2)
+        with pytest.raises(PrimeMismatchError):
+            a - other
+
     def test_public_constructor_checks_every_monomial(self):
         # Sq at odd p, P and b at p = 2, and monomials over another prime.
         for p, mono in ((3, Monomial(3, (Sq(2),))), (5, Monomial(5, (P(1), Sq(1)))),
@@ -254,6 +287,27 @@ class TestInternalElements:
             if mono.prime == p:
                 with pytest.raises(PrimeMismatchError):
                     SteenrodElement.from_word(p, mono.word)
+
+
+class TestLetterTables:
+    """Monomial.degree, sort_key and str read each letter's degree at the
+    prime and its text from tables; they must be what the letters say."""
+
+    def test_monomials_match_their_letters(self):
+        # New generator objects, letters of every kind at every prime (a
+        # Monomial is unchecked), large indices, and the same words at
+        # several primes, one of them given as a Prime.
+        rng = random.Random(90)
+        for _ in range(400):
+            word = tuple(rng.choice([Generator("Sq", rng.randint(1, 10**6)),
+                                     Generator("P", rng.randint(1, 300)),
+                                     Generator("b"), BOCKSTEIN])
+                         for _ in range(rng.randint(0, 6)))
+            for p in (2, 3, 5, 10007, Prime(3)):
+                m = Monomial(p, word)
+                assert m.degree == sum(g.degree_at(p) for g in word)
+                assert m.sort_key() == tuple(g.degree_at(p) for g in word)
+                assert str(m) == (" ".join(str(g) for g in word) if word else "1")
 
 
 class TestParserReference:

@@ -222,17 +222,19 @@ def shift(M: FiniteModule, k: int) -> FiniteModule:
 def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """A + B, with the basis of each degree A's then B's: the block-diagonal
     matrix of each generator, rows and columns stably sorted by degree.
-    where[j] is the sorted position of the j-th basis vector of A then B,
-    so each factor's matrix is written once, straight into place."""
+    Both bases are sorted by degree already, so the sorted positions a of
+    A's basis and b of B's merge two runs: degree d's block of the sum
+    holds A's vectors of degree d, then B's.  Each factor's matrix is
+    written once, straight into place."""
     if A.prime != B.prime:
         raise PrimeMismatchError("direct sum over different primes")
     dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
-    perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
-                      kind="stable")
-    n, split = len(perm), A.total_dim
-    where = np.empty_like(perm)
-    where[perm] = np.arange(n)
-    a, b = where[:split], where[split:]
+    offsets = _offsets(dims)
+    a = np.array([i for d, k in A.dims.items() for i in range(offsets[d], offsets[d] + k)],
+                 dtype=np.int64)
+    b = np.array([i for d, k in B.dims.items()
+                  for i in range(offsets[d] + A.dim(d), offsets[d] + dims[d])], dtype=np.int64)
+    n = A.total_dim + B.total_dim
     matrices = {}
     for g in sorted({*A.matrices, *B.matrices}):
         mat = matrices[g] = fp.zeros(n, n)
@@ -450,7 +452,7 @@ def adem_relations(M: FiniteModule, max_relation_degree: int
     relations = []
     for op_degree, word in _relation_words(p, bound):
         if op_degree in gaps:
-            lhs = SteenrodElement.from_word(p, word)
+            lhs = SteenrodElement._reduced(p, {Monomial(p, word): 1})
             relations.append((op_degree, lhs, adem_normalize(lhs)))
     return bound, relations
 

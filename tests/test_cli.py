@@ -10,6 +10,11 @@ import pytest
 
 from torsionlab.cli import main
 from torsionlab.modules import hypothetical_Cb_module, moore_module, save_module, tensor
+from torsionlab.scenarios import run_all
+
+# The text output of `torsionlab scenario all`.
+SCENARIO_ALL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                            "scenario_all.txt")
 
 
 def run(capsys, *argv):
@@ -356,6 +361,12 @@ class TestScenarios:
         code2, out2 = run(capsys, "scenario", "all")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_all_matches_the_golden_transcript(self, capsys):
+        with open(SCENARIO_ALL, encoding="utf-8", newline="") as f:
+            want = f.read()
+        assert "\n\n".join(r.render() for r in run_all()) + "\n" == want
+        assert run(capsys, "scenario", "all") == (0, want)
 
     def test_json_structure(self, capsys):
         code, out = run(capsys, "--json", "scenario", "prop2")

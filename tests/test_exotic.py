@@ -24,6 +24,7 @@ from torsionlab import (
 from torsionlab.exotic import (
     _BATCH_MATRICES,
     _all_matrices,
+    _composites_vanish,
     _decide_batch,
     _key_width,
     _layout,
@@ -33,7 +34,7 @@ from torsionlab.exotic import (
     _product_keys,
     _product_tables,
     _stack_codes,
-    _tr3_verdicts,
+    _verdicts,
     contractible_triangle,
     general_linear,
     identity_morphism,
@@ -41,6 +42,11 @@ from torsionlab.exotic import (
     zero_morphism,
     zero_triangle,
 )
+
+
+def tr3_verdicts(triangles):
+    """TR3 for every ordered pair of triangles, from the batched join."""
+    return _verdicts(triangles, [], tr3=True)[0]
 
 
 def _encode(stack):
@@ -164,7 +170,7 @@ def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
     cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
     source triangle (pairs come grouped by source) and per target; the
     batches are decided by the same _decide_batch."""
-    width = _key_width([*sources, *targets], len(pairs))
+    width = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
     verdicts = np.zeros(len(pairs), dtype=bool)
     before, after = {}, {}
     source = None
@@ -217,6 +223,13 @@ def members_by_stacks(queries, reps):
     iso = pair_verdicts_by_stacks(queries, reps, pairs, invertible_stack, every=False)
     return np.bincount([i for (i, _), ok in zip(pairs, iso) if ok],
                        minlength=len(queries)) > 0
+
+
+def composites_vanish_by_loop(t):
+    """Reference for the batched composite check: g f, h g and f h, one
+    matrix product at a time."""
+    f, g, h = t.f.matrix, t.g.matrix, t.h.matrix
+    return not any(((x @ y) % 4).any() for x, y in ((g, f), (h, g), (f, h)))
 
 
 def rank_one_candidates():
@@ -278,6 +291,24 @@ class TestElementaryTriangles:
         cands = rank_one_candidates()
         for t1, t2 in itertools.product(cands, repeat=2):
             assert is_isomorphic(t1, t2) == isomorphic_by_brute_force(t1, t2)
+
+    def test_batched_composites_match_loop(self):
+        m = [Z4Morphism.from_matrix([[x]]) for x in range(4)]
+        triples = [Z4Triangle(f, g, h) for f, g, h in itertools.product(m, repeat=3)]
+        vanish = _composites_vanish(triples)
+        assert vanish.tolist() == [composites_vanish_by_loop(t) for t in triples]
+        assert vanish.tolist() == [t.is_candidate for t in triples]
+        assert vanish.sum() == 14
+        # Mixed ranks, padded to the largest: representatives and random
+        # triangles, which mostly fail.
+        rng = np.random.default_rng(9)
+        mixed = distinguished_representatives(2)
+        for x, y, z in itertools.product(range(3), repeat=3):
+            mixed.append(Z4Triangle(*(Z4Morphism.from_matrix(rng.integers(0, 4, (t, s)), s, t)
+                                      for s, t in ((x, y), (y, z), (z, x)))))
+        vanish = _composites_vanish(mixed)
+        assert vanish.tolist() == [composites_vanish_by_loop(t) for t in mixed]
+        assert 16 <= vanish.sum() < len(mixed)
 
     def test_contractible_rotations_cycle(self):
         c0 = elementary_triangles()[1]
@@ -377,16 +408,24 @@ class TestProductTables:
     @pytest.mark.parametrize("invertible", [False, True])
     def test_keys_match_encoded_products(self, invertible):
         rank = 2
-        codes = _stack_codes(invertible, rank)
+        codes = _stack_codes(rank)
         rng = np.random.default_rng(5)
         shapes = ([(1, 1), (2, 2)] if invertible
                   else list(itertools.product(range(rank + 1), repeat=2)))
         stride = math.prod(_layout(rank))
         for t, s in shapes:
-            stack = general_linear(t) if invertible else _all_matrices(t, s)
+            stack = _all_matrices(t, s)
             k = t * (rank + 1) + s
             assert codes.size[k] == len(stack)
-            elements = slice(codes.start[k], codes.start[k] + codes.size[k])
+            if t == s:
+                # GL_t first, then the other matrices, each in enumeration order.
+                unit = np.isin(_encode(stack), _encode(general_linear(t)))
+                stack = np.concatenate([stack[unit], stack[~unit]])
+                assert codes.units[k] == unit.sum()
+            if invertible:
+                stack = stack[:codes.units[k]]
+                assert np.array_equal(stack, general_linear(t))
+            elements = slice(codes.start[k], codes.start[k] + len(stack))
             for inner in range(rank + 1):
                 # X m for m of shape (s, inner), and m X for m of shape (inner, t).
                 right = [rng.integers(0, 4, (s, inner)) for _ in range(3)]
@@ -441,7 +480,7 @@ class TestTR3:
     def test_join_matches_brute_force_on_rank_one_candidates(self):
         cands = rank_one_candidates()
         assert len(cands) == 14
-        verdicts = _tr3_verdicts(cands)
+        verdicts = tr3_verdicts(cands)
         for (i, t1), (j, t2) in itertools.product(enumerate(cands), repeat=2):
             assert verdicts[i, j] == tr3_by_brute_force(t1, t2)
         assert (~verdicts).sum() == 63
@@ -449,7 +488,7 @@ class TestTR3:
     def test_join_matches_brute_force_on_representatives(self):
         rng = random.Random(11)
         reps = distinguished_representatives(2)
-        verdicts = _tr3_verdicts(reps)
+        verdicts = tr3_verdicts(reps)
         for _ in range(8):
             i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
             want = tr3_by_brute_force(reps[i], reps[j])
@@ -460,7 +499,7 @@ class TestTR3:
         reps = distinguished_representatives(2)
         assert len(reps) == 16
         want = [[tr3_by_pair_join(t1, t2) for t2 in reps] for t1 in reps]
-        assert _tr3_verdicts(reps).tolist() == want
+        assert tr3_verdicts(reps).tolist() == want
 
     def test_pair_join_matches_brute_force_on_rank_one_candidates(self):
         cands = rank_one_candidates()
@@ -503,17 +542,49 @@ class TestBatchedJoins:
     def test_small_batches_give_the_same_verdicts(self, monkeypatch):
         reps = distinguished_representatives(2)
         queries = membership_queries()
-        tr3, members = _tr3_verdicts(reps), _members(queries, reps)
+        tr3, members = tr3_verdicts(reps), _members(queries, reps)
         # One rank-two pair alone holds up to 3 * 256 matrices.
         monkeypatch.setattr(exotic, "_BATCH_MATRICES", 50)
-        assert np.array_equal(_tr3_verdicts(reps), tr3)
+        assert np.array_equal(tr3_verdicts(reps), tr3)
         assert np.array_equal(_members(queries, reps), members)
         cands = rank_one_candidates()
-        assert (~_tr3_verdicts(cands)).sum() == 63
+        assert (~tr3_verdicts(cands)).sum() == 63
+
+    def test_single_call_matches_separate_calls(self):
+        reps = distinguished_representatives(2)
+        queries = membership_queries()
+        tr3, members = _verdicts(reps, queries, tr3=True)
+        assert np.array_equal(tr3, tr3_verdicts(reps))
+        assert np.array_equal(members, _members(queries, reps))
+        assert 0 < members.sum() < len(queries)
+        # With candidates among the triangles, some TR3 verdicts fail.
+        triangles = reps + rank_one_candidates()
+        tr3, members = _verdicts(triangles, queries, tr3=True)
+        assert np.array_equal(tr3, tr3_verdicts(triangles))
+        assert tr3[:16, :16].all() and not tr3.all()
+        assert np.array_equal(members, _members(queries, triangles))
+        assert np.array_equal(members, members_by_stacks(queries, triangles))
+
+    def test_one_batch_may_mix_tr3_and_membership_pairs(self, monkeypatch):
+        reps = distinguished_representatives(2)
+        queries = membership_queries()
+        tr3, members = tr3_verdicts(reps), _members(queries, reps)
+        decide, quantifiers = exotic._decide_batch, []
+
+        def recorded(b, a, c, n_pairs, width, every):
+            quantifiers.append(set(every.tolist()))
+            return decide(b, a, c, n_pairs, width, every)
+
+        monkeypatch.setattr(exotic, "_decide_batch", recorded)
+        monkeypatch.setattr(exotic, "_BATCH_MATRICES", 2000)
+        got_tr3, got_members = _verdicts(reps, queries, tr3=True)
+        assert {True, False} in quantifiers and len(quantifiers) > 2
+        assert np.array_equal(got_tr3, tr3)
+        assert np.array_equal(got_members, members)
 
     def test_packed_keys_fit_int64_at_rank_three(self):
         reps = distinguished_representatives(3)
-        width = _key_width(reps, len(reps) ** 2)
+        width = _key_width(3, len(reps) ** 2)
         assert width == 4 ** 9
         assert len(reps) ** 2 * width * width < 2**63
 
@@ -529,9 +600,9 @@ class TestBatchedJoins:
         # the stacks of all shapes within its rank bound.
         ranks = []
 
-        def recorded(invertible, rank):
+        def recorded(rank):
             ranks.append(rank)
-            return _stack_codes(invertible, rank)
+            return _stack_codes(rank)
 
         monkeypatch.setattr(exotic, "_stack_codes", recorded)
         assert verify_axioms(2).passed
@@ -539,9 +610,9 @@ class TestBatchedJoins:
 
     def test_join_matches_per_pair_reference(self):
         reps = distinguished_representatives(2)
-        assert np.array_equal(_tr3_verdicts(reps), tr3_by_stacks(reps))
+        assert np.array_equal(tr3_verdicts(reps), tr3_by_stacks(reps))
         cands = rank_one_candidates()
-        verdicts = _tr3_verdicts(cands)
+        verdicts = tr3_verdicts(cands)
         assert np.array_equal(verdicts, tr3_by_stacks(cands))
         assert (~verdicts).sum() == 63
 

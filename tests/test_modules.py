@@ -32,7 +32,7 @@ from torsionlab import (
 )
 from torsionlab import fpmatrix as fp
 from torsionlab import modules
-from torsionlab.modules import ModuleError, _relation_words
+from torsionlab.modules import ModuleError, _relation_words, adem_relations
 from torsionlab.steenrod import Monomial, SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
@@ -422,7 +422,8 @@ def sum_of(*modules):
 
 def reference_direct_sum(A, B):
     """direct_sum's earlier construction: each generator's block-diagonal
-    matrix, then rows and columns permuted into the stable degree sort."""
+    matrix, then rows and columns permuted by the stable argsort of the
+    basis degrees of A then B."""
     n, split = A.total_dim + B.total_dim, A.total_dim
     perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
                       kind="stable")
@@ -888,6 +889,17 @@ class TestConsistencyCheck:
                         == list(reference_inadmissible_words(p, bound)))
                 assert all(degree == sum(g.degree_at(p) for g in word)
                            for degree, word in got)
+
+    def test_relation_lhs_equal_checked_words(self):
+        # adem_relations builds each lhs unchecked from _relation_words.
+        for p, M in ((2, smash_power(moore_module(2), 4)), (3, hypothetical_Cb_module()),
+                     (5, dense_random_module(5, random.Random(5), 17))):
+            _, relations = adem_relations(M, 40)
+            assert relations
+            for _, lhs, rhs in relations:
+                (mono,) = lhs.terms
+                assert lhs == SteenrodElement.from_word(p, mono.word)
+                assert rhs == adem_normalize(lhs)
 
     def test_p3_cubed_relation_parses_to_equal_normal_forms(self):
         # The identity of the paper: (P^3)^3 = (P^7 P^1 - P^8) P^1 at p = 3.

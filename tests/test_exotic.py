@@ -170,7 +170,7 @@ def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
     cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
     source triangle (pairs come grouped by source) and per target; the
     batches are decided by the same _decide_batch."""
-    width = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
+    width, _ = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
     verdicts = np.zeros(len(pairs), dtype=bool)
     before, after = {}, {}
     source = None
@@ -584,9 +584,25 @@ class TestBatchedJoins:
 
     def test_packed_keys_fit_int64_at_rank_three(self):
         reps = distinguished_representatives(3)
-        width = _key_width(3, len(reps) ** 2)
-        assert width == 4 ** 9
+        width, dtype = _key_width(3, len(reps) ** 2)
+        assert width == 4 ** 9 and dtype == np.int64
         assert len(reps) ** 2 * width * width < 2**63
+        # At rank 2 the keys of a whole verification fit int32.
+        reps = distinguished_representatives(2)
+        pairs = len(reps) ** 2 + sum(map(len, exotic._closure_queries(2))) * len(reps)
+        assert _key_width(2, pairs) == (4 ** 4, np.int32)
+        assert _key_width(2, 2**15 + 1)[1] == np.int64
+
+    def test_int64_keys_give_the_same_verdicts(self, monkeypatch):
+        reps = distinguished_representatives(2)
+        triangles, queries = reps + rank_one_candidates(), membership_queries()
+        tr3, members = _verdicts(triangles, queries, tr3=True)
+        key_width = exotic._key_width
+        monkeypatch.setattr(exotic, "_key_width",
+                            lambda rank, n_pairs: (key_width(rank, n_pairs)[0], np.int64))
+        got_tr3, got_members = _verdicts(triangles, queries, tr3=True)
+        assert np.array_equal(got_tr3, tr3) and not tr3.all()
+        assert np.array_equal(got_members, members) and 0 < members.sum() < len(queries)
 
     def test_rank_four_is_refused_before_any_stack(self):
         big = zero_triangle()

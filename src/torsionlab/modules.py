@@ -11,11 +11,11 @@ every degree in increasing degree order, and one total_dim x total_dim
 matrix per acting generator whose only nonzero blocks map degree d to
 d + deg(g).  Products of these matrices compose the actions degree by
 degree with no index bookkeeping; the per-degree blocks (`action`,
-`actions`) are views into them.  Because each generator's blocks sit at
-their own degree difference, the generators of one kind add up to one
-total operation I + sum_k Sq^k, and the Cartan formula makes that
-multiplicative, so `tensor` reads every generator of A (x) B off entrywise
-products of the factors' total operations, one target degree at a time.
+`actions`) are views into them.  No two generators share a degree
+difference, so the sum T of a module's generator matrices holds them all
+and `_cut` takes it apart: End(M) solves E T = T E, a Fitting summand
+restricts T once, and `tensor` forms the T of A (x) B from the factors'
+total operations I + T, which the Cartan formula makes multiplicative.
 Endomorphisms are block-diagonal matrices in the same layout
 (`_offsets`), so both Fitting summands of one are read off one rref of
 its stable power (`_fitting_split`), and their products and traces are
@@ -24,6 +24,7 @@ taken degree block by degree block (`_degree_blocks`).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -133,7 +134,7 @@ class FiniteModule:
 
     def basis_degrees(self) -> np.ndarray:
         """The degree of each basis vector."""
-        return np.repeat(self.degrees, list(self.dims.values()))
+        return np.repeat(np.array(self.degrees, dtype=np.int64), list(self.dims.values()))
 
     def action(self, g: Generator, d: int) -> np.ndarray:
         """Matrix of g from degree d, zero where unstored."""
@@ -245,14 +246,41 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     return FiniteModule._whole(A.prime, dims, matrices)
 
 
-def _total_operation(M: FiniteModule, kind: str) -> np.ndarray:
-    """I + the sum of M's whole matrices of the generators of this kind (Sq
-    or P): each sits at its own degree difference, so no two overlap."""
-    out = fp.identity(M.total_dim)
-    for g, mat in M.matrices.items():
-        if g.kind == kind:
-            out += mat
-    return out
+def _summed(M: FiniteModule, kind: str | None = None) -> np.ndarray:
+    """The sum of M's whole matrices of the generators of this kind (Sq or
+    P), or of all of them: each sits at its own degree difference, so no
+    two overlap and the sum is reduced mod p; `_cut` takes it apart."""
+    return sum((mat for g, mat in M.matrices.items() if kind in (None, g.kind)),
+               fp.zeros(M.total_dim, M.total_dim))
+
+
+def _cut(p: int, degrees: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+         values: np.ndarray, order=None) -> dict[Generator, np.ndarray]:
+    """The generator matrices that sum to a whole matrix over a basis of
+    these degrees, given by its nonzero entries: entry (r, c) belongs to
+    the generator at degree difference degrees[r] - degrees[c], Sq^k at k,
+    and at odd p beta at 1 and P^k at k q, q = 2(p - 1), so no two
+    generators share a difference.  An entry at any other difference is a
+    ModuleError.  The generators come in the order of `order`, which must
+    name them all, or sorted; their matrices are laid out by one
+    scatter."""
+    q = 2 * (p - 1)
+    difference = degrees[rows] - degrees[cols]
+    # Entries at difference 0 or below land at 0, which no generator has.
+    at = np.bincount(np.maximum(difference, 0))
+    differences = np.flatnonzero(at)
+    wrong = [k for k in differences.tolist() if k < 1 or p > 2 and k != 1 and k % q]
+    if wrong:
+        raise ModuleError(f"an entry at degree difference {wrong[0] or difference.min()}, "
+                          f"which no generator has at p={p}")
+    generators = [Sq(k) if p == 2 else BOCKSTEIN if k == 1 else P(k // q)
+                  for k in differences.tolist()]
+    at[differences] = np.arange(len(generators))
+    out = np.zeros((len(generators), len(degrees), len(degrees)), dtype=np.int64)
+    out[at[difference], rows, cols] = values
+    matrices = dict(zip(generators, out))
+    return {g: matrices[g] for g in sorted(
+        matrices, key=None if order is None else list(order).index)}
 
 
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
@@ -267,75 +295,54 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     on A (x) B is T_A[a, a'] T_B[b, b'], and Sq^k (P^k) is the part of T
     at degree difference k (k q, q = 2(p - 1)).  Beta is the part at
     degree difference 1 of (beta_A + diag((-1)^deg)) (x) (I + beta_B).  So
-    each target degree's rows are one band, gathered from the factors'
-    matrices over the columns of the source degrees that some generator
-    reaches, multiplied entry by entry and cut into the generators'
-    blocks; no Kronecker product of whole matrices is formed."""
+    each part is the Kronecker product of its factors' nonzero entries
+    alone, each pair's product placed at its position in the output's
+    basis; the products at positive differences (1 for beta) are the
+    entries of the sum of the output's generator matrices, which `_cut`
+    takes apart.  No whole Kronecker matrix is formed."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
     deg_a, deg_b = A.basis_degrees(), B.basis_degrees()
-    perm = np.argsort(np.add.outer(deg_a, deg_b).ravel(), kind="stable")
-    # The (A index, B index) of each basis vector, in the output's order.
-    index_a, index_b = np.divmod(perm, len(deg_b))
-    sizes: dict[int, int] = {}
-    for i in A.degrees:
-        for j in B.degrees:
-            sizes[i + j] = sizes.get(i + j, 0) + A.dims[i] * B.dims[j]
-    dims = dict(sorted(sizes.items()))
-    offsets = _offsets(dims)
-    size, span = len(perm), max(dims) - min(dims) if dims else 0
+    degrees = np.add.outer(deg_a, deg_b).ravel()
+    perm = np.argsort(degrees, kind="stable")
+    degrees = degrees[perm]
+    dims = dict(collections.Counter(degrees.tolist()))
+    size = len(perm)
+    span = int(degrees[-1] - degrees[0]) if size else 0
 
-    # (generator at degree difference k, left factor, right factor, step,
-    # top): the part of left (x) right at every difference k <= top that
-    # step divides.
+    # The parts, stacked: left factors, right factors, and the largest
+    # degree difference each is kept at.
+    one_a, one_b = fp.identity(A.total_dim), fp.identity(B.total_dim)
     if p == 2:
-        parts = [(Sq, _total_operation(A, "Sq"), _total_operation(B, "Sq"), 1, span)]
+        lefts, rights, tops = [one_a + _summed(A, "Sq")], [one_b + _summed(B, "Sq")], [span]
     else:
-        q = 2 * (p - 1)
-        beta_a = fp.identity(A.total_dim) * np.where(deg_a % 2, p - 1, 1)
-        beta_b = fp.identity(B.total_dim)
-        beta_a += A.matrices.get(BOCKSTEIN, 0)
-        beta_b += B.matrices.get(BOCKSTEIN, 0)
-        parts = [(lambda k: P(k // q), _total_operation(A, "P"), _total_operation(B, "P"),
-                  q, span),
-                 (lambda k: BOCKSTEIN, beta_a, beta_b, 1, 1)]
+        lefts = [one_a + _summed(A, "P"),
+                 one_a * np.where(deg_a % 2, p - 1, 1) + A.matrices.get(BOCKSTEIN, 0)]
+        rights = [one_b + _summed(B, "P"), one_b + B.matrices.get(BOCKSTEIN, 0)]
+        tops = [span, 1]
+    lefts, rights, tops = np.array(lefts), np.array(rights), np.array(tops)
 
-    matrices: dict[Generator, np.ndarray] = {}
-    for generator, left, right, step, top in parts:
-        for residue in range(step):
-            # The degrees step apart: the sources of degree m are the run of
-            # this chain from m - top up to m, so their columns, laid out
-            # chain by chain, are one slice.
-            chain = {n: dims[n] for n in dims if n % step == residue}
-            if len(chain) < 2:
-                continue
-            cols = np.concatenate([np.arange(offsets[n], offsets[n] + dims[n]) for n in chain])
-            chain_a, chain_b, at = index_a[cols], index_b[cols], _offsets(chain)
-            degrees = list(chain)
-            for i, m in enumerate(degrees):
-                sources = [n for n in degrees[:i] if m - n <= top]
-                if not sources:
-                    continue
-                rows, start = slice(offsets[m], offsets[m] + dims[m]), at[sources[0]]
-                band = (left[index_a[rows, None], chain_a[start:at[m]]]
-                        * right[index_b[rows, None], chain_b[start:at[m]]] % p)
-                nonzero = band.any(axis=0).tolist()
-                for n in sources:
-                    lo = at[n] - start
-                    if any(nonzero[lo:lo + dims[n]]):
-                        g = generator(m - n)
-                        if g not in matrices:
-                            matrices[g] = fp.zeros(size, size)
-                        matrices[g][rows, offsets[n]:offsets[n] + dims[n]] = band[:, lo:lo + dims[n]]
+    # Every pair of a nonzero entry of a left factor and one of the right
+    # factor of the same part, kept at the part's positive differences.
+    (pa, ra, ca), (pb, rb, cb) = np.nonzero(lefts), np.nonzero(rights)
+    difference = np.add.outer(deg_a[ra] - deg_a[ca], deg_b[rb] - deg_b[cb])
+    a, b = np.nonzero((pa[:, None] == pb) & (difference > 0) & (difference <= tops[pa, None]))
+    # The output position of each (A index, B index); no two pairs share
+    # one, and a product of two nonzero residues is nonzero mod p.
+    position = np.empty(size, dtype=np.int64)
+    position[perm] = np.arange(size)
+    rows, cols = position[ra[a] * len(deg_b) + rb[b]], position[ca[a] * len(deg_b) + cb[b]]
+    values = lefts[pa, ra, ca][a] * rights[pb, rb, cb][b] % p
     labels = None
     if A.labels and B.labels:
-        names_a = [A.labels[i][a] for i in A.degrees for a in range(A.dims[i])]
-        names_b = [B.labels[j][b] for j in B.degrees for b in range(B.dims[j])]
-        labels = {n: [f"{names_a[a]}*{names_b[b]}" for a, b in zip(
-            index_a[row:row + dims[n]].tolist(), index_b[row:row + dims[n]].tolist())]
-                  for n, row in offsets.items()}
-    return FiniteModule._whole(p, dims, dict(sorted(matrices.items())), labels)
+        names_a = [name for i in A.degrees for name in A.labels[i]]
+        names_b = [name for j in B.degrees for name in B.labels[j]]
+        # The (A index, B index) of each basis vector, in the output's order.
+        index_a, index_b = np.divmod(perm, len(deg_b))
+        names = [f"{names_a[i]}*{names_b[j]}" for i, j in zip(index_a.tolist(), index_b.tolist())]
+        labels = {n: names[row:row + dims[n]] for n, row in _offsets(dims).items()}
+    return FiniteModule._whole(p, dims, _cut(p, degrees, rows, cols, values), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -557,44 +564,28 @@ class DecompositionResult:
         return self.decomposable
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its overhead on small ones."""
-    (r1, c1), (r2, c2) = x.shape, y.shape
-    return np.einsum("ij,kl->ikjl", x, y).reshape(r1 * r2, c1 * c2)
-
-
 def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     """Basis of the degreewise endomorphisms commuting with all generator
     actions, as a stack of block-diagonal total_dim x total_dim matrices.
 
-    The unknowns are the entries of each degree block E_d, row by row;
-    the action A from degree d to d2 contributes the equations
-    E_d2 A - A E_d = 0, whose coefficient blocks are kron(I, A^T) and
-    -kron(A, I)."""
-    p = M.prime
-    offsets = _offsets({d: n * n for d, n in M.dims.items()})
-    total = sum(n * n for n in M.dims.values())
-
-    rows: list[np.ndarray] = []
-    for (g, d), A in M.actions.items():
-        d2 = d + g.degree_at(p)
-        tdim, sdim = A.shape
-        block = fp.zeros(tdim * sdim, total)
-        block[:, offsets[d2]:offsets[d2] + tdim * tdim] += _kron(
-            fp.identity(tdim), A.T)
-        block[:, offsets[d]:offsets[d] + sdim * sdim] -= _kron(
-            A, fp.identity(sdim))
-        rows.append(block % p)
-    if rows:
-        basis_vecs = fp.nullspace(np.vstack(rows), p)
-    else:
-        basis_vecs = fp.identity(total)
-    k = basis_vecs.shape[1]
-    out = np.zeros((k, M.total_dim, M.total_dim), dtype=np.int64)
-    for d, pos in _offsets(M.dims).items():
-        n = M.dims[d]
-        out[:, pos:pos + n, pos:pos + n] = basis_vecs[
-            offsets[d]:offsets[d] + n * n].T.reshape(k, n, n)
+    The unknowns are the entries (i, j) of E with deg i = deg j, block by
+    block and row by row.  With T the sum of M's generator matrices, E
+    commutes with every generator iff E T = T E, since the part of
+    E T - T E at each degree difference is that generator's.  Unknown
+    (i, j) adds T[j, c] to entry (i, c) of E T - T E and -T[r, i] to entry
+    (r, j), so the equations are assembled in one scatter."""
+    p, n = M.prime, M.total_dim
+    degrees = M.basis_degrees()
+    i, j = np.nonzero(degrees[:, None] == degrees)
+    total, unknown = _summed(M), np.arange(len(i))
+    equations = np.zeros((n, n, len(i)), dtype=np.int64)
+    equations[i, :, unknown] = total[j]
+    equations[:, j, unknown] -= total[:, i]
+    equations = equations.reshape(n * n, len(i)) % p
+    equations = equations[equations.any(axis=1)]
+    basis_vecs = fp.nullspace(equations, p)
+    out = np.zeros((basis_vecs.shape[1], n, n), dtype=np.int64)
+    out[:, i, j] = basis_vecs.T
     return out
 
 
@@ -602,22 +593,20 @@ def _restrict(M: FiniteModule, basis: np.ndarray, left: np.ndarray) -> FiniteMod
     """The submodule of M spanned by the columns of basis, homogeneous and
     in increasing degree order, given a left inverse of basis on them.
 
-    Each generator W of M restricts to the whole matrix X = left W basis,
-    which holds exactly when basis X = W basis; that is checked."""
+    The sum T of M's generator matrices restricts to X = left T basis,
+    which holds exactly when basis X = T basis; that is checked.  The
+    span of basis is graded, so that holds for T iff it holds for each
+    generator, whose restriction is X's part at its difference (`_cut`)."""
     p = M.prime
-    dims: dict[int, int] = {}
     # A column's degree is that of its first nonzero entry.
-    for d in M.basis_degrees()[(basis != 0).argmax(axis=0)].tolist():
-        dims[d] = dims.get(d, 0) + 1
-    matrices: dict[Generator, np.ndarray] = {}
-    for g, W in M.matrices.items():
-        image = fp.matmul(W, basis, p)
-        X = fp.matmul(left, image, p)
-        if not np.array_equal(fp.matmul(basis, X, p), image):
-            raise ModuleError("Fitting summand is not a submodule")
-        if X.any():
-            matrices[g] = X
-    return FiniteModule._whole(p, dims, matrices)
+    degrees = M.basis_degrees()[(basis != 0).argmax(axis=0)]
+    image = fp.matmul(_summed(M), basis, p)
+    X = fp.matmul(left, image, p)
+    if not np.array_equal(fp.matmul(basis, X, p), image):
+        raise ModuleError("Fitting summand is not a submodule")
+    rows, cols = np.nonzero(X)
+    return FiniteModule._whole(p, dict(collections.Counter(degrees.tolist())),
+                               _cut(p, degrees, rows, cols, X[rows, cols], M.matrices))
 
 
 def _fitting_split(M: FiniteModule, psi: np.ndarray

@@ -246,6 +246,24 @@ class TestModuleCommands:
         assert "relations checked: 69 (degree <= 36)" in out
         assert len(calls) == 1
 
+    def test_check_loads_the_module_file_once(self, capsys, monkeypatch, tmp_path):
+        from torsionlab import modules
+
+        path = str(tmp_path / "cb.json")
+        save_module(hypothetical_Cb_module(), path)
+        calls = []
+        load = modules.load_module
+
+        def counted(*args):
+            calls.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(modules, "load_module", counted)
+        code, out = run(capsys, "module", "check", path)
+        assert code == 1
+        assert "relations checked: 69 (degree <= 36)" in out
+        assert calls == [(path,)]
+
     def test_check_cost_follows_the_module_not_the_flag(self, fourth_power_file):
         def check(bound):
             done = subprocess.run(

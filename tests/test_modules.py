@@ -471,6 +471,63 @@ def dense_random_module(p, rng, top):
     return FiniteModule(p, dims, actions)
 
 
+def reference_endomorphism_basis(M):
+    """The Kronecker End builder that `_endomorphism_basis` replaced: the
+    unknowns are the entries of each degree block E_d, row by row, and the
+    action A from degree d to d2 contributes the equations
+    E_d2 A - A E_d = 0, whose coefficient blocks are kron(I, A^T) and
+    -kron(A, I)."""
+    p = M.prime
+    offsets = modules._offsets({d: n * n for d, n in M.dims.items()})
+    total = sum(n * n for n in M.dims.values())
+
+    def kron(x, y):
+        (r1, c1), (r2, c2) = x.shape, y.shape
+        return np.einsum("ij,kl->ikjl", x, y).reshape(r1 * r2, c1 * c2)
+
+    rows = []
+    for (g, d), A in M.actions.items():
+        d2 = d + g.degree_at(p)
+        tdim, sdim = A.shape
+        block = fp.zeros(tdim * sdim, total)
+        block[:, offsets[d2]:offsets[d2] + tdim * tdim] += kron(fp.identity(tdim), A.T)
+        block[:, offsets[d]:offsets[d] + sdim * sdim] -= kron(A, fp.identity(sdim))
+        rows.append(block % p)
+    basis_vecs = fp.nullspace(np.vstack(rows), p) if rows else fp.identity(total)
+    k = basis_vecs.shape[1]
+    out = np.zeros((k, M.total_dim, M.total_dim), dtype=np.int64)
+    for d, pos in modules._offsets(M.dims).items():
+        n = M.dims[d]
+        out[:, pos:pos + n, pos:pos + n] = basis_vecs[
+            offsets[d]:offsets[d] + n * n].T.reshape(k, n, n)
+    return out
+
+
+def reference_restrict(M, basis, left):
+    """The per-generator restriction that `_restrict` replaced: each
+    generator W restricts to X = left W basis, checked by basis X = W basis,
+    and kept in M's generator order when nonzero."""
+    p = M.prime
+    dims = {}
+    for d in M.basis_degrees()[(basis != 0).argmax(axis=0)].tolist():
+        dims[d] = dims.get(d, 0) + 1
+    matrices = {}
+    for g, W in M.matrices.items():
+        image = fp.matmul(W, basis, p)
+        X = fp.matmul(left, image, p)
+        if not np.array_equal(fp.matmul(basis, X, p), image):
+            raise ModuleError("Fitting summand is not a submodule")
+        if X.any():
+            matrices[g] = X
+    return FiniteModule._whole(p, dims, matrices)
+
+
+def reversed_generators(M):
+    """M with its generators stored in reverse sorted order, so that a
+    result that keeps M's order differs from one that sorts."""
+    return FiniteModule(M.prime, M.dims, dict(sorted(M.actions.items(), reverse=True)))
+
+
 class TestConstructors:
     def test_sphere(self):
         s = sphere_module(2, 3)
@@ -725,6 +782,27 @@ class TestTensor:
         else:
             assert {"b", P(1), P(2)} <= kinds
         assert len(pairs) > 60
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_shifted_factors_match_the_loop_reference(self, p):
+        rng = random.Random(59 + p)
+        top = {2: 4, 3: 5, 5: 9}[p]
+        kinds = set()
+        for i in range(16):
+            a = dense_random_module(p, rng, top)
+            b = random_module(p, rng) if i % 2 else dense_random_module(p, rng, top // 2)
+            if i % 3:
+                a = FiniteModule(p, a.dims, a.actions, labels={
+                    d: [f"a{d}.{j}" for j in range(n)] for d, n in a.dims.items()})
+                b = FiniteModule(p, b.dims, b.actions, labels={
+                    d: [f"b{d}.{j}" for j in range(n)] for d, n in b.dims.items()})
+            a, b = shift(a, rng.randint(-3, 3)), shift(b, rng.randint(-3, 3))
+            got, want = tensor(a, b), tensor_by_loops(a, b)
+            assert got == want
+            assert got.labels == want.labels
+            assert list(got.matrices) == sorted(want.matrices)
+            kinds |= set(got.matrices)
+        assert ({Sq(1), Sq(2), Sq(3)} if p == 2 else {BOCKSTEIN, P(1)}) <= kinds
 
     @pytest.mark.parametrize("p,k", [(2, 5), (3, 4)])
     def test_smash_powers_match_loop_reference(self, p, k):
@@ -1239,6 +1317,91 @@ def run_python(code, **env_vars):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestSummedGenerators:
+    """End(M), the Fitting summands and the generator cut, all read off the
+    sum of a module's generator matrices, against their per-generator
+    references."""
+
+    @staticmethod
+    def modules_to_check():
+        rng = random.Random(71)
+        out = [hypothetical_Cb_module(), reversed_generators(hypothetical_Cb_module()),
+               FiniteModule(3, {0: 3}, {}), smash_power(moore_module(2), 4),
+               direct_sum(smash_power(moore_module(3), 2), shift(moore_module(3), 4))]
+        for p in (2, 3, 5):
+            for _ in range(12):
+                out += [random_module(p, rng), random_graded_module(p, rng),
+                        reversed_generators(dense_random_module(p, rng, {2: 4, 3: 5, 5: 9}[p]))]
+        return out
+
+    def test_endomorphism_basis_matches_the_kronecker_reference(self):
+        # Random actions rarely satisfy the Adem relations; End(M) does not
+        # need them.
+        checked = {2: 0, 3: 0, 5: 0}
+        for M in self.modules_to_check():
+            got, want = modules._endomorphism_basis(M), reference_endomorphism_basis(M)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            checked[M.prime] += 1
+        assert min(checked.values()) >= 36
+
+    def test_fitting_summands_match_the_per_generator_reference(self, monkeypatch):
+        restrict, compared = modules._restrict, []
+
+        def checked_restrict(M, basis, left):
+            got, want = restrict(M, basis, left), reference_restrict(M, basis, left)
+            assert list(got.dims.items()) == list(want.dims.items())
+            assert list(got.matrices) == list(want.matrices)
+            assert all(np.array_equal(got.matrices[g], want.matrices[g]) for g in got.matrices)
+            compared.append(list(M.matrices) != sorted(M.matrices))
+            return got
+
+        monkeypatch.setattr(modules, "_restrict", checked_restrict)
+        rng = random.Random(73)
+        for M in self.modules_to_check():
+            if M.total_dim > modules.DECOMPOSE_BOUND:
+                continue
+            p, basis = M.prime, modules._endomorphism_basis(M)
+            combos = [np.tensordot([rng.randrange(p) for _ in basis], basis, axes=1) % p
+                      for _ in range(3)]
+            for psi in [*basis, *combos]:
+                modules._fitting_split(M, psi)
+            is_decomposable(M)
+        assert len(compared) > 200
+        # Some summands come from modules whose generators are not sorted.
+        assert any(compared)
+
+    def test_restrict_refuses_what_the_reference_refuses(self):
+        # The bottom cell of S/2, and of Cb, is not closed under the Bockstein.
+        for M in (moore_module(2), hypothetical_Cb_module()):
+            e = fp.zeros(M.total_dim, M.total_dim)
+            e[0, 0] = 1
+            for restrict in (modules._restrict, reference_restrict):
+                with pytest.raises(ModuleError, match="not a submodule"):
+                    restrict(M, e[:, :1], e[:1])
+
+    def test_cut_reads_each_generator_off_its_difference(self):
+        M = hypothetical_Cb_module()
+        total = modules._summed(M)
+        rows, cols = np.nonzero(total)
+        got = modules._cut(3, M.basis_degrees(), rows, cols, total[rows, cols])
+        assert list(got) == sorted(M.matrices)
+        assert all(np.array_equal(got[g], M.matrices[g]) for g in got)
+        order = [BOCKSTEIN, P(6), P(3)]
+        got = modules._cut(3, M.basis_degrees(), rows, cols, total[rows, cols], order)
+        assert list(got) == order
+
+    @pytest.mark.parametrize("p,degrees,message", [
+        (3, [0, 2], "degree difference 2, which no generator has at p=3"),
+        (5, [0, 4], "degree difference 4, which no generator has at p=5"),
+        (2, [1, 1], "degree difference 0, which no generator has at p=2"),
+        (2, [3, 1], "degree difference -2, which no generator has at p=2"),
+    ])
+    def test_cut_refuses_an_entry_at_a_difference_of_no_generator(self, p, degrees, message):
+        one = np.array([1])
+        with pytest.raises(ModuleError, match=message):
+            modules._cut(p, np.array(degrees), one, one - 1, one)
 
 
 def test_cold_start_does_not_import_numpy_ma():

@@ -6,20 +6,19 @@ Includes Moore/sphere/cell constructions, tensor products via the Cartan
 formula, Adem-consistency checking, and an exact decomposability decision
 through the radical of the endomorphism algebra.
 
-A module is stored in one layout, its whole-module form: the basis of
-every degree in increasing degree order, and one total_dim x total_dim
-matrix per acting generator whose only nonzero blocks map degree d to
-d + deg(g).  Products of these matrices compose the actions degree by
-degree with no index bookkeeping; the per-degree blocks (`action`,
-`actions`) are views into them.  No two generators share a degree
-difference, so the sum T of a module's generator matrices holds them all
-and `_cut` takes it apart: End(M) solves E T = T E, a Fitting summand
-restricts T once, and `tensor` forms the T of A (x) B from the factors'
-total operations I + T, which the Cartan formula makes multiplicative.
-Endomorphisms are block-diagonal matrices in the same layout
-(`_offsets`), so both Fitting summands of one are read off one rref of
-its stable power (`_fitting_split`), and their products and traces are
-taken degree block by degree block (`_degree_blocks`).
+A module is stored as one matrix: the basis of every degree in increasing
+degree order, and the total_dim x total_dim sum T of the whole-module
+matrices of its generators, whose only nonzero blocks map degree d to
+d + deg(g).  No two generators share a degree difference, so T loses
+nothing: the per-degree blocks (`action`, `actions`) are views into T,
+and the generator matrices (`matrices`) are cut out of it, once and only
+when a word of generators is multiplied out.  End(M) solves E T = T E, a
+Fitting summand restricts T once, and `tensor` forms the T of A (x) B
+from the factors' total operations I + T, which the Cartan formula makes
+multiplicative.  Endomorphisms are block-diagonal matrices in the same
+layout (`_offsets`), so both Fitting summands of one are read off one
+rref of its stable power (`_fitting_split`), and their products and
+traces are taken degree block by degree block (`_degree_blocks`).
 """
 
 from __future__ import annotations
@@ -52,15 +51,16 @@ class ModuleError(Exception):
 
 
 class FiniteModule:
-    """A finite graded module in its whole-module form: `dims` in
-    increasing degree order, and `matrices`, one total_dim x total_dim
-    matrix per acting generator, reduced mod p and never zero.
+    """A finite graded module: `dims` in increasing degree order, and
+    `total`, the sum T of its generators' whole-module matrices, reduced
+    mod p.  Modules share T (`shift`), and `action` and `actions` are
+    views into it, so it is read-only.
 
     The constructor checks the action of each generator degree by degree
-    and lays the blocks out whole once; the constructions below build whole
-    matrices and pass them to `_whole`, which checks nothing.  `word`
-    multiplies the matrices out, keeping the products of two generators,
-    which the words of a relation and its normal form share."""
+    and lays the blocks out in T once; the constructions below build T
+    and pass it to `_whole`, which checks nothing.  `word` multiplies the
+    generator matrices out, keeping the products of two generators, which
+    the words of a relation and its normal form share."""
 
     def __init__(self, prime: int, dims: dict[int, int],
                  actions: dict[tuple[Generator, int], np.ndarray],
@@ -79,7 +79,8 @@ class FiniteModule:
                 if len(labels[d]) != n:
                     raise ModuleError(f"degree {d} has {n} dimensions but "
                                       f"{len(labels[d])} labels")
-        self._init(p, dims, {}, labels)
+        total_dim = sum(dims.values())
+        self._init(p, dims, fp.zeros(total_dim, total_dim), labels)
         for (g, d), mat in actions.items():
             if not g.valid_at(p):
                 raise PrimeMismatchError(f"generator {g} invalid at p={p}")
@@ -90,35 +91,26 @@ class FiniteModule:
                 raise ModuleError(
                     f"action of {g} at degree {d} has shape {mat.shape}, "
                     f"expected {(tgt, src)}")
-            if src and tgt and mat.any():
-                if g not in self.matrices:
-                    self.matrices[g] = fp.zeros(self.total_dim, self.total_dim)
-                self.block(self.matrices[g], target, d)[:] = mat
-        self._freeze()
+            if src and tgt:
+                self.block(self.total, target, d)[:] = mat
+        self.total.flags.writeable = False
 
     @classmethod
-    def _whole(cls, prime: int, dims: dict[int, int],
-               matrices: dict[Generator, np.ndarray],
+    def _whole(cls, prime: int, dims: dict[int, int], total: np.ndarray,
                labels: dict[int, list[str]] | None = None) -> FiniteModule:
-        """The module with these whole-module matrices, unchecked: dims in
-        increasing degree order, positive, and matrices reduced mod p in
-        that layout, none of them zero."""
+        """The module with this sum of generator matrices, unchecked: dims
+        in increasing degree order and positive, and total reduced mod p in
+        that layout."""
         M = cls.__new__(cls)
-        M._init(prime, dims, matrices, labels)
-        M._freeze()
+        M._init(prime, dims, total, labels)
+        total.flags.writeable = False
         return M
 
-    def _init(self, prime, dims, matrices, labels) -> None:
-        self.prime, self.dims, self.matrices, self.labels = prime, dims, matrices, labels
+    def _init(self, prime, dims, total, labels) -> None:
+        self.prime, self.dims, self.total, self.labels = prime, dims, total, labels
         self.offsets = _offsets(dims)
         self.total_dim = sum(dims.values())
         self._pairs: dict[tuple[Generator, Generator], np.ndarray | None] = {}
-
-    def _freeze(self) -> None:
-        # Modules share matrices (`shift`), and `action` and `actions` are
-        # views into them, so no caller may write to them.
-        for mat in self.matrices.values():
-            mat.flags.writeable = False
 
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -132,24 +124,42 @@ class FiniteModule:
         row, col = self.offsets[target], self.offsets[source]
         return mat[row:row + self.dims[target], col:col + self.dims[source]]
 
+    @functools.cached_property
     def basis_degrees(self) -> np.ndarray:
-        """The degree of each basis vector."""
-        return np.repeat(np.array(self.degrees, dtype=np.int64), list(self.dims.values()))
+        """The degree of each basis vector, built once and read-only."""
+        out = np.repeat(np.array(self.degrees, dtype=np.int64), list(self.dims.values()))
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def matrices(self) -> dict[Generator, np.ndarray]:
+        """The whole-module matrix of each generator that acts, in sorted
+        order: the part of T at the generator's degree difference
+        (`_generator`).  This is the only place generators are cut out of
+        T, once per module and only when a word of them is multiplied out;
+        an entry of T at a difference no generator has is a ModuleError."""
+        difference = np.subtract.outer(self.basis_degrees, self.basis_degrees)
+        out = {}
+        for k in sorted(set(difference[self.total != 0].tolist())):
+            out[_generator(self.prime, k)] = mat = np.where(difference == k, self.total, 0)
+            mat.flags.writeable = False
+        return {g: out[g] for g in sorted(out)}
 
     def action(self, g: Generator, d: int) -> np.ndarray:
         """Matrix of g from degree d, zero where unstored."""
         target = d + g.degree_at(self.prime)
-        mat = self.matrices.get(g)
-        if mat is None or d not in self.dims or target not in self.dims:
+        if not g.valid_at(self.prime) or d not in self.dims or target not in self.dims:
             return fp.zeros(self.dim(target), self.dim(d))
-        return self.block(mat, target, d)
+        return self.block(self.total, target, d)
 
     @property
     def actions(self) -> dict[tuple[Generator, int], np.ndarray]:
         """The nonzero blocks of the generators, keyed (generator, source
         degree) in sorted order."""
-        return {(g, d): block for g in sorted(self.matrices) for d in self.dims
-                if (block := self.action(g, d)).any()}
+        blocks = {(_generator(self.prime, t - d), d): block
+                  for d in self.dims for t in self.dims
+                  if t > d and (block := self.block(self.total, t, d)).any()}
+        return {key: blocks[key] for key in sorted(blocks)}
 
     def word(self, word: tuple[Generator, ...]) -> np.ndarray | None:
         """Matrix of a word of generators, None when it acts as zero."""
@@ -174,13 +184,22 @@ class FiniteModule:
         if not isinstance(other, FiniteModule):
             return NotImplemented
         return (self.prime == other.prime and self.dims == other.dims
-                and self.matrices.keys() == other.matrices.keys()
-                and all(np.array_equal(m, other.matrices[g])
-                        for g, m in self.matrices.items()))
+                and np.array_equal(self.total, other.total))
 
     def __repr__(self) -> str:
         return (f"FiniteModule(prime={self.prime!r}, dims={self.dims!r}, "
                 f"actions={self.actions!r}, labels={self.labels!r})")
+
+
+def _generator(p: int, k: int) -> Generator:
+    """The generator at degree difference k: Sq^k at p = 2, and at odd p
+    beta at 1 and P^(k/q) at multiples of q = 2(p - 1).  No other
+    difference has one."""
+    q = 2 * (p - 1)
+    if k < 1 or p > 2 and k != 1 and k % q:
+        raise ModuleError(f"an entry at degree difference {k}, "
+                          f"which no generator has at p={p}")
+    return Sq(k) if p == 2 else BOCKSTEIN if k == 1 else P(k // q)
 
 
 def _offsets(sizes: dict[int, int]) -> dict[int, int]:
@@ -200,33 +219,31 @@ def _offsets(sizes: dict[int, int]) -> dict[int, int]:
 
 def sphere_module(p: int, d: int = 0) -> FiniteModule:
     """One cell in degree d, all actions zero."""
-    return FiniteModule._whole(check_prime(p), {d: 1}, {}, labels={d: [f"s{d}"]})
+    return FiniteModule._whole(check_prime(p), {d: 1}, fp.zeros(1, 1), labels={d: [f"s{d}"]})
 
 
 def moore_module(p: int) -> FiniteModule:
     """Two cells in degrees 0, 1 joined by a nonzero Bockstein."""
     p = check_prime(p)
-    bock = Sq(1) if p == 2 else BOCKSTEIN
     bottom_to_top = np.array([[0, 0], [1, 0]], dtype=np.int64)
-    return FiniteModule._whole(p, {0: 1, 1: 1}, {bock: bottom_to_top},
-                               labels={0: ["e0"], 1: ["e1"]})
+    return FiniteModule._whole(p, {0: 1, 1: 1}, bottom_to_top, labels={0: ["e0"], 1: ["e1"]})
 
 
 def shift(M: FiniteModule, k: int) -> FiniteModule:
-    """M with every degree raised by k; the whole matrices are M's."""
+    """M with every degree raised by k; T is M's."""
     labels = ({d + k: list(v) for d, v in M.labels.items()}
               if M.labels else None)
     return FiniteModule._whole(M.prime, {d + k: n for d, n in M.dims.items()},
-                               M.matrices, labels)
+                               M.total, labels)
 
 
 def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     """A + B, with the basis of each degree A's then B's: the block-diagonal
-    matrix of each generator, rows and columns stably sorted by degree.
-    Both bases are sorted by degree already, so the sorted positions a of
-    A's basis and b of B's merge two runs: degree d's block of the sum
-    holds A's vectors of degree d, then B's.  Each factor's matrix is
-    written once, straight into place."""
+    T, rows and columns stably sorted by degree.  Both bases are sorted by
+    degree already, so the sorted positions a of A's basis and b of B's
+    merge two runs: degree d's block of the sum holds A's vectors of
+    degree d, then B's.  Each factor's T is written once, straight into
+    place."""
     if A.prime != B.prime:
         raise PrimeMismatchError("direct sum over different primes")
     dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
@@ -235,52 +252,10 @@ def direct_sum(A: FiniteModule, B: FiniteModule) -> FiniteModule:
                  dtype=np.int64)
     b = np.array([i for d, k in B.dims.items()
                   for i in range(offsets[d] + A.dim(d), offsets[d] + dims[d])], dtype=np.int64)
-    n = A.total_dim + B.total_dim
-    matrices = {}
-    for g in sorted({*A.matrices, *B.matrices}):
-        mat = matrices[g] = fp.zeros(n, n)
-        if g in A.matrices:
-            mat[a[:, None], a] = A.matrices[g]
-        if g in B.matrices:
-            mat[b[:, None], b] = B.matrices[g]
-    return FiniteModule._whole(A.prime, dims, matrices)
-
-
-def _summed(M: FiniteModule, kind: str | None = None) -> np.ndarray:
-    """The sum of M's whole matrices of the generators of this kind (Sq or
-    P), or of all of them: each sits at its own degree difference, so no
-    two overlap and the sum is reduced mod p; `_cut` takes it apart."""
-    return sum((mat for g, mat in M.matrices.items() if kind in (None, g.kind)),
-               fp.zeros(M.total_dim, M.total_dim))
-
-
-def _cut(p: int, degrees: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-         values: np.ndarray, order=None) -> dict[Generator, np.ndarray]:
-    """The generator matrices that sum to a whole matrix over a basis of
-    these degrees, given by its nonzero entries: entry (r, c) belongs to
-    the generator at degree difference degrees[r] - degrees[c], Sq^k at k,
-    and at odd p beta at 1 and P^k at k q, q = 2(p - 1), so no two
-    generators share a difference.  An entry at any other difference is a
-    ModuleError.  The generators come in the order of `order`, which must
-    name them all, or sorted; their matrices are laid out by one
-    scatter."""
-    q = 2 * (p - 1)
-    difference = degrees[rows] - degrees[cols]
-    # Entries at difference 0 or below land at 0, which no generator has.
-    at = np.bincount(np.maximum(difference, 0))
-    differences = np.flatnonzero(at)
-    wrong = [k for k in differences.tolist() if k < 1 or p > 2 and k != 1 and k % q]
-    if wrong:
-        raise ModuleError(f"an entry at degree difference {wrong[0] or difference.min()}, "
-                          f"which no generator has at p={p}")
-    generators = [Sq(k) if p == 2 else BOCKSTEIN if k == 1 else P(k // q)
-                  for k in differences.tolist()]
-    at[differences] = np.arange(len(generators))
-    out = np.zeros((len(generators), len(degrees), len(degrees)), dtype=np.int64)
-    out[at[difference], rows, cols] = values
-    matrices = dict(zip(generators, out))
-    return {g: matrices[g] for g in sorted(
-        matrices, key=None if order is None else list(order).index)}
+    total = fp.zeros(A.total_dim + B.total_dim, A.total_dim + B.total_dim)
+    total[a[:, None], a] = A.total
+    total[b[:, None], b] = B.total
+    return FiniteModule._whole(A.prime, dims, total)
 
 
 def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
@@ -290,20 +265,21 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 
     The basis of degree n is a_(i, a) (x) b_(n-i, b), ordered by i, a, b:
     the Kronecker basis of the factors, stably sorted by total degree.
-    The Cartan formula says the total operation T = I + sum_k Sq^k (I +
-    sum_k P^k at odd p) is multiplicative: entry ((a, b), (a', b')) of T
-    on A (x) B is T_A[a, a'] T_B[b, b'], and Sq^k (P^k) is the part of T
-    at degree difference k (k q, q = 2(p - 1)).  Beta is the part at
-    degree difference 1 of (beta_A + diag((-1)^deg)) (x) (I + beta_B).  So
-    each part is the Kronecker product of its factors' nonzero entries
-    alone, each pair's product placed at its position in the output's
-    basis; the products at positive differences (1 for beta) are the
-    entries of the sum of the output's generator matrices, which `_cut`
-    takes apart.  No whole Kronecker matrix is formed."""
+    The Cartan formula says the total operation I + T (at odd p, I + T_P,
+    T_P the part of T off degree difference 1) is multiplicative: entry
+    ((a, b), (a', b')) of it on A (x) B is the product of the factors'
+    entries (a, a') and (b, b'), and Sq^k (P^k) is its part at degree
+    difference k (k q, q = 2(p - 1)).  Beta is the part at degree
+    difference 1 of (beta_A + diag((-1)^deg)) (x) (I + beta_B), beta the
+    part of T at difference 1.  So each part is the Kronecker product of
+    its factors' nonzero entries alone, each pair's product placed at its
+    position in the output's basis; the products at positive differences
+    (1 for beta) are the entries of the output's T.  No whole Kronecker
+    matrix is formed."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
-    deg_a, deg_b = A.basis_degrees(), B.basis_degrees()
+    deg_a, deg_b = A.basis_degrees, B.basis_degrees
     degrees = np.add.outer(deg_a, deg_b).ravel()
     perm = np.argsort(degrees, kind="stable")
     degrees = degrees[perm]
@@ -315,11 +291,12 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     # degree difference each is kept at.
     one_a, one_b = fp.identity(A.total_dim), fp.identity(B.total_dim)
     if p == 2:
-        lefts, rights, tops = [one_a + _summed(A, "Sq")], [one_b + _summed(B, "Sq")], [span]
+        lefts, rights, tops = [one_a + A.total], [one_b + B.total], [span]
     else:
-        lefts = [one_a + _summed(A, "P"),
-                 one_a * np.where(deg_a % 2, p - 1, 1) + A.matrices.get(BOCKSTEIN, 0)]
-        rights = [one_b + _summed(B, "P"), one_b + B.matrices.get(BOCKSTEIN, 0)]
+        beta_a = A.total * (np.subtract.outer(deg_a, deg_a) == 1)
+        beta_b = B.total * (np.subtract.outer(deg_b, deg_b) == 1)
+        lefts = [one_a + A.total - beta_a, one_a * np.where(deg_a % 2, p - 1, 1) + beta_a]
+        rights = [one_b + B.total - beta_b, one_b + beta_b]
         tops = [span, 1]
     lefts, rights, tops = np.array(lefts), np.array(rights), np.array(tops)
 
@@ -332,8 +309,9 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     # one, and a product of two nonzero residues is nonzero mod p.
     position = np.empty(size, dtype=np.int64)
     position[perm] = np.arange(size)
-    rows, cols = position[ra[a] * len(deg_b) + rb[b]], position[ca[a] * len(deg_b) + cb[b]]
-    values = lefts[pa, ra, ca][a] * rights[pb, rb, cb][b] % p
+    total = fp.zeros(size, size)
+    total[position[ra[a] * len(deg_b) + rb[b]], position[ca[a] * len(deg_b) + cb[b]]] = (
+        lefts[pa, ra, ca][a] * rights[pb, rb, cb][b] % p)
     labels = None
     if A.labels and B.labels:
         names_a = [name for i in A.degrees for name in A.labels[i]]
@@ -342,7 +320,7 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
         index_a, index_b = np.divmod(perm, len(deg_b))
         names = [f"{names_a[i]}*{names_b[j]}" for i, j in zip(index_a.tolist(), index_b.tolist())]
         labels = {n: names[row:row + dims[n]] for n, row in _offsets(dims).items()}
-    return FiniteModule._whole(p, dims, _cut(p, degrees, rows, cols, values), labels)
+    return FiniteModule._whole(p, dims, total, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +547,15 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     actions, as a stack of block-diagonal total_dim x total_dim matrices.
 
     The unknowns are the entries (i, j) of E with deg i = deg j, block by
-    block and row by row.  With T the sum of M's generator matrices, E
-    commutes with every generator iff E T = T E, since the part of
-    E T - T E at each degree difference is that generator's.  Unknown
-    (i, j) adds T[j, c] to entry (i, c) of E T - T E and -T[r, i] to entry
-    (r, j), so the equations are assembled in one scatter."""
+    block and row by row.  E commutes with every generator iff it commutes
+    with M's T, the sum of their matrices, since the part of E T - T E at
+    each degree difference is that generator's.  Unknown (i, j) adds
+    T[j, c] to entry (i, c) of E T - T E and -T[r, i] to entry (r, j), so
+    the equations are assembled in one scatter."""
     p, n = M.prime, M.total_dim
-    degrees = M.basis_degrees()
+    degrees = M.basis_degrees
     i, j = np.nonzero(degrees[:, None] == degrees)
-    total, unknown = _summed(M), np.arange(len(i))
+    total, unknown = M.total, np.arange(len(i))
     equations = np.zeros((n, n, len(i)), dtype=np.int64)
     equations[i, :, unknown] = total[j]
     equations[:, j, unknown] -= total[:, i]
@@ -593,20 +571,17 @@ def _restrict(M: FiniteModule, basis: np.ndarray, left: np.ndarray) -> FiniteMod
     """The submodule of M spanned by the columns of basis, homogeneous and
     in increasing degree order, given a left inverse of basis on them.
 
-    The sum T of M's generator matrices restricts to X = left T basis,
-    which holds exactly when basis X = T basis; that is checked.  The
-    span of basis is graded, so that holds for T iff it holds for each
-    generator, whose restriction is X's part at its difference (`_cut`)."""
+    M's T restricts to X = left T basis, the submodule's T, which holds
+    exactly when basis X = T basis; that is checked.  The span of basis
+    is graded, so that holds for T iff it holds for each generator."""
     p = M.prime
     # A column's degree is that of its first nonzero entry.
-    degrees = M.basis_degrees()[(basis != 0).argmax(axis=0)]
-    image = fp.matmul(_summed(M), basis, p)
+    degrees = M.basis_degrees[(basis != 0).argmax(axis=0)]
+    image = fp.matmul(M.total, basis, p)
     X = fp.matmul(left, image, p)
     if not np.array_equal(fp.matmul(basis, X, p), image):
         raise ModuleError("Fitting summand is not a submodule")
-    rows, cols = np.nonzero(X)
-    return FiniteModule._whole(p, dict(collections.Counter(degrees.tolist())),
-                               _cut(p, degrees, rows, cols, X[rows, cols], M.matrices))
+    return FiniteModule._whole(p, dict(collections.Counter(degrees.tolist())), X)
 
 
 def _fitting_split(M: FiniteModule, psi: np.ndarray
@@ -786,6 +761,7 @@ def _generator_from_str(s: str, p: int) -> Generator:
 
 
 def module_to_dict(M: FiniteModule) -> dict:
+    actions = M.actions
     out = {
         "prime": M.prime,
         "dims": {str(d): n for d, n in sorted(M.dims.items())},
@@ -793,10 +769,9 @@ def module_to_dict(M: FiniteModule) -> dict:
             {
                 "generator": _generator_to_str(g),
                 "source_degree": d,
-                "matrix": M.actions[(g, d)].tolist(),
+                "matrix": actions[(g, d)].tolist(),
             }
-            for (g, d) in sorted(M.actions,
-                                 key=lambda k: (k[1], str(k[0])))
+            for (g, d) in sorted(actions, key=lambda k: (k[1], str(k[0])))
         ],
     }
     if M.labels:
@@ -804,26 +779,44 @@ def module_to_dict(M: FiniteModule) -> dict:
     return out
 
 
-def _field(data: dict, key: str, where: str):
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _of_kind(value, kind: type, what: str):
+    """value, refused unless it is of this kind; true and false are not
+    integers, and nothing is truncated."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise ModuleError(f"{what} is {json.dumps(value)}, not {_KINDS[kind]}")
+    return value
+
+
+def _field(data: dict, key: str, where: str, kind: type):
     if not isinstance(data, dict):
         raise ModuleError(f"{where} is not a JSON object")
     if key not in data:
         raise ModuleError(f"{where} has no {key!r}")
-    return data[key]
+    return _of_kind(data[key], kind, f"{where}'s {key!r}")
+
+
+def _list_of(value, kind: type, what: str) -> list:
+    return [_of_kind(x, kind, f"an item of {what}") for x in _of_kind(value, list, what)]
 
 
 def module_from_dict(data: dict) -> FiniteModule:
-    p = int(_field(data, "prime", "module"))
-    dims = {int(d): int(n) for d, n in _field(data, "dims", "module").items()}
+    p = _field(data, "prime", "module", int)
+    dims = {int(d): _of_kind(n, int, f"the dimension of degree {d}")
+            for d, n in _field(data, "dims", "module", dict).items()}
     actions = {}
-    for i, entry in enumerate(data.get("actions", [])):
+    for i, entry in enumerate(_of_kind(data.get("actions", []), list, "module's 'actions'")):
         where = f"action {i}"
-        g = _generator_from_str(_field(entry, "generator", where), p)
-        actions[(g, int(_field(entry, "source_degree", where)))] = np.array(
-            _field(entry, "matrix", where), dtype=np.int64)
+        g = _generator_from_str(_field(entry, "generator", where, str), p)
+        matrix = [_list_of(row, int, f"{where}'s matrix row")
+                  for row in _field(entry, "matrix", where, list)]
+        actions[(g, _field(entry, "source_degree", where, int))] = np.array(matrix, dtype=np.int64)
     labels = None
     if "labels" in data:
-        labels = {int(d): list(v) for d, v in data["labels"].items()}
+        labels = {int(d): _list_of(v, str, f"the labels of degree {d}")
+                  for d, v in _field(data, "labels", "module", dict).items()}
     return FiniteModule(p, dims, actions, labels=labels)
 
 

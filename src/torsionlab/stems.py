@@ -220,6 +220,27 @@ class StemEntry:
     provenance: str = TABLE
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _of_kind(value, kind: type, what: str):
+    """value, or a ValueError unless it is of this kind; true and false
+    are not integers."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise ValueError(f"{what} is {json.dumps(value)}, not {_KINDS[kind]}")
+    return value
+
+
+def _field(data: dict, key: str, where: str, kind: type):
+    if key not in _of_kind(data, dict, where):
+        raise ValueError(f"{where} has no {key!r}")
+    return _of_kind(data[key], kind, f"{where}'s {key!r}")
+
+
+def _orders(factors, what: str) -> tuple[int, ...]:
+    return tuple(_of_kind(f, int, f"an order in {what}") for f in _of_kind(factors, list, what))
+
+
 class StemsTable:
     """Read-only table of stable homotopy groups of spheres.
 
@@ -236,23 +257,30 @@ class StemsTable:
         return table
 
     def merge_records(self, records: list[dict], provenance: str) -> None:
-        for rec in records:
-            dim = int(rec["dimension"])
+        """Add one entry per record: an object with an integer "dimension"
+        and optionally "factors" (a list of integer orders), "p_primary"
+        (an object of such lists by prime) and "generators".  Anything
+        else is a ValueError of one line, and nothing is truncated."""
+        for i, rec in enumerate(_of_kind(records, list, "the stems file")):
+            where = f"stems record {i}"
+            dim = _field(rec, "dimension", where, int)
             group = None
             if rec.get("factors") is not None:
-                group = AbelianGroup(tuple(rec["factors"]))
+                group = AbelianGroup(_orders(rec["factors"], f"{where}'s 'factors'"))
             p_primary = {
-                int(p): AbelianGroup(tuple(fs))
-                for p, fs in rec.get("p_primary", {}).items()
+                int(p): AbelianGroup(_orders(fs, f"{where}'s {p}-primary factors"))
+                for p, fs in _of_kind(rec.get("p_primary", {}), dict,
+                                      f"{where}'s 'p_primary'").items()
             }
             gens = tuple(
                 NamedGenerator(
-                    name=g["name"],
+                    name=_field(g, "name", f"{where}'s generator {j}", str),
                     dimension=dim,
-                    order=int(g["order"]),
+                    order=_field(g, "order", f"{where}'s generator {j}", int),
                     note=g.get("note", ""),
                 )
-                for g in rec.get("generators", [])
+                for j, g in enumerate(_of_kind(rec.get("generators", []), list,
+                                               f"{where}'s 'generators'"))
             )
             self._entries[dim] = StemEntry(
                 dimension=dim,

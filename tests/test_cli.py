@@ -12,9 +12,9 @@ from torsionlab.cli import main
 from torsionlab.modules import hypothetical_Cb_module, moore_module, save_module, tensor
 from torsionlab.scenarios import run_all
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 # The text output of `torsionlab scenario all`.
-SCENARIO_ALL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                            "scenario_all.txt")
+SCENARIO_ALL = os.path.join(DATA, "scenario_all.txt")
 
 
 def run(capsys, *argv):
@@ -132,14 +132,55 @@ class TestFileErrors:
          "labels are given for degrees [0], expected one list per occupied degree [0, 1]"),
         ({"prime": 2, "dims": {"0": 1, "1": 1}, "labels": {"0": ["a"], "1": ["b", "c"]}},
          "degree 1 has 1 dimensions but 2 labels"),
+        # Nothing is truncated: a float or true is no integer.
+        ({"prime": 2.9, "dims": {"0": 1}}, "module's 'prime' is 2.9, not an integer"),
+        ({"prime": 2, "dims": {"0": 1.7}}, "the dimension of degree 0 is 1.7, not an integer"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq1", "source_degree": 0.4, "matrix": [[1]]}]},
+         "action 0's 'source_degree' is 0.4, not an integer"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq1", "source_degree": 0, "matrix": [[1.5]]}]},
+         "an item of action 0's matrix row is 1.5, not an integer"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq1", "source_degree": 0, "matrix": [[True]]}]},
+         "an item of action 0's matrix row is true, not an integer"),
+        # A value of the wrong JSON type is named, not a traceback.
+        ({"prime": 2, "dims": [1]}, "module's 'dims' is [1], not a JSON object"),
+        ({"prime": 2, "dims": {"0": 1}, "labels": [1]},
+         "module's 'labels' is [1], not a JSON object"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": 5, "source_degree": 0, "matrix": [[1]]}]},
+         "action 0's 'generator' is 5, not a string"),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
-            "negative-dim", "labels-miss-a-degree", "labels-too-long"])
+            "negative-dim", "labels-miss-a-degree", "labels-too-long", "float-prime",
+            "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
+            "labels-list", "int-generator"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         files = [str(path)] * (2 if command == "tensor" else 1)
         err = assert_user_error(capsys, ["module", command, *files])
+        assert err == f"torsionlab: error: {message}\n"
+
+    @pytest.mark.parametrize("data,message", [
+        ({"dimension": 3, "factors": [24]},
+         'the stems file is {"dimension": 3, "factors": [24]}, not a list'),
+        ([3], "stems record 0 is 3, not a JSON object"),
+        ([{"factors": [24]}], "stems record 0 has no 'dimension'"),
+        ([{"dimension": 3, "factors": 7}], "stems record 0's 'factors' is 7, not a list"),
+        ([{"dimension": 3, "p_primary": [1]}],
+         "stems record 0's 'p_primary' is [1], not a JSON object"),
+        ([{"dimension": 3, "factors": [2.5]}],
+         "an order in stems record 0's 'factors' is 2.5, not an integer"),
+    ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
+            "list-p-primary", "float-factor"])
+    @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
+                             ids=["pi", "prop6"])
+    def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps(data))
+        err = assert_user_error(capsys, ["--stems-file", str(path), *command])
         assert err == f"torsionlab: error: {message}\n"
 
 
@@ -182,6 +223,18 @@ class TestModuleCommands:
         code, out = run(capsys, "module", "check", out_path)
         assert code == 0
         assert "violated relation classes: none" in out
+
+    @pytest.mark.parametrize("p,power", [(2, 2), (3, 3)])
+    def test_tensor_files_match_the_goldens(self, capsys, tmp_path, p, power):
+        # The files `module tensor -o` writes for (S/2)^2 and (S/3)^3.
+        moore = str(tmp_path / "moore.json")
+        save_module(moore_module(p), moore)
+        out = moore
+        for k in range(2, power + 1):
+            factor, out = out, str(tmp_path / f"power{k}.json")
+            assert run(capsys, "module", "tensor", factor, moore, "-o", out)[0] == 0
+        with open(out) as got, open(os.path.join(DATA, f"moore{p}_smash{power}.json")) as want:
+            assert got.read() == want.read()
 
     @pytest.fixture()
     def fourth_power_file(self, tmp_path):

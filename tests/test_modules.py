@@ -1,6 +1,7 @@
 """Finite graded modules: constructors, Cartan tensor products,
 Adem-consistency checking, and decomposability."""
 
+import collections
 import itertools
 import os
 import random
@@ -425,7 +426,7 @@ def reference_direct_sum(A, B):
     matrix, then rows and columns permuted by the stable argsort of the
     basis degrees of A then B."""
     n, split = A.total_dim + B.total_dim, A.total_dim
-    perm = np.argsort(np.concatenate([A.basis_degrees(), B.basis_degrees()]),
+    perm = np.argsort(np.concatenate([A.basis_degrees, B.basis_degrees]),
                       kind="stable")
     dims = {d: A.dim(d) + B.dim(d) for d in sorted({*A.dims, *B.dims})}
     matrices = {}
@@ -506,26 +507,19 @@ def reference_endomorphism_basis(M):
 def reference_restrict(M, basis, left):
     """The per-generator restriction that `_restrict` replaced: each
     generator W restricts to X = left W basis, checked by basis X = W basis,
-    and kept in M's generator order when nonzero."""
+    and the submodule's T is the sum of these X."""
     p = M.prime
     dims = {}
-    for d in M.basis_degrees()[(basis != 0).argmax(axis=0)].tolist():
+    for d in M.basis_degrees[(basis != 0).argmax(axis=0)].tolist():
         dims[d] = dims.get(d, 0) + 1
-    matrices = {}
-    for g, W in M.matrices.items():
+    total = fp.zeros(basis.shape[1], basis.shape[1])
+    for W in M.matrices.values():
         image = fp.matmul(W, basis, p)
         X = fp.matmul(left, image, p)
         if not np.array_equal(fp.matmul(basis, X, p), image):
             raise ModuleError("Fitting summand is not a submodule")
-        if X.any():
-            matrices[g] = X
-    return FiniteModule._whole(p, dims, matrices)
-
-
-def reversed_generators(M):
-    """M with its generators stored in reverse sorted order, so that a
-    result that keeps M's order differs from one that sorts."""
-    return FiniteModule(M.prime, M.dims, dict(sorted(M.actions.items(), reverse=True)))
+        total += X
+    return FiniteModule._whole(p, dims, total % p)
 
 
 class TestConstructors:
@@ -543,6 +537,9 @@ class TestConstructors:
         m = moore_module(5)
         assert m.dims == {0: 1, 1: 1}
         assert m.action(BOCKSTEIN, 0).tolist() == [[1]]
+        # Sq^1 has beta's degree but does not act at an odd prime.
+        assert m.action(Sq(1), 0).tolist() == [[0]]
+        assert moore_module(2).action(BOCKSTEIN, 0).tolist() == [[0]]
 
     def test_shift(self):
         m = shift(moore_module(2), 3)
@@ -628,8 +625,10 @@ class TestLayout:
                 built.extend(is_decomposable(M).summands or ())
         assert len(built) > 150
         for M in built:
-            again = FiniteModule(M.prime, M.dims, M.actions, M.labels)
+            # The actions in reverse order build the same module.
+            again = FiniteModule(M.prime, M.dims, dict(reversed(M.actions.items())), M.labels)
             assert again == M and again.labels == M.labels
+            assert not again.total.flags.writeable and not M.total.flags.writeable
             assert list(M.actions) == sorted(M.actions)
             assert list(M.dims) == sorted(M.dims)
             assert all(mat.any() for mat in M.matrices.values())
@@ -637,10 +636,17 @@ class TestLayout:
     def test_shift_keeps_the_matrices(self):
         M = smash_power(moore_module(2), 3)
         moved = shift(M, 4)
-        assert all(moved.matrices[g] is mat for g, mat in M.matrices.items())
+        assert moved.total is M.total
         assert moved.action(Sq(2), 4).tolist() == M.action(Sq(2), 0).tolist()
         with pytest.raises(ValueError, match="read-only"):
             moved.action(Sq(1), 4)[0, 0] = 0
+
+    def test_tensor_and_file_output_cut_no_generators(self):
+        # Only a word of generators needs their matrices cut out of T.
+        M = tensor(smash_power(moore_module(2), 3), smash_power(moore_module(2), 3))
+        modules.module_to_dict(M)
+        assert "matrices" not in M.__dict__
+        assert Sq(3) in M.matrices and "matrices" in M.__dict__
 
 
 class TestTensor:
@@ -1327,13 +1333,13 @@ class TestSummedGenerators:
     @staticmethod
     def modules_to_check():
         rng = random.Random(71)
-        out = [hypothetical_Cb_module(), reversed_generators(hypothetical_Cb_module()),
+        out = [hypothetical_Cb_module(),
                FiniteModule(3, {0: 3}, {}), smash_power(moore_module(2), 4),
                direct_sum(smash_power(moore_module(3), 2), shift(moore_module(3), 4))]
         for p in (2, 3, 5):
             for _ in range(12):
                 out += [random_module(p, rng), random_graded_module(p, rng),
-                        reversed_generators(dense_random_module(p, rng, {2: 4, 3: 5, 5: 9}[p]))]
+                        dense_random_module(p, rng, {2: 4, 3: 5, 5: 9}[p])]
         return out
 
     def test_endomorphism_basis_matches_the_kronecker_reference(self):
@@ -1354,7 +1360,7 @@ class TestSummedGenerators:
             assert list(got.dims.items()) == list(want.dims.items())
             assert list(got.matrices) == list(want.matrices)
             assert all(np.array_equal(got.matrices[g], want.matrices[g]) for g in got.matrices)
-            compared.append(list(M.matrices) != sorted(M.matrices))
+            compared.append(got)
             return got
 
         monkeypatch.setattr(modules, "_restrict", checked_restrict)
@@ -1369,8 +1375,6 @@ class TestSummedGenerators:
                 modules._fitting_split(M, psi)
             is_decomposable(M)
         assert len(compared) > 200
-        # Some summands come from modules whose generators are not sorted.
-        assert any(compared)
 
     def test_restrict_refuses_what_the_reference_refuses(self):
         # The bottom cell of S/2, and of Cb, is not closed under the Bockstein.
@@ -1382,15 +1386,20 @@ class TestSummedGenerators:
                     restrict(M, e[:, :1], e[:1])
 
     def test_cut_reads_each_generator_off_its_difference(self):
+        # Cb's cells are one-dimensional, so its (target, source) pairs of
+        # degrees name the entries of each generator's matrix.
         M = hypothetical_Cb_module()
-        total = modules._summed(M)
-        rows, cols = np.nonzero(total)
-        got = modules._cut(3, M.basis_degrees(), rows, cols, total[rows, cols])
-        assert list(got) == sorted(M.matrices)
-        assert all(np.array_equal(got[g], M.matrices[g]) for g in got)
-        order = [BOCKSTEIN, P(6), P(3)]
-        got = modules._cut(3, M.basis_degrees(), rows, cols, total[rows, cols], order)
-        assert list(got) == order
+        got = FiniteModule._whole(3, M.dims, M.total).matrices
+        index = {d: i for i, d in enumerate(M.degrees)}
+        pairs = {P(3): [(12, 0), (24, 12), (36, 24), (13, 1), (25, 13)],
+                 P(6): [(24, 0), (36, 12), (25, 1)],
+                 BOCKSTEIN: [(1, 0), (13, 12), (25, 24)]}
+        assert list(got) == [P(3), P(6), BOCKSTEIN]
+        for g, value in ((P(3), 1), (P(6), 2), (BOCKSTEIN, 1)):
+            want = fp.zeros(7, 7)
+            for t, s in pairs[g]:
+                want[index[t], index[s]] = value
+            assert np.array_equal(got[g], want), g
 
     @pytest.mark.parametrize("p,degrees,message", [
         (3, [0, 2], "degree difference 2, which no generator has at p=3"),
@@ -1399,9 +1408,13 @@ class TestSummedGenerators:
         (2, [3, 1], "degree difference -2, which no generator has at p=2"),
     ])
     def test_cut_refuses_an_entry_at_a_difference_of_no_generator(self, p, degrees, message):
-        one = np.array([1])
+        # One entry, from a basis vector of degree source to one of target.
+        source, target = degrees
+        total = fp.zeros(2, 2)
+        total[int(target >= source), int(target < source)] = 1
+        M = FiniteModule._whole(p, dict(collections.Counter(sorted(degrees))), total)
         with pytest.raises(ModuleError, match=message):
-            modules._cut(p, np.array(degrees), one, one - 1, one)
+            M.matrices
 
 
 def test_cold_start_does_not_import_numpy_ma():

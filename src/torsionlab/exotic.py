@@ -15,24 +15,26 @@ object — the behavior that separates this category from algebraic ones.
 
 Everything that does not depend on a verdict is built once per process:
 the class representatives for each rank bound with their rotations and
-pairwise sums, GL_r(Z/4), found as the matrices of odd determinant, and
-the codes of the row and column blocks of every matrix of each shape, GL
-first, only up to the rank a call needs.  Verdicts are recomputed on
-every call.  Searches never loop over matrices in Python, and the joins
-multiply no stack by a morphism: a matrix X is met only through the
-integer keys of X m and m X for the triangles' morphisms m.  Per call,
-the distinct morphisms get product tables from one batched product
-(_product_tables), and the key of X m is a sum of table entries indexed
-by the codes of X's row blocks, that of m X by its column blocks.  A
-verification is one batched join (_pair_verdicts) over TR3 for all pairs
-of representatives and membership for all rotations and direct sums:
-each variable's keys for every pair come from one ragged gather over the
-concatenated stacks, packed under the pair index; the distinct keys of
-the candidate a and b are joined on the commutation condition, and each
-result is looked up among the keys of all fill-ins c (TR3) or of all
-invertible w (isomorphism).  Batches are cut by stack size, so rank 3
-runs in memory: `exotic verify --max-rank 3` takes about 7 s and 103 MB
-(2-vCPU VM, Python 3.11)."""
+pairwise sums, GL_r(Z/4), found as the matrices of odd determinant, the
+codes of the row and column blocks of every matrix of each shape, GL
+first, only up to the rank a call needs, and the plan of each rank
+bound's verification join (_verification_join).  Verdicts are recomputed
+on every call.  Searches never loop over matrices in Python, and the
+joins multiply no stack by a morphism: a matrix X is met only through the
+integer keys of X m and m X for the triangles' morphisms m.  A join's
+plan (_pair_plan) gives the distinct morphisms product tables from one
+batched product (_product_tables), and the key of X m is a sum of table
+entries indexed by the codes of X's row blocks, that of m X by its
+column blocks.  A verification is one batched join (_pair_verdicts) over
+TR3 for all pairs of representatives and membership for all rotations
+and direct sums: each variable's keys for every pair come from one
+ragged gather over the concatenated stacks, packed under the pair index;
+the distinct keys of the candidate a and b are joined on the commutation
+condition, and each result is looked up among the keys of all fill-ins
+c (TR3) or of all invertible w (isomorphism).  Batches are cut by stack
+size, so rank 3 runs in memory: `exotic verify --max-rank 3` takes about
+6 s and 103 MB (2-vCPU VM, Python 3.11), and its plan holds about 21 MB,
+nearly all product tables (0.1 MB at rank 2)."""
 
 from __future__ import annotations
 
@@ -401,21 +403,40 @@ def _key_width(rank: int, n_pairs: int) -> tuple[int, type]:
 _VARIABLES = ((0, 1, 4, True), (2, 0, 3, False), (1, 2, 5, True))
 
 
-def _pair_verdicts(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndarray],
-                   invertible: np.ndarray) -> np.ndarray:
-    """For each (i, j) in pairs (two index arrays), with t1 = triangles[i]
-    and t2 = triangles[j], whether a and b drawn from the stacks of their
-    shapes with b f1 = f2 a have a c with c g1 = g2 b and h2 c = a h1: for
-    every such (a, b) over all matrices, which is TR3 for the pair, or,
-    where invertible, for some (a, b) over GL, which is an isomorphism
+class _Plan(NamedTuple):
+    """What a join reads that its triangles and pairs fix, all read-only:
+    - rank, the stacks' rank bound, and width and dtype, the key layout
+      (_key_width);
+    - row_table and col_table, the distinct morphisms' product tables;
+    - variables: per variable of _VARIABLES, the per-pair stack sizes and
+      starts, the per-pair offsets of its right and left morphisms'
+      tables, and whether the right product is k1;
+    - held, the running count of stack matrices over the pairs;
+    - every, per pair whether all of its lookups must succeed.
+    It holds no stack codes: _pair_verdicts reads them from _stack_codes
+    on every call."""
+
+    rank: int
+    width: int
+    dtype: type
+    row_table: np.ndarray
+    col_table: np.ndarray
+    variables: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool], ...]
+    held: np.ndarray
+    every: np.ndarray
+
+
+def _pair_plan(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndarray],
+               invertible: np.ndarray) -> _Plan:
+    """The plan of the join that _pair_verdicts decides, for each (i, j) in
+    pairs (two index arrays), with t1 = triangles[i] and t2 =
+    triangles[j]: TR3 for the pair, or, where invertible, an isomorphism
     t1 -> t2.
 
     The triangles' distinct morphisms get their product tables in one
-    batched product.  A variable's keys for a batch of pairs then come
-    from one ragged gather over the concatenated stacks of its shapes:
-    the key of X m is a sum of row table entries and that of m X a sum
-    of column table entries (see _product_tables).  The keys are packed
-    under the pair index and decided by _decide_batch."""
+    batched product (_product_tables).  Each variable draws, per pair, the
+    stack of its shape (GL first, only GL where invertible) and the
+    offsets of the tables of the morphisms that multiply it."""
     first, second = pairs
     index: dict[Z4Morphism, int] = {}
     rows = np.array([[index.setdefault(m, len(index)) for m in (t.f, t.g, t.h)]
@@ -424,58 +445,100 @@ def _pair_verdicts(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndar
     width, dtype = _key_width(rank, len(first))
     rank = max(rank, 1)
     codes = _stack_codes(rank)
-    row_table, col_table = (table.astype(dtype, copy=False) for table in
+    row_table, col_table = (_readonly(table.astype(dtype, copy=False)) for table in
                             _product_tables(_padded(list(index), rank), rank))
     t1, t2 = rows[first], rows[second]
     stride = math.prod(_layout(rank))
-    plan = []
+    variables = []
     for right, left, obj, right_high in _VARIABLES:
         shape = t2[:, obj] * (rank + 1) + t1[:, obj]
-        plan.append((np.where(invertible, codes.units[shape], codes.size[shape]),
-                     codes.start[shape],
-                     t1[:, right] * stride, t2[:, left] * stride, right_high))
-    held = np.cumsum(sum(size for size, *_ in plan))
+        variables.append((
+            _readonly(np.where(invertible, codes.units[shape], codes.size[shape])),
+            _readonly(codes.start[shape]),
+            _readonly(t1[:, right] * stride), _readonly(t2[:, left] * stride), right_high))
+    held = _readonly(np.cumsum(sum(size for size, *_ in variables)))
+    return _Plan(rank, width, dtype, row_table, col_table, tuple(variables), held,
+                 _readonly(~invertible))
+
+
+def _pair_verdicts(plan: _Plan) -> np.ndarray:
+    """The verdicts of a planned join (_pair_plan): per pair, whether a
+    and b drawn from the stacks of their shapes with b f1 = f2 a have a c
+    with c g1 = g2 b and h2 c = a h1, for every such (a, b) over all
+    matrices (TR3), or, where not every, for some (a, b) over GL (an
+    isomorphism).
+
+    A variable's keys for a batch of pairs come from one ragged gather
+    over the concatenated stacks of its shapes: the key of X m is a sum
+    of row table entries and that of m X a sum of column table entries
+    (see _product_tables).  The keys are packed under the pair index and
+    decided by _decide_batch."""
+    codes = _stack_codes(plan.rank)
+    width, dtype, held = plan.width, plan.dtype, plan.held
 
     def packed(size, start, right, left, right_high) -> np.ndarray:
         # One variable's packed keys for a batch of pairs; the gathers'
         # temporaries are freed on return, before the batch is decided.
         ends = np.cumsum(size)
         elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
-        xm = _product_keys(codes.rows, row_table, np.repeat(right, size), elements)
-        mx = _product_keys(codes.cols, col_table, np.repeat(left, size), elements)
+        xm = _product_keys(codes.rows, plan.row_table, np.repeat(right, size), elements)
+        mx = _product_keys(codes.cols, plan.col_table, np.repeat(left, size), elements)
         keys = np.repeat(np.arange(len(size), dtype=dtype) * width, size)
         keys += xm if right_high else mx
         keys *= width
         keys += mx if right_high else xm
         return keys
 
-    verdicts = np.zeros(len(first), dtype=bool)
+    verdicts = np.zeros(len(held), dtype=bool)
     lo = 0
-    while lo < len(first):
+    while lo < len(held):
         base = held[lo - 1] if lo else 0
-        hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(first))
+        hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(held))
         keys = [packed(size[lo:hi], start[lo:hi], right[lo:hi], left[lo:hi], right_high)
-                for size, start, right, left, right_high in plan]
-        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, ~invertible[lo:hi])
+                for size, start, right, left, right_high in plan.variables]
+        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, plan.every[lo:hi])
         lo = hi
     return verdicts
+
+
+class _Join(NamedTuple):
+    """A planned join over TR3 for the n x n pairs of representatives (n =
+    0 without TR3), then over the membership pairs, whose rows in iso are
+    (query, representative) of equal ranks, among `queries` queries."""
+
+    plan: _Plan
+    n: int
+    iso: np.ndarray
+    queries: int
+
+    def verdicts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The TR3 verdicts as an n x n matrix, and per query whether it
+        is isomorphic to a representative: decided afresh on every call."""
+        n, verdicts = self.n, _pair_verdicts(self.plan)
+        members = np.bincount(self.iso[verdicts[n * n:], 0], minlength=self.queries) > 0
+        return verdicts[:n * n].reshape(n, n), members
+
+
+def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
+    """The plan of one join over the TR3 pairs of reps, if tr3, and the
+    equal-rank membership pairs of queries and reps."""
+    n = len(reps) if tr3 else 0
+    by_ranks: dict[tuple[int, int, int], list[int]] = {}
+    for j, rep in enumerate(reps):
+        by_ranks.setdefault(rep.ranks, []).append(j)
+    iso = np.array([(i, j) for i, q in enumerate(queries)
+                    for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate([np.indices((n, n)).reshape(2, -1).T, iso + (len(reps), 0)])
+    plan = _pair_plan([*reps, *queries], tuple(pairs.T), np.arange(len(pairs)) >= n * n)
+    return _Join(plan, n, _readonly(iso), len(queries))
 
 
 def _verdicts(reps: list[Z4Triangle], queries: list[Z4Triangle],
               tr3: bool) -> tuple[np.ndarray, np.ndarray]:
     """If tr3, whether every commuting (a, b) from reps[i] to reps[j] has
     a fill-in, as entry (i, j); and per query whether it is isomorphic to
-    one of reps.  One join over the TR3 and equal-rank membership pairs."""
-    n = len(reps) if tr3 else 0
-    by_ranks: dict[tuple[int, int, int], list[int]] = {}
-    for j, rep in enumerate(reps):
-        by_ranks.setdefault(rep.ranks, []).append(j)
-    iso = np.array([(i, j) for i, q in enumerate(queries, len(reps))
-                    for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
-    pairs = np.concatenate([np.indices((n, n)).reshape(2, -1).T, iso])
-    verdicts = _pair_verdicts([*reps, *queries], tuple(pairs.T), np.arange(len(pairs)) >= n * n)
-    members = np.bincount(iso[verdicts[n * n:], 0] - len(reps), minlength=len(queries)) > 0
-    return verdicts[:n * n].reshape(n, n), members
+    one of reps.  One join, planned on every call."""
+    return _join(reps, queries, tr3).verdicts()
 
 
 def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
@@ -517,6 +580,15 @@ def _closure_queries(max_rank: int) -> tuple[list[Z4Triangle], list[Z4Triangle]]
         if max(r1 + r2 for r1, r2 in zip(t1.ranks, t2.ranks)) <= max_rank
     ]
     return [t.rotate() for t in reps], sums
+
+
+@functools.cache
+def _verification_join(max_rank: int) -> _Join:
+    """The join of verify_axioms: TR3 on the representatives, and the
+    membership of their rotations and sums.  Planned once per bound, and
+    only read; its verdicts are decided on every call."""
+    rotations, sums = _closure_queries(max_rank)
+    return _join(list(_representatives(max_rank)), [*rotations, *sums], tr3=True)
 
 
 def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
@@ -576,8 +648,8 @@ def verify_axioms(max_rank: int = 2) -> VerificationReport:
     report.add(f"enumerated {len(reps)} class representatives", len(reps) > 0)
     report.add("consecutive composites vanish on every representative",
                bool(_composites_vanish(reps).all()))
-    rotations, sums = _closure_queries(max_rank)
-    tr3, members = _verdicts(reps, [*rotations, *sums], tr3=True)
+    rotations, _ = _closure_queries(max_rank)
+    tr3, members = _verification_join(max_rank).verdicts()
     report.add("rotation of every representative stays in the class",
                bool(members[:len(rotations)].all()))
     report.add("direct sums of representatives stay in the class",

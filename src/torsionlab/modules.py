@@ -12,7 +12,8 @@ matrices of its generators, whose only nonzero blocks map degree d to
 d + deg(g).  No two generators share a degree difference, so T loses
 nothing: the per-degree blocks (`action`, `actions`) are views into T,
 and the generator matrices (`matrices`) are cut out of it, once and only
-when a word of generators is multiplied out.  End(M) solves E T = T E, a
+when a word of generators is multiplied out over the whole module; at one
+degree, `act_element` reads the blocks alone.  End(M) solves E T = T E, a
 Fitting summand restricts T once, and `tensor` forms the T of A (x) B
 from the factors' total operations I + T, which the Cartan formula makes
 multiplicative.  Endomorphisms are block-diagonal matrices in the same
@@ -174,8 +175,8 @@ class FiniteModule:
             return self._pairs[word]
         return self._times(first, self.word(word[1:]))
 
-    def _times(self, left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray | None:
-        if left is None or right is None:
+    def _times(self, left: np.ndarray, right: np.ndarray | None) -> np.ndarray | None:
+        if right is None:
             return None
         out = fp.matmul(left, right, self.prime)
         return out if out.any() else None
@@ -330,35 +331,36 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
 def act_element(M: FiniteModule, e: SteenrodElement,
                 d: int | None = None) -> np.ndarray:
     """Matrix of a homogeneous element from degree d to d + deg(e), or a
-    zero matrix of that shape when either degree is empty.  Only degree d's
-    columns are computed: each word's last letter is read there off its
-    matrix, and the other letters' matrices are applied right to left.
+    zero matrix of that shape when either degree is empty.  Each word is
+    applied right to left, one letter at a time, through the blocks of T
+    between the degrees it passes, so no generator is cut out of T.
 
     With d None, the whole-module matrix itself.  The products of pairs of
     generators are kept on M across calls (`FiniteModule.word`)."""
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
-    cols = slice(None)
-    if d is not None:
-        deg = element_degree(e)
-        if deg == "non-homogeneous":
-            raise ModuleError("act_element requires a homogeneous element")
-        target = d + (0 if deg == "any" else deg)
-        if d not in M.dims or target not in M.dims:
-            return fp.zeros(M.dim(target), M.dim(d))
-        cols = slice(M.offsets[d], M.offsets[d] + M.dims[d])
-    out = fp.zeros(M.total_dim, M.total_dim if d is None else M.dims[d])
+    if d is None:
+        out = fp.zeros(M.total_dim, M.total_dim)
+        for mono, coef in e.terms.items():
+            mat = M.word(mono.word)
+            if mat is not None:
+                out += coef * mat
+        return out % M.prime
+    deg = element_degree(e)
+    if deg == "non-homogeneous":
+        raise ModuleError("act_element requires a homogeneous element")
+    target = d + (0 if deg == "any" else deg)
+    out = fp.zeros(M.dim(target), M.dim(d))
+    if d not in M.dims or target not in M.dims:
+        return out
     for mono, coef in e.terms.items():
-        split = 0 if d is None else len(mono.word) - 1
-        mat = M.word(mono.word[split:])
-        if mat is not None:
-            mat = mat[:, cols]
-        for g in reversed(mono.word[:split]):
-            mat = M._times(M.matrices.get(g), mat)
-        if mat is not None:
-            out += coef * mat
-    out %= M.prime
-    return out if d is None else out[M.offsets[target]:M.offsets[target] + M.dims[target]]
+        source, mat = d, None
+        for g in reversed(mono.word):
+            block = M.action(g, source)
+            mat = block if mat is None else fp.matmul(block, mat, M.prime)
+            source += g.degree_at(M.prime)
+        out += coef * (fp.identity(M.dims[d]) if mat is None else mat)
+    return out % M.prime
 
 
 # ---------------------------------------------------------------------------

@@ -648,6 +648,31 @@ class TestBatchedJoins:
         assert not report.passed
         assert [ok for _, ok in report.steps] == [True, True, False, False, False]
 
+    def test_verification_is_planned_once_per_bound(self, monkeypatch):
+        tables, verdicts = exotic._product_tables, exotic._Join.verdicts
+        planned, decided = [], []
+
+        def counted(mats, rank):
+            planned.append(rank)
+            return tables(mats, rank)
+
+        def recorded(join):
+            decided.append(verdicts(join))
+            return decided[-1]
+
+        monkeypatch.setattr(exotic, "_product_tables", counted)
+        monkeypatch.setattr(exotic._Join, "verdicts", recorded)
+        exotic._verification_join.cache_clear()
+        assert verify_axioms(2).passed and verify_axioms(2).passed
+        assert planned == [2] and len(decided) == 2
+        # The second call decides the cached plan afresh.
+        reps = distinguished_representatives(2)
+        rotations, sums = exotic._closure_queries(2)
+        tr3, members = decided[1]
+        assert np.array_equal(tr3, tr3_by_stacks(reps)) and tr3.all()
+        assert np.array_equal(members, members_by_stacks([*rotations, *sums], reps))
+        assert members.all() and len(members) == len(rotations) + len(sums)
+
 
 class TestVerification:
     def test_axioms_pass_rank_two(self):

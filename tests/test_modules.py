@@ -879,6 +879,33 @@ class TestActElement:
                     shapes.add((got.shape[0] == 0, got.shape[1] == 0))
         assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_degree_blocks_cut_no_generators(self, p):
+        # At one degree, a word is applied through blocks of T alone; its
+        # matrix is the block of the whole-module matrix at that degree.
+        rng = random.Random(47 + p)
+        words = {2: ["Sq^1", "Sq^2", "Sq^2 + Sq^1 Sq^1", "Sq^1 Sq^2", "1"],
+                 3: ["b", "P^1", "2 b", "b P^1 + P^1 b", "1"],
+                 5: ["b", "P^1", "3 b", "b b", "1"]}[p]
+        for _ in range(20):
+            M = random_module(p, rng)
+            blocks = {}
+            for text in words:
+                e = el(text, p)
+                target = element_degree(e)
+                for d in range(-1, 7):
+                    blocks[text, d] = act_element(M, e, d)
+                    assert blocks[text, d].shape == (M.dim(d + target), M.dim(d))
+            assert "matrices" not in M.__dict__
+            for text in words:
+                e = el(text, p)
+                whole, target = act_element(M, e), element_degree(e)
+                for d in M.degrees:
+                    if d + target in M.dims:
+                        assert np.array_equal(blocks[text, d], M.block(whole, d + target, d))
+                    else:
+                        assert not blocks[text, d].size
+
     def test_whole_module_matrix_has_the_degree_blocks(self):
         rng = random.Random(41)
         cases = [(hypothetical_Cb_module(), el("P^3 P^3 P^3 - P^7 P^1 P^1", 3)),

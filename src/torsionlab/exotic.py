@@ -14,25 +14,25 @@ rank-one object is nonzero even though its cone is again the rank-one
 object — the behavior that separates this category from algebraic ones.
 
 Everything that does not depend on a verdict is built once per process:
-the class representatives for each rank bound with their rotations and
-pairwise sums, GL_r(Z/4), found as the matrices of odd determinant, the
-codes of the row and column blocks of every matrix of each shape, GL
-first, only up to the rank a call needs, and the plan of each rank
-bound's verification join (_verification_join).  Verdicts are recomputed
-on every call.  Searches never loop over matrices in Python, and the
-joins multiply no stack by a morphism: a matrix X is met only through the
-integer keys of X m and m X for the triangles' morphisms m.  A join's
-plan (_pair_plan) gives the distinct morphisms product tables from one
-batched product (_product_tables), and the key of X m is a sum of table
-entries indexed by the codes of X's row blocks, that of m X by its
-column blocks.  A verification is one batched join (_pair_verdicts) over
-TR3 for all pairs of representatives and membership for all rotations
-and direct sums: each variable's keys for every pair come from one
-ragged gather over the concatenated stacks, packed under the pair index;
-the distinct keys of the candidate a and b are joined on the commutation
-condition, and each result is looked up among the keys of all fill-ins
-c (TR3) or of all invertible w (isomorphism).  Batches are cut by stack
-size, so rank 3 runs in memory: `exotic verify --max-rank 3` takes about
+the class representatives for each rank bound, GL_r(Z/4), found as the
+matrices of odd determinant, the codes of the row and column blocks of
+every matrix of each shape, GL first, only up to the rank a call needs,
+and the plan of each rank bound's verification join
+(_verification_join).  Verdicts are recomputed on every call.  Searches
+never loop over matrices in Python, and the joins multiply no stack by a
+morphism: a matrix X is met only through the integer keys of X m and m X
+for the triangles' morphisms m.  A join's plan (_join) holds its stack
+codes and gives the distinct morphisms product tables from one batched
+product (_product_tables); the key of X m is a sum of table entries
+indexed by the codes of X's row blocks, that of m X by its column
+blocks.  A verification is one batched join (_decide) over TR3 for all
+pairs of representatives and membership for all rotations and direct
+sums: each variable's keys for every pair come from one ragged gather
+over the concatenated stacks, packed under the pair index; the distinct
+keys of the candidate a and b are joined on the commutation condition,
+and each result is looked up among the keys of all fill-ins c (TR3) or
+of all invertible w (isomorphism).  Batches are cut by stack size, so
+rank 3 runs in memory: `exotic verify --max-rank 3` takes about
 6 s and 103 MB (2-vCPU VM, Python 3.11), and its plan holds about 21 MB,
 nearly all product tables (0.1 MB at rank 2)."""
 
@@ -403,44 +403,51 @@ def _key_width(rank: int, n_pairs: int) -> tuple[int, type]:
 _VARIABLES = ((0, 1, 4, True), (2, 0, 3, False), (1, 2, 5, True))
 
 
-class _Plan(NamedTuple):
-    """What a join reads that its triangles and pairs fix, all read-only:
-    - rank, the stacks' rank bound, and width and dtype, the key layout
-      (_key_width);
+class _Join(NamedTuple):
+    """A planned join, all read-only: TR3 for the n x n pairs of
+    representatives (n = 0 without TR3), then membership for the pairs
+    whose rows in iso are (query, representative) of equal ranks, among
+    `queries` queries.  It holds
+    - codes, the stack codes of its rank bound (_stack_codes), and width
+      and dtype, the key layout (_key_width);
     - row_table and col_table, the distinct morphisms' product tables;
     - variables: per variable of _VARIABLES, the per-pair stack sizes and
       starts, the per-pair offsets of its right and left morphisms'
       tables, and whether the right product is k1;
-    - held, the running count of stack matrices over the pairs;
-    - every, per pair whether all of its lookups must succeed.
-    It holds no stack codes: _pair_verdicts reads them from _stack_codes
-    on every call."""
+    - held, the running count of stack matrices over the pairs."""
 
-    rank: int
+    codes: _Codes
     width: int
     dtype: type
     row_table: np.ndarray
     col_table: np.ndarray
     variables: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool], ...]
     held: np.ndarray
-    every: np.ndarray
+    n: int
+    iso: np.ndarray
+    queries: int
 
 
-def _pair_plan(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndarray],
-               invertible: np.ndarray) -> _Plan:
-    """The plan of the join that _pair_verdicts decides, for each (i, j) in
-    pairs (two index arrays), with t1 = triangles[i] and t2 =
-    triangles[j]: TR3 for the pair, or, where invertible, an isomorphism
-    t1 -> t2.
+def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
+    """The plan of one join over the pairs (t1, t2): (reps[i], reps[j])
+    for TR3, if tr3, then (query, rep) of equal ranks for membership.
 
     The triangles' distinct morphisms get their product tables in one
     batched product (_product_tables).  Each variable draws, per pair, the
-    stack of its shape (GL first, only GL where invertible) and the
-    offsets of the tables of the morphisms that multiply it."""
-    first, second = pairs
+    stack of its shape (GL first, only GL for membership) and the offsets
+    of the tables of the morphisms that multiply it."""
+    n = len(reps) if tr3 else 0
+    by_ranks: dict[tuple[int, int, int], list[int]] = {}
+    for j, rep in enumerate(reps):
+        by_ranks.setdefault(rep.ranks, []).append(j)
+    iso = np.array([(i, j) for i, q in enumerate(queries)
+                    for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
+    first, second = np.concatenate(
+        [np.indices((n, n)).reshape(2, -1).T, iso + (len(reps), 0)]).T
     index: dict[Z4Morphism, int] = {}
     rows = np.array([[index.setdefault(m, len(index)) for m in (t.f, t.g, t.h)]
-                     + [*t.ranks] for t in triangles], dtype=np.int64).reshape(-1, 6)
+                     + [*t.ranks] for t in [*reps, *queries]],
+                    dtype=np.int64).reshape(-1, 6)
     rank = int(rows[:, 3:].max(initial=0))
     width, dtype = _key_width(rank, len(first))
     rank = max(rank, 1)
@@ -448,6 +455,7 @@ def _pair_plan(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndarray]
     row_table, col_table = (_readonly(table.astype(dtype, copy=False)) for table in
                             _product_tables(_padded(list(index), rank), rank))
     t1, t2 = rows[first], rows[second]
+    invertible = np.arange(len(first)) >= n * n
     stride = math.prod(_layout(rank))
     variables = []
     for right, left, obj, right_high in _VARIABLES:
@@ -457,32 +465,32 @@ def _pair_plan(triangles: list[Z4Triangle], pairs: tuple[np.ndarray, np.ndarray]
             _readonly(codes.start[shape]),
             _readonly(t1[:, right] * stride), _readonly(t2[:, left] * stride), right_high))
     held = _readonly(np.cumsum(sum(size for size, *_ in variables)))
-    return _Plan(rank, width, dtype, row_table, col_table, tuple(variables), held,
-                 _readonly(~invertible))
+    return _Join(codes, width, dtype, row_table, col_table, tuple(variables), held,
+                 n, _readonly(iso), len(queries))
 
 
-def _pair_verdicts(plan: _Plan) -> np.ndarray:
-    """The verdicts of a planned join (_pair_plan): per pair, whether a
-    and b drawn from the stacks of their shapes with b f1 = f2 a have a c
-    with c g1 = g2 b and h2 c = a h1, for every such (a, b) over all
-    matrices (TR3), or, where not every, for some (a, b) over GL (an
-    isomorphism).
+def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
+    """The verdicts of a planned join, decided afresh on every call: the
+    TR3 verdicts as an n x n matrix, and per query whether it is
+    isomorphic to a representative.  A pair holds if a and b drawn from
+    the stacks of their shapes with b f1 = f2 a have a c with c g1 = g2 b
+    and h2 c = a h1, for every such (a, b) over all matrices (TR3), or for
+    some (a, b) over GL (an isomorphism).
 
     A variable's keys for a batch of pairs come from one ragged gather
     over the concatenated stacks of its shapes: the key of X m is a sum
     of row table entries and that of m X a sum of column table entries
     (see _product_tables).  The keys are packed under the pair index and
     decided by _decide_batch."""
-    codes = _stack_codes(plan.rank)
-    width, dtype, held = plan.width, plan.dtype, plan.held
+    codes, width, dtype, held, n = join.codes, join.width, join.dtype, join.held, join.n
 
     def packed(size, start, right, left, right_high) -> np.ndarray:
         # One variable's packed keys for a batch of pairs; the gathers'
         # temporaries are freed on return, before the batch is decided.
         ends = np.cumsum(size)
         elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
-        xm = _product_keys(codes.rows, plan.row_table, np.repeat(right, size), elements)
-        mx = _product_keys(codes.cols, plan.col_table, np.repeat(left, size), elements)
+        xm = _product_keys(codes.rows, join.row_table, np.repeat(right, size), elements)
+        mx = _product_keys(codes.cols, join.col_table, np.repeat(left, size), elements)
         keys = np.repeat(np.arange(len(size), dtype=dtype) * width, size)
         keys += xm if right_high else mx
         keys *= width
@@ -495,55 +503,16 @@ def _pair_verdicts(plan: _Plan) -> np.ndarray:
         base = held[lo - 1] if lo else 0
         hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(held))
         keys = [packed(size[lo:hi], start[lo:hi], right[lo:hi], left[lo:hi], right_high)
-                for size, start, right, left, right_high in plan.variables]
-        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, plan.every[lo:hi])
+                for size, start, right, left, right_high in join.variables]
+        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, np.arange(lo, hi) < n * n)
         lo = hi
-    return verdicts
-
-
-class _Join(NamedTuple):
-    """A planned join over TR3 for the n x n pairs of representatives (n =
-    0 without TR3), then over the membership pairs, whose rows in iso are
-    (query, representative) of equal ranks, among `queries` queries."""
-
-    plan: _Plan
-    n: int
-    iso: np.ndarray
-    queries: int
-
-    def verdicts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The TR3 verdicts as an n x n matrix, and per query whether it
-        is isomorphic to a representative: decided afresh on every call."""
-        n, verdicts = self.n, _pair_verdicts(self.plan)
-        members = np.bincount(self.iso[verdicts[n * n:], 0], minlength=self.queries) > 0
-        return verdicts[:n * n].reshape(n, n), members
-
-
-def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
-    """The plan of one join over the TR3 pairs of reps, if tr3, and the
-    equal-rank membership pairs of queries and reps."""
-    n = len(reps) if tr3 else 0
-    by_ranks: dict[tuple[int, int, int], list[int]] = {}
-    for j, rep in enumerate(reps):
-        by_ranks.setdefault(rep.ranks, []).append(j)
-    iso = np.array([(i, j) for i, q in enumerate(queries)
-                    for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
-    pairs = np.concatenate([np.indices((n, n)).reshape(2, -1).T, iso + (len(reps), 0)])
-    plan = _pair_plan([*reps, *queries], tuple(pairs.T), np.arange(len(pairs)) >= n * n)
-    return _Join(plan, n, _readonly(iso), len(queries))
-
-
-def _verdicts(reps: list[Z4Triangle], queries: list[Z4Triangle],
-              tr3: bool) -> tuple[np.ndarray, np.ndarray]:
-    """If tr3, whether every commuting (a, b) from reps[i] to reps[j] has
-    a fill-in, as entry (i, j); and per query whether it is isomorphic to
-    one of reps.  One join, planned on every call."""
-    return _join(reps, queries, tr3).verdicts()
+    members = np.bincount(join.iso[verdicts[n * n:], 0], minlength=join.queries) > 0
+    return verdicts[:n * n].reshape(n, n), members
 
 
 def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
     """Per query, whether it is isomorphic to one of reps."""
-    return _verdicts(reps, queries, tr3=False)[1]
+    return _decide(_join(reps, queries, False))[1]
 
 
 def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
@@ -569,10 +538,9 @@ def _representatives(max_rank: int) -> tuple[Z4Triangle, ...]:
     return tuple(reps)
 
 
-@functools.cache
 def _closure_queries(max_rank: int) -> tuple[list[Z4Triangle], list[Z4Triangle]]:
-    """The rotations of the representatives, and their pairwise direct
-    sums within the rank bound: built once per bound, and only read."""
+    """The rotations of the representatives, one per representative, and
+    their pairwise direct sums within the rank bound."""
     reps = _representatives(max_rank)
     sums = [
         t1.direct_sum(t2)
@@ -648,12 +616,12 @@ def verify_axioms(max_rank: int = 2) -> VerificationReport:
     report.add(f"enumerated {len(reps)} class representatives", len(reps) > 0)
     report.add("consecutive composites vanish on every representative",
                bool(_composites_vanish(reps).all()))
-    rotations, _ = _closure_queries(max_rank)
-    tr3, members = _verification_join(max_rank).verdicts()
+    # The queries are one rotation per representative, then the sums.
+    tr3, members = _decide(_verification_join(max_rank))
     report.add("rotation of every representative stays in the class",
-               bool(members[:len(rotations)].all()))
+               bool(members[:len(reps)].all()))
     report.add("direct sums of representatives stay in the class",
-               bool(members[len(rotations):].all()))
+               bool(members[len(reps):].all()))
     report.add("TR3 fill-in exists for every commuting pair", bool(tr3.all()))
     return report
 

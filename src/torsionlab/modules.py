@@ -804,21 +804,40 @@ def _list_of(value, kind: type, what: str) -> list:
     return [_of_kind(x, kind, f"an item of {what}") for x in _of_kind(value, list, what)]
 
 
+def _by_degree(data: dict, key: str) -> dict:
+    """The module's object `key` keyed by integer degree; a key that is no
+    integer, or that names a degree an earlier key named, is refused."""
+    out = {}
+    for text, value in _field(data, key, "module", dict).items():
+        try:
+            d = int(text)
+        except ValueError:
+            raise ModuleError(f"module's {key!r} has the key {json.dumps(text)}, "
+                              "not an integer degree") from None
+        if d in out:
+            raise ModuleError(f"module's {key!r} names degree {d} twice")
+        out[d] = value
+    return out
+
+
 def module_from_dict(data: dict) -> FiniteModule:
     p = _field(data, "prime", "module", int)
-    dims = {int(d): _of_kind(n, int, f"the dimension of degree {d}")
-            for d, n in _field(data, "dims", "module", dict).items()}
+    dims = {d: _of_kind(n, int, f"the dimension of degree {d}")
+            for d, n in _by_degree(data, "dims").items()}
     actions = {}
     for i, entry in enumerate(_of_kind(data.get("actions", []), list, "module's 'actions'")):
         where = f"action {i}"
         g = _generator_from_str(_field(entry, "generator", where, str), p)
         matrix = [_list_of(row, int, f"{where}'s matrix row")
                   for row in _field(entry, "matrix", where, list)]
-        actions[(g, _field(entry, "source_degree", where, int))] = np.array(matrix, dtype=np.int64)
+        d = _field(entry, "source_degree", where, int)
+        if (g, d) in actions:
+            raise ModuleError(f"{where} gives {g} from degree {d} a second time")
+        actions[(g, d)] = np.array(matrix, dtype=np.int64)
     labels = None
     if "labels" in data:
-        labels = {int(d): _list_of(v, str, f"the labels of degree {d}")
-                  for d, v in _field(data, "labels", "module", dict).items()}
+        labels = {d: _list_of(v, str, f"the labels of degree {d}")
+                  for d, v in _by_degree(data, "labels").items()}
     return FiniteModule(p, dims, actions, labels=labels)
 
 
@@ -827,6 +846,18 @@ def save_module(M: FiniteModule, path: str) -> None:
         json.dump(module_to_dict(M), fh, indent=2, sort_keys=True)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object of a module file, refused if a key appears twice in
+    it, where json would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModuleError(f"the module file gives the key {json.dumps(key)} "
+                              "twice in one object")
+        out[key] = value
+    return out
+
+
 def load_module(path: str) -> FiniteModule:
     with open(path) as fh:
-        return module_from_dict(json.load(fh))
+        return module_from_dict(json.load(fh, object_pairs_hook=_json_object))

@@ -13,8 +13,9 @@ from torsionlab.modules import hypothetical_Cb_module, moore_module, save_module
 from torsionlab.scenarios import run_all
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-# The text output of `torsionlab scenario all`.
+# The text and JSON output of `torsionlab scenario all`.
 SCENARIO_ALL = os.path.join(DATA, "scenario_all.txt")
+SCENARIO_ALL_JSON = os.path.join(DATA, "scenario_all.json")
 
 
 def run(capsys, *argv):
@@ -78,6 +79,7 @@ class TestUserErrors:
         ("pi", "3", "--moore", "0"),
         ("associator", "0"),
         ("exotic", "verify", "--max-rank", "-1"),
+        ("exotic", "verify", "--max-rank", "4"),
     ])
     def test_one_line_and_exit_two(self, capsys, argv):
         code = main(list(argv))
@@ -151,14 +153,32 @@ class TestFileErrors:
         ({"prime": 2, "dims": {"0": 1, "1": 1},
           "actions": [{"generator": 5, "source_degree": 0, "matrix": [[1]]}]},
          "action 0's 'generator' is 5, not a string"),
+        # Nothing is read twice, and every degree is an integer.
+        ({"prime": 2, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq1", "source_degree": 0, "matrix": [[1]]},
+                      {"generator": "Sq^1", "source_degree": 0, "matrix": [[0]]}]},
+         "action 1 gives Sq^1 from degree 0 a second time"),
+        ({"prime": 2, "dims": {"0": 1, "1": 1, "01": 3}},
+         "module's 'dims' names degree 1 twice"),
+        ({"prime": 2, "dims": {"0": 1}, "labels": {"0": ["a"], "00": ["b"]}},
+         "module's 'labels' names degree 0 twice"),
+        ({"prime": 2, "dims": {"x": 1}},
+         "module's 'dims' has the key \"x\", not an integer degree"),
+        ({"prime": 2, "dims": {"0": 1}, "labels": {"y": ["a"]}},
+         "module's 'labels' has the key \"y\", not an integer degree"),
+        # The file's own text, which no dict can hold.
+        ('{"prime": 2, "dims": {"0": 1, "1": 1, "1": 3}}',
+         'the module file gives the key "1" twice in one object'),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
             "negative-dim", "labels-miss-a-degree", "labels-too-long", "float-prime",
             "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
-            "labels-list", "int-generator"])
+            "labels-list", "int-generator", "action-twice", "dims-degree-twice",
+            "labels-degree-twice", "dims-key-not-a-degree", "labels-key-not-a-degree",
+            "json-key-twice"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         files = [str(path)] * (2 if command == "tensor" else 1)
         err = assert_user_error(capsys, ["module", command, *files])
         assert err == f"torsionlab: error: {message}\n"
@@ -374,6 +394,25 @@ class TestStemsCommands:
         assert code == 0
         assert "associative" in out
 
+    @pytest.mark.parametrize("record,argv,line,payload", [
+        (None, ("pi", "5", "--moore", "2"), "unknown (needs stable stem 5)",
+         {"k": 5, "n": 2, "value": "unknown"}),
+        ({"dimension": 1, "factors": None}, ("endo", "2"),
+         "unknown (needs pi_1(S/n) and pi_0(S/n))", {"n": 2, "value": "unknown"}),
+        ({"dimension": 2, "factors": None}, ("associator", "6"),
+         "unknown (needs stable stem 2)", {"n": 6, "value": "unknown"}),
+    ], ids=["pi-moore", "endo", "associator"])
+    def test_unknown_exits_one(self, capsys, tmp_path, record, argv, line, payload):
+        # A stem nulled in a stems file is unknown, and so is what needs it.
+        stems = []
+        if record is not None:
+            path = tmp_path / "stems.json"
+            path.write_text(json.dumps([record]))
+            stems = ["--stems-file", str(path)]
+        assert run(capsys, *stems, *argv) == (1, line + "\n")
+        code, out = run(capsys, "--json", *stems, *argv)
+        assert code == 1 and json.loads(out) == payload
+
     def test_stems_file_extension(self, capsys, tmp_path):
         extra = tmp_path / "extra.json"
         extra.write_text(json.dumps([{"dimension": 8, "factors": [2, 2]}]))
@@ -438,6 +477,11 @@ class TestScenarios:
             want = f.read()
         assert "\n\n".join(r.render() for r in run_all()) + "\n" == want
         assert run(capsys, "scenario", "all") == (0, want)
+
+    def test_json_matches_the_golden_transcript(self, capsys):
+        with open(SCENARIO_ALL_JSON, encoding="utf-8", newline="") as f:
+            want = f.read()
+        assert run(capsys, "--json", "scenario", "all") == (0, want)
 
     def test_json_structure(self, capsys):
         code, out = run(capsys, "--json", "scenario", "prop2")

@@ -25,7 +25,9 @@ from torsionlab.exotic import (
     _BATCH_MATRICES,
     _all_matrices,
     _composites_vanish,
+    _decide,
     _decide_batch,
+    _join,
     _key_width,
     _layout,
     _match,
@@ -34,7 +36,6 @@ from torsionlab.exotic import (
     _product_keys,
     _product_tables,
     _stack_codes,
-    _verdicts,
     contractible_triangle,
     general_linear,
     identity_morphism,
@@ -46,7 +47,7 @@ from torsionlab.exotic import (
 
 def tr3_verdicts(triangles):
     """TR3 for every ordered pair of triangles, from the batched join."""
-    return _verdicts(triangles, [], tr3=True)[0]
+    return _decide(_join(triangles, [], True))[0]
 
 
 def _encode(stack):
@@ -165,7 +166,7 @@ def invertible_stack(rows, cols):
 
 
 def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
-    """Reference for exotic._pair_verdicts: the per-pair join it replaced.
+    """Reference for exotic._decide: the per-pair join it replaced.
     Each variable's keys are taken from whole-stack products, stack(rows,
     cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
     source triangle (pairs come grouped by source) and per target; the
@@ -405,13 +406,17 @@ class TestCones:
 
 
 class TestProductTables:
-    @pytest.mark.parametrize("invertible", [False, True])
-    def test_keys_match_encoded_products(self, invertible):
-        rank = 2
+    # A rank-2 matrix is one row block and one column block; at rank 3
+    # the second blocks' keys are gathered too.
+    @pytest.mark.parametrize("invertible,rank", [(False, 2), (True, 2), (False, 3), (True, 3)],
+                             ids=["False", "True", "False-rank3", "True-rank3"])
+    def test_keys_match_encoded_products(self, invertible, rank):
         codes = _stack_codes(rank)
         rng = np.random.default_rng(5)
-        shapes = ([(1, 1), (2, 2)] if invertible
-                  else list(itertools.product(range(rank + 1), repeat=2)))
+        # GL of every square shape, or every shape of at most 4**6 matrices.
+        shapes = ([(t, t) for t in range(1, rank + 1)] if invertible
+                  else [(t, s) for t, s in itertools.product(range(rank + 1), repeat=2)
+                        if t * s <= 6])
         stride = math.prod(_layout(rank))
         for t, s in shapes:
             stack = _all_matrices(t, s)
@@ -553,13 +558,13 @@ class TestBatchedJoins:
     def test_single_call_matches_separate_calls(self):
         reps = distinguished_representatives(2)
         queries = membership_queries()
-        tr3, members = _verdicts(reps, queries, tr3=True)
+        tr3, members = _decide(_join(reps, queries, True))
         assert np.array_equal(tr3, tr3_verdicts(reps))
         assert np.array_equal(members, _members(queries, reps))
         assert 0 < members.sum() < len(queries)
         # With candidates among the triangles, some TR3 verdicts fail.
         triangles = reps + rank_one_candidates()
-        tr3, members = _verdicts(triangles, queries, tr3=True)
+        tr3, members = _decide(_join(triangles, queries, True))
         assert np.array_equal(tr3, tr3_verdicts(triangles))
         assert tr3[:16, :16].all() and not tr3.all()
         assert np.array_equal(members, _members(queries, triangles))
@@ -577,7 +582,7 @@ class TestBatchedJoins:
 
         monkeypatch.setattr(exotic, "_decide_batch", recorded)
         monkeypatch.setattr(exotic, "_BATCH_MATRICES", 2000)
-        got_tr3, got_members = _verdicts(reps, queries, tr3=True)
+        got_tr3, got_members = _decide(_join(reps, queries, True))
         assert {True, False} in quantifiers and len(quantifiers) > 2
         assert np.array_equal(got_tr3, tr3)
         assert np.array_equal(got_members, members)
@@ -596,11 +601,11 @@ class TestBatchedJoins:
     def test_int64_keys_give_the_same_verdicts(self, monkeypatch):
         reps = distinguished_representatives(2)
         triangles, queries = reps + rank_one_candidates(), membership_queries()
-        tr3, members = _verdicts(triangles, queries, tr3=True)
+        tr3, members = _decide(_join(triangles, queries, True))
         key_width = exotic._key_width
         monkeypatch.setattr(exotic, "_key_width",
                             lambda rank, n_pairs: (key_width(rank, n_pairs)[0], np.int64))
-        got_tr3, got_members = _verdicts(triangles, queries, tr3=True)
+        got_tr3, got_members = _decide(_join(triangles, queries, True))
         assert np.array_equal(got_tr3, tr3) and not tr3.all()
         assert np.array_equal(got_members, members) and 0 < members.sum() < len(queries)
 
@@ -621,6 +626,7 @@ class TestBatchedJoins:
             return _stack_codes(rank)
 
         monkeypatch.setattr(exotic, "_stack_codes", recorded)
+        exotic._verification_join.cache_clear()
         assert verify_axioms(2).passed
         assert ranks and max(ranks) == 2
 
@@ -649,7 +655,7 @@ class TestBatchedJoins:
         assert [ok for _, ok in report.steps] == [True, True, False, False, False]
 
     def test_verification_is_planned_once_per_bound(self, monkeypatch):
-        tables, verdicts = exotic._product_tables, exotic._Join.verdicts
+        tables, decide = exotic._product_tables, exotic._decide
         planned, decided = [], []
 
         def counted(mats, rank):
@@ -657,11 +663,11 @@ class TestBatchedJoins:
             return tables(mats, rank)
 
         def recorded(join):
-            decided.append(verdicts(join))
+            decided.append(decide(join))
             return decided[-1]
 
         monkeypatch.setattr(exotic, "_product_tables", counted)
-        monkeypatch.setattr(exotic._Join, "verdicts", recorded)
+        monkeypatch.setattr(exotic, "_decide", recorded)
         exotic._verification_join.cache_clear()
         assert verify_axioms(2).passed and verify_axioms(2).passed
         assert planned == [2] and len(decided) == 2

@@ -6,6 +6,13 @@ Includes Moore/sphere/cell constructions, tensor products via the Cartan
 formula, Adem-consistency checking, and an exact decomposability decision
 through the radical of the endomorphism algebra.
 
+The Adem relations are compiled once per (prime, degree bound) into a
+table (`_relation_table`): every inadmissible word of length 2 or 3, its
+normal form, and lhs - rhs as sparse (relation, word, coefficient)
+entries.  A module is checked by one contraction over it
+(`_check_relations`): the words that act on the module are multiplied
+out, and their entries summed into one delta per relation.
+
 A module is stored as one matrix: the basis of every degree in increasing
 degree order, and the total_dim x total_dim sum T of the whole-module
 matrices of its generators, whose only nonzero blocks map degree d to
@@ -386,7 +393,6 @@ class RelationViolation:
                 f"{self.source_degree} (target {self.target_degree})")
 
 
-@functools.cache
 def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
     """(operation degree, word) for every inadmissible word of two or three
     generators of degree <= max_degree, shorter words first and each length
@@ -415,60 +421,154 @@ def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator
                  if not Monomial(p, word).is_admissible)
 
 
-def adem_relations(M: FiniteModule, max_relation_degree: int
-                   ) -> tuple[int, list[tuple[int, SteenrodElement, SteenrodElement]]]:
-    """The relations `consistency_check` compares on M: the degree bound it
-    uses and (operation degree, lhs, rhs) per relation.
+@dataclass(frozen=True)
+class _RelationTable:
+    """The relations of `_relation_words(p, bound)`, compiled once.
 
-    A relation of degree above M's degree span acts as zero on M, so the
-    bound is max_relation_degree clamped to the span, and relations that
-    map no occupied degree to another are dropped.  A bound below 2, the
-    degree of the smallest inadmissible words, would check nothing and is
-    refused."""
+    `relations` holds (operation degree, lhs, rhs) per relation and
+    `degrees` its operation degrees.  `words` are the distinct generator
+    words of every lhs and rhs, `word_degrees` their degrees, and
+    `spelling` their letters as indices into `letters`, padded with
+    len(letters) after a word's end.  The entries of lhs - rhs mod p are
+    sparse: `relation`, `word` and `coefficient` per entry, in increasing
+    relation order.  The arrays are read-only."""
+
+    relations: tuple[tuple[int, SteenrodElement, SteenrodElement], ...]
+    degrees: np.ndarray
+    words: tuple[tuple[Generator, ...], ...]
+    word_degrees: np.ndarray
+    letters: tuple[Generator, ...]
+    spelling: np.ndarray
+    relation: np.ndarray
+    word: np.ndarray
+    coefficient: np.ndarray
+
+
+def _read_only(values, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
+    out = np.array(values, dtype=np.int64).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _relation_table(p: int, bound: int) -> _RelationTable:
+    """The table of every relation up to degree `bound` at p: each
+    inadmissible word and its normal form, normalized once per process."""
+    relations, entries = [], []
+    words: dict[tuple[Generator, ...], int] = {}
+    for op_degree, word in _relation_words(p, bound):
+        lhs = SteenrodElement._reduced(p, {Monomial(p, word): 1})
+        rhs = adem_normalize(lhs)
+        r = len(relations)
+        relations.append((op_degree, lhs, rhs))
+        entries.append((r, words.setdefault(word, len(words)), 1))
+        entries.extend((r, words.setdefault(mono.word, len(words)), -c % p)
+                       for mono, c in rhs.terms.items())
+    letters = sorted({g for word in words for g in word})
+    index = {g: i for i, g in enumerate(letters)}
+    spelling = [[index[g] for g in word] + [len(letters)] * (3 - len(word)) for word in words]
+    relation, word, coefficient = _read_only(entries, (-1, 3)).T
+    return _RelationTable(
+        relations=tuple(relations),
+        degrees=_read_only([op_degree for op_degree, _, _ in relations]),
+        words=tuple(words),
+        word_degrees=_read_only([sum(g.degree_at(p) for g in word) for word in words]),
+        letters=tuple(letters),
+        spelling=_read_only(spelling, (-1, 3)),
+        relation=relation, word=word, coefficient=coefficient)
+
+
+def _relation_bound(M: FiniteModule, max_relation_degree: int) -> int:
+    """max_relation_degree clamped to M's degree span, above which every
+    relation acts as zero on M.  A bound below 2, the degree of the
+    smallest inadmissible words, would check nothing and is refused."""
     if max_relation_degree < 2:
         raise ModuleError(
             f"relation degree bound {max_relation_degree} is below 2, the "
             f"degree of the smallest inadmissible words")
-    p = M.prime
     occupied = M.degrees
-    bound = min(max_relation_degree,
-                occupied[-1] - occupied[0] if occupied else 0)
-    # A relation whose degree is no gap between occupied degrees maps no
-    # occupied degree to another.
-    gaps = {t - s for s in occupied for t in occupied}
-    relations = []
-    for op_degree, word in _relation_words(p, bound):
-        if op_degree in gaps:
-            lhs = SteenrodElement._reduced(p, {Monomial(p, word): 1})
-            relations.append((op_degree, lhs, adem_normalize(lhs)))
-    return bound, relations
+    return min(max_relation_degree, occupied[-1] - occupied[0] if occupied else 0)
 
 
-def _check_relations(
-        M: FiniteModule,
-        relations: list[tuple[int, SteenrodElement, SteenrodElement]]
-) -> list[RelationViolation]:
-    """The violations of the relations of `adem_relations` on M.
+def adem_relations(M: FiniteModule, max_relation_degree: int
+                   ) -> tuple[int, list[tuple[int, SteenrodElement, SteenrodElement]]]:
+    """The relations `consistency_check` compares on M: the degree bound it
+    uses (`_relation_bound`) and (operation degree, lhs, rhs) per relation
+    of the table whose degree is a gap between two occupied degrees; no
+    other relation maps an occupied degree to another."""
+    bound = _relation_bound(M, max_relation_degree)
+    gaps = {t - s for s in M.dims for t in M.dims}
+    return bound, [r for r in _relation_table(M.prime, bound).relations if r[0] in gaps]
 
-    The word lhs and its normal form rhs act as whole-module matrices; a
-    relation fails at every source degree whose block of their difference
-    has a nonzero column, and the first such column is the witness."""
-    violations: list[RelationViolation] = []
-    for op_degree, lhs, rhs in relations:
-        (mono,) = lhs.terms
-        left = M.word(mono.word)
-        delta = act_element(M, rhs)
-        if left is not None:
-            delta = (left - delta) % M.prime
-        if not delta.any():
-            continue
-        for d in M.degrees:
-            if d + op_degree not in M.dims:
-                continue
-            cols = np.flatnonzero(M.block(delta, d + op_degree, d).any(axis=0))
-            if cols.size:
-                witness = tuple(int(c == cols[0]) for c in range(M.dims[d]))
-                violations.append(RelationViolation(lhs, rhs, d, op_degree, witness))
+
+def _bands(M: FiniteModule) -> np.ndarray:
+    """Row k lists the positions (row-major, in a flattened whole-module
+    matrix) of degree difference k, padded with position 0.  A word of
+    degree k is zero off its row, and every word of positive degree is
+    zero at position 0, whose difference is 0."""
+    difference = np.subtract.outer(M.basis_degrees, M.basis_degrees).ravel()
+    positions = np.flatnonzero(difference > 0)
+    positions = positions[np.argsort(difference[positions], kind="stable")]
+    k = difference[positions]
+    rank = np.arange(len(k)) - np.searchsorted(k, k)
+    out = np.zeros((k[-1] + 1, rank.max() + 1), dtype=np.int64)
+    out[k, rank] = positions
+    return out
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal key tuples starts, in sorted keys."""
+    out = np.zeros(len(keys[0]), dtype=bool)
+    out[:1] = True
+    for key in keys:
+        out[1:] |= key[1:] != key[:-1]
+    return out
+
+
+def _check_relations(M: FiniteModule, bound: int) -> list[RelationViolation]:
+    """The violations on M of the relations of `_relation_table(p, bound)`,
+    in table order and then by source degree.
+
+    Only the words whose letters all act on M and whose product is nonzero
+    are multiplied out, each read at the positions of its degree
+    difference alone (`_bands`).  The live entries of lhs - rhs are summed
+    into one row of deltas per relation that has one and reduced mod p.  A
+    relation fails at every source degree with a nonzero column of its
+    delta, and the first such column is the witness."""
+    p, table = M.prime, _relation_table(M.prime, bound)
+    acts = np.array([g in M.matrices for g in table.letters] + [True])
+    candidates = np.flatnonzero(acts[table.spelling].all(axis=1)).tolist()
+    if not candidates:
+        return []
+    bands = _bands(M)
+    products = {}
+    for w in candidates:
+        mat = M.word(table.words[w])
+        if mat is not None:
+            products[w] = mat.ravel()[bands[table.word_degrees[w]]]
+    if not products:
+        return []
+    stack = np.array(list(products.values()))
+    position = np.full(len(table.words), -1)
+    position[list(products)] = np.arange(len(products))
+    live = position[table.word] >= 0
+    relation = table.relation[live]
+    starts = np.flatnonzero(_run_starts(relation))
+    delta = np.add.reduceat(table.coefficient[live, None] * stack[position[table.word[live]]],
+                            starts) % p
+    row, slot = np.nonzero(delta)
+    relation = relation[starts]
+    hits = np.zeros((len(starts), M.total_dim), dtype=bool)
+    hits[row, bands[table.degrees[relation[row]], slot] % M.total_dim] = True
+    row, column = np.nonzero(hits)
+    degree = M.basis_degrees[column]
+    first = _run_starts(row, degree)
+    violations = []
+    for r, c, d in zip(relation[row[first]].tolist(), column[first].tolist(),
+                       degree[first].tolist()):
+        op_degree, lhs, rhs = table.relations[r]
+        witness = tuple(int(i == c - M.offsets[d]) for i in range(M.dims[d]))
+        violations.append(RelationViolation(lhs, rhs, d, op_degree, witness))
     return violations
 
 
@@ -476,9 +576,9 @@ def consistency_check(M: FiniteModule,
                       max_relation_degree: int) -> list[RelationViolation]:
     """Compare every inadmissible word of length 2 or 3 (degree <=
     max_relation_degree) with its admissible normal form on every occupied
-    source degree; see `adem_relations` and `_check_relations`.  At p = 3
+    source degree; see `_relation_table` and `_check_relations`.  At p = 3
     and degree 36 this includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2."""
-    return _check_relations(M, adem_relations(M, max_relation_degree)[1])
+    return _check_relations(M, _relation_bound(M, max_relation_degree))
 
 
 def violation_classes(

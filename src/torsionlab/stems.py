@@ -241,6 +241,18 @@ def _orders(factors, what: str) -> tuple[int, ...]:
     return tuple(_of_kind(f, int, f"an order in {what}") for f in _of_kind(factors, list, what))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object of a stems file, refused if a key appears twice in
+    it, where json would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"the stems file gives the key {json.dumps(key)} "
+                             "twice in one object")
+        out[key] = value
+    return out
+
+
 class StemsTable:
     """Read-only table of stable homotopy groups of spheres.
 
@@ -260,18 +272,30 @@ class StemsTable:
         """Add one entry per record: an object with an integer "dimension"
         and optionally "factors" (a list of integer orders), "p_primary"
         (an object of such lists by prime) and "generators".  Anything
-        else is a ValueError of one line, and nothing is truncated."""
+        else is a ValueError of one line, and nothing is truncated.  The
+        records may replace entries already in the table, but not name one
+        dimension, or one prime of a record, twice."""
+        dims: set[int] = set()
         for i, rec in enumerate(_of_kind(records, list, "the stems file")):
             where = f"stems record {i}"
             dim = _field(rec, "dimension", where, int)
+            if dim in dims:
+                raise ValueError(f"{where} gives dimension {dim} a second time")
+            dims.add(dim)
             group = None
             if rec.get("factors") is not None:
                 group = AbelianGroup(_orders(rec["factors"], f"{where}'s 'factors'"))
-            p_primary = {
-                int(p): AbelianGroup(_orders(fs, f"{where}'s {p}-primary factors"))
-                for p, fs in _of_kind(rec.get("p_primary", {}), dict,
-                                      f"{where}'s 'p_primary'").items()
-            }
+            p_primary = {}
+            for text, fs in _of_kind(rec.get("p_primary", {}), dict,
+                                     f"{where}'s 'p_primary'").items():
+                try:
+                    p = int(text)
+                except ValueError:
+                    raise ValueError(f"{where}'s 'p_primary' has the key {json.dumps(text)}, "
+                                     "not an integer prime") from None
+                if p in p_primary:
+                    raise ValueError(f"{where}'s 'p_primary' names prime {p} twice")
+                p_primary[p] = AbelianGroup(_orders(fs, f"{where}'s {p}-primary factors"))
             gens = tuple(
                 NamedGenerator(
                     name=_field(g, "name", f"{where}'s generator {j}", str),
@@ -297,7 +321,7 @@ class StemsTable:
 
     def merge_file(self, path: str) -> None:
         with open(path) as fh:
-            self.merge_records(json.load(fh), EXTERNAL)
+            self.merge_records(json.load(fh, object_pairs_hook=_json_object), EXTERNAL)
 
     def stems(self, n: int) -> StemEntry | Unknown:
         if n < 0:

@@ -193,13 +193,22 @@ class TestFileErrors:
          "stems record 0's 'p_primary' is [1], not a JSON object"),
         ([{"dimension": 3, "factors": [2.5]}],
          "an order in stems record 0's 'factors' is 2.5, not an integer"),
+        ([{"dimension": 3, "factors": [24]}, {"dimension": 3, "factors": [2]}],
+         "stems record 1 gives dimension 3 a second time"),
+        ('[{"dimension": 3, "factors": [24], "factors": [2]}]',
+         'the stems file gives the key "factors" twice in one object'),
+        ([{"dimension": 3, "p_primary": {"2": [8], "02": [2]}}],
+         "stems record 0's 'p_primary' names prime 2 twice"),
+        ([{"dimension": 3, "p_primary": {"x": [8]}}],
+         "stems record 0's 'p_primary' has the key \"x\", not an integer prime"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
-            "list-p-primary", "float-factor"])
+            "list-p-primary", "float-factor", "dimension-twice", "key-twice",
+            "prime-twice", "prime-not-an-integer"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "stems.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         err = assert_user_error(capsys, ["--stems-file", str(path), *command])
         assert err == f"torsionlab: error: {message}\n"
 
@@ -255,6 +264,16 @@ class TestModuleCommands:
             assert run(capsys, "module", "tensor", factor, moore, "-o", out)[0] == 0
         with open(out) as got, open(os.path.join(DATA, f"moore{p}_smash{power}.json")) as want:
             assert got.read() == want.read()
+
+    @pytest.mark.parametrize("flags,golden", [((), "cb_check.txt"),
+                                              (("--json",), "cb_check.json")])
+    def test_check_cb_module_matches_the_goldens(self, capsys, tmp_path, flags, golden):
+        path = str(tmp_path / "cb.json")
+        save_module(hypothetical_Cb_module(), path)
+        code, out = run(capsys, *flags, "module", "check", path)
+        assert code == 1
+        with open(os.path.join(DATA, golden), encoding="utf-8", newline="") as want:
+            assert out == want.read()
 
     @pytest.fixture()
     def fourth_power_file(self, tmp_path):

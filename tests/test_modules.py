@@ -3,6 +3,7 @@ Adem-consistency checking, and decomposability."""
 
 import collections
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -450,6 +451,19 @@ def fabricated_violation_module():
             (Sq(1), 1): np.array([[1]], dtype=np.int64),
         },
     )
+
+
+def stunted_projective_module(n):
+    """H*(RP^n_1; F_2): x^k in each degree 1..n and Sq^i x^k = C(k, i) x^(k+i).
+    Its span n - 1 brings in every relation up to that degree."""
+    actions = {(Sq(i), k): np.array([[math.comb(k, i) % 2]], dtype=np.int64)
+               for k in range(1, n + 1) for i in range(1, n - k + 1)}
+    return FiniteModule(2, {k: 1 for k in range(1, n + 1)}, actions)
+
+
+def as_reference_tuples(violations):
+    return [(v.lhs, v.rhs, v.source_degree, v.operation_degree, v.witness)
+            for v in violations]
 
 
 def dense_random_module(p, rng, top):
@@ -967,8 +981,8 @@ class TestConsistencyCheck:
         assert found > 100
 
     def test_matches_the_lhs_minus_rhs_reference(self):
-        cases = [(hypothetical_Cb_module(), 40), (hypothetical_Cb_module(), 24),
-                 (fabricated_violation_module(), 10)]
+        cases = [(hypothetical_Cb_module(), bound) for bound in (24, 36, 40)]
+        cases.append((fabricated_violation_module(), 10))
         # The modules of the benchmark's build ops: smash powers of S/p,
         # alone or beside a shifted S/p.
         for p, top in ((2, 5), (3, 4)):
@@ -986,11 +1000,49 @@ class TestConsistencyCheck:
         found = 0
         for M, bound in cases:
             want = reference_consistency_check(M, bound)
-            got = [(v.lhs, v.rhs, v.source_degree, v.operation_degree, v.witness)
-                   for v in consistency_check(M, bound)]
-            assert got == want
+            assert as_reference_tuples(consistency_check(M, bound)) == want
             found += len(want)
         assert found > 100
+
+    def test_wide_span_at_p2_matches_the_reference(self):
+        # RP^24_1 spans 23 degrees, and every Sq^i with i < 24 acts on it.
+        M = stunted_projective_module(24)
+        assert reference_consistency_check(M, 40) == []
+        assert consistency_check(M, 40) == []
+        total = np.array(M.total)
+        # Sq^2 x^3 = x^5 (C(3, 2) = 3 is odd); flipped, Sq^1 Sq^2 = Sq^3
+        # and others fail on x^3.
+        total[M.offsets[5], M.offsets[3]] ^= 1
+        flipped = FiniteModule._whole(2, M.dims, total)
+        want = reference_consistency_check(flipped, 40)
+        assert want
+        assert as_reference_tuples(consistency_check(flipped, 40)) == want
+
+    def test_dense_modules_at_p5_match_the_reference(self):
+        rng = random.Random(41)
+        found = 0
+        for top in (80, 84):
+            M = dense_random_module(5, rng, top)
+            want = reference_consistency_check(M, top)
+            assert as_reference_tuples(consistency_check(M, top)) == want
+            found += len(want)
+        assert found > 100
+
+    def test_relation_table_is_built_once_per_prime_and_bound(self, monkeypatch):
+        calls = []
+        normalize = modules.adem_normalize
+
+        def counted(e):
+            calls.append(e)
+            return normalize(e)
+
+        monkeypatch.setattr(modules, "adem_normalize", counted)
+        modules._relation_table.cache_clear()
+        first = consistency_check(hypothetical_Cb_module(), 40)
+        assert len(calls) == len(modules._relation_table(3, 36).relations)
+        calls.clear()
+        assert as_tuples(consistency_check(hypothetical_Cb_module(), 40)) == as_tuples(first)
+        assert calls == []
 
     def test_inadmissible_words_match_reference(self):
         for p in (2, 3, 5):

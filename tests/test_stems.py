@@ -157,6 +157,17 @@ class TestTable:
         # The default table is untouched.
         assert isinstance(stems(7), Unknown)
 
+    def test_files_may_replace_dimensions_of_the_table_and_of_each_other(self, tmp_path):
+        # A dimension twice in one file is refused, but not once per file.
+        table = StemsTable.load_default()
+        for i, factors in enumerate(([2], [6])):
+            path = tmp_path / f"stems{i}.json"
+            path.write_text(json.dumps([{"dimension": 3, "factors": factors}]))
+            table.merge_file(str(path))
+        assert table.stems(3).group == cyclic(6)
+        assert table.stems(3).provenance == "external"
+        assert stems(3).group == cyclic(24)
+
 
 class TestMultByN:
     def test_on_z(self):

@@ -11,7 +11,8 @@ table (`_relation_table`): every inadmissible word of length 2 or 3, its
 normal form, and lhs - rhs as sparse (relation, word, coefficient)
 entries.  A module is checked by one contraction over it
 (`_check_relations`): the words that act on the module are multiplied
-out, and their entries summed into one delta per relation.
+out into whole-module matrices, and their entries summed into one delta
+per relation.
 
 A module is stored as one matrix: the basis of every degree in increasing
 degree order, and the total_dim x total_dim sum T of the whole-module
@@ -347,12 +348,15 @@ def act_element(M: FiniteModule, e: SteenrodElement,
     if e.prime != M.prime:
         raise PrimeMismatchError("element and module over different primes")
     if d is None:
+        terms = e.terms
         out = fp.zeros(M.total_dim, M.total_dim)
-        for mono, coef in e.terms.items():
+        for mono, coef in terms.items():
             mat = M.word(mono.word)
             if mat is not None:
                 out += coef * mat
-        return out % M.prime
+        # Matrices of words are reduced mod p, so a lone word needs no
+        # reduction.
+        return out if list(terms.values()) == [1] else out % M.prime
     deg = element_degree(e)
     if deg == "non-homogeneous":
         raise ModuleError("act_element requires a homogeneous element")
@@ -425,18 +429,15 @@ def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator
 class _RelationTable:
     """The relations of `_relation_words(p, bound)`, compiled once.
 
-    `relations` holds (operation degree, lhs, rhs) per relation and
-    `degrees` its operation degrees.  `words` are the distinct generator
-    words of every lhs and rhs, `word_degrees` their degrees, and
-    `spelling` their letters as indices into `letters`, padded with
-    len(letters) after a word's end.  The entries of lhs - rhs mod p are
-    sparse: `relation`, `word` and `coefficient` per entry, in increasing
-    relation order.  The arrays are read-only."""
+    `relations` holds (operation degree, lhs, rhs) per relation.  `words`
+    are the distinct generator words of every lhs and rhs, each as an
+    element, and `spelling` their letters as indices into `letters`,
+    padded with len(letters) after a word's end.  The entries of lhs - rhs
+    mod p are sparse: `relation`, `word` and `coefficient` per entry, in
+    increasing relation order.  The arrays are read-only."""
 
     relations: tuple[tuple[int, SteenrodElement, SteenrodElement], ...]
-    degrees: np.ndarray
-    words: tuple[tuple[Generator, ...], ...]
-    word_degrees: np.ndarray
+    words: tuple[SteenrodElement, ...]
     letters: tuple[Generator, ...]
     spelling: np.ndarray
     relation: np.ndarray
@@ -451,14 +452,17 @@ def _read_only(values, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
 
 
 @functools.cache
-def _relation_table(p: int, bound: int) -> _RelationTable:
+def _relation_table(p: int, bound: int, normalize) -> _RelationTable:
     """The table of every relation up to degree `bound` at p: each
-    inadmissible word and its normal form, normalized once per process."""
+    inadmissible word and its normal form under `normalize`, normalized
+    once per process.  Callers pass the `adem_normalize` bound in this
+    module, so a replaced one (a test's stub, a tracing wrapper) builds a
+    table of its own and never reads another's normal forms."""
     relations, entries = [], []
     words: dict[tuple[Generator, ...], int] = {}
     for op_degree, word in _relation_words(p, bound):
         lhs = SteenrodElement._reduced(p, {Monomial(p, word): 1})
-        rhs = adem_normalize(lhs)
+        rhs = normalize(lhs)
         r = len(relations)
         relations.append((op_degree, lhs, rhs))
         entries.append((r, words.setdefault(word, len(words)), 1))
@@ -470,9 +474,7 @@ def _relation_table(p: int, bound: int) -> _RelationTable:
     relation, word, coefficient = _read_only(entries, (-1, 3)).T
     return _RelationTable(
         relations=tuple(relations),
-        degrees=_read_only([op_degree for op_degree, _, _ in relations]),
-        words=tuple(words),
-        word_degrees=_read_only([sum(g.degree_at(p) for g in word) for word in words]),
+        words=tuple(SteenrodElement._reduced(p, {Monomial(p, word): 1}) for word in words),
         letters=tuple(letters),
         spelling=_read_only(spelling, (-1, 3)),
         relation=relation, word=word, coefficient=coefficient)
@@ -498,22 +500,8 @@ def adem_relations(M: FiniteModule, max_relation_degree: int
     other relation maps an occupied degree to another."""
     bound = _relation_bound(M, max_relation_degree)
     gaps = {t - s for s in M.dims for t in M.dims}
-    return bound, [r for r in _relation_table(M.prime, bound).relations if r[0] in gaps]
-
-
-def _bands(M: FiniteModule) -> np.ndarray:
-    """Row k lists the positions (row-major, in a flattened whole-module
-    matrix) of degree difference k, padded with position 0.  A word of
-    degree k is zero off its row, and every word of positive degree is
-    zero at position 0, whose difference is 0."""
-    difference = np.subtract.outer(M.basis_degrees, M.basis_degrees).ravel()
-    positions = np.flatnonzero(difference > 0)
-    positions = positions[np.argsort(difference[positions], kind="stable")]
-    k = difference[positions]
-    rank = np.arange(len(k)) - np.searchsorted(k, k)
-    out = np.zeros((k[-1] + 1, rank.max() + 1), dtype=np.int64)
-    out[k, rank] = positions
-    return out
+    table = _relation_table(M.prime, bound, adem_normalize)
+    return bound, [r for r in table.relations if r[0] in gaps]
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -529,42 +517,33 @@ def _check_relations(M: FiniteModule, bound: int) -> list[RelationViolation]:
     """The violations on M of the relations of `_relation_table(p, bound)`,
     in table order and then by source degree.
 
-    Only the words whose letters all act on M and whose product is nonzero
-    are multiplied out, each read at the positions of its degree
-    difference alone (`_bands`).  The live entries of lhs - rhs are summed
-    into one row of deltas per relation that has one and reduced mod p.  A
+    Only the words whose letters all act on M are multiplied out, each
+    into its whole-module matrix (`act_element`), and those that act as
+    zero are dropped.  The live entries of lhs - rhs are summed into one
+    whole-module delta per relation that has one and reduced mod p.  A
     relation fails at every source degree with a nonzero column of its
     delta, and the first such column is the witness."""
-    p, table = M.prime, _relation_table(M.prime, bound)
+    p, table = M.prime, _relation_table(M.prime, bound, adem_normalize)
     acts = np.array([g in M.matrices for g in table.letters] + [True])
-    candidates = np.flatnonzero(acts[table.spelling].all(axis=1)).tolist()
-    if not candidates:
-        return []
-    bands = _bands(M)
     products = {}
-    for w in candidates:
-        mat = M.word(table.words[w])
-        if mat is not None:
-            products[w] = mat.ravel()[bands[table.word_degrees[w]]]
+    for w in np.flatnonzero(acts[table.spelling].all(axis=1)).tolist():
+        mat = act_element(M, table.words[w])
+        if mat.any():
+            products[w] = mat
     if not products:
         return []
-    stack = np.array(list(products.values()))
     position = np.full(len(table.words), -1)
     position[list(products)] = np.arange(len(products))
     live = position[table.word] >= 0
     relation = table.relation[live]
     starts = np.flatnonzero(_run_starts(relation))
-    delta = np.add.reduceat(table.coefficient[live, None] * stack[position[table.word[live]]],
-                            starts) % p
-    row, slot = np.nonzero(delta)
-    relation = relation[starts]
-    hits = np.zeros((len(starts), M.total_dim), dtype=bool)
-    hits[row, bands[table.degrees[relation[row]], slot] % M.total_dim] = True
-    row, column = np.nonzero(hits)
+    terms = np.array(list(products.values()))[position[table.word[live]]]
+    terms *= table.coefficient[live, None, None]
+    row, column = np.nonzero((np.add.reduceat(terms, starts) % p).any(axis=1))
     degree = M.basis_degrees[column]
     first = _run_starts(row, degree)
     violations = []
-    for r, c, d in zip(relation[row[first]].tolist(), column[first].tolist(),
+    for r, c, d in zip(relation[starts[row[first]]].tolist(), column[first].tolist(),
                        degree[first].tolist()):
         op_degree, lhs, rhs = table.relations[r]
         witness = tuple(int(i == c - M.offsets[d]) for i in range(M.dims[d]))

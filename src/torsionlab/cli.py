@@ -99,7 +99,7 @@ def _cmd_basis(args) -> int:
 def _cmd_module_check(args) -> int:
     m = mod.load_module(args.file)
     bound, relations = mod.adem_relations(m, args.max_degree)
-    violations = mod._check_relations(m, bound)
+    violations = mod.consistency_check(m, args.max_degree)
     classes = sorted(mod.violation_classes(violations))
     text_lines = [
         f"module over F_{m.prime}, total dimension {m.total_dim}",

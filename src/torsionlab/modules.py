@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpmatrix as fp
+from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind
 from .steenrod import (
     BOCKSTEIN,
     Generator,
@@ -52,6 +53,7 @@ from .steenrod import (
     adem_normalize,
     check_prime,
     degree as element_degree,
+    parse_generator,
 )
 
 
@@ -826,21 +828,6 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
 # JSON module files
 # ---------------------------------------------------------------------------
 
-def _generator_to_str(g: Generator) -> str:
-    return str(g).replace("^", "")
-
-
-def _generator_from_str(s: str, p: int) -> Generator:
-    s = s.strip().replace("^", "")
-    if s == "b":
-        return BOCKSTEIN
-    if s.startswith("Sq"):
-        return Sq(int(s[2:]))
-    if s.startswith("P"):
-        return P(int(s[1:]))
-    raise ModuleError(f"unknown generator {s!r}")
-
-
 def module_to_dict(M: FiniteModule) -> dict:
     actions = M.actions
     out = {
@@ -848,7 +835,7 @@ def module_to_dict(M: FiniteModule) -> dict:
         "dims": {str(d): n for d, n in sorted(M.dims.items())},
         "actions": [
             {
-                "generator": _generator_to_str(g),
+                "generator": str(g).replace("^", ""),
                 "source_degree": d,
                 "matrix": actions[(g, d)].tolist(),
             }
@@ -860,63 +847,36 @@ def module_to_dict(M: FiniteModule) -> dict:
     return out
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
-
-
-def _of_kind(value, kind: type, what: str):
-    """value, refused unless it is of this kind; true and false are not
-    integers, and nothing is truncated."""
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise ModuleError(f"{what} is {json.dumps(value)}, not {_KINDS[kind]}")
-    return value
-
-
-def _field(data: dict, key: str, where: str, kind: type):
-    if not isinstance(data, dict):
-        raise ModuleError(f"{where} is not a JSON object")
-    if key not in data:
-        raise ModuleError(f"{where} has no {key!r}")
-    return _of_kind(data[key], kind, f"{where}'s {key!r}")
-
-
-def _list_of(value, kind: type, what: str) -> list:
-    return [_of_kind(x, kind, f"an item of {what}") for x in _of_kind(value, list, what)]
-
-
-def _by_degree(data: dict, key: str) -> dict:
-    """The module's object `key` keyed by integer degree; a key that is no
-    integer, or that names a degree an earlier key named, is refused."""
-    out = {}
-    for text, value in _field(data, key, "module", dict).items():
-        try:
-            d = int(text)
-        except ValueError:
-            raise ModuleError(f"module's {key!r} has the key {json.dumps(text)}, "
-                              "not an integer degree") from None
-        if d in out:
-            raise ModuleError(f"module's {key!r} names degree {d} twice")
-        out[d] = value
-    return out
-
-
 def module_from_dict(data: dict) -> FiniteModule:
-    p = _field(data, "prime", "module", int)
-    dims = {d: _of_kind(n, int, f"the dimension of degree {d}")
-            for d, n in _by_degree(data, "dims").items()}
+    """The module a module file's JSON value describes: an object with an
+    integer "prime", "dims" (a dimension by degree), optionally "actions"
+    (objects with a "generator" spelled as `parse_expression` spells one,
+    such as "Sq1", "Sq^3", "P2" or "b", an integer "source_degree" and a
+    "matrix" of integer rows) and "labels" (a list of strings by degree).
+    Anything else is a ModuleError of one line (`_jsonfile`), and so is an
+    action or a degree given twice."""
+    p = _field(data, "prime", "module", int, ModuleError)
+    dims = {d: _of_kind(n, int, f"the dimension of degree {d}", ModuleError)
+            for d, n in _by_int_key(data, "dims", "module", "degree", ModuleError).items()}
     actions = {}
-    for i, entry in enumerate(_of_kind(data.get("actions", []), list, "module's 'actions'")):
+    for i, entry in enumerate(_of_kind(data.get("actions", []), list, "module's 'actions'",
+                                       ModuleError)):
         where = f"action {i}"
-        g = _generator_from_str(_field(entry, "generator", where, str), p)
-        matrix = [_list_of(row, int, f"{where}'s matrix row")
-                  for row in _field(entry, "matrix", where, list)]
-        d = _field(entry, "source_degree", where, int)
+        name = _field(entry, "generator", where, str, ModuleError)
+        g = parse_generator(name, p)
+        if g is None:
+            raise ModuleError(f"{where}'s 'generator' is {json.dumps(name)}, "
+                              f"not a generator at p={p}")
+        matrix = [_list_of(row, int, f"{where}'s matrix row", ModuleError)
+                  for row in _field(entry, "matrix", where, list, ModuleError)]
+        d = _field(entry, "source_degree", where, int, ModuleError)
         if (g, d) in actions:
             raise ModuleError(f"{where} gives {g} from degree {d} a second time")
         actions[(g, d)] = np.array(matrix, dtype=np.int64)
     labels = None
     if "labels" in data:
-        labels = {d: _list_of(v, str, f"the labels of degree {d}")
-                  for d, v in _by_degree(data, "labels").items()}
+        labels = {d: _list_of(v, str, f"the labels of degree {d}", ModuleError)
+                  for d, v in _by_int_key(data, "labels", "module", "degree", ModuleError).items()}
     return FiniteModule(p, dims, actions, labels=labels)
 
 
@@ -925,18 +885,6 @@ def save_module(M: FiniteModule, path: str) -> None:
         json.dump(module_to_dict(M), fh, indent=2, sort_keys=True)
 
 
-def _json_object(pairs: list) -> dict:
-    """A JSON object of a module file, refused if a key appears twice in
-    it, where json would keep the last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ModuleError(f"the module file gives the key {json.dumps(key)} "
-                              "twice in one object")
-        out[key] = value
-    return out
-
-
 def load_module(path: str) -> FiniteModule:
     with open(path) as fh:
-        return module_from_dict(json.load(fh, object_pairs_hook=_json_object))
+        return module_from_dict(_load(fh.read(), "the module file", ModuleError))

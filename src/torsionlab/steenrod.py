@@ -624,16 +624,12 @@ def _start(text: str, k: int, group: int) -> int:
     return len(text) if m is None else m.start(group)
 
 
-def parse_expression(text: str, p: int) -> SteenrodElement:
-    """Parse 'term ((+|-) term)*' where a term is an optional integer
-    coefficient followed by factors: runs of generators like 'Sq^3', 'P2'
-    or 'b', and parenthesized subexpressions, multiplied left to right.
-    A generator is one token, checked against p as it is scanned, and a
-    run of generators is one word."""
-    p = check_prime(p)
+def _tokens(text: str, p: int) -> list[object]:
+    """The tokens of the text at the prime p: a generator's token is its
+    shared object, or the ParseError to raise if the parser reaches it;
+    any other token is its text.  A character that cannot start a token
+    is a ParseError here."""
     letters, name = _letters(p), "Sq" if p == 2 else "P"
-    # A generator's token is its shared object, or the ParseError to raise
-    # if the parser reaches it; any other token is its text.
     tokens: list[object] = []
     for k, (kind, caret, digits, bockstein, other, bad) in enumerate(_TOKEN.findall(text)):
         if kind:
@@ -654,6 +650,28 @@ def parse_expression(text: str, p: int) -> SteenrodElement:
         else:
             raise ParseError(f"unexpected character {bad!r}", _start(text, k, 0))
         tokens.append(tok)
+    return tokens
+
+
+def parse_generator(text: str, p: int) -> Generator | None:
+    """The generator at p that the text spells as one token of
+    `parse_expression` ('Sq^3', 'Sq3', 'P2', 'b'), or None if it spells
+    anything else.  A p that is not prime is a ValueError."""
+    try:
+        tokens = _tokens(text, check_prime(p))
+    except ParseError:
+        return None
+    return tokens[0] if len(tokens) == 1 and type(tokens[0]) is Generator else None
+
+
+def parse_expression(text: str, p: int) -> SteenrodElement:
+    """Parse 'term ((+|-) term)*' where a term is an optional integer
+    coefficient followed by factors: runs of generators like 'Sq^3', 'P2'
+    or 'b', and parenthesized subexpressions, multiplied left to right.
+    A generator is one token, checked against p as it is scanned, and a
+    run of generators is one word."""
+    p = check_prime(p)
+    tokens = _tokens(text, p)
     if not tokens:
         raise ParseError("empty expression", 0)
     tokens.append("")  # the end of the text

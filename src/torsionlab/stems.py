@@ -9,10 +9,12 @@ S/n, the cofiber of multiplication by n on the sphere.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+
+from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind
 
 # Provenance tags.  "table" marks values shipped with the package, "external"
 # marks values merged in from a user-supplied stems file, "derived" marks
@@ -220,39 +222,6 @@ class StemEntry:
     provenance: str = TABLE
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
-
-
-def _of_kind(value, kind: type, what: str):
-    """value, or a ValueError unless it is of this kind; true and false
-    are not integers."""
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise ValueError(f"{what} is {json.dumps(value)}, not {_KINDS[kind]}")
-    return value
-
-
-def _field(data: dict, key: str, where: str, kind: type):
-    if key not in _of_kind(data, dict, where):
-        raise ValueError(f"{where} has no {key!r}")
-    return _of_kind(data[key], kind, f"{where}'s {key!r}")
-
-
-def _orders(factors, what: str) -> tuple[int, ...]:
-    return tuple(_of_kind(f, int, f"an order in {what}") for f in _of_kind(factors, list, what))
-
-
-def _json_object(pairs: list) -> dict:
-    """A JSON object of a stems file, refused if a key appears twice in
-    it, where json would keep the last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"the stems file gives the key {json.dumps(key)} "
-                             "twice in one object")
-        out[key] = value
-    return out
-
-
 class StemsTable:
     """Read-only table of stable homotopy groups of spheres.
 
@@ -269,59 +238,60 @@ class StemsTable:
         return table
 
     def merge_records(self, records: list[dict], provenance: str) -> None:
-        """Add one entry per record: an object with an integer "dimension"
-        and optionally "factors" (a list of integer orders), "p_primary"
-        (an object of such lists by prime) and "generators".  Anything
-        else is a ValueError of one line, and nothing is truncated.  The
-        records may replace entries already in the table, but not name one
-        dimension, or one prime of a record, twice."""
+        """Add one entry per record, each labelled with the provenance of
+        its source, whatever the record says: TABLE for the shipped file,
+        EXTERNAL for a user's.  A record is an object with an integer
+        "dimension" and optionally "factors" (a list of integer orders),
+        "p_primary" (an object of such lists by prime) and "generators"
+        (objects with a string "name", an integer "order" and optionally a
+        string "note").  Anything else is a ValueError of one line
+        (`_jsonfile`).  The records may replace entries already in the
+        table, but not name one dimension, or one prime of a record,
+        twice."""
         dims: set[int] = set()
-        for i, rec in enumerate(_of_kind(records, list, "the stems file")):
+        for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
             where = f"stems record {i}"
-            dim = _field(rec, "dimension", where, int)
+            dim = _field(rec, "dimension", where, int, ValueError)
             if dim in dims:
                 raise ValueError(f"{where} gives dimension {dim} a second time")
             dims.add(dim)
             group = None
             if rec.get("factors") is not None:
-                group = AbelianGroup(_orders(rec["factors"], f"{where}'s 'factors'"))
+                group = AbelianGroup(_list_of(rec["factors"], int, f"{where}'s 'factors'",
+                                              ValueError, "an order in"))
             p_primary = {}
-            for text, fs in _of_kind(rec.get("p_primary", {}), dict,
-                                     f"{where}'s 'p_primary'").items():
-                try:
-                    p = int(text)
-                except ValueError:
-                    raise ValueError(f"{where}'s 'p_primary' has the key {json.dumps(text)}, "
-                                     "not an integer prime") from None
-                if p in p_primary:
-                    raise ValueError(f"{where}'s 'p_primary' names prime {p} twice")
-                p_primary[p] = AbelianGroup(_orders(fs, f"{where}'s {p}-primary factors"))
+            if "p_primary" in rec:
+                p_primary = {
+                    p: AbelianGroup(_list_of(fs, int, f"{where}'s {p}-primary factors",
+                                             ValueError, "an order in"))
+                    for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items()}
             gens = tuple(
                 NamedGenerator(
-                    name=_field(g, "name", f"{where}'s generator {j}", str),
+                    name=_field(g, "name", f"{where}'s generator {j}", str, ValueError),
                     dimension=dim,
-                    order=_field(g, "order", f"{where}'s generator {j}", int),
-                    note=g.get("note", ""),
+                    order=_field(g, "order", f"{where}'s generator {j}", int, ValueError),
+                    note=_of_kind(g.get("note", ""), str,
+                                  f"{where}'s generator {j}'s 'note'", ValueError),
                 )
                 for j, g in enumerate(_of_kind(rec.get("generators", []), list,
-                                               f"{where}'s 'generators'"))
+                                               f"{where}'s 'generators'", ValueError))
             )
             self._entries[dim] = StemEntry(
                 dimension=dim,
                 group=group,
                 p_primary=p_primary,
                 generators=gens,
-                provenance=rec.get("provenance", provenance),
+                provenance=provenance,
             )
 
     @classmethod
     def load_default(cls) -> "StemsTable":
         data = resources.files("torsionlab.data").joinpath("stems.json").read_text()
-        return cls.from_records(json.loads(data), TABLE)
+        return cls.from_records(_load(data, "the stems file", ValueError), TABLE)
 
     def merge_file(self, path: str) -> None:
         with open(path) as fh:
-            self.merge_records(json.load(fh, object_pairs_hook=_json_object), EXTERNAL)
+            self.merge_records(_load(fh.read(), "the stems file", ValueError), EXTERNAL)
 
     def stems(self, n: int) -> StemEntry | Unknown:
         if n < 0:
@@ -344,14 +314,9 @@ class StemsTable:
         return out
 
 
-_DEFAULT: StemsTable | None = None
-
-
+@functools.cache
 def default_table() -> StemsTable:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = StemsTable.load_default()
-    return _DEFAULT
+    return StemsTable.load_default()
 
 
 def stems(n: int, table: StemsTable | None = None) -> StemEntry | Unknown:

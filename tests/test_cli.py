@@ -122,7 +122,7 @@ class TestFileErrors:
     @pytest.mark.parametrize("data,message", [
         ({"dims": {"0": 1}}, "module has no 'prime'"),
         ({"prime": 2}, "module has no 'dims'"),
-        ([2, {"0": 1}], "module is not a JSON object"),
+        ([2, {"0": 1}], 'module is [2, {"0": 1}], not a JSON object'),
         ({"prime": 2, "dims": {"0": 1, "1": 1},
           "actions": [{"generator": "Sq1", "source_degree": 0}]},
          "action 0 has no 'matrix'"),
@@ -169,12 +169,23 @@ class TestFileErrors:
         # The file's own text, which no dict can hold.
         ('{"prime": 2, "dims": {"0": 1, "1": 1, "1": 3}}',
          'the module file gives the key "1" twice in one object'),
+        # A generator is one token of parse_expression's syntax at the
+        # file's prime, which is checked first.
+        *(({"prime": 2, "dims": {"0": 1, "1": 1},
+            "actions": [{"generator": name, "source_degree": 0, "matrix": [[1]]}]},
+           f"action 0's 'generator' is {json.dumps(name)}, not a generator at p=2")
+          for name in ("Sq^1^", "Sqx", "Sq", "Pb", "Sq1.5", "Sq^0", "P1")),
+        ({"prime": 4, "dims": {"0": 1, "1": 1},
+          "actions": [{"generator": "Sq^1^", "source_degree": 0, "matrix": [[1]]}]},
+         "4 is not prime"),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
             "negative-dim", "labels-miss-a-degree", "labels-too-long", "float-prime",
             "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
             "labels-list", "int-generator", "action-twice", "dims-degree-twice",
             "labels-degree-twice", "dims-key-not-a-degree", "labels-key-not-a-degree",
-            "json-key-twice"])
+            "json-key-twice", "generator-trailing-caret", "generator-no-index",
+            "generator-bare-sq", "generator-two-tokens", "generator-fractional-index",
+            "generator-index-zero", "generator-other-prime", "prime-not-prime"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
@@ -201,9 +212,11 @@ class TestFileErrors:
          "stems record 0's 'p_primary' names prime 2 twice"),
         ([{"dimension": 3, "p_primary": {"x": [8]}}],
          "stems record 0's 'p_primary' has the key \"x\", not an integer prime"),
+        ([{"dimension": 3, "generators": [{"name": "nu", "order": 24, "note": 5}]}],
+         "stems record 0's generator 0's 'note' is 5, not a string"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
             "list-p-primary", "float-factor", "dimension-twice", "key-twice",
-            "prime-twice", "prime-not-an-integer"])
+            "prime-twice", "prime-not-an-integer", "note-not-a-string"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):

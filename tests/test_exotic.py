@@ -280,6 +280,11 @@ class TestElementaryTriangles:
         for t in elementary_triangles():
             assert t.is_candidate
 
+    def test_ranks_must_close_up(self):
+        # h must map Z back to the source of f.
+        with pytest.raises(ValueError, match="do not close up"):
+            Z4Triangle(identity_morphism(1), identity_morphism(1), zero_morphism(1, 2))
+
     def test_two_triangle_compositions_vanish(self):
         t = two_triangle()
         assert t.g.compose(t.f).is_zero  # 2 * 2 = 4 = 0 mod 4
@@ -403,6 +408,10 @@ class TestCones:
     def test_cone_of_zero_is_sum_of_shifts(self):
         cone = check_TR1_cone(zero_morphism(1, 1))
         assert cone.ranks == (1, 1, 2)
+
+    def test_no_cone_within_the_rank_bound(self):
+        # The cone of the zero map of rank 2 has rank 4.
+        assert check_TR1_cone(zero_morphism(2, 2), max_rank=2) is None
 
 
 class TestProductTables:

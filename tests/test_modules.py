@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -35,7 +36,7 @@ from torsionlab import (
 from torsionlab import fpmatrix as fp
 from torsionlab import modules
 from torsionlab.modules import ModuleError, _relation_words, adem_relations
-from torsionlab.steenrod import Monomial, SteenrodElement, adem_normalize
+from torsionlab.steenrod import Monomial, PrimeMismatchError, SteenrodElement, adem_normalize
 from torsionlab.steenrod import degree as element_degree
 
 from test_fpmatrix import inv
@@ -536,6 +537,18 @@ def reference_restrict(M, basis, left):
     return FiniteModule._whole(p, dims, total % p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FiniteModule(2, {0: 1, 4: 1}, {(P(1), 0): [[1]]}),
+    lambda: direct_sum(moore_module(2), moore_module(3)),
+    lambda: tensor(moore_module(3), moore_module(5)),
+    lambda: act_element(moore_module(2), el("P^1", 3)),
+    lambda: act_element(moore_module(2), el("P^1", 3), 0),
+], ids=["constructor", "direct-sum", "tensor", "act-whole", "act-at-degree"])
+def test_mixed_primes_are_refused(call):
+    with pytest.raises(PrimeMismatchError):
+        call()
+
+
 class TestConstructors:
     def test_sphere(self):
         s = sphere_module(2, 3)
@@ -847,6 +860,10 @@ class TestActElement:
         m = moore_module(3)
         out = act_element(m, el("P^1", 3), 0)
         assert out.shape == (0, 1)
+
+    def test_non_homogeneous_element_is_refused(self):
+        with pytest.raises(ModuleError, match="requires a homogeneous element"):
+            act_element(moore_module(2), el("Sq^1 + Sq^2", 2), 0)
 
     def test_sum_of_words(self):
         m = tensor(moore_module(2), moore_module(2))
@@ -1529,14 +1546,14 @@ class TestSerialization:
     @pytest.mark.parametrize("data,message", [
         ({"dims": {"0": 1}}, "module has no 'prime'"),
         ({"prime": 3}, "module has no 'dims'"),
-        ("P^1", "module is not a JSON object"),
+        ("P^1", 'module is "P^1", not a JSON object'),
         ({"prime": 3, "dims": {"0": 1, "1": 1}, "actions": [
             {"generator": "b", "source_degree": 0, "matrix": [[1]]},
             {"generator": "b", "matrix": [[1]]}]}, "action 1 has no 'source_degree'"),
-        ({"prime": 3, "dims": {"0": 1}, "actions": ["b"]}, "action 0 is not a JSON object"),
+        ({"prime": 3, "dims": {"0": 1}, "actions": ["b"]}, 'action 0 is "b", not a JSON object'),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-source-degree", "action-not-an-object"])
     def test_missing_keys_are_module_errors(self, data, message):
-        with pytest.raises(ModuleError, match=f"^{message}$"):
+        with pytest.raises(ModuleError, match=f"^{re.escape(message)}$"):
             modules.module_from_dict(data)
 
     def test_roundtrip(self, tmp_path):

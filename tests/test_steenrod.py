@@ -111,6 +111,24 @@ class TestParser:
         assert str(e) == "Sq^2"
         assert degree(e) == 2
 
+    def test_non_homogeneous_degree(self):
+        assert degree(el("Sq^1 + Sq^2", 2)) == "non-homogeneous"
+
+    @pytest.mark.parametrize("make", [Sq, P])
+    def test_generator_index_must_be_positive(self, make):
+        with pytest.raises(ValueError, match="index must be positive"):
+            make(0)
+
+    # Module files spell generators this way; their refusals are named in
+    # test_cli's test_malformed_module_file.
+    @pytest.mark.parametrize("text, p, expected", [
+        ("Sq^3", 2, Sq(3)), ("Sq3", 2, Sq(3)), (" Sq ^ 3 ", 2, Sq(3)), ("P2", 5, P(2)),
+        ("b", 3, BOCKSTEIN), ("b", 2, None), ("Sq^1 Sq^1", 2, None), ("1 Sq^1", 2, None),
+        ("(Sq^1)", 2, None), ("", 2, None),
+    ])
+    def test_parse_generator_reads_one_generator_token(self, text, p, expected):
+        assert steenrod.parse_generator(text, p) == expected
+
     def test_caret_optional(self):
         assert el("Sq2 Sq1", 2) == el("Sq^2 Sq^1", 2)
 
@@ -177,6 +195,9 @@ class TestParser:
         ("b2", 3, "unexpected token '2'", 1),
         ("2 3", 3, "unexpected token '3'", 2),
         ("Sq ^ b", 2, "expected index after 'Sq'", 3),
+        # no token at all
+        ("", 2, "empty expression", 0),
+        ("  ", 3, "empty expression", 0),
     ])
     def test_error_messages_and_positions(self, text, p, message, position):
         with pytest.raises(ParseError) as err:

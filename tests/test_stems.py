@@ -1,5 +1,6 @@
 """Stable stems table and exact-sequence calculators."""
 
+import importlib
 import itertools
 import json
 import math
@@ -148,12 +149,16 @@ class TestTable:
         assert gens["alpha_1"].order == 3
 
     def test_merge_external_file(self, tmp_path):
+        # An entry's provenance is its source's, whatever the file names.
         extra = tmp_path / "extra.json"
-        extra.write_text(json.dumps([{"dimension": 7, "factors": [240]}]))
+        extra.write_text(json.dumps([
+            {"dimension": 7, "factors": [240]},
+            {"dimension": 8, "factors": [2, 2], "provenance": "table"},
+            {"dimension": 9, "factors": [2, 2, 2], "provenance": 7}]))
         table = StemsTable.load_default()
         table.merge_file(str(extra))
         assert table.stems(7).group == cyclic(240)
-        assert table.stems(7).provenance == "external"
+        assert [table.stems(n).provenance for n in (7, 8, 9)] == ["external"] * 3
         # The default table is untouched.
         assert isinstance(stems(7), Unknown)
 
@@ -168,10 +173,27 @@ class TestTable:
         assert table.stems(3).provenance == "external"
         assert stems(3).group == cyclic(24)
 
+    def test_the_shipped_file_is_read_with_the_same_checks(self, monkeypatch):
+        class Shipped:
+            def files(self, package):
+                return self
+
+            def joinpath(self, name):
+                return self
+
+            def read_text(self):
+                return '[{"dimension": 3, "factors": [24], "factors": [2]}]'
+
+        # torsionlab.stems the attribute is the function stems.
+        monkeypatch.setattr(importlib.import_module("torsionlab.stems"), "resources", Shipped())
+        with pytest.raises(ValueError, match='^the stems file gives the key "factors" twice'):
+            StemsTable.load_default()
+
 
 class TestMultByN:
     def test_on_z(self):
         assert mult_by_n(Z, 5) == (TRIVIAL, cyclic(5))
+        assert mult_by_n(Z, 0) == (Z, Z)
 
     def test_unit_acts_invertibly(self):
         assert mult_by_n(cyclic(2), 3) == (TRIVIAL, TRIVIAL)
@@ -211,6 +233,14 @@ class TestMooreHomotopy:
     def test_unknown_when_stems_missing(self):
         assert isinstance(moore_homotopy(2, 7), Unknown)
 
+    def test_coprime_ends_split(self):
+        # 0 -> coker(6, Z/2) -> pi_4(S/6) -> ker(6, Z/3) -> 0, orders 2 and 3.
+        table = StemsTable.from_records(
+            [{"dimension": 3, "factors": [3]}, {"dimension": 4, "factors": [2]}])
+        result = moore_homotopy(6, 4, table)
+        assert result.group == cyclic(6)
+        assert result.extension is None
+
     def test_order_bookkeeping_across_table(self):
         # |pi_k(S/n)| = |coker(n on pi_k)| * |ker(n on pi_{k-1})| wherever
         # both stems are known and finite orders make sense.
@@ -236,6 +266,15 @@ class TestMooreEndomorphisms:
         assert endos.order == 4
         assert endos.extension.resolution == "nonsplit"
 
+    def test_unknown_when_moore_homotopy_is_ambiguous(self):
+        # With pi_0 = pi_1 = Z/2, pi_1(S/2) is an unresolved extension of
+        # Z/2 by Z/2.
+        table = StemsTable.from_records(
+            [{"dimension": 0, "factors": [2]}, {"dimension": 1, "factors": [2]}])
+        result = moore_endomorphisms(2, table)
+        assert isinstance(result, Unknown)
+        assert result.reason == "extension-ambiguous Moore homotopy input"
+
     def test_order_invariant(self):
         # |[S/n, S/n]| = n * |pi_1(S/n) (x) Z/n|.
         for n in (2, 3, 5, 9):
@@ -258,6 +297,11 @@ class TestPositiveNOrder:
     def test_accepts_plain_group(self):
         assert positive_n_order(cyclic(3), 3)
         assert not positive_n_order(cyclic(4), 2)
+        assert not positive_n_order(Z, 2)
+
+    def test_unresolved_extension_is_refused(self):
+        with pytest.raises(ValueError, match="^identity order undetermined"):
+            positive_n_order(moore_homotopy(2, 3), 2)
 
 
 class TestAssociatorObstruction:

@@ -10,6 +10,7 @@ refused where json would keep the last value."""
 from __future__ import annotations
 
 import json
+import re
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
 
@@ -50,15 +51,14 @@ def _list_of(value, kind: type, what: str, error: type[Exception],
 
 def _by_int_key(data, key: str, where: str, noun: str, error: type[Exception]) -> dict:
     """The required object `key` of `where`, keyed by integer `noun`: a
-    key that is no integer, or that names an integer an earlier key
+    key that is not decimal digits with an optional minus sign ("+1",
+    " 1" and "1_0" are not), or that names an integer an earlier key
     named ("1" and "01"), is refused."""
     what, out = f"{where}'s {key!r}", {}
     for text, value in _field(data, key, where, dict, error).items():
-        try:
-            k = int(text)
-        except ValueError:
-            raise error(f"{what} has the key {json.dumps(text)}, "
-                        f"not an integer {noun}") from None
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise error(f"{what} has the key {json.dumps(text)}, not an integer {noun}")
+        k = int(text)
         if k in out:
             raise error(f"{what} names {noun} {k} twice")
         out[k] = value

@@ -245,16 +245,15 @@ class StemsTable:
         "p_primary" (an object of such lists by prime) and "generators"
         (objects with a string "name", an integer "order" and optionally a
         string "note").  Anything else is a ValueError of one line
-        (`_jsonfile`).  The records may replace entries already in the
-        table, but not name one dimension, or one prime of a record,
-        twice."""
-        dims: set[int] = set()
+        (`_jsonfile`), and leaves the table as it was.  The records may
+        replace entries already in the table, but not name one dimension,
+        or one prime of a record, twice."""
+        entries: dict[int, StemEntry] = {}
         for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
             where = f"stems record {i}"
             dim = _field(rec, "dimension", where, int, ValueError)
-            if dim in dims:
+            if dim in entries:
                 raise ValueError(f"{where} gives dimension {dim} a second time")
-            dims.add(dim)
             group = None
             if rec.get("factors") is not None:
                 group = AbelianGroup(_list_of(rec["factors"], int, f"{where}'s 'factors'",
@@ -276,13 +275,14 @@ class StemsTable:
                 for j, g in enumerate(_of_kind(rec.get("generators", []), list,
                                                f"{where}'s 'generators'", ValueError))
             )
-            self._entries[dim] = StemEntry(
+            entries[dim] = StemEntry(
                 dimension=dim,
                 group=group,
                 p_primary=p_primary,
                 generators=gens,
                 provenance=provenance,
             )
+        self._entries.update(entries)
 
     @classmethod
     def load_default(cls) -> "StemsTable":

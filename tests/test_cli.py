@@ -166,6 +166,8 @@ class TestFileErrors:
          "module's 'dims' has the key \"x\", not an integer degree"),
         ({"prime": 2, "dims": {"0": 1}, "labels": {"y": ["a"]}},
          "module's 'labels' has the key \"y\", not an integer degree"),
+        ({"prime": 2, "dims": {"1_0": 1}},
+         "module's 'dims' has the key \"1_0\", not an integer degree"),
         # The file's own text, which no dict can hold.
         ('{"prime": 2, "dims": {"0": 1, "1": 1, "1": 3}}',
          'the module file gives the key "1" twice in one object'),
@@ -183,9 +185,10 @@ class TestFileErrors:
             "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
             "labels-list", "int-generator", "action-twice", "dims-degree-twice",
             "labels-degree-twice", "dims-key-not-a-degree", "labels-key-not-a-degree",
-            "json-key-twice", "generator-trailing-caret", "generator-no-index",
-            "generator-bare-sq", "generator-two-tokens", "generator-fractional-index",
-            "generator-index-zero", "generator-other-prime", "prime-not-prime"])
+            "dims-key-underscore", "json-key-twice", "generator-trailing-caret",
+            "generator-no-index", "generator-bare-sq", "generator-two-tokens",
+            "generator-fractional-index", "generator-index-zero", "generator-other-prime",
+            "prime-not-prime"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
@@ -212,11 +215,13 @@ class TestFileErrors:
          "stems record 0's 'p_primary' names prime 2 twice"),
         ([{"dimension": 3, "p_primary": {"x": [8]}}],
          "stems record 0's 'p_primary' has the key \"x\", not an integer prime"),
+        ([{"dimension": 3, "p_primary": {" 2": [8]}}],
+         "stems record 0's 'p_primary' has the key \" 2\", not an integer prime"),
         ([{"dimension": 3, "generators": [{"name": "nu", "order": 24, "note": 5}]}],
          "stems record 0's generator 0's 'note' is 5, not a string"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
             "list-p-primary", "float-factor", "dimension-twice", "key-twice",
-            "prime-twice", "prime-not-an-integer", "note-not-a-string"])
+            "prime-twice", "prime-not-an-integer", "prime-with-a-space", "note-not-a-string"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):

@@ -162,6 +162,16 @@ class TestTable:
         # The default table is untouched.
         assert isinstance(stems(7), Unknown)
 
+    def test_a_refused_file_changes_nothing(self, tmp_path):
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps([{"dimension": 3, "factors": [2]},
+                                    {"dimension": 7, "factors": [240]}, 3]))
+        table = StemsTable.load_default()
+        with pytest.raises(ValueError, match="^stems record 2 is 3, not a JSON object$"):
+            table.merge_file(str(path))
+        assert table.stems(3).group == cyclic(24) and table.stems(3).provenance == "table"
+        assert isinstance(table.stems(7), Unknown)
+
     def test_files_may_replace_dimensions_of_the_table_and_of_each_other(self, tmp_path):
         # A dimension twice in one file is refused, but not once per file.
         table = StemsTable.load_default()
@@ -184,7 +194,7 @@ class TestTable:
             def read_text(self):
                 return '[{"dimension": 3, "factors": [24], "factors": [2]}]'
 
-        # torsionlab.stems the attribute is the function stems.
+        # The package's attribute `stems` is the function, not the module.
         monkeypatch.setattr(importlib.import_module("torsionlab.stems"), "resources", Shipped())
         with pytest.raises(ValueError, match='^the stems file gives the key "factors" twice'):
             StemsTable.load_default()

@@ -30,6 +30,86 @@ def cli_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+EXOTIC_STEPS = [
+    "enumerated 16 class representatives",
+    "consecutive composites vanish on every representative",
+    "rotation of every representative stays in the class",
+    "direct sums of representatives stay in the class",
+    "TR3 fill-in exists for every commuting pair",
+]
+TWO_ORDER_LINES = [
+    "2*Id on Z/4 is the matrix [[2]] != [[0]]: True",
+    "cone(2*Id) found in the distinguished class with rank 1",
+    "cone(2*Id) is the rank-one module Z/4 itself: True",
+    "2*Id on the cone is therefore also nonzero: True",
+    "conclusion: the rank-one object has 2-order 0, so the triangulation is not algebraic",
+]
+PROP3_STEPS = [
+    ("pi_0(S/3) is cyclic of order 3", "Z/3"),
+    ("pi_1(S/3) has order 1", "0"),
+    ("[S/3, S/3] is cyclic of order 3", "Z/3"),
+    ("hence 3 times the identity of S/3 is zero", "positive 3-order: True"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text,payload", [
+    (("--prime", "3", "normalize", "P^3 P^3 P^3"), 0, "2 P^8 P^1 + 2 P^7 P^2",
+     {"input": "P^3 P^3 P^3", "normal_form": "2 P^8 P^1 + 2 P^7 P^2", "prime": 3}),
+    (("oracle-check", "Sq^2 Sq^2"), 0,
+     "EQUAL: Sq^2 Sq^2  vs  Sq^3 Sq^1  (polynomial action through degree 40)",
+     {"equal": True, "lhs": "Sq^2 Sq^2", "max_degree": 40, "rhs": "Sq^3 Sq^1"}),
+    (("oracle-check", "Sq^2", "Sq^1 Sq^1"), 1,
+     "DIFFERENT: Sq^2  vs  Sq^1 Sq^1  (polynomial action through degree 40)",
+     {"equal": False, "lhs": "Sq^2", "max_degree": 40, "rhs": "Sq^1 Sq^1"}),
+    (("basis", "5"), 0, "Sq^5\nSq^4 Sq^1",
+     {"basis": ["Sq^5", "Sq^4 Sq^1"], "degree": 5, "prime": 2}),
+    (("module", "check", "{m2}"), 0,
+     "module over F_2, total dimension 2\nrelations checked: 0 (degree <= 1)\n"
+     "violated relation classes: none",
+     {"max_relation_degree": 1, "prime": 2, "relations_checked": 0, "total_dim": 2,
+      "violated_classes": [], "violations": []}),
+    (("module", "tensor", "{m2}", "{m2}"), 0,
+     "tensor product dims {0: 1, 1: 2, 2: 1}, total dimension 4",
+     {"dims": {"0": 1, "1": 2, "2": 1}, "total_dim": 4}),
+    (("module", "decompose", "{m2}"), 0, "decomposable: False",
+     {"decomposable": False, "summand_dims": []}),
+    (("pi", "3"), 0, "pi_3 = Z/24  [table]",
+     {"group": "Z/24", "k": 3, "provenance": "table"}),
+    (("pi", "1", "--moore", "2"), 0, "pi_1(S/2) = Z/2",
+     {"group": "Z/2", "k": 1, "n": 2, "order": 2}),
+    (("pi", "50"), 1, "unknown (stable stem 50 is not in the table)",
+     {"k": 50, "value": "unknown"}),
+    (("pi", "5", "--moore", "2"), 1, "unknown (needs stable stem 5)",
+     {"k": 5, "n": 2, "value": "unknown"}),
+    (("endo", "2"), 0, "[S/2, S/2] = Z/4", {"group": "Z/4", "n": 2, "order": 4}),
+    (("associator", "3"), 0, "obstruction group pi_3(S/3) = Z/3: obstruction nonzero",
+     {"associative": False, "n": 3, "obstruction": "Z/3"}),
+    (("exotic", "verify"), 0,
+     "\n".join(["exotic category axiom check (rank <= 2): PASS",
+                *(f"  [ok] {s}" for s in EXOTIC_STEPS)]),
+     {"max_rank": 2, "passed": True,
+      "steps": [{"claim": s, "passed": True} for s in EXOTIC_STEPS]}),
+    (("exotic", "two-order"), 0, "\n".join([*TWO_ORDER_LINES, "certificate: PASS"]),
+     {"cone_rank": 1, "lines": TWO_ORDER_LINES, "passed": True, "two_id_nonzero": True}),
+    (("scenario", "prop3", "--n", "3"), 0,
+     "\n".join(["scenario prop3(n=3): PASS", *(f"  [ok] {c}: {r}" for c, r in PROP3_STEPS)]),
+     [{"passed": True, "scenario": "prop3(n=3)",
+       "steps": [{"claim": c, "passed": True, "result": r} for c, r in PROP3_STEPS]}]),
+], ids=["normalize", "oracle-equal", "oracle-different", "basis", "module-check",
+        "module-tensor", "module-decompose", "pi", "pi-moore", "pi-unknown",
+        "pi-moore-unknown", "endo", "associator", "exotic-verify", "exotic-two-order",
+        "scenario-prop3"])
+def test_stdout_and_status_of_every_command(capsys, tmp_path, argv, code, text, payload):
+    # The text line(s), or the payload as indented JSON with sorted keys,
+    # then one newline; nothing on stderr.
+    m2 = str(tmp_path / "m2.json")
+    save_module(moore_module(2), m2)
+    argv = [a.format(m2=m2) for a in argv]
+    for flag, want in (([], text), (["--json"], json.dumps(payload, indent=2, sort_keys=True))):
+        assert main([*flag, *argv]) == code
+        assert capsys.readouterr() == (want + "\n", "")
+
+
 class TestNormalize:
     def test_text(self, capsys):
         code, out = run(capsys, "--prime", "3", "normalize", "P^3 P^3 P^3")

@@ -5,7 +5,8 @@ Each check raises the error class its caller passes (`ModuleError` for
 module files, `ValueError` for stems files) with one line that names the
 field at fault and quotes its value.  Nothing is truncated: a float is no
 integer, nor are true and false.  A key given twice in one object is
-refused where json would keep the last value."""
+refused where json would keep the last value, and text that is not JSON
+is refused with the file's path."""
 
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import re
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
 
 
-def _load(text: str, file: str, error: type[Exception]):
-    """The JSON value of a file's text; `file` names it in a refusal."""
+def _load(text: str, path: str, file: str, error: type[Exception]):
+    """The JSON value of a file's text: `file` names the file's kind in a
+    refusal of its content, and `path` names the file whose text is not
+    JSON, with json's line and column."""
     def _json_object(pairs: list) -> dict:
         out = {}
         for key, value in pairs:
@@ -25,7 +28,17 @@ def _load(text: str, file: str, error: type[Exception]):
             out[key] = value
         return out
 
-    return json.loads(text, object_pairs_hook=_json_object)
+    try:
+        return json.loads(text, object_pairs_hook=_json_object)
+    except json.JSONDecodeError as exc:
+        raise error(f"{file} {path} is not valid JSON: {exc.msg} "
+                    f"(line {exc.lineno}, column {exc.colno})") from None
+
+
+def _read(path: str, file: str, error: type[Exception]):
+    """The JSON value of the file at `path` (`_load`)."""
+    with open(path) as fh:
+        return _load(fh.read(), path, file, error)
 
 
 def _of_kind(value, kind: type, what: str, error: type[Exception]):

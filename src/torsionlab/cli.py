@@ -4,10 +4,13 @@ Subcommands cover the individual calculators (normalization, oracle
 cross-checks, admissible bases, module operations, Moore-spectrum homotopy
 and endomorphism groups, associativity obstructions, the Z/4 exotic
 category) and the scenario runner that chains them into verification
-reports.  Exit status is 0 exactly when every requested check passes, 1
-when a check fails, 2 for a usage error such as a non-prime --prime, a
-malformed expression, or a module or stems file that is missing or
-malformed, and 141 (128 + SIGPIPE) when the reader of its output closes
+reports.  Each command returns its result as (payload, text, status), and
+results and errors both leave through `main`: it prints the payload as
+JSON with --json and the text otherwise, and returns the status.  Exit
+status is 0 exactly when every requested check passes, 1 when a check
+fails or a value is unknown, 2 for a usage error such as a non-prime
+--prime, a malformed expression, or a module or stems file that is missing
+or malformed, and 141 (128 + SIGPIPE) when the reader of its output closes
 the pipe early."""
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .stems import (
     StemsTable,
     Unknown,
     associator_obstruction,
+    default_table,
     moore_endomorphisms,
     moore_homotopy,
     stems,
@@ -36,33 +40,28 @@ from .steenrod import (
     parse_expression,
 )
 
+# What a command returns: the payload --json prints, the text printed
+# otherwise, and the exit status.
+Result = tuple[object, str, int]
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+
+def _unknown(payload: dict, result: Unknown) -> Result:
+    return {**payload, "value": "unknown"}, str(result), 1
 
 
 def _load_table(args) -> StemsTable:
-    table = StemsTable.load_default()
-    if getattr(args, "stems_file", None):
-        table.merge_file(args.stems_file)
-    return table
+    table = default_table()
+    return table.with_file(args.stems_file) if args.stems_file else table
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> Result:
     expr = parse_expression(args.expression, args.prime)
     normal = adem_normalize(expr)
-    _emit(
-        args,
-        {"input": str(expr), "normal_form": str(normal), "prime": args.prime},
-        str(normal),
-    )
-    return 0
+    return ({"input": str(expr), "normal_form": str(normal), "prime": args.prime},
+            str(normal), 0)
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> Result:
     lhs = parse_expression(args.expression, args.prime)
     rhs = (
         parse_expression(args.against, args.prime)
@@ -71,32 +70,21 @@ def _cmd_oracle_check(args) -> int:
     )
     equal = oracle_equal(lhs, rhs, args.max_degree)
     degree = checked_degree(lhs - rhs, args.max_degree)
-    _emit(
-        args,
-        {
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "max_degree": degree,
-            "equal": equal,
-        },
+    return (
+        {"lhs": str(lhs), "rhs": str(rhs), "max_degree": degree, "equal": equal},
         f"{'EQUAL' if equal else 'DIFFERENT'}: {lhs}  vs  {rhs}  "
         f"(polynomial action through degree {degree})",
+        0 if equal else 1,
     )
-    return 0 if equal else 1
 
 
-def _cmd_basis(args) -> int:
-    basis = admissible_basis(args.prime, args.degree)
-    names = [str(m) for m in basis]
-    _emit(
-        args,
-        {"prime": args.prime, "degree": args.degree, "basis": names},
-        "\n".join(names) if names else "(empty)",
-    )
-    return 0
+def _cmd_basis(args) -> Result:
+    names = [str(m) for m in admissible_basis(args.prime, args.degree)]
+    return ({"prime": args.prime, "degree": args.degree, "basis": names},
+            "\n".join(names) if names else "(empty)", 0)
 
 
-def _cmd_module_check(args) -> int:
+def _cmd_module_check(args) -> Result:
     m = mod.load_module(args.file)
     bound, relations = mod.adem_relations(m, args.max_degree)
     violations = mod.consistency_check(m, args.max_degree)
@@ -107,8 +95,7 @@ def _cmd_module_check(args) -> int:
         f"violated relation classes: {classes if classes else 'none'}",
     ]
     text_lines.extend(f"  {v}" for v in violations)
-    _emit(
-        args,
+    return (
         {
             "prime": m.prime,
             "total_dim": m.total_dim,
@@ -118,122 +105,90 @@ def _cmd_module_check(args) -> int:
             "violations": [str(v) for v in violations],
         },
         "\n".join(text_lines),
+        0 if not violations else 1,
     )
-    return 0 if not violations else 1
 
 
-def _cmd_module_tensor(args) -> int:
-    a = mod.load_module(args.files[0])
-    b = mod.load_module(args.files[1])
-    t = mod.tensor(a, b)
+def _cmd_module_tensor(args) -> Result:
+    t = mod.tensor(*map(mod.load_module, args.files))
     if args.output:
         mod.save_module(t, args.output)
     dims = {d: t.dim(d) for d in t.degrees}
-    _emit(
-        args,
+    return (
         {"dims": dims, "total_dim": t.total_dim},
         f"tensor product dims {dims}, total dimension {t.total_dim}"
         + (f", written to {args.output}" if args.output else ""),
+        0,
     )
-    return 0
 
 
-def _cmd_module_decompose(args) -> int:
-    m = mod.load_module(args.file)
-    result = mod.is_decomposable(m)
+def _cmd_module_decompose(args) -> Result:
+    result = mod.is_decomposable(mod.load_module(args.file))
     summand_dims = [
         {d: s.dim(d) for d in s.degrees} for s in (result.summands or [])
     ]
-    _emit(
-        args,
-        {
-            "decomposable": bool(result),
-            "summand_dims": summand_dims,
-        },
+    return (
+        {"decomposable": bool(result), "summand_dims": summand_dims},
         f"decomposable: {bool(result)}"
         + (f", summand dims {summand_dims}" if result.summands else ""),
+        0,
     )
-    return 0
 
 
-def _cmd_pi(args) -> int:
+def _cmd_pi(args) -> Result:
     table = _load_table(args)
     if args.moore is None:
         entry = stems(args.k, table)
         if isinstance(entry, Unknown):
-            _emit(args, {"k": args.k, "value": "unknown"}, str(entry))
-            return 1
+            return _unknown({"k": args.k}, entry)
         text = str(entry.group) if entry.group is not None else str(
             {p: str(g) for p, g in entry.p_primary.items()}
         )
-        _emit(
-            args,
-            {"k": args.k, "group": text, "provenance": entry.provenance},
-            f"pi_{args.k} = {text}  [{entry.provenance}]",
-        )
-        return 0
+        return ({"k": args.k, "group": text, "provenance": entry.provenance},
+                f"pi_{args.k} = {text}  [{entry.provenance}]", 0)
     result = moore_homotopy(args.moore, args.k, table)
     if isinstance(result, Unknown):
-        _emit(args, {"k": args.k, "n": args.moore, "value": "unknown"}, str(result))
-        return 1
-    _emit(
-        args,
-        {"k": args.k, "n": args.moore, "group": str(result), "order": result.order},
-        f"pi_{args.k}(S/{args.moore}) = {result}",
-    )
-    return 0
+        return _unknown({"k": args.k, "n": args.moore}, result)
+    return ({"k": args.k, "n": args.moore, "group": str(result), "order": result.order},
+            f"pi_{args.k}(S/{args.moore}) = {result}", 0)
 
 
-def _cmd_endo(args) -> int:
-    table = _load_table(args)
-    result = moore_endomorphisms(args.n, table)
+def _cmd_endo(args) -> Result:
+    result = moore_endomorphisms(args.n, _load_table(args))
     if isinstance(result, Unknown):
-        _emit(args, {"n": args.n, "value": "unknown"}, str(result))
-        return 1
-    _emit(
-        args,
-        {"n": args.n, "group": str(result), "order": result.order},
-        f"[S/{args.n}, S/{args.n}] = {result}",
-    )
-    return 0
+        return _unknown({"n": args.n}, result)
+    return ({"n": args.n, "group": str(result), "order": result.order},
+            f"[S/{args.n}, S/{args.n}] = {result}", 0)
 
 
-def _cmd_associator(args) -> int:
-    table = _load_table(args)
-    result = associator_obstruction(args.n, table)
+def _cmd_associator(args) -> Result:
+    result = associator_obstruction(args.n, _load_table(args))
     if isinstance(result, Unknown):
-        _emit(args, {"n": args.n, "value": "unknown"}, str(result))
-        return 1
+        return _unknown({"n": args.n}, result)
     verdict = "associative" if result.is_trivial else "obstruction nonzero"
-    _emit(
-        args,
-        {"n": args.n, "obstruction": str(result), "associative": result.is_trivial},
-        f"obstruction group pi_3(S/{args.n}) = {result}: {verdict}",
-    )
-    return 0
+    return ({"n": args.n, "obstruction": str(result), "associative": result.is_trivial},
+            f"obstruction group pi_3(S/{args.n}) = {result}: {verdict}", 0)
 
 
-def _cmd_exotic_verify(args) -> int:
+def _cmd_exotic_verify(args) -> Result:
     report = verify_axioms(args.max_rank)
     lines = [f"exotic category axiom check (rank <= {args.max_rank}): "
              f"{'PASS' if report.passed else 'FAIL'}"]
     lines.extend(f"  [{'ok' if ok else 'FAIL'}] {desc}" for desc, ok in report.steps)
-    _emit(
-        args,
+    return (
         {
             "max_rank": args.max_rank,
             "passed": report.passed,
             "steps": [{"claim": d, "passed": ok} for d, ok in report.steps],
         },
         "\n".join(lines),
+        0 if report.passed else 1,
     )
-    return 0 if report.passed else 1
 
 
-def _cmd_exotic_two_order(args) -> int:
+def _cmd_exotic_two_order(args) -> Result:
     cert = two_order_zero_certificate()
-    _emit(
-        args,
+    return (
         {
             "passed": cert.passed,
             "two_id_nonzero": cert.two_id_nonzero,
@@ -241,21 +196,18 @@ def _cmd_exotic_two_order(args) -> int:
             "lines": cert.lines,
         },
         "\n".join(cert.lines + [f"certificate: {'PASS' if cert.passed else 'FAIL'}"]),
+        0 if cert.passed else 1,
     )
-    return 0 if cert.passed else 1
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args) -> Result:
     if args.name == "all" and args.n is not None:
         raise ValueError("scenario all takes no n")
     table = _load_table(args)
     reports = (run_all(table) if args.name == "all"
                else [run_scenario(args.name, args.n, table)])
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
-    else:
-        print("\n\n".join(r.render() for r in reports))
-    return 0 if all(r.passed for r in reports) else 1
+    return ([r.to_dict() for r in reports], "\n\n".join(r.render() for r in reports),
+            0 if all(r.passed for r in reports) else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
+        payload, text, status = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
         sys.stdout.flush()  # so that a closed pipe is seen here
         return status
     except BrokenPipeError:

@@ -578,14 +578,19 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     None if no class member within the rank bound extends f.  The first
     maps are isomorphic iff v f = r u for invertible u, v: the distinct
     keys of v f and of r u share a value.  Only a few small GL stacks are
-    multiplied here, so the products are keyed directly."""
+    multiplied here, so the products are keyed directly.  The bound and
+    f's ranks are checked before any of GL is built, as in
+    in_distinguished_class."""
+    reps = distinguished_representatives(max_rank)
+    if max(f.source, f.target) > max_rank:
+        raise ValueError(f"ranks {(f.source, f.target)} exceed the bound {max_rank}")
     powers = _powers(f.source * f.target)
 
     def keys(stack: np.ndarray) -> np.ndarray:
         return _distinct(stack.reshape(len(stack), -1) % 4 @ powers)
 
     v_keys = keys(general_linear(f.target) @ f.matrix)
-    for rep in distinguished_representatives(max_rank):
+    for rep in reps:
         if (rep.f.source, rep.f.target) != (f.source, f.target):
             continue
         if len(_match(v_keys, keys(rep.f.matrix @ general_linear(f.source)))[0]):

@@ -36,12 +36,13 @@ import collections
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fpmatrix as fp
-from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind
+from ._jsonfile import _by_int_key, _field, _list_of, _of_kind, _read
 from .steenrod import (
     BOCKSTEIN,
     Generator,
@@ -61,14 +62,29 @@ class ModuleError(Exception):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """value as a plain int: a float, a bool or a string is refused with
+    one line, not truncated.  Integer numpy scalars are integers."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    if isinstance(value, np.generic):
+        value = value.item()
+    raise ModuleError(f"{what} is {value!r}, not an integer")
+
+
 class FiniteModule:
     """A finite graded module: `dims` in increasing degree order, and
     `total`, the sum T of its generators' whole-module matrices, reduced
     mod p.  Modules share T (`shift`), and `action` and `actions` are
     views into it, so it is read-only.
 
-    The constructor checks the action of each generator degree by degree
-    and lays the blocks out in T once; the constructions below build T
+    The constructor checks the action of each generator degree by degree,
+    refusing a degree, dimension or matrix entry that is not an integer
+    rather than truncating it, and lays the blocks out in T once; the
+    constructions below build T
     and pass it to `_whole`, which checks nothing.  `word` multiplies the
     generator matrices out, keeping the products of two generators, which
     the words of a relation and its normal form share."""
@@ -77,7 +93,9 @@ class FiniteModule:
                  actions: dict[tuple[Generator, int], np.ndarray],
                  labels: dict[int, list[str]] | None = None):
         p = check_prime(prime)
-        dims = dict(sorted((int(d), int(n)) for d, n in dims.items()))
+        dims = dict(sorted((_integer(d, "a degree"),
+                            _integer(n, f"the dimension of degree {d}"))
+                           for d, n in dims.items()))
         negative = {d: n for d, n in dims.items() if n < 0}
         if negative:
             raise ModuleError(f"negative dimensions {negative}")
@@ -95,7 +113,12 @@ class FiniteModule:
         for (g, d), mat in actions.items():
             if not g.valid_at(p):
                 raise PrimeMismatchError(f"generator {g} invalid at p={p}")
-            mat = np.array(mat, dtype=np.int64) % p
+            d = _integer(d, f"the source degree of {g}")
+            mat = np.asarray(mat)
+            if mat.dtype.kind not in "iu":
+                for x in mat.ravel().tolist():
+                    _integer(x, f"an entry of the action of {g} at degree {d}")
+            mat = (mat % p).astype(np.int64, copy=False)
             target = d + g.degree_at(p)
             src, tgt = self.dim(d), self.dim(target)
             if mat.shape != (tgt, src):
@@ -886,5 +909,4 @@ def save_module(M: FiniteModule, path: str) -> None:
 
 
 def load_module(path: str) -> FiniteModule:
-    with open(path) as fh:
-        return module_from_dict(_load(fh.read(), "the module file", ModuleError))
+    return module_from_dict(_read(path, "the module file", ModuleError))

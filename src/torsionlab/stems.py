@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
-from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind
+from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind, _read
 
 # Provenance tags.  "table" marks values shipped with the package, "external"
 # marks values merged in from a user-supplied stems file, "derived" marks
@@ -213,17 +215,68 @@ class NamedGenerator:
 @dataclass(frozen=True)
 class StemEntry:
     """One stored stable stem: either the full group or partial p-primary
-    facts (a map prime → p-primary part)."""
+    facts (a read-only map prime → p-primary part)."""
 
     dimension: int
     group: AbelianGroup | None = None
-    p_primary: dict[int, AbelianGroup] = field(default_factory=dict)
+    p_primary: Mapping[int, AbelianGroup] = field(default_factory=dict)
     generators: tuple[NamedGenerator, ...] = ()
     provenance: str = TABLE
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p_primary", MappingProxyType(dict(self.p_primary)))
+
+
+def _entries(records: list[dict], provenance: str) -> dict[int, StemEntry]:
+    """One entry per record, each labelled with the provenance of its
+    source, whatever the record says: TABLE for the shipped file, EXTERNAL
+    for a user's.  A record is an object with an integer "dimension" and
+    optionally "factors" (a list of integer orders), "p_primary" (an object
+    of such lists by prime) and "generators" (objects with a string "name",
+    an integer "order" and optionally a string "note").  Anything else, or
+    a dimension or a prime of a record named twice, is a ValueError of one
+    line (`_jsonfile`)."""
+    entries: dict[int, StemEntry] = {}
+    for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
+        where = f"stems record {i}"
+        dim = _field(rec, "dimension", where, int, ValueError)
+        if dim in entries:
+            raise ValueError(f"{where} gives dimension {dim} a second time")
+        group = None
+        if rec.get("factors") is not None:
+            group = AbelianGroup(_list_of(rec["factors"], int, f"{where}'s 'factors'",
+                                          ValueError, "an order in"))
+        p_primary = {}
+        if "p_primary" in rec:
+            p_primary = {
+                p: AbelianGroup(_list_of(fs, int, f"{where}'s {p}-primary factors",
+                                         ValueError, "an order in"))
+                for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items()}
+        gens = tuple(
+            NamedGenerator(
+                name=_field(g, "name", f"{where}'s generator {j}", str, ValueError),
+                dimension=dim,
+                order=_field(g, "order", f"{where}'s generator {j}", int, ValueError),
+                note=_of_kind(g.get("note", ""), str,
+                              f"{where}'s generator {j}'s 'note'", ValueError),
+            )
+            for j, g in enumerate(_of_kind(rec.get("generators", []), list,
+                                           f"{where}'s 'generators'", ValueError))
+        )
+        entries[dim] = StemEntry(
+            dimension=dim,
+            group=group,
+            p_primary=p_primary,
+            generators=gens,
+            provenance=provenance,
+        )
+    return entries
+
 
 class StemsTable:
-    """Read-only table of stable homotopy groups of spheres.
+    """Table of stable homotopy groups of spheres, read-only once built:
+    adding records or a file returns a new table, so the one that
+    `default_table` shares is never changed.
 
     Negative dimensions are always trivial; dimensions outside the stored
     range return an explicit Unknown, never a guess."""
@@ -233,65 +286,24 @@ class StemsTable:
 
     @classmethod
     def from_records(cls, records: list[dict], provenance: str = TABLE) -> "StemsTable":
-        table = cls({})
-        table.merge_records(records, provenance)
-        return table
+        return cls(_entries(records, provenance))
 
-    def merge_records(self, records: list[dict], provenance: str) -> None:
-        """Add one entry per record, each labelled with the provenance of
-        its source, whatever the record says: TABLE for the shipped file,
-        EXTERNAL for a user's.  A record is an object with an integer
-        "dimension" and optionally "factors" (a list of integer orders),
-        "p_primary" (an object of such lists by prime) and "generators"
-        (objects with a string "name", an integer "order" and optionally a
-        string "note").  Anything else is a ValueError of one line
-        (`_jsonfile`), and leaves the table as it was.  The records may
-        replace entries already in the table, but not name one dimension,
-        or one prime of a record, twice."""
-        entries: dict[int, StemEntry] = {}
-        for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
-            where = f"stems record {i}"
-            dim = _field(rec, "dimension", where, int, ValueError)
-            if dim in entries:
-                raise ValueError(f"{where} gives dimension {dim} a second time")
-            group = None
-            if rec.get("factors") is not None:
-                group = AbelianGroup(_list_of(rec["factors"], int, f"{where}'s 'factors'",
-                                              ValueError, "an order in"))
-            p_primary = {}
-            if "p_primary" in rec:
-                p_primary = {
-                    p: AbelianGroup(_list_of(fs, int, f"{where}'s {p}-primary factors",
-                                             ValueError, "an order in"))
-                    for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items()}
-            gens = tuple(
-                NamedGenerator(
-                    name=_field(g, "name", f"{where}'s generator {j}", str, ValueError),
-                    dimension=dim,
-                    order=_field(g, "order", f"{where}'s generator {j}", int, ValueError),
-                    note=_of_kind(g.get("note", ""), str,
-                                  f"{where}'s generator {j}'s 'note'", ValueError),
-                )
-                for j, g in enumerate(_of_kind(rec.get("generators", []), list,
-                                               f"{where}'s 'generators'", ValueError))
-            )
-            entries[dim] = StemEntry(
-                dimension=dim,
-                group=group,
-                p_primary=p_primary,
-                generators=gens,
-                provenance=provenance,
-            )
-        self._entries.update(entries)
+    def with_records(self, records: list[dict], provenance: str) -> "StemsTable":
+        """A new table: this one with the records' entries (`_entries`),
+        which may replace entries of this table.  This table is unchanged,
+        also when the records are refused."""
+        return StemsTable({**self._entries, **_entries(records, provenance)})
 
     @classmethod
     def load_default(cls) -> "StemsTable":
-        data = resources.files("torsionlab.data").joinpath("stems.json").read_text()
-        return cls.from_records(_load(data, "the stems file", ValueError), TABLE)
+        shipped = resources.files("torsionlab.data").joinpath("stems.json")
+        return cls.from_records(
+            _load(shipped.read_text(), str(shipped), "the stems file", ValueError), TABLE)
 
-    def merge_file(self, path: str) -> None:
-        with open(path) as fh:
-            self.merge_records(_load(fh.read(), "the stems file", ValueError), EXTERNAL)
+    def with_file(self, path: str) -> "StemsTable":
+        """A new table: this one with the records of a user's stems file,
+        labelled EXTERNAL (`with_records`)."""
+        return self.with_records(_read(path, "the stems file", ValueError), EXTERNAL)
 
     def stems(self, n: int) -> StemEntry | Unknown:
         if n < 0:
@@ -316,6 +328,8 @@ class StemsTable:
 
 @functools.cache
 def default_table() -> StemsTable:
+    """The shipped table, built once per process and shared by every
+    caller, which is why no table changes once built."""
     return StemsTable.load_default()
 
 

@@ -260,6 +260,9 @@ class TestFileErrors:
         ({"prime": 4, "dims": {"0": 1, "1": 1},
           "actions": [{"generator": "Sq^1^", "source_degree": 0, "matrix": [[1]]}]},
          "4 is not prime"),
+        # Text that is not JSON is named by the file's path.
+        ('{"prime": 2,\n', "the module file {path} is not valid JSON: Expecting property "
+         "name enclosed in double quotes (line 2, column 1)"),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
             "negative-dim", "labels-miss-a-degree", "labels-too-long", "float-prime",
             "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
@@ -268,14 +271,14 @@ class TestFileErrors:
             "dims-key-underscore", "json-key-twice", "generator-trailing-caret",
             "generator-no-index", "generator-bare-sq", "generator-two-tokens",
             "generator-fractional-index", "generator-index-zero", "generator-other-prime",
-            "prime-not-prime"])
+            "prime-not-prime", "truncated"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
         path.write_text(data if isinstance(data, str) else json.dumps(data))
         files = [str(path)] * (2 if command == "tensor" else 1)
         err = assert_user_error(capsys, ["module", command, *files])
-        assert err == f"torsionlab: error: {message}\n"
+        assert err == f"torsionlab: error: {message.replace('{path}', str(path))}\n"
 
     @pytest.mark.parametrize("data,message", [
         ({"dimension": 3, "factors": [24]},
@@ -299,16 +302,19 @@ class TestFileErrors:
          "stems record 0's 'p_primary' has the key \" 2\", not an integer prime"),
         ([{"dimension": 3, "generators": [{"name": "nu", "order": 24, "note": 5}]}],
          "stems record 0's generator 0's 'note' is 5, not a string"),
+        ('[{"dimension": 3,\n', "the stems file {path} is not valid JSON: Expecting property "
+         "name enclosed in double quotes (line 2, column 1)"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
             "list-p-primary", "float-factor", "dimension-twice", "key-twice",
-            "prime-twice", "prime-not-an-integer", "prime-with-a-space", "note-not-a-string"])
+            "prime-twice", "prime-not-an-integer", "prime-with-a-space", "note-not-a-string",
+            "truncated"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "stems.json"
         path.write_text(data if isinstance(data, str) else json.dumps(data))
         err = assert_user_error(capsys, ["--stems-file", str(path), *command])
-        assert err == f"torsionlab: error: {message}\n"
+        assert err == f"torsionlab: error: {message.replace('{path}', str(path))}\n"
 
 
 def test_closed_pipe_exits_141_without_traceback():
@@ -523,6 +529,14 @@ class TestStemsCommands:
         assert run(capsys, *stems, *argv) == (1, line + "\n")
         code, out = run(capsys, "--json", *stems, *argv)
         assert code == 1 and json.loads(out) == payload
+
+    def test_a_stems_file_leaves_the_shared_table(self, capsys, tmp_path):
+        # The table of one call is not the next call's.
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps([{"dimension": 3, "factors": [5]}]))
+        assert run(capsys, "--stems-file", str(extra), "pi", "3") == (
+            0, "pi_3 = Z/5  [external]\n")
+        assert run(capsys, "pi", "3") == (0, "pi_3 = Z/24  [table]\n")
 
     def test_stems_file_extension(self, capsys, tmp_path):
         extra = tmp_path / "extra.json"

@@ -413,6 +413,19 @@ class TestCones:
         # The cone of the zero map of rank 2 has rank 4.
         assert check_TR1_cone(zero_morphism(2, 2), max_rank=2) is None
 
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_ranks_above_the_bound_are_refused_before_gl(self, monkeypatch, rank):
+        # GL_4(Z/4) would take 4**16 matrices; GL_3 is built for nothing.
+        monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
+        f = Z4Morphism.from_matrix(2 * np.eye(rank, dtype=np.int64))
+        with pytest.raises(ValueError, match=rf"^ranks \({rank}, {rank}\) exceed the bound 2$"):
+            check_TR1_cone(f, max_rank=2)
+
+    def test_bound_is_checked_before_gl(self, monkeypatch):
+        monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
+        with pytest.raises(ValueError, match="^rank bound above 3"):
+            check_TR1_cone(Z4Morphism.from_matrix([[2]]), max_rank=4)
+
 
 class TestProductTables:
     # A rank-2 matrix is one row block and one column block; at rank 3

@@ -620,6 +620,35 @@ class TestConstructors:
         # A zero dimension is an empty degree.
         assert FiniteModule(2, {0: 1, 1: 0}, {}).dims == {0: 1}
 
+    @pytest.mark.parametrize("dims,actions,message", [
+        ({0: 1.7, 1.2: 1}, {}, "the dimension of degree 0 is 1.7, not an integer"),
+        ({0: 1, 1.2: 1}, {}, "a degree is 1.2, not an integer"),
+        ({"0": 1}, {}, "a degree is '0', not an integer"),
+        ({0: True}, {}, "the dimension of degree 0 is True, not an integer"),
+        ({0: np.float64(1)}, {}, "the dimension of degree 0 is 1.0, not an integer"),
+        ({0: 1, 1: 1}, {(Sq(1), 0.0): [[1]]}, "the source degree of Sq^1 is 0.0, not an integer"),
+        ({0: 1, 1: 1}, {(Sq(1), 0): [[1.5]]},
+         "an entry of the action of Sq^1 at degree 0 is 1.5, not an integer"),
+        ({0: 1, 1: 1}, {(Sq(1), 0): np.array([[True]])},
+         "an entry of the action of Sq^1 at degree 0 is True, not an integer"),
+        ({0: 1, 1: 1}, {(Sq(1), 0): [["1"]]},
+         "an entry of the action of Sq^1 at degree 0 is '1', not an integer"),
+    ], ids=["float-dim", "float-degree", "string-degree", "bool-dim", "numpy-float-dim",
+            "float-source-degree", "float-entry", "bool-entry", "string-entry"])
+    def test_refuses_what_is_not_an_integer(self, dims, actions, message):
+        # Nothing is truncated: int() made 1.7 a dimension of 1, and an
+        # int64 array made the entry 1.5 a 1.
+        with pytest.raises(ModuleError, match=f"^{re.escape(message)}$"):
+            FiniteModule(2, dims, actions)
+
+    def test_accepts_integer_numpy_scalars_and_arrays(self):
+        M = FiniteModule(2, {np.int64(0): np.int32(1), 1: np.uint8(1)},
+                         {(Sq(1), np.int16(0)): np.array([[3]], dtype=np.uint8)})
+        assert M == moore_module(2)
+        assert all(type(k) is int and type(n) is int for k, n in M.dims.items())
+        # Integers beyond int64 are reduced mod p exactly.
+        assert FiniteModule(2, {0: 1, 1: 1}, {(Sq(1), 0): [[2**70 + 1]]}) == moore_module(2)
+
     @pytest.mark.parametrize("labels,message", [
         ({0: ["a"]}, r"labels are given for degrees \[0\], expected one list per "
                      r"occupied degree \[0, 2\]"),

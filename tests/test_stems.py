@@ -22,8 +22,10 @@ from torsionlab import (
     positive_n_order,
     stems,
 )
+from torsionlab.scenarios import scenario_prop5, scenario_prop6
 from torsionlab.stems import (
     TRIVIAL,
+    StemEntry,
     Z,
     _invariant_factors,
     default_table,
@@ -155,8 +157,7 @@ class TestTable:
             {"dimension": 7, "factors": [240]},
             {"dimension": 8, "factors": [2, 2], "provenance": "table"},
             {"dimension": 9, "factors": [2, 2, 2], "provenance": 7}]))
-        table = StemsTable.load_default()
-        table.merge_file(str(extra))
+        table = StemsTable.load_default().with_file(str(extra))
         assert table.stems(7).group == cyclic(240)
         assert [table.stems(n).provenance for n in (7, 8, 9)] == ["external"] * 3
         # The default table is untouched.
@@ -168,7 +169,7 @@ class TestTable:
                                     {"dimension": 7, "factors": [240]}, 3]))
         table = StemsTable.load_default()
         with pytest.raises(ValueError, match="^stems record 2 is 3, not a JSON object$"):
-            table.merge_file(str(path))
+            table.with_file(str(path))
         assert table.stems(3).group == cyclic(24) and table.stems(3).provenance == "table"
         assert isinstance(table.stems(7), Unknown)
 
@@ -178,10 +179,34 @@ class TestTable:
         for i, factors in enumerate(([2], [6])):
             path = tmp_path / f"stems{i}.json"
             path.write_text(json.dumps([{"dimension": 3, "factors": factors}]))
-            table.merge_file(str(path))
+            table = table.with_file(str(path))
         assert table.stems(3).group == cyclic(6)
         assert table.stems(3).provenance == "external"
         assert stems(3).group == cyclic(24)
+
+    def test_the_shared_table_is_never_changed(self):
+        # Adding records makes a new table; the old call is gone, so it
+        # fails loudly rather than merging nowhere.
+        shared = default_table()
+        table = shared.with_records([{"dimension": 3, "factors": [5]}], "external")
+        assert table.stems(3).group == cyclic(5) and table.stems(3).provenance == "external"
+        assert default_table() is shared
+        assert stems(3).group == cyclic(24) and stems(3).provenance == "table"
+        assert scenario_prop6(5).passed
+        for old in ("merge_records", "merge_file"):
+            assert not hasattr(shared, old)
+
+    def test_entries_are_read_only(self):
+        entry = stems(21)
+        with pytest.raises(TypeError):
+            entry.p_primary[3] = cyclic(3)
+        assert entry.p_primary[3] == TRIVIAL
+        assert scenario_prop5().passed
+        # An entry keeps its own copy of the map it is given.
+        given = {3: TRIVIAL}
+        entry = StemEntry(21, p_primary=given)
+        given[3] = cyclic(3)
+        assert entry.p_primary == {3: TRIVIAL}
 
     def test_the_shipped_file_is_read_with_the_same_checks(self, monkeypatch):
         class Shipped:

@@ -71,7 +71,12 @@ def _cmd_oracle_check(args) -> Result:
     equal = oracle_equal(lhs, rhs, args.max_degree)
     degree = checked_degree(lhs - rhs, args.max_degree)
     return (
-        {"lhs": str(lhs), "rhs": str(rhs), "max_degree": degree, "equal": equal},
+        {
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "max_degree": degree,
+            "equal": equal,
+        },
         f"{'EQUAL' if equal else 'DIFFERENT'}: {lhs}  vs  {rhs}  "
         f"(polynomial action through degree {degree})",
         0 if equal else 1,
@@ -79,7 +84,8 @@ def _cmd_oracle_check(args) -> Result:
 
 
 def _cmd_basis(args) -> Result:
-    names = [str(m) for m in admissible_basis(args.prime, args.degree)]
+    basis = admissible_basis(args.prime, args.degree)
+    names = [str(m) for m in basis]
     return ({"prime": args.prime, "degree": args.degree, "basis": names},
             "\n".join(names) if names else "(empty)", 0)
 
@@ -110,7 +116,9 @@ def _cmd_module_check(args) -> Result:
 
 
 def _cmd_module_tensor(args) -> Result:
-    t = mod.tensor(*map(mod.load_module, args.files))
+    a = mod.load_module(args.files[0])
+    b = mod.load_module(args.files[1])
+    t = mod.tensor(a, b)
     if args.output:
         mod.save_module(t, args.output)
     dims = {d: t.dim(d) for d in t.degrees}
@@ -123,12 +131,16 @@ def _cmd_module_tensor(args) -> Result:
 
 
 def _cmd_module_decompose(args) -> Result:
-    result = mod.is_decomposable(mod.load_module(args.file))
+    m = mod.load_module(args.file)
+    result = mod.is_decomposable(m)
     summand_dims = [
         {d: s.dim(d) for d in s.degrees} for s in (result.summands or [])
     ]
     return (
-        {"decomposable": bool(result), "summand_dims": summand_dims},
+        {
+            "decomposable": bool(result),
+            "summand_dims": summand_dims,
+        },
         f"decomposable: {bool(result)}"
         + (f", summand dims {summand_dims}" if result.summands else ""),
         0,
@@ -154,7 +166,8 @@ def _cmd_pi(args) -> Result:
 
 
 def _cmd_endo(args) -> Result:
-    result = moore_endomorphisms(args.n, _load_table(args))
+    table = _load_table(args)
+    result = moore_endomorphisms(args.n, table)
     if isinstance(result, Unknown):
         return _unknown({"n": args.n}, result)
     return ({"n": args.n, "group": str(result), "order": result.order},
@@ -162,7 +175,8 @@ def _cmd_endo(args) -> Result:
 
 
 def _cmd_associator(args) -> Result:
-    result = associator_obstruction(args.n, _load_table(args))
+    table = _load_table(args)
+    result = associator_obstruction(args.n, table)
     if isinstance(result, Unknown):
         return _unknown({"n": args.n}, result)
     verdict = "associative" if result.is_trivial else "obstruction nonzero"

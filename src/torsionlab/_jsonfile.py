@@ -5,8 +5,8 @@ Each check raises the error class its caller passes (`ModuleError` for
 module files, `ValueError` for stems files) with one line that names the
 field at fault and quotes its value.  Nothing is truncated: a float is no
 integer, nor are true and false.  A key given twice in one object is
-refused where json would keep the last value, and text that is not JSON
-is refused with the file's path."""
+refused where json would keep the last value, and a file that is not
+UTF-8 text, or text that is not JSON, is refused with the file's path."""
 
 from __future__ import annotations
 
@@ -36,9 +36,15 @@ def _load(text: str, path: str, file: str, error: type[Exception]):
 
 
 def _read(path: str, file: str, error: type[Exception]):
-    """The JSON value of the file at `path` (`_load`)."""
-    with open(path) as fh:
-        return _load(fh.read(), path, file, error)
+    """The JSON value of the file at `path` (`_load`), read as UTF-8, the
+    encoding of JSON files; other bytes are refused with the file's path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{file} {path} is not UTF-8 text: {exc.reason} "
+                        f"(byte {exc.start})") from None
+    return _load(text, path, file, error)
 
 
 def _of_kind(value, kind: type, what: str, error: type[Exception]):

@@ -83,7 +83,8 @@ class FiniteModule:
 
     The constructor checks the action of each generator degree by degree,
     refusing a degree, dimension or matrix entry that is not an integer
-    rather than truncating it, and lays the blocks out in T once; the
+    rather than truncating it, and labels that are not lists of strings,
+    as the module file reader does.  It lays the blocks out in T once; the
     constructions below build T
     and pass it to `_whole`, which checks nothing.  `word` multiplies the
     generator matrices out, keeping the products of two generators, which
@@ -101,6 +102,8 @@ class FiniteModule:
             raise ModuleError(f"negative dimensions {negative}")
         dims = {d: n for d, n in dims.items() if n}
         if labels is not None:
+            labels = {d: _list_of(v, str, f"the labels of degree {d}", ModuleError)
+                      for d, v in labels.items()}
             if sorted(labels) != list(dims):
                 raise ModuleError(f"labels are given for degrees {sorted(labels)}, "
                                   f"expected one list per occupied degree {list(dims)}")
@@ -898,8 +901,7 @@ def module_from_dict(data: dict) -> FiniteModule:
         actions[(g, d)] = np.array(matrix, dtype=np.int64)
     labels = None
     if "labels" in data:
-        labels = {d: _list_of(v, str, f"the labels of degree {d}", ModuleError)
-                  for d, v in _by_int_key(data, "labels", "module", "degree", ModuleError).items()}
+        labels = _by_int_key(data, "labels", "module", "degree", ModuleError)
     return FiniteModule(p, dims, actions, labels=labels)
 
 

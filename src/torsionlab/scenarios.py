@@ -4,7 +4,9 @@ machine-checkable claims:
 
 - prop2: 2·S/2 is nonzero (the smash square of the mod-2 Moore spectrum is
   4-dimensional in cohomology, carries a nonzero Sq², and is indecomposable).
-- prop3: [S/n, S/n] is cyclic of order n for odd n and Z/4 for n = 2.
+- prop3: [S/n, S/n] is cyclic of order n for odd n and Z/4 for n = 2
+  (the exact sequence gives order 4, and the nonzero Sq² on the smash
+  square of S/2 makes the extension nonsplit).
 - prop5: no extension of the mod-3 lift of beta_1 has a cone killed by 3
   (on the hypothetical cohomology module, (P^3)^3 and its admissible
   normal form act differently).
@@ -35,12 +37,13 @@ from .modules import (
 )
 from .steenrod import parse_expression
 from .stems import (
+    ComputedGroup,
     StemsTable,
     Unknown,
     associator_obstruction,
     cyclic,
     default_table,
-    moore_endomorphisms,
+    endomorphisms_from_sequence,
     moore_homotopy,
     positive_n_order,
     stems,
@@ -127,9 +130,15 @@ def scenario_prop2() -> ScenarioReport:
 
 
 def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
-    """[S/n, S/n] is cyclic of order n for odd n; for n = 2 the group has
-    order 4 and the nonsplit extension makes it Z/4, so 2·S/2 ≠ 0.  The
-    claim is stated for odd n and n = 2 only; any other n is refused."""
+    """[S/n, S/n] is cyclic of order n for odd n, and Z/4 for n = 2, so
+    2·S/2 ≠ 0.  At n = 2 the exact sequence gives the order, 4, and Sq²
+    from degree 0 of S/2 ∧ S/2 (computed as in prop2) the extension: a
+    splitting S/2 ∨ ΣS/2 of the smash square, the cone of 2·id, would
+    carry Sq² = 0 there, so a nonzero Sq² makes 2·id nonzero, and the
+    identity, which maps onto the quotient Z/2, has order 4.  The group
+    is concluded to be Z/4 only then; otherwise the unresolved group is
+    printed, and so is an unknown one.  The claim is stated for odd n and
+    n = 2 only; any other n is refused."""
     if n % 2 == 0 and n != 2:
         raise ValueError(f"prop3 is stated for odd n and n = 2, not n = {n}")
     report = ScenarioReport(f"prop3(n={n})")
@@ -146,29 +155,28 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
         not isinstance(pi1, Unknown) and pi1.order == expected_pi1,
         str(pi1),
     )
-    endos = moore_endomorphisms(n, table)
+    endos = endomorphisms_from_sequence(n, table)
     group = None if isinstance(endos, Unknown) else endos.group
     if n % 2 == 1:
         report.check(f"[S/{n}, S/{n}] is cyclic of order {n}", group == cyclic(n), str(endos))
-        positive = positive_n_order(endos, n)
-        report.check(
-            f"hence {n} times the identity of S/{n} is zero",
-            positive,
-            f"positive {n}-order: {positive}",
-        )
     else:
+        m2 = moore_module(2)
+        sq2 = act_element(tensor(m2, m2), parse_expression("Sq^2", 2), 0)
+        if (group is None and not isinstance(endos, Unknown) and endos.order == 4
+                and np.any(sq2)):
+            group = cyclic(4)
+            endos = ComputedGroup(group)
         report.check(
             "[S/2, S/2] has order 4 and the defining extension is nonsplit",
-            group == cyclic(4) and endos.extension is not None
-            and endos.extension.resolution == "nonsplit",
+            group == cyclic(4),
             str(endos),
         )
-        positive = positive_n_order(endos, 2)
-        report.check(
-            "hence 2 times the identity of S/2 is nonzero",
-            not positive,
-            f"positive 2-order: {positive}",
-        )
+    hence = f"hence {n} times the identity of S/{n} is {'zero' if n % 2 else 'nonzero'}"
+    if group is None:
+        report.check(hence, False, str(endos))
+    else:
+        positive = positive_n_order(endos, n)
+        report.check(hence, positive == (n % 2 == 1), f"positive {n}-order: {positive}")
     return report
 
 

@@ -150,8 +150,6 @@ class GroupExtensionProblem:
 
     sub: AbelianGroup
     quotient: AbelianGroup
-    resolution: str = "unknown"  # "split" | "nonsplit" | "unknown"
-    note: str = ""
 
     @property
     def order(self) -> int | None:
@@ -187,7 +185,7 @@ class ComputedGroup:
         if self.group is not None:
             return str(self.group)
         if self.extension is not None:
-            return f"group of order {self.extension.order} ({self.extension.resolution} extension)"
+            return f"group of order {self.extension.order} (unknown extension)"
         return "unknown"
 
 
@@ -205,14 +203,6 @@ class Unknown:
 
 
 @dataclass(frozen=True)
-class NamedGenerator:
-    name: str
-    dimension: int
-    order: int  # 0 marks infinite order
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class StemEntry:
     """One stored stable stem: either the full group or partial p-primary
     facts (a read-only map prime → p-primary part)."""
@@ -220,7 +210,6 @@ class StemEntry:
     dimension: int
     group: AbelianGroup | None = None
     p_primary: Mapping[int, AbelianGroup] = field(default_factory=dict)
-    generators: tuple[NamedGenerator, ...] = ()
     provenance: str = TABLE
 
     def __post_init__(self) -> None:
@@ -231,11 +220,10 @@ def _entries(records: list[dict], provenance: str) -> dict[int, StemEntry]:
     """One entry per record, each labelled with the provenance of its
     source, whatever the record says: TABLE for the shipped file, EXTERNAL
     for a user's.  A record is an object with an integer "dimension" and
-    optionally "factors" (a list of integer orders), "p_primary" (an object
-    of such lists by prime) and "generators" (objects with a string "name",
-    an integer "order" and optionally a string "note").  Anything else, or
-    a dimension or a prime of a record named twice, is a ValueError of one
-    line (`_jsonfile`)."""
+    optionally "factors" (a list of integer orders) and "p_primary" (an
+    object of such lists by prime); its other keys are ignored.  A field of
+    the wrong kind, or a dimension or a prime of a record named twice, is a
+    ValueError of one line (`_jsonfile`)."""
     entries: dict[int, StemEntry] = {}
     for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
         where = f"stems record {i}"
@@ -252,22 +240,10 @@ def _entries(records: list[dict], provenance: str) -> dict[int, StemEntry]:
                 p: AbelianGroup(_list_of(fs, int, f"{where}'s {p}-primary factors",
                                          ValueError, "an order in"))
                 for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items()}
-        gens = tuple(
-            NamedGenerator(
-                name=_field(g, "name", f"{where}'s generator {j}", str, ValueError),
-                dimension=dim,
-                order=_field(g, "order", f"{where}'s generator {j}", int, ValueError),
-                note=_of_kind(g.get("note", ""), str,
-                              f"{where}'s generator {j}'s 'note'", ValueError),
-            )
-            for j, g in enumerate(_of_kind(rec.get("generators", []), list,
-                                           f"{where}'s 'generators'", ValueError))
-        )
         entries[dim] = StemEntry(
             dimension=dim,
             group=group,
             p_primary=p_primary,
-            generators=gens,
             provenance=provenance,
         )
     return entries
@@ -318,13 +294,6 @@ class StemsTable:
             return None
         return entry.group
 
-    def named_generators(self) -> dict[str, NamedGenerator]:
-        out: dict[str, NamedGenerator] = {}
-        for entry in self._entries.values():
-            for gen in entry.generators:
-                out[gen.name] = gen
-        return out
-
 
 @functools.cache
 def default_table() -> StemsTable:
@@ -337,9 +306,7 @@ def stems(n: int, table: StemsTable | None = None) -> StemEntry | Unknown:
     return (table or default_table()).stems(n)
 
 
-def _resolve_extension(
-    sub: AbelianGroup, quotient: AbelianGroup, note: str = ""
-) -> ComputedGroup:
+def _resolve_extension(sub: AbelianGroup, quotient: AbelianGroup) -> ComputedGroup:
     """Middle term of 0 → sub → E → quotient → 0, when determined.
 
     The extension is forced when either end is trivial or when the orders
@@ -352,8 +319,7 @@ def _resolve_extension(
     a, b = sub.order, quotient.order
     if a is not None and b is not None and math.gcd(a, b) == 1:
         return ComputedGroup(sub + quotient)
-    problem = GroupExtensionProblem(sub, quotient, "unknown", note)
-    return ComputedGroup(None, DERIVED, problem)
+    return ComputedGroup(None, DERIVED, GroupExtensionProblem(sub, quotient))
 
 
 def moore_homotopy(
@@ -378,23 +344,18 @@ def moore_homotopy(
         return Unknown(f"needs stable stem {missing}")
     _, coker = mult_by_n(gk, n)
     ker, _ = mult_by_n(gk1, n)
-    return _resolve_extension(
-        coker, ker, note=f"extension of pi_{k} cokernel by pi_{k - 1} kernel at n={n}"
-    )
+    return _resolve_extension(coker, ker)
 
 
-def moore_endomorphisms(
+def endomorphisms_from_sequence(
     n: int, table: StemsTable | None = None
 ) -> ComputedGroup | Unknown:
-    """The endomorphism group [S/n, S/n] of the mod-n Moore spectrum, from
-    the short exact sequence
+    """The endomorphism group [S/n, S/n] of the mod-n Moore spectrum as far
+    as the short exact sequence
 
-        0 → π₁(S/n) ⊗ Z/n → [S/n, S/n] → (n-torsion of π₀(S/n)) → 0.
+        0 → π₁(S/n) ⊗ Z/n → [S/n, S/n] → (n-torsion of π₀(S/n)) → 0
 
-    For odd n the subgroup vanishes and the result is cyclic of order n.
-    For n = 2 the sequence is 0 → Z/2 → E → Z/2 → 0 and is nonsplit: the
-    smash square S/2 ∧ S/2 carries a nonzero Sq² and is indecomposable,
-    which forces 2·id ≠ 0, so E ≅ Z/4."""
+    determines it: cyclic of order n for odd n, of order 4 at n = 2."""
     pi1 = moore_homotopy(n, 1, table)
     pi0 = moore_homotopy(n, 0, table)
     if isinstance(pi1, Unknown) or isinstance(pi0, Unknown):
@@ -403,15 +364,19 @@ def moore_endomorphisms(
         return Unknown("extension-ambiguous Moore homotopy input")
     sub = tensor_with_cyclic(pi1.group, n)
     quotient, _ = mult_by_n(pi0.group, n)
-    if n == 2:
-        problem = GroupExtensionProblem(
-            sub,
-            quotient,
-            "nonsplit",
-            "2·id is nonzero because S/2 ∧ S/2 is indecomposable (nonzero Sq²)",
-        )
-        return ComputedGroup(cyclic(4), DERIVED, problem)
-    return _resolve_extension(sub, quotient, note=f"endomorphism extension at n={n}")
+    return _resolve_extension(sub, quotient)
+
+
+def moore_endomorphisms(
+    n: int, table: StemsTable | None = None
+) -> ComputedGroup | Unknown:
+    """[S/n, S/n] (`endomorphisms_from_sequence`), with the extension of Z/2
+    by Z/2 at n = 2 taken to be Z/4, as `scenarios.scenario_prop3` derives
+    it from the nonzero Sq² on S/2 ∧ S/2: 2·id ≠ 0."""
+    endos = endomorphisms_from_sequence(n, table)
+    if n == 2 and endos == _resolve_extension(cyclic(2), cyclic(2)):
+        return ComputedGroup(cyclic(4))
+    return endos
 
 
 def positive_n_order(endos: ComputedGroup | AbelianGroup, n: int) -> bool:

@@ -170,6 +170,14 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
 
 
+def write_data(path, data):
+    """A file's bytes, its text, or the JSON text of a value."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+
+
 def assert_user_error(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -263,6 +271,9 @@ class TestFileErrors:
         # Text that is not JSON is named by the file's path.
         ('{"prime": 2,\n', "the module file {path} is not valid JSON: Expecting property "
          "name enclosed in double quotes (line 2, column 1)"),
+        # So is a file that is not UTF-8 text.
+        (b'\xff{"prime": 2}', "the module file {path} is not UTF-8 text: "
+         "invalid start byte (byte 0)"),
     ], ids=["no-prime", "no-dims", "not-an-object", "no-matrix", "no-generator",
             "negative-dim", "labels-miss-a-degree", "labels-too-long", "float-prime",
             "float-dim", "float-source-degree", "float-entry", "bool-entry", "dims-list",
@@ -271,11 +282,11 @@ class TestFileErrors:
             "dims-key-underscore", "json-key-twice", "generator-trailing-caret",
             "generator-no-index", "generator-bare-sq", "generator-two-tokens",
             "generator-fractional-index", "generator-index-zero", "generator-other-prime",
-            "prime-not-prime", "truncated"])
+            "prime-not-prime", "truncated", "not-utf8"])
     @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
     def test_malformed_module_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "bad.json"
-        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        write_data(path, data)
         files = [str(path)] * (2 if command == "tensor" else 1)
         err = assert_user_error(capsys, ["module", command, *files])
         assert err == f"torsionlab: error: {message.replace('{path}', str(path))}\n"
@@ -300,19 +311,19 @@ class TestFileErrors:
          "stems record 0's 'p_primary' has the key \"x\", not an integer prime"),
         ([{"dimension": 3, "p_primary": {" 2": [8]}}],
          "stems record 0's 'p_primary' has the key \" 2\", not an integer prime"),
-        ([{"dimension": 3, "generators": [{"name": "nu", "order": 24, "note": 5}]}],
-         "stems record 0's generator 0's 'note' is 5, not a string"),
         ('[{"dimension": 3,\n', "the stems file {path} is not valid JSON: Expecting property "
          "name enclosed in double quotes (line 2, column 1)"),
+        (b'[{"dimension": 3, "factors": [24]}]\n\xe9\n', "the stems file {path} is not "
+         "UTF-8 text: invalid continuation byte (byte 36)"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
             "list-p-primary", "float-factor", "dimension-twice", "key-twice",
-            "prime-twice", "prime-not-an-integer", "prime-with-a-space", "note-not-a-string",
-            "truncated"])
+            "prime-twice", "prime-not-an-integer", "prime-with-a-space", "truncated",
+            "not-utf8"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):
         path = tmp_path / "stems.json"
-        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        write_data(path, data)
         err = assert_user_error(capsys, ["--stems-file", str(path), *command])
         assert err == f"torsionlab: error: {message.replace('{path}', str(path))}\n"
 
@@ -530,6 +541,51 @@ class TestStemsCommands:
         code, out = run(capsys, "--json", *stems, *argv)
         assert code == 1 and json.loads(out) == payload
 
+    @pytest.mark.parametrize("argv,code,line", [
+        (("endo", "2"), 0, "[S/2, S/2] = Z/2"),
+        (("scenario", "prop3", "--n", "2"), 1,
+         "  [FAIL] [S/2, S/2] has order 4 and the defining extension is nonsplit: Z/2"),
+    ], ids=["endo", "prop3"])
+    def test_without_eta_the_sequence_gives_z2(self, capsys, tmp_path, argv, code, line):
+        # With pi_1 = 0 the exact sequence is 0 -> 0 -> E -> Z/2 -> 0, so
+        # [S/2, S/2] is Z/2 whatever Sq^2 does.
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps([{"dimension": 1, "factors": []}]))
+        got, out = run(capsys, "--stems-file", str(path), *argv)
+        assert got == code and line in out.splitlines()
+
+    @pytest.mark.parametrize("argv,ns", [
+        (("scenario", "prop3", "--n", "3"), (3,)),
+        (("scenario", "prop3", "--n", "2"), (2,)),
+        (("scenario", "all"), (3, 5, 7, 9, 15, 2)),
+    ], ids=["prop3-3", "prop3-2", "all"])
+    def test_prop3_fails_on_an_unknown_stem(self, capsys, tmp_path, argv, ns):
+        # An unknown stem fails the group step and the "hence" step, which
+        # print what is unknown; nothing is raised.
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps([{"dimension": 1, "factors": None}]))
+        code = main(["--stems-file", str(path), *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        unknown = "unknown (needs pi_1(S/n) and pi_0(S/n))"
+        lines = out.splitlines()
+        for n in ns:
+            group = (f"[S/{n}, S/{n}] is cyclic of order {n}" if n % 2 else
+                     "[S/2, S/2] has order 4 and the defining extension is nonsplit")
+            hence = f"hence {n} times the identity of S/{n} is {'zero' if n % 2 else 'nonzero'}"
+            assert f"  [FAIL] {group}: {unknown}" in lines
+            assert f"  [FAIL] {hence}: {unknown}" in lines
+
+    def test_prop3_fails_on_an_unresolved_group(self, capsys, tmp_path):
+        # With pi_1 = Z/3 the sequence leaves [S/9, S/9] an open extension
+        # of Z/9 by Z/3: a failed check (exit 1), not a user error (exit 2).
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps([{"dimension": 1, "factors": [3]}]))
+        code, out = run(capsys, "--stems-file", str(path), "scenario", "prop3", "--n", "9")
+        assert code == 1
+        assert ("  [FAIL] hence 9 times the identity of S/9 is zero: "
+                "group of order 27 (unknown extension)") in out.splitlines()
+
     def test_a_stems_file_leaves_the_shared_table(self, capsys, tmp_path):
         # The table of one call is not the next call's.
         extra = tmp_path / "extra.json"
@@ -629,3 +685,18 @@ class TestScenarios:
         assert was.passed and not now.passed
         assert was.result == f"positive {n}-order: {n != 2}"
         assert now.result == f"positive {n}-order: {n == 2}"
+
+    def test_prop3_derives_z4_from_the_smash_square(self, monkeypatch):
+        # In place of S/2 smash S/2, the cohomology of the split S/2 v S/2[1],
+        # whose Sq^2 from degree 0 is zero: nothing then shows that the
+        # extension is nonsplit, and Z/4 is not concluded.
+        from torsionlab import scenarios
+        from torsionlab.modules import direct_sum, shift
+
+        m2 = moore_module(2)
+        monkeypatch.setattr(scenarios, "tensor", lambda a, b: direct_sum(m2, shift(m2, 1)))
+        steps = {s.claim: s for s in scenarios.scenario_prop3(2).steps}
+        for claim in ("[S/2, S/2] has order 4 and the defining extension is nonsplit",
+                      "hence 2 times the identity of S/2 is nonzero"):
+            assert not steps[claim].passed
+            assert steps[claim].result == "group of order 4 (unknown extension)"

@@ -662,6 +662,16 @@ class TestConstructors:
         assert FiniteModule(2, {0: 1, 1: 0, 2: 2}, {},
                             labels={0: ["a"], 2: ["b", "c"]}).labels[2] == ["b", "c"]
 
+    @pytest.mark.parametrize("dims,labels,message", [
+        ({0: 2}, {0: "ab"}, 'the labels of degree 0 is "ab", not a list'),
+        ({0: 1}, {0: [5]}, "an item of the labels of degree 0 is 5, not a string"),
+    ], ids=["string", "int-label"])
+    def test_rejects_labels_a_module_file_cannot_hold(self, dims, labels, message):
+        # The module file reader's refusal, so that a module saves only
+        # what loads again.
+        with pytest.raises(ModuleError, match=f"^{re.escape(message)}$"):
+            FiniteModule(2, dims, {}, labels=labels)
+
 
 class TestLayout:
     def test_every_construction_round_trips_through_its_blocks(self):
@@ -1593,3 +1603,14 @@ class TestSerialization:
             path = tmp_path / "m.json"
             save_module(m, str(path))
             assert load_module(str(path)) == m
+
+    def test_labelled_tensor_round_trips(self, tmp_path):
+        from torsionlab import save_module
+
+        square = tensor(moore_module(2), moore_module(2))
+        path = tmp_path / "square.json"
+        save_module(square, str(path))
+        again = load_module(str(path))
+        assert again == square
+        assert again.labels == square.labels == {
+            0: ["e0*e0"], 1: ["e0*e1", "e1*e0"], 2: ["e1*e1"]}

@@ -144,21 +144,18 @@ class TestTable:
             assert entry.group is None
             assert entry.p_primary[3] == TRIVIAL
 
-    def test_named_generators(self):
-        gens = default_table().named_generators()
-        assert gens["eta"].dimension == 1 and gens["eta"].order == 2
-        assert gens["beta_1"].dimension == 10 and gens["beta_1"].order == 3
-        assert gens["alpha_1"].order == 3
-
     def test_merge_external_file(self, tmp_path):
-        # An entry's provenance is its source's, whatever the file names.
+        # An entry's provenance is its source's, whatever the file names,
+        # and a record's "generators" are ignored as its "provenance" is.
         extra = tmp_path / "extra.json"
         extra.write_text(json.dumps([
             {"dimension": 7, "factors": [240]},
             {"dimension": 8, "factors": [2, 2], "provenance": "table"},
-            {"dimension": 9, "factors": [2, 2, 2], "provenance": 7}]))
+            {"dimension": 9, "factors": [2, 2, 2], "provenance": 7},
+            {"dimension": 11, "factors": [504], "generators": [{"name": "zeta", "note": 5}]}]))
         table = StemsTable.load_default().with_file(str(extra))
         assert table.stems(7).group == cyclic(240)
+        assert table.stems(11).group == cyclic(504)
         assert [table.stems(n).provenance for n in (7, 8, 9)] == ["external"] * 3
         # The default table is untouched.
         assert isinstance(stems(7), Unknown)
@@ -263,7 +260,6 @@ class TestMooreHomotopy:
         assert r.group is None
         assert r.order == 4
         assert isinstance(r.extension, GroupExtensionProblem)
-        assert r.extension.resolution == "unknown"
 
     def test_unknown_when_stems_missing(self):
         assert isinstance(moore_homotopy(2, 7), Unknown)
@@ -299,7 +295,12 @@ class TestMooreEndomorphisms:
         endos = moore_endomorphisms(2)
         assert endos.group == cyclic(4)
         assert endos.order == 4
-        assert endos.extension.resolution == "nonsplit"
+
+    def test_mod_two_follows_its_sequence(self):
+        # With pi_1 = 0 the sequence is 0 -> 0 -> E -> Z/2 -> 0: E is Z/2.
+        table = StemsTable.from_records(
+            [{"dimension": 0, "factors": [0]}, {"dimension": 1, "factors": []}])
+        assert moore_endomorphisms(2, table).group == cyclic(2)
 
     def test_unknown_when_moore_homotopy_is_ambiguous(self):
         # With pi_0 = pi_1 = Z/2, pi_1(S/2) is an unresolved extension of

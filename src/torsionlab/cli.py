@@ -9,8 +9,9 @@ results and errors both leave through `main`: it prints the payload as
 JSON with --json and the text otherwise, and returns the status.  Exit
 status is 0 exactly when every requested check passes, 1 when a check
 fails or a value is unknown, 2 for a usage error such as a non-prime
---prime, a malformed expression, or a module or stems file that is missing
-or malformed, and 141 (128 + SIGPIPE) when the reader of its output closes
+--prime, a negative --max-degree for oracle-check, a malformed expression,
+a module or stems file that is missing or malformed, or a module too large
+to allocate, and 141 (128 + SIGPIPE) when the reader of its output closes
 the pipe early."""
 
 from __future__ import annotations
@@ -317,8 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         # SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (SteenrodError, mod.ModuleError, ValueError, OSError) as exc:
-        print(f"torsionlab: error: {exc}", file=sys.stderr)
+    except (SteenrodError, mod.ModuleError, ValueError, OSError, MemoryError) as exc:
+        # numpy names the size it could not allocate; a bare MemoryError has no text.
+        print(f"torsionlab: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -215,7 +215,9 @@ def _max_bockstein_count(e: SteenrodElement) -> int:
 def checked_degree(diff: SteenrodElement, max_degree: int) -> int:
     """The degree through which oracle_equal(a, b, max_degree) checks, for
     diff = a - b: max_degree, raised to the highest monomial degree of
-    diff."""
+    diff.  A negative max_degree is a ValueError."""
+    if max_degree < 0:
+        raise ValueError(f"the degree bound must be non-negative, not {max_degree}")
     return max([max_degree] + [m.degree for m in diff._terms])
 
 
@@ -228,14 +230,14 @@ def oracle_equal(a: SteenrodElement, b: SteenrodElement,
     Bocksteins in a word of a - b, with r = d at p = 2 and
     r = d // (2(p-1)) + 1 at odd p, where d = checked_degree(a - b,
     max_degree): a difference above the given bound is never reported
-    equal."""
+    equal, and a negative bound is a ValueError, also for equal operands."""
     if a.prime != b.prime:
         raise PrimeMismatchError("cannot compare elements over different primes")
     diff = a - b
+    d = checked_degree(diff, max_degree)
     if diff.is_zero():
         return True
     p = a.prime
-    d = checked_degree(diff, max_degree)
     r = max(1, d) if p == 2 else d // (2 * (p - 1)) + 1
     return not any(_orbit_action(diff, q, r)
                    for q in range(_max_bockstein_count(diff) + 1))

@@ -189,15 +189,12 @@ def scenario_prop5(table: StemsTable | None = None) -> ScenarioReport:
     table = table or default_table()
     for dim in (21, 22, 33, 34):
         entry = stems(dim, table)
-        ok = (
-            not isinstance(entry, Unknown)
-            and 3 in entry.p_primary
-            and entry.p_primary[3].is_trivial
-        )
+        part = entry if isinstance(entry, Unknown) else entry.primary_part(3)
+        ok = not isinstance(part, Unknown) and part.is_trivial
         report.check(
             f"the 3-primary part of the stable stem in dimension {dim} is trivial",
             ok,
-            "trivial" if ok else str(entry),
+            "trivial" if ok else str(part),
         )
     cb = hypothetical_Cb_module()
     report.check(

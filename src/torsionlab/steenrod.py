@@ -499,97 +499,71 @@ def adem_normalize(e: SteenrodElement) -> SteenrodElement:
 # Admissible basis enumeration
 # ---------------------------------------------------------------------------
 
-# Both enumerators run a depth-first search that tries first letters in
-# descending order.  No two words of one degree are prefixes of each other,
-# so the search emits the canonical descending order on degree sequences
-# and needs no sort.  Words are built from the shared `_letters(p)`.  Each
-# runs once per (p, degree): `_basis` keeps its monomials for the process,
-# and `admissible_basis` hands out a new list of them on every call.
-
-def _admissible_words_2(d: int) -> list[Monomial]:
-    # Words Sq^{i_1}..Sq^{i_k} with i_j >= 2 i_{j+1}, total degree d.  The
-    # largest degree a word with first letter <= c reaches is
-    # c + c//2 + c//4 + ... = 2c - (number of 1 bits of c), and every
-    # degree from 0 up to it is reached.
-    letters = _letters(2)
-    out: list[Monomial] = []
-
-    def rec(prefix: tuple[Generator, ...], remaining: int, cap: int) -> None:
-        for i in range(min(cap, remaining), 0, -1):
-            rest, c = remaining - i, i // 2
-            if rest > 2 * c - c.bit_count():
-                break
-            if rest:
-                rec(prefix + (letters[i],), rest, c)
-            else:
-                out.append(Monomial(2, prefix + (letters[i],)))
-
-    if d == 0:
-        return [Monomial(2, ())]
-    rec((), d, d)
-    return out
-
-
-# At odd p the reachable degrees have gaps (letters have degree q = 2(p-1)
-# or 1), so reachability is kept exactly, as bit masks over degrees.
+# One depth-first search serves every prime.  A word is a chain of moves:
+# the move of power s is Sq^s at p = 2, and P^s or P^s b at odd p, where a
+# single b may also lead the word.  Admissibility caps the power after a
+# move, and `_reach` tells whether the degree left after a move can be made.
+# Powers are tried in descending order, P^s before P^s b, and no two words
+# of one degree are prefixes of each other, so the search emits the
+# canonical order with no sort.  Words are built from the shared letters.
 
 @functools.cache
-def _chain_degrees(cap: int, p: int) -> int:
-    """Bit mask of the degrees of chains (see `_admissible_words_odd`)
-    whose first letter P^s has s <= cap."""
-    mask = 0
+def _moves(p: int, s: int) -> tuple[tuple[tuple[Generator, ...], int, int, int], ...]:
+    """The moves of power s at p, as (letters, degree, cap, reach): the
+    letters a move appends and their degree, the cap (s - len(letters) + 1)
+    // p on the next power, and `_reach(p, cap)`."""
+    power = _letters(p)[s]
+    moves = []
+    for letters in [(power,)] if p == 2 else [(power,), (power, BOCKSTEIN)]:
+        cap = (s - len(letters) + 1) // p
+        degree = sum(map(_degrees(p).__getitem__, letters))
+        moves.append((letters, degree, cap, _reach(p, cap)))
+    return tuple(moves)
+
+
+@functools.cache
+def _reach(p: int, cap: int) -> int:
+    """Bit mask of the degrees of the chains of moves whose first power is
+    at most cap, the empty chain (degree 0) included."""
+    mask = 1
     for s in range(1, cap + 1):
-        mask |= _after_degrees(s, p) << 2 * (p - 1) * s
+        for _, degree, _, reach in _moves(p, s):
+            mask |= reach << degree
     return mask
-
-
-@functools.cache
-def _after_degrees(s: int, p: int) -> int:
-    """Bit mask of the degrees that can follow P^s in a chain: nothing, b,
-    a chain capped at s//p, or b and a chain capped at (s-1)//p."""
-    return 0b11 | _chain_degrees(s // p, p) | _chain_degrees((s - 1) // p, p) << 1
-
-
-def _admissible_words_odd(d: int, p: int) -> list[Monomial]:
-    # Chains P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with s_j >= p s_{j+1} + e_j,
-    # optionally preceded by a single b.  A P letter has degree q >= 4 and
-    # b has degree 1, so trying the next P before the next b keeps the
-    # descending order.
-    q = 2 * (p - 1)
-    letters = _letters(p)
-    out: list[Monomial] = []
-
-    def chains(prefix: tuple[Generator, ...], remaining: int, cap: int) -> None:
-        # Chains starting with P^s, s <= cap.
-        for s in range(min(cap, remaining // q), 0, -1):
-            rest = remaining - q * s
-            after = _after_degrees(s, p) >> rest
-            if not after:
-                break  # smaller s leave more degree and reach less
-            if not after & 1:
-                continue
-            word = prefix + (letters[s],)
-            if rest == 0:
-                out.append(Monomial(p, word))
-            elif rest == 1:
-                out.append(Monomial(p, word + (BOCKSTEIN,)))
-            else:
-                # Next P exponent s2 must satisfy s >= p*s2 + eps.
-                chains(word, rest, s // p)
-                chains(word + (BOCKSTEIN,), rest - 1, (s - 1) // p)
-
-    if d <= 1:
-        return [Monomial(p, (BOCKSTEIN,) * d)]
-    chains((), d, d)
-    chains((BOCKSTEIN,), d - 1, d)
-    return out
 
 
 @functools.cache
 def _basis(p: int, deg: int) -> tuple[Monomial, ...]:
     """The admissible monomials of degree deg at the prime p, built once
-    per (p, deg) for the process; p and deg are checked by the caller."""
-    return tuple(_admissible_words_2(deg) if p == 2 else _admissible_words_odd(deg, p))
+    per (p, deg) for the process, so that calls share its monomials; p and
+    deg are checked by the caller."""
+    step = _degrees(p)[_letters(p)[1]]  # the degree of the power 1
+    moves = {s: _moves(p, s) for s in range(1, deg // step + 1)}
+    out: list[Monomial] = []
+
+    def search(prefix: tuple[Generator, ...], left: int, cap: int) -> None:
+        # The words prefix + chain, for the chains of degree left > 0 whose
+        # first power is at most cap.
+        for s in range(min(cap, left // step), 0, -1):
+            alive = False
+            for letters, degree, next_cap, reach in moves[s]:
+                rest = left - degree
+                if rest >= 0 and (after := reach >> rest):
+                    alive = True
+                    if not rest:
+                        out.append(Monomial(p, prefix + letters))
+                    elif after & 1:
+                        search(prefix + letters, rest, next_cap)
+            if not alive:
+                break  # smaller powers leave more degree and reach less
+
+    for prefix in ((), (BOCKSTEIN,)) if BOCKSTEIN.valid_at(p) else ((),):
+        left = deg - len(prefix)
+        if left > 0:
+            search(prefix, left, deg)
+        elif left == 0:
+            out.append(Monomial(p, prefix))
+    return tuple(out)
 
 
 def admissible_basis(p: int, deg: int) -> list[Monomial]:

@@ -17,6 +17,7 @@ from importlib import resources
 from types import MappingProxyType
 
 from ._jsonfile import _by_int_key, _field, _list_of, _load, _of_kind, _read
+from .steenrod import _is_prime
 
 # Provenance tags.  "table" marks values shipped with the package, "external"
 # marks values merged in from a user-supplied stems file, "derived" marks
@@ -215,19 +216,33 @@ class StemEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_primary", MappingProxyType(dict(self.p_primary)))
 
+    def primary_part(self, p: int) -> AbelianGroup | Unknown:
+        """The p-primary part of the stem, read off the group when the
+        group is known, else the stored p-primary part, else Unknown."""
+        if self.group is not None:
+            return self.group.p_primary(p)
+        if p in self.p_primary:
+            return self.p_primary[p]
+        return Unknown(f"the {p}-primary part of stable stem {self.dimension} "
+                       "is not in the table")
+
 
 def _entries(records: list[dict], provenance: str) -> dict[int, StemEntry]:
     """One entry per record, each labelled with the provenance of its
     source, whatever the record says: TABLE for the shipped file, EXTERNAL
-    for a user's.  A record is an object with an integer "dimension" and
-    optionally "factors" (a list of integer orders) and "p_primary" (an
-    object of such lists by prime); its other keys are ignored.  A field of
-    the wrong kind, or a dimension or a prime of a record named twice, is a
-    ValueError of one line (`_jsonfile`)."""
+    for a user's.  A record is an object with a non-negative integer
+    "dimension" and optionally "factors" (a list of integer orders) and
+    "p_primary" (an object of lists of powers of p by prime p, which must
+    agree with "factors" when both are given); its other keys are ignored.
+    A field of the wrong kind, or a dimension or a prime of a record named
+    twice, is a ValueError of one line (`_jsonfile`), and so is a value
+    outside those bounds."""
     entries: dict[int, StemEntry] = {}
     for i, rec in enumerate(_of_kind(records, list, "the stems file", ValueError)):
         where = f"stems record {i}"
         dim = _field(rec, "dimension", where, int, ValueError)
+        if dim < 0:
+            raise ValueError(f"{where}'s 'dimension' is {dim}, not a non-negative integer")
         if dim in entries:
             raise ValueError(f"{where} gives dimension {dim} a second time")
         group = None
@@ -236,10 +251,18 @@ def _entries(records: list[dict], provenance: str) -> dict[int, StemEntry]:
                                           ValueError, "an order in"))
         p_primary = {}
         if "p_primary" in rec:
-            p_primary = {
-                p: AbelianGroup(_list_of(fs, int, f"{where}'s {p}-primary factors",
-                                         ValueError, "an order in"))
-                for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items()}
+            for p, fs in _by_int_key(rec, "p_primary", where, "prime", ValueError).items():
+                if not _is_prime(p):
+                    raise ValueError(f"{where}'s 'p_primary' names {p}, not a prime")
+                what = f"{where}'s {p}-primary factors"
+                orders = _list_of(fs, int, what, ValueError, "an order in")
+                for f in orders:
+                    if f < 1 or cyclic(f).p_primary(p).order != f:
+                        raise ValueError(f"an order in {what} is {f}, not a power of {p}")
+                part = p_primary[p] = AbelianGroup(orders)
+                if group is not None and group.p_primary(p) != part:
+                    raise ValueError(f"{what} give {part}, but its 'factors' give "
+                                     f"{group.p_primary(p)}")
         entries[dim] = StemEntry(
             dimension=dim,
             group=group,

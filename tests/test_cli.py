@@ -160,6 +160,8 @@ class TestUserErrors:
         ("associator", "0"),
         ("exotic", "verify", "--max-rank", "-1"),
         ("exotic", "verify", "--max-rank", "4"),
+        ("--max-degree", "-5", "oracle-check", "Sq^1"),
+        ("--json", "--max-degree", "-5", "oracle-check", "Sq^1", "Sq^1"),
     ])
     def test_one_line_and_exit_two(self, capsys, argv):
         code = main(list(argv))
@@ -291,6 +293,15 @@ class TestFileErrors:
         err = assert_user_error(capsys, ["module", command, *files])
         assert err == f"torsionlab: error: {message.replace('{path}', str(path))}\n"
 
+    @pytest.mark.parametrize("command", ["check", "tensor", "decompose"])
+    def test_module_too_large_to_allocate(self, capsys, tmp_path, command):
+        # A 10^9 x 10^9 matrix of int64 needs 6.94 EiB, more than any address
+        # space, so the allocation fails at once without touching memory.
+        path = tmp_path / "huge.json"
+        write_data(path, {"prime": 2, "dims": {"0": 1000000000}})
+        files = [str(path)] * (2 if command == "tensor" else 1)
+        assert "allocate" in assert_user_error(capsys, ["module", command, *files])
+
     @pytest.mark.parametrize("data,message", [
         ({"dimension": 3, "factors": [24]},
          'the stems file is {"dimension": 3, "factors": [24]}, not a list'),
@@ -315,10 +326,23 @@ class TestFileErrors:
          "name enclosed in double quotes (line 2, column 1)"),
         (b'[{"dimension": 3, "factors": [24]}]\n\xe9\n', "the stems file {path} is not "
          "UTF-8 text: invalid continuation byte (byte 36)"),
+        ([{"dimension": -1, "factors": [2]}],
+         "stems record 0's 'dimension' is -1, not a non-negative integer"),
+        ([{"dimension": 3, "p_primary": {"4": [2]}}],
+         "stems record 0's 'p_primary' names 4, not a prime"),
+        ([{"dimension": 3, "p_primary": {"-3": [3]}}],
+         "stems record 0's 'p_primary' names -3, not a prime"),
+        ([{"dimension": 3, "p_primary": {"3": [2]}}],
+         "an order in stems record 0's 3-primary factors is 2, not a power of 3"),
+        ([{"dimension": 3, "p_primary": {"3": [0]}}],
+         "an order in stems record 0's 3-primary factors is 0, not a power of 3"),
+        ([{"dimension": 3, "factors": [24], "p_primary": {"2": [8], "3": [9]}}],
+         "stems record 0's 3-primary factors give Z/9, but its 'factors' give Z/3"),
     ], ids=["top-level-object", "record-not-an-object", "no-dimension", "int-factors",
             "list-p-primary", "float-factor", "dimension-twice", "key-twice",
             "prime-twice", "prime-not-an-integer", "prime-with-a-space", "truncated",
-            "not-utf8"])
+            "not-utf8", "negative-dimension", "prime-not-prime", "prime-negative",
+            "order-not-a-prime-power", "order-infinite", "primary-part-contradicts-factors"])
     @pytest.mark.parametrize("command", [("pi", "3"), ("scenario", "prop6", "--n", "3")],
                              ids=["pi", "prop6"])
     def test_malformed_stems_file(self, capsys, tmp_path, data, message, command):
@@ -639,6 +663,26 @@ class TestScenarios:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"torsionlab: error: prop3 is stated for odd n and n = 2, not n = {n}\n"
+
+    @pytest.mark.parametrize("stem, code, result", [
+        (None, 0, "trivial"),
+        ({"dimension": 21, "factors": [2, 2]}, 0, "trivial"),
+        ({"dimension": 21, "factors": [6]}, 1, "Z/3"),
+        ({"dimension": 21, "factors": None},
+         1, "unknown (the 3-primary part of stable stem 21 is not in the table)"),
+    ], ids=["shipped", "full-group", "three-torsion", "nothing-known"])
+    def test_prop5_reads_the_three_primary_part(self, capsys, tmp_path, stem, code, result):
+        # pi_21 = Z/2 + Z/2 has trivial 3-primary part, whether the table
+        # gives the whole group or only its 3-primary part.
+        argv = ["scenario", "prop5"]
+        if stem is not None:
+            write_data(tmp_path / "stems.json", [stem])
+            argv = ["--stems-file", str(tmp_path / "stems.json"), *argv]
+        got, out = run(capsys, *argv)
+        assert got == code
+        mark = "ok" if code == 0 else "FAIL"
+        assert (f"  [{mark}] the 3-primary part of the stable stem in dimension 21 "
+                f"is trivial: {result}") in out.splitlines()
 
     @pytest.mark.parametrize("name", ["prop2", "prop5", "exotic", "all"])
     def test_scenarios_without_n_refuse_it(self, capsys, name):

@@ -35,7 +35,7 @@ from torsionlab import (
     parse_expression,
 )
 from torsionlab import oracle
-from torsionlab.oracle import _orbit_action, _step, _y_splits
+from torsionlab.oracle import _orbit_action, _step, _y_splits, checked_degree
 from torsionlab.steenrod import lucas
 
 from test_acceptance import criterion_2_words
@@ -737,6 +737,12 @@ class TestOracleEqual:
         z = SteenrodElement.zero(2)
         assert oracle_equal(z, z, 5)
         assert oracle_equal(el("Sq^1 Sq^1", 2), z, 5)
+
+    def test_negative_bound_is_refused_first(self):
+        z = SteenrodElement.zero(2)
+        for call in (lambda: oracle_equal(z, z, -1), lambda: checked_degree(z, -1)):
+            with pytest.raises(ValueError, match="^the degree bound must be non-negative, not -1$"):
+                call()
 
     def test_difference_above_degree_bound_is_not_equal(self):
         # The bound is raised to the degree of a - b, so an element of

@@ -662,7 +662,7 @@ class TestAdmissibleBasis:
         normal = adem_normalize(el("Sq^2 Sq^4 + Sq^1 Sq^2 Sq^3", 2))
         assert set(normal.terms) <= basis
 
-    @pytest.mark.parametrize("p, top", [(2, 100), (3, 200), (5, 300)])
+    @pytest.mark.parametrize("p, top", [(2, 100), (3, 200), (5, 300), (7, 420)])
     def test_matches_recursive_enumerator(self, p, top):
         for d in range(top + 1):
             assert admissible_basis(p, d) == reference_basis(p, d), d
@@ -671,6 +671,38 @@ class TestAdmissibleBasis:
     def test_sizes_match_poincare_series(self, p, top):
         series = poincare_series(p, top)
         assert [len(admissible_basis(p, d)) for d in range(top + 1)] == series
+
+
+class TestReach:
+    """`_reach(p, cap)`, the degrees of the chains under a cap, on which
+    the search prunes."""
+
+    def test_closed_form_at_two(self):
+        # The largest degree is c + c//2 + c//4 + ... = 2c - popcount(c),
+        # and every degree below it is made too.
+        for c in range(301):
+            assert steenrod._reach(2, c) == (1 << 2 * c - c.bit_count() + 1) - 1, c
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_brute_force_at_odd_primes(self, p):
+        pairs = brute_chain_degrees(p, 30)
+        for cap in range(31):
+            degrees = {0} | {d for s, d in pairs if s <= cap}
+            assert steenrod._reach(p, cap) == sum(1 << d for d in degrees), cap
+
+
+def brute_chain_degrees(p, top):
+    """(s_1, degree) of every chain P^{s_1} b^{e_1} ... P^{s_k} b^{e_k} with
+    s_1 <= top, found by testing the admissibility condition
+    s_j >= p s_{j+1} + e_j on every exponent sequence with s_j <= top // p^(j-1)."""
+    q = 2 * (p - 1)
+    pairs = set()
+    for k in range(1, top.bit_length() + 1):
+        for powers in itertools.product(*(range(1, top // p ** j + 1) for j in range(k))):
+            for eps in itertools.product((0, 1), repeat=k):
+                if all(powers[j] >= p * powers[j + 1] + eps[j] for j in range(k - 1)):
+                    pairs.add((powers[0], q * sum(powers) + sum(eps)))
+    return pairs
 
 
 class TestBasisMemo:

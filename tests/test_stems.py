@@ -144,6 +144,12 @@ class TestTable:
             assert entry.group is None
             assert entry.p_primary[3] == TRIVIAL
 
+    def test_primary_part_reads_the_group_first(self):
+        assert stems(3).primary_part(3) == cyclic(3)
+        assert stems(21).primary_part(3) == TRIVIAL
+        assert str(stems(21).primary_part(5)) == (
+            "unknown (the 5-primary part of stable stem 21 is not in the table)")
+
     def test_merge_external_file(self, tmp_path):
         # An entry's provenance is its source's, whatever the file names,
         # and a record's "generators" are ignored as its "provenance" is.

@@ -603,12 +603,14 @@ class VerificationReport:
     """Outcome of the exhaustive low-rank axiom checks."""
 
     max_rank: int
-    passed: bool
     steps: list[tuple[str, bool]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.steps)
 
     def add(self, description: str, ok: bool) -> None:
         self.steps.append((description, ok))
-        self.passed = self.passed and ok
 
 
 def verify_axioms(max_rank: int = 2) -> VerificationReport:
@@ -616,7 +618,7 @@ def verify_axioms(max_rank: int = 2) -> VerificationReport:
     bounded by max_rank, of: vanishing consecutive composites, closure
     under rotation, closure under direct sums, and existence of TR3
     fill-ins for every commuting pair."""
-    report = VerificationReport(max_rank=max_rank, passed=True)
+    report = VerificationReport(max_rank=max_rank)
     reps = distinguished_representatives(max_rank)
     report.add(f"enumerated {len(reps)} class representatives", len(reps) > 0)
     report.add("consecutive composites vanish on every representative",
@@ -639,8 +641,11 @@ class TwoOrderCertificate:
     cone_rank: int
     cone_is_rank_one: bool
     two_cone_nonzero: bool
-    passed: bool
     lines: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.two_id_nonzero and self.cone_is_rank_one and self.two_cone_nonzero
 
 
 def two_order_zero_certificate() -> TwoOrderCertificate:
@@ -655,7 +660,6 @@ def two_order_zero_certificate() -> TwoOrderCertificate:
     cone_rank = cone_triangle.g.target if cone_triangle is not None else -1
     cone_is_rank_one = cone_rank == 1
     two_cone_nonzero = cone_rank >= 0 and not two_times_identity(cone_rank).is_zero
-    passed = nonzero and cone_is_rank_one and two_cone_nonzero
     lines = [
         f"2*Id on Z/4 is the matrix [[2]] != [[0]]: {nonzero}",
         f"cone(2*Id) found in the distinguished class with rank {cone_rank}",
@@ -668,6 +672,5 @@ def two_order_zero_certificate() -> TwoOrderCertificate:
         cone_rank=cone_rank,
         cone_is_rank_one=cone_is_rank_one,
         two_cone_nonzero=two_cone_nonzero,
-        passed=passed,
         lines=lines,
     )

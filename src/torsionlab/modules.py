@@ -255,7 +255,9 @@ def _offsets(sizes: dict[int, int]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def sphere_module(p: int, d: int = 0) -> FiniteModule:
-    """One cell in degree d, all actions zero."""
+    """One cell in degree d, all actions zero.  A degree that is not an
+    integer is refused, as the constructor refuses it."""
+    d = _integer(d, "the degree")
     return FiniteModule._whole(check_prime(p), {d: 1}, fp.zeros(1, 1), labels={d: [f"s{d}"]})
 
 
@@ -267,7 +269,9 @@ def moore_module(p: int) -> FiniteModule:
 
 
 def shift(M: FiniteModule, k: int) -> FiniteModule:
-    """M with every degree raised by k; T is M's."""
+    """M with every degree raised by k; T is M's.  A shift that is not an
+    integer is refused, as the constructor refuses such a degree."""
+    k = _integer(k, "the shift")
     labels = ({d + k: list(v) for d, v in M.labels.items()}
               if M.labels else None)
     return FiniteModule._whole(M.prime, {d + k: n for d, n in M.dims.items()},

@@ -235,8 +235,6 @@ def oracle_equal(a: SteenrodElement, b: SteenrodElement,
         raise PrimeMismatchError("cannot compare elements over different primes")
     diff = a - b
     d = checked_degree(diff, max_degree)
-    if diff.is_zero():
-        return True
     p = a.prime
     r = max(1, d) if p == 2 else d // (2 * (p - 1)) + 1
     return not any(_orbit_action(diff, q, r)

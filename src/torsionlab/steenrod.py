@@ -369,23 +369,19 @@ def lucas(n: int, k: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _first_rewrite(word: IntWord, p: int) -> tuple[int, str] | None:
-    """Position and kind of the leftmost inadmissible pattern, or None."""
+    """Position and kind of the leftmost inadmissible pattern, or None; a
+    word at p = 2 holds no b (letter 0), so only `pp`, a < 2b, fires there."""
     n = len(word)
-    for j in range(n):
-        if p == 2:
-            if j + 1 < n and word[j] < 2 * word[j + 1]:
+    for j in range(n - 1):
+        a, b = word[j], word[j + 1]
+        if a == 0:
+            if b == 0:
+                return j, "bb"
+        elif b:
+            if a < p * b:
                 return j, "pp"
-        else:
-            if word[j] == 0:
-                if j + 1 < n and word[j + 1] == 0:
-                    return j, "bb"
-            else:
-                if j + 1 < n:
-                    if word[j + 1] >= 1 and word[j] < p * word[j + 1]:
-                        return j, "pp"
-                    if (word[j + 1] == 0 and j + 2 < n and word[j + 2] >= 1
-                            and word[j] <= p * word[j + 2]):
-                        return j, "pbp"
+        elif j + 2 < n and word[j + 2] and a <= p * word[j + 2]:
+            return j, "pbp"
     return None
 
 
@@ -532,11 +528,39 @@ def _reach(p: int, cap: int) -> int:
     return mask
 
 
+# The most monomials a basis is built with: at p = 2, degree 499 has
+# 999 982, which take about 3 s and 200 MB, and degree 500 is refused.
+MAX_BASIS_SIZE = 10 ** 6
+
+
+def _basis_size(p: int, deg: int) -> int:
+    """The number of admissible monomials of degree deg at p, read from
+    Milnor's Poincaré series ("The Steenrod algebra and its dual", 1958):
+    prod 1/(1 - t^(2^i - 1)) at p = 2, and
+    prod (1 + t^(2p^i - 1)) * prod 1/(1 - t^(2(p^i - 1))) at odd p."""
+    series = [1] + [0] * deg
+    for i in range(deg.bit_length() + 1):  # a part above deg does nothing
+        if i:  # times 1/(1 - t^k)
+            k = 2 ** i - 1 if p == 2 else 2 * (p ** i - 1)
+            for n in range(k, deg + 1):
+                series[n] += series[n - k]
+        if p != 2:  # times (1 + t^k)
+            k = 2 * p ** i - 1
+            for n in range(deg, k - 1, -1):
+                series[n] += series[n - k]
+    return series[deg]
+
+
 @functools.cache
 def _basis(p: int, deg: int) -> tuple[Monomial, ...]:
     """The admissible monomials of degree deg at the prime p, built once
     per (p, deg) for the process, so that calls share its monomials; p and
-    deg are checked by the caller."""
+    deg are checked by the caller.  A basis of more than MAX_BASIS_SIZE
+    monomials, counted before any is built, is a ValueError."""
+    size = _basis_size(p, deg)
+    if size > MAX_BASIS_SIZE:
+        raise ValueError(f"the admissible basis in degree {deg} at p = {p} has "
+                         f"{size} monomials, above the bound of {MAX_BASIS_SIZE}")
     step = _degrees(p)[_letters(p)[1]]  # the degree of the power 1
     moves = {s: _moves(p, s) for s in range(1, deg // step + 1)}
     out: list[Monomial] = []
@@ -573,7 +597,8 @@ def admissible_basis(p: int, deg: int) -> list[Monomial]:
     it can still be reached, so the work grows with the size of the basis.
     Each basis is built once per (p, degree) and kept for the process, so
     calls share its immutable monomials; every call returns a new list,
-    which the caller may change.  p and deg are checked on every call."""
+    which the caller may change.  p and deg are checked on every call, and
+    a basis of more than MAX_BASIS_SIZE monomials is refused."""
     p = check_prime(p)
     deg = operator.index(deg)
     if deg < 0:

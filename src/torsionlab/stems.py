@@ -78,7 +78,7 @@ class AbelianGroup:
         """Number of elements, or None for an infinite group."""
         if not self.is_finite:
             return None
-        return math.prod(self.factors) if self.factors else 1
+        return math.prod(self.factors)
 
     @property
     def exponent(self) -> int | None:
@@ -135,13 +135,6 @@ def mult_by_n(group: AbelianGroup, n: int) -> tuple[AbelianGroup, AbelianGroup]:
             kernel.append(g)
             cokernel.append(g)
     return AbelianGroup(tuple(kernel)), AbelianGroup(tuple(cokernel))
-
-
-def tensor_with_cyclic(group: AbelianGroup, n: int) -> AbelianGroup:
-    """G ⊗ Z/n, computed factorwise (Z/m ⊗ Z/n = Z/gcd(m,n))."""
-    n = abs(n)
-    parts = [n if f == 0 else math.gcd(f, n) for f in group.factors]
-    return AbelianGroup(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -329,16 +322,14 @@ def stems(n: int, table: StemsTable | None = None) -> StemEntry | Unknown:
     return (table or default_table()).stems(n)
 
 
+@functools.lru_cache(maxsize=256)  # immutable pairs, asked again on every run
 def _resolve_extension(sub: AbelianGroup, quotient: AbelianGroup) -> ComputedGroup:
     """Middle term of 0 → sub → E → quotient → 0, when determined.
 
-    The extension is forced when either end is trivial or when the orders
-    are coprime (then E is the direct sum); otherwise only the order is
-    reported, together with the open extension problem."""
-    if sub.is_trivial:
-        return ComputedGroup(quotient)
-    if quotient.is_trivial:
-        return ComputedGroup(sub)
+    The extension is the direct sum when the orders are coprime, a trivial
+    end (order 1) included; otherwise only the order is reported, together
+    with the open extension problem.  Both ends are finite for n ≥ 1: the
+    cokernel and kernel of n on Z are Z/n and 0."""
     a, b = sub.order, quotient.order
     if a is not None and b is not None and math.gcd(a, b) == 1:
         return ComputedGroup(sub + quotient)
@@ -385,7 +376,7 @@ def endomorphisms_from_sequence(
         return Unknown("needs pi_1(S/n) and pi_0(S/n)")
     if pi1.group is None or pi0.group is None:
         return Unknown("extension-ambiguous Moore homotopy input")
-    sub = tensor_with_cyclic(pi1.group, n)
+    _, sub = mult_by_n(pi1.group, n)  # G ⊗ Z/n = G/nG
     quotient, _ = mult_by_n(pi0.group, n)
     return _resolve_extension(sub, quotient)
 

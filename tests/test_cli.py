@@ -162,6 +162,8 @@ class TestUserErrors:
         ("exotic", "verify", "--max-rank", "4"),
         ("--max-degree", "-5", "oracle-check", "Sq^1"),
         ("--json", "--max-degree", "-5", "oracle-check", "Sq^1", "Sq^1"),
+        ("basis", "500"),
+        ("--json", "basis", "500"),
     ])
     def test_one_line_and_exit_two(self, capsys, argv):
         code = main(list(argv))
@@ -683,6 +685,21 @@ class TestScenarios:
         mark = "ok" if code == 0 else "FAIL"
         assert (f"  [{mark}] the 3-primary part of the stable stem in dimension 21 "
                 f"is trivial: {result}") in out.splitlines()
+
+    @pytest.mark.parametrize("n, factors, step", [
+        ("5", [5], "5 is prime to 6, so the obstruction group vanishes and the "
+         "multiplication is associative: Z/5"),
+        ("3", [8], "3 is not prime to 6 and the obstruction group is nonzero: 0"),
+    ], ids=["coprime-nonzero", "not-coprime-trivial"])
+    def test_prop6_fails_when_the_group_contradicts_n(self, capsys, tmp_path, n, factors, step):
+        # pi_3(S/n) is coker(n on pi_3) + ker(n on pi_2 = Z/2): Z/5 at n = 5
+        # with pi_3 = Z/5, and 0 at n = 3 with pi_3 = Z/8.
+        write_data(tmp_path / "stems.json", [{"dimension": 3, "factors": factors}])
+        code, out = run(capsys, "--stems-file", str(tmp_path / "stems.json"),
+                        "scenario", "prop6", "--n", n)
+        assert code == 1
+        assert out.splitlines()[0] == f"scenario prop6(n={n}): FAIL"
+        assert out.splitlines()[2:] == [f"  [FAIL] {step}"]
 
     @pytest.mark.parametrize("name", ["prop2", "prop5", "exotic", "all"])
     def test_scenarios_without_n_refuse_it(self, capsys, name):

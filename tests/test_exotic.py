@@ -1,6 +1,7 @@
 """The Z/4 exotic triangulated category: elementary triangles, the
 enumerated distinguished class, axiom checks, and the 2-order certificate."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -708,6 +709,16 @@ class TestVerification:
         assert report.passed
         assert len(report.steps) == 5
 
+    def test_one_failed_step_fails_the_report(self, monkeypatch):
+        # passed is read off the steps, so it cannot disagree with them.
+        monkeypatch.setattr(exotic, "_composites_vanish",
+                            lambda triangles: np.zeros(len(triangles), dtype=bool))
+        report = verify_axioms(2)
+        assert [ok for _, ok in report.steps] == [True, False, True, True, True]
+        assert report.passed is False
+        report.steps[1] = (report.steps[1][0], True)
+        assert report.passed is True
+
     def test_two_order_certificate(self):
         cert = two_order_zero_certificate()
         assert cert.passed
@@ -728,3 +739,9 @@ class TestVerification:
         cert = two_order_zero_certificate()
         assert cert.two_cone_nonzero == two_cone_nonzero
         assert not cert.passed
+
+    @pytest.mark.parametrize("flag", ["two_id_nonzero", "cone_is_rank_one", "two_cone_nonzero"])
+    def test_certificate_passes_only_with_every_flag(self, flag):
+        cert = two_order_zero_certificate()
+        assert cert.passed is True
+        assert dataclasses.replace(cert, **{flag: False}).passed is False

@@ -649,6 +649,24 @@ class TestConstructors:
         # Integers beyond int64 are reduced mod p exactly.
         assert FiniteModule(2, {0: 1, 1: 1}, {(Sq(1), 0): [[2**70 + 1]]}) == moore_module(2)
 
+    @pytest.mark.parametrize("value", [0.5, True, "1"], ids=["float", "bool", "string"])
+    def test_shift_and_sphere_refuse_what_is_not_an_integer(self, value):
+        # shift(M, 0.5) had the degrees 0.5 and 1.5, which a module file
+        # cannot hold, so save_module wrote what load_module refused.
+        for build, what in ((lambda: shift(moore_module(2), value), "the shift"),
+                            (lambda: sphere_module(2, value), "the degree")):
+            message = f"{what} is {value!r}, not an integer"
+            with pytest.raises(ModuleError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_shift_and_sphere_accept_integer_numpy_scalars(self, tmp_path):
+        moved = shift(moore_module(2), np.int64(2))
+        assert moved == shift(moore_module(2), 2)
+        assert sphere_module(2, np.int64(2)).dims == {2: 1}
+        assert all(type(d) is int for d in [*moved.dims, *sphere_module(2, np.int32(1)).dims])
+        modules.save_module(moved, str(tmp_path / "moved.json"))
+        assert load_module(str(tmp_path / "moved.json")) == moved
+
     @pytest.mark.parametrize("labels,message", [
         ({0: ["a"]}, r"labels are given for degrees \[0\], expected one list per "
                      r"occupied degree \[0, 2\]"),

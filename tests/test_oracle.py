@@ -738,6 +738,15 @@ class TestOracleEqual:
         assert oracle_equal(z, z, 5)
         assert oracle_equal(el("Sq^1 Sq^1", 2), z, 5)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_equal_operands_with_bocksteins(self, p):
+        # The difference has no terms, so no test class tells them apart.
+        x = el("b P^1 b + 2 P^2 b P^1 + b", p)
+        for bound in (0, 1, 40):
+            assert oracle_equal(x, x, bound)
+        with pytest.raises(ValueError, match="^the degree bound must be non-negative, not -1$"):
+            oracle_equal(x, x, -1)
+
     def test_negative_bound_is_refused_first(self):
         z = SteenrodElement.zero(2)
         for call in (lambda: oracle_equal(z, z, -1), lambda: checked_degree(z, -1)):

@@ -747,6 +747,36 @@ class TestBasisMemo:
         assert steenrod._basis.cache_info().currsize == 1
 
 
+class TestBasisBound:
+    """A basis above MAX_BASIS_SIZE monomials is refused, counted from
+    Milnor's Poincare series before any monomial is built."""
+
+    @pytest.mark.parametrize("p, top", [(2, 100), (3, 200), (5, 300), (7, 420)])
+    def test_count_matches_series_and_enumeration(self, p, top):
+        series = poincare_series(p, top)
+        for d in range(top + 1):
+            assert steenrod._basis_size(p, d) == series[d] == len(admissible_basis(p, d)), d
+
+    def test_bound_sits_between_neighbouring_degrees(self):
+        assert steenrod.MAX_BASIS_SIZE == 10 ** 6
+        assert steenrod._basis_size(2, 499) == 999_982
+        assert steenrod._basis_size(2, 500) == 1_010_134
+        sizes = [steenrod._basis_size(3, d) for d in (2866, 2867)]
+        assert sizes[0] <= steenrod.MAX_BASIS_SIZE < sizes[1]
+
+    @pytest.mark.parametrize("p, d", [(2, 500), (2, 2000), (3, 2867)])
+    def test_refused_within_a_second(self, p, d):
+        steenrod._basis.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            admissible_basis(p, d)
+        assert time.perf_counter() - start < 1
+        size = poincare_series(p, d)[d]
+        assert str(info.value) == (f"the admissible basis in degree {d} at p = {p} has "
+                                   f"{size} monomials, above the bound of 1000000")
+        assert steenrod._basis.cache_info().currsize == 0
+
+
 def poincare_series(p, top):
     """Coefficients of t^0..t^top in Milnor's Poincare series of the mod-p
     Steenrod algebra ("The Steenrod algebra and its dual", 1958):
@@ -782,6 +812,16 @@ class TestAdemPattern:
             if p != 2:
                 assert (list(steenrod._adem_pattern("pbp", a, b, p))
                         == reference_adem_expand((a, 0, b), 0, "pbp", p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_first_rewrite_matches_reference(self, p):
+        rng = random.Random(f"first-rewrite/{p}")
+        words = [steenrod._encode(m.word) for d in range(40) for m in admissible_basis(p, d)]
+        words += [tuple(rng.randint(0 if p > 2 else 1, 12) for _ in range(rng.randint(0, 8)))
+                  for _ in range(3000)]
+        assert any(reference_first_rewrite(w, p) is None for w in words[-3000:])
+        for word in words:
+            assert steenrod._first_rewrite(word, p) == reference_first_rewrite(word, p), word
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_expand_keeps_head_and_tail(self, p):
@@ -881,6 +921,24 @@ def reference_adem_expand(word, j, kind, p):
             mid = (a + b - t, 0) if t == 0 else (a + b - t, 0, t)
             out.append(((-sign * c2) % p, head + mid + tail))
     return out
+
+
+def reference_first_rewrite(word, p):
+    """The leftmost inadmissible pattern of an int word, read off the
+    admissibility conditions: b b is zero, and a power P^a (Sq^a at p = 2)
+    followed by b^e and a power P^c, with e = 0 or 1, needs a >= p c + e.
+    The pattern at a position is the one that starts there."""
+    letters = [("b", 0) if x == 0 else ("P", x) for x in word]
+    for j, (kind, a) in enumerate(letters):
+        after = letters[j + 1:]
+        if kind == "b":
+            if after[:1] == [("b", 0)]:
+                return j, "bb"
+            continue
+        e = 1 if after[:1] == [("b", 0)] else 0
+        if len(after) > e and after[e][0] == "P" and a < p * after[e][1] + e:
+            return j, ("pbp" if e else "pp")
+    return None
 
 
 @functools.cache

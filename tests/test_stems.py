@@ -29,7 +29,6 @@ from torsionlab.stems import (
     Z,
     _invariant_factors,
     default_table,
-    tensor_with_cyclic,
 )
 
 
@@ -244,9 +243,10 @@ class TestMultByN:
             assert mult_by_n(g, 1) == (TRIVIAL, TRIVIAL)
 
     def test_tensor_with_cyclic(self):
-        assert tensor_with_cyclic(Z, 5) == cyclic(5)
-        assert tensor_with_cyclic(cyclic(4), 6) == cyclic(2)
-        assert tensor_with_cyclic(TRIVIAL, 7) == TRIVIAL
+        # G ⊗ Z/n is G/nG, the cokernel of multiplication by n.
+        assert mult_by_n(Z, 5)[1] == cyclic(5)
+        assert mult_by_n(cyclic(4), 6)[1] == cyclic(2)
+        assert mult_by_n(TRIVIAL, 7)[1] == TRIVIAL
 
 
 class TestMooreHomotopy:
@@ -322,7 +322,7 @@ class TestMooreEndomorphisms:
         for n in (2, 3, 5, 9):
             endos = moore_endomorphisms(n)
             pi1 = moore_homotopy(n, 1)
-            assert endos.order == n * tensor_with_cyclic(pi1.group, n).order
+            assert endos.order == n * mult_by_n(pi1.group, n)[1].order
 
 
 class TestPositiveNOrder:

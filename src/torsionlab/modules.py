@@ -757,7 +757,7 @@ def _radical(blocks: list[np.ndarray], p: int) -> np.ndarray:
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             for block in blocks:
-                x = np.tensordot(chunk, block, axes=1) % p
+                x = (chunk @ block.reshape(k, -1)).reshape(len(chunk), *block.shape[1:]) % p
                 z = x[:, None] @ block[None] % q
                 for _ in range(level):
                     w = z
@@ -791,7 +791,7 @@ def _is_local(basis: np.ndarray, dims: dict[int, int], p: int) -> bool:
     def flat(stacks: list[np.ndarray]) -> np.ndarray:
         return np.hstack([s.reshape(-1, s.shape[-1] ** 2) for s in stacks]) % p
 
-    ideal = flat([np.tensordot(radical, b, axes=1) for b in blocks])
+    ideal = np.hstack([radical @ b.reshape(len(b), -1) for b in blocks]) % p
     tops = [b[others] for b in blocks]
     commutators = flat([t[:, None] @ t[None] - t[None] @ t[:, None] for t in tops])
     if fp.rank(np.vstack([ideal, commutators]), p) > len(ideal):
@@ -811,9 +811,9 @@ def _combinations(basis: np.ndarray, p: int):
     k = len(basis)
     for size in range(2, k + 1):
         for support in itertools.combinations(range(k), size):
-            head, tail = basis[support[0]], basis[list(support[1:])]
+            head, tail = basis[support[0]], basis[list(support[1:])].reshape(size - 1, -1)
             for coeffs in itertools.product(range(1, p), repeat=size - 1):
-                yield (head + np.tensordot(coeffs, tail, axes=1)) % p
+                yield (head + (coeffs @ tail).reshape(head.shape)) % p
 
 
 def is_decomposable(M: FiniteModule) -> DecompositionResult:

@@ -137,8 +137,9 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
     carry Sq² = 0 there, so a nonzero Sq² makes 2·id nonzero, and the
     identity, which maps onto the quotient Z/2, has order 4.  The group
     is concluded to be Z/4 only then; otherwise the unresolved group is
-    printed, and so is an unknown one.  The claim is stated for odd n and
-    n = 2 only; any other n is refused."""
+    printed, and so is an unknown one.  The sequence is read off the π₀
+    and π₁ of the first two steps, each computed once.  The claim is
+    stated for odd n and n = 2 only; any other n is refused."""
     if n % 2 == 0 and n != 2:
         raise ValueError(f"prop3 is stated for odd n and n = 2, not n = {n}")
     report = ScenarioReport(f"prop3(n={n})")
@@ -155,7 +156,7 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
         not isinstance(pi1, Unknown) and pi1.order == expected_pi1,
         str(pi1),
     )
-    endos = endomorphisms_from_sequence(n, table)
+    endos = endomorphisms_from_sequence(n, pi0, pi1)
     group = None if isinstance(endos, Unknown) else endos.group
     if n % 2 == 1:
         report.check(f"[S/{n}, S/{n}] is cyclic of order {n}", group == cyclic(n), str(endos))

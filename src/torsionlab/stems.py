@@ -362,16 +362,16 @@ def moore_homotopy(
 
 
 def endomorphisms_from_sequence(
-    n: int, table: StemsTable | None = None
+    n: int, pi0: ComputedGroup | Unknown, pi1: ComputedGroup | Unknown
 ) -> ComputedGroup | Unknown:
     """The endomorphism group [S/n, S/n] of the mod-n Moore spectrum as far
     as the short exact sequence
 
         0 → π₁(S/n) ⊗ Z/n → [S/n, S/n] → (n-torsion of π₀(S/n)) → 0
 
-    determines it: cyclic of order n for odd n, of order 4 at n = 2."""
-    pi1 = moore_homotopy(n, 1, table)
-    pi0 = moore_homotopy(n, 0, table)
+    determines it: cyclic of order n for odd n, of order 4 at n = 2.  pi0
+    and pi1 are π₀(S/n) and π₁(S/n) as `moore_homotopy` gives them; an
+    Unknown or an unresolved one gives an Unknown."""
     if isinstance(pi1, Unknown) or isinstance(pi0, Unknown):
         return Unknown("needs pi_1(S/n) and pi_0(S/n)")
     if pi1.group is None or pi0.group is None:
@@ -387,7 +387,8 @@ def moore_endomorphisms(
     """[S/n, S/n] (`endomorphisms_from_sequence`), with the extension of Z/2
     by Z/2 at n = 2 taken to be Z/4, as `scenarios.scenario_prop3` derives
     it from the nonzero Sq² on S/2 ∧ S/2: 2·id ≠ 0."""
-    endos = endomorphisms_from_sequence(n, table)
+    endos = endomorphisms_from_sequence(
+        n, moore_homotopy(n, 0, table), moore_homotopy(n, 1, table))
     if n == 2 and endos == _resolve_extension(cyclic(2), cyclic(2)):
         return ComputedGroup(cyclic(4))
     return endos

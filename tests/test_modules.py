@@ -347,6 +347,17 @@ def brute_force_radical(basis, p):
     return {c for c, ok in zip(map(tuple, coeffs.tolist()), inside) if ok}
 
 
+def reference_combinations(basis, p):
+    """`_combinations` with `np.tensordot` in place of `@` on the
+    flattened basis: its reference."""
+    k = len(basis)
+    for size in range(2, k + 1):
+        for support in itertools.combinations(range(k), size):
+            head, tail = basis[support[0]], basis[list(support[1:])]
+            for coeffs in itertools.product(range(1, p), repeat=size - 1):
+                yield (head + np.tensordot(coeffs, tail, axes=1)) % p
+
+
 def span_of(rows, p):
     """Every F_p-combination of rows, as tuples."""
     return {tuple((np.array(c, dtype=np.int64) @ rows % p).tolist())
@@ -1328,6 +1339,28 @@ class TestDecomposability:
             assert len(set(seen)) == len(seen)
             # With the basis: one representative of every line of F_p^k.
             assert len(seen) + k == (p ** k - 1) // (p - 1)
+
+    def test_combinations_match_the_tensordot_reference(self):
+        # The End bases of the modules decided in this class.
+        cases = [
+            FiniteModule(3, {0: 2, 1: 1, 3: 1, 4: 2},
+                         {(P(1), 0): np.array([[0, 2], [2, 1]]),
+                          (BOCKSTEIN, 0): np.array([[2, 0]]),
+                          (BOCKSTEIN, 3): np.array([[1], [1]])}),
+            smash_power(moore_module(2), 3),
+        ]
+        for p in (2, 3, 5):
+            m = moore_module(p)
+            cases += [tensor(m, m), direct_sum(m, shift(m, 1)), direct_sum(m, shift(m, 4))]
+        for M in cases:
+            basis = modules._endomorphism_basis(M)
+            got = list(modules._combinations(basis, M.prime))
+            want = list(reference_combinations(basis, M.prime))
+            # One representative of every line of span(basis) off the basis.
+            lines = (M.prime ** len(basis) - 1) // (M.prime - 1)
+            assert len(got) == len(want) == lines - len(basis)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
     def test_fitting_split_matches_reference_on_random_matrices(self, cross_check):
         # Any matrix is an endomorphism of n cells in one degree.

@@ -22,14 +22,28 @@ from torsionlab import (
     positive_n_order,
     stems,
 )
-from torsionlab.scenarios import scenario_prop5, scenario_prop6
+from torsionlab import scenarios
+from torsionlab.scenarios import scenario_prop3, scenario_prop5, scenario_prop6
 from torsionlab.stems import (
     TRIVIAL,
     StemEntry,
     Z,
     _invariant_factors,
+    _resolve_extension,
     default_table,
+    endomorphisms_from_sequence,
 )
+
+
+def reference_endomorphisms(n, table):
+    """[S/n, S/n] straight from the table: π₁(S/n) and π₀(S/n) asked of
+    it, then the exact sequence of `endomorphisms_from_sequence`."""
+    pi1, pi0 = moore_homotopy(n, 1, table), moore_homotopy(n, 0, table)
+    if isinstance(pi1, Unknown) or isinstance(pi0, Unknown):
+        return Unknown("needs pi_1(S/n) and pi_0(S/n)")
+    if pi1.group is None or pi0.group is None:
+        return Unknown("extension-ambiguous Moore homotopy input")
+    return _resolve_extension(mult_by_n(pi1.group, n)[1], mult_by_n(pi0.group, n)[0])
 
 
 def reference_invariant_factors(factors):
@@ -313,9 +327,13 @@ class TestMooreEndomorphisms:
         # Z/2 by Z/2.
         table = StemsTable.from_records(
             [{"dimension": 0, "factors": [2]}, {"dimension": 1, "factors": [2]}])
-        result = moore_endomorphisms(2, table)
-        assert isinstance(result, Unknown)
-        assert result.reason == "extension-ambiguous Moore homotopy input"
+        pi0, pi1 = moore_homotopy(2, 0, table), moore_homotopy(2, 1, table)
+        assert pi1.group is None
+        for result in (moore_endomorphisms(2, table),
+                       endomorphisms_from_sequence(2, pi0, pi1),
+                       endomorphisms_from_sequence(2, pi1, pi0)):
+            assert isinstance(result, Unknown)
+            assert result.reason == "extension-ambiguous Moore homotopy input"
 
     def test_order_invariant(self):
         # |[S/n, S/n]| = n * |pi_1(S/n) (x) Z/n|.
@@ -323,6 +341,54 @@ class TestMooreEndomorphisms:
             endos = moore_endomorphisms(n)
             pi1 = moore_homotopy(n, 1)
             assert endos.order == n * mult_by_n(pi1.group, n)[1].order
+
+
+class TestEndomorphismsFromSequence:
+    TABLES = {"shipped": default_table(),
+              "pi_1 = 0": default_table().with_records(
+                  [{"dimension": 1, "factors": []}], "external")}
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_matches_the_composition_from_the_table(self, name):
+        table = self.TABLES[name]
+        for n in range(1, 31):
+            got = endomorphisms_from_sequence(
+                n, moore_homotopy(n, 0, table), moore_homotopy(n, 1, table))
+            want = reference_endomorphisms(n, table)
+            assert got == want
+            if n == 2 and want == _resolve_extension(cyclic(2), cyclic(2)):
+                want = ComputedGroup(cyclic(4))
+            assert moore_endomorphisms(n, table) == want
+        # Z/4 at n = 2 from the shipped table; Z/2 when pi_1 = 0.
+        assert moore_endomorphisms(2, table).group == cyclic(4 if name == "shipped" else 2)
+
+    def test_unknown_input(self):
+        # Without stem 1, pi_1(S/n) is unknown.
+        table = StemsTable.from_records([{"dimension": 0, "factors": [0]}])
+        pi0, pi1 = moore_homotopy(3, 0, table), moore_homotopy(3, 1, table)
+        assert isinstance(pi1, Unknown) and not isinstance(pi0, Unknown)
+        for result in (endomorphisms_from_sequence(3, pi0, pi1),
+                       endomorphisms_from_sequence(3, pi1, pi0),
+                       endomorphisms_from_sequence(3, Unknown("x"), Unknown("y")),
+                       moore_endomorphisms(3, table)):
+            assert isinstance(result, Unknown)
+            assert result.reason == "needs pi_1(S/n) and pi_0(S/n)"
+
+    @pytest.mark.parametrize("n", [3, 15, 2])
+    def test_prop3_computes_each_moore_group_once(self, n, monkeypatch):
+        # torsionlab.stems is the function stems; the module is looked up.
+        stems_module = importlib.import_module("torsionlab.stems")
+        calls = []
+        compute = stems_module.moore_homotopy
+
+        def counted(n, k, table=None):
+            calls.append((n, k))
+            return compute(n, k, table)
+
+        monkeypatch.setattr(stems_module, "moore_homotopy", counted)
+        monkeypatch.setattr(scenarios, "moore_homotopy", counted)
+        assert scenario_prop3(n).passed
+        assert sorted(calls) == [(n, 0), (n, 1)]
 
 
 class TestPositiveNOrder:

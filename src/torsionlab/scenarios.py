@@ -177,7 +177,8 @@ def scenario_prop3(n: int, table: StemsTable | None = None) -> ScenarioReport:
         report.check(hence, False, str(endos))
     else:
         positive = positive_n_order(endos, n)
-        report.check(hence, positive == (n % 2 == 1), f"positive {n}-order: {positive}")
+        passed = report.steps[-1].passed and positive == (n % 2 == 1)  # rests on the group step
+        report.check(hence, passed, f"positive {n}-order: {positive}")
     return report
 
 

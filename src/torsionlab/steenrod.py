@@ -351,8 +351,6 @@ def lucas(n: int, k: int, p: int) -> int:
     if n < 0:
         sign = -1 if k % 2 else 1
         return (sign * lucas(k - n - 1, k, p)) % p
-    if k > n:
-        return 0
     result = 1
     while n or k:
         ni, ki = n % p, k % p

@@ -44,8 +44,6 @@ def _invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
         if f < 0:
             raise ValueError(f"invalid cyclic order {f}")
         for i, d in enumerate(chain):
-            if f == 1:
-                break
             g = math.gcd(d, f)
             chain[i], f = d // g * f, g
         if f > 1:
@@ -85,24 +83,15 @@ class AbelianGroup:
         """Least m > 0 with m·g = 0 for all g, or None if unbounded."""
         if not self.is_finite:
             return None
-        return self.factors[0] if self.factors else 1
+        return math.lcm(*self.factors)
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.factors + other.factors)
 
     def p_primary(self, p: int) -> "AbelianGroup":
-        """The p-primary part (p-power torsion subgroup)."""
-        parts = []
-        for f in self.factors:
-            if f == 0:
-                continue
-            q = 1
-            while f % p == 0:
-                f //= p
-                q *= p
-            if q > 1:
-                parts.append(q)
-        return AbelianGroup(tuple(parts))
+        """The p-primary part for a prime p: Z/gcd(f, p^b) per factor Z/f,
+        b the bit length of f, as p^b > f; Z (f = 0) gives gcd(0, 1) = 1."""
+        return AbelianGroup(tuple(math.gcd(f, p ** f.bit_length()) for f in self.factors))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -119,38 +108,30 @@ def cyclic(m: int) -> AbelianGroup:
 
 
 def mult_by_n(group: AbelianGroup, n: int) -> tuple[AbelianGroup, AbelianGroup]:
-    """Kernel and cokernel of multiplication by n, computed factorwise."""
-    n = abs(n)
+    """Kernel and cokernel of multiplication by n, factorwise: on Z/f (Z
+    for f = 0) both are Z/gcd(n, f) for either sign of n, except that
+    n ≠ 0 has the trivial kernel on Z."""
     kernel: list[int] = []
     cokernel: list[int] = []
     for f in group.factors:
-        if f == 0:
-            if n == 0:
-                kernel.append(0)
-                cokernel.append(0)
-            else:
-                cokernel.append(n)
-        else:
-            g = math.gcd(n, f)
-            kernel.append(g)
-            cokernel.append(g)
+        g = math.gcd(n, f)
+        kernel.append(g if f or not n else 1)
+        cokernel.append(g)
     return AbelianGroup(tuple(kernel)), AbelianGroup(tuple(cokernel))
 
 
 @dataclass(frozen=True)
 class GroupExtensionProblem:
     """A short exact sequence 0 → sub → E → quotient → 0 whose middle term
-    is pinned down only up to extension."""
+    is pinned down only up to extension.  Both ends are finite: wherever
+    the package builds one, they are a cokernel and a kernel of n ≥ 1."""
 
     sub: AbelianGroup
     quotient: AbelianGroup
 
     @property
-    def order(self) -> int | None:
-        a, b = self.sub.order, self.quotient.order
-        if a is None or b is None:
-            return None
-        return a * b
+    def order(self) -> int:
+        return self.sub.order * self.quotient.order
 
 
 @dataclass(frozen=True)
@@ -330,8 +311,7 @@ def _resolve_extension(sub: AbelianGroup, quotient: AbelianGroup) -> ComputedGro
     end (order 1) included; otherwise only the order is reported, together
     with the open extension problem.  Both ends are finite for n ≥ 1: the
     cokernel and kernel of n on Z are Z/n and 0."""
-    a, b = sub.order, quotient.order
-    if a is not None and b is not None and math.gcd(a, b) == 1:
+    if math.gcd(sub.order, quotient.order) == 1:
         return ComputedGroup(sub + quotient)
     return ComputedGroup(None, DERIVED, GroupExtensionProblem(sub, quotient))
 

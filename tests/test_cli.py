@@ -612,6 +612,19 @@ class TestStemsCommands:
         assert ("  [FAIL] hence 9 times the identity of S/9 is zero: "
                 "group of order 27 (unknown extension)") in out.splitlines()
 
+    def test_prop3_hence_step_fails_with_the_group_step(self, capsys, tmp_path):
+        # With pi_0 = Z/2, pi_0(S/3) and [S/3, S/3] are trivial.  3 times the
+        # identity of the trivial group is zero, but the "hence" step rests
+        # on the group step, so it fails with it and keeps its result.
+        path = tmp_path / "stems.json"
+        write_data(path, [{"dimension": 0, "factors": [2]}])
+        code, out = run(capsys, "--json", "--stems-file", str(path),
+                        "scenario", "prop3", "--n", "3")
+        steps = json.loads(out)[0]["steps"]
+        assert code == 1
+        assert [s["passed"] for s in steps] == [False, True, False, False]
+        assert [s["result"] for s in steps] == ["0", "0", "0", "positive 3-order: True"]
+
     def test_a_stems_file_leaves_the_shared_table(self, capsys, tmp_path):
         # The table of one call is not the next call's.
         extra = tmp_path / "extra.json"

@@ -410,6 +410,21 @@ class TestCones:
         cone = check_TR1_cone(zero_morphism(1, 1))
         assert cone.ranks == (1, 1, 2)
 
+    def test_every_small_morphism_matches_the_batched_join(self):
+        # All 297 morphisms with source and target rank <= 2.  The reference
+        # is the first representative whose first map is isomorphic to f,
+        # asked of the batched join on the triangles (m, 0, 0).
+        def first_map(m):
+            return Z4Triangle(m, zero_morphism(m.target, 0), zero_morphism(0, m.source))
+
+        reps = distinguished_representatives(2)
+        morphisms = [Z4Morphism(s, t, entries) for s in range(3) for t in range(3)
+                     for entries in itertools.product(range(4), repeat=s * t)]
+        assert len(morphisms) == 297
+        for f in morphisms:
+            want = next((r for r in reps if is_isomorphic(first_map(r.f), first_map(f))), None)
+            assert check_TR1_cone(f, 2) == want, f
+
     def test_no_cone_within_the_rank_bound(self):
         # The cone of the zero map of rank 2 has rank 4.
         assert check_TR1_cone(zero_morphism(2, 2), max_rank=2) is None

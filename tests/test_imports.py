@@ -1,13 +1,18 @@
 """Every name that a module of the package imports is used in it, and
 every private top-level function or class is used somewhere in the
-package outside its own definition."""
+package outside its own definition.  Every function that the benchmark's
+tracer names is bound in its module."""
 
 import ast
+import importlib
 import pathlib
+import runpy
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "torsionlab"
+# The benchmark's span table, read as source and never written.
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 # __init__.py imports names to re-export them.
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -83,3 +88,12 @@ def test_detects_an_unreferenced_private_definition():
     }
     assert unreferenced_private_definitions(sources) == [
         "a.py: _recursive", "a.py: _Dead"]
+
+
+def test_every_traced_name_is_bound():
+    # The tracer wraps each name of its TRACED table with getattr when it
+    # installs its spans, so a name deleted from the package fails here.
+    traced = runpy.run_path(str(TRACING))["TRACED"]
+    missing = [f"{module}.{name}" for module, names in traced.items()
+               for name in names if not hasattr(importlib.import_module(module), name)]
+    assert traced and missing == []

@@ -62,6 +62,26 @@ class TestPrime:
         assert admissible_basis(numpy.int64(3), 4) == admissible_basis(3, 4)
 
 
+def reference_lucas(n, k, p):
+    """`steenrod.lucas` with an early return of 0 for k > n."""
+    if k < 0:
+        return 0
+    if n < 0:
+        sign = -1 if k % 2 else 1
+        return (sign * reference_lucas(k - n - 1, k, p)) % p
+    if k > n:
+        return 0
+    result = 1
+    while n or k:
+        ni, ki = n % p, k % p
+        if ki > ni:
+            return 0
+        result = (result * math.comb(ni, ki)) % p
+        n //= p
+        k //= p
+    return result
+
+
 class TestBinomial:
     def test_lucas_small(self):
         assert binomial_mod_p(4, 2, 2) == 0
@@ -94,6 +114,13 @@ class TestBinomial:
                     want = exact[n, k] % p if k >= 0 else 0
                     assert steenrod.lucas(n, k, p) == want, (n, k, p)
                     assert binomial_mod_p(n, k, p) == want, (n, k, p)
+
+    def test_lucas_matches_the_early_return_form(self):
+        # The digit loop gives 0 for k > n without a test of its own.
+        for p in (2, 3, 5, 7, 11):
+            for n in range(-40, 201):
+                for k in range(-3, 221):
+                    assert steenrod.lucas(n, k, p) == reference_lucas(n, k, p), (n, k, p)
 
     def test_large_prime_and_large_indices(self):
         # Lucas works digit by digit: no table of digit binomials per prime.

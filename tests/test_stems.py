@@ -76,6 +76,76 @@ def reference_invariant_factors(factors):
     return (0,) * infinite + tuple(result)
 
 
+def reference_chain_insertion(factors):
+    """`_invariant_factors` with an early exit: insertion of an order stops
+    once the carried order is 1."""
+    infinite = 0
+    chain = []
+    for f in factors:
+        if f == 0:
+            infinite += 1
+            continue
+        if f < 0:
+            raise ValueError(f"invalid cyclic order {f}")
+        for i, d in enumerate(chain):
+            if f == 1:
+                break
+            g = math.gcd(d, f)
+            chain[i], f = d // g * f, g
+        if f > 1:
+            chain.append(f)
+    return (0,) * infinite + tuple(chain)
+
+
+def reference_mult_by_n(group, n):
+    """Kernel and cokernel of n case by case: Z with n = 0, Z with n != 0,
+    and a finite factor."""
+    n = abs(n)
+    kernel, cokernel = [], []
+    for f in group.factors:
+        if f == 0:
+            if n == 0:
+                kernel.append(0)
+                cokernel.append(0)
+            else:
+                cokernel.append(n)
+        else:
+            g = math.gcd(n, f)
+            kernel.append(g)
+            cokernel.append(g)
+    return AbelianGroup(tuple(kernel)), AbelianGroup(tuple(cokernel))
+
+
+def reference_p_primary(group, p):
+    """The p-primary part by dividing p out of each finite factor."""
+    parts = []
+    for f in group.factors:
+        if f == 0:
+            continue
+        q = 1
+        while f % p == 0:
+            f //= p
+            q *= p
+        if q > 1:
+            parts.append(q)
+    return AbelianGroup(tuple(parts))
+
+
+def reference_exponent(group):
+    """The exponent of a finite group in invariant-factor form: its first
+    factor, or 1 for the trivial group."""
+    return group.factors[0] if group.factors else 1
+
+
+def random_factor_tuples(count, seed, infinite=True):
+    """count tuples of at most 5 cyclic orders in 1..500, with Z (order 0)
+    drawn one time in five unless `infinite` is False."""
+    rng = random.Random(seed)
+    return [tuple(0 if infinite and rng.random() < 0.2 else rng.randint(1, 500)
+                  for _ in range(rng.randint(0, 5)))
+            for _ in range(count)]
+
+
 def reference_prime_factors(n):
     out = []
     d = 2
@@ -107,6 +177,11 @@ class TestAbelianGroup:
         for factors in cases:
             assert _invariant_factors(factors) == reference_invariant_factors(factors)
 
+    def test_invariant_factors_match_the_early_exit_form(self):
+        # An order carried down to 1 leaves the rest of the chain as it is.
+        for factors in random_factor_tuples(40000, 36):
+            assert _invariant_factors(factors) == reference_chain_insertion(factors)
+
     def test_negative_order_rejected(self):
         for factors in ((2, -3), (-1,), (0, -4, 6)):
             with pytest.raises(ValueError, match="invalid cyclic order"):
@@ -122,11 +197,27 @@ class TestAbelianGroup:
         assert g.exponent == 4
         assert Z.order is None
         assert TRIVIAL.order == 1
+        assert TRIVIAL.exponent == 1
+        assert Z.exponent is None
+
+    def test_exponent_matches_the_first_factor(self):
+        for factors in random_factor_tuples(20000, 37, infinite=False):
+            group = AbelianGroup(factors)
+            assert group.exponent == reference_exponent(group)
 
     def test_p_primary(self):
         assert AbelianGroup((24,)).p_primary(3) == cyclic(3)
         assert AbelianGroup((24,)).p_primary(2) == cyclic(8)
         assert AbelianGroup((24,)).p_primary(5) == TRIVIAL
+        assert AbelianGroup((2,)).p_primary(2) == cyclic(2)
+        assert AbelianGroup((0, 12)).p_primary(2) == cyclic(4)
+        assert Z.p_primary(3) == TRIVIAL
+
+    def test_p_primary_matches_division_by_p(self):
+        for factors in random_factor_tuples(40000, 38):
+            group = AbelianGroup(factors)
+            for p in (2, 3, 5, 7, 11, 13):
+                assert group.p_primary(p) == reference_p_primary(group, p)
 
     def test_str(self):
         assert str(TRIVIAL) == "0"
@@ -245,6 +336,14 @@ class TestMultByN:
     def test_on_z(self):
         assert mult_by_n(Z, 5) == (TRIVIAL, cyclic(5))
         assert mult_by_n(Z, 0) == (Z, Z)
+        assert mult_by_n(Z, -3) == (TRIVIAL, cyclic(3))
+
+    def test_matches_the_case_by_case_form(self):
+        # One gcd rule for every factor and every sign of n.
+        rng = random.Random(39)
+        for factors in random_factor_tuples(40000, 40):
+            group, n = AbelianGroup(factors), rng.randint(-40, 60)
+            assert mult_by_n(group, n) == reference_mult_by_n(group, n)
 
     def test_unit_acts_invertibly(self):
         assert mult_by_n(cyclic(2), 3) == (TRIVIAL, TRIVIAL)
@@ -280,6 +379,10 @@ class TestMooreHomotopy:
         assert r.group is None
         assert r.order == 4
         assert isinstance(r.extension, GroupExtensionProblem)
+
+    def test_extension_order(self):
+        assert GroupExtensionProblem(cyclic(2), cyclic(2)).order == 4
+        assert GroupExtensionProblem(cyclic(6), TRIVIAL).order == 6
 
     def test_unknown_when_stems_missing(self):
         assert isinstance(moore_homotopy(2, 7), Unknown)

@@ -28,6 +28,11 @@ multiplicative.  Endomorphisms are block-diagonal matrices in the same
 layout (`_offsets`), so both Fitting summands of one are read off one
 rref of its stable power (`_fitting_split`), and their products and
 traces are taken degree block by degree block (`_degree_blocks`).
+Locality is decided on the shortest run of those blocks, widest first,
+on which the basis of End(M) stays linearly independent (`_is_local`).
+Keeping a set of blocks is a unital algebra map, and on that run it is
+injective, so End(M) and its radical are represented faithfully on a
+space of smaller dimension, where the radical takes fewer levels.
 """
 
 from __future__ import annotations
@@ -733,18 +738,21 @@ def _degree_blocks(basis: np.ndarray, dims: dict[int, int]) -> list[np.ndarray]:
 
 
 def _radical(blocks: list[np.ndarray], p: int) -> np.ndarray:
-    """The Jacobson radical J of the algebra A spanned by k endomorphisms
-    (given by `_degree_blocks`), as coefficient rows over them.
+    """The Jacobson radical J of the algebra A spanned by k endomorphisms,
+    given by degree blocks (`_degree_blocks`) on which they stay linearly
+    independent, as coefficient rows over them.
 
     This is the trace-lift filtration of Cohen, Ivanyos and Wales, "Finding
     the radical of an algebra of linear transformations" (JPAA 1997).  With
     g_i(z) = Tr(lift(z)^(p^i)) / p^i mod p, I_-1 = A and I_i is the set of
     x in I_(i-1) with g_i(x b) = 0 for every basis element b; J = I_l for
-    p^l <= n < p^(l+1), n = dim M.  g_i is linear on the ideal I_(i-1), so
-    each level is one nullspace.  The trace of the p^i-th power of an
-    integer matrix is fixed mod p^(i+1) by the matrix mod p, so powers are
-    taken mod p^(i+1) from any lift; a trace that p^i does not divide
-    means x b left I_(i-1) and is refused."""
+    p^l <= n < p^(l+1).  It holds for any faithful representation of A, so
+    n is the dimension the blocks act on, their widths summed: dim M when
+    every block is given, less when `_is_local` keeps fewer.  g_i is linear
+    on the ideal I_(i-1), so each level is one nullspace.  The trace of the
+    p^i-th power of an integer matrix is fixed mod p^(i+1) by the matrix
+    mod p, so powers are taken mod p^(i+1) from any lift; a trace that p^i
+    does not divide means x b left I_(i-1) and is refused."""
     k = len(blocks[0])
     n = sum(b.shape[1] for b in blocks)
     # x b for every x and b, chunked so that no stack passes 2^21 entries.
@@ -778,12 +786,23 @@ def _is_local(basis: np.ndarray, dims: dict[int, int], p: int) -> bool:
     """Whether the algebra A spanned by `basis`, endomorphisms of a module
     with graded dimensions `dims`, is local, i.e. A/J(A) is a field.
 
+    A is represented on the shortest run of its degree blocks, widest
+    first, on which the basis stays linearly independent: one rref of the
+    flattened blocks puts the k-th pivot, k = dim A, in the last block of
+    the run.  Keeping those blocks is a unital algebra map, and it is
+    injective on A, so it is an isomorphism onto its image; J(A) and the
+    verdict are the same on the run as on all of M, and `_radical` needs
+    only floor(log_p n') + 1 levels, n' the dimension the run acts on.
+
     A/J is spanned by the basis elements c outside the pivots of J.  It is
     a field iff it is commutative, so every commutator of two c lies in J,
     and x -> x^p - x, which is then F_p-linear on A/J, has a kernel of
     dimension 1 (Berlekamp, 1967), so the c^p - c span a space of
     dimension dim A/J - 1 modulo J."""
-    blocks = _degree_blocks(basis, dims)
+    blocks = sorted(_degree_blocks(basis, dims), key=lambda b: -b.shape[1])
+    ends = np.cumsum([b.shape[1] ** 2 for b in blocks])
+    last = fp.rref(np.hstack([b.reshape(len(b), -1) for b in blocks]), p)[1][-1]
+    blocks = blocks[:np.searchsorted(ends, last, side="right") + 1]
     radical = _radical(blocks, p)
     pivots = fp.rref(radical, p)[1]
     others = [j for j in range(len(basis)) if j not in pivots]

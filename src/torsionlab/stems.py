@@ -91,6 +91,8 @@ class AbelianGroup:
     def p_primary(self, p: int) -> "AbelianGroup":
         """The p-primary part for a prime p: Z/gcd(f, p^b) per factor Z/f,
         b the bit length of f, as p^b > f; Z (f = 0) gives gcd(0, 1) = 1."""
+        if not _is_prime(p):
+            raise ValueError(f"p_primary needs a prime, not {p}")
         return AbelianGroup(tuple(math.gcd(f, p ** f.bit_length()) for f in self.factors))
 
     def __str__(self) -> str:
@@ -140,17 +142,22 @@ class ComputedGroup:
 
     When the group is determined it is stored in `group`; when only the
     order is pinned down, `group` is None and `extension` records the
-    unresolved extension problem."""
+    unresolved extension problem.  One of the two must be given: a value
+    that is not known at all is an `Unknown`."""
 
     group: AbelianGroup | None
     provenance: str = DERIVED
     extension: GroupExtensionProblem | None = None
 
+    def __post_init__(self) -> None:
+        if self.group is None and self.extension is None:
+            raise ValueError("a ComputedGroup needs a group or an extension")
+
     @property
     def order(self) -> int | None:
         if self.group is not None:
             return self.group.order
-        return self.extension.order if self.extension else None
+        return self.extension.order
 
     @property
     def is_trivial(self) -> bool:
@@ -159,9 +166,7 @@ class ComputedGroup:
     def __str__(self) -> str:
         if self.group is not None:
             return str(self.group)
-        if self.extension is not None:
-            return f"group of order {self.extension.order} (unknown extension)"
-        return "unknown"
+        return f"group of order {self.extension.order} (unknown extension)"
 
 
 @dataclass(frozen=True)

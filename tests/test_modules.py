@@ -465,12 +465,13 @@ def fabricated_violation_module():
     )
 
 
-def stunted_projective_module(n):
-    """H*(RP^n_1; F_2): x^k in each degree 1..n and Sq^i x^k = C(k, i) x^(k+i).
-    Its span n - 1 brings in every relation up to that degree."""
+def stunted_projective_module(lo, hi):
+    """H*(RP^hi_lo; F_2): x^k in each degree lo..hi and Sq^i x^k =
+    C(k, i) x^(k+i).  Its span hi - lo brings in every relation up to that
+    degree."""
     actions = {(Sq(i), k): np.array([[math.comb(k, i) % 2]], dtype=np.int64)
-               for k in range(1, n + 1) for i in range(1, n - k + 1)}
-    return FiniteModule(2, {k: 1 for k in range(1, n + 1)}, actions)
+               for k in range(lo, hi + 1) for i in range(1, hi - k + 1)}
+    return FiniteModule(2, {k: 1 for k in range(lo, hi + 1)}, actions)
 
 
 def as_reference_tuples(violations):
@@ -1091,7 +1092,7 @@ class TestConsistencyCheck:
 
     def test_wide_span_at_p2_matches_the_reference(self):
         # RP^24_1 spans 23 degrees, and every Sq^i with i < 24 acts on it.
-        M = stunted_projective_module(24)
+        M = stunted_projective_module(1, 24)
         assert reference_consistency_check(M, 40) == []
         assert consistency_check(M, 40) == []
         total = np.array(M.total)
@@ -1428,6 +1429,31 @@ def by_commutativity(basis, dims, p):
             == fp.rank(ideal, p))
 
 
+def reference_is_local(basis, dims, p):
+    """`_is_local` on every degree block of M, with dim M in the radical's
+    level count: the all-block reference of the faithful-run decision."""
+    blocks = modules._degree_blocks(basis, dims)
+    radical = modules._radical(blocks, p)
+    pivots = fp.rref(radical, p)[1]
+    others = [j for j in range(len(basis)) if j not in pivots]
+
+    def flat(stacks):
+        return np.hstack([s.reshape(-1, s.shape[-1] ** 2) for s in stacks]) % p
+
+    ideal = np.hstack([radical @ b.reshape(len(b), -1) for b in blocks]) % p
+    tops = [b[others] for b in blocks]
+    commutators = flat([t[:, None] @ t[None] - t[None] @ t[:, None] for t in tops])
+    if fp.rank(np.vstack([ideal, commutators]), p) > len(ideal):
+        return False
+    frobenius = []
+    for t in tops:
+        w = t
+        for _ in range(p - 1):
+            w = w @ t % p
+        frobenius.append(w - t)
+    return fp.rank(np.vstack([ideal, flat(frobenius)]), p) == len(basis) - 1
+
+
 class TestExactDecision:
     """is_decomposable against the reference search, the radical against
     brute force, and the cost of both on the largest smash powers."""
@@ -1497,6 +1523,87 @@ class TestExactDecision:
         start = time.perf_counter()
         assert not modules._is_local(basis, M.dims, p)
         assert time.perf_counter() - start < 2
+
+
+class TestFaithfulBlocks:
+    """`_is_local` decides on the shortest run of degree blocks, widest
+    first, on which End(M)'s basis stays independent; the radical and the
+    verdict must equal those on every block."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The blocks each `_radical` call of `_is_local` receives, and the
+        radical it returns."""
+        calls = []
+        radical = modules._radical
+
+        def recorded(blocks, p):
+            calls.append((blocks, radical(blocks, p)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(modules, "_radical", recorded)
+        return calls
+
+    @staticmethod
+    def decide(M, received):
+        """_is_local on M, checked against the all-block reference; returns
+        the verdict, the basis, the blocks `_radical` received, the radical
+        it returned, and the radical on every block."""
+        p = M.prime
+        basis = modules._endomorphism_basis(M)
+        del received[:]
+        local = modules._is_local(basis, M.dims, p)
+        (blocks, got), = received
+        want = modules._radical(modules._degree_blocks(basis, M.dims), p)
+        assert local == reference_is_local(basis, M.dims, p)
+        return local, basis, blocks, got, want
+
+    @pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 6)]
+                             + [(3, k) for k in range(1, 5)]
+                             + [(5, k) for k in range(1, 4)])
+    def test_smash_powers_match_all_blocks(self, p, k, received):
+        M = smash_power(moore_module(p), k)
+        local, _, blocks, got, want = self.decide(M, received)
+        assert local == (k == 1 or (p, k) == (2, 2))
+        # Equal reduced row echelon forms: the same span, too large to list.
+        assert np.array_equal(fp.rref(got, p)[0], fp.rref(want, p)[0])
+        assert sum(b.shape[1] for b in blocks) < M.total_dim
+
+    @pytest.mark.parametrize("lo,hi", [(5, 8), (1, 24), (1, 32)])
+    def test_stunted_projective_spaces_match_all_blocks(self, lo, hi, received):
+        M = stunted_projective_module(lo, hi)
+        local, _, blocks, got, want = self.decide(M, received)
+        assert local and not is_decomposable(M)
+        assert span_of(got, 2) == span_of(want, 2)
+        assert len(blocks) < len(M.dims)
+
+    @pytest.mark.parametrize("build,seed", [
+        (lambda rng: random_graded_module(2, rng), 101),
+        (lambda rng: random_graded_module(3, rng), 103),
+        (restricted_f4_module, 107),
+    ], ids=["p2", "p3", "f4"])
+    def test_random_modules_match_all_blocks(self, build, seed, received):
+        verdicts = []
+        for M in seeded_modules(build, seed, 150):
+            p = M.prime
+            local, basis, blocks, got, want = self.decide(M, received)
+            assert span_of(got, p) == span_of(want, p)
+            verdicts.append(local)
+            # The run keeps the basis at rank k, and is the shortest run
+            # of blocks, widest first, that does.
+            k = len(basis)
+            widths = [b.shape[1] for b in blocks]
+            assert widths == sorted(M.dims.values(), reverse=True)[:len(blocks)]
+            assert fp.rank(np.hstack([b.reshape(k, -1) for b in blocks]), p) == k
+            assert fp.rank(np.hstack([b.reshape(k, -1) for b in blocks[:-1]]
+                                     + [fp.zeros(k, 0)]), p) < k
+        assert verdicts.count(True) >= 3 and verdicts.count(False) >= 30
+
+    def test_smash_square_of_s2_is_decided_on_one_2x2_block(self, received):
+        M = tensor(moore_module(2), moore_module(2))
+        local, basis, blocks, _, _ = self.decide(M, received)
+        assert local
+        assert [b.shape for b in blocks] == [(len(basis), 2, 2)]
 
 
 def run_python(code, **env_vars):

@@ -213,6 +213,12 @@ class TestAbelianGroup:
         assert AbelianGroup((0, 12)).p_primary(2) == cyclic(4)
         assert Z.p_primary(3) == TRIVIAL
 
+    def test_p_primary_refuses_a_non_prime(self):
+        # Z/8 has no meaningful 4-primary part; gcd(8, 4^4) would call it Z/8.
+        for p in (4, 1, 0, -2, 9):
+            with pytest.raises(ValueError, match=f"p_primary needs a prime, not {p}"):
+                AbelianGroup((8,)).p_primary(p)
+
     def test_p_primary_matches_division_by_p(self):
         for factors in random_factor_tuples(40000, 38):
             group = AbelianGroup(factors)
@@ -383,6 +389,14 @@ class TestMooreHomotopy:
     def test_extension_order(self):
         assert GroupExtensionProblem(cyclic(2), cyclic(2)).order == 4
         assert GroupExtensionProblem(cyclic(6), TRIVIAL).order == 6
+
+    def test_a_computed_group_needs_a_group_or_an_extension(self):
+        with pytest.raises(ValueError, match="needs a group or an extension"):
+            ComputedGroup(None)
+        problem = GroupExtensionProblem(cyclic(2), cyclic(2))
+        assert str(ComputedGroup(None, extension=problem)) == \
+            "group of order 4 (unknown extension)"
+        assert ComputedGroup(cyclic(3), extension=problem).order == 3
 
     def test_unknown_when_stems_missing(self):
         assert isinstance(moore_homotopy(2, 7), Unknown)

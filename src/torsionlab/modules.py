@@ -715,9 +715,7 @@ def _fitting_split(M: FiniteModule, psi: np.ndarray
     column per free column of R, and its free rows are the identity, so
     reading them is a left inverse."""
     p, n = M.prime, M.total_dim
-    w, power = psi, 1
-    while power < n:
-        w, power = fp.matmul(w, w, p), 2 * power
+    w = fp.power(psi, 1 << (n - 1).bit_length(), p)
     r, pivots = fp.rref(w, p)
     rank = len(pivots)
     if not 0 < rank < n:
@@ -751,27 +749,29 @@ def _radical(blocks: list[np.ndarray], p: int) -> np.ndarray:
     every block is given, less when `_is_local` keeps fewer.  g_i is linear
     on the ideal I_(i-1), so each level is one nullspace.  The trace of the
     p^i-th power of an integer matrix is fixed mod p^(i+1) by the matrix
-    mod p, so powers are taken mod p^(i+1) from any lift; a trace that p^i
-    does not divide means x b left I_(i-1) and is refused."""
+    mod p, so powers are taken mod p^(i+1) from any lift, by repeated
+    squaring; a trace that p^i does not divide means x b left I_(i-1) and
+    is refused.  Every product goes through `fp.matmul`, whose bound on
+    p is checked there."""
     k = len(blocks[0])
     n = sum(b.shape[1] for b in blocks)
+    # Level 0 takes no power: Tr(b_i b_j), summed over the blocks, pairs
+    # b_i with b_j transposed entry by entry, a symmetric form.
+    flat = np.hstack([b.reshape(k, -1) for b in blocks])
+    transposed = np.hstack([b.transpose(0, 2, 1).reshape(k, -1) for b in blocks])
+    rows = fp.nullspace(fp.matmul(flat, transposed.T, p), p).T
     # x b for every x and b, chunked so that no stack passes 2^21 entries.
-    step = max(1, (1 << 21) // (k * sum(b.shape[1] ** 2 for b in blocks)))
-    rows = fp.identity(k)
-    level, power = 0, 1
+    step = max(1, (1 << 21) // (k * flat.shape[1]))
+    level, power = 1, p
     while power <= n and len(rows):
         q = power * p
         traces = fp.zeros(len(rows), k)
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             for block in blocks:
-                x = (chunk @ block.reshape(k, -1)).reshape(len(chunk), *block.shape[1:]) % p
-                z = x[:, None] @ block[None] % q
-                for _ in range(level):
-                    w = z
-                    for _ in range(p - 1):
-                        w = w @ z % q
-                    z = w
+                x = fp.matmul(chunk, block.reshape(k, -1), p).reshape(len(chunk),
+                                                                      *block.shape[1:])
+                z = fp.power(fp.matmul(x[:, None], block[None], q), power, q)
                 traces[start:start + step] += np.trace(z, axis1=2, axis2=3)
         traces %= q
         if (traces % power).any():
@@ -798,11 +798,13 @@ def _is_local(basis: np.ndarray, dims: dict[int, int], p: int) -> bool:
     a field iff it is commutative, so every commutator of two c lies in J,
     and x -> x^p - x, which is then F_p-linear on A/J, has a kernel of
     dimension 1 (Berlekamp, 1967), so the c^p - c span a space of
-    dimension dim A/J - 1 modulo J."""
+    dimension dim A/J - 1 modulo J; c^p takes about log2 p products
+    (`fp.power`)."""
     blocks = sorted(_degree_blocks(basis, dims), key=lambda b: -b.shape[1])
     ends = np.cumsum([b.shape[1] ** 2 for b in blocks])
-    last = fp.rref(np.hstack([b.reshape(len(b), -1) for b in blocks]), p)[1][-1]
-    blocks = blocks[:np.searchsorted(ends, last, side="right") + 1]
+    entries = np.hstack([b.reshape(len(b), -1) for b in blocks])
+    run = np.searchsorted(ends, fp.rref(entries, p)[1][-1], side="right") + 1
+    blocks = blocks[:run]
     radical = _radical(blocks, p)
     pivots = fp.rref(radical, p)[1]
     others = [j for j in range(len(basis)) if j not in pivots]
@@ -810,18 +812,15 @@ def _is_local(basis: np.ndarray, dims: dict[int, int], p: int) -> bool:
     def flat(stacks: list[np.ndarray]) -> np.ndarray:
         return np.hstack([s.reshape(-1, s.shape[-1] ** 2) for s in stacks]) % p
 
-    ideal = np.hstack([radical @ b.reshape(len(b), -1) for b in blocks]) % p
+    ideal = fp.matmul(radical, entries[:, :ends[run - 1]], p)
     tops = [b[others] for b in blocks]
-    commutators = flat([t[:, None] @ t[None] - t[None] @ t[:, None] for t in tops])
+    # c_j c_i is entry (j, i) of the stack of products c_i c_j.
+    products = [fp.matmul(t[:, None], t[None], p) for t in tops]
+    commutators = flat([c - c.swapaxes(0, 1) for c in products])
     if fp.rank(np.vstack([ideal, commutators]), p) > len(ideal):
         return False
-    frobenius = []
-    for t in tops:
-        w = t
-        for _ in range(p - 1):
-            w = w @ t % p
-        frobenius.append(w - t)
-    return fp.rank(np.vstack([ideal, flat(frobenius)]), p) == len(basis) - 1
+    frobenius = flat([fp.power(t, p, p) - t for t in tops])
+    return fp.rank(np.vstack([ideal, frobenius]), p) == len(basis) - 1
 
 
 def _combinations(basis: np.ndarray, p: int):

@@ -304,6 +304,15 @@ class TestFileErrors:
         files = [str(path)] * (2 if command == "tensor" else 1)
         assert "allocate" in assert_user_error(capsys, ["module", command, *files])
 
+    def test_product_above_the_exact_bound(self, capsys, tmp_path):
+        # b b on this module needs products mod p that float64 cannot hold.
+        p = 2_147_483_647
+        path = tmp_path / "beta.json"
+        write_data(path, {"prime": p, "dims": {"0": 1, "1": 4, "2": 1}, "actions": [
+            {"generator": "b", "source_degree": 0, "matrix": [[p - 1]] * 4},
+            {"generator": "b", "source_degree": 1, "matrix": [[p - 1] * 4]}]})
+        assert "not exact in float64" in assert_user_error(capsys, ["module", "check", str(path)])
+
     @pytest.mark.parametrize("data,message", [
         ({"dimension": 3, "factors": [24]},
          'the stems file is {"dimension": 3, "factors": [24]}, not a list'),

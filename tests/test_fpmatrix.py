@@ -1,5 +1,6 @@
-"""Exact F_p linear algebra: the vectorized elimination against the
-row-by-row reference, and the defining properties of nullspace and solve.
+"""Exact F_p linear algebra: the packed F_2 elimination and the column
+loop against the row-by-row reference, the float64 products against exact
+integer products, and the defining properties of nullspace and solve.
 `inv`, which only tests need, is defined here on top of solve."""
 
 import itertools
@@ -89,6 +90,88 @@ def test_rref_matches_row_loop_reference(p):
             assert fp.rank(a, p) == len(want_pivots)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (a.shape, p)
+
+
+def corank_one_square(rng, n):
+    """A random n x n matrix over F_2 of rank n - 1: an invertible matrix
+    (unit lower times unit upper triangular) with one pivot dropped, times
+    another invertible one."""
+    left = np.tril(rng.integers(0, 2, size=(n, n)), -1) + fp.identity(n)
+    right = np.triu(rng.integers(0, 2, size=(n, n)), 1) + fp.identity(n)
+    drop = fp.identity(n)
+    drop[n // 2, n // 2] = 0
+    return fp.matmul(fp.matmul(left, drop, 2), right, 2)
+
+
+def test_packed_f2_kernel_matches_the_column_loop_and_the_reference():
+    # The column loop is the odd-p kernel; at p = 2 it is the packed
+    # kernel's reference, as is the row loop.
+    for seed in range(4):
+        for a in matrices(2, seed):
+            got = fp.rref(a, 2)
+            for want in (fp._rref_columns(a, 2), reference_rref(a, 2)):
+                assert got[1] == want[1]
+                assert got[0].dtype == np.int64
+                assert np.array_equal(got[0], want[0]), a.shape
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_packed_f2_kernel_on_corank_one_squares(n):
+    a = corank_one_square(np.random.default_rng(n), n)
+    got = fp.rref(a, 2)
+    assert len(got[1]) == n - 1
+    references = [fp._rref_columns(a, 2)]
+    if n <= 256:
+        references.append(reference_rref(a, 2))
+    for want in references:
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0])
+    assert not fp.matmul(a, fp.nullspace_of_rref(*got, 2), 2).any()
+
+
+@pytest.mark.parametrize("p", PRIMES + (1_000_003,))
+def test_matmul_equals_the_exact_integer_product(p):
+    rng = np.random.default_rng(p % 1000)
+    for sa, sb in [((0, 3), (3, 4)), ((3, 0), (0, 2)), ((1, 1), (1, 1)), ((5, 7), (7, 3)),
+                   ((34, 34), (34, 34)), ((4, 1, 3, 3), (1, 5, 3, 3))]:
+        a = rng.integers(-(p - 1), p, size=sa, dtype=np.int64)
+        b = rng.integers(-(p - 1), p, size=sb, dtype=np.int64)
+        got = fp.matmul(a, b, p)
+        # Inside the bound, and far from int64 overflow.
+        assert got.dtype == np.int64
+        assert np.array_equal(got, a @ b % p)
+
+
+def test_matmul_is_exact_at_its_bound_and_refuses_just_above_it():
+    # At p = 1 000 003, inner (p - 1)^2 < 2^53 allows inner dimension 9007.
+    # With every entry p - 1 (or 1 - p) every partial sum is largest.
+    p = 1_000_003
+    inner = (fp.EXACT_LIMIT - 1) // (p - 1) ** 2
+    assert inner == 9007
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    a[1] = 1 - p
+    assert np.array_equal(fp.matmul(a, a.T, p), a.astype(object) @ a.T.astype(object) % p)
+    for wide in (np.ones((1, inner + 1), dtype=np.int64),
+                 np.ones((3, 1, inner + 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="of inner dimension 9008 is not exact"):
+            fp.matmul(wide, wide.swapaxes(-1, -2), p)
+
+
+def test_matmul_refuses_a_prime_too_large_for_any_product():
+    p = 2_147_483_647
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match=f"mod {p} of inner dimension 1"):
+        fp.matmul(one, one, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_power_is_the_repeated_product(p):
+    rng = np.random.default_rng(20 + p)
+    a = rng.integers(0, p, size=(3, 4, 4), dtype=np.int64)
+    want = a
+    for e in range(1, 12):
+        assert np.array_equal(fp.power(a, e, p), want)
+        want = fp.matmul(want, a, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1524,6 +1524,40 @@ class TestExactDecision:
         assert not modules._is_local(basis, M.dims, p)
         assert time.perf_counter() - start < 2
 
+    def test_endomorphisms_of_the_sixth_smash_power(self):
+        # dim End((S/2)^k) is the Catalan number C_k: 132 at k = 6.
+        M = smash_power(moore_module(2), 6)
+        basis = modules._endomorphism_basis(M)
+        assert len(basis) == 132
+        assert np.array_equal(fp.matmul(basis, M.total, 2), fp.matmul(M.total, basis, 2))
+
+
+def beta_squared_module(p):
+    """Cells 1, 4, 1 in degrees 0, 1, 2 with every entry of the Bockstein
+    p - 1, so that b b acts on the bottom cell by 4 (p - 1)^2 = 4 mod p."""
+    return FiniteModule(p, {0: 1, 1: 4, 2: 1}, {(BOCKSTEIN, 0): [[p - 1]] * 4,
+                                                 (BOCKSTEIN, 1): [[p - 1] * 4]})
+
+
+class TestLargePrimes:
+    """A product is exact in float64 while inner (p - 1)^2 < 2^53, and is
+    refused above that, where int64 would wrap silently."""
+
+    def test_beta_squared_is_seen_below_the_bound(self):
+        violations = consistency_check(beta_squared_module(1_000_003), 2)
+        assert [(str(v.lhs), str(v.rhs), v.source_degree) for v in violations] == [
+            ("b b", "0", 0)]
+
+    def test_beta_squared_is_refused_above_the_bound(self):
+        with pytest.raises(ValueError, match="mod 2147483647 .* not exact in float64"):
+            consistency_check(beta_squared_module(2_147_483_647), 2)
+
+    def test_moore_module_at_a_large_prime_takes_log_p_products(self):
+        # The Frobenius step raises to the p-th power by repeated squaring.
+        start = time.perf_counter()
+        assert not is_decomposable(moore_module(1_000_003))
+        assert time.perf_counter() - start < 0.2
+
 
 class TestFaithfulBlocks:
     """`_is_local` decides on the shortest run of degree blocks, widest

@@ -14,27 +14,38 @@ rank-one object is nonzero even though its cone is again the rank-one
 object — the behavior that separates this category from algebraic ones.
 
 Everything that does not depend on a verdict is built once per process:
-the class representatives for each rank bound, GL_r(Z/4), found as the
-matrices of odd determinant, the codes of the row and column blocks of
-every matrix of each shape, GL first, only up to the rank a call needs,
-and the plan of each rank bound's verification join
-(_verification_join).  Verdicts are recomputed on every call.  Searches
-never loop over matrices in Python, and the joins multiply no stack by a
-morphism: a matrix X is met only through the integer keys of X m and m X
-for the triangles' morphisms m.  A join's plan (_join) holds its stack
-codes and gives the distinct morphisms product tables from one batched
-product (_product_tables); the key of X m is a sum of table entries
-indexed by the codes of X's row blocks, that of m X by its column
-blocks.  A verification is one batched join (_decide) over TR3 for all
-pairs of representatives and membership for all rotations and direct
-sums: each variable's keys for every pair come from one ragged gather
-over the concatenated stacks, packed under the pair index; the distinct
-keys of the candidate a and b are joined on the commutation condition,
-and each result is looked up among the keys of all fill-ins c (TR3) or
-of all invertible w (isomorphism).  Batches are cut by stack size, so
-rank 3 runs in memory: `exotic verify --max-rank 3` takes about
-6 s and 103 MB (2-vCPU VM, Python 3.11), and its plan holds about 21 MB,
-nearly all product tables (0.1 MB at rank 2)."""
+the class representatives for each rank bound with the incidence of
+their summands, GL_r(Z/4), found as the matrices of odd determinant, the
+codes of the row and column blocks of every matrix of each shape, GL
+first, only up to the rank a call needs, and the plan of each rank
+bound's verification join (_verification_join).  Verdicts are recomputed
+on every call.  Searches never loop over matrices in Python, and the
+joins multiply no stack by a morphism: a matrix X is met only through
+the integer keys of X m and m X for the triangles' morphisms m.  A
+join's plan (_join) holds its stack codes and gives the distinct
+morphisms product tables from one batched product (_product_tables); the
+key of X m is a sum of table entries indexed by the codes of X's row
+blocks, that of m X by its column blocks.  A verification is one batched
+join (_decide) over TR3 for the 16 pairs of elementary triangles and
+membership for all rotations and direct sums: each variable's keys for
+every pair come from one ragged gather over the concatenated stacks,
+packed under the pair index; the distinct keys of the candidate a and b
+are joined on the commutation condition, and each result is looked up
+among the keys of all fill-ins c (TR3) or of all invertible w
+(isomorphism).
+
+TR3 on the representatives is read off their summands.  Lemma: TR3
+holds for two direct sums of triangles iff it holds for every pair of a
+summand of the first and a summand of the second.  A morphism of sums is
+a matrix of morphisms between the summands, and since the triangles'
+maps are block diagonal, all three squares commute block by block; so a
+commuting pair has a fill iff each of its blocks has one (proof at
+_decide).  With E the elementary verdicts and N the representatives'
+summand incidence, which the enumeration records, TR3 on the
+representatives is N (not E) N^T == 0.  Batches are cut by stack size,
+so rank 3 runs in memory: `exotic verify --max-rank 3` takes about
+1.2-1.5 s and 100 MB (2-vCPU VM, Python 3.11), and its plan holds
+about 21 MB, nearly all product tables (0.1 MB at rank 2)."""
 
 from __future__ import annotations
 
@@ -404,17 +415,19 @@ _VARIABLES = ((0, 1, 4, True), (2, 0, 3, False), (1, 2, 5, True))
 
 
 class _Join(NamedTuple):
-    """A planned join, all read-only: TR3 for the n x n pairs of
-    representatives (n = 0 without TR3), then membership for the pairs
-    whose rows in iso are (query, representative) of equal ranks, among
-    `queries` queries.  It holds
+    """A planned join, all read-only: TR3 for the k x k pairs of summands
+    (k = 0 without TR3), then membership for the pairs whose rows in iso
+    are (query, representative) of equal ranks, among `queries` queries.
+    It holds
     - codes, the stack codes of its rank bound (_stack_codes), and width
       and dtype, the key layout (_key_width);
     - row_table and col_table, the distinct morphisms' product tables;
     - variables: per variable of _VARIABLES, the per-pair stack sizes and
       starts, the per-pair offsets of its right and left morphisms'
       tables, and whether the right product is k1;
-    - held, the running count of stack matrices over the pairs."""
+    - held, the running count of stack matrices over the pairs;
+    - incidence, the (representatives x k) multiplicities of the
+      summands in each representative."""
 
     codes: _Codes
     width: int
@@ -423,30 +436,37 @@ class _Join(NamedTuple):
     col_table: np.ndarray
     variables: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool], ...]
     held: np.ndarray
-    n: int
+    incidence: np.ndarray
     iso: np.ndarray
     queries: int
 
 
-def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
-    """The plan of one join over the pairs (t1, t2): (reps[i], reps[j])
-    for TR3, if tr3, then (query, rep) of equal ranks for membership.
+def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool,
+          summands: tuple[list[Z4Triangle], np.ndarray] | None = None) -> _Join:
+    """The plan of one join over the pairs (t1, t2): if tr3, all pairs of
+    summands for TR3, then (query, rep) of equal ranks for membership.
+    summands holds the triangles whose pairs TR3 decides and the
+    (reps x triangles) incidence of each rep's summands among them (see
+    _decide); by default each rep is its own only summand.
 
     The triangles' distinct morphisms get their product tables in one
     batched product (_product_tables).  Each variable draws, per pair, the
     stack of its shape (GL first, only GL for membership) and the offsets
     of the tables of the morphisms that multiply it."""
-    n = len(reps) if tr3 else 0
+    if not tr3:
+        summands = ([], np.zeros((0, 0), dtype=np.int64))
+    blocks, incidence = summands or (reps, np.eye(len(reps), dtype=np.int64))
+    k = len(blocks)
     by_ranks: dict[tuple[int, int, int], list[int]] = {}
     for j, rep in enumerate(reps):
         by_ranks.setdefault(rep.ranks, []).append(j)
     iso = np.array([(i, j) for i, q in enumerate(queries)
                     for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
     first, second = np.concatenate(
-        [np.indices((n, n)).reshape(2, -1).T, iso + (len(reps), 0)]).T
+        [np.indices((k, k)).reshape(2, -1).T, iso + (k + len(reps), k)]).T
     index: dict[Z4Morphism, int] = {}
     rows = np.array([[index.setdefault(m, len(index)) for m in (t.f, t.g, t.h)]
-                     + [*t.ranks] for t in [*reps, *queries]],
+                     + [*t.ranks] for t in [*blocks, *reps, *queries]],
                     dtype=np.int64).reshape(-1, 6)
     rank = int(rows[:, 3:].max(initial=0))
     width, dtype = _key_width(rank, len(first))
@@ -455,7 +475,7 @@ def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join
     row_table, col_table = (_readonly(table.astype(dtype, copy=False)) for table in
                             _product_tables(_padded(list(index), rank), rank))
     t1, t2 = rows[first], rows[second]
-    invertible = np.arange(len(first)) >= n * n
+    invertible = np.arange(len(first)) >= k * k
     stride = math.prod(_layout(rank))
     variables = []
     for right, left, obj, right_high in _VARIABLES:
@@ -466,23 +486,40 @@ def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join
             _readonly(t1[:, right] * stride), _readonly(t2[:, left] * stride), right_high))
     held = _readonly(np.cumsum(sum(size for size, *_ in variables)))
     return _Join(codes, width, dtype, row_table, col_table, tuple(variables), held,
-                 n, _readonly(iso), len(queries))
+                 _readonly(incidence), _readonly(iso), len(queries))
 
 
 def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
     """The verdicts of a planned join, decided afresh on every call: the
-    TR3 verdicts as an n x n matrix, and per query whether it is
-    isomorphic to a representative.  A pair holds if a and b drawn from
-    the stacks of their shapes with b f1 = f2 a have a c with c g1 = g2 b
-    and h2 c = a h1, for every such (a, b) over all matrices (TR3), or for
-    some (a, b) over GL (an isomorphism).
+    TR3 verdicts of the representatives as a matrix, and per query whether
+    it is isomorphic to a representative.  A pair holds if a and b drawn
+    from the stacks of their shapes with b f1 = f2 a have a c with c g1 =
+    g2 b and h2 c = a h1, for every such (a, b) over all matrices (TR3 on
+    the pairs of summands), or for some (a, b) over GL (an isomorphism).
+
+    TR3 of two representatives is read off their summands.  Lemma: for
+    block-diagonal triangles T1 = (+)_i S_i and T2 = (+)_j S'_j, TR3
+    holds for (T1, T2) iff it holds for every pair (S_i, S'_j).  Proof: a
+    morphism X1 -> X2 (and likewise on Y and Z) is a matrix of blocks
+    S_i -> S'_j, and since f, g and h are block diagonal, block (j, i) of
+    b f1 - f2 a is b_ji f_i - f'_j a_ji, and so on for the other two
+    squares.  So (a, b) commutes iff every block (a_ji, b_ji) does, and
+    c fills (a, b) iff every block c_ji fills (a_ji, b_ji).  If every
+    pair of summands has fills, a commuting pair is filled block by
+    block.  Conversely, a commuting pair of (S_i, S'_j) set in block
+    (j, i), with zeros elsewhere, commutes, and block (j, i) of a fill of
+    it fills it.  With incidence N and the summands' verdicts E, the
+    representatives' verdicts are N (not E) N^T == 0: no pair of their
+    summands fails.  For the default summands N is the identity, and
+    this is E itself.
 
     A variable's keys for a batch of pairs come from one ragged gather
     over the concatenated stacks of its shapes: the key of X m is a sum
     of row table entries and that of m X a sum of column table entries
     (see _product_tables).  The keys are packed under the pair index and
     decided by _decide_batch."""
-    codes, width, dtype, held, n = join.codes, join.width, join.dtype, join.held, join.n
+    codes, width, dtype, held = join.codes, join.width, join.dtype, join.held
+    k = join.incidence.shape[1]
 
     def packed(size, start, right, left, right_high) -> np.ndarray:
         # One variable's packed keys for a batch of pairs; the gathers'
@@ -504,10 +541,11 @@ def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
         hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(held))
         keys = [packed(size[lo:hi], start[lo:hi], right[lo:hi], left[lo:hi], right_high)
                 for size, start, right, left, right_high in join.variables]
-        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, np.arange(lo, hi) < n * n)
+        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, np.arange(lo, hi) < k * k)
         lo = hi
-    members = np.bincount(join.iso[verdicts[n * n:], 0], minlength=join.queries) > 0
-    return verdicts[:n * n].reshape(n, n), members
+    failing = ~verdicts[:k * k].reshape(k, k)
+    members = np.bincount(join.iso[verdicts[k * k:], 0], minlength=join.queries) > 0
+    return join.incidence @ failing @ join.incidence.T == 0, members
 
 
 def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
@@ -522,26 +560,30 @@ def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
 
 
 @functools.cache
-def _representatives(max_rank: int) -> tuple[Z4Triangle, ...]:
+def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]:
+    """The direct sums of elementary triangles within the rank bound, the
+    zero triangle first, and the incidence of their summands: row k holds
+    how many times each of elementary_triangles() is a summand of sum k."""
     if max_rank < 0:
         raise ValueError(f"rank bound {max_rank} is negative")
     if max_rank > 3:
         raise ValueError("rank bound above 3 makes exhaustive checks infeasible")
     elems = elementary_triangles()
-    rank_vectors = [t.ranks for t in elems]
-    reps = [zero_triangle()]
+    rank_vectors = np.array([t.ranks for t in elems])
+    reps, incidence = [], []
     for counts in itertools.product(range(max_rank + 1), repeat=len(elems)):
-        ranks = [sum(c * rv[i] for c, rv in zip(counts, rank_vectors)) for i in range(3)]
-        if sum(counts) and max(ranks) <= max_rank:
-            reps.append(functools.reduce(Z4Triangle.direct_sum,
-                                         [t for t, c in zip(elems, counts) for _ in range(c)]))
-    return tuple(reps)
+        if max(counts @ rank_vectors) <= max_rank:
+            reps.append(functools.reduce(
+                Z4Triangle.direct_sum, [t for t, c in zip(elems, counts) for _ in range(c)],
+                zero_triangle()))
+            incidence.append(counts)
+    return tuple(reps), _readonly(np.array(incidence, dtype=np.int64))
 
 
 def _closure_queries(max_rank: int) -> tuple[list[Z4Triangle], list[Z4Triangle]]:
     """The rotations of the representatives, one per representative, and
     their pairwise direct sums within the rank bound."""
-    reps = _representatives(max_rank)
+    reps = _representatives(max_rank)[0]
     sums = [
         t1.direct_sum(t2)
         for t1, t2 in itertools.combinations_with_replacement(reps, 2)
@@ -552,18 +594,20 @@ def _closure_queries(max_rank: int) -> tuple[list[Z4Triangle], list[Z4Triangle]]
 
 @functools.cache
 def _verification_join(max_rank: int) -> _Join:
-    """The join of verify_axioms: TR3 on the representatives, and the
+    """The join of verify_axioms: TR3 on the pairs of elementary triangles,
+    read off onto the representatives by their summands (_decide), and the
     membership of their rotations and sums.  Planned once per bound, and
     only read; its verdicts are decided on every call."""
+    reps, incidence = _representatives(max_rank)
     rotations, sums = _closure_queries(max_rank)
-    return _join(list(_representatives(max_rank)), [*rotations, *sums], tr3=True)
+    return _join(list(reps), [*rotations, *sums], True, (elementary_triangles(), incidence))
 
 
 def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
     """One representative per isomorphism class of direct sums of
     elementary triangles with all three ranks bounded by max_rank.  The
     enumeration is built once per bound; each call returns a new list."""
-    return list(_representatives(max_rank))
+    return list(_representatives(max_rank)[0])
 
 
 def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:

@@ -122,8 +122,8 @@ def _rref_columns(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     The pivot of column c is its first nonzero entry at or below row r,
     the number of pivots found so far.  Rows r and beyond are zero left of
     c, so the update touches only columns c onward.  The column is read
-    into a Python list once: on the small matrices that dominate, a list
-    scan costs less than a numpy call."""
+    into a Python list and scanned once, rows r onward first: on the small
+    matrices that dominate, a list scan costs less than a numpy call."""
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
@@ -132,17 +132,17 @@ def _rref_columns(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r == rows:
             break
         col = m[:, c].tolist()
-        piv = next((i for i in range(r, rows) if col[i]), None)
-        if piv is None:
+        below = [i for i in range(r, rows) if col[i]]
+        if not below:
             continue
+        # Every other nonzero row; none is r or piv, so the swap moves none.
+        piv, hit = below[0], [i for i in range(r) if col[i]] + below[1:]
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-            col[r], col[piv] = col[piv], col[r]
         row = m[r, c:]
-        if col[r] != 1:
-            row = row * mod_inv(col[r], p) % p
+        if col[piv] != 1:
+            row = row * mod_inv(col[piv], p) % p
             m[r, c:] = row
-        hit = [i for i, v in enumerate(col) if v and i != r]
         if hit:
             factors = np.array([col[i] for i in hit], dtype=np.int64)
             m[hit, c:] = (m[hit, c:] - factors[:, None] * row) % p

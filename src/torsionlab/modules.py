@@ -321,10 +321,14 @@ def tensor(A: FiniteModule, B: FiniteModule) -> FiniteModule:
     its factors' nonzero entries alone, each pair's product placed at its
     position in the output's basis; the products at positive differences
     (1 for beta) are the entries of the output's T.  No whole Kronecker
-    matrix is formed."""
+    matrix is formed.  The products are taken in int64, so a prime with
+    (p - 1)^2 >= 2^63 is refused with a ValueError."""
     if A.prime != B.prime:
         raise PrimeMismatchError("tensor over different primes")
     p = A.prime
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"a product of two entries mod {p} is not exact in int64: "
+                         f"(p - 1)^2 must stay below 2^63")
     deg_a, deg_b = A.basis_degrees, B.basis_degrees
     degrees = np.add.outer(deg_a, deg_b).ravel()
     perm = np.argsort(degrees, kind="stable")

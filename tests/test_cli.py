@@ -9,7 +9,14 @@ import sys
 import pytest
 
 from torsionlab.cli import main
-from torsionlab.modules import hypothetical_Cb_module, moore_module, save_module, tensor
+from torsionlab.modules import (
+    BOCKSTEIN,
+    FiniteModule,
+    hypothetical_Cb_module,
+    moore_module,
+    save_module,
+    tensor,
+)
 from torsionlab.scenarios import run_all
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -415,6 +422,17 @@ class TestModuleCommands:
         with open(out) as got, open(os.path.join(DATA, f"moore{p}_smash{power}.json")) as want:
             assert got.read() == want.read()
 
+    def test_tensor_refuses_a_prime_whose_products_overflow_int64(self, capsys, tmp_path):
+        p = 4294967311
+        path = str(tmp_path / "big.json")
+        save_module(FiniteModule(p, {0: 1, 1: 1}, {(BOCKSTEIN, 0): [[p - 1]]}), path)
+        code = main(["module", "tensor", path, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"torsionlab: error: a product of two entries mod {p} is "
+                                "not exact in int64: (p - 1)^2 must stay below 2^63\n")
+
     @pytest.fixture()
     def fourth_power_file(self, tmp_path):
         """The 16-dim fourth smash power of S/2, degrees 0 to 4."""
@@ -655,6 +673,13 @@ class TestExoticCommands:
         code, out = run(capsys, "exotic", "verify", "--max-rank", "2")
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_verify_matches_the_golden_transcript(self, capsys, rank):
+        with open(os.path.join(DATA, f"exotic_verify_rank{rank}.txt"),
+                  encoding="utf-8", newline="") as f:
+            want = f.read()
+        assert run(capsys, "exotic", "verify", "--max-rank", str(rank)) == (0, want)
 
     def test_two_order(self, capsys):
         code, out = run(capsys, "exotic", "two-order")

@@ -2,6 +2,7 @@
 enumerated distinguished class, axiom checks, and the 2-order certificate."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -548,6 +549,84 @@ class TestTR3:
         cands = rank_one_candidates()
         for t1, t2 in itertools.product(cands, repeat=2):
             assert tr3_by_pair_join(t1, t2) == tr3_by_brute_force(t1, t2)
+
+
+def sums_of_candidates(rng, count, terms):
+    """count direct sums of `terms` rank-one candidates drawn by rng, and
+    the incidence of the candidates among their summands."""
+    cands = rank_one_candidates()
+    sums, incidence = [], np.zeros((count, len(cands)), dtype=np.int64)
+    for k in range(count):
+        picks = [rng.randrange(len(cands)) for _ in range(terms)]
+        sums.append(functools.reduce(Z4Triangle.direct_sum, [cands[i] for i in picks]))
+        np.add.at(incidence[k], picks, 1)
+    return cands, sums, incidence
+
+
+class TestBlockwiseTR3:
+    """TR3 of direct sums read off the pairs of their summands (_decide's
+    lemma), against the full join and the per-pair join."""
+
+    def test_representatives_are_the_sums_their_incidence_names(self):
+        elems = elementary_triangles()
+        for max_rank in range(4):
+            reps, incidence = exotic._representatives(max_rank)
+            assert incidence.shape == (len(reps), len(elems))
+            for rep, counts in zip(reps, incidence):
+                summands = [t for t, c in zip(elems, counts) for _ in range(c)]
+                assert rep == functools.reduce(Z4Triangle.direct_sum, summands, zero_triangle())
+
+    @pytest.mark.parametrize("max_rank", [1, 2])
+    def test_verification_matches_the_full_join_on_representatives(self, max_rank):
+        tr3, _ = _decide(exotic._verification_join(max_rank))
+        assert np.array_equal(tr3, tr3_verdicts(distinguished_representatives(max_rank)))
+        assert tr3.all()
+
+    def test_verification_decides_tr3_on_the_elementary_pairs(self, monkeypatch):
+        # Fail the pair (2-triangle, 2-triangle), the first pair decided:
+        # exactly the pairs of representatives that both hold a 2-triangle
+        # fail.
+        decide, batches = exotic._decide_batch, []
+
+        def failing_first(b, a, c, n_pairs, width, every):
+            batches.append(n_pairs)
+            verdicts = decide(b, a, c, n_pairs, width, every)
+            verdicts[0] = False
+            return verdicts
+
+        join = exotic._verification_join(2)
+        assert join.incidence.shape == (16, 4)
+        assert len(join.held) == 16 + len(join.iso)
+        monkeypatch.setattr(exotic, "_decide_batch", failing_first)
+        tr3, members = _decide(join)
+        assert batches == [len(join.held)]
+        # Only a 2-triangle summand puts a 2 into f.
+        has_two = np.array([2 in rep.f.entries for rep in distinguished_representatives(2)])
+        assert 0 < has_two.sum() < len(has_two)
+        assert np.array_equal(tr3, ~np.outer(has_two, has_two))
+        assert members.all()
+
+    def test_blockwise_matches_the_full_join_on_sums_of_candidates(self):
+        # The candidates are not all distinguished: 63 of their 196 pairs
+        # fail TR3, so sums fail wherever one pair of summands does.
+        cands, sums, incidence = sums_of_candidates(random.Random(7), 40, 2)
+        got = _decide(_join(sums, [], True, (cands, incidence)))[0]
+        want = tr3_verdicts(sums)
+        assert np.array_equal(got, want)
+        assert 0 < (~want).sum() < want.size
+
+    def test_blockwise_matches_the_pair_join_at_rank_three(self):
+        rng = random.Random(13)
+        reps, incidence = exotic._representatives(3)
+        tr3 = _decide(_join(list(reps), [], True, (elementary_triangles(), incidence)))[0]
+        assert tr3.shape == (39, 39)
+        for _ in range(6):
+            i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
+            assert tr3[i, j] == tr3_by_pair_join(reps[i], reps[j])
+        cands, sums, incidence = sums_of_candidates(rng, 2, 3)
+        tr3 = _decide(_join(sums, [], True, (cands, incidence)))[0]
+        assert tr3.tolist() == [[tr3_by_pair_join(t1, t2) for t2 in sums] for t1 in sums]
+        assert 0 < tr3.sum() < tr3.size
 
 
 def membership_queries():

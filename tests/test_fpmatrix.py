@@ -92,6 +92,20 @@ def test_rref_matches_row_loop_reference(p):
             assert np.array_equal(got, want), (a.shape, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_column_loop_matches_the_reference_on_sparse_matrices(p):
+    # Sparse columns make the pivot search skip rows and swap, and leave
+    # entries above the pivot row to be cleared.
+    rng = np.random.default_rng(p)
+    for rows, cols in SHAPES:
+        for density in (0.1, 0.3):
+            a = random_matrix(rng, p, rows, cols) * (rng.random((rows, cols)) < density)
+            got, got_pivots = fp._rref_columns(a, p)
+            want, want_pivots = reference_rref(a, p)
+            assert got_pivots == want_pivots
+            assert np.array_equal(got, want), (a.shape, p, density)
+
+
 def corank_one_square(rng, n):
     """A random n x n matrix over F_2 of rank n - 1: an invertible matrix
     (unit lower times unit upper triangular) with one pivot dropped, times

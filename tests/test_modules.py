@@ -923,6 +923,23 @@ class TestTensor:
         t3 = tensor(moore_module(3), moore_module(3))
         assert consistency_check(t3, 20) == []
 
+    @staticmethod
+    def bockstein_cells(p):
+        """S/p with beta = -1: the smash square's top row holds (p - 1)^2."""
+        return FiniteModule(p, {0: 1, 1: 1}, {(BOCKSTEIN, 0): [[p - 1]]})
+
+    def test_products_are_exact_at_a_large_prime(self):
+        p = 1000003
+        square = tensor(self.bockstein_cells(p), self.bockstein_cells(p))
+        # beta(x1 (x) y0) = -x1 (x) beta y0: the Koszul sign p - 1 times
+        # beta's entry p - 1, so the product (p - 1)^2, which is 1 mod p.
+        assert square.total[3].tolist() == [0, p - 1, 1, 0]
+
+    def test_a_prime_whose_products_overflow_int64_is_refused(self):
+        p = 4294967311
+        with pytest.raises(ValueError, match=r"mod 4294967311 .* \(p - 1\)\^2 must stay below 2\^63$"):
+            tensor(self.bockstein_cells(p), self.bockstein_cells(p))
+
 
 class TestActElement:
     def test_zero_on_empty_target(self):

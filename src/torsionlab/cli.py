@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exotic", help="Z/4 exotic category checks")
     esub = p.add_subparsers(dest="exotic_command", required=True)
-    q = esub.add_parser("verify", help="exhaustive low-rank axiom verification")
+    q = esub.add_parser("verify", help="axiom verification up to a rank bound")
     q.add_argument("--max-rank", type=int, default=2)
     q.set_defaults(func=_cmd_exotic_verify)
     q = esub.add_parser("two-order", help="2-order-zero certificate")

@@ -1,5 +1,5 @@
-"""Exhaustive checker for the triangulated structure on finitely generated
-free Z/4-modules with identity shift.
+"""Checker for the triangulated structure on finitely generated free
+Z/4-modules with identity shift.
 
 The category F(Z/4) of finitely generated free Z/4-modules carries a
 triangulation whose shift functor is the identity and whose basic
@@ -8,44 +8,24 @@ distinguished triangle is
     Z/4 --2--> Z/4 --2--> Z/4 --2--> Z/4.
 
 This module enumerates the candidate distinguished class (direct sums of
-elementary triangles up to isomorphism), verifies the triangle axioms
-exhaustively in low rank, and certifies that multiplication by 2 on the
+elementary triangles up to isomorphism), verifies the triangle axioms on
+it up to a rank bound, and certifies that multiplication by 2 on the
 rank-one object is nonzero even though its cone is again the rank-one
 object — the behavior that separates this category from algebraic ones.
 
-Everything that does not depend on a verdict is built once per process:
-the class representatives for each rank bound with the incidence of
-their summands, GL_r(Z/4), found as the matrices of odd determinant, the
-codes of the row and column blocks of every matrix of each shape, GL
-first, only up to the rank a call needs, and the plan of each rank
-bound's verification join (_verification_join).  Verdicts are recomputed
-on every call.  Searches never loop over matrices in Python, and the
-joins multiply no stack by a morphism: a matrix X is met only through
-the integer keys of X m and m X for the triangles' morphisms m.  A
-join's plan (_join) holds its stack codes and gives the distinct
-morphisms product tables from one batched product (_product_tables); the
-key of X m is a sum of table entries indexed by the codes of X's row
-blocks, that of m X by its column blocks.  A verification is one batched
-join (_decide) over TR3 for the 16 pairs of elementary triangles and
-membership for all rotations and direct sums: each variable's keys for
-every pair come from one ragged gather over the concatenated stacks,
-packed under the pair index; the distinct keys of the candidate a and b
-are joined on the commutation condition, and each result is looked up
-among the keys of all fill-ins c (TR3) or of all invertible w
-(isomorphism).
+The axioms are decided on the four elementary triangles, by one join at
+rank 1 planned once per process (_elementary_join), and read off onto
+every representative through the incidence of its summands, which the
+enumeration records (lemmas at _verdicts).  So `exotic verify
+--max-rank 3` takes 0.2-0.3 s and 31 MB, as rank 2 does (2-vCPU VM).
 
-TR3 on the representatives is read off their summands.  Lemma: TR3
-holds for two direct sums of triangles iff it holds for every pair of a
-summand of the first and a summand of the second.  A morphism of sums is
-a matrix of morphisms between the summands, and since the triangles'
-maps are block diagonal, all three squares commute block by block; so a
-commuting pair has a fill iff each of its blocks has one (proof at
-_decide).  With E the elementary verdicts and N the representatives'
-summand incidence, which the enumeration records, TR3 on the
-representatives is N (not E) N^T == 0.  Batches are cut by stack size,
-so rank 3 runs in memory: `exotic verify --max-rank 3` takes about
-1.2-1.5 s and 100 MB (2-vCPU VM, Python 3.11), and its plan holds
-about 21 MB, nearly all product tables (0.1 MB at rank 2)."""
+Membership and isomorphism search GL_r(Z/4), the matrices of odd
+determinant, up to rank 3, in batched joins on integer keys (_join,
+_decide).  A matrix X is met only through the keys of X m and m X for
+the triangles' morphisms m, which are sums of product-table entries
+indexed by the codes of X's row or column blocks (_product_tables), so
+the joins multiply no stack and loop over no matrices in Python.
+Batches are cut by stack size, so rank 3 runs in memory."""
 
 from __future__ import annotations
 
@@ -188,13 +168,16 @@ def zero_triangle() -> Z4Triangle:
     return Z4Triangle(z, z, z)
 
 
+@functools.cache
+def _elementary() -> tuple[Z4Triangle, ...]:
+    c0 = contractible_triangle()
+    return two_triangle(), c0, c0.rotate(), c0.rotate().rotate()
+
+
 def elementary_triangles() -> list[Z4Triangle]:
     """The 2-triangle, the rank-1 contractible triangle, and its two
-    rotations."""
-    c0 = contractible_triangle()
-    c1 = c0.rotate()
-    c2 = c1.rotate()
-    return [two_triangle(), c0, c1, c2]
+    rotations, built once per process; each call returns a new list."""
+    return list(_elementary())
 
 
 @functools.cache
@@ -331,11 +314,11 @@ def _product_tables(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray
     cols = 4 ** (rank * np.arange(rank)) @ ((mats @ vectors.T) % 4)
     tables = []
     for lines in (rows[:, None] * 4 ** (rank * line), cols[:, None] * 4**line):
-        lines = lines.reshape(len(mats), blocks, _BLOCK, -1)
+        lines = lines.reshape(len(mats), blocks, _BLOCK, 4**rank)
         table = lines[:, :, 0]
         for b in range(1, _BLOCK):
             table = (lines[:, :, b, :, None] + table[:, :, None, :]).reshape(
-                len(mats), blocks, -1)
+                len(mats), blocks, 4 ** (rank * (b + 1)))
         tables.append(table.ravel())
     return tables[0], tables[1]
 
@@ -394,16 +377,14 @@ def _decide_batch(b: np.ndarray, a: np.ndarray, c: np.ndarray, n_pairs: int,
 _BATCH_MATRICES = 1 << 18
 
 
-def _key_width(rank: int, n_pairs: int) -> tuple[int, type]:
-    """A bound on the matrix keys of a join between triangles of ranks <=
-    rank (a product of two of their morphisms has at most rank**2 entries),
-    and the narrowest dtype of int32 and int64 that holds every packed key
-    (pair * width + k1) * width + k2.  A rank-2 verification fits int32,
-    in which its keys sort and gather in about half the time."""
+def _key_width(rank: int, n_pairs: int) -> int:
+    """A bound on the matrix keys of a join at the rank (a product of two
+    morphisms has at most rank**2 entries), refused if a packed key
+    (pair * width + k1) * width + k2 could overflow int64."""
     width = 4 ** (rank * rank)
     if n_pairs * width * width > 2**63:
         raise ValueError(f"rank {rank} is too large to pack pair keys in int64")
-    return width, np.int32 if n_pairs * width * width <= 2**31 else np.int64
+    return width
 
 
 # The three variables of a join, as (the morphism of t1 that multiplies
@@ -415,65 +396,55 @@ _VARIABLES = ((0, 1, 4, True), (2, 0, 3, False), (1, 2, 5, True))
 
 
 class _Join(NamedTuple):
-    """A planned join, all read-only: TR3 for the k x k pairs of summands
-    (k = 0 without TR3), then membership for the pairs whose rows in iso
-    are (query, representative) of equal ranks, among `queries` queries.
-    It holds
-    - codes, the stack codes of its rank bound (_stack_codes), and width
-      and dtype, the key layout (_key_width);
+    """A planned join, all read-only: TR3 for the k x k pairs of
+    representatives (k = 0 without TR3), then membership for the pairs
+    whose rows in iso are (query, representative) of equal ranks, among
+    `queries` queries.  It holds
+    - codes, the stack codes of its rank bound (_stack_codes), and width,
+      the key layout (_key_width);
     - row_table and col_table, the distinct morphisms' product tables;
     - variables: per variable of _VARIABLES, the per-pair stack sizes and
       starts, the per-pair offsets of its right and left morphisms'
       tables, and whether the right product is k1;
-    - held, the running count of stack matrices over the pairs;
-    - incidence, the (representatives x k) multiplicities of the
-      summands in each representative."""
+    - held, the running count of stack matrices over the pairs."""
 
     codes: _Codes
     width: int
-    dtype: type
     row_table: np.ndarray
     col_table: np.ndarray
     variables: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool], ...]
     held: np.ndarray
-    incidence: np.ndarray
+    k: int
     iso: np.ndarray
     queries: int
 
 
-def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool,
-          summands: tuple[list[Z4Triangle], np.ndarray] | None = None) -> _Join:
+def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
     """The plan of one join over the pairs (t1, t2): if tr3, all pairs of
-    summands for TR3, then (query, rep) of equal ranks for membership.
-    summands holds the triangles whose pairs TR3 decides and the
-    (reps x triangles) incidence of each rep's summands among them (see
-    _decide); by default each rep is its own only summand.
-
-    The triangles' distinct morphisms get their product tables in one
-    batched product (_product_tables).  Each variable draws, per pair, the
-    stack of its shape (GL first, only GL for membership) and the offsets
-    of the tables of the morphisms that multiply it."""
-    if not tr3:
-        summands = ([], np.zeros((0, 0), dtype=np.int64))
-    blocks, incidence = summands or (reps, np.eye(len(reps), dtype=np.int64))
-    k = len(blocks)
+    reps for TR3, then (query, rep) of equal ranks for membership.  Only
+    the triangles that some pair uses set the rank bound and get product
+    tables, from one batched product (_product_tables).  Each variable
+    draws, per pair, the stack of its shape (GL first, only GL for
+    membership) and the offsets of the tables of the morphisms that
+    multiply it."""
+    k = len(reps) if tr3 else 0
     by_ranks: dict[tuple[int, int, int], list[int]] = {}
     for j, rep in enumerate(reps):
         by_ranks.setdefault(rep.ranks, []).append(j)
     iso = np.array([(i, j) for i, q in enumerate(queries)
                     for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
     first, second = np.concatenate(
-        [np.indices((k, k)).reshape(2, -1).T, iso + (k + len(reps), k)]).T
+        [np.indices((k, k)).reshape(2, -1).T, iso + (len(reps), 0)]).T
+    used = set(np.concatenate([first, second]).tolist())
     index: dict[Z4Morphism, int] = {}
     rows = np.array([[index.setdefault(m, len(index)) for m in (t.f, t.g, t.h)]
-                     + [*t.ranks] for t in [*blocks, *reps, *queries]],
-                    dtype=np.int64).reshape(-1, 6)
+                     + [*t.ranks] if n in used else [0] * 6
+                     for n, t in enumerate([*reps, *queries])], dtype=np.int64).reshape(-1, 6)
     rank = int(rows[:, 3:].max(initial=0))
-    width, dtype = _key_width(rank, len(first))
+    width = _key_width(rank, len(first))
     rank = max(rank, 1)
     codes = _stack_codes(rank)
-    row_table, col_table = (_readonly(table.astype(dtype, copy=False)) for table in
-                            _product_tables(_padded(list(index), rank), rank))
+    row_table, col_table = map(_readonly, _product_tables(_padded(list(index), rank), rank))
     t1, t2 = rows[first], rows[second]
     invertible = np.arange(len(first)) >= k * k
     stride = math.prod(_layout(rank))
@@ -485,41 +456,24 @@ def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool,
             _readonly(codes.start[shape]),
             _readonly(t1[:, right] * stride), _readonly(t2[:, left] * stride), right_high))
     held = _readonly(np.cumsum(sum(size for size, *_ in variables)))
-    return _Join(codes, width, dtype, row_table, col_table, tuple(variables), held,
-                 _readonly(incidence), _readonly(iso), len(queries))
+    return _Join(codes, width, row_table, col_table, tuple(variables), held,
+                 k, _readonly(iso), len(queries))
 
 
 def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
-    """The verdicts of a planned join, decided afresh on every call: the
-    TR3 verdicts of the representatives as a matrix, and per query whether
+    """The verdicts of a planned join, decided afresh on every call: TR3
+    for the pairs of representatives as a matrix, and per query whether
     it is isomorphic to a representative.  A pair holds if a and b drawn
     from the stacks of their shapes with b f1 = f2 a have a c with c g1 =
-    g2 b and h2 c = a h1, for every such (a, b) over all matrices (TR3 on
-    the pairs of summands), or for some (a, b) over GL (an isomorphism).
-
-    TR3 of two representatives is read off their summands.  Lemma: for
-    block-diagonal triangles T1 = (+)_i S_i and T2 = (+)_j S'_j, TR3
-    holds for (T1, T2) iff it holds for every pair (S_i, S'_j).  Proof: a
-    morphism X1 -> X2 (and likewise on Y and Z) is a matrix of blocks
-    S_i -> S'_j, and since f, g and h are block diagonal, block (j, i) of
-    b f1 - f2 a is b_ji f_i - f'_j a_ji, and so on for the other two
-    squares.  So (a, b) commutes iff every block (a_ji, b_ji) does, and
-    c fills (a, b) iff every block c_ji fills (a_ji, b_ji).  If every
-    pair of summands has fills, a commuting pair is filled block by
-    block.  Conversely, a commuting pair of (S_i, S'_j) set in block
-    (j, i), with zeros elsewhere, commutes, and block (j, i) of a fill of
-    it fills it.  With incidence N and the summands' verdicts E, the
-    representatives' verdicts are N (not E) N^T == 0: no pair of their
-    summands fails.  For the default summands N is the identity, and
-    this is E itself.
+    g2 b and h2 c = a h1, for every such (a, b) over all matrices (TR3),
+    or for some (a, b) over GL (an isomorphism).
 
     A variable's keys for a batch of pairs come from one ragged gather
     over the concatenated stacks of its shapes: the key of X m is a sum
     of row table entries and that of m X a sum of column table entries
     (see _product_tables).  The keys are packed under the pair index and
     decided by _decide_batch."""
-    codes, width, dtype, held = join.codes, join.width, join.dtype, join.held
-    k = join.incidence.shape[1]
+    codes, width, held, k = join.codes, join.width, join.held, join.k
 
     def packed(size, start, right, left, right_high) -> np.ndarray:
         # One variable's packed keys for a batch of pairs; the gathers'
@@ -528,7 +482,7 @@ def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
         elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
         xm = _product_keys(codes.rows, join.row_table, np.repeat(right, size), elements)
         mx = _product_keys(codes.cols, join.col_table, np.repeat(left, size), elements)
-        keys = np.repeat(np.arange(len(size), dtype=dtype) * width, size)
+        keys = np.repeat(np.arange(len(size)) * width, size)
         keys += xm if right_high else mx
         keys *= width
         keys += mx if right_high else xm
@@ -543,9 +497,14 @@ def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
                 for size, start, right, left, right_high in join.variables]
         verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, np.arange(lo, hi) < k * k)
         lo = hi
-    failing = ~verdicts[:k * k].reshape(k, k)
     members = np.bincount(join.iso[verdicts[k * k:], 0], minlength=join.queries) > 0
-    return join.incidence @ failing @ join.incidence.T == 0, members
+    return verdicts[:k * k].reshape(k, k), members
+
+
+def _gl_searchable(rank: int) -> None:
+    """Refuse a search of GL_4 (of 4**16 matrices) or above up front."""
+    if rank > 3:
+        raise ValueError("rank bound above 3 is too large for a GL search")
 
 
 def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
@@ -555,52 +514,87 @@ def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
 
 def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     """Whether invertible (u, v, w) carry t1 to t2: v f1 = f2 u,
-    w g1 = g2 v, u h1 = h2 w; the batched join on one pair."""
+    w g1 = g2 v, u h1 = h2 w; the batched join on one pair, to rank 3."""
     return t1.ranks == t2.ranks and bool(_members([t1], [t2])[0])
 
 
 @functools.cache
-def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]:
-    """The direct sums of elementary triangles within the rank bound, the
-    zero triangle first, and the incidence of their summands: row k holds
-    how many times each of elementary_triangles() is a summand of sum k."""
+def _incidence(max_rank: int) -> np.ndarray:
+    """Per direct sum of elementary triangles within the rank bound, in
+    lexicographic order, how many times each of elementary_triangles() is
+    a summand of it: the zero triangle first."""
     if max_rank < 0:
         raise ValueError(f"rank bound {max_rank} is negative")
-    if max_rank > 3:
-        raise ValueError("rank bound above 3 makes exhaustive checks infeasible")
-    elems = elementary_triangles()
-    rank_vectors = np.array([t.ranks for t in elems])
-    reps, incidence = [], []
-    for counts in itertools.product(range(max_rank + 1), repeat=len(elems)):
-        if max(counts @ rank_vectors) <= max_rank:
-            reps.append(functools.reduce(
-                Z4Triangle.direct_sum, [t for t, c in zip(elems, counts) for _ in range(c)],
-                zero_triangle()))
-            incidence.append(counts)
-    return tuple(reps), _readonly(np.array(incidence, dtype=np.int64))
-
-
-def _closure_queries(max_rank: int) -> tuple[list[Z4Triangle], list[Z4Triangle]]:
-    """The rotations of the representatives, one per representative, and
-    their pairwise direct sums within the rank bound."""
-    reps = _representatives(max_rank)[0]
-    sums = [
-        t1.direct_sum(t2)
-        for t1, t2 in itertools.combinations_with_replacement(reps, 2)
-        if max(r1 + r2 for r1, r2 in zip(t1.ranks, t2.ranks)) <= max_rank
-    ]
-    return [t.rotate() for t in reps], sums
+    ranks = np.array([t.ranks for t in elementary_triangles()])
+    counts = np.indices((max_rank + 1,) * len(ranks)).reshape(len(ranks), -1).T
+    return _readonly(counts[(counts @ ranks).max(axis=1) <= max_rank])
 
 
 @functools.cache
-def _verification_join(max_rank: int) -> _Join:
-    """The join of verify_axioms: TR3 on the pairs of elementary triangles,
-    read off onto the representatives by their summands (_decide), and the
-    membership of their rotations and sums.  Planned once per bound, and
-    only read; its verdicts are decided on every call."""
-    reps, incidence = _representatives(max_rank)
-    rotations, sums = _closure_queries(max_rank)
-    return _join(list(reps), [*rotations, *sums], True, (elementary_triangles(), incidence))
+def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]:
+    """The direct sums of elementary triangles within the rank bound, and
+    the incidence of their summands (_incidence)."""
+    elems, incidence = elementary_triangles(), _incidence(max_rank)
+    return tuple(functools.reduce(
+        Z4Triangle.direct_sum, [t for t, c in zip(elems, counts) for _ in range(c)],
+        zero_triangle()) for counts in incidence), incidence
+
+
+@functools.cache
+def _elementary_join() -> _Join:
+    """TR3 for the 16 pairs of elementary triangles and the membership of
+    their four rotations, planned at rank 1 on the first call.  Each
+    rotation has the ranks of one elementary triangle, and no other sum of
+    elementary triangles has them, so it is compared with that one."""
+    elems = elementary_triangles()
+    return _join(elems, [t.rotate() for t in elems], True)
+
+
+def _verdicts(max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per representative within the rank bound, whether its composites
+    vanish and whether its rotation is in the class; per pair i <= j, in
+    row-major order, whose sum is within the bound, whether the sum is;
+    and TR3 per pair.  Decided afresh on every call on the elementary
+    triangles (verdicts C, R, E), and read off the incidence N.
+
+    Lemmas, for representatives T = (+)_i S_i and T' = (+)_j S'_j, whose
+    maps are block diagonal:
+    - Composites: g f, h g and f h are block diagonal with blocks g_i f_i,
+      h_i g_i and f_i h_i, so T passes iff N (not C) is 0 in its row.
+    - Sums: T (+) T' is a reordering of the summands of the representative
+      of incidence n + n', and the permutation matrices that reorder the
+      blocks of X, Y and Z alike are an isomorphism of triangles.  So the
+      sum is in the class if n + n' is a row of N.
+    - Rotation: rotate(T) = (g, h, -f) is (+)_i rotate(S_i).  If each
+      rotate(S_i) is isomorphic to an elementary triangle, the block sum
+      of these isomorphisms and a permutation carry rotate(T) to the
+      representative of those elementary triangles, whose ranks are T's
+      rotated and so within the bound.  So T passes if N (not R) is 0 in
+      its row, and at a bound >= 1, where the elementary triangles are
+      representatives, all pass iff R does.
+    - TR3 holds for (T, T') iff it holds for every (S_i, S'_j), so its
+      verdicts are N (not E) N^T == 0.  A morphism T -> T' on X (or Y,
+      Z) is a matrix of blocks S_i -> S'_j, and block (j, i) of b f - f' a
+      is b_ji f_i - f'_j a_ji, and likewise for the other squares.  So
+      (a, b) commutes, and c fills it, iff every block does: fills of the
+      blocks fill a commuting pair, and a commuting pair of (S_i, S'_j)
+      set in block (j, i), zero elsewhere, has a fill whose block (j, i)
+      fills it.
+
+    Rows of N are looked up by their digits in base max_rank + 1: every
+    elementary triangle has rank 1 on some object, so a count in a sum
+    within the bound is at most the bound, and n + n' carries nothing."""
+    elems, incidence = elementary_triangles(), _incidence(max_rank)
+    tr3, rotations = _decide(_elementary_join())
+    ranks = incidence @ np.array([t.ranks for t in elems])
+    keys = incidence @ (max_rank + 1) ** np.arange(len(elems))
+    i, j = np.nonzero(np.triu((ranks[:, None] + ranks).max(axis=2) <= max_rank))
+    is_row = np.zeros((max_rank + 1) ** len(elems), dtype=bool)
+    is_row[keys] = True
+    return (incidence @ ~_composites_vanish(elems) == 0,
+            incidence @ ~rotations == 0,
+            is_row[keys[i] + keys[j]],
+            incidence @ ~tr3 @ incidence.T == 0)
 
 
 def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
@@ -612,6 +606,7 @@ def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
 
 def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
     """Whether t is isomorphic to a direct sum of elementary triangles."""
+    _gl_searchable(max_rank)
     if max(t.ranks) > max_rank:
         raise ValueError(f"ranks {t.ranks} exceed the bound {max_rank}")
     return bool(_members([t], distinguished_representatives(max_rank))[0])
@@ -625,7 +620,7 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     multiplied here, so the products are keyed directly.  The bound and
     f's ranks are checked before any of GL is built, as in
     in_distinguished_class."""
-    reps = distinguished_representatives(max_rank)
+    _gl_searchable(max_rank)
     if max(f.source, f.target) > max_rank:
         raise ValueError(f"ranks {(f.source, f.target)} exceed the bound {max_rank}")
     powers = _powers(f.source * f.target)
@@ -634,7 +629,7 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
         return _distinct(stack.reshape(len(stack), -1) % 4 @ powers)
 
     v_keys = keys(general_linear(f.target) @ f.matrix)
-    for rep in reps:
+    for rep in distinguished_representatives(max_rank):
         if (rep.f.source, rep.f.target) != (f.source, f.target):
             continue
         if len(_match(v_keys, keys(rep.f.matrix @ general_linear(f.source)))[0]):
@@ -644,7 +639,7 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
 
 @dataclass
 class VerificationReport:
-    """Outcome of the exhaustive low-rank axiom checks."""
+    """Outcome of the axiom checks up to a rank bound."""
 
     max_rank: int
     steps: list[tuple[str, bool]] = field(default_factory=list)
@@ -658,21 +653,23 @@ class VerificationReport:
 
 
 def verify_axioms(max_rank: int = 2) -> VerificationReport:
-    """Exhaustive verification, on all class representatives with ranks
-    bounded by max_rank, of: vanishing consecutive composites, closure
-    under rotation, closure under direct sums, and existence of TR3
-    fill-ins for every commuting pair."""
+    """Verification, on all class representatives with ranks bounded by
+    max_rank, of: vanishing consecutive composites, closure under
+    rotation, closure under direct sums, and existence of TR3 fill-ins
+    for every commuting pair.  The verdicts rest on the lemmas at
+    _verdicts and on checks of the four elementary triangles."""
+    # The sums and TR3 steps compare all pairs of representatives: at bound
+    # 8 (625) `exotic verify` takes 0.2-0.4 s and 43 MB, at 12 (2 401) 207 MB.
+    if max_rank > 8:
+        raise ValueError("rank bound above 8 is too large to verify")
+    composites, rotations, sums, tr3 = _verdicts(max_rank)
     report = VerificationReport(max_rank=max_rank)
-    reps = distinguished_representatives(max_rank)
-    report.add(f"enumerated {len(reps)} class representatives", len(reps) > 0)
+    report.add(f"enumerated {len(composites)} class representatives", len(composites) > 0)
     report.add("consecutive composites vanish on every representative",
-               bool(_composites_vanish(reps).all()))
-    # The queries are one rotation per representative, then the sums.
-    tr3, members = _decide(_verification_join(max_rank))
+               bool(composites.all()))
     report.add("rotation of every representative stays in the class",
-               bool(members[:len(reps)].all()))
-    report.add("direct sums of representatives stay in the class",
-               bool(members[len(reps):].all()))
+               bool(rotations.all()))
+    report.add("direct sums of representatives stay in the class", bool(sums.all()))
     report.add("TR3 fill-in exists for every commuting pair", bool(tr3.all()))
     return report
 

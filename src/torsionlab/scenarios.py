@@ -255,7 +255,7 @@ def scenario_prop6(n: int, table: StemsTable | None = None) -> ScenarioReport:
 
 def scenario_exotic() -> ScenarioReport:
     """Free Z/4-modules with identity shift: the candidate distinguished
-    class passes the triangle axioms exhaustively in low rank, yet the
+    class passes the triangle axioms at rank <= 2, yet the
     rank-one object has 2-order zero — impossible in an algebraic
     triangulated category, where the cone of multiplication by n is
     always killed by n."""

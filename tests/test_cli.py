@@ -166,7 +166,7 @@ class TestUserErrors:
         ("pi", "3", "--moore", "0"),
         ("associator", "0"),
         ("exotic", "verify", "--max-rank", "-1"),
-        ("exotic", "verify", "--max-rank", "4"),
+        ("exotic", "verify", "--max-rank", "9"),
         ("--max-degree", "-5", "oracle-check", "Sq^1"),
         ("--json", "--max-degree", "-5", "oracle-check", "Sq^1", "Sq^1"),
         ("basis", "500"),
@@ -673,6 +673,12 @@ class TestExoticCommands:
         code, out = run(capsys, "exotic", "verify", "--max-rank", "2")
         assert code == 0
         assert "PASS" in out
+
+    def test_verify_at_the_rank_cap(self, capsys):
+        code, out = run(capsys, "exotic", "verify", "--max-rank", "8")
+        assert code == 0
+        assert out.startswith("exotic category axiom check (rank <= 8): PASS\n")
+        assert "enumerated 625 class representatives" in out
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_verify_matches_the_golden_transcript(self, capsys, rank):

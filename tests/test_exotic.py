@@ -173,7 +173,7 @@ def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
     cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
     source triangle (pairs come grouped by source) and per target; the
     batches are decided by the same _decide_batch."""
-    width, _ = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
+    width = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
     verdicts = np.zeros(len(pairs), dtype=bool)
     before, after = {}, {}
     source = None
@@ -389,6 +389,15 @@ class TestDistinguishedClass:
         with pytest.raises(ValueError, match="negative"):
             verify_axioms(-1)
 
+    def test_the_rank_caps_sit_on_the_searches(self):
+        # The enumeration takes any bound; GL searches stop at rank 3, and
+        # the verification at 8.
+        assert len(distinguished_representatives(4)) == 81
+        with pytest.raises(ValueError, match="^rank bound above 3"):
+            in_distinguished_class(two_triangle(), 4)
+        with pytest.raises(ValueError, match="^rank bound above 8"):
+            verify_axioms(9)
+
     def test_rank_bound_enforced(self):
         big = zero_triangle()
         for _ in range(3):
@@ -551,6 +560,12 @@ class TestTR3:
             assert tr3_by_pair_join(t1, t2) == tr3_by_brute_force(t1, t2)
 
 
+def blockwise_tr3(summands, incidence):
+    """TR3 of sums read off their summands' verdicts by _verdicts' lemma:
+    a pair fails iff some pair of their summands does."""
+    return incidence @ ~tr3_verdicts(summands) @ incidence.T == 0
+
+
 def sums_of_candidates(rng, count, terms):
     """count direct sums of `terms` rank-one candidates drawn by rng, and
     the incidence of the candidates among their summands."""
@@ -564,7 +579,7 @@ def sums_of_candidates(rng, count, terms):
 
 
 class TestBlockwiseTR3:
-    """TR3 of direct sums read off the pairs of their summands (_decide's
+    """TR3 of direct sums read off the pairs of their summands (_verdicts'
     lemma), against the full join and the per-pair join."""
 
     def test_representatives_are_the_sums_their_incidence_names(self):
@@ -578,7 +593,7 @@ class TestBlockwiseTR3:
 
     @pytest.mark.parametrize("max_rank", [1, 2])
     def test_verification_matches_the_full_join_on_representatives(self, max_rank):
-        tr3, _ = _decide(exotic._verification_join(max_rank))
+        tr3 = exotic._verdicts(max_rank)[3]
         assert np.array_equal(tr3, tr3_verdicts(distinguished_representatives(max_rank)))
         assert tr3.all()
 
@@ -594,39 +609,140 @@ class TestBlockwiseTR3:
             verdicts[0] = False
             return verdicts
 
-        join = exotic._verification_join(2)
-        assert join.incidence.shape == (16, 4)
-        assert len(join.held) == 16 + len(join.iso)
+        # The elementary join: 16 TR3 pairs and 4 rotations, one batch.
+        assert len(exotic._elementary_join().held) == 16 + 4
         monkeypatch.setattr(exotic, "_decide_batch", failing_first)
-        tr3, members = _decide(join)
-        assert batches == [len(join.held)]
+        composites, rotations, sums, tr3 = exotic._verdicts(2)
+        assert batches == [20]
         # Only a 2-triangle summand puts a 2 into f.
         has_two = np.array([2 in rep.f.entries for rep in distinguished_representatives(2)])
         assert 0 < has_two.sum() < len(has_two)
         assert np.array_equal(tr3, ~np.outer(has_two, has_two))
-        assert members.all()
+        assert composites.all() and rotations.all() and sums.all()
 
     def test_blockwise_matches_the_full_join_on_sums_of_candidates(self):
         # The candidates are not all distinguished: 63 of their 196 pairs
         # fail TR3, so sums fail wherever one pair of summands does.
         cands, sums, incidence = sums_of_candidates(random.Random(7), 40, 2)
-        got = _decide(_join(sums, [], True, (cands, incidence)))[0]
+        got = blockwise_tr3(cands, incidence)
         want = tr3_verdicts(sums)
         assert np.array_equal(got, want)
         assert 0 < (~want).sum() < want.size
 
     def test_blockwise_matches_the_pair_join_at_rank_three(self):
         rng = random.Random(13)
-        reps, incidence = exotic._representatives(3)
-        tr3 = _decide(_join(list(reps), [], True, (elementary_triangles(), incidence)))[0]
+        reps = distinguished_representatives(3)
+        tr3 = exotic._verdicts(3)[3]
         assert tr3.shape == (39, 39)
         for _ in range(6):
             i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
             assert tr3[i, j] == tr3_by_pair_join(reps[i], reps[j])
         cands, sums, incidence = sums_of_candidates(rng, 2, 3)
-        tr3 = _decide(_join(sums, [], True, (cands, incidence)))[0]
+        tr3 = blockwise_tr3(cands, incidence)
         assert tr3.tolist() == [[tr3_by_pair_join(t1, t2) for t2 in sums] for t1 in sums]
         assert 0 < tr3.sum() < tr3.size
+
+
+def closure_queries(max_rank):
+    """The rotations of the representatives, one per representative, and
+    their pairwise direct sums within the rank bound, in the order of
+    exotic._verdicts."""
+    reps = distinguished_representatives(max_rank)
+    sums = [
+        t1.direct_sum(t2)
+        for t1, t2 in itertools.combinations_with_replacement(reps, 2)
+        if max(r1 + r2 for r1, r2 in zip(t1.ranks, t2.ranks)) <= max_rank
+    ]
+    return [t.rotate() for t in reps], sums
+
+
+def summand_order(counts):
+    """The elementary summands of an incidence row, in order."""
+    return [k for k, c in enumerate(counts) for _ in range(c)]
+
+
+def block_permutation(before, after, obj):
+    """The permutation matrix on object obj (0, 1, 2 for X, Y, Z) that
+    moves the block of each summand listed in `before` to the place of the
+    same summand in `after`, a reordering of it (equal summands in order)."""
+    sizes = [[elementary_triangles()[k].ranks[obj] for k in order]
+             for order in (before, after)]
+    starts = [np.cumsum([0, *size])[:-1] for size in sizes]
+    places = {}
+    for n, k in enumerate(after):
+        places.setdefault(k, []).append(n)
+    p = np.zeros((sum(sizes[0]), sum(sizes[0])), dtype=np.int64)
+    for n, k in enumerate(before):
+        to = places[k].pop(0)
+        for r in range(sizes[0][n]):
+            p[starts[1][to] + r, starts[0][n] + r] = 1
+    return p
+
+
+class TestReadOff:
+    """Composites, rotation and sums of the representatives read off the
+    elementary triangles and the incidence (_verdicts' lemmas), against
+    the full join over every representative."""
+
+    @pytest.mark.parametrize("max_rank", [0, 1, 2, 3])
+    def test_read_off_matches_the_full_join(self, max_rank):
+        reps = distinguished_representatives(max_rank)
+        rotations, sums = closure_queries(max_rank)
+        members = _members([*rotations, *sums], reps)
+        composites, rotated, summed, _ = exotic._verdicts(max_rank)
+        assert np.array_equal(composites, _composites_vanish(reps))
+        assert np.array_equal(rotated, members[:len(reps)])
+        assert np.array_equal(summed, members[len(reps):])
+        assert members.all() and len(summed) == len(sums)
+
+    @pytest.mark.parametrize("failing", range(4))
+    def test_a_failing_elementary_rotation_fails_its_representatives(self, monkeypatch,
+                                                                      failing):
+        decide = exotic._decide
+
+        def failing_rotation(join):
+            tr3, members = decide(join)
+            members = members.copy()
+            members[failing] = False
+            return tr3, members
+
+        monkeypatch.setattr(exotic, "_decide", failing_rotation)
+        reps, incidence = exotic._representatives(2)
+        rotated = exotic._verdicts(2)[1]
+        # Exactly the representatives with that summand fail.
+        assert np.array_equal(rotated, incidence[:, failing] == 0)
+        report = verify_axioms(2)
+        assert [ok for _, ok in report.steps] == [True, True, False, True, True]
+
+    def test_a_dropped_incidence_row_fails_the_sums(self, monkeypatch):
+        # A row is the sum of two others iff it has two summands or more.
+        incidence = exotic._incidence(2)
+        for row in range(len(incidence)):
+            dropped = np.delete(incidence, row, axis=0)
+            monkeypatch.setattr(exotic, "_incidence", lambda max_rank: dropped)
+            report = verify_axioms(2)
+            assert report.steps[3][1] == (incidence[row].sum() < 2)
+            assert [ok for n, (_, ok) in enumerate(report.steps) if n != 3] == [True] * 4
+
+    def test_a_permutation_carries_a_sum_to_its_representative(self):
+        rng = random.Random(17)
+        reps, incidence = exotic._representatives(3)
+        rows = {tuple(counts): n for n, counts in enumerate(incidence.tolist())}
+        checked, moved = 0, 0
+        while checked < 40:
+            i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
+            total = incidence[i] + incidence[j]
+            if tuple(total) not in rows:
+                continue
+            t, rep = reps[i].direct_sum(reps[j]), reps[rows[tuple(total)]]
+            before = summand_order(incidence[i]) + summand_order(incidence[j])
+            u, v, w = (block_permutation(before, summand_order(total), obj)
+                       for obj in range(3))
+            for m1, m2, left, right in ((t.f, rep.f, v, u), (t.g, rep.g, w, v),
+                                        (t.h, rep.h, u, w)):
+                assert np.array_equal(left @ m1.matrix % 4, m2.matrix @ right % 4)
+            checked, moved = checked + 1, moved + (t != rep)
+        assert moved > 0
 
 
 def membership_queries():
@@ -706,25 +822,12 @@ class TestBatchedJoins:
 
     def test_packed_keys_fit_int64_at_rank_three(self):
         reps = distinguished_representatives(3)
-        width, dtype = _key_width(3, len(reps) ** 2)
-        assert width == 4 ** 9 and dtype == np.int64
+        width = _key_width(3, len(reps) ** 2)
+        assert width == 4 ** 9
         assert len(reps) ** 2 * width * width < 2**63
-        # At rank 2 the keys of a whole verification fit int32.
-        reps = distinguished_representatives(2)
-        pairs = len(reps) ** 2 + sum(map(len, exotic._closure_queries(2))) * len(reps)
-        assert _key_width(2, pairs) == (4 ** 4, np.int32)
-        assert _key_width(2, 2**15 + 1)[1] == np.int64
-
-    def test_int64_keys_give_the_same_verdicts(self, monkeypatch):
-        reps = distinguished_representatives(2)
-        triangles, queries = reps + rank_one_candidates(), membership_queries()
-        tr3, members = _decide(_join(triangles, queries, True))
-        key_width = exotic._key_width
-        monkeypatch.setattr(exotic, "_key_width",
-                            lambda rank, n_pairs: (key_width(rank, n_pairs)[0], np.int64))
-        got_tr3, got_members = _decide(_join(triangles, queries, True))
-        assert np.array_equal(got_tr3, tr3) and not tr3.all()
-        assert np.array_equal(got_members, members) and 0 < members.sum() < len(queries)
+        # One pair at rank 4 overflows: 4**32 > 2**63.
+        with pytest.raises(ValueError, match="too large"):
+            _key_width(4, 1)
 
     def test_rank_four_is_refused_before_any_stack(self):
         big = zero_triangle()
@@ -743,9 +846,29 @@ class TestBatchedJoins:
             return _stack_codes(rank)
 
         monkeypatch.setattr(exotic, "_stack_codes", recorded)
-        exotic._verification_join.cache_clear()
-        assert verify_axioms(2).passed
-        assert ranks and max(ranks) == 2
+        exotic._elementary_join.cache_clear()
+        assert verify_axioms(2).passed and verify_axioms(3).passed
+        assert ranks == [1]
+
+    def test_a_join_plans_at_the_rank_its_pairs_use(self, monkeypatch):
+        # A rank-1 query among the 39 rank-3 representatives meets only
+        # the rank-1 ones, so no rank-3 stack or table is built.
+        ranks = []
+        tables = exotic._product_tables
+
+        def recorded(mats, rank):
+            ranks.append(rank)
+            return tables(mats, rank)
+
+        monkeypatch.setattr(exotic, "_product_tables", recorded)
+        monkeypatch.setattr(exotic, "_stack_codes", lambda rank: pytest.fail("stacks built")
+                            if rank > 1 else _stack_codes(rank))
+        reps = distinguished_representatives(3)
+        join = _join(reps, [two_triangle()], False)
+        assert len(join.iso) == 1 and join.codes is _stack_codes(1)
+        assert in_distinguished_class(two_triangle(), 3)
+        assert not in_distinguished_class(rank_one_candidates()[0], 3)
+        assert ranks == [1, 1, 1]
 
     def test_join_matches_per_pair_reference(self):
         reps = distinguished_representatives(2)
@@ -769,7 +892,8 @@ class TestBatchedJoins:
                             np.zeros(n_pairs, dtype=bool))
         report = verify_axioms(1)
         assert not report.passed
-        assert [ok for _, ok in report.steps] == [True, True, False, False, False]
+        # The sums step reads the incidence alone and searches nothing.
+        assert [ok for _, ok in report.steps] == [True, True, False, True, False]
 
     def test_verification_is_planned_once_per_bound(self, monkeypatch):
         tables, decide = exotic._product_tables, exotic._decide
@@ -785,16 +909,15 @@ class TestBatchedJoins:
 
         monkeypatch.setattr(exotic, "_product_tables", counted)
         monkeypatch.setattr(exotic, "_decide", recorded)
-        exotic._verification_join.cache_clear()
-        assert verify_axioms(2).passed and verify_axioms(2).passed
-        assert planned == [2] and len(decided) == 2
-        # The second call decides the cached plan afresh.
-        reps = distinguished_representatives(2)
-        rotations, sums = exotic._closure_queries(2)
+        exotic._elementary_join.cache_clear()
+        assert verify_axioms(2).passed and verify_axioms(2).passed and verify_axioms(3).passed
+        # One plan at rank 1 serves every bound, and each call decides it.
+        assert planned == [1] and len(decided) == 3
+        elems = elementary_triangles()
         tr3, members = decided[1]
-        assert np.array_equal(tr3, tr3_by_stacks(reps)) and tr3.all()
-        assert np.array_equal(members, members_by_stacks([*rotations, *sums], reps))
-        assert members.all() and len(members) == len(rotations) + len(sums)
+        assert np.array_equal(tr3, tr3_by_stacks(elems)) and tr3.all()
+        assert np.array_equal(members, members_by_stacks([t.rotate() for t in elems], elems))
+        assert members.all() and len(members) == 4
 
 
 class TestVerification:

@@ -19,7 +19,12 @@ every representative through the incidence of its summands, which the
 enumeration records (lemmas at _verdicts).  So `exotic verify
 --max-rank 3` takes 0.2-0.3 s and 31 MB, as rank 2 does (2-vCPU VM).
 
-Membership and isomorphism search GL_r(Z/4), the matrices of odd
+TR1 is decided at any rank with no search: the cone of f is read off
+its Smith form over Z/4 (smith_z4, check_TR1_cone).
+
+GL searches remain only behind membership and isomorphism of whole
+triangles (in_distinguished_class, is_isomorphic, and the rotations of
+the rank-1 join).  They search GL_r(Z/4), the matrices of odd
 determinant, up to rank 3, in batched joins on integer keys (_join,
 _decide).  A matrix X is met only through the keys of X m and m X for
 the triangles' morphisms m, which are sums of product-table entries
@@ -530,14 +535,20 @@ def _incidence(max_rank: int) -> np.ndarray:
     return _readonly(counts[(counts @ ranks).max(axis=1) <= max_rank])
 
 
+def _direct_sum(counts) -> Z4Triangle:
+    """The direct sum of elementary_triangles() taken counts[i] times
+    each, in their order: the representative of that incidence."""
+    return functools.reduce(
+        Z4Triangle.direct_sum, [t for t, c in zip(_elementary(), counts) for _ in range(c)],
+        zero_triangle())
+
+
 @functools.cache
 def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]:
     """The direct sums of elementary triangles within the rank bound, and
     the incidence of their summands (_incidence)."""
-    elems, incidence = elementary_triangles(), _incidence(max_rank)
-    return tuple(functools.reduce(
-        Z4Triangle.direct_sum, [t for t, c in zip(elems, counts) for _ in range(c)],
-        zero_triangle()) for counts in incidence), incidence
+    incidence = _incidence(max_rank)
+    return tuple(_direct_sum(counts) for counts in incidence.tolist()), incidence
 
 
 @functools.cache
@@ -612,29 +623,71 @@ def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
     return bool(_members([t], distinguished_representatives(max_rank))[0])
 
 
+def smith_z4(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, d, v) for a (t x s) matrix f over Z/4: u and v invertible, of
+    odd determinant, with u f v = d = diag(1, ..., 1, 2, ..., 2, 0, ...).
+
+    Z/4 is local with ideals Z/4 > (2) > 0, so an entry of the smallest
+    ideal left, a unit while the rest has one and else a 2, divides every
+    other entry of the rest.  It is moved to the next diagonal place,
+    scaled to 1 or 2 (3 is its own inverse), and its row and column are
+    cleared; clearing by a 2 leaves every entry even, so the 1s come
+    first.  Each row operation is applied to u and each column operation
+    to v as well, and the result is checked by the product.  The matrices
+    are small, so the elimination runs on lists."""
+    f = np.asarray(f, dtype=np.int64) % 4
+    t, s = f.shape
+    a = f.tolist()
+    u = [[int(i == j) for j in range(t)] for i in range(t)]
+    v = [[int(i == j) for j in range(s)] for i in range(s)]
+    for k in range(min(t, s)):
+        places = [(i, j) for i in range(k, t) for j in range(k, s) if a[i][j]]
+        if not places:
+            break
+        i, j = next((ij for ij in places if a[ij[0]][ij[1]] % 2), places[0])
+        a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+        for row in a + v:
+            row[k], row[j] = row[j], row[k]
+        if a[k][k] == 3:
+            a[k], u[k] = [3 * x % 4 for x in a[k]], [3 * x % 4 for x in u[k]]
+        pivot = a[k][k]
+        for r in range(t):
+            m = a[r][k] // pivot
+            if m and r != k:
+                a[r] = [(x - m * y) % 4 for x, y in zip(a[r], a[k])]
+                u[r] = [(x - m * y) % 4 for x, y in zip(u[r], u[k])]
+        for c in range(k + 1, s):
+            m, a[k][c] = a[k][c] // pivot, 0
+            for row in v:
+                row[c] = (row[c] - m * row[k]) % 4
+    u, d, v = (np.array(x, dtype=np.int64).reshape(shape)
+               for x, shape in ((u, (t, t)), (a, (t, s)), (v, (s, s))))
+    if not np.array_equal(u @ f @ v % 4, d):
+        raise ArithmeticError("the Smith form over Z/4 failed its check u f v = d")
+    return u, d, v
+
+
 def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     """A distinguished triangle whose first map is isomorphic to f, or
-    None if no class member within the rank bound extends f.  The first
-    maps are isomorphic iff v f = r u for invertible u, v: the distinct
-    keys of v f and of r u share a value.  Only a few small GL stacks are
-    multiplied here, so the products are keyed directly.  The bound and
-    f's ranks are checked before any of GL is built, as in
-    in_distinguished_class."""
-    _gl_searchable(max_rank)
+    None if its cone has a rank above max_rank.  A rank of f above
+    max_rank is refused.
+
+    With u f v = d in Smith form (smith_z4), holding a 1s and b 2s, f is
+    isomorphic (by v^-1 on X and u on Y) to the first map of the sum of b
+    2-triangles, a contractible triangles, s - a - b copies of the first
+    rotation and t - a - b of the second, f being (t x s): that sum's
+    first map is d with its rows and columns permuted.  So the sum, the
+    representative of that incidence, is built directly, at any rank and
+    with no search."""
     if max(f.source, f.target) > max_rank:
         raise ValueError(f"ranks {(f.source, f.target)} exceed the bound {max_rank}")
-    powers = _powers(f.source * f.target)
-
-    def keys(stack: np.ndarray) -> np.ndarray:
-        return _distinct(stack.reshape(len(stack), -1) % 4 @ powers)
-
-    v_keys = keys(general_linear(f.target) @ f.matrix)
-    for rep in distinguished_representatives(max_rank):
-        if (rep.f.source, rep.f.target) != (f.source, f.target):
-            continue
-        if len(_match(v_keys, keys(rep.f.matrix @ general_linear(f.source)))[0]):
-            return rep
-    return None
+    d = np.diagonal(smith_z4(f.matrix)[1]).tolist()
+    ones, twos = d.count(1), d.count(2)
+    counts = (twos, ones, f.source - ones - twos, f.target - ones - twos)
+    # The cone has rank 1 in every summand but the contractible triangles.
+    if sum(counts) - ones > max_rank:
+        return None
+    return _direct_sum(counts)
 
 
 @dataclass

@@ -6,10 +6,15 @@ Includes Moore/sphere/cell constructions, tensor products via the Cartan
 formula, Adem-consistency checking, and an exact decomposability decision
 through the radical of the endomorphism algebra.
 
-The Adem relations are compiled once per (prime, degree bound) into a
-table (`_relation_table`): every inadmissible word of length 2 or 3, its
-normal form, and lhs - rhs as sparse (relation, word, coefficient)
-entries.  A module is checked by one contraction over it
+The Adem relations are compiled into a table per set of operation
+degrees (`_relation_table`): every inadmissible word of length 2 or 3 of
+those degrees, its normal form, and lhs - rhs as sparse (relation, word,
+coefficient) entries.  A module's table holds only its gap degrees, each
+k with an occupied s such that s + k is occupied (`_module_table`): at
+any other degree every word maps each occupied degree to an empty one, so
+no relation there can fail.  The normal forms are computed once per
+(prime, degree) per process and shared by every table (`_normal_forms`).
+A module is checked by one contraction over its table
 (`_check_relations`): the words that act on the module are multiplied
 out into whole-module matrices, and their entries summed into one delta
 per relation.
@@ -438,37 +443,67 @@ class RelationViolation:
                 f"{self.source_degree} (target {self.target_degree})")
 
 
-def _relation_words(p: int, max_degree: int) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
-    """(operation degree, word) for every inadmissible word of two or three
-    generators of degree <= max_degree, shorter words first and each length
-    in lexicographic order."""
+@functools.cache
+def _inadmissible_words(p: int, degree: int) -> tuple[tuple[Generator, ...], ...]:
+    """Every inadmissible word of two or three generators of exactly this
+    degree, shorter words first and each length in lexicographic order;
+    enumerated once per (p, degree) per process."""
     if p == 2:
-        letters = [Sq(i) for i in range(1, max_degree)]
+        letters = [Sq(i) for i in range(1, degree)]
     else:
-        letters = [BOCKSTEIN] + [P(i)
-                                 for i in range(1, max_degree // (2 * (p - 1)) + 1)]
-    degs = [g.degree_at(p) for g in letters]
+        letters = [BOCKSTEIN] + [P(i) for i in range(1, degree // (2 * (p - 1)) + 1)]
+    last = {g.degree_at(p): g for g in letters}
 
     def words(length: int, budget: int):
-        # Letters ascend in degree, so the first letter over budget ends
-        # its position.
-        if length == 0:
-            yield 0, ()
+        # Letters ascend in degree, so the first letter that leaves no
+        # degree for the rest ends its position; the last letter is the
+        # one of the degree left, if there is one.
+        if length == 1:
+            if budget in last:
+                yield (last[budget],)
             return
-        for g, d in zip(letters, degs):
-            if d > budget:
+        for g in letters:
+            d = g.degree_at(p)
+            if d >= budget:
                 break
-            for rest_degree, rest in words(length - 1, budget - d):
-                yield d + rest_degree, (g, *rest)
+            for rest in words(length - 1, budget - d):
+                yield (g, *rest)
 
-    return tuple((degree, word)
-                 for length in (2, 3) for degree, word in words(length, max_degree)
+    return tuple(word for length in (2, 3) for word in words(length, degree)
                  if not Monomial(p, word).is_admissible)
+
+
+def _relation_words(p: int, degrees) -> tuple[tuple[int, tuple[Generator, ...]], ...]:
+    """(operation degree, word) for every inadmissible word of two or three
+    generators whose degree is one of `degrees`, shorter words first and
+    each length in lexicographic order, letters ordered by degree."""
+    return tuple(sorted(((k, word) for k in set(degrees) for word in _inadmissible_words(p, k)),
+                        key=lambda entry: (len(entry[1]), [g.degree_at(p) for g in entry[1]])))
+
+
+@functools.cache
+def _word_element(p: int, word: tuple[Generator, ...]) -> SteenrodElement:
+    """The element of one word, built once per process and shared by every
+    table that holds the word."""
+    return SteenrodElement._reduced(p, {Monomial(p, word): 1})
+
+
+@functools.cache
+def _normal_forms(p: int, degree: int, normalize
+                  ) -> dict[tuple[Generator, ...], tuple[int, SteenrodElement, SteenrodElement]]:
+    """The relation (degree, lhs, its normal form under `normalize`) per
+    inadmissible word of this degree, normalized once per (p, degree) per
+    process and shared by every table that holds the degree."""
+    out = {}
+    for word in _inadmissible_words(p, degree):
+        lhs = _word_element(p, word)
+        out[word] = degree, lhs, normalize(lhs)
+    return out
 
 
 @dataclass(frozen=True)
 class _RelationTable:
-    """The relations of `_relation_words(p, bound)`, compiled once.
+    """The relations of `_relation_words(p, degrees)`, compiled once.
 
     `relations` holds (operation degree, lhs, rhs) per relation.  `words`
     are the distinct generator words of every lhs and rhs, each as an
@@ -493,29 +528,29 @@ def _read_only(values, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
 
 
 @functools.cache
-def _relation_table(p: int, bound: int, normalize) -> _RelationTable:
-    """The table of every relation up to degree `bound` at p: each
-    inadmissible word and its normal form under `normalize`, normalized
-    once per process.  Callers pass the `adem_normalize` bound in this
-    module, so a replaced one (a test's stub, a tracing wrapper) builds a
-    table of its own and never reads another's normal forms."""
+def _relation_table(p: int, degrees: tuple[int, ...], normalize) -> _RelationTable:
+    """The table of the relations at p whose operation degrees are
+    `degrees`: each inadmissible word and its normal form under
+    `normalize` (`_normal_forms`), compiled once per key.  Callers pass
+    the `adem_normalize` bound in this module, so a replaced one (a test's
+    stub, a tracing wrapper) builds tables of its own and never reads
+    another's normal forms."""
     relations, entries = [], []
     words: dict[tuple[Generator, ...], int] = {}
-    for op_degree, word in _relation_words(p, bound):
-        lhs = SteenrodElement._reduced(p, {Monomial(p, word): 1})
-        rhs = normalize(lhs)
+    for op_degree, word in _relation_words(p, degrees):
+        rel = _normal_forms(p, op_degree, normalize)[word]
         r = len(relations)
-        relations.append((op_degree, lhs, rhs))
+        relations.append(rel)
         entries.append((r, words.setdefault(word, len(words)), 1))
         entries.extend((r, words.setdefault(mono.word, len(words)), -c % p)
-                       for mono, c in rhs.terms.items())
+                       for mono, c in rel[2].terms.items())
     letters = sorted({g for word in words for g in word})
     index = {g: i for i, g in enumerate(letters)}
     spelling = [[index[g] for g in word] + [len(letters)] * (3 - len(word)) for word in words]
     relation, word, coefficient = _read_only(entries, (-1, 3)).T
     return _RelationTable(
         relations=tuple(relations),
-        words=tuple(SteenrodElement._reduced(p, {Monomial(p, word): 1}) for word in words),
+        words=tuple(_word_element(p, word) for word in words),
         letters=tuple(letters),
         spelling=_read_only(spelling, (-1, 3)),
         relation=relation, word=word, coefficient=coefficient)
@@ -533,16 +568,25 @@ def _relation_bound(M: FiniteModule, max_relation_degree: int) -> int:
     return min(max_relation_degree, occupied[-1] - occupied[0] if occupied else 0)
 
 
+def _module_table(M: FiniteModule, bound: int) -> _RelationTable:
+    """The table of M's gap degrees up to bound: each k with an occupied s
+    such that s + k is occupied, and some relation of degree k.  At any
+    other degree every word maps each occupied degree to an empty one, so
+    no relation there can fail on M."""
+    p, occupied = M.prime, M.degrees
+    gaps = {t - s for i, s in enumerate(occupied) for t in occupied[i + 1:]}
+    return _relation_table(p, tuple(k for k in sorted(gaps)
+                                    if 2 <= k <= bound and _inadmissible_words(p, k)),
+                           adem_normalize)
+
+
 def adem_relations(M: FiniteModule, max_relation_degree: int
                    ) -> tuple[int, list[tuple[int, SteenrodElement, SteenrodElement]]]:
     """The relations `consistency_check` compares on M: the degree bound it
     uses (`_relation_bound`) and (operation degree, lhs, rhs) per relation
-    of the table whose degree is a gap between two occupied degrees; no
-    other relation maps an occupied degree to another."""
+    of its table, whose degrees are M's gaps (`_module_table`)."""
     bound = _relation_bound(M, max_relation_degree)
-    gaps = {t - s for s in M.dims for t in M.dims}
-    table = _relation_table(M.prime, bound, adem_normalize)
-    return bound, [r for r in table.relations if r[0] in gaps]
+    return bound, list(_module_table(M, bound).relations)
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -555,8 +599,8 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def _check_relations(M: FiniteModule, bound: int) -> list[RelationViolation]:
-    """The violations on M of the relations of `_relation_table(p, bound)`,
-    in table order and then by source degree.
+    """The violations on M of the relations of its table up to bound
+    (`_module_table`), in table order and then by source degree.
 
     Only the words whose letters all act on M are multiplied out, each
     into its whole-module matrix (`act_element`), and those that act as
@@ -564,7 +608,7 @@ def _check_relations(M: FiniteModule, bound: int) -> list[RelationViolation]:
     whole-module delta per relation that has one and reduced mod p.  A
     relation fails at every source degree with a nonzero column of its
     delta, and the first such column is the witness."""
-    p, table = M.prime, _relation_table(M.prime, bound, adem_normalize)
+    p, table = M.prime, _module_table(M, bound)
     acts = np.array([g in M.matrices for g in table.letters] + [True])
     products = {}
     for w in np.flatnonzero(acts[table.spelling].all(axis=1)).tolist():
@@ -596,8 +640,10 @@ def consistency_check(M: FiniteModule,
                       max_relation_degree: int) -> list[RelationViolation]:
     """Compare every inadmissible word of length 2 or 3 (degree <=
     max_relation_degree) with its admissible normal form on every occupied
-    source degree; see `_relation_table` and `_check_relations`.  At p = 3
-    and degree 36 this includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2."""
+    source degree; see `_module_table` and `_check_relations`.  Only the
+    words of M's gap degrees are compared, since a word of any other
+    degree maps each occupied degree to an empty one.  At p = 3 and degree
+    36 this includes (P^3)^3 against 2 P^8 P^1 + 2 P^7 P^2."""
     return _check_relations(M, _relation_bound(M, max_relation_degree))
 
 
@@ -614,31 +660,24 @@ def violation_classes(
 
 def hypothetical_Cb_module() -> FiniteModule:
     """The would-be mod-3 cohomology of a 3-torsion cone over the iterated
-    Moore-spectrum construction: one-dimensional in degrees 0, 1, 12, 13,
-    24, 25 and 36, Bockstein linking each cell pair, P^3 stepping up by 12,
-    and the P^6 action forced by P^3 P^3 = 2 P^6.  The module cannot be
-    consistent: (P^3)^3 maps the bottom cell to the top one, while its
-    admissible normal form 2 P^8 P^1 + 2 P^7 P^2 acts as zero there,
-    since P^1 and P^2 land in the empty degrees 4 and 8."""
-    p = 3
-    one = np.array([[1]], dtype=np.int64)
-    two = np.array([[2]], dtype=np.int64)
+    Moore-spectrum construction: one cell c_d in each of the degrees 0, 1,
+    12, 13, 24, 25 and 36, with Bockstein 1 from 0, 12 and 24 linking each
+    cell pair, P^3 = 1 from 0, 1, 12, 13 and 24 stepping up by 12, and
+    P^6 = 2 from 0, 1 and 12, forced by P^3 P^3 = 2 P^6.  The module
+    cannot be consistent: (P^3)^3 maps the bottom cell to the top one,
+    while its admissible normal form 2 P^8 P^1 + 2 P^7 P^2 acts as zero
+    there, since P^1 and P^2 land in the empty degrees 4 and 8.
+
+    T is laid out directly: one basis vector per degree, and each action
+    an entry (target, source) of it."""
     dims = {d: 1 for d in (0, 1, 12, 13, 24, 25, 36)}
-    actions = {
-        (BOCKSTEIN, 0): one,
-        (BOCKSTEIN, 12): one,
-        (BOCKSTEIN, 24): one,
-        (P(3), 0): one,
-        (P(3), 12): one,
-        (P(3), 24): one,
-        (P(3), 1): one,
-        (P(3), 13): one,
-        (P(6), 0): two,
-        (P(6), 12): two,
-        (P(6), 1): two,
-    }
-    return FiniteModule(p, dims, actions,
-                        labels={d: [f"c{d}"] for d in dims})
+    cell = {d: i for i, d in enumerate(dims)}
+    total = fp.zeros(len(dims), len(dims))
+    for source, step, entry in ((0, 1, 1), (12, 1, 1), (24, 1, 1),
+                                (0, 12, 1), (1, 12, 1), (12, 12, 1), (13, 12, 1), (24, 12, 1),
+                                (0, 24, 2), (1, 24, 2), (12, 24, 2)):
+        total[cell[source + step], cell[source]] = entry
+    return FiniteModule._whole(3, dims, total, labels={d: [f"c{d}"] for d in dims})
 
 
 # ---------------------------------------------------------------------------

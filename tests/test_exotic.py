@@ -42,6 +42,8 @@ from torsionlab.exotic import (
     general_linear,
     identity_morphism,
     is_isomorphic,
+    smith_z4,
+    two_times_identity,
     zero_morphism,
     zero_triangle,
 )
@@ -406,6 +408,55 @@ class TestDistinguishedClass:
             in_distinguished_class(big, 2)
 
 
+def first_map(m):
+    """The triangle (m, 0, 0), whose isomorphisms are those of m alone."""
+    return Z4Triangle(m, zero_morphism(m.target, 0), zero_morphism(0, m.source))
+
+
+def no_gl(monkeypatch):
+    monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
+    monkeypatch.setattr(exotic, "_stack_codes", lambda n: pytest.fail("GL stacks built"))
+
+
+class TestSmithForm:
+    @staticmethod
+    def check(f):
+        """smith_z4 against its contract, and d's counts of 1s and 2s
+        against invariants of f computed without it: the rank of f mod 2,
+        and the size 4^a 2^b of f's image."""
+        t, s = f.shape
+        u, d, v = smith_z4(f)
+        assert u.shape == (t, t) and d.shape == (t, s) and v.shape == (s, s)
+        assert np.array_equal(u @ f @ v % 4, d)
+        for m in (u, v):
+            assert m.size == 0 or round(np.linalg.det(m)) % 2 == 1
+        diagonal = np.diagonal(d).tolist()
+        assert np.array_equal(d[:len(diagonal), :len(diagonal)], np.diag(diagonal))
+        assert not d[len(diagonal):].any() and not d[:, len(diagonal):].any()
+        ones, twos = diagonal.count(1), diagonal.count(2)
+        assert diagonal == [1] * ones + [2] * twos + [0] * (len(diagonal) - ones - twos)
+        assert ones == (fp.rank(f % 2, 2) if f.size else 0)
+        vectors = np.indices((4,) * s).reshape(s, 4**s)
+        image = {tuple(column) for column in (f @ vectors % 4).T.tolist()}
+        assert len(image) == 4**ones * 2**twos
+
+    def test_every_matrix_up_to_two_by_two(self):
+        count = 0
+        for t, s in itertools.product(range(3), repeat=2):
+            for entries in itertools.product(range(4), repeat=t * s):
+                self.check(np.array(entries, dtype=np.int64).reshape(t, s))
+                count += 1
+        assert count == 297
+
+    def test_seeded_samples_up_to_four_by_four(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            t, s = rng.integers(0, 5, 2)
+            # Half the samples are all even, so that only 2s are pivots.
+            scale = rng.choice([1, 2])
+            self.check(scale * rng.integers(0, 4, (t, s)) % 4)
+
+
 class TestCones:
     def test_cone_of_two_is_rank_one(self):
         cone = check_TR1_cone(Z4Morphism.from_matrix([[2]]))
@@ -435,22 +486,51 @@ class TestCones:
             want = next((r for r in reps if is_isomorphic(first_map(r.f), first_map(f))), None)
             assert check_TR1_cone(f, 2) == want, f
 
+    def test_seeded_rank_three_morphisms_match_the_batched_join(self):
+        reps = distinguished_representatives(3)
+        rng = np.random.default_rng(3)
+        shapes = [(3, 3)] * 12 + [tuple(rng.integers(0, 4, 2)) for _ in range(20)]
+        found = 0
+        for t, s in shapes:
+            f = Z4Morphism.from_matrix(rng.integers(0, 4, (t, s)), s, t)
+            want = next((r for r in reps if is_isomorphic(first_map(r.f), first_map(f))), None)
+            assert check_TR1_cone(f, 3) == want, f
+            found += want is not None
+        assert found > 20
+
     def test_no_cone_within_the_rank_bound(self):
         # The cone of the zero map of rank 2 has rank 4.
         assert check_TR1_cone(zero_morphism(2, 2), max_rank=2) is None
 
+    def test_cones_at_rank_five_build_no_gl(self, monkeypatch):
+        no_gl(monkeypatch)
+        assert check_TR1_cone(two_times_identity(5), max_rank=5).ranks == (5, 5, 5)
+        cone = check_TR1_cone(zero_morphism(3, 3), max_rank=6)
+        assert cone.ranks == (3, 3, 6)
+        assert cone == functools.reduce(
+            Z4Triangle.direct_sum, [elementary_triangles()[2]] * 3 + [elementary_triangles()[3]] * 3)
+        assert check_TR1_cone(zero_morphism(3, 3), max_rank=5) is None
+        # f has Smith form diag(1, 2, 0): one of each of the 2-triangle,
+        # the contractible triangle and its two rotations.
+        f = Z4Morphism.from_matrix([[3, 2, 1], [2, 2, 2], [0, 0, 0]])
+        cone = check_TR1_cone(f, max_rank=3)
+        assert cone.ranks == (3, 3, 3)
+        assert cone == functools.reduce(Z4Triangle.direct_sum, elementary_triangles())
+
     @pytest.mark.parametrize("rank", [3, 4])
     def test_ranks_above_the_bound_are_refused_before_gl(self, monkeypatch, rank):
-        # GL_4(Z/4) would take 4**16 matrices; GL_3 is built for nothing.
-        monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
+        no_gl(monkeypatch)
         f = Z4Morphism.from_matrix(2 * np.eye(rank, dtype=np.int64))
         with pytest.raises(ValueError, match=rf"^ranks \({rank}, {rank}\) exceed the bound 2$"):
             check_TR1_cone(f, max_rank=2)
 
     def test_bound_is_checked_before_gl(self, monkeypatch):
-        monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
-        with pytest.raises(ValueError, match="^rank bound above 3"):
-            check_TR1_cone(Z4Morphism.from_matrix([[2]]), max_rank=4)
+        # No GL is built at any bound: a bound above 3, which a GL search
+        # refuses, decides f by its Smith form.
+        no_gl(monkeypatch)
+        assert check_TR1_cone(Z4Morphism.from_matrix([[2]]), max_rank=4) == two_triangle()
+        with pytest.raises(ValueError, match=r"^ranks \(5, 5\) exceed the bound 4$"):
+            check_TR1_cone(two_times_identity(5), max_rank=4)
 
 
 class TestProductTables:

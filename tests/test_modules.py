@@ -202,7 +202,7 @@ def reference_consistency_check(M, max_relation_degree):
     p, occupied = M.prime, M.degrees
     bound = min(max_relation_degree, occupied[-1] - occupied[0] if occupied else 0)
     out = []
-    for op_degree, word in _relation_words(p, bound):
+    for op_degree, word in _relation_words(p, range(2, bound + 1)):
         if not any(d + op_degree in M.dims for d in occupied):
             continue
         lhs = SteenrodElement.from_word(p, word)
@@ -1136,26 +1136,58 @@ class TestConsistencyCheck:
         normalize = modules.adem_normalize
 
         def counted(e):
-            calls.append(e)
+            calls.append(str(e))
             return normalize(e)
 
-        # The table is keyed on the normalizer in force, so a fresh one
-        # builds its own.
+        # The tables are keyed on the normalizer in force, so a fresh one
+        # builds its own.  Of Cb's gaps 11, 12, 13, 23, 24, 25, 35 and 36,
+        # 12, 13, 24, 25 and 36 hold relations, so its first check
+        # normalizes those 69 (of 198 up to degree 36).
         monkeypatch.setattr(modules, "adem_normalize", counted)
-        first = consistency_check(hypothetical_Cb_module(), 40)
-        assert len(calls) == len(modules._relation_table(3, 36, counted).relations)
+        cb = hypothetical_Cb_module()
+        first = consistency_check(cb, 40)
+        _, relations = adem_relations(cb, 40)
+        assert len(calls) == len(relations) == 69
+        assert len(_relation_words(3, range(2, 37))) == 198
+        assert sorted(calls) == sorted(str(lhs) for _, lhs, _ in relations)
         calls.clear()
-        assert as_tuples(consistency_check(hypothetical_Cb_module(), 40)) == as_tuples(first)
+        assert as_tuples(consistency_check(cb, 40)) == as_tuples(first)
         assert calls == []
+        # S/3 beside a shifted smash square of S/3 has the gaps 2, 11, 12,
+        # 13 and 14; only the relations of degrees 2 and 14 are new.
+        m3 = moore_module(3)
+        other = direct_sum(m3, shift(tensor(m3, m3), 12))
+        consistency_check(other, 40)
+        _, more = adem_relations(other, 40)
+        cb_degrees = {k for k, _, _ in relations}
+        assert {k for k, _, _ in more} - cb_degrees == {2, 14}
+        assert sorted(calls) == sorted(str(lhs) for k, lhs, _ in more if k not in cb_degrees)
+        assert len(calls) == len(set(calls)) > 0
+
+    def test_gaps_without_relations_share_a_table(self):
+        # No word of two or three letters has degree 11 at p = 3, so S/3 +
+        # S^12/3, with gaps 11, 12 and 13, shares the table of the sum of
+        # spheres in degrees 0, 12 and 13, with gaps 12 and 13.
+        m3 = moore_module(3)
+        moore_pair = direct_sum(m3, shift(m3, 12))
+        spheres = direct_sum(sphere_module(3, 0), direct_sum(sphere_module(3, 12),
+                                                             sphere_module(3, 13)))
+        assert modules._module_table(moore_pair, 13) is modules._module_table(spheres, 13)
+        assert {k for k, _, _ in adem_relations(moore_pair, 40)[1]} == {12, 13}
 
     def test_inadmissible_words_match_reference(self):
         for p in (2, 3, 5):
             for bound in range(41):
-                got = _relation_words(p, bound)
+                got = _relation_words(p, range(2, bound + 1))
                 assert ([word for _, word in got]
                         == list(reference_inadmissible_words(p, bound)))
                 assert all(degree == sum(g.degree_at(p) for g in word)
                            for degree, word in got)
+            # A set of degrees keeps the reference's order, cut to them.
+            degrees = {2, 5, 8, 9, 24, 36}
+            assert [word for _, word in _relation_words(p, degrees)] == [
+                word for word in reference_inadmissible_words(p, 36)
+                if sum(g.degree_at(p) for g in word) in degrees]
 
     def test_relation_lhs_equal_checked_words(self):
         # adem_relations builds each lhs unchecked from _relation_words.
@@ -1200,6 +1232,20 @@ class TestCbModule:
         cb = hypothetical_Cb_module()
         for d in (0, 12, 24):
             assert cb.action(P(3), d).tolist() == [[1]]
+
+    def test_equals_the_validating_constructor(self):
+        # The actions of the docstring, through the checking constructor.
+        one, two = np.array([[1]]), np.array([[2]])
+        dims = {d: 1 for d in (0, 1, 12, 13, 24, 25, 36)}
+        actions = {(BOCKSTEIN, d): one for d in (0, 12, 24)}
+        actions.update({(P(3), d): one for d in (0, 1, 12, 13, 24)})
+        actions.update({(P(6), d): two for d in (0, 1, 12)})
+        want = FiniteModule(3, dims, actions, labels={d: [f"c{d}"] for d in dims})
+        cb = hypothetical_Cb_module()
+        assert cb == want
+        assert cb.labels == want.labels
+        assert cb.actions.keys() == want.actions.keys()
+        assert not cb.total.flags.writeable
 
     def test_p1_acts_as_zero(self):
         cb = hypothetical_Cb_module()

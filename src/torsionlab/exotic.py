@@ -13,32 +13,29 @@ it up to a rank bound, and certifies that multiplication by 2 on the
 rank-one object is nonzero even though its cone is again the rank-one
 object — the behavior that separates this category from algebraic ones.
 
-The axioms are decided on the four elementary triangles, by one join at
-rank 1 planned once per process (_elementary_join), and read off onto
-every representative through the incidence of its summands, which the
-enumeration records (lemmas at _verdicts).  So `exotic verify
---max-rank 3` takes 0.2-0.3 s and 31 MB, as rank 2 does (2-vCPU VM).
+The axioms are decided on the four elementary triangles, once per
+process (_elementary_verdicts), and read off onto every representative
+through the incidence of its summands, which the enumeration records
+(lemmas at _verdicts).  So `exotic verify --max-rank 3` takes 0.2-0.3 s
+and 31 MB, as rank 2 does (2-vCPU VM).
 
-TR1 is decided at any rank with no search: the cone of f is read off
-its Smith form over Z/4 (smith_z4, check_TR1_cone).
+Nothing is searched to decide a triangle: TR1 reads the cone of f off
+its Smith form over Z/4 (smith_z4, check_TR1_cone), and membership in
+the class splits off contractible summands at unit entries until an
+all-even triangle (2A, 2B, 2C) is left, which is in the class iff C B A
+= I mod 2 (in_distinguished_class), both at any rank.
 
-GL searches remain only behind membership and isomorphism of whole
-triangles (in_distinguished_class, is_isomorphic, and the rotations of
-the rank-1 join).  They search GL_r(Z/4), the matrices of odd
-determinant, up to rank 3, in batched joins on integer keys (_join,
-_decide).  A matrix X is met only through the keys of X m and m X for
-the triangles' morphisms m, which are sums of product-table entries
-indexed by the codes of X's row or column blocks (_product_tables), so
-the joins multiply no stack and loop over no matrices in Python.
-Batches are cut by stack size, so rank 3 runs in memory."""
+A key join remains behind isomorphism of triangles whose composites
+need not vanish (is_isomorphic, over GL_r(Z/4), the matrices of odd
+determinant) and TR3 on the 16 pairs of elementary triangles (over all
+matrices of rank 1): the pairs (b, a) meet on the keys of b f1 and f2 a,
+and each pair's keys of g2 b and a h1 are looked up among the keys of c
+g1 and h2 c (_pair_join)."""
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,74 +205,6 @@ def general_linear(rank: int) -> np.ndarray:
     return _readonly(mats[_odd_determinant(mats)])
 
 
-@functools.cache
-def _powers(n: int) -> np.ndarray:
-    return _readonly(4 ** np.arange(n, dtype=np.int64))
-
-
-# Rows (or columns) per product-table lookup: a table entry covers a block
-# of this many rows of X in X m, or columns of X in m X.
-_BLOCK = 2
-
-
-def _layout(rank: int) -> tuple[int, int]:
-    """The blocks of a padded (rank x rank) matrix, and the codes of one
-    block: a product table holds blocks * codes entries per morphism."""
-    return -(-rank // _BLOCK), 4 ** (_BLOCK * rank)
-
-
-class _Codes(NamedTuple):
-    """The block codes of every matrix of the stacks of shape (t, s) with
-    t, s <= rank, concatenated: shape (t, s) holds the elements from
-    start[t * (rank + 1) + s] on, size[t * (rank + 1) + s] of them; a
-    square shape lists GL_t first, units[t * (rank + 1) + t] of them.
-
-    Block k of rows is rows k * _BLOCK on; its code has entry (r, c) of
-    the block at base-4 digit rank * r + c.  Block k of columns has entry
-    (r, c) at digit r + rank * c.  Rows and columns past the shape are
-    zero.  rows[k][e] is element e's code of row block k plus k times the
-    number of codes, so that it indexes block k of a product table
-    directly; cols likewise."""
-
-    start: np.ndarray
-    size: np.ndarray
-    units: np.ndarray
-    rows: tuple[np.ndarray, ...]
-    cols: tuple[np.ndarray, ...]
-
-
-@functools.cache
-def _stack_codes(rank: int) -> _Codes:
-    """The codes of all matrices of every shape within the rank bound,
-    with GL first in each square shape, built once per process."""
-    n = rank + 1
-    blocks, count = _layout(rank)
-    digits = _powers(_BLOCK * rank).reshape(_BLOCK, rank)
-
-    def codes(stack: np.ndarray) -> list[np.ndarray]:
-        # The code of each row block of each matrix of the stack.
-        out = []
-        for k in range(blocks):
-            block = stack[:, k * _BLOCK:(k + 1) * _BLOCK]
-            out.append(k * count + np.einsum(
-                "erc,rc->e", block, digits[:block.shape[1], :block.shape[2]]))
-        return out
-
-    start, size, units = (np.zeros(n * n, dtype=np.int64) for _ in range(3))
-    rows, cols = [], []
-    for t, s in itertools.product(range(n), repeat=2):
-        stack = _all_matrices(t, s)
-        if t == s:
-            odd = _odd_determinant(stack)
-            stack, units[t * n + s] = stack[np.argsort(~odd, kind="stable")], odd.sum()
-        start[t * n + s], size[t * n + s] = size.sum(), len(stack)
-        rows.append(codes(stack))
-        cols.append(codes(stack.transpose(0, 2, 1)))
-    return _Codes(_readonly(start), _readonly(size), _readonly(units),
-                  *(tuple(_readonly(np.concatenate(block)) for block in zip(*per_shape))
-                    for per_shape in (rows, cols)))
-
-
 def _padded(morphisms: list[Z4Morphism], rank: int) -> np.ndarray:
     """The matrices of morphisms of ranks <= rank, each in the top left
     corner of a (rank x rank) zero matrix."""
@@ -294,62 +223,39 @@ def _composites_vanish(triangles: list[Z4Triangle]) -> np.ndarray:
     return ~(np.roll(mats, -1, axis=1) @ mats % 4).any(axis=(1, 2, 3))
 
 
-def _product_tables(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column tables of a stack of padded matrices m, flat in
-    the layout (m, block, code).
-
-    A product of padded matrices is keyed by its entries as base-4 digits
-    in the padded layout, entry (r, c) at digit rank * r + c.  Row table
-    entry (m, k, v) is the key of the product whose row block k is the
-    block of code v times m and whose other rows are zero; column table
-    entry (m, k, w) is the key of the product whose column block k is m
-    times the block of code w.  So the key of X m is the sum over the row
-    blocks k of X of row[m, k, code of block k], and that of m X the sum
-    over its column blocks of col[m, k, code].
-
-    The tables of single rows and columns come from one batched product
-    for all morphisms; a block's table is the outer sum of its lines'."""
-    blocks, _ = _layout(rank)
-    vectors = np.arange(4**rank)[:, None] // _powers(rank) % 4
-    # The key of v m for a row vector v, and of m w for a column w; then
-    # placed as row or column `line` of the product.  A line past the
-    # matrix only ever has code 0, which keys 0.
-    line = np.arange(blocks * _BLOCK)[:, None]
-    rows = (vectors @ mats) % 4 @ _powers(rank)
-    cols = 4 ** (rank * np.arange(rank)) @ ((mats @ vectors.T) % 4)
-    tables = []
-    for lines in (rows[:, None] * 4 ** (rank * line), cols[:, None] * 4**line):
-        lines = lines.reshape(len(mats), blocks, _BLOCK, 4**rank)
-        table = lines[:, :, 0]
-        for b in range(1, _BLOCK):
-            table = (lines[:, :, b, :, None] + table[:, :, None, :]).reshape(
-                len(mats), blocks, 4 ** (rank * (b + 1)))
-        tables.append(table.ravel())
-    return tables[0], tables[1]
+def _keys(stack: np.ndarray) -> np.ndarray:
+    """One integer key per matrix of a stack: its entries mod 4 as base-4
+    digits, the first entry lowest."""
+    flat = stack.reshape(len(stack), -1) % 4
+    return flat @ 4 ** np.arange(flat.shape[1], dtype=np.int64)
 
 
-def _product_keys(codes: tuple[np.ndarray, ...], table: np.ndarray,
-                  offset, elements) -> np.ndarray:
-    """The key of X m (row codes, row table) or of m X (column codes,
-    column table) for each of the elements X, where m's table starts at
-    the element's offset: one gather per block."""
-    keys = table[offset + codes[0][elements]]
-    for block in codes[1:]:
-        keys += table[offset + block[elements]]
-    return keys
+def _key_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct key pairs (_keys(first[i]), _keys(second[i])), as two
+    aligned arrays sorted by the first key.  Sorted and deduplicated by
+    hand: np.unique imports numpy.ma on its first call, about 15 ms."""
+    width = 4 ** second[0].size
+    keys = np.sort(_keys(first) * width + _keys(second))
+    return np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], width)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+# A key join of more pairs is refused.  A join costs about 70 bytes per
+# pair: is_isomorphic(t, t) for t = (0, diag(1, 0, 0), id) at rank 3
+# joins 4 816 896 pairs in 0.7 s and 340 MB (2-vCPU VM), so this bound
+# is about 0.6 GB.  The largest join of a rank-3 representative with
+# itself has 86 016 pairs.
+_JOIN_PAIRS = 1 << 23
 
 
 def _match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (i, j) with left[i] == right[j], for sorted right:
-    a merge join on integer keys."""
+    a merge join on integer keys, refused above _JOIN_PAIRS pairs before
+    any of them is allocated."""
     lo = np.searchsorted(right, left, side="left")
     counts = np.searchsorted(right, left, side="right") - lo
+    total = int(counts.sum())
+    if total > _JOIN_PAIRS:
+        raise ValueError(f"a key join of {total} pairs exceeds the bound of {_JOIN_PAIRS}")
     i = np.repeat(np.arange(len(left)), counts)
     # Output slot k falls in left[i]'s run, which starts at slot
     # cumsum(counts)[i] - counts[i]; it pairs with right[lo[i] + its offset].
@@ -357,170 +263,37 @@ def _match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return i, np.arange(len(i)) + shift
 
 
-def _decide_batch(b: np.ndarray, a: np.ndarray, c: np.ndarray, n_pairs: int,
-                  width: int, every: np.ndarray) -> np.ndarray:
-    """The verdicts of one batch of n_pairs pairs from its packed keys
-    (pair * width + k1) * width + k2: (pair, b f1, g2 b) for b, (pair,
-    f2 a, a h1) for a and (pair, c g1, h2 c) for c, each key below width.
-    The distinct b and a keys are joined on (pair, commutation key); each
-    joined (pair, g2 b, a h1) is looked up among the c keys.  A pair holds
-    if every[pair] and all of its lookups succeed, or if not every[pair]
-    and one does."""
-    wide = width * width
-    b, a, c = _distinct(b), _distinct(a), np.sort(c)
-    i, j = _match(b // width, a // width)
-    pair = b[i] // wide
-    needed = pair * wide + b[i] % width * width + a[j] % width
-    found = c[np.minimum(np.searchsorted(c, needed), len(c) - 1)] == needed
-    return np.where(every, np.bincount(pair[~found], minlength=n_pairs) == 0,
-                    np.bincount(pair[found], minlength=n_pairs) > 0)
+def _pair_join(t1: Z4Triangle, t2: Z4Triangle, invertible: bool) -> bool:
+    """Whether maps (a, b) from t1 to t2 on X and Y with b f1 = f2 a extend
+    by a c on Z with c g1 = g2 b and h2 c = a h1: over GL, whether some
+    invertible (a, b) does so with an invertible c (an isomorphism); over
+    all matrices, whether every (a, b) does (TR3).
 
-
-# A batch of pairs is cut once it holds this many matrices of the a, b and
-# c stacks together, which bounds memory at rank 3; at rank <= 2 every
-# call is one batch.
-_BATCH_MATRICES = 1 << 18
-
-
-def _key_width(rank: int, n_pairs: int) -> int:
-    """A bound on the matrix keys of a join at the rank (a product of two
-    morphisms has at most rank**2 entries), refused if a packed key
-    (pair * width + k1) * width + k2 could overflow int64."""
-    width = 4 ** (rank * rank)
-    if n_pairs * width * width > 2**63:
-        raise ValueError(f"rank {rank} is too large to pack pair keys in int64")
-    return width
-
-
-# The three variables of a join, as (the morphism of t1 that multiplies
-# them on the right, the morphism of t2 that multiplies them on the left,
-# the object whose ranks give their shape, whether the right product is
-# the join key k1): b with (f1, g2) on Y, a with (h1, f2) on X, c with
-# (g1, h2) on Z.  Columns of a triangle row: f, g, h, X, Y, Z.
-_VARIABLES = ((0, 1, 4, True), (2, 0, 3, False), (1, 2, 5, True))
-
-
-class _Join(NamedTuple):
-    """A planned join, all read-only: TR3 for the k x k pairs of
-    representatives (k = 0 without TR3), then membership for the pairs
-    whose rows in iso are (query, representative) of equal ranks, among
-    `queries` queries.  It holds
-    - codes, the stack codes of its rank bound (_stack_codes), and width,
-      the key layout (_key_width);
-    - row_table and col_table, the distinct morphisms' product tables;
-    - variables: per variable of _VARIABLES, the per-pair stack sizes and
-      starts, the per-pair offsets of its right and left morphisms'
-      tables, and whether the right product is k1;
-    - held, the running count of stack matrices over the pairs."""
-
-    codes: _Codes
-    width: int
-    row_table: np.ndarray
-    col_table: np.ndarray
-    variables: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool], ...]
-    held: np.ndarray
-    k: int
-    iso: np.ndarray
-    queries: int
-
-
-def _join(reps: list[Z4Triangle], queries: list[Z4Triangle], tr3: bool) -> _Join:
-    """The plan of one join over the pairs (t1, t2): if tr3, all pairs of
-    reps for TR3, then (query, rep) of equal ranks for membership.  Only
-    the triangles that some pair uses set the rank bound and get product
-    tables, from one batched product (_product_tables).  Each variable
-    draws, per pair, the stack of its shape (GL first, only GL for
-    membership) and the offsets of the tables of the morphisms that
-    multiply it."""
-    k = len(reps) if tr3 else 0
-    by_ranks: dict[tuple[int, int, int], list[int]] = {}
-    for j, rep in enumerate(reps):
-        by_ranks.setdefault(rep.ranks, []).append(j)
-    iso = np.array([(i, j) for i, q in enumerate(queries)
-                    for j in by_ranks.get(q.ranks, ())], dtype=np.int64).reshape(-1, 2)
-    first, second = np.concatenate(
-        [np.indices((k, k)).reshape(2, -1).T, iso + (len(reps), 0)]).T
-    used = set(np.concatenate([first, second]).tolist())
-    index: dict[Z4Morphism, int] = {}
-    rows = np.array([[index.setdefault(m, len(index)) for m in (t.f, t.g, t.h)]
-                     + [*t.ranks] if n in used else [0] * 6
-                     for n, t in enumerate([*reps, *queries])], dtype=np.int64).reshape(-1, 6)
-    rank = int(rows[:, 3:].max(initial=0))
-    width = _key_width(rank, len(first))
-    rank = max(rank, 1)
-    codes = _stack_codes(rank)
-    row_table, col_table = map(_readonly, _product_tables(_padded(list(index), rank), rank))
-    t1, t2 = rows[first], rows[second]
-    invertible = np.arange(len(first)) >= k * k
-    stride = math.prod(_layout(rank))
-    variables = []
-    for right, left, obj, right_high in _VARIABLES:
-        shape = t2[:, obj] * (rank + 1) + t1[:, obj]
-        variables.append((
-            _readonly(np.where(invertible, codes.units[shape], codes.size[shape])),
-            _readonly(codes.start[shape]),
-            _readonly(t1[:, right] * stride), _readonly(t2[:, left] * stride), right_high))
-    held = _readonly(np.cumsum(sum(size for size, *_ in variables)))
-    return _Join(codes, width, row_table, col_table, tuple(variables), held,
-                 k, _readonly(iso), len(queries))
-
-
-def _decide(join: _Join) -> tuple[np.ndarray, np.ndarray]:
-    """The verdicts of a planned join, decided afresh on every call: TR3
-    for the pairs of representatives as a matrix, and per query whether
-    it is isomorphic to a representative.  A pair holds if a and b drawn
-    from the stacks of their shapes with b f1 = f2 a have a c with c g1 =
-    g2 b and h2 c = a h1, for every such (a, b) over all matrices (TR3),
-    or for some (a, b) over GL (an isomorphism).
-
-    A variable's keys for a batch of pairs come from one ragged gather
-    over the concatenated stacks of its shapes: the key of X m is a sum
-    of row table entries and that of m X a sum of column table entries
-    (see _product_tables).  The keys are packed under the pair index and
-    decided by _decide_batch."""
-    codes, width, held, k = join.codes, join.width, join.held, join.k
-
-    def packed(size, start, right, left, right_high) -> np.ndarray:
-        # One variable's packed keys for a batch of pairs; the gathers'
-        # temporaries are freed on return, before the batch is decided.
-        ends = np.cumsum(size)
-        elements = np.arange(ends[-1]) + np.repeat(start - ends + size, size)
-        xm = _product_keys(codes.rows, join.row_table, np.repeat(right, size), elements)
-        mx = _product_keys(codes.cols, join.col_table, np.repeat(left, size), elements)
-        keys = np.repeat(np.arange(len(size)) * width, size)
-        keys += xm if right_high else mx
-        keys *= width
-        keys += mx if right_high else xm
-        return keys
-
-    verdicts = np.zeros(len(held), dtype=bool)
-    lo = 0
-    while lo < len(held):
-        base = held[lo - 1] if lo else 0
-        hi = min(int(np.searchsorted(held, base + _BATCH_MATRICES)) + 1, len(held))
-        keys = [packed(size[lo:hi], start[lo:hi], right[lo:hi], left[lo:hi], right_high)
-                for size, start, right, left, right_high in join.variables]
-        verdicts[lo:hi] = _decide_batch(*keys, hi - lo, width, np.arange(lo, hi) < k * k)
-        lo = hi
-    members = np.bincount(join.iso[verdicts[k * k:], 0], minlength=join.queries) > 0
-    return verdicts[:k * k].reshape(k, k), members
-
-
-def _gl_searchable(rank: int) -> None:
-    """Refuse a search of GL_4 (of 4**16 matrices) or above up front."""
-    if rank > 3:
-        raise ValueError("rank bound above 3 is too large for a GL search")
-
-
-def _members(queries: list[Z4Triangle], reps: list[Z4Triangle]) -> np.ndarray:
-    """Per query, whether it is isomorphic to one of reps."""
-    return _decide(_join(reps, queries, False))[1]
+    The distinct key pairs (b f1, g2 b) and (f2 a, a h1) are joined on b f1
+    = f2 a, and each joined (g2 b, a h1) is looked up among the keys (c g1,
+    h2 c).  Stacks are drawn up to rank 3, of at most 4**9 matrices,
+    where a key pair packs two keys of 9 base-4 digits into one int64; a
+    higher rank is refused before any stack is drawn."""
+    (x1, y1, z1), (x2, y2, z2) = t1.ranks, t2.ranks
+    if max(*t1.ranks, *t2.ranks) > 3:
+        raise ValueError(f"ranks {t1.ranks} and {t2.ranks} are too large for a key join")
+    f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
+    f2, g2, h2 = t2.f.matrix, t2.g.matrix, t2.h.matrix
+    a, b, c = ((general_linear(target) if invertible else _all_matrices(target, source))
+               for target, source in ((x2, x1), (y2, y1), (z2, z1)))
+    b_keys = _key_pairs(b @ f1, g2 @ b)
+    a_keys = _key_pairs(f2 @ a, a @ h1)
+    i, j = _match(b_keys[0], a_keys[0])
+    width = 4 ** (x2 * z1)
+    found = np.isin(b_keys[1][i] * width + a_keys[1][j], _keys(c @ g1) * width + _keys(h2 @ c))
+    return bool(found.any() if invertible else found.all())
 
 
 def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     """Whether invertible (u, v, w) carry t1 to t2: v f1 = f2 u,
-    w g1 = g2 v, u h1 = h2 w; the batched join on one pair, to rank 3."""
-    return t1.ranks == t2.ranks and bool(_members([t1], [t2])[0])
+    w g1 = g2 v, u h1 = h2 w; the key join over GL (_pair_join), for
+    triangles whose composites need not vanish."""
+    return t1.ranks == t2.ranks and _pair_join(t1, t2, True)
 
 
 @functools.cache
@@ -552,21 +325,23 @@ def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]
 
 
 @functools.cache
-def _elementary_join() -> _Join:
-    """TR3 for the 16 pairs of elementary triangles and the membership of
-    their four rotations, planned at rank 1 on the first call.  Each
-    rotation has the ranks of one elementary triangle, and no other sum of
-    elementary triangles has them, so it is compared with that one."""
+def _elementary_verdicts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per elementary triangle, whether its composites vanish and whether
+    its rotation is in the class; and TR3 per pair of them, by the key
+    join over all matrices at rank 1.  Decided on the first call only:
+    they depend on nothing but the four triangles."""
     elems = elementary_triangles()
-    return _join(elems, [t.rotate() for t in elems], True)
+    return (_readonly(_composites_vanish(elems)),
+            _readonly(np.array([in_distinguished_class(t.rotate(), 1) for t in elems])),
+            _readonly(np.array([[_pair_join(s, t, False) for t in elems] for s in elems])))
 
 
 def _verdicts(max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per representative within the rank bound, whether its composites
     vanish and whether its rotation is in the class; per pair i <= j, in
     row-major order, whose sum is within the bound, whether the sum is;
-    and TR3 per pair.  Decided afresh on every call on the elementary
-    triangles (verdicts C, R, E), and read off the incidence N.
+    and TR3 per pair.  Read off the incidence N and the verdicts C, R
+    and E of the elementary triangles (_elementary_verdicts).
 
     Lemmas, for representatives T = (+)_i S_i and T' = (+)_j S'_j, whose
     maps are block diagonal:
@@ -577,7 +352,9 @@ def _verdicts(max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
       blocks of X, Y and Z alike are an isomorphism of triangles.  So the
       sum is in the class if n + n' is a row of N.
     - Rotation: rotate(T) = (g, h, -f) is (+)_i rotate(S_i).  If each
-      rotate(S_i) is isomorphic to an elementary triangle, the block sum
+      rotate(S_i) is in the class, it is isomorphic to one elementary
+      triangle, as its ranks sum to 2 or 3 and those of a sum of two
+      elementary triangles to 4 or more.  Then the block sum
       of these isomorphisms and a permutation carry rotate(T) to the
       representative of those elementary triangles, whose ranks are T's
       rotated and so within the bound.  So T passes if N (not R) is 0 in
@@ -596,13 +373,13 @@ def _verdicts(max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     elementary triangle has rank 1 on some object, so a count in a sum
     within the bound is at most the bound, and n + n' carries nothing."""
     elems, incidence = elementary_triangles(), _incidence(max_rank)
-    tr3, rotations = _decide(_elementary_join())
+    composites, rotations, tr3 = _elementary_verdicts()
     ranks = incidence @ np.array([t.ranks for t in elems])
     keys = incidence @ (max_rank + 1) ** np.arange(len(elems))
     i, j = np.nonzero(np.triu((ranks[:, None] + ranks).max(axis=2) <= max_rank))
     is_row = np.zeros((max_rank + 1) ** len(elems), dtype=bool)
     is_row[keys] = True
-    return (incidence @ ~_composites_vanish(elems) == 0,
+    return (incidence @ ~composites == 0,
             incidence @ ~rotations == 0,
             is_row[keys[i] + keys[j]],
             incidence @ ~tr3 @ incidence.T == 0)
@@ -616,11 +393,48 @@ def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
 
 
 def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
-    """Whether t is isomorphic to a direct sum of elementary triangles."""
-    _gl_searchable(max_rank)
+    """Whether t is isomorphic to a direct sum of elementary triangles,
+    decided with no search at any rank bound; ranks of t above the bound
+    are refused.
+
+    - Composites: a triangle in the class has vanishing composites, as
+      the elementary triangles do and isomorphisms and sums keep them.  So
+      t is refused unless its composites vanish.
+    - Splitting: let a map m of t, say f, have a unit entry f_ij, its own
+      inverse mod 4.  Row operations on Y clear the rest of column j, and
+      column operations on X the rest of row i.  They change g only in
+      column i and h only in row j, as g u^-1 and v^-1 h, and they leave
+      the Schur complement f' = f - f_:j f_ij f_i: on the other rows and
+      columns.  Now (g f)_:j = g_:i f_ij and (f h)_i: = f_ij h_j: vanish,
+      so g's column i and h's row j are 0: t is the rank-1 contractible
+      triangle (f_ij, 0, 0) on (X_j, Y_i, 0), isomorphic to an elementary
+      one, plus the triangle (f', g without column i, h without row j).
+      A unit of g or h splits off a rotation in the same way.
+    - Cancellation: triangles are modules of finite length over the path
+      ring of the 3-cycle over Z/4, whose indecomposables have local
+      endomorphism rings, so Krull-Schmidt cancellation holds: t is in the
+      class iff what is left after a split is.
+    - All-even core: once no entry is a unit, t = (2A, 2B, 2C), and no
+      isomorphism makes an entry a unit.  So t is in the class iff it is
+      isomorphic to k 2-triangles: iff its ranks are (k, k, k) and
+      invertible (u, v, w) have v f = 2u, w g = 2v and u h = 2w.  Mod 2
+      that is A = v^-1 u, B = w^-1 v and C = u^-1 w, which (u, v, w) =
+      (1, A^-1, A^-1 B^-1), lifted to Z/4, solve iff C B A = I mod 2."""
     if max(t.ranks) > max_rank:
         raise ValueError(f"ranks {t.ranks} exceed the bound {max_rank}")
-    return bool(_members([t], distinguished_representatives(max_rank))[0])
+    if not t.is_candidate:
+        return False
+    maps = [t.f.matrix, t.g.matrix, t.h.matrix]
+    while unit := next(((k, *np.argwhere(m % 2)[0]) for k, m in enumerate(maps)
+                        if (m % 2).any()), None):
+        k, i, j = unit
+        m = maps[k]
+        schur = (m - m[i, j] * np.outer(m[:, j], m[i])) % 4
+        maps[k] = np.delete(np.delete(schur, i, axis=0), j, axis=1)
+        maps[(k + 1) % 3] = np.delete(maps[(k + 1) % 3], i, axis=1)
+        maps[(k + 2) % 3] = np.delete(maps[(k + 2) % 3], j, axis=0)
+    f, g, h = (m // 2 for m in maps)
+    return f.shape == g.shape == h.shape and np.array_equal(h @ g @ f % 2, np.eye(len(f)))
 
 
 def smith_z4(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

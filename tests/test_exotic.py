@@ -4,8 +4,8 @@ enumerated distinguished class, axiom checks, and the 2-order certificate."""
 import dataclasses
 import functools
 import itertools
-import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,20 +24,11 @@ from torsionlab import (
     verify_axioms,
 )
 from torsionlab.exotic import (
-    _BATCH_MATRICES,
     _all_matrices,
     _composites_vanish,
-    _decide,
-    _decide_batch,
-    _join,
-    _key_width,
-    _layout,
+    _key_pairs,
+    _keys,
     _match,
-    _members,
-    _padded,
-    _product_keys,
-    _product_tables,
-    _stack_codes,
     contractible_triangle,
     general_linear,
     identity_morphism,
@@ -50,8 +41,10 @@ from torsionlab.exotic import (
 
 
 def tr3_verdicts(triangles):
-    """TR3 for every ordered pair of triangles, from the batched join."""
-    return _decide(_join(triangles, [], True))[0]
+    """TR3 for every ordered pair of triangles, from the key join of
+    exotic._pair_join over all matrices."""
+    return np.array([[exotic._pair_join(t1, t2, False) for t2 in triangles]
+                     for t1 in triangles], dtype=bool).reshape(len(triangles), -1)
 
 
 def _encode(stack):
@@ -124,7 +117,7 @@ def joined_keys(left, right, width):
 
 
 def tr3_by_pair_join(t1, t2):
-    """Reference for the batched TR3 join: the same join on one pair.  The
+    """Reference for the TR3 key join, written apart from it.  The
     distinct (b f1, g2 b) and (f2 a, a h1) are joined on b f1 = f2 a, and
     each joined (g2 b, a h1) must be the key (c g1, h2 c) of some c."""
     f1, g1, h1 = t1.f.matrix, t1.g.matrix, t1.h.matrix
@@ -141,8 +134,8 @@ def tr3_by_pair_join(t1, t2):
 
 
 def isomorphic_by_pair_join(t1, t2):
-    """Reference for the batched isomorphism join: the same join on one
-    pair, over GL stacks of u, v and w."""
+    """Reference for is_isomorphic and for membership, written apart from
+    them: the key join over GL stacks of u, v and w."""
     if t1.ranks != t2.ranks:
         return False
     rx, _, rz = t1.ranks
@@ -155,79 +148,6 @@ def isomorphic_by_pair_join(t1, t2):
     w_keys = _encode(gl_z @ g1) * width + _encode(h2 @ gl_z)
     joined = joined_keys(v_keys, u_keys, width)
     return len(_match(joined, np.unique(w_keys))[0]) > 0
-
-
-def padded_encode(stack, rank):
-    """_encode of each matrix of a stack set in the top left corner of a
-    (rank x rank) zero matrix: the key layout of the joins."""
-    out = np.zeros((len(stack), rank, rank), dtype=np.int64)
-    out[:, :stack.shape[1], :stack.shape[2]] = stack
-    return _encode(out)
-
-
-def invertible_stack(rows, cols):
-    return general_linear(rows)
-
-
-def pair_verdicts_by_stacks(sources, targets, pairs, stack, every):
-    """Reference for exotic._decide: the per-pair join it replaced.
-    Each variable's keys are taken from whole-stack products, stack(rows,
-    cols) @ m and m @ stack(rows, cols), encoded by _encode and cached per
-    source triangle (pairs come grouped by source) and per target; the
-    batches are decided by the same _decide_batch."""
-    width = _key_width(max(max(t.ranks) for t in [*sources, *targets]), len(pairs))
-    verdicts = np.zeros(len(pairs), dtype=bool)
-    before, after = {}, {}
-    source = None
-    high, low, counts = ([[], [], []] for _ in range(3))
-    start, held = 0, 0
-    for n, (i, j) in enumerate(pairs):
-        if i != source:
-            after.clear()
-            source = i
-        t1, t2 = sources[i], targets[j]
-        # b with (f1, g2), a with (h1, f2), c with (g1, h2), each over
-        # stack(m2.source, m1.target).
-        for var, m1, m2 in ((0, t1.f, t2.g), (1, t1.h, t2.f), (2, t1.g, t2.h)):
-            x = after.get((var, m2.source))
-            if x is None:
-                x = after[var, m2.source] = _encode(
-                    stack(m2.source, m1.target) @ m1.matrix)
-            y = before.get((j, var, m1.target))
-            if y is None:
-                y = before[j, var, m1.target] = _encode(
-                    m2.matrix @ stack(m2.source, m1.target))
-            k1, k2 = (y, x) if var == 1 else (x, y)
-            high[var].append(k1)
-            low[var].append(k2)
-            counts[var].append(len(x))
-            held += len(x)
-        if held < _BATCH_MATRICES and n + 1 < len(pairs):
-            continue
-        keys = [
-            (np.repeat(np.arange(n + 1 - start) * width, counts[var])
-             + np.concatenate(high[var])) * width + np.concatenate(low[var])
-            for var in range(3)
-        ]
-        verdicts[start:n + 1] = _decide_batch(*keys, n + 1 - start, width, every)
-        high, low, counts = ([[], [], []] for _ in range(3))
-        start, held = n + 1, 0
-    return verdicts
-
-
-def tr3_by_stacks(triangles):
-    n = len(triangles)
-    pairs = list(itertools.product(range(n), repeat=2))
-    return pair_verdicts_by_stacks(triangles, triangles, pairs, _all_matrices,
-                                   every=True).reshape(n, n)
-
-
-def members_by_stacks(queries, reps):
-    pairs = [(i, j) for i, q in enumerate(queries)
-             for j, rep in enumerate(reps) if q.ranks == rep.ranks]
-    iso = pair_verdicts_by_stacks(queries, reps, pairs, invertible_stack, every=False)
-    return np.bincount([i for (i, _), ok in zip(pairs, iso) if ok],
-                       minlength=len(queries)) > 0
 
 
 def composites_vanish_by_loop(t):
@@ -392,11 +312,11 @@ class TestDistinguishedClass:
             verify_axioms(-1)
 
     def test_the_rank_caps_sit_on_the_searches(self):
-        # The enumeration takes any bound; GL searches stop at rank 3, and
-        # the verification at 8.
+        # The enumeration and membership take any bound; the key join of
+        # is_isomorphic stops at rank 3 (TestBatchedJoins), and the
+        # verification at 8.
         assert len(distinguished_representatives(4)) == 81
-        with pytest.raises(ValueError, match="^rank bound above 3"):
-            in_distinguished_class(two_triangle(), 4)
+        assert in_distinguished_class(two_triangle(), 4)
         with pytest.raises(ValueError, match="^rank bound above 8"):
             verify_axioms(9)
 
@@ -415,7 +335,16 @@ def first_map(m):
 
 def no_gl(monkeypatch):
     monkeypatch.setattr(exotic, "general_linear", lambda n: pytest.fail("GL built"))
-    monkeypatch.setattr(exotic, "_stack_codes", lambda n: pytest.fail("GL stacks built"))
+    monkeypatch.setattr(exotic, "_all_matrices", lambda t, s: pytest.fail("stack built"))
+
+
+@pytest.fixture
+def fresh_verdicts():
+    """The elementary verdicts decided afresh in the test, and again after
+    it, so that no patched verdict outlives the test."""
+    exotic._elementary_verdicts.cache_clear()
+    yield
+    exotic._elementary_verdicts.cache_clear()
 
 
 class TestSmithForm:
@@ -474,7 +403,7 @@ class TestCones:
     def test_every_small_morphism_matches_the_batched_join(self):
         # All 297 morphisms with source and target rank <= 2.  The reference
         # is the first representative whose first map is isomorphic to f,
-        # asked of the batched join on the triangles (m, 0, 0).
+        # asked of the key join of is_isomorphic on the triangles (m, 0, 0).
         def first_map(m):
             return Z4Triangle(m, zero_morphism(m.target, 0), zero_morphism(0, m.source))
 
@@ -533,45 +462,39 @@ class TestCones:
             check_TR1_cone(two_times_identity(5), max_rank=4)
 
 
+def key_by_loop(matrix):
+    """Reference for exotic._keys: a matrix's entries mod 4 as base-4
+    digits, the first entry lowest, one entry at a time."""
+    return sum(int(e) % 4 * 4**k for k, e in enumerate(matrix.ravel()))
+
+
 class TestProductTables:
-    # A rank-2 matrix is one row block and one column block; at rank 3
-    # the second blocks' keys are gathered too.
+    # The keys by which the key join meets products X m and m X, for X
+    # drawn from GL or from all matrices of a shape.
     @pytest.mark.parametrize("invertible,rank", [(False, 2), (True, 2), (False, 3), (True, 3)],
                              ids=["False", "True", "False-rank3", "True-rank3"])
     def test_keys_match_encoded_products(self, invertible, rank):
-        codes = _stack_codes(rank)
         rng = np.random.default_rng(5)
         # GL of every square shape, or every shape of at most 4**6 matrices.
         shapes = ([(t, t) for t in range(1, rank + 1)] if invertible
                   else [(t, s) for t, s in itertools.product(range(rank + 1), repeat=2)
                         if t * s <= 6])
-        stride = math.prod(_layout(rank))
         for t, s in shapes:
-            stack = _all_matrices(t, s)
-            k = t * (rank + 1) + s
-            assert codes.size[k] == len(stack)
-            if t == s:
-                # GL_t first, then the other matrices, each in enumeration order.
-                unit = np.isin(_encode(stack), _encode(general_linear(t)))
-                stack = np.concatenate([stack[unit], stack[~unit]])
-                assert codes.units[k] == unit.sum()
-            if invertible:
-                stack = stack[:codes.units[k]]
-                assert np.array_equal(stack, general_linear(t))
-            elements = slice(codes.start[k], codes.start[k] + len(stack))
+            stack = general_linear(t) if invertible else _all_matrices(t, s)
+            sample = rng.choice(len(stack), min(len(stack), 300), replace=False)
             for inner in range(rank + 1):
                 # X m for m of shape (s, inner), and m X for m of shape (inner, t).
-                right = [rng.integers(0, 4, (s, inner)) for _ in range(3)]
-                left = [rng.integers(0, 4, (inner, t)) for _ in range(3)]
-                morphisms = [Z4Morphism(m.shape[1], m.shape[0], tuple(m.ravel().tolist()))
-                             for m in right + left]
-                row_table, col_table = _product_tables(_padded(morphisms, rank), rank)
-                for n, m in enumerate(right):
-                    keys = _product_keys(codes.rows, row_table, n * stride, elements)
-                    assert np.array_equal(keys, padded_encode(stack @ m, rank))
-                for n, m in enumerate(left, len(right)):
-                    keys = _product_keys(codes.cols, col_table, n * stride, elements)
-                    assert np.array_equal(keys, padded_encode(m @ stack, rank))
+                right = rng.integers(0, 4, (s, inner))
+                left = rng.integers(0, 4, (inner, t))
+                for products in (stack @ right, left @ stack):
+                    keys = _keys(products)
+                    assert keys[sample].tolist() == [key_by_loop(m) for m in products[sample]]
+                if len(stack) <= 4096:
+                    # The distinct pairs, sorted by the first key.
+                    want = sorted({(key_by_loop(x), key_by_loop(y))
+                                   for x, y in zip(stack @ right, left @ stack)})
+                    first, second = _key_pairs(stack @ right, left @ stack)
+                    assert list(zip(first.tolist(), second.tolist())) == want
 
 
 class TestTR3:
@@ -660,7 +583,8 @@ def sums_of_candidates(rng, count, terms):
 
 class TestBlockwiseTR3:
     """TR3 of direct sums read off the pairs of their summands (_verdicts'
-    lemma), against the full join and the per-pair join."""
+    lemma), against the key join on every pair of sums and the per-pair
+    reference."""
 
     def test_representatives_are_the_sums_their_incidence_names(self):
         elems = elementary_triangles()
@@ -677,23 +601,21 @@ class TestBlockwiseTR3:
         assert np.array_equal(tr3, tr3_verdicts(distinguished_representatives(max_rank)))
         assert tr3.all()
 
-    def test_verification_decides_tr3_on_the_elementary_pairs(self, monkeypatch):
+    def test_verification_decides_tr3_on_the_elementary_pairs(self, monkeypatch,
+                                                               fresh_verdicts):
         # Fail the pair (2-triangle, 2-triangle), the first pair decided:
         # exactly the pairs of representatives that both hold a 2-triangle
         # fail.
-        decide, batches = exotic._decide_batch, []
+        join, pairs = exotic._pair_join, []
 
-        def failing_first(b, a, c, n_pairs, width, every):
-            batches.append(n_pairs)
-            verdicts = decide(b, a, c, n_pairs, width, every)
-            verdicts[0] = False
-            return verdicts
+        def failing_first(t1, t2, invertible):
+            pairs.append((t1, t2))
+            return join(t1, t2, invertible) and len(pairs) > 1
 
-        # The elementary join: 16 TR3 pairs and 4 rotations, one batch.
-        assert len(exotic._elementary_join().held) == 16 + 4
-        monkeypatch.setattr(exotic, "_decide_batch", failing_first)
+        monkeypatch.setattr(exotic, "_pair_join", failing_first)
         composites, rotations, sums, tr3 = exotic._verdicts(2)
-        assert batches == [20]
+        # The 16 elementary pairs, each decided once.
+        assert pairs == list(itertools.product(elementary_triangles(), repeat=2))
         # Only a 2-triangle summand puts a 2 into f.
         has_two = np.array([2 in rep.f.entries for rep in distinguished_representatives(2)])
         assert 0 < has_two.sum() < len(has_two)
@@ -762,13 +684,13 @@ def block_permutation(before, after, obj):
 class TestReadOff:
     """Composites, rotation and sums of the representatives read off the
     elementary triangles and the incidence (_verdicts' lemmas), against
-    the full join over every representative."""
+    membership decided on every representative's rotation and sums."""
 
     @pytest.mark.parametrize("max_rank", [0, 1, 2, 3])
     def test_read_off_matches_the_full_join(self, max_rank):
         reps = distinguished_representatives(max_rank)
         rotations, sums = closure_queries(max_rank)
-        members = _members([*rotations, *sums], reps)
+        members = np.array([in_distinguished_class(t, max_rank) for t in [*rotations, *sums]])
         composites, rotated, summed, _ = exotic._verdicts(max_rank)
         assert np.array_equal(composites, _composites_vanish(reps))
         assert np.array_equal(rotated, members[:len(reps)])
@@ -778,15 +700,11 @@ class TestReadOff:
     @pytest.mark.parametrize("failing", range(4))
     def test_a_failing_elementary_rotation_fails_its_representatives(self, monkeypatch,
                                                                       failing):
-        decide = exotic._decide
-
-        def failing_rotation(join):
-            tr3, members = decide(join)
-            members = members.copy()
-            members[failing] = False
-            return tr3, members
-
-        monkeypatch.setattr(exotic, "_decide", failing_rotation)
+        composites, rotations, tr3 = exotic._elementary_verdicts()
+        rotations = rotations.copy()
+        rotations[failing] = False
+        monkeypatch.setattr(exotic, "_elementary_verdicts",
+                            lambda: (composites, rotations, tr3))
         reps, incidence = exotic._representatives(2)
         rotated = exotic._verdicts(2)[1]
         # Exactly the representatives with that summand fail.
@@ -835,19 +753,79 @@ def membership_queries():
     return cands + sums + [lone]
 
 
+def exact_triangles(max_rank, max_entries):
+    """Every triangle with ranks <= max_rank and at most max_entries
+    entries whose composites vanish.  Per ranks, the composites are taken
+    on the stacks of all f, g and h at once, and only the triangles that
+    pass are built."""
+    out = []
+    for x, y, z in itertools.product(range(max_rank + 1), repeat=3):
+        if x * y + y * z + z * x > max_entries:
+            continue
+        f, g, h = _all_matrices(y, x), _all_matrices(z, y), _all_matrices(x, z)
+        i, j, k = (n.ravel() for n in np.indices((len(f), len(g), len(h))))
+        vanish = np.ones(len(i), dtype=bool)
+        for later, earlier in ((g[j], f[i]), (h[k], g[j]), (f[i], h[k])):
+            vanish &= ~(later @ earlier % 4).reshape(len(i), -1).any(axis=1)
+        out += [Z4Triangle(*(Z4Morphism.from_matrix(m, s, t)
+                             for m, s, t in ((f[a], x, y), (g[b], y, z), (h[c], z, x))))
+                for a, b, c in zip(i[vanish], j[vanish], k[vanish])]
+    return out
+
+
+def members_by_pair_join(triangles, max_rank):
+    """Reference for in_distinguished_class: isomorphism, by the test's
+    pair join, with some representative within the bound."""
+    reps = distinguished_representatives(max_rank)
+    return [any(isomorphic_by_pair_join(t, r) for r in reps) for t in triangles]
+
+
+def gl_inverse(m):
+    """The inverse mod 4 of a matrix of odd determinant d: its adjugate
+    times d, as d * d = 1 mod 4."""
+    d = round(np.linalg.det(m)) if m.size else 1
+    inverse = np.rint(np.linalg.inv(m) * d).astype(np.int64) * d % 4 if m.size else m
+    assert np.array_equal(m @ inverse % 4, np.eye(len(m)))
+    return inverse
+
+
+def random_gl(rng, n):
+    while True:
+        m = rng.integers(0, 4, (n, n))
+        if n == 0 or round(np.linalg.det(m)) % 2:
+            return m
+
+
+def conjugate(t, u, v, w):
+    """The triangle that (u, v, w) on (X, Y, Z) carry t to."""
+    return Z4Triangle(*(Z4Morphism.from_matrix(left @ m.matrix @ gl_inverse(right) % 4,
+                                               m.source, m.target)
+                        for m, left, right in ((t.f, v, u), (t.g, w, v), (t.h, u, w))))
+
+
+def swap_triangle():
+    """f = g = h = 2 [[0, 1], [1, 0]]: exact, all even, with C B A = the
+    swap != I mod 2, so not in the class."""
+    s = Z4Morphism.from_matrix(2 * np.array([[0, 1], [1, 0]]))
+    return Z4Triangle(s, s, s)
+
+
 class TestBatchedJoins:
+    """Membership by the reduction, isomorphism and TR3 by the key join of
+    one pair, and the rank-1 verdicts decided once, against the
+    brute-force and pair-join references."""
+
     def test_members_match_brute_force_on_rank_one_candidates(self):
         cands = rank_one_candidates()
         reps = distinguished_representatives(1)
         want = [any(isomorphic_by_brute_force(t, r) for r in reps) for t in cands]
-        assert _members(cands, reps).tolist() == want
+        assert [in_distinguished_class(t, 1) for t in cands] == want
         assert 0 < sum(want) < len(want)
 
     def test_members_match_pair_join_at_rank_two(self):
         queries = membership_queries()
-        reps = distinguished_representatives(2)
-        want = [any(isomorphic_by_pair_join(t, r) for r in reps) for t in queries]
-        assert _members(queries, reps).tolist() == want
+        want = members_by_pair_join(queries, 2)
+        assert [in_distinguished_class(t) for t in queries] == want
         assert 0 < sum(want) < len(want)
         assert not want[-1]
 
@@ -855,59 +833,37 @@ class TestBatchedJoins:
         queries = membership_queries()[::7]
         reps = distinguished_representatives(2)
         assert [in_distinguished_class(t) for t in queries] == \
-            _members(queries, reps).tolist()
-
-    def test_small_batches_give_the_same_verdicts(self, monkeypatch):
-        reps = distinguished_representatives(2)
-        queries = membership_queries()
-        tr3, members = tr3_verdicts(reps), _members(queries, reps)
-        # One rank-two pair alone holds up to 3 * 256 matrices.
-        monkeypatch.setattr(exotic, "_BATCH_MATRICES", 50)
-        assert np.array_equal(tr3_verdicts(reps), tr3)
-        assert np.array_equal(_members(queries, reps), members)
-        cands = rank_one_candidates()
-        assert (~tr3_verdicts(cands)).sum() == 63
+            [any(is_isomorphic(t, r) for r in reps) for t in queries]
 
     def test_single_call_matches_separate_calls(self):
-        reps = distinguished_representatives(2)
-        queries = membership_queries()
-        tr3, members = _decide(_join(reps, queries, True))
-        assert np.array_equal(tr3, tr3_verdicts(reps))
-        assert np.array_equal(members, _members(queries, reps))
-        assert 0 < members.sum() < len(queries)
-        # With candidates among the triangles, some TR3 verdicts fail.
-        triangles = reps + rank_one_candidates()
-        tr3, members = _decide(_join(triangles, queries, True))
-        assert np.array_equal(tr3, tr3_verdicts(triangles))
-        assert tr3[:16, :16].all() and not tr3.all()
-        assert np.array_equal(members, _members(queries, triangles))
-        assert np.array_equal(members, members_by_stacks(queries, triangles))
+        # The elementary verdicts, decided in one cached call, against one
+        # reference call per triangle or pair.
+        elems = elementary_triangles()
+        composites, rotations, tr3 = exotic._elementary_verdicts()
+        assert composites.tolist() == [composites_vanish_by_loop(t) for t in elems]
+        assert rotations.tolist() == members_by_pair_join([t.rotate() for t in elems], 1)
+        assert tr3.tolist() == [[tr3_by_pair_join(t1, t2) for t2 in elems] for t1 in elems]
+        assert composites.all() and rotations.all() and tr3.all()
 
-    def test_one_batch_may_mix_tr3_and_membership_pairs(self, monkeypatch):
-        reps = distinguished_representatives(2)
-        queries = membership_queries()
-        tr3, members = tr3_verdicts(reps), _members(queries, reps)
-        decide, quantifiers = exotic._decide_batch, []
+    def test_packed_keys_fit_int64_at_rank_three(self, monkeypatch):
+        # A key pair of two 3 x 3 products packs 2 * 9 base-4 digits.
+        key_pairs, widths = exotic._key_pairs, []
 
-        def recorded(b, a, c, n_pairs, width, every):
-            quantifiers.append(set(every.tolist()))
-            return decide(b, a, c, n_pairs, width, every)
+        def recorded(first, second):
+            pairs = key_pairs(first, second)
+            widths.append(max(first[0].size, second[0].size))
+            assert pairs[0].max() < 4 ** first[0].size and pairs[1].max() < 4 ** second[0].size
+            return pairs
 
-        monkeypatch.setattr(exotic, "_decide_batch", recorded)
-        monkeypatch.setattr(exotic, "_BATCH_MATRICES", 2000)
-        got_tr3, got_members = _decide(_join(reps, queries, True))
-        assert {True, False} in quantifiers and len(quantifiers) > 2
-        assert np.array_equal(got_tr3, tr3)
-        assert np.array_equal(got_members, members)
-
-    def test_packed_keys_fit_int64_at_rank_three(self):
-        reps = distinguished_representatives(3)
-        width = _key_width(3, len(reps) ** 2)
-        assert width == 4 ** 9
-        assert len(reps) ** 2 * width * width < 2**63
-        # One pair at rank 4 overflows: 4**32 > 2**63.
+        monkeypatch.setattr(exotic, "_key_pairs", recorded)
+        big = distinguished_representatives(3)[-1]
+        assert max(big.ranks) == 3 and is_isomorphic(big, big)
+        assert max(widths) == 9 and 4 ** (2 * 9) < 2**63
+        # At rank 4, GL_4 alone has 4**16 candidates: refused before a stack.
+        no_gl(monkeypatch)
+        t = Z4Triangle(zero_morphism(4, 1), zero_morphism(1, 1), zero_morphism(1, 4))
         with pytest.raises(ValueError, match="too large"):
-            _key_width(4, 1)
+            is_isomorphic(t, t)
 
     def test_rank_four_is_refused_before_any_stack(self):
         big = zero_triangle()
@@ -916,88 +872,157 @@ class TestBatchedJoins:
         with pytest.raises(ValueError, match="too large"):
             is_isomorphic(big, big)
 
-    def test_rank_two_builds_no_rank_three_stack(self, monkeypatch):
-        # Every stack a join reads comes through _stack_codes, which builds
-        # the stacks of all shapes within its rank bound.
-        ranks = []
+    def test_an_oversized_join_is_refused_before_it_is_allocated(self):
+        # (0, id, id) at rank 3: (v f, g v) = (0, v) and (f u, u h) = (0, u),
+        # so all 86 016**2 pairs of GL_3 meet on the key 0, 59 GB of
+        # indices.
+        t = Z4Triangle(zero_morphism(3, 3), identity_morphism(3), identity_morphism(3))
+        general_linear(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^a key join of 7398752256 pairs "
+                                                 r"exceeds the bound of 8388608$"):
+                is_isomorphic(t, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Less than one index array of a join at the bound.
+        assert peak < 8 * exotic._JOIN_PAIRS
 
-        def recorded(rank):
-            ranks.append(rank)
-            return _stack_codes(rank)
+    def test_a_join_at_the_bound_runs(self, monkeypatch):
+        # (0, id, id) at rank 2 joins 96**2 pairs, all of GL_2 squared.
+        t = Z4Triangle(zero_morphism(2, 2), identity_morphism(2), identity_morphism(2))
+        monkeypatch.setattr(exotic, "_JOIN_PAIRS", 96**2)
+        assert is_isomorphic(t, t)
+        monkeypatch.setattr(exotic, "_JOIN_PAIRS", 96**2 - 1)
+        with pytest.raises(ValueError, match="^a key join of 9216 pairs exceeds the bound of 9215$"):
+            is_isomorphic(t, t)
 
-        monkeypatch.setattr(exotic, "_stack_codes", recorded)
-        exotic._elementary_join.cache_clear()
+    def test_rank_two_builds_no_rank_three_stack(self, monkeypatch, fresh_verdicts):
+        # Every stack a key join draws comes from _all_matrices or
+        # general_linear; membership draws none.
+        shapes = []
+
+        def recorded(target, source):
+            shapes.append((target, source))
+            return _all_matrices(target, source)
+
+        monkeypatch.setattr(exotic, "_all_matrices", recorded)
+        monkeypatch.setattr(exotic, "general_linear", lambda rank: pytest.fail("GL built"))
         assert verify_axioms(2).passed and verify_axioms(3).passed
-        assert ranks == [1]
+        assert len(shapes) == 16 * 3 and max(max(shape) for shape in shapes) == 1
 
     def test_a_join_plans_at_the_rank_its_pairs_use(self, monkeypatch):
-        # A rank-1 query among the 39 rank-3 representatives meets only
-        # the rank-1 ones, so no rank-3 stack or table is built.
-        ranks = []
-        tables = exotic._product_tables
-
-        def recorded(mats, rank):
-            ranks.append(rank)
-            return tables(mats, rank)
-
-        monkeypatch.setattr(exotic, "_product_tables", recorded)
-        monkeypatch.setattr(exotic, "_stack_codes", lambda rank: pytest.fail("stacks built")
-                            if rank > 1 else _stack_codes(rank))
-        reps = distinguished_representatives(3)
-        join = _join(reps, [two_triangle()], False)
-        assert len(join.iso) == 1 and join.codes is _stack_codes(1)
+        # A join of two rank-1 triangles draws GL_1 alone, and membership
+        # at bound 3 draws nothing.
+        gl, ranks = general_linear, []
+        monkeypatch.setattr(exotic, "general_linear", lambda rank: ranks.append(rank) or gl(rank))
+        monkeypatch.setattr(exotic, "_all_matrices", lambda t, s: pytest.fail("stack built"))
+        assert is_isomorphic(two_triangle(), two_triangle())
+        assert ranks == [1, 1, 1]
         assert in_distinguished_class(two_triangle(), 3)
         assert not in_distinguished_class(rank_one_candidates()[0], 3)
         assert ranks == [1, 1, 1]
 
     def test_join_matches_per_pair_reference(self):
+        # Isomorphism of every membership query with every representative
+        # of its ranks, and TR3 of the rank-one candidates.
         reps = distinguished_representatives(2)
-        assert np.array_equal(tr3_verdicts(reps), tr3_by_stacks(reps))
+        for t in membership_queries()[::3]:
+            for r in reps:
+                assert is_isomorphic(t, r) == isomorphic_by_pair_join(t, r)
         cands = rank_one_candidates()
         verdicts = tr3_verdicts(cands)
-        assert np.array_equal(verdicts, tr3_by_stacks(cands))
+        assert verdicts.tolist() == [[tr3_by_pair_join(t1, t2) for t2 in cands] for t1 in cands]
         assert (~verdicts).sum() == 63
 
     def test_members_match_per_pair_reference(self):
-        queries = membership_queries()
-        reps = distinguished_representatives(2)
-        members = _members(queries, reps)
-        assert np.array_equal(members, members_by_stacks(queries, reps))
-        assert 0 < members.sum() < len(queries) and not members[-1]
+        # Every exact triangle of ranks <= 2 with at most 8 entries.
+        triangles = exact_triangles(2, 8)
+        members = [in_distinguished_class(t) for t in triangles]
+        assert members == members_by_pair_join(triangles, 2)
+        assert (len(triangles), sum(members)) == (5151, 584)
 
-    def test_verdicts_are_recomputed_on_every_call(self, monkeypatch):
+    def test_failing_rank_one_pairs_fail_rotation_and_tr3(self, monkeypatch, fresh_verdicts):
         assert verify_axioms(1).passed
-        monkeypatch.setattr(exotic, "_decide_batch",
-                            lambda b, a, c, n_pairs, width, every:
-                            np.zeros(n_pairs, dtype=bool))
+        monkeypatch.setattr(exotic, "_pair_join", lambda t1, t2, invertible: False)
+        monkeypatch.setattr(exotic, "in_distinguished_class", lambda t, max_rank=2: False)
+        # The verdicts of the first call stand until the cache is cleared.
+        assert verify_axioms(1).passed
+        exotic._elementary_verdicts.cache_clear()
         report = verify_axioms(1)
         assert not report.passed
         # The sums step reads the incidence alone and searches nothing.
         assert [ok for _, ok in report.steps] == [True, True, False, True, False]
 
-    def test_verification_is_planned_once_per_bound(self, monkeypatch):
-        tables, decide = exotic._product_tables, exotic._decide
-        planned, decided = [], []
-
-        def counted(mats, rank):
-            planned.append(rank)
-            return tables(mats, rank)
-
-        def recorded(join):
-            decided.append(decide(join))
-            return decided[-1]
-
-        monkeypatch.setattr(exotic, "_product_tables", counted)
-        monkeypatch.setattr(exotic, "_decide", recorded)
-        exotic._elementary_join.cache_clear()
+    def test_verification_is_planned_once_per_bound(self, monkeypatch, fresh_verdicts):
+        # The 16 elementary TR3 pairs and the 4 rotations are decided on
+        # the first call of a process and serve every bound.
+        join, member, pairs, queries = exotic._pair_join, in_distinguished_class, [], []
+        monkeypatch.setattr(exotic, "_pair_join", lambda t1, t2, invertible:
+                            pairs.append((t1, t2)) or join(t1, t2, invertible))
+        monkeypatch.setattr(exotic, "in_distinguished_class", lambda t, max_rank=2:
+                            queries.append(t) or member(t, max_rank))
         assert verify_axioms(2).passed and verify_axioms(2).passed and verify_axioms(3).passed
-        # One plan at rank 1 serves every bound, and each call decides it.
-        assert planned == [1] and len(decided) == 3
         elems = elementary_triangles()
-        tr3, members = decided[1]
-        assert np.array_equal(tr3, tr3_by_stacks(elems)) and tr3.all()
-        assert np.array_equal(members, members_by_stacks([t.rotate() for t in elems], elems))
-        assert members.all() and len(members) == 4
+        assert pairs == list(itertools.product(elems, repeat=2))
+        assert queries == [t.rotate() for t in elems]
+        _, rotations, tr3 = exotic._elementary_verdicts()
+        assert tr3.tolist() == [[tr3_by_brute_force(t1, t2) for t2 in elems] for t1 in elems]
+        assert rotations.tolist() == [any(isomorphic_by_brute_force(t.rotate(), r) for r in elems)
+                                      for t in elems]
+        assert tr3.all() and rotations.all()
+
+
+class TestMembershipLemma:
+    """in_distinguished_class's reduction (the lemma in its docstring)
+    against isomorphism with a representative by the test's pair join."""
+
+    def test_all_even_triangles_at_rank_two(self):
+        # (2A, 2B, 2C) is in the class iff C B A = I mod 2: one member per
+        # A and B in GL_2(F_2).
+        triangles = [Z4Triangle(*(Z4Morphism.from_matrix(2 * np.array(bits[n:n + 4]).reshape(2, 2))
+                                  for n in (0, 4, 8)))
+                     for bits in itertools.product((0, 1), repeat=12)]
+        members = [in_distinguished_class(t) for t in triangles]
+        assert members == members_by_pair_join(triangles, 2)
+        gl_f2 = {tuple((m % 2).ravel()) for m in general_linear(2)}
+        assert sum(members) == len(gl_f2) ** 2 == 36
+
+    def test_seeded_rank_three_conjugates_and_perturbations(self):
+        rng = np.random.default_rng(44)
+        reps = distinguished_representatives(3)
+        perturbed = []
+        for n in rng.choice(len(reps), 12, replace=False):
+            t = conjugate(reps[n], *(random_gl(rng, r) for r in reps[n].ranks))
+            # In the class by construction.
+            assert in_distinguished_class(t, 3), t
+            maps = [m.matrix.copy() for m in (t.f, t.g, t.h)]
+            k = rng.choice([k for k, m in enumerate(maps) if m.size])
+            maps[k].flat[rng.integers(maps[k].size)] += rng.integers(1, 4)
+            perturbed.append(Z4Triangle(*(Z4Morphism.from_matrix(m, s, r) for m, s, r in
+                                          zip(maps, t.ranks, t.ranks[1:] + t.ranks[:1]))))
+        members = [in_distinguished_class(t, 3) for t in perturbed]
+        assert members == members_by_pair_join(perturbed, 3)
+        assert 0 < sum(members) < len(members)
+
+    def test_the_swap_triangle_is_exact_and_not_a_member(self):
+        t = swap_triangle()
+        assert t.is_candidate
+        assert not in_distinguished_class(t)
+        assert members_by_pair_join([t], 2) == [False]
+
+    def test_rank_five_is_decided_without_gl(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        five = functools.reduce(Z4Triangle.direct_sum, [two_triangle()] * 5)
+        member = conjugate(five, *(random_gl(rng, 5) for _ in range(3)))
+        # The swap triangle plus three 2-triangles has C B A = swap (+) I.
+        other = functools.reduce(Z4Triangle.direct_sum, [two_triangle()] * 3, swap_triangle())
+        non_member = conjugate(other, *(random_gl(rng, 5) for _ in range(3)))
+        no_gl(monkeypatch)
+        assert in_distinguished_class(member, max_rank=5)
+        assert not in_distinguished_class(non_member, max_rank=5)
+        assert non_member.is_candidate
 
 
 class TestVerification:
@@ -1008,8 +1033,9 @@ class TestVerification:
 
     def test_one_failed_step_fails_the_report(self, monkeypatch):
         # passed is read off the steps, so it cannot disagree with them.
-        monkeypatch.setattr(exotic, "_composites_vanish",
-                            lambda triangles: np.zeros(len(triangles), dtype=bool))
+        composites, rotations, tr3 = exotic._elementary_verdicts()
+        monkeypatch.setattr(exotic, "_elementary_verdicts",
+                            lambda: (np.zeros_like(composites), rotations, tr3))
         report = verify_axioms(2)
         assert [ok for _, ok in report.steps] == [True, False, True, True, True]
         assert report.passed is False

@@ -53,6 +53,17 @@ class Z4Morphism:
     target: int
     entries: tuple[int, ...]  # row-major
 
+    def __post_init__(self) -> None:
+        """Refuse entries that the matrix would not read back: a negative
+        rank, a wrong count, or an entry that is not a Python int in 0..3."""
+        if self.source < 0 or self.target < 0:
+            raise ValueError(f"a rank is negative: {self.target} x {self.source}")
+        if len(self.entries) != self.source * self.target:
+            raise ValueError(f"{len(self.entries)} entries for a "
+                             f"{self.target} x {self.source} matrix")
+        if not all(type(e) is int and 0 <= e <= 3 for e in self.entries):
+            raise ValueError(f"entries must be ints in 0..3, not {self.entries}")
+
     @classmethod
     def from_matrix(cls, matrix, source: int | None = None, target: int | None = None):
         m = np.array(matrix, dtype=np.int64)
@@ -134,9 +145,10 @@ class Z4Triangle:
 
     @property
     def is_candidate(self) -> bool:
-        """Consecutive composites vanish (with identity shift, h is
-        followed by f itself)."""
-        return bool(_composites_vanish([self])[0])
+        """Consecutive composites g f, h g and f h vanish mod 4 (with
+        identity shift, h is followed by f itself)."""
+        f, g, h = self.f.matrix, self.g.matrix, self.h.matrix
+        return not any((x @ y % 4).any() for x, y in ((g, f), (h, g), (f, h)))
 
     def rotate(self) -> "Z4Triangle":
         """The rotated triangle (g, h, -f); the shift is the identity, so
@@ -203,24 +215,6 @@ def general_linear(rank: int) -> np.ndarray:
     determinant, read-only and built once per rank."""
     mats = _all_matrices(rank, rank)
     return _readonly(mats[_odd_determinant(mats)])
-
-
-def _padded(morphisms: list[Z4Morphism], rank: int) -> np.ndarray:
-    """The matrices of morphisms of ranks <= rank, each in the top left
-    corner of a (rank x rank) zero matrix."""
-    mats = np.zeros((len(morphisms), rank, rank), dtype=np.int64)
-    for k, m in enumerate(morphisms):
-        mats[k, :m.target, :m.source] = m.matrix
-    return mats
-
-
-def _composites_vanish(triangles: list[Z4Triangle]) -> np.ndarray:
-    """Per triangle, whether g f, h g and f h vanish: one batched product
-    of the padded matrices, whose products are the padded products."""
-    mats = _padded([m for t in triangles for m in (t.f, t.g, t.h)],
-                   max((max(t.ranks) for t in triangles), default=0))
-    mats = mats.reshape(len(triangles), 3, *mats.shape[1:])
-    return ~(np.roll(mats, -1, axis=1) @ mats % 4).any(axis=(1, 2, 3))
 
 
 def _keys(stack: np.ndarray) -> np.ndarray:
@@ -331,7 +325,7 @@ def _elementary_verdicts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     join over all matrices at rank 1.  Decided on the first call only:
     they depend on nothing but the four triangles."""
     elems = elementary_triangles()
-    return (_readonly(_composites_vanish(elems)),
+    return (_readonly(np.array([t.is_candidate for t in elems])),
             _readonly(np.array([in_distinguished_class(t.rotate(), 1) for t in elems])),
             _readonly(np.array([[_pair_join(s, t, False) for t in elems] for s in elems])))
 

@@ -26,13 +26,15 @@ d + deg(g).  No two generators share a degree difference, so T loses
 nothing: the per-degree blocks (`action`, `actions`) are views into T,
 and the generator matrices (`matrices`) are cut out of it, once and only
 when a word of generators is multiplied out over the whole module; at one
-degree, `act_element` reads the blocks alone.  End(M) solves E T = T E, a
-Fitting summand restricts T once, and `tensor` forms the T of A (x) B
-from the factors' total operations I + T, which the Cartan formula makes
-multiplicative.  Endomorphisms are block-diagonal matrices in the same
-layout (`_offsets`), so both Fitting summands of one are read off one
-rref of its stable power (`_fitting_split`), and their products and
-traces are taken degree block by degree block (`_degree_blocks`).
+degree, `act_element` reads the blocks alone.  End(M) solves E T = T E,
+and `tensor` forms the T of A (x) B from the factors' total operations
+I + T, which the Cartan formula makes multiplicative.  Endomorphisms are
+block-diagonal matrices in the same layout (`_offsets`), so one rref of
+an endomorphism's stable power gives homogeneous bases C of its stable
+image and K of its stable kernel, and both Fitting summands' T are the
+diagonal blocks of T in the basis B = [C | K], one product and one solve
+(`_fitting_split`).  Products and traces of endomorphisms are taken
+degree block by degree block (`_degree_blocks`).
 Locality is decided on the shortest run of those blocks, widest first,
 on which the basis of End(M) stays linearly independent (`_is_local`).
 Keeping a set of blocks is a unital algebra map, and on that run it is
@@ -728,46 +730,34 @@ def _endomorphism_basis(M: FiniteModule) -> np.ndarray:
     return out
 
 
-def _restrict(M: FiniteModule, basis: np.ndarray, left: np.ndarray) -> FiniteModule:
-    """The submodule of M spanned by the columns of basis, homogeneous and
-    in increasing degree order, given a left inverse of basis on them.
-
-    M's T restricts to X = left T basis, the submodule's T, which holds
-    exactly when basis X = T basis; that is checked.  The span of basis
-    is graded, so that holds for T iff it holds for each generator."""
-    p = M.prime
-    # A column's degree is that of its first nonzero entry.
-    degrees = M.basis_degrees[(basis != 0).argmax(axis=0)]
-    image = fp.matmul(M.total, basis, p)
-    X = fp.matmul(left, image, p)
-    if not np.array_equal(fp.matmul(basis, X, p), image):
-        raise ModuleError("Fitting summand is not a submodule")
-    return FiniteModule._whole(p, dict(collections.Counter(degrees.tolist())), X)
-
-
 def _fitting_split(M: FiniteModule, psi: np.ndarray
                    ) -> tuple[FiniteModule, FiniteModule] | None:
     """M as the stable image of the endomorphism psi plus its stable kernel
     (Fitting's lemma), or None when one of the two is zero.
 
     Both are reached at w = psi^m for every m >= n, so w squares psi
-    ceil(log2 n) times, and one rref R of w gives both summands.  The
-    image has the basis C = w[:, pivots]; R[:rank] C is invertible, since
-    the image meets the kernel only in 0, so (R[:rank] C)^-1 R[:rank] is a
-    left inverse of C.  The kernel has the basis `nullspace_of_rref`, one
-    column per free column of R, and its free rows are the identity, so
-    reading them is a left inverse."""
+    ceil(log2 n) times, and one rref R of w gives both bases: C = w[:, pivots]
+    spans the image and K = `nullspace_of_rref` the kernel, each column
+    homogeneous and in increasing degree order.  The image meets the kernel
+    only in 0, so B = [C | K] is invertible, and X = B^-1 T B is T in that
+    basis.  X is block-diagonal exactly when both spans are submodules,
+    which is checked; its diagonal blocks are the summands' T.  The span of
+    a summand is graded, so it is closed under T iff it is closed under
+    each generator."""
     p, n = M.prime, M.total_dim
     w = fp.power(psi, 1 << (n - 1).bit_length(), p)
     r, pivots = fp.rref(w, p)
     rank = len(pivots)
     if not 0 < rank < n:
         return None
-    image, left = w[:, pivots], r[:rank]
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    return (_restrict(M, image, fp.solve(fp.matmul(left, image, p), left, p)),
-            _restrict(M, fp.nullspace_of_rref(r, pivots, p), fp.identity(n)[free]))
+    basis = np.hstack([w[:, pivots], fp.nullspace_of_rref(r, pivots, p)])
+    X = fp.solve(basis, fp.matmul(M.total, basis, p), p)
+    if X[:rank, rank:].any() or X[rank:, :rank].any():
+        raise ModuleError("Fitting summand is not a submodule")
+    # A column's degree is that of its first nonzero entry.
+    degrees = M.basis_degrees[(basis != 0).argmax(axis=0)].tolist()
+    return tuple(FiniteModule._whole(p, dict(collections.Counter(degrees[part])), X[part, part])
+                 for part in (slice(rank), slice(rank, n)))
 
 
 def _degree_blocks(basis: np.ndarray, dims: dict[int, int]) -> list[np.ndarray]:
@@ -886,9 +876,11 @@ def is_decomposable(M: FiniteModule) -> DecompositionResult:
     not local, then every other element of A up to a scalar, in order of
     increasing support.  A lift of a nontrivial idempotent of A/J(A) is such
     an element, so for a non-local A this loop finds a splitting.  The
-    summands are the candidate's stable image and stable kernel, both read
-    off one rref of its stable power and each checked to be a submodule
-    (`_fitting_split`).  M may have at most DECOMPOSE_BOUND dimensions."""
+    summands are the candidate's stable image and stable kernel, with
+    bases C and K from one rref of its stable power; their T are the
+    diagonal blocks of B^-1 T B for B = [C | K], which must be
+    block-diagonal (`_fitting_split`).  M may have at most DECOMPOSE_BOUND
+    dimensions."""
     if M.total_dim > DECOMPOSE_BOUND:
         raise ModuleError(
             f"total dimension {M.total_dim} exceeds bound {DECOMPOSE_BOUND}")

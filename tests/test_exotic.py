@@ -25,7 +25,6 @@ from torsionlab import (
 )
 from torsionlab.exotic import (
     _all_matrices,
-    _composites_vanish,
     _key_pairs,
     _keys,
     _match,
@@ -151,8 +150,8 @@ def isomorphic_by_pair_join(t1, t2):
 
 
 def composites_vanish_by_loop(t):
-    """Reference for the batched composite check: g f, h g and f h, one
-    matrix product at a time."""
+    """Reference for the composite check: g f, h g and f h, one matrix
+    product at a time."""
     f, g, h = t.f.matrix, t.g.matrix, t.h.matrix
     return not any(((x @ y) % 4).any() for x, y in ((g, f), (h, g), (f, h)))
 
@@ -198,6 +197,30 @@ class TestMorphisms:
         assert z.matrix.shape == (0, 1)
         assert z.is_zero
 
+    # Entries that .matrix would read back as another matrix, or could
+    # not reshape, are refused when the morphism is built.
+    @pytest.mark.parametrize("source,target", [(-1, 0), (0, -1), (-1, -1)])
+    def test_a_negative_rank_is_refused(self, source, target):
+        with pytest.raises(ValueError, match="^a rank is negative"):
+            Z4Morphism(source, target, ())
+
+    @pytest.mark.parametrize("source,target,entries", [
+        (2, 2, (1, 2, 3)), (1, 1, ()), (0, 3, (0,)), (2, 1, (0, 1, 2))])
+    def test_a_wrong_entry_count_is_refused(self, source, target, entries):
+        with pytest.raises(ValueError, match="entries for a"):
+            Z4Morphism(source, target, entries)
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, True, np.int64(2), np.int8(1)],
+                             ids=["float", "integral-float", "bool", "int64", "int8"])
+    def test_an_entry_that_is_not_an_int_is_refused(self, entry):
+        with pytest.raises(ValueError, match=r"^entries must be ints in 0\.\.3"):
+            Z4Morphism(1, 1, (entry,))
+
+    @pytest.mark.parametrize("entry", [4, -1, 7, -4])
+    def test_an_entry_outside_zero_to_three_is_refused(self, entry):
+        with pytest.raises(ValueError, match=r"^entries must be ints in 0\.\.3"):
+            Z4Morphism(1, 1, (entry,))
+
 
 class TestElementaryTriangles:
     def test_all_are_candidates(self):
@@ -225,20 +248,19 @@ class TestElementaryTriangles:
     def test_batched_composites_match_loop(self):
         m = [Z4Morphism.from_matrix([[x]]) for x in range(4)]
         triples = [Z4Triangle(f, g, h) for f, g, h in itertools.product(m, repeat=3)]
-        vanish = _composites_vanish(triples)
-        assert vanish.tolist() == [composites_vanish_by_loop(t) for t in triples]
-        assert vanish.tolist() == [t.is_candidate for t in triples]
-        assert vanish.sum() == 14
-        # Mixed ranks, padded to the largest: representatives and random
-        # triangles, which mostly fail.
+        vanish = [t.is_candidate for t in triples]
+        assert vanish == [composites_vanish_by_loop(t) for t in triples]
+        assert sum(vanish) == 14
+        # Mixed ranks: representatives and random triangles, which mostly
+        # fail.
         rng = np.random.default_rng(9)
         mixed = distinguished_representatives(2)
         for x, y, z in itertools.product(range(3), repeat=3):
             mixed.append(Z4Triangle(*(Z4Morphism.from_matrix(rng.integers(0, 4, (t, s)), s, t)
                                       for s, t in ((x, y), (y, z), (z, x)))))
-        vanish = _composites_vanish(mixed)
-        assert vanish.tolist() == [composites_vanish_by_loop(t) for t in mixed]
-        assert 16 <= vanish.sum() < len(mixed)
+        vanish = [t.is_candidate for t in mixed]
+        assert vanish == [composites_vanish_by_loop(t) for t in mixed]
+        assert 16 <= sum(vanish) < len(mixed)
 
     def test_contractible_rotations_cycle(self):
         c0 = elementary_triangles()[1]
@@ -692,7 +714,7 @@ class TestReadOff:
         rotations, sums = closure_queries(max_rank)
         members = np.array([in_distinguished_class(t, max_rank) for t in [*rotations, *sums]])
         composites, rotated, summed, _ = exotic._verdicts(max_rank)
-        assert np.array_equal(composites, _composites_vanish(reps))
+        assert composites.tolist() == [t.is_candidate for t in reps]
         assert np.array_equal(rotated, members[:len(reps)])
         assert np.array_equal(summed, members[len(reps):])
         assert members.all() and len(summed) == len(sums)

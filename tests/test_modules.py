@@ -256,6 +256,26 @@ def reference_fitting_idempotent(psi, p):
     return fp.matmul(fp.matmul(B, diag, p), inv(B, p), p)
 
 
+def fitting_bases(M, psi):
+    """The bases of psi's stable image and stable kernel that
+    `_fitting_split` reads off the rref R of w = psi^m, each with a left
+    inverse of its own: (R[:rank] C)^-1 R[:rank] for the image
+    C = w[:, pivots], and the free rows of the identity for the kernel.
+    The reference for the summands read off one change of basis; None when
+    one of them is zero."""
+    p, n = M.prime, M.total_dim
+    w = fp.power(psi, 1 << (n - 1).bit_length(), p)
+    r, pivots = fp.rref(w, p)
+    rank = len(pivots)
+    if not 0 < rank < n:
+        return None
+    image, top = w[:, pivots], r[:rank]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return ((image, fp.solve(fp.matmul(top, image, p), top, p)),
+            (fp.nullspace_of_rref(r, pivots, p), fp.identity(n)[free]))
+
+
 def reference_inadmissible_words(p, max_degree):
     """Every product of two or three letters, filtered by degree and then
     by admissibility."""
@@ -532,9 +552,9 @@ def reference_endomorphism_basis(M):
 
 
 def reference_restrict(M, basis, left):
-    """The per-generator restriction that `_restrict` replaced: each
-    generator W restricts to X = left W basis, checked by basis X = W basis,
-    and the submodule's T is the sum of these X."""
+    """The submodule of M spanned by the columns of basis, one generator at
+    a time: each generator W restricts to X = left W basis, checked by
+    basis X = W basis, and the submodule's T is the sum of these X."""
     p = M.prime
     dims = {}
     for d in M.basis_degrees[(basis != 0).argmax(axis=0)].tolist():
@@ -1263,27 +1283,21 @@ class TestDecomposability:
         the kernel summand's basis spans the image of 1 - e, with its
         restriction conjugate to the reference's by that change of basis."""
         calls = {"split": 0, "summands": 0, "other_kernel_basis": 0}
-        decide, split, restrict = is_decomposable, modules._fitting_split, modules._restrict
-        bases = []
+        decide, split = is_decomposable, modules._fitting_split
 
         def checked_decision(M):
             got = decide(M)
             assert reference_is_decomposable(M) == (bool(got), True)
             return got
 
-        def recorded_restrict(M, basis, left):
-            bases.append(basis)
-            calls["summands"] += 1
-            return restrict(M, basis, left)
-
         def checked_split(M, psi):
             p, n = M.prime, M.total_dim
-            del bases[:]
             got, e = split(M, psi), reference_fitting_idempotent(psi, p)
             assert (got is None) == (e is None)
             if got is None:
                 return got
             calls["split"] += 1
+            calls["summands"] += len(got)
             image, kernel = got
             assert image == reference_submodule(M, e)
             complement = (fp.identity(n) - e) % p
@@ -1297,7 +1311,8 @@ class TestDecomposability:
                 columns = fp.zeros(n, block.shape[1])
                 columns[row:row + M.dims[d]] = block
                 reference = np.hstack([reference, columns])
-            change = fp.solve(reference, bases[-1], p)
+            _, (kernel_basis, _) = fitting_bases(M, psi)
+            change = fp.solve(reference, kernel_basis, p)
             assert change is not None and fp.rank(change, p) == kernel.total_dim
             for g in {*kernel.matrices, *want.matrices}:
                 ours = kernel.matrices.get(g, fp.zeros(kernel.total_dim, kernel.total_dim))
@@ -1307,7 +1322,6 @@ class TestDecomposability:
 
         monkeypatch.setitem(globals(), "is_decomposable", checked_decision)
         monkeypatch.setattr(modules, "_fitting_split", checked_split)
-        monkeypatch.setattr(modules, "_restrict", recorded_restrict)
         return calls
 
     def test_sphere_indecomposable(self):
@@ -1744,17 +1758,21 @@ class TestSummedGenerators:
         assert min(checked.values()) >= 36
 
     def test_fitting_summands_match_the_per_generator_reference(self, monkeypatch):
-        restrict, compared = modules._restrict, []
+        split, compared = modules._fitting_split, []
 
-        def checked_restrict(M, basis, left):
-            got, want = restrict(M, basis, left), reference_restrict(M, basis, left)
-            assert list(got.dims.items()) == list(want.dims.items())
-            assert list(got.matrices) == list(want.matrices)
-            assert all(np.array_equal(got.matrices[g], want.matrices[g]) for g in got.matrices)
-            compared.append(got)
+        def checked_split(M, psi):
+            got = split(M, psi)
+            if got is not None:
+                for summand, (basis, left) in zip(got, fitting_bases(M, psi)):
+                    want = reference_restrict(M, basis, left)
+                    assert list(summand.dims.items()) == list(want.dims.items())
+                    assert list(summand.matrices) == list(want.matrices)
+                    assert all(np.array_equal(summand.matrices[g], want.matrices[g])
+                               for g in summand.matrices)
+                    compared.append(summand)
             return got
 
-        monkeypatch.setattr(modules, "_restrict", checked_restrict)
+        monkeypatch.setattr(modules, "_fitting_split", checked_split)
         rng = random.Random(73)
         for M in self.modules_to_check():
             if M.total_dim > modules.DECOMPOSE_BOUND:
@@ -1772,9 +1790,45 @@ class TestSummedGenerators:
         for M in (moore_module(2), hypothetical_Cb_module()):
             e = fp.zeros(M.total_dim, M.total_dim)
             e[0, 0] = 1
-            for restrict in (modules._restrict, reference_restrict):
-                with pytest.raises(ModuleError, match="not a submodule"):
-                    restrict(M, e[:, :1], e[:1])
+            with pytest.raises(ModuleError, match="not a submodule"):
+                modules._fitting_split(M, e)
+            with pytest.raises(ModuleError, match="not a submodule"):
+                reference_restrict(M, e[:, :1], e[:1])
+
+    def test_split_refuses_a_kernel_that_is_not_a_submodule(self):
+        # Projecting S/2 onto its top cell: the image is a submodule, but
+        # the kernel, the bottom cell, is not closed under Sq^1.
+        M = moore_module(2)
+        e = np.array([[0, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(ModuleError, match="not a submodule"):
+            modules._fitting_split(M, e)
+        (image, image_left), (kernel, kernel_left) = fitting_bases(M, e)
+        assert reference_restrict(M, image, image_left).dims == {1: 1}
+        with pytest.raises(ModuleError, match="not a submodule"):
+            reference_restrict(M, kernel, kernel_left)
+
+    def test_a_split_takes_one_product_and_one_solve(self, monkeypatch):
+        # Both summands are read off one change of basis: T B, then
+        # B^-1 (T B).  Calls inside fp.power are not counted.
+        M = sum_of(*[moore_module(2)] * 6)
+        psi = next(b for b in modules._endomorphism_basis(M)
+                   if modules._fitting_split(M, b) is not None)
+        calls = collections.Counter()
+
+        class Counting:
+            def __getattr__(self, name):
+                real = getattr(fp, name)
+                if name not in ("matmul", "solve"):
+                    return real
+
+                def counted(*args):
+                    calls[name] += 1
+                    return real(*args)
+                return counted
+
+        monkeypatch.setattr(modules, "fp", Counting())
+        assert modules._fitting_split(M, psi) is not None
+        assert calls == {"matmul": 1, "solve": 1}
 
     def test_cut_reads_each_generator_off_its_difference(self):
         # Cb's cells are one-dimensional, so its (target, source) pairs of

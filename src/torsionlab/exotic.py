@@ -14,10 +14,10 @@ rank-one object is nonzero even though its cone is again the rank-one
 object — the behavior that separates this category from algebraic ones.
 
 The axioms are decided on the four elementary triangles, once per
-process (_elementary_verdicts), and read off onto every representative
-through the incidence of its summands, which the enumeration records
-(lemmas at _verdicts).  So `exotic verify --max-rank 3` takes 0.2-0.3 s
-and 31 MB, as rank 2 does (2-vCPU VM).
+process (_elementary_verdicts), and each step at every rank bound is
+read off those verdicts by a lemma (verify_axioms), with no
+representative built.  So `exotic verify` takes 0.2-0.3 s and 31 MB at
+any bound, 1000 included (2-vCPU VM).
 
 Nothing is searched to decide a triangle: TR1 reads the cone of f off
 its Smith form over Z/4 (smith_z4, check_TR1_cone), and membership in
@@ -35,6 +35,8 @@ g1 and h2 c (_pair_join)."""
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,13 +292,51 @@ def is_isomorphic(t1: Z4Triangle, t2: Z4Triangle) -> bool:
     return t1.ranks == t2.ranks and _pair_join(t1, t2, True)
 
 
+def _rank_bound(value) -> int:
+    """value as a plain int rank bound: a bool, a float, a string or a
+    negative bound is refused with one line, not truncated.  Integer
+    numpy scalars are integers; numpy bools are not."""
+    try:
+        bound = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        bound = None
+    if bound is None:
+        raise ValueError(f"rank bound {value!r} is not an integer")
+    if bound < 0:
+        raise ValueError(f"rank bound {bound} is negative")
+    return bound
+
+
+def _class_count(max_rank: int) -> int:
+    """How many direct sums of elementary triangles lie within the rank
+    bound b, len(_incidence(b)), in closed form.
+
+    With a copies of the 2-triangle and x, y and z of the contractible
+    triangles of ranks (1, 1, 0), (1, 0, 1) and (0, 1, 1), a sum has
+    ranks (a+x+y, a+x+z, a+y+z).  So with c = b - a, K(b) = T(0) + ... +
+    T(b), where T(c) counts the (x, y, z) >= 0 whose pairwise sums are at
+    most c.
+    - T: for x = c - m, y and z run over 0..m with y + z <= c.  Of the
+      (m+1)**2 pairs, those with y + z > c are, in y' = m - y and z' = m
+      - z, the pairs with y' + z' < t for t = 2m - c, t(t+1)/2 of them when
+      t > 0.  Summed over m = 0..c, the (m+1)**2 give (c+1)(c+2)(2c+3)/6,
+      and the t run over 2, 4, ..., 2j at c = 2j and 1, 3, ..., 2j+1 at c
+      = 2j+1, where their t(t+1)/2 sum to j(j+1)(4j+5)/6 and
+      (j+1)(j+2)(4j+3)/6.  So T(2j) = (j+1)(4j**2+5j+2)/2 and T(2j+1) =
+      (j+1)(4j**2+11j+8)/2.
+    - K: at b = 2k + r with r in {0, 1}, K(b) = (k+1)**2 (k+1+r)**2 +
+      r(k+1)(k+2)/2.  It is 1 at b = 0, and its steps are T's:
+      K(2k) - K(2k-1) = (k+1)**2 (2k+1) - k(k+1)/2 = T(2k), and
+      K(2k+1) - K(2k) = (k+1)**2 (2k+3) + (k+1)(k+2)/2 = T(2k+1)."""
+    k, r = divmod(max_rank, 2)
+    return (k + 1) ** 2 * (k + 1 + r) ** 2 + r * (k + 1) * (k + 2) // 2
+
+
 @functools.cache
 def _incidence(max_rank: int) -> np.ndarray:
     """Per direct sum of elementary triangles within the rank bound, in
     lexicographic order, how many times each of elementary_triangles() is
     a summand of it: the zero triangle first."""
-    if max_rank < 0:
-        raise ValueError(f"rank bound {max_rank} is negative")
     ranks = np.array([t.ranks for t in elementary_triangles()])
     counts = np.indices((max_rank + 1,) * len(ranks)).reshape(len(ranks), -1).T
     return _readonly(counts[(counts @ ranks).max(axis=1) <= max_rank])
@@ -319,70 +359,42 @@ def _representatives(max_rank: int) -> tuple[tuple[Z4Triangle, ...], np.ndarray]
 
 
 @functools.cache
-def _elementary_verdicts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per elementary triangle, whether its composites vanish and whether
-    its rotation is in the class; and TR3 per pair of them, by the key
-    join over all matrices at rank 1.  Decided on the first call only:
-    they depend on nothing but the four triangles."""
+def _elementary_verdicts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The verdicts C, R, S and E on the elementary triangles s_i that
+    verify_axioms reads its steps off: C_i, whether the composites of s_i
+    vanish; R_i, whether rotate(s_i) is in the class; S_ij, whether s_i
+    (+) s_j is, decided for the 10 pairs i <= j, as the block swap carries
+    s_j (+) s_i to s_i (+) s_j (the permutation lemma at verify_axioms);
+    and E_ij, TR3 for (s_i, s_j), by the key join over all matrices at
+    rank 1.  Decided on the first call only: they depend on nothing but
+    the four triangles."""
     elems = elementary_triangles()
+    rotations = np.array([in_distinguished_class(t.rotate(), 1) for t in elems])
+    sums = np.zeros((len(elems),) * 2, dtype=bool)
+    for i, j in itertools.combinations_with_replacement(range(len(elems)), 2):
+        sums[i, j] = sums[j, i] = in_distinguished_class(elems[i].direct_sum(elems[j]), 2)
     return (_readonly(np.array([t.is_candidate for t in elems])),
-            _readonly(np.array([in_distinguished_class(t.rotate(), 1) for t in elems])),
+            _readonly(rotations),
+            _readonly(sums),
             _readonly(np.array([[_pair_join(s, t, False) for t in elems] for s in elems])))
 
 
-def _verdicts(max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per representative within the rank bound, whether its composites
-    vanish and whether its rotation is in the class; per pair i <= j, in
-    row-major order, whose sum is within the bound, whether the sum is;
-    and TR3 per pair.  Read off the incidence N and the verdicts C, R
-    and E of the elementary triangles (_elementary_verdicts).
-
-    Lemmas, for representatives T = (+)_i S_i and T' = (+)_j S'_j, whose
-    maps are block diagonal:
-    - Composites: g f, h g and f h are block diagonal with blocks g_i f_i,
-      h_i g_i and f_i h_i, so T passes iff N (not C) is 0 in its row.
-    - Sums: T (+) T' is a reordering of the summands of the representative
-      of incidence n + n', and the permutation matrices that reorder the
-      blocks of X, Y and Z alike are an isomorphism of triangles.  So the
-      sum is in the class if n + n' is a row of N.
-    - Rotation: rotate(T) = (g, h, -f) is (+)_i rotate(S_i).  If each
-      rotate(S_i) is in the class, it is isomorphic to one elementary
-      triangle, as its ranks sum to 2 or 3 and those of a sum of two
-      elementary triangles to 4 or more.  Then the block sum
-      of these isomorphisms and a permutation carry rotate(T) to the
-      representative of those elementary triangles, whose ranks are T's
-      rotated and so within the bound.  So T passes if N (not R) is 0 in
-      its row, and at a bound >= 1, where the elementary triangles are
-      representatives, all pass iff R does.
-    - TR3 holds for (T, T') iff it holds for every (S_i, S'_j), so its
-      verdicts are N (not E) N^T == 0.  A morphism T -> T' on X (or Y,
-      Z) is a matrix of blocks S_i -> S'_j, and block (j, i) of b f - f' a
-      is b_ji f_i - f'_j a_ji, and likewise for the other squares.  So
-      (a, b) commutes, and c fills it, iff every block does: fills of the
-      blocks fill a commuting pair, and a commuting pair of (S_i, S'_j)
-      set in block (j, i), zero elsewhere, has a fill whose block (j, i)
-      fills it.
-
-    Rows of N are looked up by their digits in base max_rank + 1: every
-    elementary triangle has rank 1 on some object, so a count in a sum
-    within the bound is at most the bound, and n + n' carries nothing."""
-    elems, incidence = elementary_triangles(), _incidence(max_rank)
-    composites, rotations, tr3 = _elementary_verdicts()
-    ranks = incidence @ np.array([t.ranks for t in elems])
-    keys = incidence @ (max_rank + 1) ** np.arange(len(elems))
-    i, j = np.nonzero(np.triu((ranks[:, None] + ranks).max(axis=2) <= max_rank))
-    is_row = np.zeros((max_rank + 1) ** len(elems), dtype=bool)
-    is_row[keys] = True
-    return (incidence @ ~composites == 0,
-            incidence @ ~rotations == 0,
-            is_row[keys[i] + keys[j]],
-            incidence @ ~tr3 @ incidence.T == 0)
+# distinguished_representatives builds every representative: at bound 16
+# (6 561 of them) that takes 2.8-3.2 s and 52 MB, at 18 (10 000) 5.1 s
+# and 70 MB, and the cost grows about as the bound to the 5th (2-vCPU VM).
+_REPRESENTATIVES_BOUND = 16
 
 
 def distinguished_representatives(max_rank: int = 2) -> list[Z4Triangle]:
     """One representative per isomorphism class of direct sums of
     elementary triangles with all three ranks bounded by max_rank.  The
-    enumeration is built once per bound; each call returns a new list."""
+    enumeration is built once per bound; each call returns a new list.
+    A bound above _REPRESENTATIVES_BOUND is refused before anything is
+    built."""
+    max_rank = _rank_bound(max_rank)
+    if max_rank > _REPRESENTATIVES_BOUND:
+        raise ValueError(f"rank bound {max_rank} has {_class_count(max_rank)} representatives, "
+                         f"too many to build above the bound of {_REPRESENTATIVES_BOUND}")
     return list(_representatives(max_rank)[0])
 
 
@@ -414,6 +426,7 @@ def in_distinguished_class(t: Z4Triangle, max_rank: int = 2) -> bool:
       invertible (u, v, w) have v f = 2u, w g = 2v and u h = 2w.  Mod 2
       that is A = v^-1 u, B = w^-1 v and C = u^-1 w, which (u, v, w) =
       (1, A^-1, A^-1 B^-1), lifted to Z/4, solve iff C B A = I mod 2."""
+    max_rank = _rank_bound(max_rank)
     if max(t.ranks) > max_rank:
         raise ValueError(f"ranks {t.ranks} exceed the bound {max_rank}")
     if not t.is_candidate:
@@ -487,6 +500,7 @@ def check_TR1_cone(f: Z4Morphism, max_rank: int = 2) -> Z4Triangle | None:
     first map is d with its rows and columns permuted.  So the sum, the
     representative of that incidence, is built directly, at any rank and
     with no search."""
+    max_rank = _rank_bound(max_rank)
     if max(f.source, f.target) > max_rank:
         raise ValueError(f"ranks {(f.source, f.target)} exceed the bound {max_rank}")
     d = np.diagonal(smith_z4(f.matrix)[1]).tolist()
@@ -514,24 +528,56 @@ class VerificationReport:
 
 
 def verify_axioms(max_rank: int = 2) -> VerificationReport:
-    """Verification, on all class representatives with ranks bounded by
+    """Verification, on the K class representatives with ranks bounded by
     max_rank, of: vanishing consecutive composites, closure under
     rotation, closure under direct sums, and existence of TR3 fill-ins
-    for every commuting pair.  The verdicts rest on the lemmas at
-    _verdicts and on checks of the four elementary triangles."""
-    # The sums and TR3 steps compare all pairs of representatives: at bound
-    # 8 (625) `exotic verify` takes 0.2-0.4 s and 43 MB, at 12 (2 401) 207 MB.
-    if max_rank > 8:
-        raise ValueError("rank bound above 8 is too large to verify")
-    composites, rotations, sums, tr3 = _verdicts(max_rank)
+    for every commuting pair.  K is counted in closed form (_class_count)
+    and each step is read off the verdicts C, R, S and E on the four
+    elementary triangles s_i (_elementary_verdicts), so no representative
+    is built and every bound costs the same.
+
+    At bound 0 the only representative is the zero triangle, and every
+    step holds.  At a bound >= 1 each s_i, of ranks at most 1, is a
+    representative, and the steps are C.all(), R.all(), S.all() and
+    E.all(), by these lemmas on representatives T = (+)_i s_i and T' =
+    (+)_j s'_j, whose maps are block diagonal:
+    - Composites: g f, h g and f h are block diagonal with blocks g_i f_i,
+      h_i g_i and f_i h_i, so T passes iff each s_i does.
+    - Rotation: rotate(T) = (g, h, -f) is (+)_i rotate(s_i).  If each
+      rotate(s_i) is in the class, it is isomorphic to one elementary
+      triangle, as its ranks sum to 2 or 3 and those of a sum of two
+      elementary triangles to 4 or more.  Then the block sum of these
+      isomorphisms and a permutation carry rotate(T) to the
+      representative of those elementary triangles, whose ranks are T's
+      rotated and so within the bound.  So T passes if each rotate(s_i)
+      is in the class, and all pass iff R.all(), the s_i being
+      representatives.
+    - Sums (permutation lemma): T (+) T' is a reordering of the summands
+      of the representative of incidence n + n', and the permutation
+      matrices that reorder the blocks of X, Y and Z alike are an
+      isomorphism of triangles.  So a sum of sums of elementary triangles
+      is one, and is in the class by its definition.  S checks where that
+      induction starts, that s_i (+) s_j is decided a member; it serves
+      every bound >= 1, and fails if direct_sum or the membership
+      reduction is wrong.
+    - TR3 holds for (T, T') iff it holds for every (s_i, s'_j), so all
+      pairs pass iff E.all().  A morphism T -> T' on X (or Y, Z) is a
+      matrix of blocks s_i -> s'_j, and block (j, i) of b f - f' a is
+      b_ji f_i - f'_j a_ji, and likewise for the other squares.  So (a,
+      b) commutes, and c fills it, iff every block does: fills of the
+      blocks fill a commuting pair, and a commuting pair of (s_i, s'_j)
+      set in block (j, i), zero elsewhere, has a fill whose block (j, i)
+      fills it."""
+    max_rank = _rank_bound(max_rank)
+    count = _class_count(max_rank)
     report = VerificationReport(max_rank=max_rank)
-    report.add(f"enumerated {len(composites)} class representatives", len(composites) > 0)
-    report.add("consecutive composites vanish on every representative",
-               bool(composites.all()))
-    report.add("rotation of every representative stays in the class",
-               bool(rotations.all()))
-    report.add("direct sums of representatives stay in the class", bool(sums.all()))
-    report.add("TR3 fill-in exists for every commuting pair", bool(tr3.all()))
+    report.add(f"enumerated {count} class representatives", count > 0)
+    claims = ("consecutive composites vanish on every representative",
+              "rotation of every representative stays in the class",
+              "direct sums of representatives stay in the class",
+              "TR3 fill-in exists for every commuting pair")
+    for claim, verdicts in zip(claims, _elementary_verdicts()):
+        report.add(claim, max_rank == 0 or bool(verdicts.all()))
     return report
 
 

@@ -166,7 +166,6 @@ class TestUserErrors:
         ("pi", "3", "--moore", "0"),
         ("associator", "0"),
         ("exotic", "verify", "--max-rank", "-1"),
-        ("exotic", "verify", "--max-rank", "9"),
         ("--max-degree", "-5", "oracle-check", "Sq^1"),
         ("--json", "--max-degree", "-5", "oracle-check", "Sq^1", "Sq^1"),
         ("basis", "500"),
@@ -679,6 +678,14 @@ class TestExoticCommands:
         assert code == 0
         assert out.startswith("exotic category axiom check (rank <= 8): PASS\n")
         assert "enumerated 625 class representatives" in out
+
+    @pytest.mark.parametrize("rank,count", [(9, 915), (64, 1185921), (1000, 63001502001)])
+    def test_verify_above_the_old_rank_cap(self, capsys, rank, count):
+        # The steps are read off the elementary triangles at any bound.
+        code, out = run(capsys, "exotic", "verify", "--max-rank", str(rank))
+        assert code == 0
+        assert out.startswith(f"exotic category axiom check (rank <= {rank}): PASS\n")
+        assert f"  [ok] enumerated {count} class representatives\n" in out
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_verify_matches_the_golden_transcript(self, capsys, rank):

@@ -334,13 +334,57 @@ class TestDistinguishedClass:
             verify_axioms(-1)
 
     def test_the_rank_caps_sit_on_the_searches(self):
-        # The enumeration and membership take any bound; the key join of
+        # Membership and the verification take any bound; the key join of
         # is_isomorphic stops at rank 3 (TestBatchedJoins), and the
-        # verification at 8.
+        # enumeration, which builds every representative, at 16.
         assert len(distinguished_representatives(4)) == 81
         assert in_distinguished_class(two_triangle(), 4)
-        with pytest.raises(ValueError, match="^rank bound above 8"):
-            verify_axioms(9)
+        assert verify_axioms(9).passed and verify_axioms(10**6).passed
+        with pytest.raises(ValueError, match="^rank bound 17 has 8145 representatives"):
+            distinguished_representatives(17)
+
+    def test_the_enumeration_bound_is_checked_before_anything_is_built(self, monkeypatch):
+        monkeypatch.setattr(exotic, "_incidence", lambda max_rank: pytest.fail("built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^rank bound 1000 has 63001502001 "
+                                                 r"representatives, too many to build "
+                                                 r"above the bound of 16$"):
+                distinguished_representatives(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_an_enumeration_at_the_bound_runs(self, monkeypatch):
+        monkeypatch.setattr(exotic, "_REPRESENTATIVES_BOUND", 3)
+        assert len(distinguished_representatives(3)) == 39
+        with pytest.raises(ValueError, match="^rank bound 4 has 81 representatives, "
+                                             "too many to build above the bound of 3$"):
+            distinguished_representatives(4)
+
+    @pytest.mark.parametrize("call", [
+        verify_axioms,
+        distinguished_representatives,
+        lambda bound: in_distinguished_class(two_triangle(), bound),
+        lambda bound: check_TR1_cone(two_times_identity(1), bound),
+    ], ids=["verify_axioms", "distinguished_representatives", "in_distinguished_class",
+            "check_TR1_cone"])
+    @pytest.mark.parametrize("bound,error", [
+        (2.5, "^rank bound 2.5 is not an integer$"),
+        (True, "^rank bound True is not an integer$"),
+        (np.bool_(True), "^rank bound np.True_ is not an integer$"),
+        ("2", "^rank bound '2' is not an integer$"),
+        (-1, "^rank bound -1 is negative$"),
+    ], ids=["float", "bool", "numpy-bool", "string", "negative"])
+    def test_a_bound_that_is_not_a_natural_number_is_refused(self, call, bound, error):
+        with pytest.raises(ValueError, match=error):
+            call(bound)
+
+    def test_integer_numpy_bounds_are_integers(self):
+        assert verify_axioms(np.int64(2)).max_rank == 2
+        assert type(verify_axioms(np.int64(2)).max_rank) is int
+        assert in_distinguished_class(two_triangle(), np.int8(1))
 
     def test_rank_bound_enforced(self):
         big = zero_triangle()
@@ -585,9 +629,34 @@ class TestTR3:
             assert tr3_by_pair_join(t1, t2) == tr3_by_brute_force(t1, t2)
 
 
+def verdicts_by_incidence(max_rank):
+    """Reference for verify_axioms' read-off, per representative within
+    the rank bound: whether its composites vanish and whether its rotation
+    is in the class; per pair i <= j, in row-major order, whose sum is
+    within the bound, whether the sum is; and TR3 per pair.  Read off the
+    incidence N and the elementary verdicts C, R and E by the lemmas at
+    verify_axioms, row by row: N (not C) and N (not R) are 0 in a
+    passing row, and TR3 is N (not E) N^T == 0.  A sum passes if its
+    incidence n + n' is a row of N, looked up by its digits in base
+    max_rank + 1: every elementary triangle has rank 1 on some object, so
+    a count in a sum within the bound is at most the bound, and n + n'
+    carries nothing."""
+    elems, incidence = elementary_triangles(), exotic._incidence(max_rank)
+    composites, rotations, _, tr3 = exotic._elementary_verdicts()
+    ranks = incidence @ np.array([t.ranks for t in elems])
+    keys = incidence @ (max_rank + 1) ** np.arange(len(elems))
+    i, j = np.nonzero(np.triu((ranks[:, None] + ranks).max(axis=2) <= max_rank))
+    is_row = np.zeros((max_rank + 1) ** len(elems), dtype=bool)
+    is_row[keys] = True
+    return (incidence @ ~composites == 0,
+            incidence @ ~rotations == 0,
+            is_row[keys[i] + keys[j]],
+            incidence @ ~tr3 @ incidence.T == 0)
+
+
 def blockwise_tr3(summands, incidence):
-    """TR3 of sums read off their summands' verdicts by _verdicts' lemma:
-    a pair fails iff some pair of their summands does."""
+    """TR3 of sums read off their summands' verdicts by the lemma at
+    verify_axioms: a pair fails iff some pair of their summands does."""
     return incidence @ ~tr3_verdicts(summands) @ incidence.T == 0
 
 
@@ -604,9 +673,9 @@ def sums_of_candidates(rng, count, terms):
 
 
 class TestBlockwiseTR3:
-    """TR3 of direct sums read off the pairs of their summands (_verdicts'
-    lemma), against the key join on every pair of sums and the per-pair
-    reference."""
+    """TR3 of direct sums read off the pairs of their summands (the lemma
+    at verify_axioms), against the key join on every pair of sums and the
+    per-pair reference."""
 
     def test_representatives_are_the_sums_their_incidence_names(self):
         elems = elementary_triangles()
@@ -619,7 +688,7 @@ class TestBlockwiseTR3:
 
     @pytest.mark.parametrize("max_rank", [1, 2])
     def test_verification_matches_the_full_join_on_representatives(self, max_rank):
-        tr3 = exotic._verdicts(max_rank)[3]
+        tr3 = verdicts_by_incidence(max_rank)[3]
         assert np.array_equal(tr3, tr3_verdicts(distinguished_representatives(max_rank)))
         assert tr3.all()
 
@@ -635,7 +704,7 @@ class TestBlockwiseTR3:
             return join(t1, t2, invertible) and len(pairs) > 1
 
         monkeypatch.setattr(exotic, "_pair_join", failing_first)
-        composites, rotations, sums, tr3 = exotic._verdicts(2)
+        composites, rotations, sums, tr3 = verdicts_by_incidence(2)
         # The 16 elementary pairs, each decided once.
         assert pairs == list(itertools.product(elementary_triangles(), repeat=2))
         # Only a 2-triangle summand puts a 2 into f.
@@ -656,7 +725,7 @@ class TestBlockwiseTR3:
     def test_blockwise_matches_the_pair_join_at_rank_three(self):
         rng = random.Random(13)
         reps = distinguished_representatives(3)
-        tr3 = exotic._verdicts(3)[3]
+        tr3 = verdicts_by_incidence(3)[3]
         assert tr3.shape == (39, 39)
         for _ in range(6):
             i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
@@ -670,7 +739,7 @@ class TestBlockwiseTR3:
 def closure_queries(max_rank):
     """The rotations of the representatives, one per representative, and
     their pairwise direct sums within the rank bound, in the order of
-    exotic._verdicts."""
+    verdicts_by_incidence."""
     reps = distinguished_representatives(max_rank)
     sums = [
         t1.direct_sum(t2)
@@ -705,7 +774,7 @@ def block_permutation(before, after, obj):
 
 class TestReadOff:
     """Composites, rotation and sums of the representatives read off the
-    elementary triangles and the incidence (_verdicts' lemmas), against
+    elementary triangles and the incidence (verify_axioms' lemmas), against
     membership decided on every representative's rotation and sums."""
 
     @pytest.mark.parametrize("max_rank", [0, 1, 2, 3])
@@ -713,7 +782,7 @@ class TestReadOff:
         reps = distinguished_representatives(max_rank)
         rotations, sums = closure_queries(max_rank)
         members = np.array([in_distinguished_class(t, max_rank) for t in [*rotations, *sums]])
-        composites, rotated, summed, _ = exotic._verdicts(max_rank)
+        composites, rotated, summed, _ = verdicts_by_incidence(max_rank)
         assert composites.tolist() == [t.is_candidate for t in reps]
         assert np.array_equal(rotated, members[:len(reps)])
         assert np.array_equal(summed, members[len(reps):])
@@ -722,27 +791,17 @@ class TestReadOff:
     @pytest.mark.parametrize("failing", range(4))
     def test_a_failing_elementary_rotation_fails_its_representatives(self, monkeypatch,
                                                                       failing):
-        composites, rotations, tr3 = exotic._elementary_verdicts()
+        composites, rotations, sums, tr3 = exotic._elementary_verdicts()
         rotations = rotations.copy()
         rotations[failing] = False
         monkeypatch.setattr(exotic, "_elementary_verdicts",
-                            lambda: (composites, rotations, tr3))
+                            lambda: (composites, rotations, sums, tr3))
         reps, incidence = exotic._representatives(2)
-        rotated = exotic._verdicts(2)[1]
+        rotated = verdicts_by_incidence(2)[1]
         # Exactly the representatives with that summand fail.
         assert np.array_equal(rotated, incidence[:, failing] == 0)
         report = verify_axioms(2)
         assert [ok for _, ok in report.steps] == [True, True, False, True, True]
-
-    def test_a_dropped_incidence_row_fails_the_sums(self, monkeypatch):
-        # A row is the sum of two others iff it has two summands or more.
-        incidence = exotic._incidence(2)
-        for row in range(len(incidence)):
-            dropped = np.delete(incidence, row, axis=0)
-            monkeypatch.setattr(exotic, "_incidence", lambda max_rank: dropped)
-            report = verify_axioms(2)
-            assert report.steps[3][1] == (incidence[row].sum() < 2)
-            assert [ok for n, (_, ok) in enumerate(report.steps) if n != 3] == [True] * 4
 
     def test_a_permutation_carries_a_sum_to_its_representative(self):
         rng = random.Random(17)
@@ -861,11 +920,13 @@ class TestBatchedJoins:
         # The elementary verdicts, decided in one cached call, against one
         # reference call per triangle or pair.
         elems = elementary_triangles()
-        composites, rotations, tr3 = exotic._elementary_verdicts()
+        composites, rotations, sums, tr3 = exotic._elementary_verdicts()
         assert composites.tolist() == [composites_vanish_by_loop(t) for t in elems]
         assert rotations.tolist() == members_by_pair_join([t.rotate() for t in elems], 1)
+        assert sums.tolist() == [members_by_pair_join([s.direct_sum(t) for t in elems], 2)
+                                 for s in elems]
         assert tr3.tolist() == [[tr3_by_pair_join(t1, t2) for t2 in elems] for t1 in elems]
-        assert composites.all() and rotations.all() and tr3.all()
+        assert composites.all() and rotations.all() and sums.all() and tr3.all()
 
     def test_packed_keys_fit_int64_at_rank_three(self, monkeypatch):
         # A key pair of two 3 x 3 products packs 2 * 9 base-4 digits.
@@ -974,12 +1035,12 @@ class TestBatchedJoins:
         exotic._elementary_verdicts.cache_clear()
         report = verify_axioms(1)
         assert not report.passed
-        # The sums step reads the incidence alone and searches nothing.
-        assert [ok for _, ok in report.steps] == [True, True, False, True, False]
+        # Only the composites are decided without membership or a join.
+        assert [ok for _, ok in report.steps] == [True, True, False, False, False]
 
     def test_verification_is_planned_once_per_bound(self, monkeypatch, fresh_verdicts):
-        # The 16 elementary TR3 pairs and the 4 rotations are decided on
-        # the first call of a process and serve every bound.
+        # The 16 elementary TR3 pairs, the 4 rotations and the 10 sums i <= j
+        # are decided on the first call of a process and serve every bound.
         join, member, pairs, queries = exotic._pair_join, in_distinguished_class, [], []
         monkeypatch.setattr(exotic, "_pair_join", lambda t1, t2, invertible:
                             pairs.append((t1, t2)) or join(t1, t2, invertible))
@@ -988,8 +1049,9 @@ class TestBatchedJoins:
         assert verify_axioms(2).passed and verify_axioms(2).passed and verify_axioms(3).passed
         elems = elementary_triangles()
         assert pairs == list(itertools.product(elems, repeat=2))
-        assert queries == [t.rotate() for t in elems]
-        _, rotations, tr3 = exotic._elementary_verdicts()
+        assert queries == [t.rotate() for t in elems] + [
+            s.direct_sum(t) for s, t in itertools.combinations_with_replacement(elems, 2)]
+        _, rotations, _, tr3 = exotic._elementary_verdicts()
         assert tr3.tolist() == [[tr3_by_brute_force(t1, t2) for t2 in elems] for t1 in elems]
         assert rotations.tolist() == [any(isomorphic_by_brute_force(t.rotate(), r) for r in elems)
                                       for t in elems]
@@ -1047,17 +1109,57 @@ class TestMembershipLemma:
         assert non_member.is_candidate
 
 
+def failing(verdicts, step, entry):
+    """The elementary verdicts (C, R, S, E) with one entry of one of them
+    set to False."""
+    verdicts = [v.copy() for v in verdicts]
+    verdicts[step][entry] = False
+    return tuple(verdicts)
+
+
 class TestVerification:
     def test_axioms_pass_rank_two(self):
         report = verify_axioms(2)
         assert report.passed
         assert len(report.steps) == 5
 
+    @pytest.mark.parametrize("step", range(4), ids=["C", "R", "S", "E"])
+    def test_one_failing_elementary_verdict_fails_its_step_alone(self, monkeypatch, step):
+        verdicts = exotic._elementary_verdicts()
+        want = [True] * 5
+        want[step + 1] = False
+        for entry in np.ndindex(verdicts[step].shape):
+            patched = failing(verdicts, step, entry)
+            monkeypatch.setattr(exotic, "_elementary_verdicts", lambda: patched)
+            for max_rank in (1, 2, 3, 64):
+                assert [ok for _, ok in verify_axioms(max_rank).steps] == want
+            # The zero triangle alone passes every step.
+            assert verify_axioms(0).passed
+
+    def test_the_steps_are_the_reference_read_off(self, monkeypatch):
+        # Unpatched, and with one C, R or E entry failed.  The reference's
+        # sums read N alone and fail with none of them.
+        verdicts = exotic._elementary_verdicts()
+        cases = [verdicts] + [failing(verdicts, step, entry) for step in (0, 1, 3)
+                              for entry in np.ndindex(verdicts[step].shape)]
+        for patched in cases:
+            monkeypatch.setattr(exotic, "_elementary_verdicts", lambda: patched)
+            for max_rank in range(7):
+                want = [True, *(bool(v.all()) for v in verdicts_by_incidence(max_rank))]
+                assert [ok for _, ok in verify_axioms(max_rank).steps] == want
+
+    def test_the_count_is_the_size_of_the_enumeration(self):
+        for max_rank in range(25):
+            count = len(exotic._incidence(max_rank))
+            assert exotic._class_count(max_rank) == count
+            assert verify_axioms(max_rank).steps[0] == (
+                f"enumerated {count} class representatives", True)
+
     def test_one_failed_step_fails_the_report(self, monkeypatch):
         # passed is read off the steps, so it cannot disagree with them.
-        composites, rotations, tr3 = exotic._elementary_verdicts()
+        composites, rotations, sums, tr3 = exotic._elementary_verdicts()
         monkeypatch.setattr(exotic, "_elementary_verdicts",
-                            lambda: (np.zeros_like(composites), rotations, tr3))
+                            lambda: (np.zeros_like(composites), rotations, sums, tr3))
         report = verify_axioms(2)
         assert [ok for _, ok in report.steps] == [True, False, True, True, True]
         assert report.passed is False
